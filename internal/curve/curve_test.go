@@ -8,6 +8,7 @@ import (
 
 	"zkvc/internal/arena"
 	"zkvc/internal/ff"
+	"zkvc/internal/parallel"
 )
 
 func randScalar(rng *mrand.Rand) ff.Fr {
@@ -370,6 +371,11 @@ func TestMSMWindowAllocs(t *testing.T) {
 		points[i] = p.ToAffine()
 		scalars[i] = randScalar(rng)
 	}
+	// One worker: parallel.MapReduce's bookkeeping (goroutines, partial
+	// results) allocates per worker, so the bound below is a one-worker
+	// bound and must not depend on the machine's core count.
+	parallel.SetDefaultSize(1)
+	defer parallel.SetDefaultSize(0)
 	MSMG1(points, scalars) // warm the pools
 	avg := testing.AllocsPerRun(10, func() {
 		MSMG1(points, scalars)

@@ -167,6 +167,13 @@ func (z *Fp) SetBytes(b []byte) *Fp {
 	return z.SetBig(new(big.Int).SetBytes(b))
 }
 
+// SetBytesCanonical sets z from its canonical 32-byte big-endian encoding
+// and reports whether b was one: exactly 32 bytes encoding a value < p.
+// On false z is zero.
+func (z *Fp) SetBytesCanonical(b []byte) bool {
+	return setCanonical((*[4]uint64)(z), b, &pMod)
+}
+
 // String renders the canonical value in decimal.
 func (z *Fp) String() string { return z.Big().String() }
 

@@ -159,6 +159,14 @@ func (z *Fr) SetBytes(b []byte) *Fr {
 	return z.SetBig(new(big.Int).SetBytes(b))
 }
 
+// SetBytesCanonical sets z from its canonical 32-byte big-endian encoding
+// and reports whether b was one: exactly 32 bytes encoding a value < r.
+// On false z is zero. Unlike SetBytes it never reduces, so two distinct
+// byte strings cannot decode to the same element.
+func (z *Fr) SetBytesCanonical(b []byte) bool {
+	return setCanonical((*[4]uint64)(z), b, &rMod)
+}
+
 // SetBytesWide interprets up to 64 big-endian bytes as an integer mod r
 // without allocating: the value hi·2^256 + lo enters Montgomery form as
 // toMont(hi)·R2 + toMont(lo) (R2 = 2^512 mod r is the Montgomery form of

@@ -23,6 +23,11 @@ func FuzzFrSetBytesRoundTrip(f *testing.F) {
 	var modBytes [32]byte
 	RModulus().FillBytes(modBytes[:])
 	f.Add(modBytes[:])
+	// The base-field boundary, for the SetBytesCanonical differential.
+	PModulus().FillBytes(modBytes[:])
+	f.Add(modBytes[:])
+	new(big.Int).Sub(PModulus(), big.NewInt(1)).FillBytes(modBytes[:])
+	f.Add(modBytes[:])
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) > 128 {
@@ -53,6 +58,24 @@ func FuzzFrSetBytesRoundTrip(f *testing.F) {
 		// A 32-byte input that is already canonical round-trips exactly.
 		if len(b) == 32 && new(big.Int).SetBytes(b).Cmp(RModulus()) < 0 && !bytes.Equal(c[:], b) {
 			t.Fatalf("canonical input %x re-encoded as %x", b, c)
+		}
+
+		// SetBytesCanonical — the strict decoder's limb compare — against
+		// the big.Int rule it replaced: accept exactly the 32-byte strings
+		// below the modulus, as the element SetBytes gives; else zero.
+		v := new(big.Int).SetBytes(b)
+		var sr Fr
+		if ok, want := sr.SetBytesCanonical(b), len(b) == 32 && v.Cmp(RModulus()) < 0; ok != want {
+			t.Fatalf("Fr.SetBytesCanonical(%x) = %v, big.Int says %v", b, ok, want)
+		} else if ok && !sr.Equal(&z) || !ok && !sr.IsZero() {
+			t.Fatalf("Fr.SetBytesCanonical(%x) left %v", b, sr.String())
+		}
+		var sp, zp Fp
+		zp.SetBytes(b)
+		if ok, want := sp.SetBytesCanonical(b), len(b) == 32 && v.Cmp(PModulus()) < 0; ok != want {
+			t.Fatalf("Fp.SetBytesCanonical(%x) = %v, big.Int says %v", b, ok, want)
+		} else if ok && !sp.Equal(&zp) || !ok && !sp.IsZero() {
+			t.Fatalf("Fp.SetBytesCanonical(%x) left %v", b, sp.String())
 		}
 	})
 }

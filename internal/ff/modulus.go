@@ -106,6 +106,25 @@ func montFromRaw(z, raw *[4]uint64, m *modulus) {
 	montMul(z, raw, &m.r2, m)
 }
 
+// setCanonical sets z to the element whose canonical encoding is exactly
+// the 32 big-endian bytes b and reports true. Anything else — another
+// length, or a value ≥ m that would only be valid after reduction — leaves
+// z zero and reports false. A limb compare against the modulus, no
+// math/big: this is the strict decoder's per-element check.
+func setCanonical(z *[4]uint64, b []byte, m *modulus) bool {
+	*z = [4]uint64{}
+	if len(b) != 32 {
+		return false
+	}
+	var raw [4]uint64
+	limbsFromBytesBE(b, &raw)
+	if geqLimbs(&raw, &m.limbs) {
+		return false
+	}
+	montFromRaw(z, &raw, m)
+	return true
+}
+
 func limbsToBig(l *[4]uint64) *big.Int {
 	var buf [32]byte
 	for i := 0; i < 4; i++ {

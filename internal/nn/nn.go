@@ -285,6 +285,11 @@ func (c *Config) Validate() error {
 	if len(c.Stages) == 0 {
 		return fmt.Errorf("nn: %s: no stages", c.Name)
 	}
+	// Before the loop: it divides by Heads, and a config decoded off the
+	// wire may carry zero there.
+	if c.Heads <= 0 || c.MLPRatio <= 0 || c.PatchDim <= 0 || c.NumClasses <= 0 {
+		return fmt.Errorf("nn: %s: nonpositive hyperparameter", c.Name)
+	}
 	for i, s := range c.Stages {
 		if s.Blocks <= 0 || s.Dim <= 0 || s.Tokens <= 0 {
 			return fmt.Errorf("nn: %s: stage %d has nonpositive shape %+v", c.Name, i, s)
@@ -295,9 +300,6 @@ func (c *Config) Validate() error {
 	}
 	if got, want := len(c.Mixers), c.TotalBlocks(); got != want {
 		return fmt.Errorf("nn: %s: %d mixers for %d blocks", c.Name, got, want)
-	}
-	if c.Heads <= 0 || c.MLPRatio <= 0 || c.PatchDim <= 0 || c.NumClasses <= 0 {
-		return fmt.Errorf("nn: %s: nonpositive hyperparameter", c.Name)
 	}
 	return nil
 }

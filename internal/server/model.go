@@ -373,12 +373,26 @@ func (s *Server) handleProveModel(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	write(j.header)
+	// A client holding every announced op may post the report to
+	// /v1/verify/model at once, and run attests the report only after the
+	// last op is proved. So the last frame is held until events closes —
+	// which run defers past the attestation — and dropped if the job
+	// failed after all, since a failed job attests nothing.
+	var last []byte
+	sent := 0
 	for ev := range j.events {
 		if ev.err != nil {
 			write(wire.EncodeModelStreamError(ev.err.Error()))
 			return
 		}
+		if sent++; sent == j.plan {
+			last = ev.frame
+			continue
+		}
 		write(ev.frame)
+	}
+	if last != nil {
+		write(last)
 	}
 }
 

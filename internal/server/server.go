@@ -22,7 +22,9 @@
 // Endpoints (all proof bodies use the canonical internal/wire encoding):
 //
 //	POST /v1/prove        coalescing batch proving (wire.ProveRequest → wire.ProveResponse)
-//	POST /v1/prove/single one proof per request, Groth16 CRS cached per shape (→ wire MatMulProof)
+//	POST /v1/prove/single one epoch proof per request, Groth16 CRS cached per shape (→ wire MatMulProof)
+//	POST /v1/prove/matmul one per-statement Fiat–Shamir proof per request — zkvc.Local.ProveMatMul over HTTP (wire.ProveRequest → wire MatMulProof)
+//	POST /v1/prove/batch  fold exactly the submitted pairs into one proof, no coalescing window (wire.ProveBatchRequest → wire BatchProof)
 //	POST /v1/prove/model  prove a captured model trace (wire.ProveModelRequest → framed stream of wire.OpProof)
 //	POST /v1/jobs         submit a model trace as a durable async job (wire.JobSubmitRequest → 202 wire.JobStatus, or 429 + Retry-After)
 //	GET  /v1/jobs/{id}            poll a job (→ wire.JobStatus)
@@ -31,8 +33,11 @@
 //	DELETE /v1/jobs/{id}          cancel a job and delete its journal
 //	POST /v1/verify       check a single proof (wire.VerifyRequest → JSON)
 //	POST /v1/verify/batch check a coalesced batch (wire.ProveResponse → JSON)
-//	POST /v1/verify/model check a model report this service issued (wire.Report → JSON)
+//	POST /v1/verify/model check a model report this service issued: bare wire.Report → JSON (per-op), or with
+//	                      ?mode=per-op|aggregate wire.VerifyModelRequest → wire.VerifyModelResponse
+//	POST /v1/cluster/attest       ingest a peer's attestation digests, relayed by the coordinator (wire.AttestationUpdate)
 //	GET  /metrics         per-kind queue depth, coalesce ratio, per-phase timings, stream backpressure (JSON)
+//	GET  /metrics/prometheus      the same counters and gauges in Prometheus text exposition format
 //	GET  /healthz         liveness
 //
 // # Tenancy

@@ -8,8 +8,6 @@ package wire
 // validates the announced URL before routing anything to it (a URL is a
 // routing instruction, not just data).
 
-import "fmt"
-
 // NodeAnnounce registers a prover node with a cluster coordinator. Name
 // is the node's stable identity — the rendezvous-hash input, so a node
 // that restarts under the same name keeps the same slice of the keyspace
@@ -42,8 +40,8 @@ type NodeHeartbeat struct {
 // EncodeNodeAnnounce serializes a node registration.
 func EncodeNodeAnnounce(a *NodeAnnounce) []byte {
 	e := newEnc(TagNodeAnnounce)
-	e.bytes([]byte(a.Name))
-	e.bytes([]byte(a.URL))
+	e.str(a.Name)
+	e.str(a.URL)
 	e.u32(uint32(a.Workers))
 	return e.buf
 }
@@ -52,43 +50,21 @@ func EncodeNodeAnnounce(a *NodeAnnounce) []byte {
 // non-empty (an anonymous or unroutable node cannot be registered);
 // whether the URL actually parses is the coordinator's call.
 func DecodeNodeAnnounce(b []byte) (*NodeAnnounce, error) {
-	d, err := newDec(b, TagNodeAnnounce)
-	if err != nil {
-		return nil, err
-	}
-	a := &NodeAnnounce{}
-	name, err := d.blob("node name")
-	if err != nil {
-		return nil, err
-	}
-	if len(name) == 0 {
-		return nil, fmt.Errorf("%w: empty node name", ErrDecode)
-	}
-	a.Name = string(name)
-	url, err := d.blob("node URL")
-	if err != nil {
-		return nil, err
-	}
-	if len(url) == 0 {
-		return nil, fmt.Errorf("%w: empty node URL", ErrDecode)
-	}
-	a.URL = string(url)
-	if a.Workers, err = d.boundedU32("node workers", maxDim); err != nil {
-		return nil, err
-	}
-	return a, d.finish()
+	return decode(b, TagNodeAnnounce, func(d *dec) *NodeAnnounce {
+		a := &NodeAnnounce{}
+		a.Name = d.strNonEmpty("node name")
+		a.URL = d.strNonEmpty("node URL")
+		a.Workers = d.u32max("node workers", maxDim)
+		return a
+	})
 }
 
 // EncodeNodeHeartbeat serializes a node heartbeat.
 func EncodeNodeHeartbeat(h *NodeHeartbeat) []byte {
 	e := newEnc(TagNodeHeartbeat)
-	e.bytes([]byte(h.Name))
+	e.str(h.Name)
 	e.u64(uint64(h.QueueUnits))
-	if h.Draining {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
+	e.flag(h.Draining)
 	e.u64(h.DiskBytes)
 	e.u64(h.MemBytes)
 	return e.buf
@@ -96,46 +72,13 @@ func EncodeNodeHeartbeat(h *NodeHeartbeat) []byte {
 
 // DecodeNodeHeartbeat parses a node heartbeat.
 func DecodeNodeHeartbeat(b []byte) (*NodeHeartbeat, error) {
-	d, err := newDec(b, TagNodeHeartbeat)
-	if err != nil {
-		return nil, err
-	}
-	h := &NodeHeartbeat{}
-	name, err := d.blob("node name")
-	if err != nil {
-		return nil, err
-	}
-	if len(name) == 0 {
-		return nil, fmt.Errorf("%w: empty node name", ErrDecode)
-	}
-	h.Name = string(name)
-	units, err := d.u64()
-	if err != nil {
-		return nil, err
-	}
-	if int64(units) < 0 || int64(units) > maxStatInt {
-		return nil, fmt.Errorf("%w: queue units %d out of range", ErrDecode, units)
-	}
-	h.QueueUnits = int64(units)
-	draining, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	if draining > 1 {
-		return nil, fmt.Errorf("%w: bad draining flag %d", ErrDecode, draining)
-	}
-	h.Draining = draining == 1
-	if h.DiskBytes, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if h.DiskBytes > uint64(maxStatInt) {
-		return nil, fmt.Errorf("%w: disk bytes %d out of range", ErrDecode, h.DiskBytes)
-	}
-	if h.MemBytes, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if h.MemBytes > uint64(maxStatInt) {
-		return nil, fmt.Errorf("%w: mem bytes %d out of range", ErrDecode, h.MemBytes)
-	}
-	return h, d.finish()
+	return decode(b, TagNodeHeartbeat, func(d *dec) *NodeHeartbeat {
+		h := &NodeHeartbeat{}
+		h.Name = d.strNonEmpty("node name")
+		h.QueueUnits = d.u64max("queue units", maxStatInt)
+		h.Draining = d.flag("draining flag")
+		h.DiskBytes = uint64(d.u64max("disk bytes", maxStatInt))
+		h.MemBytes = uint64(d.u64max("mem bytes", maxStatInt))
+		return h
+	})
 }

@@ -150,21 +150,3 @@ func TestDecodeRejectsBadConvGeometry(t *testing.T) {
 		}
 	}
 }
-
-// TestCNNRequestRejectsTruncationAndTrailing is the framing check on the
-// conv encoding specifically.
-func TestCNNRequestRejectsTruncationAndTrailing(t *testing.T) {
-	cfg, trace, _ := cnnFixture(t, zkml.Spartan, 37)
-	raw := wire.EncodeProveModelRequest(&wire.ProveModelRequest{
-		Backend: zkml.Spartan, Cfg: cfg, Trace: trace,
-	})
-	for _, cut := range []int{4, len(raw) / 3, len(raw) - 1} {
-		if _, err := wire.DecodeProveModelRequest(raw[:cut]); err == nil {
-			t.Errorf("request truncated to %d bytes decoded", cut)
-		}
-	}
-	trailing := append(append([]byte(nil), raw...), 0x00)
-	if _, err := wire.DecodeProveModelRequest(trailing); err == nil {
-		t.Error("request with trailing byte decoded")
-	}
-}

@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"errors"
 	mrand "math/rand"
 	"testing"
 
@@ -171,128 +172,23 @@ func tinyFuzzConfig() nn.Config {
 }
 
 // FuzzWireDecodeProof feeds arbitrary bytes to every decoder. Corrupted or
-// truncated input must produce an error, never a panic — and anything a
-// decoder accepts must re-encode to the identical bytes (the format is
-// canonical), so two distinct byte strings can never decode to the same
-// message.
+// truncated input must produce an error wrapping ErrDecode, never a panic
+// (a decoder that divides by, indexes with or allocates from a value read
+// after a latched failure panics here) — and anything a decoder accepts
+// must re-encode to the identical bytes (the format is canonical), so two
+// distinct byte strings can never decode to the same message.
 func FuzzWireDecodeProof(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if p, err := wire.DecodeMatMulProof(data); err == nil {
-			if again := wire.EncodeMatMulProof(p); !bytes.Equal(data, again) {
-				t.Fatalf("accepted MatMulProof is not canonical")
-			}
-		}
-		if p, err := wire.DecodeBatchProof(data); err == nil {
-			if again := wire.EncodeBatchProof(p); !bytes.Equal(data, again) {
-				t.Fatalf("accepted BatchProof is not canonical")
-			}
-		}
-		if m, err := wire.DecodeMatrix(data); err == nil {
-			if again := wire.EncodeMatrix(m); !bytes.Equal(data, again) {
-				t.Fatalf("accepted Matrix is not canonical")
-			}
-		}
-		if r, err := wire.DecodeProveRequest(data); err == nil {
-			if again := wire.EncodeProveRequest(r); !bytes.Equal(data, again) {
-				t.Fatalf("accepted ProveRequest is not canonical")
-			}
-		}
-		if r, err := wire.DecodeProveResponse(data); err == nil {
-			if again := wire.EncodeProveResponse(r); !bytes.Equal(data, again) {
-				t.Fatalf("accepted ProveResponse is not canonical")
-			}
-		}
-		if r, err := wire.DecodeVerifyRequest(data); err == nil {
-			if again := wire.EncodeVerifyRequest(r); !bytes.Equal(data, again) {
-				t.Fatalf("accepted VerifyRequest is not canonical")
-			}
-		}
-		if r, err := wire.DecodeProveBatchRequest(data); err == nil {
-			if again := wire.EncodeProveBatchRequest(r); !bytes.Equal(data, again) {
-				t.Fatalf("accepted ProveBatchRequest is not canonical")
-			}
-		}
-		if r, err := wire.DecodeProveModelRequest(data); err == nil {
-			if again := wire.EncodeProveModelRequest(r); !bytes.Equal(data, again) {
-				t.Fatalf("accepted ProveModelRequest is not canonical")
-			}
-		}
-		if op, err := wire.DecodeOpProof(data); err == nil {
-			if again := wire.EncodeOpProof(op); !bytes.Equal(data, again) {
-				t.Fatalf("accepted OpProof is not canonical")
-			}
-		}
-		if rep, err := wire.DecodeReport(data); err == nil {
-			if again := wire.EncodeReport(rep); !bytes.Equal(data, again) {
-				t.Fatalf("accepted Report is not canonical")
-			}
-		}
-		if r, err := wire.DecodeVerifyModelRequest(data); err == nil {
-			if again := wire.EncodeVerifyModelRequest(r); !bytes.Equal(data, again) {
-				t.Fatalf("accepted VerifyModelRequest is not canonical")
-			}
-		}
-		if r, err := wire.DecodeVerifyModelResponse(data); err == nil {
-			if again := wire.EncodeVerifyModelResponse(r); !bytes.Equal(data, again) {
-				t.Fatalf("accepted VerifyModelResponse is not canonical")
-			}
-		}
-		if h, err := wire.DecodeModelStreamHeader(data); err == nil {
-			if again := wire.EncodeModelStreamHeader(h); !bytes.Equal(data, again) {
-				t.Fatalf("accepted ModelStreamHeader is not canonical")
-			}
-		}
-		if msg, err := wire.DecodeModelStreamError(data); err == nil {
-			if again := wire.EncodeModelStreamError(msg); !bytes.Equal(data, again) {
-				t.Fatalf("accepted ModelStreamError is not canonical")
-			}
-		}
-		if a, err := wire.DecodeNodeAnnounce(data); err == nil {
-			if again := wire.EncodeNodeAnnounce(a); !bytes.Equal(data, again) {
-				t.Fatalf("accepted NodeAnnounce is not canonical")
-			}
-		}
-		if h, err := wire.DecodeNodeHeartbeat(data); err == nil {
-			if again := wire.EncodeNodeHeartbeat(h); !bytes.Equal(data, again) {
-				t.Fatalf("accepted NodeHeartbeat is not canonical")
-			}
-		}
-		if r, err := wire.DecodeJobSubmitRequest(data); err == nil {
-			if again := wire.EncodeJobSubmitRequest(r); !bytes.Equal(data, again) {
-				t.Fatalf("accepted JobSubmitRequest is not canonical")
-			}
-		}
-		if s, err := wire.DecodeJobStatus(data); err == nil {
-			if again := wire.EncodeJobStatus(s); !bytes.Equal(data, again) {
-				t.Fatalf("accepted JobStatus is not canonical")
-			}
-		}
-		if rec, err := wire.DecodeIssuedRecord(data); err == nil {
-			if again := wire.EncodeIssuedRecord(rec); !bytes.Equal(data, again) {
-				t.Fatalf("accepted IssuedRecord is not canonical")
-			}
-		}
-		if u, err := wire.DecodeAttestationUpdate(data); err == nil {
-			if again := wire.EncodeAttestationUpdate(u); !bytes.Equal(data, again) {
-				t.Fatalf("accepted AttestationUpdate is not canonical")
-			}
-		}
-		if rec, err := wire.DecodeJournalRecord(data); err == nil {
-			if again := wire.EncodeJournalRecord(rec); !bytes.Equal(data, again) {
-				t.Fatalf("accepted JournalRecord is not canonical")
-			}
-		}
-		if r, err := wire.DecodeJobStreamRequest(data); err == nil {
-			if again := wire.EncodeJobStreamRequest(r); !bytes.Equal(data, again) {
-				t.Fatalf("accepted JobStreamRequest is not canonical")
-			}
-		}
-		if m, err := wire.DecodeJobManifest(data); err == nil {
-			if again := wire.EncodeJobManifest(m); !bytes.Equal(data, again) {
-				t.Fatalf("accepted JobManifest is not canonical")
+		for _, c := range codecs {
+			if again, err := c.roundTrip(data); err != nil {
+				if !errors.Is(err, wire.ErrDecode) {
+					t.Fatalf("%s: error %v does not wrap ErrDecode", c.name, err)
+				}
+			} else if !bytes.Equal(data, again) {
+				t.Fatalf("accepted %s is not canonical", c.name)
 			}
 		}
 	})

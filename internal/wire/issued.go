@@ -8,14 +8,6 @@ package wire
 // cluster HTTP surface (node → coordinator → replicas), so bounded
 // lengths and no trailing bytes apply there too.
 
-import "fmt"
-
-// Issued-log message type tags (continuing the job tag space in jobs.go).
-const (
-	TagIssuedRecord      byte = 0x14
-	TagAttestationUpdate byte = 0x15
-)
-
 // Issued-log record kinds. An add attests a digest (with the CRS tag the
 // issuing epoch used, 0 for untagged kinds); a tombstone withdraws one —
 // the reaper's "remove" is an append, never an in-place delete, so the
@@ -56,47 +48,23 @@ func EncodeIssuedRecord(r *IssuedRecord) []byte {
 	e := newEnc(TagIssuedRecord)
 	e.u64(uint64(r.Seq))
 	e.u8(r.Kind)
-	e.buf = append(e.buf, r.Prev[:]...)
-	e.buf = append(e.buf, r.Digest[:]...)
+	e.hash32(&r.Prev)
+	e.hash32(&r.Digest)
 	e.u64(r.CRSTag)
 	return e.buf
 }
 
 // DecodeIssuedRecord parses one issued-log entry.
 func DecodeIssuedRecord(b []byte) (*IssuedRecord, error) {
-	d, err := newDec(b, TagIssuedRecord)
-	if err != nil {
-		return nil, err
-	}
-	r := &IssuedRecord{}
-	seq, err := d.u64()
-	if err != nil {
-		return nil, err
-	}
-	if int64(seq) < 0 || int64(seq) > maxIssuedSeq {
-		return nil, fmt.Errorf("%w: issued sequence %d out of range", ErrDecode, seq)
-	}
-	r.Seq = int64(seq)
-	if r.Kind, err = d.u8(); err != nil {
-		return nil, err
-	}
-	if r.Kind > maxIssuedKind {
-		return nil, fmt.Errorf("%w: bad issued record kind %d", ErrDecode, r.Kind)
-	}
-	prev, err := d.take(32)
-	if err != nil {
-		return nil, err
-	}
-	copy(r.Prev[:], prev)
-	digest, err := d.take(32)
-	if err != nil {
-		return nil, err
-	}
-	copy(r.Digest[:], digest)
-	if r.CRSTag, err = d.u64(); err != nil {
-		return nil, err
-	}
-	return r, d.finish()
+	return decode(b, TagIssuedRecord, func(d *dec) *IssuedRecord {
+		r := &IssuedRecord{}
+		r.Seq = d.u64max("issued sequence", maxIssuedSeq)
+		r.Kind = d.u8max("issued record kind", maxIssuedKind)
+		r.Prev = d.hash32()
+		r.Digest = d.hash32()
+		r.CRSTag = d.u64()
+		return r
+	})
 }
 
 // AttestationUpdate replicates attestation digests across the cluster:
@@ -114,15 +82,9 @@ type AttestationUpdate struct {
 // EncodeAttestationUpdate serializes a replication update.
 func EncodeAttestationUpdate(u *AttestationUpdate) []byte {
 	e := newEnc(TagAttestationUpdate)
-	e.bytes([]byte(u.Node))
-	e.u32(uint32(len(u.Added)))
-	for i := range u.Added {
-		e.buf = append(e.buf, u.Added[i][:]...)
-	}
-	e.u32(uint32(len(u.Removed)))
-	for i := range u.Removed {
-		e.buf = append(e.buf, u.Removed[i][:]...)
-	}
+	e.str(u.Node)
+	e.hashes(u.Added)
+	e.hashes(u.Removed)
 	return e.buf
 }
 
@@ -131,46 +93,14 @@ func EncodeAttestationUpdate(u *AttestationUpdate) []byte {
 // name), and an update must carry at least one digest — an empty update
 // is a protocol error, not a heartbeat.
 func DecodeAttestationUpdate(b []byte) (*AttestationUpdate, error) {
-	d, err := newDec(b, TagAttestationUpdate)
-	if err != nil {
-		return nil, err
-	}
-	u := &AttestationUpdate{}
-	node, err := d.blob("attesting node")
-	if err != nil {
-		return nil, err
-	}
-	if len(node) == 0 {
-		return nil, fmt.Errorf("%w: empty attesting node", ErrDecode)
-	}
-	u.Node = string(node)
-	if u.Added, err = decodeDigests(d, "added attestations"); err != nil {
-		return nil, err
-	}
-	if u.Removed, err = decodeDigests(d, "removed attestations"); err != nil {
-		return nil, err
-	}
-	if len(u.Added)+len(u.Removed) == 0 {
-		return nil, fmt.Errorf("%w: empty attestation update", ErrDecode)
-	}
-	return u, d.finish()
-}
-
-func decodeDigests(d *dec, what string) ([][32]byte, error) {
-	n, err := d.count(what, maxAttestationDigests, 32)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([][32]byte, n)
-	for i := range out {
-		b, err := d.take(32)
-		if err != nil {
-			return nil, err
+	return decode(b, TagAttestationUpdate, func(d *dec) *AttestationUpdate {
+		u := &AttestationUpdate{}
+		u.Node = d.strNonEmpty("attesting node")
+		u.Added = d.hashes("added attestations", maxAttestationDigests)
+		u.Removed = d.hashes("removed attestations", maxAttestationDigests)
+		if len(u.Added)+len(u.Removed) == 0 {
+			d.fail("empty attestation update")
 		}
-		copy(out[i][:], b)
-	}
-	return out, nil
+		return u
+	})
 }

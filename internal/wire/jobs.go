@@ -8,17 +8,6 @@ package wire
 // discipline applies: bounded lengths, no trailing bytes, canonical
 // re-encode, errors instead of panics.
 
-import "fmt"
-
-// Job message type tags (continuing the top-level tag space in wire.go).
-const (
-	TagJobSubmitRequest byte = 0x0f
-	TagJobStatus        byte = 0x10
-	TagJournalRecord    byte = 0x11
-	TagJobStreamRequest byte = 0x12
-	TagJobManifest      byte = 0x13
-)
-
 // Job lifecycle states carried by JobStatus.
 const (
 	JobQueued   byte = 0 // admitted, waiting for a worker
@@ -57,46 +46,19 @@ type JobSubmitRequest struct {
 func EncodeJobSubmitRequest(r *JobSubmitRequest) []byte {
 	e := newEnc(TagJobSubmitRequest)
 	e.u32(uint32(r.TTLSeconds))
-	encodeBackend(e, r.Model.Backend)
-	if r.Model.ProveNonlinear {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-	encodeConfigBody(e, &r.Model.Cfg)
-	encodeTraceBody(e, r.Model.Trace)
+	encodeProveModelBody(e, r.Model)
 	return e.buf
 }
 
 // DecodeJobSubmitRequest parses an asynchronous job submission with the
 // same validation the synchronous prove-model decoder applies.
 func DecodeJobSubmitRequest(b []byte) (*JobSubmitRequest, error) {
-	d, err := newDec(b, TagJobSubmitRequest)
-	if err != nil {
-		return nil, err
-	}
-	r := &JobSubmitRequest{Model: &ProveModelRequest{}}
-	if r.TTLSeconds, err = d.boundedU32("job TTL seconds", maxTTLSeconds); err != nil {
-		return nil, err
-	}
-	if r.Model.Backend, err = decodeBackend(d); err != nil {
-		return nil, err
-	}
-	nl, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	if nl > 1 {
-		return nil, fmt.Errorf("%w: bad nonlinear flag %d", ErrDecode, nl)
-	}
-	r.Model.ProveNonlinear = nl == 1
-	if r.Model.Cfg, err = decodeConfigBody(d); err != nil {
-		return nil, err
-	}
-	if r.Model.Trace, err = decodeTraceBody(d); err != nil {
-		return nil, err
-	}
-	return r, d.finish()
+	return decode(b, TagJobSubmitRequest, func(d *dec) *JobSubmitRequest {
+		r := &JobSubmitRequest{}
+		r.TTLSeconds = d.u32max("job TTL seconds", maxTTLSeconds)
+		r.Model = decodeProveModelBody(d)
+		return r
+	})
 }
 
 // JobStatus reports where a job is in its lifecycle. It is the body of
@@ -119,66 +81,35 @@ type JobStatus struct {
 // EncodeJobStatus serializes a job status report.
 func EncodeJobStatus(s *JobStatus) []byte {
 	e := newEnc(TagJobStatus)
-	e.bytes([]byte(s.ID))
+	e.str(s.ID)
 	e.u8(s.State)
 	e.u32(uint32(s.TotalOps))
 	e.u32(uint32(s.CompletedOps))
 	e.u64(uint64(s.QueuePos))
 	e.u32(uint32(s.RetryAfterSeconds))
-	e.bytes([]byte(s.Error))
+	e.str(s.Error)
 	return e.buf
 }
 
 // DecodeJobStatus parses a job status report.
 func DecodeJobStatus(b []byte) (*JobStatus, error) {
-	d, err := newDec(b, TagJobStatus)
-	if err != nil {
-		return nil, err
-	}
-	s := &JobStatus{}
-	id, err := d.blob("job ID")
-	if err != nil {
-		return nil, err
-	}
-	s.ID = string(id)
-	if s.State, err = d.u8(); err != nil {
-		return nil, err
-	}
-	if s.State > maxJobState {
-		return nil, fmt.Errorf("%w: bad job state %d", ErrDecode, s.State)
-	}
-	if len(s.ID) == 0 && s.State != JobRejected {
-		return nil, fmt.Errorf("%w: admitted job without an ID", ErrDecode)
-	}
-	if len(s.ID) != 0 && s.State == JobRejected {
-		return nil, fmt.Errorf("%w: rejected job carries an ID", ErrDecode)
-	}
-	if s.TotalOps, err = d.boundedU32("job total ops", maxTraceOps); err != nil {
-		return nil, err
-	}
-	if s.CompletedOps, err = d.boundedU32("job completed ops", maxTraceOps); err != nil {
-		return nil, err
-	}
-	if s.CompletedOps > s.TotalOps {
-		return nil, fmt.Errorf("%w: %d completed ops exceed %d total", ErrDecode, s.CompletedOps, s.TotalOps)
-	}
-	pos, err := d.u64()
-	if err != nil {
-		return nil, err
-	}
-	if int64(pos) < 0 || int64(pos) > maxStatInt {
-		return nil, fmt.Errorf("%w: queue position %d out of range", ErrDecode, pos)
-	}
-	s.QueuePos = int64(pos)
-	if s.RetryAfterSeconds, err = d.boundedU32("retry-after seconds", maxRetryAfterSeconds); err != nil {
-		return nil, err
-	}
-	msg, err := d.blob("job error")
-	if err != nil {
-		return nil, err
-	}
-	s.Error = string(msg)
-	return s, d.finish()
+	return decode(b, TagJobStatus, func(d *dec) *JobStatus {
+		s := &JobStatus{}
+		s.ID = d.str("job ID")
+		s.State = d.u8max("job state", maxJobState)
+		if (s.ID == "") != (s.State == JobRejected) {
+			d.fail("job state %d and ID %q disagree: exactly the rejected jobs have no ID", s.State, s.ID)
+		}
+		s.TotalOps = d.u32max("job total ops", maxTraceOps)
+		s.CompletedOps = d.u32max("job completed ops", maxTraceOps)
+		if s.CompletedOps > s.TotalOps {
+			d.fail("%d completed ops exceed %d total", s.CompletedOps, s.TotalOps)
+		}
+		s.QueuePos = d.u64max("queue position", maxStatInt)
+		s.RetryAfterSeconds = d.u32max("retry-after seconds", maxRetryAfterSeconds)
+		s.Error = d.str("job error")
+		return s
+	})
 }
 
 // Journal record kinds. A job's journal is, in order: one manifest
@@ -215,7 +146,7 @@ func EncodeJournalRecord(r *JournalRecord) []byte {
 	e := newEnc(TagJournalRecord)
 	e.u32(uint32(r.Seq))
 	e.u8(r.Kind)
-	e.buf = append(e.buf, r.Prev[:]...)
+	e.hash32(&r.Prev)
 	e.bytes(r.Payload)
 	return e.buf
 }
@@ -224,35 +155,14 @@ func EncodeJournalRecord(r *JournalRecord) []byte {
 // this layer (its own decoder validates it by kind); only its size is
 // bounded here.
 func DecodeJournalRecord(b []byte) (*JournalRecord, error) {
-	d, err := newDec(b, TagJournalRecord)
-	if err != nil {
-		return nil, err
-	}
-	r := &JournalRecord{}
-	if r.Seq, err = d.boundedU32("journal sequence", maxJournalSeq); err != nil {
-		return nil, err
-	}
-	if r.Kind, err = d.u8(); err != nil {
-		return nil, err
-	}
-	if r.Kind > maxJournalKind {
-		return nil, fmt.Errorf("%w: bad journal record kind %d", ErrDecode, r.Kind)
-	}
-	prev, err := d.take(32)
-	if err != nil {
-		return nil, err
-	}
-	copy(r.Prev[:], prev)
-	n, err := d.count("journal payload", maxJournalPayload, 1)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := d.take(n)
-	if err != nil {
-		return nil, err
-	}
-	r.Payload = append([]byte(nil), payload...)
-	return r, d.finish()
+	return decode(b, TagJournalRecord, func(d *dec) *JournalRecord {
+		r := &JournalRecord{}
+		r.Seq = d.u32max("journal sequence", maxJournalSeq)
+		r.Kind = d.u8max("journal record kind", maxJournalKind)
+		r.Prev = d.hash32()
+		r.Payload = d.blob("journal payload", maxJournalPayload)
+		return r
+	})
 }
 
 // JobStreamRequest asks for a job's frame stream starting at frame From
@@ -267,30 +177,19 @@ type JobStreamRequest struct {
 // EncodeJobStreamRequest serializes a stream-resume request.
 func EncodeJobStreamRequest(r *JobStreamRequest) []byte {
 	e := newEnc(TagJobStreamRequest)
-	e.bytes([]byte(r.ID))
+	e.str(r.ID)
 	e.u32(uint32(r.From))
 	return e.buf
 }
 
 // DecodeJobStreamRequest parses a stream-resume request.
 func DecodeJobStreamRequest(b []byte) (*JobStreamRequest, error) {
-	d, err := newDec(b, TagJobStreamRequest)
-	if err != nil {
-		return nil, err
-	}
-	r := &JobStreamRequest{}
-	id, err := d.blob("job ID")
-	if err != nil {
-		return nil, err
-	}
-	if len(id) == 0 {
-		return nil, fmt.Errorf("%w: empty job ID", ErrDecode)
-	}
-	r.ID = string(id)
-	if r.From, err = d.boundedU32("resume frame", maxJournalSeq); err != nil {
-		return nil, err
-	}
-	return r, d.finish()
+	return decode(b, TagJobStreamRequest, func(d *dec) *JobStreamRequest {
+		r := &JobStreamRequest{}
+		r.ID = d.strNonEmpty("job ID")
+		r.From = d.u32max("resume frame", maxJournalSeq)
+		return r
+	})
 }
 
 // JobManifest is the payload of a journal's first record: the identity
@@ -308,8 +207,8 @@ type JobManifest struct {
 // EncodeJobManifest serializes a journal manifest.
 func EncodeJobManifest(m *JobManifest) []byte {
 	e := newEnc(TagJobManifest)
-	e.bytes([]byte(m.ID))
-	e.bytes([]byte(m.Tenant))
+	e.str(m.ID)
+	e.str(m.Tenant)
 	e.u64(uint64(m.CreatedUnix))
 	e.u64(uint64(m.DeadlineUnix))
 	return e.buf
@@ -317,39 +216,12 @@ func EncodeJobManifest(m *JobManifest) []byte {
 
 // DecodeJobManifest parses a journal manifest.
 func DecodeJobManifest(b []byte) (*JobManifest, error) {
-	d, err := newDec(b, TagJobManifest)
-	if err != nil {
-		return nil, err
-	}
-	m := &JobManifest{}
-	id, err := d.blob("job ID")
-	if err != nil {
-		return nil, err
-	}
-	if len(id) == 0 {
-		return nil, fmt.Errorf("%w: empty job ID", ErrDecode)
-	}
-	m.ID = string(id)
-	tenant, err := d.blob("job tenant")
-	if err != nil {
-		return nil, err
-	}
-	m.Tenant = string(tenant)
-	created, err := d.u64()
-	if err != nil {
-		return nil, err
-	}
-	if int64(created) < 0 || int64(created) > maxStatInt {
-		return nil, fmt.Errorf("%w: creation time %d out of range", ErrDecode, created)
-	}
-	m.CreatedUnix = int64(created)
-	deadline, err := d.u64()
-	if err != nil {
-		return nil, err
-	}
-	if int64(deadline) < 0 || int64(deadline) > maxStatInt {
-		return nil, fmt.Errorf("%w: deadline %d out of range", ErrDecode, deadline)
-	}
-	m.DeadlineUnix = int64(deadline)
-	return m, d.finish()
+	return decode(b, TagJobManifest, func(d *dec) *JobManifest {
+		m := &JobManifest{}
+		m.ID = d.strNonEmpty("job ID")
+		m.Tenant = d.str("job tenant")
+		m.CreatedUnix = d.u64max("creation time", maxStatInt)
+		m.DeadlineUnix = d.u64max("deadline", maxStatInt)
+		return m
+	})
 }

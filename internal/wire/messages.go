@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"fmt"
 	"time"
 
 	"zkvc"
@@ -57,64 +56,27 @@ func EncodeMatrix(m *zkvc.Matrix) []byte {
 
 // DecodeMatrix parses a top-level matrix message.
 func DecodeMatrix(b []byte) (*zkvc.Matrix, error) {
-	d, err := newDec(b, TagMatrix)
-	if err != nil {
-		return nil, err
-	}
-	m, err := decodeMatrixBody(d)
-	if err != nil {
-		return nil, err
-	}
-	return m, d.finish()
+	return decode(b, TagMatrix, decodeMatrixBody)
 }
 
 func encodeMatrixBody(e *enc, m *zkvc.Matrix) {
 	e.u32(uint32(m.Rows))
 	e.u32(uint32(m.Cols))
-	for i := range m.Data {
-		e.fr(&m.Data[i])
-	}
+	e.frs(m.Data)
 }
 
-func decodeMatrixBody(d *dec) (*zkvc.Matrix, error) {
-	rows, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	cols, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if rows == 0 || cols == 0 || rows > maxDim || cols > maxDim {
-		return nil, fmt.Errorf("%w: matrix dimensions %dx%d out of range", ErrDecode, rows, cols)
-	}
-	n := int(rows) * int(cols)
-	if n > d.remaining()/32 {
-		return nil, fmt.Errorf("%w: %dx%d matrix does not fit in %d remaining bytes", ErrDecode, rows, cols, d.remaining())
-	}
-	m := zkvc.NewMatrix(int(rows), int(cols))
-	for i := range m.Data {
-		if err := d.fr(&m.Data[i]); err != nil {
-			return nil, fmt.Errorf("matrix entry %d: %w", i, err)
-		}
-	}
-	return m, nil
+func decodeMatrixBody(d *dec) *zkvc.Matrix {
+	m := zkvc.NewMatrix(d.dims("matrix", 32))
+	d.frs(m.Data)
+	return m
 }
 
 // ---- backend payloads ----
 
 func encodeBackend(e *enc, b zkvc.Backend) { e.u8(byte(b)) }
 
-func decodeBackend(d *dec) (zkvc.Backend, error) {
-	v, err := d.u8()
-	if err != nil {
-		return 0, err
-	}
-	b := zkvc.Backend(v)
-	if b != zkvc.Groth16 && b != zkvc.Spartan {
-		return 0, fmt.Errorf("%w: unknown backend %d", ErrDecode, v)
-	}
-	return b, nil
+func decodeBackend(d *dec) zkvc.Backend {
+	return zkvc.Backend(d.u8max("backend", byte(zkvc.Spartan)))
 }
 
 func encodeOptions(e *enc, o zkvc.Options) {
@@ -128,121 +90,91 @@ func encodeOptions(e *enc, o zkvc.Options) {
 	e.u8(bits)
 }
 
-func decodeOptions(d *dec) (zkvc.Options, error) {
-	bits, err := d.u8()
-	if err != nil {
-		return zkvc.Options{}, err
-	}
-	if bits > 3 {
-		return zkvc.Options{}, fmt.Errorf("%w: unknown option bits %#x", ErrDecode, bits)
-	}
-	return zkvc.Options{CRPC: bits&1 != 0, PSQ: bits&2 != 0}, nil
+func decodeOptions(d *dec) zkvc.Options {
+	bits := d.u8max("option bits", 3)
+	return zkvc.Options{CRPC: bits&1 != 0, PSQ: bits&2 != 0}
 }
 
-func encodeG16Proof(e *enc, p *groth16.Proof) {
-	e.g1(&p.A)
-	e.g2(&p.B)
-	e.g1(&p.C)
-}
-
-func decodeG16Proof(d *dec) (*groth16.Proof, error) {
-	p := &groth16.Proof{}
-	if err := d.g1(&p.A); err != nil {
-		return nil, fmt.Errorf("proof A: %w", err)
-	}
-	if err := d.g2(&p.B); err != nil {
-		return nil, fmt.Errorf("proof B: %w", err)
-	}
-	if err := d.g1(&p.C); err != nil {
-		return nil, fmt.Errorf("proof C: %w", err)
-	}
-	return p, nil
-}
-
-func encodeG16VK(e *enc, vk *groth16.VerifyingKey) {
-	e.g1(&vk.AlphaG1)
-	e.g2(&vk.BetaG2)
-	e.g2(&vk.GammaG2)
-	e.g2(&vk.DeltaG2)
-	e.u32(uint32(len(vk.IC)))
-	for i := range vk.IC {
-		e.g1(&vk.IC[i])
+// encodePayload writes a backend's proof payload — a Groth16 proof with
+// its verifying key, or a Spartan proof — the tail shared by MatMulProof,
+// BatchProof and OpProof. An unknown backend writes nothing.
+func encodePayload(e *enc, b zkvc.Backend, g *groth16.Proof, vk *groth16.VerifyingKey, s *spartan.Proof) {
+	switch b {
+	case zkvc.Groth16:
+		e.g1(&g.A)
+		e.g2(&g.B)
+		e.g1(&g.C)
+		e.g1(&vk.AlphaG1)
+		e.g2(&vk.BetaG2)
+		e.g2(&vk.GammaG2)
+		e.g2(&vk.DeltaG2)
+		e.u32(uint32(len(vk.IC)))
+		for i := range vk.IC {
+			e.g1(&vk.IC[i])
+		}
+	case zkvc.Spartan:
+		encodeSpartanProof(e, s)
 	}
 }
 
-func decodeG16VK(d *dec) (*groth16.VerifyingKey, error) {
-	vk := &groth16.VerifyingKey{}
-	if err := d.g1(&vk.AlphaG1); err != nil {
-		return nil, fmt.Errorf("vk alpha: %w", err)
+// decodePayload reads the payload of the (already validated) backend b,
+// so a message carries exactly its declared backend's proof.
+func decodePayload(d *dec, b zkvc.Backend) (*groth16.Proof, *groth16.VerifyingKey, *spartan.Proof) {
+	if b == zkvc.Spartan {
+		return nil, nil, decodeSpartanProof(d)
 	}
-	if err := d.g2(&vk.BetaG2); err != nil {
-		return nil, fmt.Errorf("vk beta: %w", err)
-	}
-	if err := d.g2(&vk.GammaG2); err != nil {
-		return nil, fmt.Errorf("vk gamma: %w", err)
-	}
-	if err := d.g2(&vk.DeltaG2); err != nil {
-		return nil, fmt.Errorf("vk delta: %w", err)
-	}
-	n, err := d.count("vk IC", maxICLen, 1)
-	if err != nil {
-		return nil, err
-	}
+	g, vk := &groth16.Proof{}, &groth16.VerifyingKey{}
+	d.g1(&g.A)
+	d.g2(&g.B)
+	d.g1(&g.C)
+	d.g1(&vk.AlphaG1)
+	d.g2(&vk.BetaG2)
+	d.g2(&vk.GammaG2)
+	d.g2(&vk.DeltaG2)
 	// Grow the slice as points actually decode (with a modest starting
 	// capacity) and tolerate only a handful of 1-byte infinity entries,
 	// so the allocation is proportional to the input, not to the header.
+	// The loop appends, so it must stop at the first failure.
+	n := d.count("vk IC", maxICLen, 1)
 	vk.IC = make([]curve.G1Affine, 0, min(n, 1024))
 	infinities := 0
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && d.err == nil; i++ {
 		var p curve.G1Affine
-		if err := d.g1Any(&p); err != nil {
-			return nil, fmt.Errorf("vk IC[%d]: %w", i, err)
-		}
+		d.g1Any(&p)
 		if p.Infinity {
 			if infinities++; infinities > maxICInf {
-				return nil, fmt.Errorf("%w: vk IC has more than %d points at infinity", ErrDecode, maxICInf)
+				d.fail("vk IC has more than %d points at infinity", maxICInf)
 			}
 		}
 		vk.IC = append(vk.IC, p)
 	}
-	return vk, nil
+	return g, vk, nil
 }
 
 func encodeSumcheck(e *enc, p *sumcheck.Proof) {
 	e.u32(uint32(len(p.RoundPolys)))
 	for _, poly := range p.RoundPolys {
 		e.u8(byte(len(poly)))
-		for i := range poly {
-			e.fr(&poly[i])
-		}
+		e.frs(poly)
 	}
 }
 
-func decodeSumcheck(d *dec) (*sumcheck.Proof, error) {
-	rounds, err := d.count("sumcheck rounds", maxRounds, 1)
-	if err != nil {
-		return nil, err
-	}
-	p := &sumcheck.Proof{RoundPolys: make([][]ff.Fr, rounds)}
+func decodeSumcheck(d *dec) *sumcheck.Proof {
+	p := &sumcheck.Proof{RoundPolys: make([][]ff.Fr, d.count("sumcheck rounds", maxRounds, 1))}
 	for r := range p.RoundPolys {
-		n, err := d.u8()
-		if err != nil {
-			return nil, err
+		n := int(d.u8())
+		if n == 0 || n > maxPolyLen {
+			d.fail("round polynomial with %d evaluations", n)
+			break
 		}
-		if n == 0 || int(n) > maxPolyLen {
-			return nil, fmt.Errorf("%w: round polynomial with %d evaluations", ErrDecode, n)
-		}
-		poly, err := d.frs("round poly", int(n))
-		if err != nil {
-			return nil, err
-		}
-		p.RoundPolys[r] = poly
+		p.RoundPolys[r] = make([]ff.Fr, n)
+		d.frs(p.RoundPolys[r])
 	}
-	return p, nil
+	return p
 }
 
 func encodeSpartanProof(e *enc, p *spartan.Proof) {
-	e.buf = append(e.buf, p.Comm.Root[:]...)
+	e.hash32(&p.Comm.Root)
 	e.u32(uint32(p.Comm.NumVars))
 	e.u32(uint32(p.Comm.Rows))
 	e.u32(uint32(p.Comm.Cols))
@@ -252,127 +184,47 @@ func encodeSpartanProof(e *enc, p *spartan.Proof) {
 	e.fr(&p.VC)
 	encodeSumcheck(e, p.Sum2)
 	e.fr(&p.PrivEval)
-	e.u32(uint32(len(p.Opening.URand)))
-	for i := range p.Opening.URand {
-		e.fr(&p.Opening.URand[i])
-	}
-	e.u32(uint32(len(p.Opening.UEq)))
-	for i := range p.Opening.UEq {
-		e.fr(&p.Opening.UEq[i])
-	}
+	e.frVec(p.Opening.URand)
+	e.frVec(p.Opening.UEq)
 	e.u32(uint32(len(p.Opening.Columns)))
 	for _, c := range p.Opening.Columns {
 		e.u32(uint32(c.Index))
-		e.u32(uint32(len(c.Values)))
-		for i := range c.Values {
-			e.fr(&c.Values[i])
-		}
-		e.u32(uint32(len(c.Path)))
-		for _, h := range c.Path {
-			e.buf = append(e.buf, h[:]...)
-		}
+		e.frVec(c.Values)
+		e.hashes(c.Path)
 	}
 }
 
-func decodeSpartanProof(d *dec) (*spartan.Proof, error) {
+func decodeSpartanProof(d *dec) *spartan.Proof {
 	p := &spartan.Proof{Opening: &pcs.Opening{}}
-	root, err := d.take(32)
-	if err != nil {
-		return nil, err
-	}
-	copy(p.Comm.Root[:], root)
-	nv, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nv > maxNumVars {
-		return nil, fmt.Errorf("%w: commitment has %d variables", ErrDecode, nv)
-	}
-	rows, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	cols, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
+	p.Comm.Root = d.hash32()
+	p.Comm.NumVars = d.u32max("commitment variables", maxNumVars)
+	p.Comm.Rows = int(d.u32())
+	p.Comm.Cols = int(d.u32())
 	// pcs.Commit always splits 2^nv into 2^(nv/2) rows; anything else
 	// cannot have come from an honest commitment.
-	wantRows := uint32(1) << (nv / 2)
-	wantCols := uint32(1) << (nv - nv/2)
-	if rows != wantRows || cols != wantCols {
-		return nil, fmt.Errorf("%w: commitment layout %dx%d does not match %d variables", ErrDecode, rows, cols, nv)
+	nv := p.Comm.NumVars
+	if p.Comm.Rows != 1<<(nv/2) || p.Comm.Cols != 1<<(nv-nv/2) {
+		d.fail("commitment layout %dx%d does not match %d variables", p.Comm.Rows, p.Comm.Cols, nv)
 	}
-	p.Comm.NumVars = int(nv)
-	p.Comm.Rows = int(rows)
-	p.Comm.Cols = int(cols)
-
-	if p.Sum1, err = decodeSumcheck(d); err != nil {
-		return nil, fmt.Errorf("sumcheck 1: %w", err)
-	}
-	if err := d.fr(&p.VA); err != nil {
-		return nil, err
-	}
-	if err := d.fr(&p.VB); err != nil {
-		return nil, err
-	}
-	if err := d.fr(&p.VC); err != nil {
-		return nil, err
-	}
-	if p.Sum2, err = decodeSumcheck(d); err != nil {
-		return nil, fmt.Errorf("sumcheck 2: %w", err)
-	}
-	if err := d.fr(&p.PrivEval); err != nil {
-		return nil, err
-	}
-
-	nURand, err := d.count("opening uRand", maxDim, 32)
-	if err != nil {
-		return nil, err
-	}
-	if p.Opening.URand, err = d.frs("uRand", nURand); err != nil {
-		return nil, err
-	}
-	nUEq, err := d.count("opening uEq", maxDim, 32)
-	if err != nil {
-		return nil, err
-	}
-	if p.Opening.UEq, err = d.frs("uEq", nUEq); err != nil {
-		return nil, err
-	}
-	nCols, err := d.count("opened columns", maxDim, 12)
-	if err != nil {
-		return nil, err
-	}
-	p.Opening.Columns = make([]pcs.ColumnOpening, nCols)
+	p.Sum1 = decodeSumcheck(d)
+	d.fr(&p.VA)
+	d.fr(&p.VB)
+	d.fr(&p.VC)
+	p.Sum2 = decodeSumcheck(d)
+	d.fr(&p.PrivEval)
+	p.Opening.URand = d.frVec("opening uRand", maxDim)
+	p.Opening.UEq = d.frVec("opening uEq", maxDim)
+	p.Opening.Columns = make([]pcs.ColumnOpening, d.count("opened columns", maxDim, 12))
 	for i := range p.Opening.Columns {
 		c := &p.Opening.Columns[i]
-		idx, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		c.Index = int(idx)
-		nVals, err := d.count("column values", maxDim, 32)
-		if err != nil {
-			return nil, err
-		}
-		if c.Values, err = d.frs("column", nVals); err != nil {
-			return nil, err
-		}
-		nPath, err := d.count("Merkle path", maxPathLen, 32)
-		if err != nil {
-			return nil, err
-		}
-		c.Path = make([][32]byte, nPath)
+		c.Index = int(d.u32())
+		c.Values = d.frVec("column values", maxDim)
+		c.Path = make([][32]byte, d.count("Merkle path", maxPathLen, 32))
 		for j := range c.Path {
-			h, err := d.take(32)
-			if err != nil {
-				return nil, err
-			}
-			copy(c.Path[j][:], h)
+			c.Path[j] = d.hash32()
 		}
 	}
-	return p, nil
+	return p
 }
 
 func encodeTimings(e *enc, t zkvc.Timings) {
@@ -381,19 +233,10 @@ func encodeTimings(e *enc, t zkvc.Timings) {
 	e.u64(uint64(t.Prove))
 }
 
-func decodeTimings(d *dec) (zkvc.Timings, error) {
-	var t zkvc.Timings
-	for _, dst := range []*time.Duration{&t.Synthesis, &t.Setup, &t.Prove} {
-		v, err := d.u64()
-		if err != nil {
-			return t, err
-		}
-		if v > uint64(maxDuration) {
-			return t, fmt.Errorf("%w: timing overflows", ErrDecode)
-		}
-		*dst = time.Duration(v)
-	}
-	return t, nil
+func (d *dec) duration() time.Duration { return time.Duration(d.u64max("timing", maxDuration)) }
+
+func decodeTimings(d *dec) zkvc.Timings {
+	return zkvc.Timings{Synthesis: d.duration(), Setup: d.duration(), Prove: d.duration()}
 }
 
 // ---- MatMulProof ----
@@ -408,15 +251,7 @@ func EncodeMatMulProof(p *zkvc.MatMulProof) []byte {
 // DecodeMatMulProof parses a single-product proof, enforcing that the
 // declared backend carries exactly its own payload.
 func DecodeMatMulProof(b []byte) (*zkvc.MatMulProof, error) {
-	d, err := newDec(b, TagMatMulProof)
-	if err != nil {
-		return nil, err
-	}
-	p, err := decodeMatMulProofBody(d)
-	if err != nil {
-		return nil, err
-	}
-	return p, d.finish()
+	return decode(b, TagMatMulProof, decodeMatMulProofBody)
 }
 
 func encodeMatMulProofBody(e *enc, p *zkvc.MatMulProof) {
@@ -426,50 +261,19 @@ func encodeMatMulProofBody(e *enc, p *zkvc.MatMulProof) {
 	e.bytes(p.WCommit)
 	e.bytes(p.Epoch)
 	encodeTimings(e, p.Timings)
-	switch p.Backend {
-	case zkvc.Groth16:
-		encodeG16Proof(e, p.G16Proof)
-		encodeG16VK(e, p.G16VK)
-	case zkvc.Spartan:
-		encodeSpartanProof(e, p.SpartanProof)
-	}
+	encodePayload(e, p.Backend, p.G16Proof, p.G16VK, p.SpartanProof)
 }
 
-func decodeMatMulProofBody(d *dec) (*zkvc.MatMulProof, error) {
+func decodeMatMulProofBody(d *dec) *zkvc.MatMulProof {
 	p := &zkvc.MatMulProof{}
-	var err error
-	if p.Backend, err = decodeBackend(d); err != nil {
-		return nil, err
-	}
-	if p.Opts, err = decodeOptions(d); err != nil {
-		return nil, err
-	}
-	if p.Y, err = decodeMatrixBody(d); err != nil {
-		return nil, fmt.Errorf("Y: %w", err)
-	}
-	if p.WCommit, err = d.blob("W commitment"); err != nil {
-		return nil, err
-	}
-	if p.Epoch, err = d.blob("epoch"); err != nil {
-		return nil, err
-	}
-	if p.Timings, err = decodeTimings(d); err != nil {
-		return nil, err
-	}
-	switch p.Backend {
-	case zkvc.Groth16:
-		if p.G16Proof, err = decodeG16Proof(d); err != nil {
-			return nil, err
-		}
-		if p.G16VK, err = decodeG16VK(d); err != nil {
-			return nil, err
-		}
-	case zkvc.Spartan:
-		if p.SpartanProof, err = decodeSpartanProof(d); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	p.Backend = decodeBackend(d)
+	p.Opts = decodeOptions(d)
+	p.Y = decodeMatrixBody(d)
+	p.WCommit = d.blob("W commitment", maxBlobLen)
+	p.Epoch = d.blob("epoch", maxBlobLen)
+	p.Timings = decodeTimings(d)
+	p.G16Proof, p.G16VK, p.SpartanProof = decodePayload(d, p.Backend)
+	return p
 }
 
 // ---- BatchProof ----
@@ -484,15 +288,7 @@ func EncodeBatchProof(p *zkvc.BatchProof) []byte {
 // DecodeBatchProof parses a batch proof, cross-checking every claimed
 // output against its declared shape.
 func DecodeBatchProof(b []byte) (*zkvc.BatchProof, error) {
-	d, err := newDec(b, TagBatchProof)
-	if err != nil {
-		return nil, err
-	}
-	p, err := decodeBatchProofBody(d)
-	if err != nil {
-		return nil, err
-	}
-	return p, d.finish()
+	return decode(b, TagBatchProof, decodeBatchProofBody)
 }
 
 func encodeBatchProofBody(e *enc, p *zkvc.BatchProof) {
@@ -509,76 +305,35 @@ func encodeBatchProofBody(e *enc, p *zkvc.BatchProof) {
 	}
 	e.bytes(p.Commit)
 	encodeTimings(e, p.Timings)
-	switch p.Backend {
-	case zkvc.Groth16:
-		encodeG16Proof(e, p.G16Proof)
-		encodeG16VK(e, p.G16VK)
-	case zkvc.Spartan:
-		encodeSpartanProof(e, p.SpartanProof)
-	}
+	encodePayload(e, p.Backend, p.G16Proof, p.G16VK, p.SpartanProof)
 }
 
-func decodeBatchProofBody(d *dec) (*zkvc.BatchProof, error) {
+func decodeBatchProofBody(d *dec) *zkvc.BatchProof {
 	p := &zkvc.BatchProof{}
-	var err error
-	if p.Backend, err = decodeBackend(d); err != nil {
-		return nil, err
-	}
-	if p.Opts, err = decodeOptions(d); err != nil {
-		return nil, err
-	}
-	n, err := d.count("batch", maxDim, 12)
-	if err != nil {
-		return nil, err
-	}
+	p.Backend = decodeBackend(d)
+	p.Opts = decodeOptions(d)
+	n := d.count("batch", maxDim, 12)
 	if n == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrDecode)
+		d.fail("empty batch")
 	}
 	p.Shapes = make([][3]int, n)
 	for i := range p.Shapes {
-		for j := 0; j < 3; j++ {
-			v, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			if v == 0 || v > maxDim {
-				return nil, fmt.Errorf("%w: batch shape dimension %d out of range", ErrDecode, v)
-			}
-			p.Shapes[i][j] = int(v)
+		for j := range p.Shapes[i] {
+			p.Shapes[i][j] = d.u32pos("batch shape dimension", maxDim)
 		}
 	}
 	p.Ys = make([]*zkvc.Matrix, n)
 	for i := range p.Ys {
-		y, err := decodeMatrixBody(d)
-		if err != nil {
-			return nil, fmt.Errorf("Y[%d]: %w", i, err)
-		}
-		if y.Rows != p.Shapes[i][0] || y.Cols != p.Shapes[i][2] {
-			return nil, fmt.Errorf("%w: Y[%d] is %dx%d, shape says %dx%d",
-				ErrDecode, i, y.Rows, y.Cols, p.Shapes[i][0], p.Shapes[i][2])
+		y, sh := decodeMatrixBody(d), p.Shapes[i]
+		if y.Rows != sh[0] || y.Cols != sh[2] {
+			d.fail("Y[%d] is %dx%d, shape says %dx%d", i, y.Rows, y.Cols, sh[0], sh[2])
 		}
 		p.Ys[i] = y
 	}
-	if p.Commit, err = d.blob("batch commitment"); err != nil {
-		return nil, err
-	}
-	if p.Timings, err = decodeTimings(d); err != nil {
-		return nil, err
-	}
-	switch p.Backend {
-	case zkvc.Groth16:
-		if p.G16Proof, err = decodeG16Proof(d); err != nil {
-			return nil, err
-		}
-		if p.G16VK, err = decodeG16VK(d); err != nil {
-			return nil, err
-		}
-	case zkvc.Spartan:
-		if p.SpartanProof, err = decodeSpartanProof(d); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	p.Commit = d.blob("batch commitment", maxBlobLen)
+	p.Timings = decodeTimings(d)
+	p.G16Proof, p.G16VK, p.SpartanProof = decodePayload(d, p.Backend)
+	return p
 }
 
 // ---- service messages ----
@@ -594,21 +349,21 @@ func EncodeProveRequest(r *ProveRequest) []byte {
 // DecodeProveRequest parses a proving job and checks the product is
 // well-formed (inner dimensions agree).
 func DecodeProveRequest(b []byte) (*ProveRequest, error) {
-	d, err := newDec(b, TagProveRequest)
-	if err != nil {
-		return nil, err
+	return decode(b, TagProveRequest, func(d *dec) *ProveRequest {
+		r := &ProveRequest{}
+		r.X, r.W = decodePair(d)
+		return r
+	})
+}
+
+// decodePair reads the two factors of one product X·W and checks their
+// inner dimensions agree.
+func decodePair(d *dec) (x, w *zkvc.Matrix) {
+	x, w = decodeMatrixBody(d), decodeMatrixBody(d)
+	if x.Cols != w.Rows {
+		d.fail("inner dimensions %d and %d disagree", x.Cols, w.Rows)
 	}
-	r := &ProveRequest{}
-	if r.X, err = decodeMatrixBody(d); err != nil {
-		return nil, fmt.Errorf("X: %w", err)
-	}
-	if r.W, err = decodeMatrixBody(d); err != nil {
-		return nil, fmt.Errorf("W: %w", err)
-	}
-	if r.X.Cols != r.W.Rows {
-		return nil, fmt.Errorf("%w: inner dimensions %d and %d disagree", ErrDecode, r.X.Cols, r.W.Rows)
-	}
-	return r, d.finish()
+	return x, w
 }
 
 // EncodeProveResponse serializes a coalesced proving result.
@@ -626,42 +381,28 @@ func EncodeProveResponse(r *ProveResponse) []byte {
 // DecodeProveResponse parses a coalesced proving result, checking the
 // index and the inputs against the embedded batch proof.
 func DecodeProveResponse(b []byte) (*ProveResponse, error) {
-	d, err := newDec(b, TagProveResponse)
-	if err != nil {
-		return nil, err
-	}
-	r := &ProveResponse{}
-	idx, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.count("batch inputs", maxDim, 72)
-	if err != nil {
-		return nil, err
-	}
-	r.Index = int(idx)
-	r.Xs = make([]*zkvc.Matrix, n)
-	for i := range r.Xs {
-		if r.Xs[i], err = decodeMatrixBody(d); err != nil {
-			return nil, fmt.Errorf("X[%d]: %w", i, err)
+	return decode(b, TagProveResponse, func(d *dec) *ProveResponse {
+		r := &ProveResponse{Index: int(d.u32())}
+		r.Xs = make([]*zkvc.Matrix, d.count("batch inputs", maxDim, 72))
+		for i := range r.Xs {
+			r.Xs[i] = decodeMatrixBody(d)
 		}
-	}
-	if r.Batch, err = decodeBatchProofBody(d); err != nil {
-		return nil, err
-	}
-	if len(r.Xs) != len(r.Batch.Shapes) {
-		return nil, fmt.Errorf("%w: %d inputs for a %d-element batch", ErrDecode, len(r.Xs), len(r.Batch.Shapes))
-	}
-	if r.Index < 0 || r.Index >= len(r.Xs) {
-		return nil, fmt.Errorf("%w: batch index %d out of range", ErrDecode, r.Index)
-	}
-	for i, x := range r.Xs {
-		if x.Rows != r.Batch.Shapes[i][0] || x.Cols != r.Batch.Shapes[i][1] {
-			return nil, fmt.Errorf("%w: X[%d] is %dx%d, shape says %dx%d",
-				ErrDecode, i, x.Rows, x.Cols, r.Batch.Shapes[i][0], r.Batch.Shapes[i][1])
+		r.Batch = decodeBatchProofBody(d)
+		if len(r.Xs) != len(r.Batch.Shapes) {
+			d.fail("%d inputs for a %d-element batch", len(r.Xs), len(r.Batch.Shapes))
 		}
-	}
-	return r, d.finish()
+		if r.Index < 0 || r.Index >= len(r.Xs) {
+			d.fail("batch index %d out of range", r.Index)
+		}
+		// Xs indexes Shapes below: only once the lengths are known equal.
+		for i := 0; i < len(r.Xs) && d.err == nil; i++ {
+			x, sh := r.Xs[i], r.Batch.Shapes[i]
+			if x.Rows != sh[0] || x.Cols != sh[1] {
+				d.fail("X[%d] is %dx%d, shape says %dx%d", i, x.Rows, x.Cols, sh[0], sh[1])
+			}
+		}
+		return r
+	})
 }
 
 // EncodeProveBatchRequest serializes a direct batch-proving job: the
@@ -683,31 +424,17 @@ func EncodeProveBatchRequest(r *ProveBatchRequest) []byte {
 // DecodeProveBatchRequest parses a direct batch-proving job, checking
 // every pair's product is well-formed (inner dimensions agree).
 func DecodeProveBatchRequest(b []byte) (*ProveBatchRequest, error) {
-	d, err := newDec(b, TagProveBatchRequest)
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.count("batch pairs", maxDim, 144)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrDecode)
-	}
-	r := &ProveBatchRequest{Pairs: make([][2]*zkvc.Matrix, n)}
-	for i := range r.Pairs {
-		if r.Pairs[i][0], err = decodeMatrixBody(d); err != nil {
-			return nil, fmt.Errorf("X[%d]: %w", i, err)
+	return decode(b, TagProveBatchRequest, func(d *dec) *ProveBatchRequest {
+		n := d.count("batch pairs", maxDim, 144)
+		if n == 0 {
+			d.fail("empty batch")
 		}
-		if r.Pairs[i][1], err = decodeMatrixBody(d); err != nil {
-			return nil, fmt.Errorf("W[%d]: %w", i, err)
+		r := &ProveBatchRequest{Pairs: make([][2]*zkvc.Matrix, n)}
+		for i := range r.Pairs {
+			r.Pairs[i][0], r.Pairs[i][1] = decodePair(d)
 		}
-		if r.Pairs[i][0].Cols != r.Pairs[i][1].Rows {
-			return nil, fmt.Errorf("%w: pair %d inner dimensions %d and %d disagree",
-				ErrDecode, i, r.Pairs[i][0].Cols, r.Pairs[i][1].Rows)
-		}
-	}
-	return r, d.finish()
+		return r
+	})
 }
 
 // EncodeVerifyRequest serializes a single-proof verification job.
@@ -720,16 +447,7 @@ func EncodeVerifyRequest(r *VerifyRequest) []byte {
 
 // DecodeVerifyRequest parses a single-proof verification job.
 func DecodeVerifyRequest(b []byte) (*VerifyRequest, error) {
-	d, err := newDec(b, TagVerifyRequest)
-	if err != nil {
-		return nil, err
-	}
-	r := &VerifyRequest{}
-	if r.X, err = decodeMatrixBody(d); err != nil {
-		return nil, fmt.Errorf("X: %w", err)
-	}
-	if r.Proof, err = decodeMatMulProofBody(d); err != nil {
-		return nil, err
-	}
-	return r, d.finish()
+	return decode(b, TagVerifyRequest, func(d *dec) *VerifyRequest {
+		return &VerifyRequest{X: decodeMatrixBody(d), Proof: decodeMatMulProofBody(d)}
+	})
 }

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"zkvc"
-	"zkvc/internal/ff"
 	"zkvc/internal/nn"
 	"zkvc/internal/r1cs"
 	"zkvc/internal/tensor"
@@ -55,31 +54,12 @@ func encodeTensorBody(e *enc, m *tensor.Mat) {
 	}
 }
 
-func decodeTensorBody(d *dec) (*tensor.Mat, error) {
-	rows, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	cols, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if rows == 0 || cols == 0 || rows > maxDim || cols > maxDim {
-		return nil, fmt.Errorf("%w: tensor dimensions %dx%d out of range", ErrDecode, rows, cols)
-	}
-	n := int(rows) * int(cols)
-	if n > d.remaining()/8 {
-		return nil, fmt.Errorf("%w: %dx%d tensor does not fit in %d remaining bytes", ErrDecode, rows, cols, d.remaining())
-	}
-	m := tensor.New(int(rows), int(cols))
+func decodeTensorBody(d *dec) *tensor.Mat {
+	m := tensor.New(d.dims("tensor", 8))
 	for i := range m.Data {
-		v, err := d.u64()
-		if err != nil {
-			return nil, err
-		}
-		m.Data[i] = int64(v)
+		m.Data[i] = d.i64()
 	}
-	return m, nil
+	return m
 }
 
 // ---- small scalar helpers ----
@@ -88,39 +68,24 @@ func decodeTensorBody(d *dec) (*tensor.Mat, error) {
 // hence canonical).
 func (e *enc) i64(v int64) { e.u64(uint64(v)) }
 
-func (d *dec) i64() (int64, error) {
-	v, err := d.u64()
-	return int64(v), err
+func (d *dec) i64() int64 { return int64(d.u64()) }
+
+// layer reads a block index: −1 (embed/head) up to maxLayer.
+func (d *dec) layer() int {
+	v := d.i64()
+	if v < -1 || v > maxLayer {
+		d.fail("layer %d out of range", v)
+		return 0
+	}
+	return int(v)
 }
 
-// posU32 reads a u32 that must be in [1, max].
-func (d *dec) posU32(what string, max int) (int, error) {
-	v, err := d.u32()
-	if err != nil {
-		return 0, err
-	}
-	if v == 0 || int(v) > max {
-		return 0, fmt.Errorf("%w: %s %d out of range [1, %d]", ErrDecode, what, v, max)
-	}
-	return int(v), nil
-}
-
-// boundedU32 reads a u32 that must be in [0, max].
-func (d *dec) boundedU32(what string, max int) (int, error) {
-	v, err := d.u32()
-	if err != nil {
-		return 0, err
-	}
-	if int(v) > max {
-		return 0, fmt.Errorf("%w: %s %d exceeds %d", ErrDecode, what, v, max)
-	}
-	return int(v), nil
-}
+func (d *dec) opKind() nn.OpKind { return nn.OpKind(d.u8max("op kind", byte(nn.OpConv2D))) }
 
 // ---- nn.Config ----
 
 func encodeConfigBody(e *enc, cfg *nn.Config) {
-	e.bytes([]byte(cfg.Name))
+	e.str(cfg.Name)
 	e.u32(uint32(len(cfg.Stages)))
 	for _, s := range cfg.Stages {
 		e.u32(uint32(s.Blocks))
@@ -154,122 +119,57 @@ func encodeConfigBody(e *enc, cfg *nn.Config) {
 	e.u32(uint32(cfg.InputW))
 }
 
-func decodeConfigBody(d *dec) (nn.Config, error) {
+func decodeConfigBody(d *dec) nn.Config {
 	var cfg nn.Config
-	name, err := d.blob("model name")
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Name = string(name)
-	nStages, err := d.count("stages", maxStages, 12)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Stages = make([]nn.Stage, nStages)
+	cfg.Name = d.str("model name")
+	cfg.Stages = make([]nn.Stage, d.count("stages", maxStages, 12))
 	for i := range cfg.Stages {
-		if cfg.Stages[i].Blocks, err = d.posU32("stage blocks", maxTraceOps); err != nil {
-			return cfg, err
-		}
-		if cfg.Stages[i].Dim, err = d.posU32("stage dim", maxDim); err != nil {
-			return cfg, err
-		}
-		if cfg.Stages[i].Tokens, err = d.posU32("stage tokens", maxDim); err != nil {
-			return cfg, err
-		}
+		s := &cfg.Stages[i]
+		s.Blocks = d.u32pos("stage blocks", maxTraceOps)
+		s.Dim = d.u32pos("stage dim", maxDim)
+		s.Tokens = d.u32pos("stage tokens", maxDim)
 	}
 	// Heads/MLPRatio/PatchDim are transformer-only; conv configs carry
 	// zeros here, so positivity is Validate's per-architecture call.
-	if cfg.Heads, err = d.boundedU32("heads", maxDim); err != nil {
-		return cfg, err
-	}
-	if cfg.MLPRatio, err = d.boundedU32("MLP ratio", maxDim); err != nil {
-		return cfg, err
-	}
-	if cfg.PatchDim, err = d.boundedU32("patch dim", maxDim); err != nil {
-		return cfg, err
-	}
-	if cfg.NumClasses, err = d.posU32("class count", maxDim); err != nil {
-		return cfg, err
-	}
-	nMixers, err := d.count("mixers", maxTraceOps, 1)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Mixers = make([]nn.MixerKind, nMixers)
+	cfg.Heads = d.u32max("heads", maxDim)
+	cfg.MLPRatio = d.u32max("MLP ratio", maxDim)
+	cfg.PatchDim = d.u32max("patch dim", maxDim)
+	cfg.NumClasses = d.u32pos("class count", maxDim)
+	cfg.Mixers = make([]nn.MixerKind, d.count("mixers", maxTraceOps, 1))
 	for i := range cfg.Mixers {
-		v, err := d.u8()
-		if err != nil {
-			return cfg, err
-		}
-		if v > byte(nn.MixerLinear) {
-			return cfg, fmt.Errorf("%w: unknown mixer kind %d", ErrDecode, v)
-		}
-		cfg.Mixers[i] = nn.MixerKind(v)
+		cfg.Mixers[i] = nn.MixerKind(d.u8max("mixer kind", byte(nn.MixerLinear)))
 	}
-	frac, err := d.boundedU32("fixed-point fraction bits", 32)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Fixed.FracBits = uint(frac)
-	if cfg.ClipT, err = d.i64(); err != nil {
-		return cfg, err
-	}
-	iters, err := d.boundedU32("square iterations", 64)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.SquareIters = uint(iters)
-	if cfg.PoolWindow, err = d.boundedU32("pool window", maxDim); err != nil {
-		return cfg, err
-	}
-	nConvs, err := d.count("conv layers", maxStages, 20)
-	if err != nil {
-		return cfg, err
-	}
-	if nConvs > 0 {
-		cfg.Convs = make([]nn.ConvSpec, nConvs)
+	cfg.Fixed.FracBits = uint(d.u32max("fixed-point fraction bits", 32))
+	cfg.ClipT = d.i64()
+	cfg.SquareIters = uint(d.u32max("square iterations", 64))
+	cfg.PoolWindow = d.u32max("pool window", maxDim)
+	if n := d.count("conv layers", maxStages, 20); n > 0 {
+		cfg.Convs = make([]nn.ConvSpec, n)
 	}
 	for i := range cfg.Convs {
 		s := &cfg.Convs[i]
-		if s.Out, err = d.posU32("conv out channels", maxDim); err != nil {
-			return cfg, err
-		}
-		if s.Kernel, err = d.posU32("conv kernel", maxDim); err != nil {
-			return cfg, err
-		}
-		if s.Stride, err = d.posU32("conv stride", maxDim); err != nil {
-			return cfg, err
-		}
-		if s.Pad, err = d.boundedU32("conv padding", maxDim); err != nil {
-			return cfg, err
-		}
-		if s.Pool, err = d.posU32("conv pool window", maxDim); err != nil {
-			return cfg, err
+		s.Out = d.u32pos("conv out channels", maxDim)
+		s.Kernel = d.u32pos("conv kernel", maxDim)
+		s.Stride = d.u32pos("conv stride", maxDim)
+		s.Pad = d.u32max("conv padding", maxDim)
+		s.Pool = d.u32pos("conv pool window", maxDim)
+	}
+	cfg.InputC = d.u32max("input channels", maxDim)
+	cfg.InputH = d.u32max("input height", maxDim)
+	cfg.InputW = d.u32max("input width", maxDim)
+	// Validate computes with the fields, so it only sees a complete decode.
+	if d.err == nil {
+		if err := cfg.Validate(); err != nil {
+			d.fail("invalid model config: %v", err)
 		}
 	}
-	if cfg.InputC, err = d.boundedU32("input channels", maxDim); err != nil {
-		return cfg, err
-	}
-	if cfg.InputH, err = d.boundedU32("input height", maxDim); err != nil {
-		return cfg, err
-	}
-	if cfg.InputW, err = d.boundedU32("input width", maxDim); err != nil {
-		return cfg, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, fmt.Errorf("%w: invalid model config: %v", ErrDecode, err)
-	}
-	return cfg, nil
+	return cfg
 }
 
 // ---- nn.Trace ----
 
 func encodeTraceBody(e *enc, t *nn.Trace) {
-	if t.Capture {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
+	e.flag(t.Capture)
 	e.u32(uint32(len(t.Ops)))
 	for i := range t.Ops {
 		encodeOpBody(e, &t.Ops[i])
@@ -279,7 +179,7 @@ func encodeTraceBody(e *enc, t *nn.Trace) {
 func encodeOpBody(e *enc, op *nn.Op) {
 	e.u8(byte(op.Kind))
 	e.i64(int64(op.Layer))
-	e.bytes([]byte(op.Tag))
+	e.str(op.Tag)
 	e.u32(uint32(op.A))
 	e.u32(uint32(op.N))
 	e.u32(uint32(op.B))
@@ -314,100 +214,52 @@ func encodeOpBody(e *enc, op *nn.Op) {
 	}
 }
 
-func decodeTraceBody(d *dec) (*nn.Trace, error) {
-	capture, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	if capture > 1 {
-		return nil, fmt.Errorf("%w: bad capture flag %d", ErrDecode, capture)
-	}
-	n, err := d.count("trace ops", maxTraceOps, 34)
-	if err != nil {
-		return nil, err
-	}
-	t := &nn.Trace{Capture: capture == 1, Ops: make([]nn.Op, n)}
+func decodeTraceBody(d *dec) *nn.Trace {
+	t := &nn.Trace{Capture: d.flag("capture flag")}
+	t.Ops = make([]nn.Op, d.count("trace ops", maxTraceOps, 34))
 	for i := range t.Ops {
-		if err := decodeOpBody(d, &t.Ops[i]); err != nil {
-			return nil, fmt.Errorf("op %d: %w", i, err)
-		}
+		decodeOpBody(d, &t.Ops[i])
 	}
-	return t, nil
+	return t
 }
 
-func decodeOpBody(d *dec, op *nn.Op) error {
-	kind, err := d.u8()
-	if err != nil {
-		return err
-	}
-	if kind > byte(nn.OpConv2D) {
-		return fmt.Errorf("%w: unknown op kind %d", ErrDecode, kind)
-	}
-	op.Kind = nn.OpKind(kind)
-	layer, err := d.i64()
-	if err != nil {
-		return err
-	}
-	if layer < -1 || layer > maxLayer {
-		return fmt.Errorf("%w: layer %d out of range", ErrDecode, layer)
-	}
-	op.Layer = int(layer)
-	tag, err := d.blob("op tag")
-	if err != nil {
-		return err
-	}
-	op.Tag = string(tag)
+func decodeOpBody(d *dec, op *nn.Op) {
+	op.Kind = d.opKind()
+	op.Layer = d.layer()
+	op.Tag = d.str("op tag")
 	for _, dst := range []*int{&op.A, &op.N, &op.B, &op.Rows, &op.Width} {
-		if *dst, err = d.boundedU32("op dimension", maxDim); err != nil {
-			return err
-		}
+		*dst = d.u32max("op dimension", maxDim)
 	}
 	if op.Kind == nn.OpConv2D {
-		for _, f := range []struct {
-			dst  *int
-			what string
-			pos  bool
-		}{
-			{&op.KH, "conv kernel height", true},
-			{&op.KW, "conv kernel width", true},
-			{&op.Stride, "conv stride", true},
-			{&op.Pad, "conv padding", false},
-			{&op.CIn, "conv input channels", true},
-			{&op.COut, "conv output channels", true},
-			{&op.InH, "conv input height", true},
-			{&op.InW, "conv input width", true},
-		} {
-			if f.pos {
-				*f.dst, err = d.posU32(f.what, maxDim)
-			} else {
-				*f.dst, err = d.boundedU32(f.what, maxDim)
-			}
-			if err != nil {
-				return err
-			}
-		}
+		op.KH = d.u32pos("conv kernel height", maxDim)
+		op.KW = d.u32pos("conv kernel width", maxDim)
+		op.Stride = d.u32pos("conv stride", maxDim)
+		op.Pad = d.u32max("conv padding", maxDim)
+		op.CIn = d.u32pos("conv input channels", maxDim)
+		op.COut = d.u32pos("conv output channels", maxDim)
+		op.InH = d.u32pos("conv input height", maxDim)
+		op.InW = d.u32pos("conv input width", maxDim)
 		// The geometry must produce exactly the product shape the op
 		// declares — an attacker cannot pair a conv label with a matmul
 		// of some other provenance, and the im2col captured below is
 		// dimension-checked against the same A/N.
 		if op.KH > op.InH+2*op.Pad || op.KW > op.InW+2*op.Pad {
-			return fmt.Errorf("%w: conv kernel %dx%d exceeds padded input %dx%d",
-				ErrDecode, op.KH, op.KW, op.InH+2*op.Pad, op.InW+2*op.Pad)
+			d.fail("conv kernel %dx%d exceeds padded input %dx%d",
+				op.KH, op.KW, op.InH+2*op.Pad, op.InW+2*op.Pad)
+		}
+		// The output size divides by the decoded stride, which is only
+		// known positive on an error-free decode.
+		if d.err != nil {
+			return
 		}
 		outH := (op.InH+2*op.Pad-op.KH)/op.Stride + 1
 		outW := (op.InW+2*op.Pad-op.KW)/op.Stride + 1
 		if op.A != outH*outW || op.N != op.KH*op.KW*op.CIn || op.B != op.COut {
-			return fmt.Errorf("%w: conv geometry yields %dx%dx%d, op declares %dx%dx%d",
-				ErrDecode, outH*outW, op.KH*op.KW*op.CIn, op.COut, op.A, op.N, op.B)
+			d.fail("conv geometry yields %dx%dx%d, op declares %dx%dx%d",
+				outH*outW, op.KH*op.KW*op.CIn, op.COut, op.A, op.N, op.B)
 		}
 	}
-	flags, err := d.u8()
-	if err != nil {
-		return err
-	}
-	if flags > 7 {
-		return fmt.Errorf("%w: bad operand flags %#x", ErrDecode, flags)
-	}
+	flags := d.u8max("operand flags", 7)
 	for _, f := range []struct {
 		bit  byte
 		dst  **tensor.Mat
@@ -421,17 +273,12 @@ func decodeOpBody(d *dec, op *nn.Op) error {
 		if flags&f.bit == 0 {
 			continue
 		}
-		m, err := decodeTensorBody(d)
-		if err != nil {
-			return fmt.Errorf("%s: %w", f.what, err)
-		}
+		m := decodeTensorBody(d)
 		if m.Rows != f.r || m.Cols != f.c {
-			return fmt.Errorf("%w: captured %s is %dx%d, op declares %dx%d",
-				ErrDecode, f.what, m.Rows, m.Cols, f.r, f.c)
+			d.fail("captured %s is %dx%d, op declares %dx%d", f.what, m.Rows, m.Cols, f.r, f.c)
 		}
 		*f.dst = m
 	}
-	return nil
 }
 
 // ---- ProveModelRequest ----
@@ -439,14 +286,7 @@ func decodeOpBody(d *dec, op *nn.Op) error {
 // EncodeProveModelRequest serializes a model proving job.
 func EncodeProveModelRequest(r *ProveModelRequest) []byte {
 	e := newEnc(TagProveModelRequest)
-	encodeBackend(e, r.Backend)
-	if r.ProveNonlinear {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-	encodeConfigBody(e, &r.Cfg)
-	encodeTraceBody(e, r.Trace)
+	encodeProveModelBody(e, r)
 	return e.buf
 }
 
@@ -454,29 +294,25 @@ func EncodeProveModelRequest(r *ProveModelRequest) []byte {
 // configuration plus a captured trace whose operand shapes all agree
 // with their declared dimensions.
 func DecodeProveModelRequest(b []byte) (*ProveModelRequest, error) {
-	d, err := newDec(b, TagProveModelRequest)
-	if err != nil {
-		return nil, err
-	}
+	return decode(b, TagProveModelRequest, decodeProveModelBody)
+}
+
+// encodeProveModelBody writes a model proving job — shared between the
+// synchronous request and the asynchronous JobSubmitRequest.
+func encodeProveModelBody(e *enc, r *ProveModelRequest) {
+	encodeBackend(e, r.Backend)
+	e.flag(r.ProveNonlinear)
+	encodeConfigBody(e, &r.Cfg)
+	encodeTraceBody(e, r.Trace)
+}
+
+func decodeProveModelBody(d *dec) *ProveModelRequest {
 	r := &ProveModelRequest{}
-	if r.Backend, err = decodeBackend(d); err != nil {
-		return nil, err
-	}
-	nl, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	if nl > 1 {
-		return nil, fmt.Errorf("%w: bad nonlinear flag %d", ErrDecode, nl)
-	}
-	r.ProveNonlinear = nl == 1
-	if r.Cfg, err = decodeConfigBody(d); err != nil {
-		return nil, err
-	}
-	if r.Trace, err = decodeTraceBody(d); err != nil {
-		return nil, err
-	}
-	return r, d.finish()
+	r.Backend = decodeBackend(d)
+	r.ProveNonlinear = d.flag("nonlinear flag")
+	r.Cfg = decodeConfigBody(d)
+	r.Trace = decodeTraceBody(d)
+	return r
 }
 
 // ---- R1CS systems ----
@@ -500,57 +336,38 @@ func encodeLC(e *enc, lc r1cs.LC) {
 	}
 }
 
-func decodeSystemBody(d *dec) (*r1cs.System, error) {
+func decodeSystemBody(d *dec) *r1cs.System {
 	sys := &r1cs.System{}
-	var err error
-	if sys.NumPublic, err = d.posU32("public wires", maxWires); err != nil {
-		return nil, err
-	}
-	if sys.NumVars, err = d.posU32("wires", maxWires); err != nil {
-		return nil, err
-	}
+	sys.NumPublic = d.u32pos("public wires", maxWires)
+	sys.NumVars = d.u32pos("wires", maxWires)
 	if sys.NumVars < sys.NumPublic {
-		return nil, fmt.Errorf("%w: %d wires but %d public", ErrDecode, sys.NumVars, sys.NumPublic)
+		d.fail("%d wires but %d public", sys.NumVars, sys.NumPublic)
 	}
-	n, err := d.count("constraints", maxConstraints, 12)
-	if err != nil {
-		return nil, err
-	}
-	sys.Constraints = make([]r1cs.Constraint, n)
+	sys.Constraints = make([]r1cs.Constraint, d.count("constraints", maxConstraints, 12))
 	for q := range sys.Constraints {
 		c := &sys.Constraints[q]
-		for _, lc := range []*r1cs.LC{&c.A, &c.B, &c.C} {
-			if *lc, err = decodeLC(d, sys.NumVars); err != nil {
-				return nil, fmt.Errorf("constraint %d: %w", q, err)
-			}
-		}
+		c.A = decodeLC(d, sys.NumVars)
+		c.B = decodeLC(d, sys.NumVars)
+		c.C = decodeLC(d, sys.NumVars)
 	}
-	return sys, nil
+	return sys
 }
 
-func decodeLC(d *dec, numVars int) (r1cs.LC, error) {
-	n, err := d.count("LC terms", maxWires, 36)
-	if err != nil {
-		return nil, err
-	}
+func decodeLC(d *dec, numVars int) r1cs.LC {
+	n := d.count("LC terms", maxWires, 36)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	lc := make(r1cs.LC, n)
 	for i := range lc {
-		v, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
+		v := d.u32()
 		if int(v) >= numVars {
-			return nil, fmt.Errorf("%w: LC references wire %d of %d", ErrDecode, v, numVars)
+			d.fail("LC references wire %d of %d", v, numVars)
 		}
 		lc[i].V = r1cs.Var(v)
-		if err := d.fr(&lc[i].Coeff); err != nil {
-			return nil, err
-		}
+		d.fr(&lc[i].Coeff)
 	}
-	return lc, nil
+	return lc
 }
 
 // ---- OpProof ----
@@ -565,20 +382,16 @@ func EncodeOpProof(op *zkml.OpProof) []byte {
 
 // DecodeOpProof parses a streamed per-operation proof.
 func DecodeOpProof(b []byte) (*zkml.OpProof, error) {
-	d, err := newDec(b, TagOpProof)
-	if err != nil {
-		return nil, err
-	}
-	op, err := decodeOpProofBody(d)
-	if err != nil {
-		return nil, err
-	}
-	return op, d.finish()
+	return decode(b, TagOpProof, func(d *dec) *zkml.OpProof {
+		op := &zkml.OpProof{}
+		decodeOpProofBody(d, op)
+		return op
+	})
 }
 
 func encodeOpProofBody(e *enc, op *zkml.OpProof) {
 	e.u32(uint32(op.Seq))
-	e.bytes([]byte(op.Tag))
+	e.str(op.Tag)
 	e.i64(int64(op.Layer))
 	e.u8(byte(op.Kind))
 	for _, v := range op.Dims {
@@ -595,132 +408,55 @@ func encodeOpProofBody(e *enc, op *zkml.OpProof) {
 	// The payload section opens with the backend byte so no-payload ops
 	// (KeepProofs off) stay canonical: an op without a payload has no
 	// backend of its own — the report header carries it.
+	var backend zkml.Backend
 	switch {
 	case op.G16 != nil:
-		e.u8(1)
-		encodeBackend(e, zkml.Groth16)
-		encodePublics(e, op.Public)
-		encodeG16Proof(e, op.G16)
-		encodeG16VK(e, op.G16VK)
+		backend = zkml.Groth16
 	case op.Spartan != nil:
-		e.u8(1)
-		encodeBackend(e, zkml.Spartan)
-		encodePublics(e, op.Public)
-		encodeSystemBody(e, op.Sys)
-		encodeSpartanProof(e, op.Spartan)
+		backend = zkml.Spartan
 	default:
-		e.u8(0)
+		e.flag(false)
+		return
 	}
+	e.flag(true)
+	encodeBackend(e, backend)
+	e.frVec(op.Public)
+	if backend == zkml.Spartan {
+		encodeSystemBody(e, op.Sys)
+	}
+	encodePayload(e, backend, op.G16, op.G16VK, op.Spartan)
 }
 
-func encodePublics(e *enc, pub []ff.Fr) {
-	e.u32(uint32(len(pub)))
-	for i := range pub {
-		e.fr(&pub[i])
-	}
-}
-
-func decodeOpProofBody(d *dec) (*zkml.OpProof, error) {
-	op := &zkml.OpProof{}
-	seq, err := d.boundedU32("op sequence", maxTraceOps)
-	if err != nil {
-		return nil, err
-	}
-	op.Seq = seq
-	tag, err := d.blob("op tag")
-	if err != nil {
-		return nil, err
-	}
-	op.Tag = string(tag)
-	layer, err := d.i64()
-	if err != nil {
-		return nil, err
-	}
-	if layer < -1 || layer > maxLayer {
-		return nil, fmt.Errorf("%w: layer %d out of range", ErrDecode, layer)
-	}
-	op.Layer = int(layer)
-	kind, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	if kind > byte(nn.OpConv2D) {
-		return nil, fmt.Errorf("%w: unknown op kind %d", ErrDecode, kind)
-	}
-	op.Kind = nn.OpKind(kind)
+func decodeOpProofBody(d *dec, op *zkml.OpProof) {
+	op.Seq = d.u32max("op sequence", maxTraceOps)
+	op.Tag = d.str("op tag")
+	op.Layer = d.layer()
+	op.Kind = d.opKind()
 	for i := range op.Dims {
-		if op.Dims[i], err = d.boundedU32("op dimension", maxDim); err != nil {
-			return nil, err
-		}
+		op.Dims[i] = d.u32max("op dimension", maxDim)
 	}
 	for _, dst := range []*int{&op.Stats.Constraints, &op.Stats.Variables, &op.Stats.Public,
 		&op.Stats.ATerms, &op.Stats.BTerms, &op.Stats.CTerms} {
-		v, err := d.u64()
-		if err != nil {
-			return nil, err
-		}
-		if int64(v) < 0 || int64(v) > maxStatInt {
-			return nil, fmt.Errorf("%w: circuit statistic %d out of range", ErrDecode, v)
-		}
-		*dst = int(v)
+		*dst = int(d.u64max("circuit statistic", maxStatInt))
 	}
 	for _, dst := range []*time.Duration{&op.Synthesis, &op.Setup, &op.Prove, &op.Verify} {
-		v, err := d.u64()
-		if err != nil {
-			return nil, err
+		*dst = d.duration()
+	}
+	op.ProofBytes = d.u32max("proof size", 1<<30)
+	if !d.flag("payload flag") {
+		return
+	}
+	backend := decodeBackend(d)
+	op.Public = d.frVec("op publics", maxICLen)
+	if backend == zkml.Spartan {
+		op.Sys = decodeSystemBody(d)
+		// A mismatched instance size would surface deep inside the Spartan
+		// verifier; reject it at the trust boundary instead.
+		if len(op.Public) != op.Sys.NumPublic {
+			d.fail("%d publics for a system with %d instance wires", len(op.Public), op.Sys.NumPublic)
 		}
-		if v > uint64(maxDuration) {
-			return nil, fmt.Errorf("%w: timing overflows", ErrDecode)
-		}
-		*dst = time.Duration(v)
 	}
-	if op.ProofBytes, err = d.boundedU32("proof size", 1<<30); err != nil {
-		return nil, err
-	}
-	hasPayload, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	switch hasPayload {
-	case 0:
-		return op, nil
-	case 1:
-	default:
-		return nil, fmt.Errorf("%w: bad payload flag %d", ErrDecode, hasPayload)
-	}
-	backend, err := decodeBackend(d)
-	if err != nil {
-		return nil, err
-	}
-	nPub, err := d.count("op publics", maxICLen, 32)
-	if err != nil {
-		return nil, err
-	}
-	if op.Public, err = d.frs("op publics", nPub); err != nil {
-		return nil, err
-	}
-	if backend == zkml.Groth16 {
-		if op.G16, err = decodeG16Proof(d); err != nil {
-			return nil, err
-		}
-		if op.G16VK, err = decodeG16VK(d); err != nil {
-			return nil, err
-		}
-		return op, nil
-	}
-	if op.Sys, err = decodeSystemBody(d); err != nil {
-		return nil, err
-	}
-	// A mismatched instance size would surface deep inside the Spartan
-	// verifier; reject it at the trust boundary instead.
-	if len(op.Public) != op.Sys.NumPublic {
-		return nil, fmt.Errorf("%w: %d publics for a system with %d instance wires",
-			ErrDecode, len(op.Public), op.Sys.NumPublic)
-	}
-	if op.Spartan, err = decodeSpartanProof(d); err != nil {
-		return nil, err
-	}
-	return op, nil
+	op.G16, op.G16VK, op.Spartan = decodePayload(d, backend)
 }
 
 // ---- Report ----
@@ -737,7 +473,7 @@ func EncodeReport(rep *zkml.Report) []byte {
 // encodeReportBody writes a report's header and ops — shared between the
 // standalone TagReport message and the mode-carrying verify request.
 func encodeReportBody(e *enc, rep *zkml.Report) {
-	e.bytes([]byte(rep.Model))
+	e.str(rep.Model)
 	encodeBackend(e, rep.Backend)
 	encodeOptions(e, rep.Circuit)
 	e.u32(uint32(len(rep.Ops)))
@@ -750,55 +486,31 @@ func encodeReportBody(e *enc, rep *zkml.Report) {
 // order (Seq == position), which makes the encoding canonical and lets
 // re-encoded ops match the frames the service streamed.
 func DecodeReport(b []byte) (*zkml.Report, error) {
-	d, err := newDec(b, TagReport)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := decodeReportBody(d)
-	if err != nil {
-		return nil, err
-	}
-	return rep, d.finish()
+	return decode(b, TagReport, decodeReportBody)
 }
 
 // decodeReportBody parses a report's header and ops with the same
-// strictness as DecodeReport, minus framing; the caller owns finish().
-func decodeReportBody(d *dec) (*zkml.Report, error) {
+// strictness as DecodeReport, minus framing.
+func decodeReportBody(d *dec) *zkml.Report {
 	rep := &zkml.Report{}
-	var err error
-	name, err := d.blob("model name")
-	if err != nil {
-		return nil, err
-	}
-	rep.Model = string(name)
-	if rep.Backend, err = decodeBackend(d); err != nil {
-		return nil, err
-	}
-	if rep.Circuit, err = decodeOptions(d); err != nil {
-		return nil, err
-	}
-	n, err := d.count("report ops", maxTraceOps, 64)
-	if err != nil {
-		return nil, err
-	}
+	rep.Model = d.str("model name")
+	rep.Backend = decodeBackend(d)
+	rep.Circuit = decodeOptions(d)
+	n := d.count("report ops", maxTraceOps, 64)
 	// An empty report proves nothing and can never have been issued (the
 	// prove endpoint rejects zero-op traces); reject it like an empty
 	// batch, so a vacuous report cannot slide past per-op policy checks.
 	if n == 0 {
-		return nil, fmt.Errorf("%w: empty report", ErrDecode)
+		d.fail("empty report")
 	}
 	rep.Ops = make([]zkml.OpProof, n)
 	for i := range rep.Ops {
-		op, err := decodeOpProofBody(d)
-		if err != nil {
-			return nil, fmt.Errorf("op %d: %w", i, err)
+		decodeOpProofBody(d, &rep.Ops[i])
+		if rep.Ops[i].Seq != i {
+			d.fail("op at position %d carries sequence %d", i, rep.Ops[i].Seq)
 		}
-		if op.Seq != i {
-			return nil, fmt.Errorf("%w: op at position %d carries sequence %d", ErrDecode, i, op.Seq)
-		}
-		rep.Ops[i] = *op
 	}
-	return rep, nil
+	return rep
 }
 
 // ---- stream header / error ----
@@ -806,7 +518,7 @@ func decodeReportBody(d *dec) (*zkml.Report, error) {
 // EncodeModelStreamHeader serializes the first frame of a model stream.
 func EncodeModelStreamHeader(h *ModelStreamHeader) []byte {
 	e := newEnc(TagModelStreamHeader)
-	e.bytes([]byte(h.Model))
+	e.str(h.Model)
 	encodeBackend(e, h.Backend)
 	encodeOptions(e, h.Circuit)
 	e.u32(uint32(h.TotalOps))
@@ -815,52 +527,29 @@ func EncodeModelStreamHeader(h *ModelStreamHeader) []byte {
 
 // DecodeModelStreamHeader parses a stream-opening frame.
 func DecodeModelStreamHeader(b []byte) (*ModelStreamHeader, error) {
-	d, err := newDec(b, TagModelStreamHeader)
-	if err != nil {
-		return nil, err
-	}
-	h := &ModelStreamHeader{}
-	name, err := d.blob("model name")
-	if err != nil {
-		return nil, err
-	}
-	h.Model = string(name)
-	if h.Backend, err = decodeBackend(d); err != nil {
-		return nil, err
-	}
-	if h.Circuit, err = decodeOptions(d); err != nil {
-		return nil, err
-	}
-	if h.TotalOps, err = d.boundedU32("total ops", maxTraceOps); err != nil {
-		return nil, err
-	}
-	// A zero-op stream would reassemble into an empty report, which
-	// DecodeReport (and the service) reject; refuse it here so a buggy
-	// or malicious server cannot hand the client a vacuous "success".
-	if h.TotalOps == 0 {
-		return nil, fmt.Errorf("%w: model stream announces zero ops", ErrDecode)
-	}
-	return h, d.finish()
+	return decode(b, TagModelStreamHeader, func(d *dec) *ModelStreamHeader {
+		h := &ModelStreamHeader{}
+		h.Model = d.str("model name")
+		h.Backend = decodeBackend(d)
+		h.Circuit = decodeOptions(d)
+		// A zero-op stream would reassemble into an empty report, which
+		// DecodeReport (and the service) reject; refuse it here so a buggy
+		// or malicious server cannot hand the client a vacuous "success".
+		h.TotalOps = d.u32pos("model stream ops", maxTraceOps)
+		return h
+	})
 }
 
 // EncodeModelStreamError serializes a mid-stream failure frame.
 func EncodeModelStreamError(msg string) []byte {
 	e := newEnc(TagModelStreamError)
-	e.bytes([]byte(msg))
+	e.str(msg)
 	return e.buf
 }
 
 // DecodeModelStreamError parses a failure frame.
 func DecodeModelStreamError(b []byte) (string, error) {
-	d, err := newDec(b, TagModelStreamError)
-	if err != nil {
-		return "", err
-	}
-	msg, err := d.blob("error message")
-	if err != nil {
-		return "", err
-	}
-	return string(msg), d.finish()
+	return decode(b, TagModelStreamError, func(d *dec) string { return d.str("error message") })
 }
 
 // ---- stream framing ----
@@ -897,8 +586,17 @@ func WriteFrame(w io.Writer, msg []byte) error {
 	return err
 }
 
+// frameAllocStep is the most ReadFrame allocates ahead of the bytes it
+// has actually received: smaller frames are allocated whole, larger ones
+// in a buffer that doubles as payload arrives.
+const frameAllocStep = 1 << 16
+
 // ReadFrame reads one length-prefixed message. io.EOF (clean, at a frame
-// boundary) marks the end of the stream.
+// boundary) marks the end of the stream. The announced length is only a
+// claim — a 4-byte header from a hostile peer may say 1 GiB — so memory
+// is committed in proportion to the payload received, never to the header.
+// A read that fails for a reason other than the stream ending (a canceled
+// request, a reset connection) keeps that cause in the error chain.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -911,9 +609,20 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrameLen {
 		return nil, fmt.Errorf("%w: %d-byte frame exceeds limit %d", ErrDecode, n, maxFrameLen)
 	}
-	msg := make([]byte, n)
-	if _, err := io.ReadFull(r, msg); err != nil {
-		return nil, fmt.Errorf("%w: truncated %d-byte frame", ErrDecode, n)
+	msg := make([]byte, 0, min(n, frameAllocStep))
+	for len(msg) < n {
+		if len(msg) == cap(msg) {
+			msg = append(make([]byte, 0, min(n, 2*cap(msg))), msg...)
+		}
+		k, err := io.ReadFull(r, msg[len(msg):cap(msg)])
+		msg = msg[:len(msg)+k]
+		switch err {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			return nil, fmt.Errorf("%w: truncated %d-byte frame", ErrDecode, n)
+		default:
+			return nil, fmt.Errorf("%w: truncated %d-byte frame: %w", ErrDecode, n, err)
+		}
 	}
 	return msg, nil
 }

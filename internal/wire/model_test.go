@@ -3,8 +3,10 @@ package wire_test
 import (
 	"bytes"
 	"errors"
+	"io"
 	mrand "math/rand"
 	"testing"
+	"testing/iotest"
 
 	"zkvc/internal/nn"
 	"zkvc/internal/wire"
@@ -165,61 +167,6 @@ func TestModelStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestModelDecodersRejectTruncationAndTrailing extends the strict-decode
-// discipline to the model messages: truncations fail, a trailing byte
-// fails, and every failure wraps ErrDecode.
-func TestModelDecodersRejectTruncationAndTrailing(t *testing.T) {
-	cfg, trace, rep := modelFixture(t, zkml.Spartan, 27)
-	req := wire.EncodeProveModelRequest(&wire.ProveModelRequest{
-		Backend: zkml.Spartan, ProveNonlinear: true, Cfg: cfg, Trace: trace,
-	})
-	// Every strict prefix of the (small) request must fail.
-	for n := 0; n < len(req); n++ {
-		if _, err := wire.DecodeProveModelRequest(req[:n]); err == nil {
-			t.Fatalf("request truncated to %d/%d bytes decoded successfully", n, len(req))
-		} else if !errors.Is(err, wire.ErrDecode) {
-			t.Fatalf("request truncated to %d bytes: error %v does not wrap ErrDecode", n, err)
-		}
-	}
-	// The report is big; sample prefixes with a stride plus the tail.
-	raw := wire.EncodeReport(rep)
-	probe := func(n int) {
-		if _, err := wire.DecodeReport(raw[:n]); err == nil {
-			t.Fatalf("report truncated to %d/%d bytes decoded successfully", n, len(raw))
-		} else if !errors.Is(err, wire.ErrDecode) {
-			t.Fatalf("report truncated to %d bytes: error %v does not wrap ErrDecode", n, err)
-		}
-	}
-	for n := 0; n < len(raw); n += 1009 {
-		probe(n)
-	}
-	for n := len(raw) - 64; n < len(raw); n++ {
-		probe(n)
-	}
-	// Trailing bytes are rejected on every model message.
-	withTrailing := func(b []byte) []byte { return append(append([]byte(nil), b...), 0) }
-	if _, err := wire.DecodeProveModelRequest(withTrailing(req)); !errors.Is(err, wire.ErrDecode) {
-		t.Fatalf("request with trailing byte accepted: %v", err)
-	}
-	if _, err := wire.DecodeReport(withTrailing(raw)); !errors.Is(err, wire.ErrDecode) {
-		t.Fatalf("report with trailing byte accepted: %v", err)
-	}
-	frame := wire.EncodeOpProof(&rep.Ops[0])
-	if _, err := wire.DecodeOpProof(withTrailing(frame)); !errors.Is(err, wire.ErrDecode) {
-		t.Fatalf("op proof with trailing byte accepted: %v", err)
-	}
-	hdr := wire.EncodeModelStreamHeader(&wire.ModelStreamHeader{
-		Model: cfg.Name, Backend: rep.Backend, Circuit: rep.Circuit, TotalOps: 1,
-	})
-	if _, err := wire.DecodeModelStreamHeader(withTrailing(hdr)); !errors.Is(err, wire.ErrDecode) {
-		t.Fatalf("stream header with trailing byte accepted: %v", err)
-	}
-	// Cross-tag confusion: a report is not a request.
-	if _, err := wire.DecodeProveModelRequest(raw); !errors.Is(err, wire.ErrDecode) {
-		t.Fatalf("cross-tag decode accepted: %v", err)
-	}
-}
-
 // TestWriteFrameRejectsOversize: a frame over the stream bound fails
 // with the ErrFrameTooLarge sentinel (the server relies on it to tell a
 // local encoding failure from a client disconnect), before any bytes
@@ -232,5 +179,55 @@ func TestWriteFrameRejectsOversize(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("%d bytes written for a rejected frame", buf.Len())
+	}
+}
+
+// TestReadFrameAllocatesForBytesReceived: the length prefix is a claim,
+// not a fact. A stream that announces the 1 GiB maximum and then ends —
+// a 4-byte message from a hostile node or server — must cost the reader a
+// small fixed budget, a partial frame a small multiple of what arrived (the
+// buffer doubles, so under four times),
+// and a frame that does arrive in full must still come back intact through
+// the growing buffer. A read error that is not the stream ending stays
+// visible in the chain (a canceled request must read as canceled).
+func TestReadFrameAllocatesForBytesReceived(t *testing.T) {
+	maxFrame := []byte{0x40, 0, 0, 0} // 1<<30
+	var err error
+	headerOnly := allocatedBy(func() { _, err = wire.ReadFrame(bytes.NewReader(maxFrame)) })
+	if !errors.Is(err, wire.ErrDecode) {
+		t.Fatalf("header-only stream: %v, want ErrDecode", err)
+	}
+	if headerOnly > 128<<10 {
+		t.Fatalf("header-only stream allocated %d bytes, want ≤ 128 KiB", headerOnly)
+	}
+
+	const sent = 300 << 10
+	partial := append(bytes.Clone(maxFrame), make([]byte, sent)...)
+	got := allocatedBy(func() { _, err = wire.ReadFrame(bytes.NewReader(partial)) })
+	if !errors.Is(err, wire.ErrDecode) {
+		t.Fatalf("partial frame: %v, want ErrDecode", err)
+	}
+	if got > 4*sent+128<<10 {
+		t.Fatalf("partial frame of %d bytes allocated %d", sent, got)
+	}
+
+	msg := make([]byte, 200<<10+7)
+	mrand.New(mrand.NewSource(29)).Read(msg)
+	var buf bytes.Buffer
+	if err := wire.WriteFrame(&buf, msg); err != nil {
+		t.Fatal(err)
+	}
+	back, err := wire.ReadFrame(iotest.HalfReader(&buf))
+	if err != nil || !bytes.Equal(back, msg) {
+		t.Fatalf("large frame did not round-trip: %v", err)
+	}
+	if _, err := wire.ReadFrame(&buf); err != io.EOF {
+		t.Fatalf("end of stream: %v, want io.EOF", err)
+	}
+
+	cause := errors.New("connection reset")
+	broken := io.MultiReader(bytes.NewReader(partial[:100]), iotest.ErrReader(cause))
+	if _, err := wire.ReadFrame(broken); !errors.Is(err, cause) || !errors.Is(err, wire.ErrDecode) {
+		t.Fatalf("broken read: %v, want ErrDecode wrapping the cause", err)
 	}
 }

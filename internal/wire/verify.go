@@ -8,8 +8,6 @@ package wire
 // the verdict comes back strict-decoded rather than as free-form JSON.
 
 import (
-	"fmt"
-
 	"zkvc"
 	"zkvc/internal/zkml"
 )
@@ -32,25 +30,14 @@ type VerifyModelResponse struct {
 	Error string
 }
 
-func encodeVerifyMode(e *enc, m zkvc.VerifyMode) {
-	e.u8(byte(m))
-}
-
-func decodeVerifyMode(d *dec) (zkvc.VerifyMode, error) {
-	v, err := d.u8()
-	if err != nil {
-		return 0, err
-	}
-	if v > byte(zkvc.VerifyAggregate) {
-		return 0, fmt.Errorf("%w: unknown verify mode %d", ErrDecode, v)
-	}
-	return zkvc.VerifyMode(v), nil
+func decodeVerifyMode(d *dec) zkvc.VerifyMode {
+	return zkvc.VerifyMode(d.u8max("verify mode", byte(zkvc.VerifyAggregate)))
 }
 
 // EncodeVerifyModelRequest serializes a mode-carrying verify request.
 func EncodeVerifyModelRequest(r *VerifyModelRequest) []byte {
 	e := newEnc(TagVerifyModelRequest)
-	encodeVerifyMode(e, r.Mode)
+	e.u8(byte(r.Mode))
 	encodeReportBody(e, r.Report)
 	return e.buf
 }
@@ -58,30 +45,17 @@ func EncodeVerifyModelRequest(r *VerifyModelRequest) []byte {
 // DecodeVerifyModelRequest parses a mode-carrying verify request with
 // the full report strictness of DecodeReport.
 func DecodeVerifyModelRequest(b []byte) (*VerifyModelRequest, error) {
-	d, err := newDec(b, TagVerifyModelRequest)
-	if err != nil {
-		return nil, err
-	}
-	r := &VerifyModelRequest{}
-	if r.Mode, err = decodeVerifyMode(d); err != nil {
-		return nil, err
-	}
-	if r.Report, err = decodeReportBody(d); err != nil {
-		return nil, err
-	}
-	return r, d.finish()
+	return decode(b, TagVerifyModelRequest, func(d *dec) *VerifyModelRequest {
+		return &VerifyModelRequest{Mode: decodeVerifyMode(d), Report: decodeReportBody(d)}
+	})
 }
 
 // EncodeVerifyModelResponse serializes a verify verdict.
 func EncodeVerifyModelResponse(r *VerifyModelResponse) []byte {
 	e := newEnc(TagVerifyModelResponse)
-	if r.OK {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-	encodeVerifyMode(e, r.Mode)
-	e.bytes([]byte(r.Error))
+	e.flag(r.OK)
+	e.u8(byte(r.Mode))
+	e.str(r.Error)
 	return e.buf
 }
 
@@ -89,32 +63,14 @@ func EncodeVerifyModelResponse(r *VerifyModelResponse) []byte {
 // bounded by the blob limit and must be empty exactly when OK is set,
 // which keeps the encoding canonical.
 func DecodeVerifyModelResponse(b []byte) (*VerifyModelResponse, error) {
-	d, err := newDec(b, TagVerifyModelResponse)
-	if err != nil {
-		return nil, err
-	}
-	r := &VerifyModelResponse{}
-	ok, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	if ok > 1 {
-		return nil, fmt.Errorf("%w: bad verdict flag %d", ErrDecode, ok)
-	}
-	r.OK = ok == 1
-	if r.Mode, err = decodeVerifyMode(d); err != nil {
-		return nil, err
-	}
-	msg, err := d.blob("verdict error")
-	if err != nil {
-		return nil, err
-	}
-	r.Error = string(msg)
-	if r.OK && r.Error != "" {
-		return nil, fmt.Errorf("%w: passing verdict carries an error message", ErrDecode)
-	}
-	if !r.OK && r.Error == "" {
-		return nil, fmt.Errorf("%w: failing verdict carries no error message", ErrDecode)
-	}
-	return r, d.finish()
+	return decode(b, TagVerifyModelResponse, func(d *dec) *VerifyModelResponse {
+		r := &VerifyModelResponse{}
+		r.OK = d.flag("verdict flag")
+		r.Mode = decodeVerifyMode(d)
+		r.Error = d.str("verdict error")
+		if r.OK != (r.Error == "") {
+			d.fail("verdict OK=%v and error text %q disagree: exactly the failing verdicts carry one", r.OK, r.Error)
+		}
+		return r
+	})
 }
