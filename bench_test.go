@@ -14,6 +14,9 @@ package zkvc_test
 
 import (
 	mrand "math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"zkvc"
@@ -198,31 +201,41 @@ func BenchmarkPlannerSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkPublicAPI measures the end-user matmul proving path at the
-// quickstart shape on both backends (what a downstream adopter sees).
-func BenchmarkPublicAPI(b *testing.B) {
+// publicAPIOp returns the end-user operation at the quickstart shape —
+// prove Y = X·W with a seeded prover, then verify — reporting the proof
+// size. BenchmarkPublicAPI times it; TestAllocBudget bounds its
+// allocations.
+func publicAPIOp(backend zkvc.Backend) func() (int, error) {
 	rng := mrand.New(mrand.NewSource(1))
 	x := matrix.Random(rng, 49, 64, 256)
 	w := matrix.Random(rng, 64, 128, 256)
+	prover := zkvc.NewMatMulProver(backend, zkvc.DefaultOptions())
+	prover.Reseed(7)
+	return func() (int, error) {
+		proof, err := prover.Prove(x, w)
+		if err != nil {
+			return 0, err
+		}
+		return proof.SizeBytes(), zkvc.VerifyMatMul(x, proof)
+	}
+}
+
+// BenchmarkPublicAPI measures the end-user matmul proving path at the
+// quickstart shape on both backends (what a downstream adopter sees).
+func BenchmarkPublicAPI(b *testing.B) {
 	for _, backend := range []zkvc.Backend{zkvc.Groth16, zkvc.Spartan} {
 		b.Run(backend.String(), func(b *testing.B) {
-			prover := zkvc.NewMatMulProver(backend, zkvc.DefaultOptions())
-			prover.Reseed(7)
-			// One untimed proof first: the CI gate runs -benchtime 1x, and a
-			// cold iteration charges the arena pools' one-time warm-up (every
-			// scratch bucket allocated at its power-of-two size) to that
-			// single op. The gated rows measure the steady state the pools
-			// exist for.
-			if _, err := prover.Prove(x, w); err != nil {
+			op := publicAPIOp(backend)
+			// One untimed proof first: at -benchtime 1x a cold iteration
+			// charges the arena pools' one-time warm-up (every scratch
+			// bucket allocated at its power-of-two size) to that single
+			// op. The rows measure the steady state the pools exist for.
+			if _, err := op(); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				proof, err := prover.Prove(x, w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := zkvc.VerifyMatMul(x, proof); err != nil {
+				if _, err := op(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -244,40 +257,54 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// BenchmarkBatchProve demonstrates the batching extension: one folded
-// proof for m products vs m individual proofs (compare total-s and
-// proof-KB between the sub-benchmarks).
-func BenchmarkBatchProve(b *testing.B) {
+// benchBatchPairs is the batching workload: m = 8 products [16×32]·[32×16].
+func benchBatchPairs() (pairs [][2]*zkvc.Matrix, xs []*zkvc.Matrix) {
 	rng := mrand.New(mrand.NewSource(1))
-	const m = 8
-	var pairs [][2]*zkvc.Matrix
-	var xs []*zkvc.Matrix
-	for i := 0; i < m; i++ {
+	for i := 0; i < 8; i++ {
 		x := matrix.Random(rng, 16, 32, 256)
 		w := matrix.Random(rng, 32, 16, 256)
 		pairs = append(pairs, [2]*zkvc.Matrix{x, w})
 		xs = append(xs, x)
 	}
+	return pairs, xs
+}
+
+// foldedBatchOp returns the folded-batch operation — one proof for all
+// of benchBatchPairs, then verify — reporting the proof size.
+func foldedBatchOp() func() (int, error) {
+	pairs, xs := benchBatchPairs()
+	prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
+	prover.Reseed(3)
+	return func() (int, error) {
+		proof, err := prover.ProveBatch(pairs...)
+		if err != nil {
+			return 0, err
+		}
+		return proof.SizeBytes(), zkvc.VerifyMatMulBatch(xs, proof)
+	}
+}
+
+// BenchmarkBatchProve demonstrates the batching extension: one folded
+// proof for m products vs m individual proofs (compare total-s and
+// proof-KB between the sub-benchmarks).
+func BenchmarkBatchProve(b *testing.B) {
 	b.Run("folded", func(b *testing.B) {
-		prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
-		prover.Reseed(3)
+		op := foldedBatchOp()
 		// Untimed pool warm-up; see BenchmarkPublicAPI.
-		if _, err := prover.ProveBatch(pairs...); err != nil {
+		if _, err := op(); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			proof, err := prover.ProveBatch(pairs...)
+			size, err := op()
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := zkvc.VerifyMatMulBatch(xs, proof); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(proof.SizeBytes())/1024, "proof-KB")
+			b.ReportMetric(float64(size)/1024, "proof-KB")
 		}
 	})
 	b.Run("individual", func(b *testing.B) {
+		pairs, _ := benchBatchPairs()
 		prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
 		prover.Reseed(3)
 		// Untimed pool warm-up; see BenchmarkPublicAPI.
@@ -297,4 +324,49 @@ func BenchmarkBatchProve(b *testing.B) {
 			b.ReportMetric(float64(total)/1024, "proof-KB")
 		}
 	})
+}
+
+// TestAllocBudget is the machine-portable gate on the pooled hot path
+// (internal/arena): allocations and bytes per steady-state operation,
+// budgeted at 1.25× what the commit before this test measured. The
+// worker budget is pinned to 1 so the allocation schedule does not depend
+// on the core count. A pooled checkout reverted to a plain make shows in
+// B/op (the PCS codeword rows alone are +40 % on the Spartan rows, and
+// ZKVC_NO_POOL=1 fails them); a per-element make shows in allocs/op.
+func TestAllocBudget(t *testing.T) {
+	// The race runtime makes sync.Pool drop a quarter of what is put
+	// back, so there is no steady state to budget.
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("sync.Pool drops buffers at random under -race")
+	}
+	zkvc.SetParallelism(1)
+	defer zkvc.SetParallelism(0)
+	for _, row := range []struct {
+		name          string
+		op            func() (int, error)
+		allocs, bytes uint64
+	}{
+		// 1.25 × (2957, 10 736 976), (25 954, 32 732 392), (6601, 6 579 440).
+		{"PublicAPI/zkVC-S", publicAPIOp(zkvc.Spartan), 3_696, 13_421_220},
+		{"PublicAPI/zkVC-G", publicAPIOp(zkvc.Groth16), 32_442, 40_915_490},
+		{"BatchProve/folded", foldedBatchOp(), 8_251, 8_224_300},
+	} {
+		// One unmeasured op first: the pools fill on it.
+		if _, err := row.op(); err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := row.op()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		t.Logf("%s: %d allocs/op, %d B/op; budget %d allocs/op, %d B/op",
+			row.name, allocs, bytes, row.allocs, row.bytes)
+		if allocs > row.allocs || bytes > row.bytes {
+			t.Errorf("%s is over its allocation budget", row.name)
+		}
+	}
 }

@@ -10,11 +10,15 @@
 //	zkvc-bench -table 4            # BERT/GLUE end-to-end
 //	zkvc-bench -all                # everything
 //	zkvc-bench -fig 6 -full        # no extrapolation (slow: paper shapes exactly)
+//	zkvc-bench -fig 3 -seed 2      # other synthesized matrices (default seed 1)
 //
 // Default mode keeps every run to minutes by extrapolating the heaviest
 // baseline × dimension pairs from exact anchor runs (rows are marked
-// "(est)"); -full reruns everything exactly. See EXPERIMENTS.md for the
-// paper-vs-measured record.
+// "(est)"); -full reruns everything exactly. With no -table, -fig or
+// -all it prints the flags and exits 2. What the tables reproduce (the
+// shape of the comparison, not the paper's absolute times) is in the
+// internal/bench package comment; wall-clock claims about this
+// repository are made with benchmark/run.sh, not here.
 package main
 
 import (
@@ -34,20 +38,8 @@ func main() {
 		all   = flag.Bool("all", false, "regenerate every table and figure")
 		full  = flag.Bool("full", false, "no extrapolation: run the paper's exact shapes (slow)")
 		seed  = flag.Int64("seed", 1, "deterministic seed for synthesized workloads")
-
-		parallelRun = flag.Bool("parallel", false, "run the parallelism harness (BENCH_PR<N>.json) instead of tables/figures")
-		parseBench  = flag.String("parse-bench", "", "parse `go test -bench` output from this file ('-' = stdin) into the JSON report")
-		jsonOut     = flag.String("json", "", "write the machine-readable report to this path")
-		baseline    = flag.String("baseline", "", "compare the report against this checked-in BENCH_*.json and fail on regression")
-		maxRegress  = flag.Float64("max-regress", 0.25, "relative slowdown vs -baseline that fails the gate")
-		requireComp = flag.Bool("require-comparable", false,
-			"fail (instead of warn) when the baseline was recorded on a machine with a different CPU count — makes the gate binding rather than fail-open")
 	)
 	flag.Parse()
-
-	if runJSONMode(*parallelRun, *parseBench, *jsonOut, *baseline, *maxRegress, *requireComp, *seed) {
-		return
-	}
 
 	cfg := bench.RunConfig{Full: *full, Seed: *seed}
 	mode := "default (anchored extrapolation for heavy rows)"

@@ -154,7 +154,7 @@
 // (proofs are byte-identical with pooling on or off, at any
 // parallelism) and never leaks data between concurrent jobs; anything
 // that escapes into a Proof or Report is plainly allocated. Setting
-// ZKVC_NO_POOL=1 disables pooling process-wide for bisection. The CI
-// bench gate pins allocs/op on the hot-path benchmarks so the
+// ZKVC_NO_POOL=1 disables pooling process-wide for bisection.
+// TestAllocBudget bounds allocs/op and B/op on the hot path so the
 // discipline cannot silently erode.
 package zkvc

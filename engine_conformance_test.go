@@ -247,6 +247,17 @@ func TestEngineConformance(t *testing.T) {
 			}
 
 			// --- cross-engine byte identity at equal seeds ---
+			// A bare seeded prover is what Local wraps: the Engine
+			// interface must not change a byte.
+			bare := zkvc.NewMatMulProver(backend, zkvc.DefaultOptions())
+			bare.Reseed(confSeed)
+			proof, err := bare.ProveContext(ctx, x, w)
+			if err != nil {
+				t.Fatalf("bare prover: %v", err)
+			}
+			if !bytes.Equal(canonicalMatMul(proof), matmuls["local"]) {
+				t.Fatal("bare seeded MatMulProver proof differs from local at equal seeds")
+			}
 			for _, ne := range engines[1:] {
 				if !bytes.Equal(matmuls[ne.name], matmuls["local"]) {
 					t.Fatalf("%s matmul proof differs from local at equal seeds", ne.name)

@@ -97,5 +97,5 @@ func main() {
 		}
 	}
 	fmt.Println("\nmixers chosen by the planner:", zkvc.PlanHybrid(bert))
-	fmt.Println("(accuracy columns cannot be re-measured here; see Table IV in EXPERIMENTS.md)")
+	fmt.Println("(accuracy columns cannot be re-measured here; the paper's are printed by `go run ./cmd/zkvc-bench -table 4`)")
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"zkvc/internal/crpc"
-	"zkvc/internal/nn"
 )
 
 // TestRunMatMulAllSchemes exercises every scheme on a tiny shape so the
@@ -145,62 +144,5 @@ func TestFig6ShapeMatchesPaper(t *testing.T) {
 	a, n, b := fig6Shape(128)
 	if a != 49 || n != 64 || b != 128 {
 		t.Errorf("fig6Shape(128) = [%d,%d]x[%d,%d]", a, n, n, b)
-	}
-}
-
-// TestRunEngineReport pins the engine harness contract: both rows
-// present, a local-vs-direct ratio recorded, and — the part that must
-// never regress — engine and direct proofs byte-identical at equal
-// seeds (deterministic == true).
-func TestRunEngineReport(t *testing.T) {
-	rows, ratios, deterministic, err := RunEngineReport(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2 (direct + local)", len(rows))
-	}
-	if len(ratios) != 1 {
-		t.Fatalf("got %d ratios, want 1 local-vs-direct entry", len(ratios))
-	}
-	for name := range ratios {
-		if !strings.HasPrefix(name, "engine/local-vs-direct/") {
-			t.Fatalf("ratio key %q does not name the local-vs-direct comparison", name)
-		}
-	}
-	if !deterministic {
-		t.Fatal("engine and direct proofs differ at equal seeds")
-	}
-}
-
-// TestRunVerifyReport drives the verify-mode harness on the smallest
-// valid transformer (the paper-shape ViT run is the zkvc-bench binary's
-// job): both modes must accept the report, the aggregate row must exist,
-// and the counters must show the k→1 final-exponentiation collapse.
-func TestRunVerifyReport(t *testing.T) {
-	rows, ratios, counters, err := runVerifyReport(7, nn.TinyConfig("bench-verify", nn.MixerPooling), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("want 2 rows, got %v", rows)
-	}
-	var perOp, agg int64
-	for name, v := range counters {
-		switch {
-		case strings.HasPrefix(name, "verify/pairings/per-op/"):
-			perOp = v
-		case strings.HasPrefix(name, "verify/pairings/aggregate/"):
-			agg = v
-		}
-	}
-	if agg != 1 {
-		t.Errorf("aggregate mode ran %d final exponentiations, want exactly 1", agg)
-	}
-	if perOp < 2*agg {
-		t.Errorf("per-op ran %d final exponentiations vs aggregate %d", perOp, agg)
-	}
-	if len(ratios) != 1 {
-		t.Errorf("want one speedup ratio, got %v", ratios)
 	}
 }

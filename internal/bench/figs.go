@@ -107,7 +107,6 @@ func extrapolate(base MatMulResult, dim int) MatMulResult {
 		sq := math.Sqrt(f)
 		out.Verify = time.Duration(float64(base.Verify) * sq)
 		out.ProofBytes = int(float64(base.ProofBytes) * sq)
-		out.Online = out.Verify
 	}
 	if base.Scheme.Interactive() {
 		out.Online = out.Prove + out.Verify

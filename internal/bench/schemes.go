@@ -3,13 +3,17 @@
 // and 6, the CRPC/PSQ ablation of Table II, the capability matrix of
 // Table I, and the end-to-end ViT/BERT Tables III and IV. The same
 // generators back cmd/zkvc-bench and the testing.B benchmarks in
-// bench_test.go.
+// bench_test.go. Four files: schemes.go runs one scheme on one matmul,
+// figs.go and tables.go assemble the paper's rows from such runs, and
+// print.go formats them.
 //
 // Absolute times come from this module's from-scratch pure-Go backends,
 // so they differ from the paper's libsnark/Spartan testbed; the
 // reproduced quantity is the *shape* — which scheme wins, by roughly what
 // factor, and where the trade-offs (proof size vs verification vs online
-// time) fall. EXPERIMENTS.md records paper-vs-measured for every row.
+// time) fall. The paper's own accuracy columns are carried verbatim in
+// tables.go. This package measures the paper's comparison only: speed
+// claims about the repository itself go through benchmark/run.sh.
 package bench
 
 import (

@@ -148,8 +148,8 @@ var millerLoopCount, finalExpCount atomic.Uint64
 
 // PairingCounts reports the process-wide totals of Miller-loop
 // evaluations and final exponentiations (= pairing-product evaluations)
-// performed so far. The bench harness snapshots deltas around per-op and
-// aggregate verification to pin the k→1 pairing reduction.
+// performed so far. Tests and benchmark/ snapshot deltas around per-op
+// and aggregate verification to pin the k→1 pairing reduction.
 func PairingCounts() (millerLoops, finalExps uint64) {
 	return millerLoopCount.Load(), finalExpCount.Load()
 }

@@ -256,7 +256,7 @@ func Verify(vk *VerifyingKey, proof *Proof, public []ff.Fr) error {
 }
 
 // DomainSize reports the QAP domain size the system will use, exposed for
-// benchmarking and EXPERIMENTS.md reporting.
+// benchmarking.
 func DomainSize(sys *r1cs.System) int {
 	d, err := qap.Domain(sys)
 	if err != nil {

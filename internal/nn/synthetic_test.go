@@ -44,7 +44,7 @@ func TestSyntheticExamplesWellFormed(t *testing.T) {
 // Table III/IV accuracy columns: on a retrieval task, content-based
 // mixers must beat content-oblivious ones. Deterministic seeds make this
 // stable; we assert the paper's coarse ordering (attention ≥ pooling)
-// with the exact figures logged for EXPERIMENTS.md.
+// and log the exact figures (go test -v).
 func TestMixerAccuracyOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training loop")

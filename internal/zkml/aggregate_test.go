@@ -4,6 +4,7 @@ import (
 	mrand "math/rand"
 	"testing"
 
+	"zkvc/internal/curve"
 	"zkvc/internal/nn"
 	"zkvc/internal/pcs"
 )
@@ -41,8 +42,19 @@ func TestVerifyAggregatedGroth16(t *testing.T) {
 		t.Skip("per-op trusted setup")
 	}
 	rep := provenReport(t, Groth16)
+	_, fe0 := curve.PairingCounts()
 	if err := rep.VerifyAggregated(pcs.DefaultParams()); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
+	}
+	_, fe1 := curve.PairingCounts()
+	if err := VerifyReport(rep, DefaultOptions()); err != nil {
+		t.Fatalf("valid report rejected per-op: %v", err)
+	}
+	_, fe2 := curve.PairingCounts()
+	// The whole point of aggregation: k ops, one final exponentiation.
+	if k := uint64(len(rep.Ops)); k < 2 || fe1-fe0 != 1 || fe2-fe1 < k {
+		t.Fatalf("%d ops: aggregate ran %d final exponentiations (want 1), per-op %d (want ≥ one per op)",
+			k, fe1-fe0, fe2-fe1)
 	}
 
 	// Corrupt exactly one op proof with a valid group element: only the
