@@ -1,14 +1,11 @@
 package curve
 
 import (
-	"fmt"
 	"math/big"
 	mrand "math/rand"
 	"testing"
 
-	"zkvc/internal/arena"
 	"zkvc/internal/ff"
-	"zkvc/internal/parallel"
 )
 
 func randScalar(rng *mrand.Rand) ff.Fr {
@@ -145,73 +142,6 @@ func TestBatchToAffineG1(t *testing.T) {
 	}
 }
 
-func TestMSMG1MatchesNaive(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(45))
-	g := G1GeneratorJac()
-	for _, n := range []int{1, 2, 15, 16, 17, 100, 700} {
-		pts := make([]G1Affine, n)
-		scalars := make([]ff.Fr, n)
-		var want G1Jac
-		want.SetInfinity()
-		for i := 0; i < n; i++ {
-			s := randScalar(rng)
-			var p G1Jac
-			p.ScalarMul(&g, &s)
-			pts[i] = p.ToAffine()
-			scalars[i] = randScalar(rng)
-			var term G1Jac
-			term.ScalarMul(&p, &scalars[i])
-			want.AddAssign(&term)
-		}
-		got := MSMG1(pts, scalars)
-		if !got.Equal(&want) {
-			t.Fatalf("MSM mismatch for n=%d", n)
-		}
-	}
-}
-
-func TestMSMG2MatchesNaive(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(46))
-	g := G2GeneratorJac()
-	n := 50
-	pts := make([]G2Affine, n)
-	scalars := make([]ff.Fr, n)
-	var want G2Jac
-	want.SetInfinity()
-	for i := 0; i < n; i++ {
-		s := randScalar(rng)
-		var p G2Jac
-		p.ScalarMul(&g, &s)
-		pts[i] = p.ToAffine()
-		scalars[i] = randScalar(rng)
-		var term G2Jac
-		term.ScalarMul(&p, &scalars[i])
-		want.AddAssign(&term)
-	}
-	got := MSMG2(pts, scalars)
-	if !got.Equal(&want) {
-		t.Fatal("G2 MSM mismatch")
-	}
-}
-
-func TestFixedBaseMulG1(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(47))
-	g := G1GeneratorJac()
-	scalars := make([]ff.Fr, 40)
-	for i := range scalars {
-		scalars[i] = randScalar(rng)
-	}
-	scalars[3].SetZero()
-	got := FixedBaseMulG1(g, scalars)
-	for i := range scalars {
-		var want G1Jac
-		want.ScalarMul(&g, &scalars[i])
-		if !got[i].Equal(&want) {
-			t.Fatalf("fixed-base mismatch at %d", i)
-		}
-	}
-}
-
 func TestPairingBilinearity(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(48))
 	g1 := G1Generator()
@@ -303,110 +233,5 @@ func BenchmarkPairing(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Pair(&g1, &g2)
-	}
-}
-
-func BenchmarkMSMG1_4096(b *testing.B) {
-	rng := mrand.New(mrand.NewSource(50))
-	g := G1GeneratorJac()
-	n := 4096
-	scalars := make([]ff.Fr, n)
-	for i := range scalars {
-		scalars[i] = randScalar(rng)
-	}
-	jacs := FixedBaseMulG1(g, scalars)
-	pts := BatchToAffineG1(jacs)
-	for i := range scalars {
-		scalars[i] = randScalar(rng)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = MSMG1(pts, scalars)
-	}
-}
-
-// TestMSMWindowsAgree pins every explicit Pippenger window size to the
-// auto-tuned result.
-func TestMSMWindowsAgree(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(77))
-	n := 512
-	points := make([]G1Affine, n)
-	scalars := make([]ff.Fr, n)
-	jac := G1GeneratorJac()
-	for i := range points {
-		s := randScalar(rng)
-		var p G1Jac
-		p.ScalarMul(&jac, &s)
-		points[i] = p.ToAffine()
-		scalars[i] = randScalar(rng)
-	}
-	want := MSMG1(points, scalars)
-	for _, c := range []uint{3, 5, 8, 11, 14} {
-		got := MSMG1WithWindow(points, scalars, c)
-		if !got.Equal(&want) {
-			t.Errorf("window %d disagrees with auto", c)
-		}
-	}
-}
-
-// TestMSMWindowAllocs pins the bucket-reuse optimization: a warm MSM must
-// not allocate per window. One bucket buffer and one limb buffer are
-// rented per chunk; everything else lives on the stack, so the whole MSM
-// stays under a handful of objects per op (the pre-pooling implementation
-// allocated one 2^c-point bucket slice per window per chunk — ~19 for
-// c=14 — plus the limbs slice).
-func TestMSMWindowAllocs(t *testing.T) {
-	if !arena.Enabled() {
-		t.Skip("pooling disabled via ZKVC_NO_POOL")
-	}
-	rng := mrand.New(mrand.NewSource(79))
-	n := 1024
-	points := make([]G1Affine, n)
-	scalars := make([]ff.Fr, n)
-	jac := G1GeneratorJac()
-	for i := range points {
-		s := randScalar(rng)
-		var p G1Jac
-		p.ScalarMul(&jac, &s)
-		points[i] = p.ToAffine()
-		scalars[i] = randScalar(rng)
-	}
-	// One worker: parallel.MapReduce's bookkeeping (goroutines, partial
-	// results) allocates per worker, so the bound below is a one-worker
-	// bound and must not depend on the machine's core count.
-	parallel.SetDefaultSize(1)
-	defer parallel.SetDefaultSize(0)
-	MSMG1(points, scalars) // warm the pools
-	avg := testing.AllocsPerRun(10, func() {
-		MSMG1(points, scalars)
-	})
-	// Allow a little slack for parallel.MapReduce bookkeeping; the old
-	// per-window bucket churn alone was ≥ 20 allocations here.
-	if avg > 8 {
-		t.Fatalf("warm MSM allocates %.1f objects/op, want ≤ 8", avg)
-	}
-}
-
-// BenchmarkMSMWindow ablates the Pippenger window size at 4096 points
-// (DESIGN.md ablation 2).
-func BenchmarkMSMWindow(b *testing.B) {
-	rng := mrand.New(mrand.NewSource(78))
-	n := 4096
-	points := make([]G1Affine, n)
-	scalars := make([]ff.Fr, n)
-	jac := G1GeneratorJac()
-	for i := range points {
-		s := randScalar(rng)
-		var p G1Jac
-		p.ScalarMul(&jac, &s)
-		points[i] = p.ToAffine()
-		scalars[i] = randScalar(rng)
-	}
-	for _, c := range []uint{5, 8, 11, 14} {
-		b.Run(fmt.Sprintf("c=%d", c), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MSMG1WithWindow(points, scalars, c)
-			}
-		})
 	}
 }

@@ -214,6 +214,42 @@ func TestFrSetInt64(t *testing.T) {
 	}
 }
 
+// TestFrCanonicalSigned checks the balanced representation against
+// math/big at the boundaries of the sign rule, on small signed integers
+// and on random elements: z = ±mag with mag ≤ (r−1)/2, and neg exactly
+// when z > (r−1)/2.
+func TestFrCanonicalSigned(t *testing.T) {
+	r := RModulus()
+	half := new(big.Int).Rsh(r, 1) // (r−1)/2
+	cases := []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(256),
+		new(big.Int).Sub(r, big.NewInt(1)), new(big.Int).Sub(r, big.NewInt(256)),
+		half, new(big.Int).Add(half, big.NewInt(1)), new(big.Int).Sub(half, big.NewInt(1)),
+		new(big.Int).Lsh(big.NewInt(1), 64), new(big.Int).Sub(r, new(big.Int).Lsh(big.NewInt(1), 64)),
+	}
+	rng := mrand.New(mrand.NewSource(12))
+	for i := 0; i < 500; i++ {
+		cases = append(cases, new(big.Int).Rand(rng, r))
+	}
+	for _, v := range cases {
+		var z Fr
+		z.SetBig(v)
+		mag, neg := z.CanonicalSigned()
+		wantMag, wantNeg := v, v.Cmp(half) > 0
+		if wantNeg {
+			wantMag = new(big.Int).Sub(r, v)
+		}
+		if got := limbsToBig(&mag); got.Cmp(wantMag) != 0 || neg != wantNeg {
+			t.Fatalf("CanonicalSigned(%v) = (%v, %v), want (%v, %v)", v, got, neg, wantMag, wantNeg)
+		}
+	}
+	var m7 Fr
+	m7.SetInt64(-7)
+	if mag, neg := m7.CanonicalSigned(); mag != [4]uint64{7} || !neg {
+		t.Fatalf("CanonicalSigned(-7) = (%v, %v)", mag, neg)
+	}
+}
+
 func TestFrBytesRoundTrip(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(10))
 	for i := 0; i < 50; i++ {

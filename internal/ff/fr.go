@@ -198,3 +198,17 @@ func (z *Fr) Canonical() [4]uint64 {
 	montMul(&out, (*[4]uint64)(z), &one, &rMod)
 	return out
 }
+
+// CanonicalSigned returns the canonical limbs of |z| under the balanced
+// representation of Fr — z itself when z ≤ (r−1)/2, else r − z with
+// neg set — so that z = ±mag and mag ≤ (r−1)/2. A quantized tensor entry
+// −v is stored as r − v, a 254-bit value; this recovers the few-bit v.
+// Limb compare and subtract only, no math/big.
+func (z *Fr) CanonicalSigned() (mag [4]uint64, neg bool) {
+	mag = z.Canonical()
+	if geqLimbs(&rMod.half, &mag) {
+		return mag, false
+	}
+	modNeg(&mag, &mag, &rMod)
+	return mag, true
+}

@@ -19,6 +19,7 @@ type modulus struct {
 	ninv  uint64    // -limbs^{-1} mod 2^64
 	r     [4]uint64 // 2^256 mod m (Montgomery form of 1)
 	r2    [4]uint64 // 2^512 mod m (used to enter Montgomery form)
+	half  [4]uint64 // (m-1)/2, the largest "non-negative" canonical value
 	big   *big.Int  // the prime as a big.Int
 }
 
@@ -61,6 +62,8 @@ func initModulus(m *modulus, dec string) {
 	r2 := new(big.Int).Lsh(big.NewInt(1), 512)
 	r2.Mod(r2, v)
 	bigToLimbs(r2, &m.r2)
+
+	bigToLimbs(new(big.Int).Rsh(v, 1), &m.half)
 }
 
 func bigToLimbs(v *big.Int, out *[4]uint64) {

@@ -137,13 +137,10 @@ func VerifyBatch(entries []BatchEntry, weights []ff.Fr) error {
 		}
 		g.sumZ.Add(&g.sumZ, &weights[i])
 
-		// z_i·L_i folds the weight into the public witness, so the IC MSM
-		// directly yields the scaled point.
-		scaled := make([]ff.Fr, len(ent.Public))
-		for j := range ent.Public {
-			scaled[j].Mul(&ent.Public[j], &weights[i])
-		}
-		l := curve.MSMG1(ent.VK.IC, scaled)
+		// L_i over the raw public inputs keeps the IC MSM on small scalars;
+		// the full-width weight is applied to its one resulting point.
+		l := curve.MSMG1(ent.VK.IC, ent.Public)
+		l.ScalarMul(&l, &weights[i])
 		g.sumL.AddAssign(&l)
 
 		var c curve.G1Jac
