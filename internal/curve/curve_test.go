@@ -235,3 +235,13 @@ func BenchmarkPairing(b *testing.B) {
 		_ = Pair(&g1, &g2)
 	}
 }
+
+func BenchmarkFinalExponentiation(b *testing.B) {
+	g1 := G1Generator()
+	g2 := G2Generator()
+	f := MillerLoop(&g1, &g2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		finalExpSink = FinalExponentiation(&f)
+	}
+}

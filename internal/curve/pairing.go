@@ -1,8 +1,7 @@
 package curve
 
 import (
-	"math/big"
-	"sync"
+	"math/bits"
 	"sync/atomic"
 
 	"zkvc/internal/ff"
@@ -18,32 +17,17 @@ type GT = ff.Fp12
 // with P ∈ G1 ⊂ E(Fp), Q ∈ G2 ⊂ E'(Fp2) and ψ the untwist isomorphism
 // ψ(x, y) = (x·w², y·w³) into E(Fp12). The Miller loop runs over the bits
 // of r with affine line functions (line slopes live in Fp, so evaluating a
-// line at ψ(Q) is a cheap sparse Fp12 product). The final exponentiation is
-// a generic square-and-multiply with the full exponent — slower than the
-// cyclotomic shortcut used by production libraries, but unconditionally
-// correct and amortized in PairingCheck. Bilinearity and non-degeneracy are
-// exercised by tests rather than assumed.
+// line at ψ(Q) is a cheap sparse Fp12 product). The final exponentiation
+// splits (p¹²−1)/r = (p⁶−1)(p²+1) · (p⁴−p²+1)/r into an easy part (one
+// inversion and Frobenius maps) and a hard part (three exponentiations by
+// the 63-bit BN parameter x in cyclotomic squarings, combined through
+// Frobenius maps); the result is bit-identical to raising to the full
+// exponent, which the tests keep as the reference. Bilinearity and
+// non-degeneracy are exercised by tests rather than assumed.
 
-var (
-	finalExpOnce sync.Once
-	finalExpE    *big.Int
-)
-
-func finalExpExponent() *big.Int {
-	finalExpOnce.Do(func() {
-		p := ff.PModulus()
-		r := ff.RModulus()
-		e := new(big.Int).Exp(p, big.NewInt(12), nil)
-		e.Sub(e, big.NewInt(1))
-		rem := new(big.Int)
-		e.DivMod(e, r, rem)
-		if rem.Sign() != 0 {
-			panic("curve: r does not divide p^12 - 1")
-		}
-		finalExpE = e
-	})
-	return finalExpE
-}
+// bnX is the BN254 curve parameter: p = 36x⁴+36x³+24x²+6x+1 and
+// r = 36x⁴+36x³+18x²+6x+1 (pinned by test).
+const bnX uint64 = 4965661367192848881
 
 // millerState tracks the running point T of the Miller loop in affine
 // coordinates over Fp.
@@ -138,12 +122,12 @@ func (t *millerState) lineAdd(p *G1Affine, q *G2Affine) ff.Fp12 {
 	return l
 }
 
-// Pairing work counters. The final exponentiation dominates this
-// implementation's pairing cost (a generic ~2800-bit square-and-multiply,
-// amortized once per PairingCheck), so "how many pairing-product
-// evaluations did verification run" is the honest unit for comparing
-// per-proof verification against batched verification. Counts are
-// process-wide and monotone; callers measure deltas around a workload.
+// Pairing work counters: Miller loops, and final exponentiations (one per
+// pairing-product evaluation, shared by all pairs of a PairingCheck). A
+// final exponentiation costs about a quarter of an affine Miller loop, so
+// both counts matter when comparing per-proof with batched verification.
+// Counts are process-wide and monotone; callers measure deltas around a
+// workload.
 var millerLoopCount, finalExpCount atomic.Uint64
 
 // PairingCounts reports the process-wide totals of Miller-loop
@@ -179,12 +163,84 @@ func MillerLoop(p *G1Affine, q *G2Affine) ff.Fp12 {
 	return f
 }
 
-// FinalExponentiation maps a Miller-loop output into GT.
+// FinalExponentiation maps a Miller-loop output into GT: it returns
+// f^((p¹²−1)/r), allocation-free.
 func FinalExponentiation(f *ff.Fp12) GT {
 	finalExpCount.Add(1)
-	var out ff.Fp12
-	out.Exp(f, finalExpExponent())
-	return out
+	// Easy part: m = f^((p⁶−1)(p²+1)), using f^(p⁶) = conj(f). From here
+	// on every value lies in the cyclotomic subgroup.
+	var m, t ff.Fp12
+	t.Inverse(f)
+	m.Conjugate(f)
+	m.Mul(&m, &t)
+	t.Frobenius(&m, 2)
+	m.Mul(&m, &t)
+	return finalExpHard(&m)
+}
+
+// finalExpHard returns m^((p⁴−p²+1)/r) for m in the cyclotomic subgroup,
+// through the vectorial addition chain of Scott et al. ("On the Final
+// Exponentiation for Calculating Pairings on Ordinary Elliptic Curves",
+// Pairing 2009): the exponent is λ0 + λ1·p + λ2·p² + λ3·p³ with
+// λ3 = 1, λ2 = 6x²+1, λ1 = −36x³−18x²−12x+1, λ0 = −36x³−30x²−18x−2,
+// exactly (pinned by test), so
+//
+//	m^… = y0 · y1² · y2⁶ · y3¹² · y4¹⁸ · y5³⁰ · y6³⁶
+//
+// with the yᵢ below. Inversion on the subgroup is conjugation.
+func finalExpHard(m *ff.Fp12) GT {
+	var mx, mx2, mx3 ff.Fp12
+	expByX(&mx, m)
+	expByX(&mx2, &mx)
+	expByX(&mx3, &mx2)
+
+	var y0, y1, y2, y3, y4, y5, y6, t ff.Fp12
+	y0.Frobenius(m, 1) // y0 = m^p · m^(p²) · m^(p³)
+	t.Frobenius(m, 2)
+	y0.Mul(&y0, &t)
+	t.Frobenius(m, 3)
+	y0.Mul(&y0, &t)
+	y1.Conjugate(m)       // y1 = m⁻¹
+	y2.Frobenius(&mx2, 2) // y2 = m^(x²p²)
+	y3.Frobenius(&mx, 1)  // y3 = m^(−xp)
+	y3.Conjugate(&y3)
+	y4.Frobenius(&mx2, 1) // y4 = m^(−x−x²p)
+	y4.Mul(&y4, &mx)
+	y4.Conjugate(&y4)
+	y5.Conjugate(&mx2)    // y5 = m^(−x²)
+	y6.Frobenius(&mx3, 1) // y6 = m^(−x³−x³p)
+	y6.Mul(&y6, &mx3)
+	y6.Conjugate(&y6)
+
+	// 13 multiplications and 4 squarings in all, counting the yᵢ above.
+	var t0, t1 ff.Fp12
+	t0.CyclotomicSquare(&y6)
+	t0.Mul(&t0, &y4)
+	t0.Mul(&t0, &y5)
+	t1.Mul(&y3, &y5)
+	t1.Mul(&t1, &t0)
+	t0.Mul(&t0, &y2)
+	t1.CyclotomicSquare(&t1)
+	t1.Mul(&t1, &t0)
+	t1.CyclotomicSquare(&t1)
+	t0.Mul(&t1, &y1)
+	t1.Mul(&t1, &y0)
+	t0.CyclotomicSquare(&t0)
+	t0.Mul(&t0, &t1)
+	return t0
+}
+
+// expByX sets z = m^x for the BN parameter x (left-to-right binary, in
+// cyclotomic squarings: m must be in the cyclotomic subgroup).
+func expByX(z, m *ff.Fp12) {
+	acc := *m
+	for i := bits.Len64(bnX) - 2; i >= 0; i-- {
+		acc.CyclotomicSquare(&acc)
+		if bnX>>i&1 == 1 {
+			acc.Mul(&acc, m)
+		}
+	}
+	*z = acc
 }
 
 // Pair computes the reduced Tate pairing e(P, Q).

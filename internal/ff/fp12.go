@@ -51,8 +51,87 @@ func (z *Fp12) Mul(x, y *Fp12) *Fp12 {
 	return z
 }
 
-// Square sets z = x² and returns z.
-func (z *Fp12) Square(x *Fp12) *Fp12 { return z.Mul(x, x) }
+// Square sets z = x² and returns z (complex method: two Fp6 multiplications,
+// against Mul's three).
+func (z *Fp12) Square(x *Fp12) *Fp12 {
+	// (d0 + d1w)² = (d0 + d1)(d0 + v·d1) − t − v·t + 2t·w, t = d0·d1
+	var t, s0, s1 Fp6
+	t.Mul(&x.D0, &x.D1)
+	s0.Add(&x.D0, &x.D1)
+	s1.MulByV(&x.D1)
+	s1.Add(&s1, &x.D0)
+	s0.Mul(&s0, &s1)
+	s0.Sub(&s0, &t)
+	s1.MulByV(&t)
+	z.D0.Sub(&s0, &s1)
+	z.D1.Add(&t, &t)
+	return z
+}
+
+// CyclotomicSquare sets z = x² and returns z, for x in the cyclotomic
+// subgroup of order p⁴ − p² + 1 only. The final exponentiation's easy part
+// f^((p⁶−1)(p²+1)) lands in it and the hard part never leaves it, so the
+// hard part is the one caller. On any other x the result is not x².
+//
+// Granger–Scott (PKC 2010): view Fp12 as Fp4[w]/(w³ − t) with
+// Fp4 = Fp2[t]/(t² − ξ), t = w³, and x = a + b·w + c·w². On the
+// subgroup x² = (3a² − 2ā) + (3t·c² + 2b̄)·w + (3b² − 2c̄)·w², where ā is
+// the conjugate over Fp2 — three Fp4 squarings, nine Fp2 squarings in all.
+func (z *Fp12) CyclotomicSquare(x *Fp12) *Fp12 {
+	// a = c0 + c3·t, b = c1 + c4·t, c = c2 + c5·t with cᵢ the wⁱ coefficient.
+	a0, a1 := fp4Square(&x.D0.C0, &x.D1.C1)
+	b0, b1 := fp4Square(&x.D1.C0, &x.D0.C2)
+	c0, c1 := fp4Square(&x.D0.C1, &x.D1.C2)
+	c1.MulByNonResidue(&c1) // t·c² = ξ·c1 + c0·t
+	gsCoeff(&z.D0.C0, &a0, &x.D0.C0, false)
+	gsCoeff(&z.D1.C1, &a1, &x.D1.C1, true)
+	gsCoeff(&z.D1.C0, &c1, &x.D1.C0, true)
+	gsCoeff(&z.D0.C2, &c0, &x.D0.C2, false)
+	gsCoeff(&z.D0.C1, &b0, &x.D0.C1, false)
+	gsCoeff(&z.D1.C2, &b1, &x.D1.C2, true)
+	return z
+}
+
+// fp4Square returns (a + b·t)² = (a² + ξ·b²) + 2ab·t in Fp2[t]/(t² − ξ).
+func fp4Square(a, b *Fp2) (c0, c1 Fp2) {
+	var a2, b2 Fp2
+	a2.Square(a)
+	b2.Square(b)
+	c1.Add(a, b)
+	c1.Square(&c1)
+	c1.Sub(&c1, &a2)
+	c1.Sub(&c1, &b2)
+	c0.MulByNonResidue(&b2)
+	c0.Add(&c0, &a2)
+	return c0, c1
+}
+
+// gsCoeff sets z = 3s + 2c when plus, else 3s − 2c.
+func gsCoeff(z, s, c *Fp2, plus bool) {
+	var t Fp2
+	if plus {
+		t.Add(s, c)
+	} else {
+		t.Sub(s, c)
+	}
+	t.Double(&t)
+	z.Add(&t, s)
+}
+
+// Frobenius sets z = x^(p^k) for k ∈ {1, 2, 3} and returns z: the wⁱ
+// coefficient cᵢ becomes conj^k(cᵢ)·γ_kⁱ (see frobGamma).
+func (z *Fp12) Frobenius(x *Fp12, k int) *Fp12 {
+	in := [6]*Fp2{&x.D0.C0, &x.D1.C0, &x.D0.C1, &x.D1.C1, &x.D0.C2, &x.D1.C2}
+	out := [6]*Fp2{&z.D0.C0, &z.D1.C0, &z.D0.C1, &z.D1.C1, &z.D0.C2, &z.D1.C2}
+	for i, c := range in {
+		t := *c
+		if k&1 == 1 {
+			t.Conjugate(&t)
+		}
+		out[i].Mul(&t, &frobGamma[k-1][i])
+	}
+	return z
+}
 
 // Conjugate sets z = d0 − d1·w and returns z. For unitary elements (after
 // final exponentiation) the conjugate equals the inverse.
@@ -77,7 +156,10 @@ func (z *Fp12) Inverse(x *Fp12) *Fp12 {
 	return z
 }
 
-// Exp sets z = x^e and returns z (square-and-multiply, e ≥ 0).
+// Exp sets z = x^e and returns z (generic square-and-multiply; a negative e
+// inverts first). The pairing does not call it: the final exponentiation
+// uses Frobenius maps and cyclotomic squarings, and its tests use Exp by
+// (p¹²−1)/r as the reference.
 func (z *Fp12) Exp(x *Fp12, e *big.Int) *Fp12 {
 	var base Fp12
 	base.Set(x)

@@ -2,6 +2,7 @@ package ff
 
 import (
 	"fmt"
+	"math/big"
 	mrand "math/rand"
 )
 
@@ -10,8 +11,38 @@ type Fp2 struct {
 	A0, A1 Fp
 }
 
+var (
+	// frobGamma[k−1][i] = γ_k^i with γ_k = ξ^((p^k−1)/6): the factor the
+	// p^k-power Frobenius puts on the wⁱ coefficient of an Fp12 element,
+	// since w^(p^k) = w·(w⁶)^((p^k−1)/6) and w⁶ = ξ.
+	frobGamma [3][6]Fp2
+	// pMinus2 is the Fermat exponent of the tower's base-field inversion.
+	pMinus2 *big.Int
+)
+
 func initTowerConstants() {
-	// nothing yet; hook kept so modulus.go's init ordering stays explicit.
+	pMinus2 = new(big.Int).Sub(pMod.big, big.NewInt(2))
+	var xi Fp2
+	xi.SetOne()
+	xi.MulByNonResidue(&xi)
+	pk := big.NewInt(1)
+	for k := range frobGamma {
+		pk.Mul(pk, pMod.big)
+		e := new(big.Int).Sub(pk, big.NewInt(1))
+		e.Div(e, big.NewInt(6))
+		var g Fp2
+		g.SetOne()
+		for i := e.BitLen() - 1; i >= 0; i-- {
+			g.Square(&g)
+			if e.Bit(i) == 1 {
+				g.Mul(&g, &xi)
+			}
+		}
+		frobGamma[k][0].SetOne()
+		for i := 1; i < 6; i++ {
+			frobGamma[k][i].Mul(&frobGamma[k][i-1], &g)
+		}
+	}
 }
 
 // SetZero sets z = 0 and returns z.
@@ -105,13 +136,18 @@ func (z *Fp2) MulByNonResidue(x *Fp2) *Fp2 {
 }
 
 // Inverse sets z = x⁻¹ and returns z. The inverse of 0 is 0.
+//
+// The base-field inversion is Fermat's n^(p−2), not Fp.Inverse's math/big
+// route: ≈20 µs against ≈3 µs, but allocation-free, like the Fp6/Fp12
+// inverses and the final exponentiation built on it. Tower inversions are
+// rare; the Miller loop's per-step inversions stay in Fp.
 func (z *Fp2) Inverse(x *Fp2) *Fp2 {
 	// 1/(a0+a1u) = (a0 − a1u)/(a0² + a1²)
 	var n, t Fp
 	n.Square(&x.A0)
 	t.Square(&x.A1)
 	n.Add(&n, &t)
-	n.Inverse(&n)
+	n.Exp(&n, pMinus2)
 	z.A0.Mul(&x.A0, &n)
 	n.Neg(&n)
 	z.A1.Mul(&x.A1, &n)

@@ -79,8 +79,30 @@ func (z *Fp6) Mul(x, y *Fp6) *Fp6 {
 	return z
 }
 
-// Square sets z = x² and returns z.
-func (z *Fp6) Square(x *Fp6) *Fp6 { return z.Mul(x, x) }
+// Square sets z = x² and returns z (Chung–Hasan SQR2: three Fp2 squarings
+// and two multiplications, against Mul's six multiplications).
+func (z *Fp6) Square(x *Fp6) *Fp6 {
+	// x² = (s0 + ξ·s3) + (s1 + ξ·s4)·v + (s1 + s2 + s3 − s0 − s4)·v²
+	var s0, s1, s2, s3, s4, t Fp2
+	s0.Square(&x.C0)
+	s1.Mul(&x.C0, &x.C1)
+	s1.Double(&s1)
+	s2.Sub(&x.C0, &x.C1)
+	s2.Add(&s2, &x.C2)
+	s2.Square(&s2)
+	s3.Mul(&x.C1, &x.C2)
+	s3.Double(&s3)
+	s4.Square(&x.C2)
+	z.C2.Add(&s1, &s2)
+	z.C2.Add(&z.C2, &s3)
+	z.C2.Sub(&z.C2, &s0)
+	z.C2.Sub(&z.C2, &s4)
+	t.MulByNonResidue(&s3)
+	z.C0.Add(&s0, &t)
+	t.MulByNonResidue(&s4)
+	z.C1.Add(&s1, &t)
+	return z
+}
 
 // MulByV sets z = x·v and returns z (multiplication by the cubic generator).
 func (z *Fp6) MulByV(x *Fp6) *Fp6 {

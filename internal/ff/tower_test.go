@@ -200,6 +200,84 @@ func TestFp12MultiplicativeOrder(t *testing.T) {
 	}
 }
 
+func TestSquaresMatchMul(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(29))
+	for i := 0; i < 50; i++ {
+		a6 := randFp6(rng)
+		var s6, m6 Fp6
+		s6.Square(&a6)
+		m6.Mul(&a6, &a6)
+		if !s6.Equal(&m6) {
+			t.Fatal("Fp6 square != mul")
+		}
+		a12 := randFp12(rng)
+		var s12, m12 Fp12
+		s12.Square(&a12)
+		m12.Mul(&a12, &a12)
+		if !s12.Equal(&m12) {
+			t.Fatal("Fp12 square != mul")
+		}
+		s12.Set(&a12)
+		s12.Square(&s12) // in place
+		if !s12.Equal(&m12) {
+			t.Fatal("in-place Fp12 square != mul")
+		}
+	}
+}
+
+func TestFrobeniusMatchesExp(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(30))
+	pk := big.NewInt(1)
+	for k := 1; k <= 3; k++ {
+		pk.Mul(pk, pMod.big)
+		for i := 0; i < 3; i++ {
+			a := randFp12(rng)
+			var got, want Fp12
+			got.Frobenius(&a, k)
+			want.Exp(&a, pk)
+			if !got.Equal(&want) {
+				t.Fatalf("Frobenius(%d) != x^(p^%d)", k, k)
+			}
+		}
+	}
+}
+
+// easyPart returns f^((p⁶−1)(p²+1)), an element of the cyclotomic subgroup.
+func easyPart(f *Fp12) Fp12 {
+	var m, t Fp12
+	t.Inverse(f)
+	m.Conjugate(f)
+	m.Mul(&m, &t)
+	t.Frobenius(&m, 2)
+	return *m.Mul(&m, &t)
+}
+
+func TestCyclotomicSquare(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(31))
+	for i := 0; i < 20; i++ {
+		a := randFp12(rng)
+		m := easyPart(&a)
+		var want, got Fp12
+		want.Mul(&m, &m)
+		got.CyclotomicSquare(&m)
+		if !got.Equal(&want) {
+			t.Fatal("cyclotomic square != mul on an easy-part image")
+		}
+		m.CyclotomicSquare(&m) // in place
+		if !m.Equal(&want) {
+			t.Fatal("in-place cyclotomic square != mul")
+		}
+	}
+	// Off the subgroup the shortcut is not a square: the precondition is
+	// real, not a formality.
+	a := randFp12(rng)
+	var want, got Fp12
+	want.Mul(&a, &a)
+	if got.CyclotomicSquare(&a); got.Equal(&want) {
+		t.Fatal("cyclotomic square agreed with mul on a random element")
+	}
+}
+
 func BenchmarkFp12Mul(b *testing.B) {
 	rng := mrand.New(mrand.NewSource(28))
 	x, y := randFp12(rng), randFp12(rng)
