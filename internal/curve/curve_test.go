@@ -165,6 +165,28 @@ func TestPairingBilinearity(t *testing.T) {
 	if !lhs.Equal(&rhs) {
 		t.Fatal("pairing not bilinear: e(aP,bQ) != e(P,Q)^{ab}")
 	}
+
+	// e(P₁+P₂, Q) == e(P₁, Q)·e(P₂, Q) and e(P, Q₁+Q₂) == e(P, Q₁)·e(P, Q₂),
+	// with P₁ = aP, P₂ = P, Q₁ = bQ, Q₂ = Q.
+	var p12 G1Jac
+	p12.Set(&pa)
+	p12.AddMixed(&g1)
+	p12Aff := p12.ToAffine()
+	var q12 G2Jac
+	q12.Set(&qb)
+	q12.AddMixed(&g2)
+	q12Aff := q12.ToAffine()
+	for _, c := range []struct {
+		name      string
+		sum, x, y GT
+	}{
+		{"e(P1+P2,Q) != e(P1,Q)·e(P2,Q)", Pair(&p12Aff, &g2), Pair(&paAff, &g2), base},
+		{"e(P,Q1+Q2) != e(P,Q1)·e(P,Q2)", Pair(&g1, &q12Aff), Pair(&g1, &qbAff), base},
+	} {
+		if c.x.Mul(&c.x, &c.y); !c.sum.Equal(&c.x) {
+			t.Fatal("pairing not bilinear: " + c.name)
+		}
+	}
 }
 
 func TestPairingNonDegenerate(t *testing.T) {
@@ -233,6 +255,36 @@ func BenchmarkPairing(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Pair(&g1, &g2)
+	}
+}
+
+func BenchmarkMillerLoop(b *testing.B) {
+	g1 := G1Generator()
+	g2 := G2Generator()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		millerSink = MillerLoop(&g1, &g2)
+	}
+}
+
+// BenchmarkPairingCheck4 times the Groth16 per-proof shape: four pairs,
+// one multi-Miller loop per worker and one final exponentiation.
+func BenchmarkPairingCheck4(b *testing.B) {
+	rng := mrand.New(mrand.NewSource(50))
+	g1, g2 := G1GeneratorJac(), G2GeneratorJac()
+	ps, qs := make([]G1Affine, 4), make([]G2Affine, 4)
+	for i := range ps {
+		s := randScalar(rng)
+		var pj G1Jac
+		var qj G2Jac
+		ps[i] = pj.ScalarMul(&g1, &s).ToAffine()
+		qs[i] = qj.ScalarMul(&g2, &s).ToAffine()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PairingCheck(ps, qs)
 	}
 }
 

@@ -1,5 +1,6 @@
 // Package curve implements the BN254 (alt_bn128) elliptic curve groups G1
-// and G2, multi-scalar multiplication, and the Tate pairing into Fp12.
+// and G2, multi-scalar multiplication, and the optimal ate pairing into
+// Fp12.
 //
 // G1 is E(Fp): y² = x³ + 3, generator (1, 2).
 // G2 is the order-r subgroup of the D-twist E'(Fp2): y² = x³ + 3/(9+u).

@@ -69,6 +69,21 @@ func (p *G2Affine) Neg(q *G2Affine) *G2Affine {
 	return p
 }
 
+// frobenius sets p = π_{p^k}(q) for k ∈ {1, 2} and returns p: the
+// p^k-power Frobenius of the untwisted point, mapped back to the twist.
+// On G2 it is multiplication by p^k mod r (pinned by test).
+func (p *G2Affine) frobenius(q *G2Affine, k int) *G2Affine {
+	cx, cy := ff.TwistFrobenius(k)
+	*p = *q
+	if k == 1 {
+		p.X.Conjugate(&p.X)
+		p.Y.Conjugate(&p.Y)
+	}
+	p.X.Mul(&p.X, &cx)
+	p.Y.Mul(&p.Y, &cy)
+	return p
+}
+
 // Equal reports whether two affine points are the same.
 func (p *G2Affine) Equal(q *G2Affine) bool {
 	if p.Infinity || q.Infinity {

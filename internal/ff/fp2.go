@@ -45,6 +45,11 @@ func initTowerConstants() {
 	}
 }
 
+// TwistFrobenius returns (γ_k², γ_k³) for k ∈ {1, 2}: the p^k-power
+// Frobenius of a twist point, carried through the untwist (x, y) ↦
+// (x·w², y·w³) and back, is (conj^k(x)·γ_k², conj^k(y)·γ_k³).
+func TwistFrobenius(k int) (cx, cy Fp2) { return frobGamma[k-1][2], frobGamma[k-1][3] }
+
 // SetZero sets z = 0 and returns z.
 func (z *Fp2) SetZero() *Fp2 { z.A0.SetZero(); z.A1.SetZero(); return z }
 
@@ -140,7 +145,8 @@ func (z *Fp2) MulByNonResidue(x *Fp2) *Fp2 {
 // The base-field inversion is Fermat's n^(p−2), not Fp.Inverse's math/big
 // route: ≈20 µs against ≈3 µs, but allocation-free, like the Fp6/Fp12
 // inverses and the final exponentiation built on it. Tower inversions are
-// rare; the Miller loop's per-step inversions stay in Fp.
+// rare: the final exponentiation has one, and the Miller loop, in
+// projective coordinates, has none.
 func (z *Fp2) Inverse(x *Fp2) *Fp2 {
 	// 1/(a0+a1u) = (a0 − a1u)/(a0² + a1²)
 	var n, t Fp

@@ -116,6 +116,29 @@ func (z *Fp6) MulByV(x *Fp6) *Fp6 {
 	return z
 }
 
+// mulBy01 sets z = x·(b0 + b1·v) and returns z (five Fp2 multiplications,
+// against Mul's six).
+func (z *Fp6) mulBy01(x *Fp6, b0, b1 *Fp2) *Fp6 {
+	var t0, t1, c0, c1, c2, s Fp2
+	t0.Mul(&x.C0, b0)
+	t1.Mul(&x.C1, b1)
+	// c0 = a0b0 + ξ·a2b1
+	c0.Mul(&x.C2, b1)
+	c0.MulByNonResidue(&c0)
+	c0.Add(&c0, &t0)
+	// c1 = (a0+a1)(b0+b1) − a0b0 − a1b1
+	c1.Add(&x.C0, &x.C1)
+	s.Add(b0, b1)
+	c1.Mul(&c1, &s)
+	c1.Sub(&c1, &t0)
+	c1.Sub(&c1, &t1)
+	// c2 = a2b0 + a1b1
+	c2.Mul(&x.C2, b0)
+	c2.Add(&c2, &t1)
+	z.C0, z.C1, z.C2 = c0, c1, c2
+	return z
+}
+
 // MulByFp2 sets z = x·c for c ∈ Fp2 and returns z.
 func (z *Fp6) MulByFp2(x *Fp6, c *Fp2) *Fp6 {
 	z.C0.Mul(&x.C0, c)

@@ -225,6 +225,24 @@ func TestSquaresMatchMul(t *testing.T) {
 	}
 }
 
+func TestMulByLineMatchesMul(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(32))
+	for i := 0; i < 50; i++ {
+		x := randFp12(rng)
+		c0, c1, c3 := randFp2(rng), randFp2(rng), randFp2(rng)
+		var l, want, got Fp12
+		l.D0.C0, l.D1.C0, l.D1.C1 = c0, c1, c3
+		want.Mul(&x, &l)
+		if got.MulByLine(&x, &c0, &c1, &c3); !got.Equal(&want) {
+			t.Fatal("MulByLine != Mul by the lifted line")
+		}
+		x.MulByLine(&x, &c0, &c1, &c3) // in place
+		if !x.Equal(&want) {
+			t.Fatal("in-place MulByLine != Mul by the lifted line")
+		}
+	}
+}
+
 func TestFrobeniusMatchesExp(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(30))
 	pk := big.NewInt(1)

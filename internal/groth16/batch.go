@@ -14,9 +14,9 @@ package groth16
 // blocks share one CRS, so g ≪ k in a model report). One PairingCheck
 // evaluates the whole product: k + 3g Miller loops and a single final
 // exponentiation, against 4k Miller loops and k final exponentiations
-// for per-proof verification. The Miller loops are the larger saving
-// (a final exponentiation costs about a quarter of one), and the verifier
-// runs k pairing-product evaluations → 1.
+// for per-proof verification. Both savings count (a final exponentiation
+// costs more than a Miller loop, and the loops of one check share their
+// squarings), and the verifier runs k pairing-product evaluations → 1.
 //
 // Soundness is the standard small-exponent batching argument: for any
 // proof whose identity fails, the combined product equals 1 only if the

@@ -8,9 +8,10 @@ package zkml
 // checks instead:
 //
 //   - Groth16 reports: one random-linear-combination multi-pairing over
-//     every op proof (groth16.VerifyBatch) — k+3g Miller loops and ONE
-//     final exponentiation, g the number of distinct verifying keys
-//     (identical transformer blocks share a CRS, so g ≪ k);
+//     every op proof (groth16.VerifyBatch) — k+3g Miller loops, against
+//     4k, sharing their squarings, and ONE final exponentiation, against
+//     k; g is the number of distinct verifying keys (identical
+//     transformer blocks share a CRS, so g ≪ k);
 //   - Spartan reports: entries grouped by R1CS structure digest share
 //     one matrix extraction, and every op's final identity checks fold
 //     into one weighted field equation (spartan.VerifyBatch).
