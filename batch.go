@@ -15,7 +15,7 @@ import (
 // Batched proving: real workloads (the paper's motivating Transformer
 // inference) are hundreds of matrix products, and per-proof overhead —
 // CRS handling and MSM walks on Groth16, commitments and sumchecks on
-// Spartan — adds up. ProveBatch folds any number of products into ONE
+// Spartan — adds up. ProveBatchContext folds any number of products into ONE
 // proof: the per-product CRPC identities at a shared challenge Z are
 // combined with a second Fiat–Shamir challenge γ, so the batch circuit
 // has exactly the sum of the individual constraint counts but a single
@@ -50,21 +50,11 @@ func (p *BatchProof) SizeBytes() int {
 	return 0
 }
 
-// ProveBatch proves every product Y_m = X_m·W_m in one proof. The pairs
-// are (X, W); batching requires the CRPC identity (DefaultOptions).
-//
-// Deprecated: use ProveBatchContext, or an Engine (Local for in-process
-// proving) whose methods are context-first and cancelable. ProveBatch
-// remains a thin wrapper over ProveBatchContext with
-// context.Background().
-func (p *MatMulProver) ProveBatch(pairs ...[2]*Matrix) (*BatchProof, error) {
-	return p.ProveBatchContext(context.Background(), pairs...)
-}
-
 // ProveBatchContext proves every product Y_m = X_m·W_m in one proof,
 // checking ctx between the proving phases (synthesis, setup, proof
 // generation) — a canceled context stops the work at the next phase
-// boundary and returns ctx's error.
+// boundary and returns ctx's error. The pairs are (X, W); batching
+// requires the CRPC identity (DefaultOptions).
 func (p *MatMulProver) ProveBatchContext(ctx context.Context, pairs ...[2]*Matrix) (*BatchProof, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -135,8 +125,8 @@ func VerifyMatMulBatch(xs []*Matrix, proof *BatchProof) error {
 			ErrVerification, len(proof.Commit), wCommitLen)
 	}
 	if len(xs) != len(proof.Shapes) || len(proof.Ys) != len(proof.Shapes) {
-		return fmt.Errorf("zkvc: batch has %d inputs, %d outputs, %d shapes",
-			len(xs), len(proof.Ys), len(proof.Shapes))
+		return fmt.Errorf("%w: batch has %d inputs, %d outputs, %d shapes",
+			ErrVerification, len(xs), len(proof.Ys), len(proof.Shapes))
 	}
 	stmts := make([]*crpc.Statement, len(xs))
 	for i := range xs {
@@ -145,10 +135,10 @@ func VerifyMatMulBatch(xs []*Matrix, proof *BatchProof) error {
 		}
 		sh := proof.Shapes[i]
 		if xs[i].Rows != sh[0] || xs[i].Cols != sh[1] {
-			return fmt.Errorf("zkvc: input %d is %dx%d, want %dx%d", i, xs[i].Rows, xs[i].Cols, sh[0], sh[1])
+			return fmt.Errorf("%w: input %d is %dx%d, want %dx%d", ErrVerification, i, xs[i].Rows, xs[i].Cols, sh[0], sh[1])
 		}
 		if proof.Ys[i].Rows != sh[0] || proof.Ys[i].Cols != sh[2] {
-			return fmt.Errorf("zkvc: output %d is %dx%d, want %dx%d", i, proof.Ys[i].Rows, proof.Ys[i].Cols, sh[0], sh[2])
+			return fmt.Errorf("%w: output %d is %dx%d, want %dx%d", ErrVerification, i, proof.Ys[i].Rows, proof.Ys[i].Cols, sh[0], sh[2])
 		}
 		stmts[i] = &crpc.Statement{X: xs[i], Y: proof.Ys[i]}
 	}
@@ -186,7 +176,7 @@ func VerifyMatMulBatch(xs []*Matrix, proof *BatchProof) error {
 			return fmt.Errorf("%w: %v", ErrVerification, err)
 		}
 	default:
-		return fmt.Errorf("zkvc: unknown backend %d", proof.Backend)
+		return fmt.Errorf("%w: unknown backend %d", ErrVerification, proof.Backend)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package zkvc_test
 
 import (
+	"context"
 	"errors"
 	mrand "math/rand"
 	"testing"
@@ -27,7 +28,7 @@ func TestBatchProveVerifySpartan(t *testing.T) {
 	pairs, xs := batchPairs(t, 31)
 	prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
 	prover.Reseed(1)
-	proof, err := prover.ProveBatch(pairs...)
+	proof, err := prover.ProveBatchContext(context.Background(), pairs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestBatchProveVerifyGroth16(t *testing.T) {
 	pairs, xs := batchPairs(t, 32)
 	prover := zkvc.NewMatMulProver(zkvc.Groth16, zkvc.DefaultOptions())
 	prover.Reseed(1)
-	proof, err := prover.ProveBatch(pairs...)
+	proof, err := prover.ProveBatchContext(context.Background(), pairs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestBatchRejectsTamperedOutput(t *testing.T) {
 	pairs, xs := batchPairs(t, 33)
 	prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
 	prover.Reseed(1)
-	proof, err := prover.ProveBatch(pairs...)
+	proof, err := prover.ProveBatchContext(context.Background(), pairs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestBatchRejectsWrongInput(t *testing.T) {
 	pairs, xs := batchPairs(t, 34)
 	prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
 	prover.Reseed(1)
-	proof, err := prover.ProveBatch(pairs...)
+	proof, err := prover.ProveBatchContext(context.Background(), pairs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestBatchRejectsShapeMismatch(t *testing.T) {
 	pairs, xs := batchPairs(t, 35)
 	prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
 	prover.Reseed(1)
-	proof, err := prover.ProveBatch(pairs...)
+	proof, err := prover.ProveBatchContext(context.Background(), pairs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestBatchRejectsMissingData(t *testing.T) {
 	pairs, xs := batchPairs(t, 37)
 	prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
 	prover.Reseed(1)
-	proof, err := prover.ProveBatch(pairs...)
+	proof, err := prover.ProveBatchContext(context.Background(), pairs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestBatchAmortizesProofSize(t *testing.T) {
 	prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
 	prover.Reseed(1)
 
-	batch, err := prover.ProveBatch(pairs...)
+	batch, err := prover.ProveBatchContext(context.Background(), pairs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestBatchAmortizesProofSize(t *testing.T) {
 	}
 	var individual int
 	for _, pr := range pairs {
-		p, err := prover.Prove(pr[0], pr[1])
+		p, err := prover.ProveContext(context.Background(), pr[0], pr[1])
 		if err != nil {
 			t.Fatal(err)
 		}

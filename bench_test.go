@@ -13,6 +13,7 @@ package zkvc_test
 // section (§V).
 
 import (
+	"context"
 	mrand "math/rand"
 	"runtime"
 	"runtime/debug"
@@ -212,7 +213,7 @@ func publicAPIOp(backend zkvc.Backend) func() (int, error) {
 	prover := zkvc.NewMatMulProver(backend, zkvc.DefaultOptions())
 	prover.Reseed(7)
 	return func() (int, error) {
-		proof, err := prover.Prove(x, w)
+		proof, err := prover.ProveContext(context.Background(), x, w)
 		if err != nil {
 			return 0, err
 		}
@@ -276,7 +277,7 @@ func foldedBatchOp() func() (int, error) {
 	prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
 	prover.Reseed(3)
 	return func() (int, error) {
-		proof, err := prover.ProveBatch(pairs...)
+		proof, err := prover.ProveBatchContext(context.Background(), pairs...)
 		if err != nil {
 			return 0, err
 		}
@@ -308,14 +309,14 @@ func BenchmarkBatchProve(b *testing.B) {
 		prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
 		prover.Reseed(3)
 		// Untimed pool warm-up; see BenchmarkPublicAPI.
-		if _, err := prover.Prove(pairs[0][0], pairs[0][1]); err != nil {
+		if _, err := prover.ProveContext(context.Background(), pairs[0][0], pairs[0][1]); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			total := 0
 			for _, pr := range pairs {
-				proof, err := prover.Prove(pr[0], pr[1])
+				proof, err := prover.ProveContext(context.Background(), pr[0], pr[1])
 				if err != nil {
 					b.Fatal(err)
 				}

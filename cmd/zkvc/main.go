@@ -180,7 +180,6 @@ func cmdVerify(args []string) {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	xPath := fs.String("x", "", "public input matrix (required)")
 	proofPath := fs.String("proof", "proof.bin", "proof path")
-	epoch := fs.String("epoch", "", "expected epoch label (required for epoch proofs)")
 	fs.Parse(args)
 	if *xPath == "" {
 		fatalf("verify: -x is required")
@@ -197,12 +196,7 @@ func cmdVerify(args []string) {
 	if err != nil {
 		fatalf("verify: decoding proof: %v", err)
 	}
-	if *epoch != "" {
-		err = zkvc.VerifyMatMulInEpoch(x, proof, []byte(*epoch))
-	} else {
-		err = zkvc.NewLocal(proof.Backend, proof.Opts).VerifyMatMul(context.Background(), x, proof)
-	}
-	if err != nil {
+	if err := zkvc.NewLocal(proof.Backend, proof.Opts).VerifyMatMul(context.Background(), x, proof); err != nil {
 		fatalf("verification FAILED: %v", err)
 	}
 	fmt.Printf("verification OK: Y is %dx%d, backend %s, circuit %s, proof %d bytes\n",

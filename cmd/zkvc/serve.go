@@ -48,7 +48,6 @@ func cmdServe(args []string) {
 	workers := fs.Int("workers", 0, "proving workers (0 = NumCPU)")
 	parallelism := fs.Int("parallelism", 0,
 		"process-wide worker budget shared by job concurrency and per-proof hot loops (0 = ZKVC_PARALLELISM env or GOMAXPROCS)")
-	epoch := fs.String("epoch", "zkvc-epoch-0", "shape-epoch label for the single-proof CRS cache")
 	streamTimeout := fs.Duration("stream-timeout", 30*time.Second,
 		"per-frame model-stream write deadline; a client that stops reading this long is treated as gone")
 	journalDir := fs.String("journal-dir", "",
@@ -106,7 +105,6 @@ func cmdServe(args []string) {
 	cfg.MaxBatch = *maxBatch
 	cfg.Workers = *workers
 	cfg.Parallelism = *parallelism
-	cfg.Epoch = []byte(*epoch)
 	cfg.StreamWriteTimeout = *streamTimeout
 	cfg.JournalDir = *journalDir
 	cfg.JobTTL = *jobTTL
@@ -210,8 +208,6 @@ func cmdClient(args []string) {
 	xPath := fs.String("x", "", "public input matrix (required)")
 	wPath := fs.String("w", "", "private weight matrix (required)")
 	out := fs.String("out", "proof.bin", "write the wire-encoded prove response here")
-	single := fs.Bool("single", false, "use the uncoalesced single-proof endpoint")
-	epoch := fs.String("epoch", "zkvc-epoch-0", "epoch label this client trusts for single proofs")
 	tenant := fs.String("tenant", "", "tenant key: jobs only coalesce with jobs of the same tenant")
 	fs.Parse(args)
 	if *xPath == "" || *wPath == "" {
@@ -228,41 +224,19 @@ func cmdClient(args []string) {
 
 	c := server.NewClient(*serverURL)
 	c.Tenant = *tenant
-	var raw []byte
-	if *single {
-		proof, err := c.ProveSingle(context.Background(), x, w)
-		if err != nil {
-			fatalf("client: %v", err)
-		}
-		// The trusted epoch comes from our flag, not from the proof. And
-		// since this client knows W, it checks the product directly too —
-		// that holds the server honest even though the epoch label is
-		// public (see internal/server on epoch-proof soundness).
-		if err := zkvc.VerifyMatMulInEpoch(x, proof, []byte(*epoch)); err != nil {
-			fatalf("client: proof does not verify: %v", err)
-		}
-		if !proof.Y.Equal(zkvc.MatMul(x, w)) {
-			fatalf("client: server's Y is not X·W")
-		}
-		fmt.Printf("single proof OK: backend %s, %d bytes, epoch %q\n",
-			proof.Backend, proof.SizeBytes(), proof.Epoch)
-		raw = wire.EncodeMatMulProof(proof)
-	} else {
-		pr, err := c.ProveCoalesced(context.Background(), x, w)
-		if err != nil {
-			fatalf("client: %v", err)
-		}
-		if err := zkvc.VerifyMatMulBatch(pr.Xs, pr.Batch); err != nil {
-			fatalf("client: batch does not verify: %v", err)
-		}
-		if !pr.Xs[pr.Index].Equal(x) || !pr.Batch.Ys[pr.Index].Equal(zkvc.MatMul(x, w)) {
-			fatalf("client: batch index %d does not hold our statement", pr.Index)
-		}
-		fmt.Printf("batch proof OK: %d statements coalesced, ours is #%d, backend %s, %d bytes\n",
-			len(pr.Xs), pr.Index, pr.Batch.Backend, pr.Batch.SizeBytes())
-		raw = wire.EncodeProveResponse(pr)
+	pr, err := c.ProveCoalesced(context.Background(), x, w)
+	if err != nil {
+		fatalf("client: %v", err)
 	}
-	if err := os.WriteFile(*out, raw, 0o644); err != nil {
+	if err := zkvc.VerifyMatMulBatch(pr.Xs, pr.Batch); err != nil {
+		fatalf("client: batch does not verify: %v", err)
+	}
+	if !pr.Xs[pr.Index].Equal(x) || !pr.Batch.Ys[pr.Index].Equal(zkvc.MatMul(x, w)) {
+		fatalf("client: batch index %d does not hold our statement", pr.Index)
+	}
+	fmt.Printf("batch proof OK: %d statements coalesced, ours is #%d, backend %s, %d bytes\n",
+		len(pr.Xs), pr.Index, pr.Batch.Backend, pr.Batch.SizeBytes())
+	if err := os.WriteFile(*out, wire.EncodeProveResponse(pr), 0o644); err != nil {
 		fatalf("client: %v", err)
 	}
 	fmt.Printf("wrote response to %s\n", *out)

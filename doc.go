@@ -120,12 +120,7 @@
 // report to retain its proof payloads (Options.KeepProofs); a stripped
 // report fails verification rather than passing vacuously.
 //
-// The two-argument VerifyModel(ctx, report) is the deprecated mode-less
-// spelling and behaves as VerifyPerOp.
-//
-// The pre-Engine entry points (MatMulProver.Prove, ProveBatch,
-// ProveInference, the zkml Stop predicate) remain as thin deprecated
-// wrappers; new code should construct an Engine.
+// With no options, VerifyModel(ctx, report) verifies per op.
 //
 // # Operating the service
 //

@@ -84,7 +84,7 @@ func ParseVerifyMode(s string) (VerifyMode, error) {
 }
 
 // VerifyOptions configures Engine.VerifyModel. The zero value is the
-// per-op path, so VerifyModel(ctx, rep) keeps its original meaning.
+// per-op path, so VerifyModel(ctx, rep) verifies per op.
 type VerifyOptions struct {
 	// Mode selects per-op or aggregate verification.
 	Mode VerifyMode
@@ -128,7 +128,7 @@ func ResolveVerifyOptions(opts ...VerifyOptions) VerifyOptions {
 //     ModelStream.Report reassembles them in sequence order.
 //
 // Remote implementations additionally expose service-shape extras
-// (coalescing windows, epoch CRSs, tenancy) beyond this interface.
+// (coalescing windows, tenancy) beyond this interface.
 type Engine interface {
 	// ProveMatMul proves Y = X·W with a per-statement challenge.
 	ProveMatMul(ctx context.Context, x, w *Matrix) (*MatMulProof, error)
@@ -143,10 +143,8 @@ type Engine interface {
 	// VerifyBatch checks a folded batch proof against its public inputs.
 	VerifyBatch(ctx context.Context, xs []*Matrix, proof *BatchProof) error
 	// VerifyModel checks an assembled model report. The opts tail picks
-	// the verification mode (ResolveVerifyOptions: last value wins).
-	// The bare two-argument call VerifyModel(ctx, rep) is the
-	// deprecated mode-less shape — it still means per-op verification;
-	// new callers pass VerifyOptions explicitly.
+	// the verification mode (ResolveVerifyOptions: last value wins); no
+	// options means per-op verification.
 	VerifyModel(ctx context.Context, rep *Report, opts ...VerifyOptions) error
 }
 

@@ -140,6 +140,7 @@ func TestEngineConformance(t *testing.T) {
 			rng := mrand.New(mrand.NewSource(confSeed))
 			x := zkvc.RandomMatrix(rng, 6, 8, 32)
 			w := zkvc.RandomMatrix(rng, 8, 5, 32)
+			xOtherRows := zkvc.RandomMatrix(rng, 5, 8, 32)
 			mreq := conformanceModelRequest(t, backend)
 
 			matmuls := make(map[string][]byte)
@@ -163,6 +164,13 @@ func TestEngineConformance(t *testing.T) {
 					tampered.Y.At(0, 0).SetInt64(12345)
 					if err := eng.VerifyMatMul(ctx, x, &tampered); !errors.Is(err, zkvc.ErrVerification) {
 						t.Fatalf("tampered VerifyMatMul: got %v, want ErrVerification", err)
+					}
+					// A statement whose X has a different row count than
+					// the proof's Y fails a shape check before any
+					// cryptography runs — still a failed check, so still
+					// ErrVerification on every engine.
+					if err := eng.VerifyMatMul(ctx, xOtherRows, proof); !errors.Is(err, zkvc.ErrVerification) {
+						t.Fatalf("VerifyMatMul against a %d-row X: got %v, want ErrVerification", xOtherRows.Rows, err)
 					}
 					matmuls[ne.name] = canonicalMatMul(proof)
 
@@ -201,12 +209,12 @@ func TestEngineConformance(t *testing.T) {
 						}
 					}
 					// --- verify-mode dimension ---
-					// The deprecated mode-less call and both explicit
+					// The no-options call (per-op) and both explicit
 					// modes accept the engine's own report; the verdict
 					// must not depend on the mode (aggregate ⇔ per-op
 					// parity), only the number of pairing checks does.
 					if err := eng.VerifyModel(ctx, rep); err != nil {
-						t.Fatalf("VerifyModel of own report (mode-less): %v", err)
+						t.Fatalf("VerifyModel of own report (no options): %v", err)
 					}
 					for _, mode := range []zkvc.VerifyMode{zkvc.VerifyPerOp, zkvc.VerifyAggregate} {
 						opts := zkvc.VerifyOptions{Mode: mode}

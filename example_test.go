@@ -1,6 +1,7 @@
 package zkvc_test
 
 import (
+	"context"
 	"fmt"
 	mrand "math/rand"
 
@@ -15,7 +16,7 @@ func ExampleNewMatMulProver() {
 	w := zkvc.RandomMatrix(rng, 8, 6, 64) // private weights
 
 	prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
-	proof, err := prover.Prove(x, w)
+	proof, err := prover.ProveContext(context.Background(), x, w)
 	if err != nil {
 		panic(err)
 	}
@@ -28,8 +29,9 @@ func ExampleNewMatMulProver() {
 	// verified: true
 }
 
-// ExampleMatMulProver_ProveBatch folds several products into one proof.
-func ExampleMatMulProver_ProveBatch() {
+// ExampleMatMulProver_ProveBatchContext folds several products into one
+// proof.
+func ExampleMatMulProver_ProveBatchContext() {
 	rng := mrand.New(mrand.NewSource(2))
 	var pairs [][2]*zkvc.Matrix
 	var xs []*zkvc.Matrix
@@ -40,7 +42,7 @@ func ExampleMatMulProver_ProveBatch() {
 		xs = append(xs, x)
 	}
 	prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
-	proof, err := prover.ProveBatch(pairs...)
+	proof, err := prover.ProveBatchContext(context.Background(), pairs...)
 	if err != nil {
 		panic(err)
 	}

@@ -5,9 +5,9 @@ package cluster
 // equals cache locality.
 //
 // Matmul jobs key on (tenant, product shape, circuit options) — the
-// node-side coalescer partitions by tenant and the epoch CRS cache by
-// (backend, shape, options), so everything that could share a batch or
-// a setup shares a key. Model jobs key on (tenant, backend, the
+// node-side coalescer partitions by tenant, so everything that could
+// share a batch shares a key, and a proof's verification finds the node
+// that attested it. Model jobs key on (tenant, backend, the
 // structural identity of every planned op). The real cache key on the
 // node is the R1CS structure digest of each gadget circuit, but that
 // digest requires synthesis — far too expensive for a router. The op

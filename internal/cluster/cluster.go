@@ -360,8 +360,7 @@ func (c *Coordinator) healthyRanked(key []byte) []*node {
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/prove", c.handleProve)
-	mux.HandleFunc("POST /v1/prove/single", c.handleProveSingle)
-	mux.HandleFunc("POST /v1/prove/matmul", c.handleProveMatMul)
+	mux.HandleFunc("POST /v1/prove/matmul", c.handleProve)
 	mux.HandleFunc("POST /v1/prove/batch", c.handleProveBatch)
 	mux.HandleFunc("POST /v1/prove/model", c.handleProveModel)
 	mux.HandleFunc("POST /v1/jobs", c.handleSubmitJob)

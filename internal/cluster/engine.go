@@ -18,8 +18,8 @@ import (
 // Engine is the cluster-backed zkvc.Engine: every call routes through a
 // coordinator to the prover node that owns the statement's affinity key,
 // with failover for unstarted work. It embeds the typed client, so the
-// service-shape extras (ProveCoalesced, ProveSingle, Metrics, Tenant)
-// are available too.
+// service-shape extras (ProveCoalesced, Metrics, Tenant) are available
+// too.
 type Engine struct {
 	*server.Client
 }

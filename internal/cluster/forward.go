@@ -20,7 +20,6 @@ import (
 	"zkvc"
 	"zkvc/internal/server"
 	"zkvc/internal/wire"
-	"zkvc/internal/zkml"
 )
 
 // Body bounds, mirroring the node-side limits: what a node would
@@ -150,6 +149,11 @@ func (c *Coordinator) forwardToCandidates(w http.ResponseWriter, r *http.Request
 	http.Error(w, "every candidate node failed: "+lastErr, http.StatusServiceUnavailable)
 }
 
+// handleProve serves both single-statement proving routes — coalescing
+// /v1/prove and per-statement /v1/prove/matmul — forwarding to the same
+// path on the node. Both route by the (tenant, shape, options) key
+// /v1/verify uses, so a proof's later verification finds the node whose
+// issued log attests it.
 func (c *Coordinator) handleProve(w http.ResponseWriter, r *http.Request) {
 	raw, ok := readBodyN(w, r, maxBodyBytes)
 	if !ok {
@@ -161,39 +165,7 @@ func (c *Coordinator) handleProve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := matmulKey(r.Header.Get(server.TenantHeader), req.X.Rows, req.X.Cols, req.W.Cols, c.cfg.Opts)
-	c.forwardBuffered(w, r, "/v1/prove", key, raw, true)
-}
-
-func (c *Coordinator) handleProveSingle(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBodyN(w, r, maxBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeProveRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	key := matmulKey(r.Header.Get(server.TenantHeader), req.X.Rows, req.X.Cols, req.W.Cols, c.cfg.Opts)
-	c.forwardBuffered(w, r, "/v1/prove/single", key, raw, true)
-}
-
-// handleProveMatMul routes an Engine-shape per-statement proving job by
-// the same (tenant, shape, options) key as /v1/prove and /v1/verify —
-// so the proof's later verification finds the node whose issued log
-// attests it.
-func (c *Coordinator) handleProveMatMul(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBodyN(w, r, maxBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeProveRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	key := matmulKey(r.Header.Get(server.TenantHeader), req.X.Rows, req.X.Cols, req.W.Cols, c.cfg.Opts)
-	c.forwardBuffered(w, r, "/v1/prove/matmul", key, raw, true)
+	c.forwardBuffered(w, r, r.URL.Path, key, raw, true)
 }
 
 // handleProveBatch routes a direct batch job by its first pair's shape —
@@ -215,8 +187,8 @@ func (c *Coordinator) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleVerify routes a verification to the node whose shape slice the
-// proof belongs to — for epoch proofs, the only node whose issued log
-// and cached CRS can vouch for it.
+// proof belongs to — for Groth16 proofs, the node whose issued log
+// attests it, then the digest's replicas.
 func (c *Coordinator) handleVerify(w http.ResponseWriter, r *http.Request) {
 	raw, ok := readBodyN(w, r, maxBodyBytes)
 	if !ok {
@@ -228,7 +200,7 @@ func (c *Coordinator) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := matmulKey(r.Header.Get(server.TenantHeader), req.X.Rows, req.X.Cols, req.Proof.Y.Cols, c.cfg.Opts)
-	digest := server.IssuedDigest(req.X, req.Proof, 0)
+	digest := server.IssuedDigest(req.X, req.Proof)
 	c.forwardToCandidates(w, r, "/v1/verify", c.verifyCandidates(key, digest), raw, false)
 }
 
@@ -252,12 +224,12 @@ func (c *Coordinator) handleVerifyBatch(w http.ResponseWriter, r *http.Request) 
 	c.forwardToCandidates(w, r, "/v1/verify/batch", c.verifyCandidates(key, digest), raw, false)
 }
 
-// handleVerifyModel routes a report verification — legacy mode-less or
-// the ?mode=per-op|aggregate fast path — to the node that issued the
-// report, by the same CRS-affinity key the prove path used. The mode
-// query survives the forward: it rides on the relayed path, and the
-// body's embedded mode must already match it (checked here so a
-// disagreeing frame dies at the coordinator, not a hop later).
+// handleVerifyModel routes a ?mode=per-op|aggregate report verification
+// to the node that issued the report, by the same CRS-affinity key the
+// prove path used. The mode query survives the forward: it rides on the
+// relayed path, and the body's embedded mode must already match it
+// (checked here so a disagreeing frame dies at the coordinator, not a
+// hop later).
 func (c *Coordinator) handleVerifyModel(w http.ResponseWriter, r *http.Request) {
 	release, ok := c.acquireModelSlot(w)
 	if !ok {
@@ -268,36 +240,29 @@ func (c *Coordinator) handleVerifyModel(w http.ResponseWriter, r *http.Request) 
 	if !ok {
 		return
 	}
-	var rep *zkml.Report
-	path := "/v1/verify/model"
-	if q := r.URL.Query().Get("mode"); q != "" {
-		mode, err := zkvc.ParseVerifyMode(q)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		req, err := wire.DecodeVerifyModelRequest(raw)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if req.Mode != mode {
-			http.Error(w, fmt.Sprintf("request body carries mode %q, query requests %q", req.Mode, mode), http.StatusBadRequest)
-			return
-		}
-		rep = req.Report
-		path += "?mode=" + mode.String()
-	} else {
-		var err error
-		if rep, err = wire.DecodeReport(raw); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	q := r.URL.Query().Get("mode")
+	if q == "" {
+		http.Error(w, fmt.Sprintf("missing ?mode= query: /v1/verify/model needs ?mode=%s or ?mode=%s", zkvc.VerifyPerOp, zkvc.VerifyAggregate), http.StatusBadRequest)
+		return
+	}
+	mode, err := zkvc.ParseVerifyMode(q)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	req, err := wire.DecodeVerifyModelRequest(raw)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if req.Mode != mode {
+		http.Error(w, fmt.Sprintf("request body carries mode %q, query requests %q", req.Mode, mode), http.StatusBadRequest)
+		return
 	}
 	tenant := r.Header.Get(server.TenantHeader)
-	key := modelKeyFromReport(tenant, rep)
-	digest := server.ReportDigest(rep, tenant)
-	c.forwardToCandidates(w, r, path, c.verifyCandidates(key, digest), raw, false)
+	key := modelKeyFromReport(tenant, req.Report)
+	digest := server.ReportDigest(req.Report, tenant)
+	c.forwardToCandidates(w, r, "/v1/verify/model?mode="+mode.String(), c.verifyCandidates(key, digest), raw, false)
 }
 
 // errClientGone marks a relay failure on the client side of the stream;

@@ -15,8 +15,11 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"io"
 	mrand "math/rand"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,16 +126,6 @@ func wireModelRequest(req *zkvc.ModelRequest) *wire.ProveModelRequest {
 	}
 }
 
-// sumCRS totals the CRS cache counters across the node pool.
-func sumCRS(nodes []*server.Server) (misses, hits int64) {
-	for _, n := range nodes {
-		snap := n.Metrics()
-		misses += snap.CRSCacheMisses
-		hits += snap.CRSCacheHits
-	}
-	return
-}
-
 // nodesWithNewMisses counts nodes whose miss counter moved past its
 // baseline.
 func nodesWithNewMisses(nodes []*server.Server, baseline []int64) int {
@@ -191,27 +184,22 @@ func TestClusterE2E(t *testing.T) {
 		t.Fatalf("cluster verify/batch: %v", err)
 	}
 
-	// --- Singles: the per-shape epoch CRS is set up on exactly one node. ---
-	missBase := make([]int64, len(nodes))
-	for i, n := range nodes {
-		missBase[i] = n.Metrics().CRSCacheMisses
-	}
-	proof, err := cc.ProveSingle(tctx, x, w)
+	// --- Per-statement proofs: byte-identical to the single-node run,
+	// and they verify through the coordinator. ---
+	refProof, err := ref.ProveMatMul(tctx, x, w)
 	if err != nil {
-		t.Fatalf("cluster prove/single: %v", err)
+		t.Fatalf("reference prove/matmul: %v", err)
 	}
-	if _, err := cc.ProveSingle(tctx, x, w); err != nil {
-		t.Fatalf("cluster prove/single (repeat): %v", err)
+	proof, err := cc.ProveMatMul(tctx, x, w)
+	if err != nil {
+		t.Fatalf("cluster prove/matmul: %v", err)
+	}
+	refProof.Timings, proof.Timings = zkvc.Timings{}, zkvc.Timings{}
+	if !bytes.Equal(wire.EncodeMatMulProof(proof), wire.EncodeMatMulProof(refProof)) {
+		t.Fatal("cluster per-statement proof differs from the single-node run at equal seeds")
 	}
 	if err := cc.VerifyMatMul(tctx, x, proof); err != nil {
-		t.Fatalf("cluster verify of issued epoch proof: %v", err)
-	}
-	misses, hits := sumCRS(nodes)
-	if got := nodesWithNewMisses(nodes, missBase); got != 1 {
-		t.Fatalf("epoch CRS set up on %d nodes, want exactly 1", got)
-	}
-	if misses != 1 || hits < 1 {
-		t.Fatalf("epoch CRS misses=%d hits=%d across the pool, want 1 miss and >=1 hit", misses, hits)
+		t.Fatalf("cluster verify of a per-statement proof: %v", err)
 	}
 
 	// --- Model (Groth16, so setups are visible in CRS counters):
@@ -224,6 +212,7 @@ func TestClusterE2E(t *testing.T) {
 	}
 	refModelMisses := refSrv.Metrics().CRSCacheMisses
 
+	missBase := make([]int64, len(nodes))
 	hitBase := make([]int64, len(nodes))
 	for i, n := range nodes {
 		snap := n.Metrics()
@@ -289,5 +278,52 @@ func TestClusterE2E(t *testing.T) {
 	}
 	if snap.FailedOver != 0 || snap.StreamErrors != 0 || snap.Unroutable != 0 {
 		t.Fatalf("healthy-pool run recorded failures: %+v", snap)
+	}
+}
+
+// TestCoordinatorRemovedSurfaces pins what is gone from the coordinator:
+// the epoch-proof route is no longer served, and /v1/verify/model
+// without its ?mode= query is a 400 that names the query — answered at
+// the coordinator, before any node is asked.
+func TestCoordinatorRemovedSurfaces(t *testing.T) {
+	_, nodeTS := newNode(t, nodeConfig(harnessSeed))
+	ccfg := cluster.DefaultConfig()
+	ccfg.Nodes = []string{nodeTS.URL}
+	_, coordTS := newCoordinator(t, ccfg)
+
+	post := func(path string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(coordTS.URL+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw)
+	}
+
+	rng := mrand.New(mrand.NewSource(harnessSeed))
+	x := zkvc.RandomMatrix(rng, 3, 4, 32)
+	w := zkvc.RandomMatrix(rng, 4, 2, 32)
+	status, body := post("/v1/prove/single", wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: w}))
+	if status != http.StatusNotFound && status != http.StatusMethodNotAllowed {
+		t.Errorf("/v1/prove/single: status %d body %s, want 404 or 405", status, body)
+	}
+
+	req := modelRequest(t, zkvc.Spartan, 5)
+	opts := zkml.DefaultOptions()
+	opts.Seed = harnessSeed
+	rep, err := zkml.ProveTrace(req.Cfg, req.Trace, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, raw := range [][]byte{
+		wire.EncodeReport(rep), // the old mode-less dialect's body
+		wire.EncodeVerifyModelRequest(&wire.VerifyModelRequest{Mode: zkvc.VerifyPerOp, Report: rep}),
+	} {
+		status, body := post("/v1/verify/model", raw)
+		if status != http.StatusBadRequest || !strings.Contains(body, "?mode=") {
+			t.Errorf("/v1/verify/model without ?mode=: status %d body %s, want 400 naming the query", status, body)
+		}
 	}
 }

@@ -3,44 +3,30 @@ package server
 import (
 	"sync"
 
-	"zkvc"
 	"zkvc/internal/groth16"
 )
 
-// crsCache memoizes proving material with singleflight semantics: when
-// many requests for a new entry race, exactly one runs the (expensive,
-// for Groth16) trusted setup and the rest block on its result. The
+// crsCache memoizes Groth16 proving material with singleflight
+// semantics: when many requests for a new entry race, exactly one runs
+// the (expensive) trusted setup and the rest block on its result. The
 // standard library has no singleflight and the module is dependency-free,
 // so this is hand-rolled on a ready channel.
 //
-// Entries come in two kinds, reflecting the two job kinds the service
-// proves. Matmul epoch CRSs are keyed by product shape (known before any
-// synthesis, so a cache hit skips synthesis entirely) and hold a
-// *zkvc.CRS. Model-op CRSs are keyed by the R1CS structure digest of the
-// gadget circuit — whatever its shape family — and hold a *circuitCRS;
-// identical transformer blocks across requests and tenants share one
-// setup. Both kinds share the LRU budget.
+// Entries are keyed by the R1CS structure digest of a model-op circuit —
+// whatever its shape family — so identical transformer blocks across
+// requests and tenants share one setup.
 //
 // The cache is bounded: proving endpoints are unauthenticated and every
 // distinct entry costs a full Groth16 setup plus permanently resident
-// keys, so an attacker cycling tiny requests through many shapes would
-// otherwise grow it without limit. At the cap the least-recently-used
-// completed entry is evicted; proofs issued under an evicted CRS can no
-// longer be re-verified through /v1/verify (same bounded-attestation
-// tradeoff as the issued-proof log).
+// keys, so an attacker cycling tiny models through many circuit shapes
+// would otherwise grow it without limit. At the cap the
+// least-recently-used completed entry is evicted; a later job that needs
+// it pays the setup again.
 type crsCache struct {
 	mu      sync.Mutex
-	entries map[cacheKey]*crsEntry
+	entries map[[32]byte]*crsEntry
 	cap     int
 	clock   uint64
-}
-
-// cacheKey identifies a cached CRS: exactly one of shape (matmul epoch
-// entries) or circuit (gadget-circuit digest entries) is set.
-type cacheKey struct {
-	backend zkvc.Backend
-	shape   zkvc.ShapeKey
-	circuit [32]byte
 }
 
 // circuitCRS is the cached proving material for one gadget circuit.
@@ -51,63 +37,51 @@ type circuitCRS struct {
 
 type crsEntry struct {
 	ready chan struct{} // closed once val/err are final
-	val   any           // *zkvc.CRS or *circuitCRS
+	val   *circuitCRS
 	err   error
-	tag   uint64 // unique per CRS instance; issued digests bind to it
 	used  uint64 // LRU stamp, guarded by crsCache.mu
 }
 
 func newCRSCache(cap int) *crsCache {
-	return &crsCache{entries: make(map[cacheKey]*crsEntry), cap: cap}
+	return &crsCache{entries: make(map[[32]byte]*crsEntry), cap: cap}
 }
 
-// get returns the cached value for key, running create exactly once per
-// key (failed creations are evicted so a later request can retry). hit
-// reports whether this caller found the entry already present; tag
-// identifies the CRS instance, so a later setup for the same key (after
-// eviction) gets a different tag and attestations bound to the old
-// instance expire.
-func (c *crsCache) get(key cacheKey, create func() (any, error)) (val any, tag uint64, hit bool, err error) {
+// get returns the cached value for the circuit digest, running create
+// exactly once per digest (failed creations are evicted so a later
+// request can retry). hit reports whether this caller found the entry
+// already present.
+func (c *crsCache) get(digest [32]byte, create func() (*circuitCRS, error)) (val *circuitCRS, hit bool, err error) {
 	c.mu.Lock()
 	c.clock++
-	if e, ok := c.entries[key]; ok {
+	if e, ok := c.entries[digest]; ok {
 		e.used = c.clock
 		c.mu.Unlock()
 		<-e.ready
-		return e.val, e.tag, true, e.err
+		return e.val, true, e.err
 	}
-	e := &crsEntry{ready: make(chan struct{}), tag: c.clock, used: c.clock}
+	e := &crsEntry{ready: make(chan struct{}), used: c.clock}
 	c.evictLocked()
-	c.entries[key] = e
+	c.entries[digest] = e
 	c.mu.Unlock()
 
 	e.val, e.err = create()
 	if e.err != nil {
 		c.mu.Lock()
-		delete(c.entries, key)
+		delete(c.entries, digest)
 		c.mu.Unlock()
 	}
 	close(e.ready)
-	return e.val, e.tag, false, e.err
-}
-
-// getCRS is the matmul-epoch typed wrapper around get.
-func (c *crsCache) getCRS(key cacheKey, create func() (*zkvc.CRS, error)) (*zkvc.CRS, uint64, bool, error) {
-	v, tag, hit, err := c.get(key, func() (any, error) { return create() })
-	if err != nil {
-		return nil, tag, hit, err
-	}
-	return v.(*zkvc.CRS), tag, hit, nil
+	return e.val, false, e.err
 }
 
 // evictLocked drops least-recently-used completed entries until the
 // cache is below capacity. Entries whose setup is still in flight are
 // never evicted (their waiters hold the map slot), so a burst of
-// concurrent distinct shapes can overshoot the cap — the loop drains the
-// overshoot back down on later inserts, once those setups complete.
+// concurrent distinct circuits can overshoot the cap — the loop drains
+// the overshoot back down on later inserts, once those setups complete.
 func (c *crsCache) evictLocked() {
 	for len(c.entries) >= c.cap {
-		var victim cacheKey
+		var victim [32]byte
 		var found bool
 		var oldest uint64
 		for k, e := range c.entries {
@@ -125,36 +99,6 @@ func (c *crsCache) evictLocked() {
 		}
 		delete(c.entries, victim)
 	}
-}
-
-// peek returns the cached epoch CRS for key only if its setup already
-// completed successfully. It never creates or waits on an entry: the
-// verify path uses it, and a proof for a shape the service never set up
-// cannot have been issued here anyway.
-func (c *crsCache) peek(key cacheKey) (*zkvc.CRS, uint64, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
-		c.clock++
-		e.used = c.clock
-	}
-	c.mu.Unlock()
-	if !ok {
-		return nil, 0, false
-	}
-	select {
-	case <-e.ready:
-	default:
-		return nil, 0, false
-	}
-	if e.err != nil {
-		return nil, 0, false
-	}
-	crs, ok := e.val.(*zkvc.CRS)
-	if !ok {
-		return nil, 0, false
-	}
-	return crs, e.tag, true
 }
 
 // Len reports how many entries have a cached CRS.

@@ -4,45 +4,60 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"zkvc"
 )
 
-func shapeKey(rows int) cacheKey {
-	return cacheKey{backend: zkvc.Spartan, shape: zkvc.ShapeKey{Rows: rows, Inner: 1, Cols: 1}}
+func digestKey(b byte) [32]byte { return [32]byte{b} }
+
+// cached reports whether c holds a completed entry for digest, without
+// touching its LRU stamp.
+func cached(c *crsCache, digest [32]byte) bool {
+	c.mu.Lock()
+	e, ok := c.entries[digest]
+	c.mu.Unlock()
+	if !ok {
+		return false
+	}
+	select {
+	case <-e.ready:
+		return e.err == nil
+	default:
+		return false
+	}
 }
 
 // TestCRSCacheEvictsLRU: the cache must stay bounded under a stream of
-// distinct shapes, dropping the least-recently-used entry first.
+// distinct circuits, dropping the least-recently-used entry first.
 func TestCRSCacheEvictsLRU(t *testing.T) {
 	c := newCRSCache(2)
-	mk := func() (*zkvc.CRS, error) { return &zkvc.CRS{}, nil }
+	mk := func() (*circuitCRS, error) { return &circuitCRS{}, nil }
 
-	if _, _, hit, _ := c.getCRS(shapeKey(1), mk); hit {
+	if _, hit, _ := c.get(digestKey(1), mk); hit {
 		t.Fatal("fresh entry reported as hit")
 	}
-	c.getCRS(shapeKey(2), mk)
-	c.getCRS(shapeKey(1), mk) // touch 1 so 2 becomes LRU
-	c.getCRS(shapeKey(3), mk) // at cap: evicts 2
+	c.get(digestKey(2), mk)
+	if _, hit, _ := c.get(digestKey(1), mk); !hit { // touch 1 so 2 becomes LRU
+		t.Fatal("cached entry reported as miss")
+	}
+	c.get(digestKey(3), mk) // at cap: evicts 2
 
 	if c.Len() != 2 {
 		t.Errorf("cache holds %d entries, cap is 2", c.Len())
 	}
-	if _, _, ok := c.peek(shapeKey(2)); ok {
+	if cached(c, digestKey(2)) {
 		t.Error("LRU entry survived eviction")
 	}
-	if _, _, ok := c.peek(shapeKey(1)); !ok {
+	if !cached(c, digestKey(1)) {
 		t.Error("recently used entry was evicted")
 	}
-	if _, _, ok := c.peek(shapeKey(3)); !ok {
+	if !cached(c, digestKey(3)) {
 		t.Error("newest entry was evicted")
 	}
 }
 
 // TestCRSCacheDrainsAfterBurst: pending entries cannot be evicted, so a
-// concurrent burst of distinct shapes overshoots the cap — but the next
-// insert must drain the overshoot back below capacity, not leave the
-// high-water mark resident forever.
+// concurrent burst of distinct circuits overshoots the cap — but the
+// next insert must drain the overshoot back below capacity, not leave
+// the high-water mark resident forever.
 func TestCRSCacheDrainsAfterBurst(t *testing.T) {
 	c := newCRSCache(2)
 	release := make(chan struct{})
@@ -51,9 +66,9 @@ func TestCRSCacheDrainsAfterBurst(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c.getCRS(shapeKey(10+i), func() (*zkvc.CRS, error) {
+			c.get(digestKey(byte(10+i)), func() (*circuitCRS, error) {
 				<-release
-				return &zkvc.CRS{}, nil
+				return &circuitCRS{}, nil
 			})
 		}(i)
 	}
@@ -67,11 +82,11 @@ func TestCRSCacheDrainsAfterBurst(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	c.getCRS(shapeKey(99), func() (*zkvc.CRS, error) { return &zkvc.CRS{}, nil })
+	c.get(digestKey(99), func() (*circuitCRS, error) { return &circuitCRS{}, nil })
 	if got := c.Len(); got > 2 {
 		t.Errorf("cache holds %d entries after burst drained, cap is 2", got)
 	}
-	if _, _, ok := c.peek(shapeKey(99)); !ok {
+	if !cached(c, digestKey(99)) {
 		t.Error("newest entry missing after drain")
 	}
 }

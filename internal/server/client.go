@@ -9,9 +9,8 @@ package server
 // routed (cluster.NewEngine is that spelling).
 //
 // Beyond the Engine interface the client exposes the service-shape
-// extras: the coalescing endpoint (ProveCoalesced/VerifyResponse), the
-// epoch-CRS single-proof endpoint (ProveSingle), metrics and the
-// cluster control plane.
+// extras: the coalescing endpoint (ProveCoalesced/VerifyResponse),
+// metrics and the cluster control plane.
 
 import (
 	"bytes"
@@ -217,14 +216,9 @@ func (c *Client) VerifyBatch(ctx context.Context, xs []*zkvc.Matrix, proof *zkvc
 }
 
 // VerifyModel asks the service to check a model report it issued
-// (POST /v1/verify/model). With no options it speaks the legacy
-// mode-less exchange (bare report body, JSON verdict) — the deprecated
-// per-op shape; with options it posts a mode-carrying binary request to
-// the ?mode= fast path, aggregate or per-op as selected.
+// (POST /v1/verify/model?mode=per-op|aggregate, as selected; no options
+// means per-op).
 func (c *Client) VerifyModel(ctx context.Context, rep *zkvc.Report, opts ...zkvc.VerifyOptions) error {
-	if len(opts) == 0 {
-		return c.verdict(ctx, "/v1/verify/model", wire.EncodeReport(rep))
-	}
 	mode := zkvc.ResolveVerifyOptions(opts...).Mode
 	raw, err := c.post(ctx, "/v1/verify/model?mode="+mode.String(),
 		wire.EncodeVerifyModelRequest(&wire.VerifyModelRequest{Mode: mode, Report: rep}))
@@ -257,16 +251,6 @@ func (c *Client) ProveCoalesced(ctx context.Context, x, w *zkvc.Matrix) (*wire.P
 		return nil, err
 	}
 	return wire.DecodeProveResponse(raw)
-}
-
-// ProveSingle requests one uncoalesced proof against the service's
-// per-shape epoch CRS (POST /v1/prove/single).
-func (c *Client) ProveSingle(ctx context.Context, x, w *zkvc.Matrix) (*zkvc.MatMulProof, error) {
-	raw, err := c.post(ctx, "/v1/prove/single", wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: w}))
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeMatMulProof(raw)
 }
 
 // VerifyResponse asks the service to check a coalesced batch response

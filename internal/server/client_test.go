@@ -42,26 +42,6 @@ func TestClientRoundTrips(t *testing.T) {
 		t.Fatalf("service rejected its own batch: %v", err)
 	}
 
-	proof, err := c.ProveSingle(ctx, x, w)
-	if err != nil {
-		t.Fatalf("prove single: %v", err)
-	}
-	if err := c.VerifyMatMul(ctx, x, proof); err != nil {
-		t.Fatalf("service rejected its own epoch proof: %v", err)
-	}
-	// A proof the service did not issue must come back as a verification
-	// error carrying the service's reason, not a transport error.
-	foreign := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
-	foreign.Reseed(3)
-	fp, err := foreign.Prove(x, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp.Epoch = append([]byte(nil), cfg.Epoch...)
-	if err := c.VerifyMatMul(ctx, x, fp); !errors.Is(err, zkvc.ErrVerification) {
-		t.Fatalf("foreign epoch proof: got %v, want ErrVerification", err)
-	}
-
 	// The Engine-shape direct endpoints round-trip too.
 	direct, err := c.ProveMatMul(ctx, x, w)
 	if err != nil {
@@ -69,6 +49,13 @@ func TestClientRoundTrips(t *testing.T) {
 	}
 	if err := c.VerifyMatMul(ctx, x, direct); err != nil {
 		t.Fatalf("service rejected its own direct proof: %v", err)
+	}
+	// A proof that fails its check must come back as a verification
+	// error carrying the service's reason, not a transport error.
+	tampered := *direct
+	tampered.Y = zkvc.MatMul(x, zkvc.RandomMatrix(rng, 8, 5, 32))
+	if err := c.VerifyMatMul(ctx, x, &tampered); !errors.Is(err, zkvc.ErrVerification) {
+		t.Fatalf("tampered proof: got %v, want ErrVerification", err)
 	}
 	batch, err := c.ProveBatch(ctx, [][2]*zkvc.Matrix{{x, w}, {x, w}})
 	if err != nil {
@@ -112,8 +99,7 @@ func TestClientRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	if snap.ModelJobsProved != 1 || snap.SinglesProved != 1 ||
-		snap.MatMulsProved != 1 || snap.DirectBatchesProved != 1 {
+	if snap.ModelJobsProved != 1 || snap.MatMulsProved != 1 || snap.DirectBatchesProved != 1 {
 		t.Fatalf("metrics don't reflect the session: %+v", snap)
 	}
 

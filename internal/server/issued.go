@@ -37,19 +37,15 @@ var issuedCompactSlack int64 = 4096
 // re-encode yields identical bytes), so a client posting back the exact
 // proof it was handed — and nothing else — reproduces the digest.
 //
-// crsTag binds a Groth16 digest to the CRS instance that issued it: if
-// the shape's CRS is LRU-evicted and later regenerated, the new instance
-// has a new tag, the old attestation stops matching, and /v1/verify
-// reports an honest policy rejection instead of an inscrutable pairing
-// failure against the wrong verifying key. Spartan proofs pass tag 0 —
-// their (keyless) epoch CRS is deterministic in (epoch, shape), so a
-// regenerated instance verifies the old proofs identically.
-func issuedDigest(x *zkvc.Matrix, proof *zkvc.MatMulProof, crsTag uint64) [sha256.Size]byte {
+// The eight zero bytes after the encoding are the CRS tag that epoch
+// proofs once bound their digests to. No proof carries a tag any more,
+// but the suffix stays so the digests in issued.log files written by
+// earlier versions keep matching after an upgrade.
+func issuedDigest(x *zkvc.Matrix, proof *zkvc.MatMulProof) [sha256.Size]byte {
 	h := sha256.New()
 	h.Write(wire.EncodeVerifyRequest(&wire.VerifyRequest{X: x, Proof: proof}))
-	var t [8]byte
-	binary.BigEndian.PutUint64(t[:], crsTag)
-	h.Write(t[:])
+	var crsTag [8]byte
+	h.Write(crsTag[:])
 	var d [sha256.Size]byte
 	h.Sum(d[:0])
 	return d
@@ -78,12 +74,11 @@ func issuedBatchDigests(xs []*zkvc.Matrix, batch *zkvc.BatchProof, n int) [][sha
 	return out
 }
 
-// IssuedDigest exposes the per-statement attestation digest (untagged
-// when crsTag is 0 — the form replicated across the cluster) for the
+// IssuedDigest exposes the per-statement attestation digest for the
 // cluster router, which needs it to pick a proof's replica set for
 // verify failover.
-func IssuedDigest(x *zkvc.Matrix, proof *zkvc.MatMulProof, crsTag uint64) [sha256.Size]byte {
-	return issuedDigest(x, proof, crsTag)
+func IssuedDigest(x *zkvc.Matrix, proof *zkvc.MatMulProof) [sha256.Size]byte {
+	return issuedDigest(x, proof)
 }
 
 // IssuedBatchDigest exposes the batch attestation digest for the
@@ -98,8 +93,10 @@ func IssuedBatchDigest(resp *wire.ProveResponse) [sha256.Size]byte {
 var issuedChainSeed = sha256.Sum256([]byte("zkvc issued log v1"))
 
 // issuedChainPayload is the canonical bytes a record contributes to the
-// hash chain: the attested digest, the record kind and the CRS tag —
-// everything except Seq and Prev, which the chain itself fixes.
+// hash chain: the attested digest, the record kind and the record's CRS
+// tag — everything except Seq and Prev, which the chain itself fixes.
+// This version writes tag 0 only; replay still reads the tag, because
+// records written by earlier versions chain over theirs.
 func issuedChainPayload(kind byte, d [sha256.Size]byte, tag uint64) []byte {
 	p := make([]byte, 0, sha256.Size+1+8)
 	p = append(p, d[:]...)
@@ -109,18 +106,10 @@ func issuedChainPayload(kind byte, d [sha256.Size]byte, tag uint64) []byte {
 	return append(p, t[:]...)
 }
 
-// issuedEntry is a live attestation: its FIFO slot (for O(1) remove and
-// eviction) and the CRS tag its record carried, re-emitted verbatim when
-// the log is compacted.
-type issuedEntry struct {
-	slot int
-	tag  uint64
-}
-
 // issuedLog is a bounded FIFO set of digests of the proofs this service
-// issued. It is the attestation /v1/verify needs before accepting an
-// epoch proof: the service computed those statements itself, so they are
-// true regardless of the epoch challenge being public. The set maps each
+// issued: the attestation /v1/verify needs before re-checking a proof
+// against the verifying key it carries, and /v1/verify/model before
+// vouching for a report. The set maps each
 // digest to its FIFO slot so remove (the job reaper withdrawing a
 // deleted report's attestation) is O(1): the slot keeps a tombstone
 // until eviction reaches it, and eviction double-checks the slot still
@@ -136,7 +125,7 @@ type issuedEntry struct {
 // is compacted by rewriting the live digests under a fresh chain.
 type issuedLog struct {
 	mu   sync.Mutex
-	set  map[[sha256.Size]byte]issuedEntry
+	set  map[[sha256.Size]byte]int // digest → FIFO slot
 	fifo [][sha256.Size]byte
 	next int // next fifo slot to overwrite once full
 	cap  int
@@ -155,7 +144,7 @@ type issuedLog struct {
 
 func newIssuedLog(cap int) *issuedLog {
 	return &issuedLog{
-		set:   make(map[[sha256.Size]byte]issuedEntry),
+		set:   make(map[[sha256.Size]byte]int),
 		cap:   cap,
 		chain: issuedChainSeed,
 	}
@@ -187,7 +176,7 @@ func openIssuedLog(cap int, dir string) (*issuedLog, error) {
 		}
 		switch rec.Kind {
 		case wire.IssuedAdd:
-			l.applyAdd(rec.Digest, rec.CRSTag)
+			l.applyAdd(rec.Digest)
 		case wire.IssuedTombstone:
 			delete(l.set, rec.Digest)
 		}
@@ -219,19 +208,19 @@ func openIssuedLog(cap int, dir string) (*issuedLog, error) {
 // applyAdd inserts a digest into the in-memory set (dedup + bounded FIFO
 // eviction). It is the shared core of live adds and replay. Returns
 // false if the digest was already present.
-func (l *issuedLog) applyAdd(d [sha256.Size]byte, tag uint64) bool {
+func (l *issuedLog) applyAdd(d [sha256.Size]byte) bool {
 	if _, ok := l.set[d]; ok {
 		return false
 	}
 	if len(l.fifo) < l.cap {
-		l.set[d] = issuedEntry{slot: len(l.fifo), tag: tag}
+		l.set[d] = len(l.fifo)
 		l.fifo = append(l.fifo, d)
 	} else {
-		if e, ok := l.set[l.fifo[l.next]]; ok && e.slot == l.next {
+		if slot, ok := l.set[l.fifo[l.next]]; ok && slot == l.next {
 			delete(l.set, l.fifo[l.next])
 		}
 		l.fifo[l.next] = d
-		l.set[d] = issuedEntry{slot: l.next, tag: tag}
+		l.set[d] = l.next
 		l.next = (l.next + 1) % l.cap
 	}
 	return true
@@ -242,18 +231,18 @@ func (l *issuedLog) applyAdd(d [sha256.Size]byte, tag uint64) bool {
 // counted and logged once, and the in-memory attestation stands — the
 // service keeps honoring proofs it issued this run; what degrades is
 // restart survival, which the error counter makes visible.
-func (l *issuedLog) persist(kind byte, d [sha256.Size]byte, tag uint64) bool {
+func (l *issuedLog) persist(kind byte, d [sha256.Size]byte) bool {
 	if l.file == nil {
 		return false
 	}
 	raw := wire.EncodeIssuedRecord(&wire.IssuedRecord{
-		Seq: l.seq, Kind: kind, Prev: l.chain, Digest: d, CRSTag: tag,
+		Seq: l.seq, Kind: kind, Prev: l.chain, Digest: d,
 	})
 	if err := wire.WriteFrame(l.file, raw); err != nil {
 		l.countError(err)
 		return false
 	}
-	l.chain = chainNext(l.chain, issuedChainPayload(kind, d, tag))
+	l.chain = chainNext(l.chain, issuedChainPayload(kind, d, 0))
 	l.seq++
 	l.records++
 	l.bytes += int64(len(raw)) + 4 // frame length prefix
@@ -281,13 +270,13 @@ func (l *issuedLog) countError(err error) {
 // writing its response — so an attestation a client holds is one the
 // log survives a crash with. Returns whether the digest was new (the
 // signal to replicate it).
-func (l *issuedLog) add(d [sha256.Size]byte, tag uint64) bool {
+func (l *issuedLog) add(d [sha256.Size]byte) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.applyAdd(d, tag) {
+	if !l.applyAdd(d) {
 		return false
 	}
-	if l.persist(wire.IssuedAdd, d, tag) {
+	if l.persist(wire.IssuedAdd, d) {
 		l.sync()
 		l.maybeCompact()
 	}
@@ -304,7 +293,7 @@ func (l *issuedLog) add(d [sha256.Size]byte, tag uint64) bool {
 func (l *issuedLog) addMem(d [sha256.Size]byte) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.applyAdd(d, 0)
+	return l.applyAdd(d)
 }
 
 // removeMem withdraws a journal-backed attestation; see addMem. Returns
@@ -322,17 +311,17 @@ func (l *issuedLog) removeMem(d [sha256.Size]byte) bool {
 // addAll attests a batch of digests with one fsync: n frames, one
 // barrier — the coalesced-batch counterpart of add. Returns the digests
 // that were actually new.
-func (l *issuedLog) addAll(ds [][sha256.Size]byte, tag uint64) [][sha256.Size]byte {
+func (l *issuedLog) addAll(ds [][sha256.Size]byte) [][sha256.Size]byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var fresh [][sha256.Size]byte
 	wrote := false
 	for _, d := range ds {
-		if !l.applyAdd(d, tag) {
+		if !l.applyAdd(d) {
 			continue
 		}
 		fresh = append(fresh, d)
-		wrote = l.persist(wire.IssuedAdd, d, tag) || wrote
+		wrote = l.persist(wire.IssuedAdd, d) || wrote
 	}
 	if wrote {
 		l.sync()
@@ -361,7 +350,7 @@ func (l *issuedLog) remove(d [sha256.Size]byte) bool {
 		return false
 	}
 	delete(l.set, d)
-	if l.persist(wire.IssuedTombstone, d, 0) {
+	if l.persist(wire.IssuedTombstone, d) {
 		l.sync()
 		l.maybeCompact()
 	}
@@ -391,18 +380,18 @@ func (l *issuedLog) maybeCompact() {
 		written int64
 	)
 	emit := func(d [sha256.Size]byte) bool {
-		e, ok := l.set[d]
-		if !ok || l.fifo[e.slot] != d {
+		slot, ok := l.set[d]
+		if !ok || l.fifo[slot] != d {
 			return true // tombstoned slot or stale digest: skip
 		}
 		raw := wire.EncodeIssuedRecord(&wire.IssuedRecord{
-			Seq: seq, Kind: wire.IssuedAdd, Prev: chain, Digest: d, CRSTag: e.tag,
+			Seq: seq, Kind: wire.IssuedAdd, Prev: chain, Digest: d,
 		})
 		if err := wire.WriteFrame(f, raw); err != nil {
 			l.countError(err)
 			return false
 		}
-		chain = chainNext(chain, issuedChainPayload(wire.IssuedAdd, d, e.tag))
+		chain = chainNext(chain, issuedChainPayload(wire.IssuedAdd, d, 0))
 		seq++
 		written += int64(len(raw)) + 4
 		return true

@@ -30,7 +30,6 @@ type metrics struct {
 	queueDepth     atomic.Int64
 	requestsProved atomic.Int64
 	batchesProved  atomic.Int64
-	singlesProved  atomic.Int64
 	// Engine-shape direct endpoints: per-statement proofs from
 	// /v1/prove/matmul and client-named batches from /v1/prove/batch.
 	// They are counted apart from the coalescing path so CoalesceRatio
@@ -38,7 +37,6 @@ type metrics struct {
 	matmulsProved       atomic.Int64
 	directBatchesProved atomic.Int64
 	verifyRequests      atomic.Int64
-	epochRejects        atomic.Int64
 	vkRejects           atomic.Int64
 	proveErrors         atomic.Int64
 	crsHits             atomic.Int64
@@ -128,7 +126,6 @@ type Snapshot struct {
 	ModelOpsQueued int64 `json:"model_ops_queued"`
 	Requests       int64 `json:"requests"`
 	BatchesProved  int64 `json:"batches_proved"`
-	SinglesProved  int64 `json:"singles_proved"`
 	// MatMulsProved counts /v1/prove/matmul proofs and
 	// DirectBatchesProved counts /v1/prove/batch proofs — the
 	// Engine-shape direct endpoints, outside the coalescing pipeline.
@@ -159,9 +156,6 @@ type Snapshot struct {
 	AdmissionRejects int64 `json:"admission_rejects"`
 
 	VerifyRequests int64 `json:"verify_requests"`
-	// EpochRejects counts epoch proofs turned away by /v1/verify's
-	// issued-only policy (wrong epoch, not issued here, or no trusted CRS).
-	EpochRejects int64 `json:"epoch_rejects"`
 	// VKRejects counts Groth16 proofs turned away because they carry a
 	// prover-supplied verifying key the service cannot trust.
 	VKRejects   int64 `json:"vk_rejects"`
@@ -226,7 +220,6 @@ func (m *metrics) snapshot(pool *parallel.Pool) Snapshot {
 	s.ModelOpsQueued = m.modelOpsQueued.Load()
 	s.Requests = m.requestsProved.Load()
 	s.BatchesProved = m.batchesProved.Load()
-	s.SinglesProved = m.singlesProved.Load()
 	s.MatMulsProved = m.matmulsProved.Load()
 	s.DirectBatchesProved = m.directBatchesProved.Load()
 	s.ModelJobs = m.modelJobs.Load()
@@ -242,7 +235,6 @@ func (m *metrics) snapshot(pool *parallel.Pool) Snapshot {
 	s.JobsReaped = m.jobsReaped.Load()
 	s.AdmissionRejects = m.admissionRejects.Load()
 	s.VerifyRequests = m.verifyRequests.Load()
-	s.EpochRejects = m.epochRejects.Load()
 	s.VKRejects = m.vkRejects.Load()
 	s.ProveErrors = m.proveErrors.Load()
 	if s.BatchesProved > 0 {

@@ -42,12 +42,11 @@ type modelJob struct {
 	cfg            nn.Config
 	trace          *nn.Trace
 
-	// ctx is the submitting request's context: the proving pipeline runs
-	// under it, so a client disconnect cancels unstarted ops directly.
-	// It stays live for the job's whole lifetime because the handler
-	// blocks draining events until run finishes. The legacy clientGone
-	// flag remains alongside it for the one signal no context carries —
-	// a stream frame write failing on a still-connected socket.
+	// ctx derives from the submitting request's context, and the handler
+	// cancels it when a stream frame write fails: the proving pipeline
+	// runs under it, so a client disconnect or a stalled reader cancels
+	// unstarted ops. It stays live for the job's whole lifetime because
+	// the handler blocks draining events until run finishes.
 	ctx context.Context
 
 	plan      int // ops that will be proved (queue-capacity units)
@@ -62,11 +61,6 @@ type modelJob struct {
 	// (concurrent writers touch disjoint indices); on success they are
 	// combined, in order, into the single issued-report attestation.
 	opHashes [][32]byte
-	// clientGone is set by the handler when the response writer fails or
-	// the request context is canceled (client disconnect); the proving
-	// pipeline polls it and cancels instead of finishing work nobody
-	// will receive.
-	clientGone atomic.Bool
 
 	// events carries pre-encoded OpProof frames to the HTTP handler. The
 	// buffer is deliberately small: a slow reader backpressures proving
@@ -100,11 +94,9 @@ func (j *modelJob) run(s *Server, _ *zkvc.MatMulProver) {
 	}()
 	_, err := zkml.ProveTraceContext(j.ctx, j.cfg, j.trace, s.modelOpts(j))
 	if err != nil {
-		// A client disconnect is routine churn, not a proving fault;
-		// keep prove_errors meaningful for operators alerting on it.
-		// Cancellation reports ErrCanceled whether it came from the
-		// request context or the legacy clientGone/Stop path, so both
-		// land in model_jobs_canceled.
+		// A client disconnect or failed frame write is routine churn,
+		// not a proving fault; keep prove_errors meaningful for
+		// operators alerting on it.
 		if errors.Is(err, zkml.ErrCanceled) {
 			s.metrics.modelJobsCanceled.Add(1)
 		} else {
@@ -118,7 +110,7 @@ func (j *modelJob) run(s *Server, _ *zkvc.MatMulProver) {
 	// other issued reports, or reordered no longer matches. Canceled or
 	// failed jobs attest nothing.
 	d := modelReportDigest(j.header, j.opHashes, j.tenant)
-	if s.issued.add(d, 0) {
+	if s.issued.add(d) {
 		s.replicate([][sha256.Size]byte{d}, nil)
 	}
 	s.metrics.modelJobsProved.Add(1)
@@ -140,7 +132,6 @@ func (s *Server) modelOpts(j *modelJob) zkml.Options {
 	if j.backend == zkml.Groth16 {
 		opts.Setup = s.circuitSetup
 	}
-	opts.Stop = j.clientGone.Load
 	opts.OnOp = func(op *zkml.OpProof) {
 		frame := wire.EncodeOpProof(op)
 		j.opHashes[op.Seq] = sha256.Sum256(frame)
@@ -171,8 +162,7 @@ func (s *Server) modelOpts(j *modelJob) zkml.Options {
 // the production crypto/rand posture a regenerated CRS simply issues
 // fresh attestations.
 func (s *Server) circuitSetup(digest [32]byte, sys *r1cs.System) (*groth16.ProvingKey, *groth16.VerifyingKey, error) {
-	key := cacheKey{backend: zkvc.Groth16, circuit: digest}
-	v, _, hit, err := s.cache.get(key, func() (any, error) {
+	c, hit, err := s.cache.get(digest, func() (*circuitCRS, error) {
 		pk, vk, err := zkml.SetupCircuit(sys, s.cfg.Seed)
 		if err != nil {
 			return nil, err
@@ -187,7 +177,6 @@ func (s *Server) circuitSetup(digest [32]byte, sys *r1cs.System) (*groth16.Provi
 	} else {
 		s.metrics.crsMisses.Add(1)
 	}
-	c := v.(*circuitCRS)
 	return c.pk, c.vk, nil
 }
 
@@ -301,13 +290,15 @@ func (s *Server) handleProveModel(w http.ResponseWriter, r *http.Request) {
 			len(plan), s.cfg.QueueCap), http.StatusBadRequest)
 		return
 	}
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
 	j := &modelJob{
 		tenant:         r.Header.Get(TenantHeader),
 		backend:        req.Backend,
 		proveNonlinear: req.ProveNonlinear,
 		cfg:            req.Cfg,
 		trace:          req.Trace,
-		ctx:            r.Context(),
+		ctx:            ctx,
 		plan:           len(plan),
 		opHashes:       make([][32]byte, len(plan)),
 		events:         make(chan modelEvent, modelEventBuffer),
@@ -327,20 +318,11 @@ func (s *Server) handleProveModel(w http.ResponseWriter, r *http.Request) {
 	// ledger; the body-buffering slot can go back before streaming.
 	release()
 
-	// A client that vanishes between frames may never trigger a write
-	// error (the next finished op can be minutes away, or the frame can
-	// land in OS buffers). The request context cancels promptly on
-	// disconnect, so watch it too; setting clientGone at handler return
-	// (when net/http cancels the context) is harmless — by then the job
-	// has already drained.
-	stop := context.AfterFunc(r.Context(), func() { j.clientGone.Store(true) })
-	defer stop()
-
 	w.Header().Set("Content-Type", "application/octet-stream")
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	write := func(msg []byte) {
-		if j.clientGone.Load() {
+		if ctx.Err() != nil {
 			return
 		}
 		// Per-frame write deadline: a client that stops reading (socket
@@ -355,9 +337,9 @@ func (s *Server) handleProveModel(w http.ResponseWriter, r *http.Request) {
 		rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
 		if err := wire.WriteFrame(w, msg); err != nil {
 			// Either way, keep draining events (so the proving job never
-			// blocks on a reader that is gone) and tell the pipeline to
-			// cancel the ops it has not started.
-			j.clientGone.Store(true)
+			// blocks on a reader that is gone) and cancel the ops the
+			// pipeline has not started.
+			cancel()
 			if errors.Is(err, wire.ErrFrameTooLarge) {
 				// The connection is healthy — the server hit its own
 				// encoding bound. Say so in-stream instead of letting the
@@ -410,17 +392,15 @@ func (s *Server) acquireModelSlot(w http.ResponseWriter) (func(), bool) {
 	}
 }
 
-// errReportNotIssued is the issued-only policy rejection, identical on
-// the legacy and mode-carrying verify paths: both attest exactly the
-// same whole-report digest.
-func errReportNotIssued() error {
-	return fmt.Errorf("%w: report was not issued by this service under this tenant (model reports carry prover-supplied verifying material, so only reports this service streamed — resubmitted unmodified and complete, with the same Zkvc-Tenant header — are accepted; attestations also expire from the bounded issued log)",
-		zkvc.ErrVerification)
-}
+// errReportNotIssued is the issued-only policy rejection, identical in
+// both verify modes: they attest exactly the same whole-report digest.
+var errReportNotIssued = fmt.Errorf("%w: report was not issued by this service under this tenant (model reports carry prover-supplied verifying material, so only reports this service streamed — resubmitted unmodified and complete, with the same Zkvc-Tenant header — are accepted; attestations also expire from the bounded issued log)",
+	zkvc.ErrVerification)
 
-// writeVerifyModelResponse writes the binary verdict of the ?mode= fast
-// path. Unlike the legacy JSON verdict, a processed request is always
-// HTTP 200 — the verdict rides in the OK flag.
+// writeVerifyModelResponse writes the binary verdict of /v1/verify/model.
+// Unlike the JSON verdicts of /v1/verify and /v1/verify/batch, a
+// processed request is always HTTP 200 — the verdict rides in the OK
+// flag.
 func writeVerifyModelResponse(w http.ResponseWriter, mode zkvc.VerifyMode, err error) {
 	resp := &wire.VerifyModelResponse{OK: err == nil, Mode: mode}
 	if err != nil {
@@ -432,22 +412,20 @@ func writeVerifyModelResponse(w http.ResponseWriter, mode zkvc.VerifyMode, err e
 
 // handleVerifyModel checks a model report. Every payload in a report is
 // prover-supplied — the Groth16 ops carry their verifying keys, the
-// Spartan ops carry the very R1CS they claim to satisfy — so, like epoch
-// proofs, a report proves nothing unless this service produced it. The
-// handler therefore requires the whole-report issued-log attestation
-// (header, ops in order, requesting tenant) before re-running
-// cryptographic verification; reports from elsewhere — or issued ones
-// relabeled, reordered or spliced — are rejected with a policy error,
-// not a bogus pass. Verification holds one parallel-budget token, like
-// every other unit of proving-stack work on this service.
+// Spartan ops carry the very R1CS they claim to satisfy — so a report
+// proves nothing unless this service produced it. The handler therefore
+// requires the whole-report issued-log attestation (header, ops in
+// order, requesting tenant) before re-running cryptographic
+// verification; reports from elsewhere — or issued ones relabeled,
+// reordered or spliced — are rejected with a policy error, not a bogus
+// pass. Verification holds one parallel-budget token, like every other
+// unit of proving-stack work on this service.
 //
-// Two dialects share the endpoint. The legacy mode-less exchange (no
-// query) posts a bare wire.Report and reads a JSON verdict — per-op
-// verification, unchanged. The ?mode=per-op|aggregate fast path posts a
-// wire.VerifyModelRequest whose embedded mode must match the query
-// (routing and statement may not disagree) and reads a binary
-// wire.VerifyModelResponse; mode=aggregate runs the whole-report batched
-// check, attesting exactly the digest the per-op path attests.
+// The request names its mode twice: the ?mode=per-op|aggregate query
+// and the mode embedded in the wire.VerifyModelRequest body, which must
+// agree (routing and statement may not disagree). The verdict is a
+// binary wire.VerifyModelResponse; mode=aggregate runs the whole-report
+// batched check, attesting exactly the digest the per-op path attests.
 func (s *Server) handleVerifyModel(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.acquireModelSlot(w)
 	if !ok {
@@ -458,44 +436,17 @@ func (s *Server) handleVerifyModel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var (
-		rep      *zkml.Report
-		mode     zkvc.VerifyMode
-		modeless = r.URL.Query().Get("mode") == ""
-	)
-	if modeless {
-		var err error
-		if rep, err = wire.DecodeReport(raw); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	} else {
-		var err error
-		if mode, err = zkvc.ParseVerifyMode(r.URL.Query().Get("mode")); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		req, err := wire.DecodeVerifyModelRequest(raw)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if req.Mode != mode {
-			http.Error(w, fmt.Sprintf("request body carries mode %q, query requests %q", req.Mode, mode), http.StatusBadRequest)
-			return
-		}
-		rep = req.Report
+	req, err := decodeVerifyModel(r, raw)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	raw = nil
+	rep, mode := req.Report, req.Mode
 	s.metrics.verifyRequests.Add(1)
-	tenant := r.Header.Get(TenantHeader)
-	if !s.attested(ReportDigest(rep, tenant)) {
+	if !s.attested(ReportDigest(rep, r.Header.Get(TenantHeader))) {
 		s.metrics.modelRejects.Add(1)
-		if modeless {
-			writeVerdict(w, errReportNotIssued())
-		} else {
-			writeVerifyModelResponse(w, mode, errReportNotIssued())
-		}
+		writeVerifyModelResponse(w, mode, errReportNotIssued)
 		return
 	}
 	pool := parallel.Default()
@@ -504,15 +455,32 @@ func (s *Server) handleVerifyModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer pool.Release()
-	var err error
 	if mode == zkvc.VerifyAggregate {
 		err = rep.VerifyAggregated(pcs.DefaultParams())
 	} else {
 		err = zkml.VerifyReport(rep, zkml.Options{PCS: pcs.DefaultParams()})
 	}
-	if modeless {
-		writeVerdict(w, err)
-		return
-	}
 	writeVerifyModelResponse(w, mode, err)
+}
+
+// decodeVerifyModel parses a /v1/verify/model request: the ?mode= query,
+// which is required, and the wire.VerifyModelRequest body, whose
+// embedded mode must match it.
+func decodeVerifyModel(r *http.Request, raw []byte) (*wire.VerifyModelRequest, error) {
+	q := r.URL.Query().Get("mode")
+	if q == "" {
+		return nil, fmt.Errorf("missing ?mode= query: /v1/verify/model needs ?mode=%s or ?mode=%s", zkvc.VerifyPerOp, zkvc.VerifyAggregate)
+	}
+	mode, err := zkvc.ParseVerifyMode(q)
+	if err != nil {
+		return nil, err
+	}
+	req, err := wire.DecodeVerifyModelRequest(raw)
+	if err != nil {
+		return nil, err
+	}
+	if req.Mode != mode {
+		return nil, fmt.Errorf("request body carries mode %q, query requests %q", req.Mode, mode)
+	}
+	return req, nil
 }

@@ -2,8 +2,8 @@ package server_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"io"
 	mrand "math/rand"
 	"net/http"
 	"sync"
@@ -62,12 +62,12 @@ func proveModelHTTP(t *testing.T, baseURL, tenant string, req *wire.ProveModelRe
 	return wire.DecodeModelStream(resp.Body, nil)
 }
 
-// verifyModelHTTP posts a report to /v1/verify/model and returns the
-// service's verdict.
+// verifyModelHTTP posts a report to /v1/verify/model?mode=per-op and
+// returns the service's verdict.
 func verifyModelHTTP(t *testing.T, baseURL, tenant string, rep *zkml.Report) (bool, string) {
 	t.Helper()
-	hreq, err := http.NewRequest(http.MethodPost, baseURL+"/v1/verify/model",
-		bytes.NewReader(wire.EncodeReport(rep)))
+	body := wire.EncodeVerifyModelRequest(&wire.VerifyModelRequest{Mode: zkvc.VerifyPerOp, Report: rep})
+	hreq, err := http.NewRequest(http.MethodPost, baseURL+"/v1/verify/model?mode=per-op", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,15 @@ func verifyModelHTTP(t *testing.T, baseURL, tenant string, rep *zkml.Report) (bo
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var verdict struct {
-		OK    bool   `json:"ok"`
-		Error string `json:"error"`
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&verdict); err != nil {
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("verify/model: status %d: %s", resp.StatusCode, raw)
+	}
+	verdict, err := wire.DecodeVerifyModelResponse(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return verdict.OK, verdict.Error

@@ -45,7 +45,7 @@ func TestConcurrentProvingSharesWorkerBudget(t *testing.T) {
 			defer wg.Done()
 			url := ts.URL + "/v1/prove"
 			if c%2 == 1 {
-				url += "/single"
+				url += "/matmul"
 			}
 			status, raw := post(t, url, body)
 			if status != http.StatusOK {
@@ -58,7 +58,7 @@ func TestConcurrentProvingSharesWorkerBudget(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := zkvc.VerifyMatMulInEpoch(x, proof, cfg.Epoch); err != nil {
+				if err := zkvc.VerifyMatMul(x, proof); err != nil {
 					errs <- err
 				}
 				return

@@ -35,7 +35,6 @@ func writePrometheus(buf *bytes.Buffer, snap Snapshot) error {
 	p.Gauge("zkvc_model_ops_queued", float64(snap.ModelOpsQueued))
 	p.Counter("zkvc_requests_total", float64(snap.Requests))
 	p.Counter("zkvc_batches_proved_total", float64(snap.BatchesProved))
-	p.Counter("zkvc_singles_proved_total", float64(snap.SinglesProved))
 	p.Counter("zkvc_matmuls_proved_total", float64(snap.MatMulsProved))
 	p.Counter("zkvc_direct_batches_proved_total", float64(snap.DirectBatchesProved))
 
@@ -54,7 +53,6 @@ func writePrometheus(buf *bytes.Buffer, snap Snapshot) error {
 	p.Counter("zkvc_admission_rejects_total", float64(snap.AdmissionRejects))
 
 	p.Counter("zkvc_verify_requests_total", float64(snap.VerifyRequests))
-	p.Counter("zkvc_epoch_rejects_total", float64(snap.EpochRejects))
 	p.Counter("zkvc_vk_rejects_total", float64(snap.VKRejects))
 	p.Counter("zkvc_prove_errors_total", float64(snap.ProveErrors))
 

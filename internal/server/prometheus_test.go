@@ -20,7 +20,7 @@ import (
 // checker CI scrapes the live endpoint with.
 func TestMetricsPrometheusEndpoint(t *testing.T) {
 	scfg := server.DefaultConfig()
-	scfg.Backend = zkvc.Spartan
+	scfg.Backend = zkvc.Groth16
 	scfg.Window = 5 * time.Millisecond
 	scfg.Seed = 21
 	scfg.JournalDir = t.TempDir()
@@ -30,8 +30,8 @@ func TestMetricsPrometheusEndpoint(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(2100))
 	x := zkvc.RandomMatrix(rng, 3, 4, 32)
 	wm := zkvc.RandomMatrix(rng, 4, 2, 32)
-	if status, raw := post(t, ts.URL+"/v1/prove/single", wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: wm})); status != http.StatusOK {
-		t.Fatalf("prove/single: status %d: %s", status, raw)
+	if status, raw := post(t, ts.URL+"/v1/prove/matmul", wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: wm})); status != http.StatusOK {
+		t.Fatalf("prove/matmul: status %d: %s", status, raw)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics/prometheus")
@@ -65,9 +65,9 @@ func TestMetricsPrometheusEndpoint(t *testing.T) {
 			t.Errorf("payload is missing %q", want)
 		}
 	}
-	// The durable attestation from the single proof shows up with a
+	// The durable attestation of the Groth16 proof shows up with a
 	// nonzero value — the gauge reads the log, not a stale counter.
 	if strings.Contains(string(body), "zkvc_issued_log_records 0\n") {
-		t.Error("issued_log_records is 0 after an attested single proof")
+		t.Error("issued_log_records is 0 after an attested Groth16 proof")
 	}
 }

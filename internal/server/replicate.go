@@ -71,8 +71,7 @@ func (s *Server) replicator() {
 }
 
 // handleAttest ingests a peer's attestation update (relayed through the
-// coordinator) into the replicated set. Tag 0 throughout: replicated
-// digests are untagged by design (see Config.ReplicateTo).
+// coordinator) into the replicated set.
 func (s *Server) handleAttest(w http.ResponseWriter, r *http.Request) {
 	raw, ok := readBody(w, r)
 	if !ok {
@@ -84,7 +83,7 @@ func (s *Server) handleAttest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, d := range u.Added {
-		s.replicated.add(d, 0)
+		s.replicated.add(d)
 	}
 	for _, d := range u.Removed {
 		s.replicated.remove(d)

@@ -16,12 +16,11 @@ import (
 
 // TestIssuedLogSurvivesRestart is the tentpole regression pin: with a
 // JournalDir, attestations for synchronously issued proofs outlive the
-// process. A Spartan epoch proof from /v1/prove/single — which
-// /v1/verify only accepts if this service attested it, the epoch label
-// being public — and a model report from /v1/prove/model must still be
-// vouched for by a server restarted over the same state directory.
-// Before the durable log, every restart answered "not issued by this
-// service" for everything the previous process proved.
+// process. A model report from /v1/prove/model must still be vouched for
+// by a server restarted over the same state directory. Before the
+// durable log, every restart answered "not issued by this service" for
+// everything the previous process proved. (TestIssuedBatchSurvivesRestart
+// covers Groth16 batches and per-statement proofs.)
 func TestIssuedLogSurvivesRestart(t *testing.T) {
 	const tenant = "tenant-restart"
 	dir := t.TempDir()
@@ -36,23 +35,6 @@ func TestIssuedLogSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
-
-	// An epoch proof via /v1/prove/single.
-	rng := mrand.New(mrand.NewSource(1100))
-	x := zkvc.RandomMatrix(rng, 3, 4, 32)
-	wm := zkvc.RandomMatrix(rng, 4, 2, 32)
-	status, raw := post(t, ts1.URL+"/v1/prove/single", wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: wm}))
-	if status != http.StatusOK {
-		t.Fatalf("prove/single: status %d: %s", status, raw)
-	}
-	proof, err := wire.DecodeMatMulProof(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyBody := wire.EncodeVerifyRequest(&wire.VerifyRequest{X: x, Proof: proof})
-	if status, verdict := post(t, ts1.URL+"/v1/verify", verifyBody); status != http.StatusOK {
-		t.Fatalf("fresh epoch proof rejected: %d %s", status, verdict)
-	}
 
 	// A synchronously streamed model report.
 	mcfg := tinyModelConfig(nn.MixerPooling)
@@ -73,9 +55,6 @@ func TestIssuedLogSurvivesRestart(t *testing.T) {
 	// Same state directory, new process.
 	s2, ts2 := newTestServer(t, scfg)
 
-	if status, verdict := post(t, ts2.URL+"/v1/verify", verifyBody); status != http.StatusOK || !bytes.Contains(verdict, []byte(`"ok":true`)) {
-		t.Fatalf("epoch proof not vouched for after restart: %d %s", status, verdict)
-	}
 	if ok, msg := verifyModelHTTP(t, ts2.URL, tenant, rep); !ok {
 		t.Fatalf("model report not vouched for after restart: %s", msg)
 	}
@@ -84,19 +63,12 @@ func TestIssuedLogSurvivesRestart(t *testing.T) {
 	if ok, _ := verifyModelHTTP(t, ts2.URL, "tenant-other", rep); ok {
 		t.Fatal("restarted server vouched for the report under a foreign tenant")
 	}
-	// And replay only vouches for the exact issued statement: the same
-	// epoch proof claimed against a different X is still not issued.
-	x2 := zkvc.RandomMatrix(rng, 3, 4, 32)
-	forged := wire.EncodeVerifyRequest(&wire.VerifyRequest{X: x2, Proof: proof})
-	if status, verdict := post(t, ts2.URL+"/v1/verify", forged); status != http.StatusUnprocessableEntity {
-		t.Fatalf("restarted server vouched for an unissued statement: %d %s", status, verdict)
-	}
 	snap := s2.Metrics()
-	if snap.IssuedAttestations < 2 {
-		t.Errorf("issued_attestations = %d after restart, want >= 2", snap.IssuedAttestations)
+	if snap.IssuedAttestations < 1 {
+		t.Errorf("issued_attestations = %d after restart, want >= 1", snap.IssuedAttestations)
 	}
-	if snap.IssuedLogRecords < 2 || snap.IssuedLogBytes <= 0 {
-		t.Errorf("issued log gauges after restart: records=%d bytes=%d, want >= 2 records",
+	if snap.IssuedLogRecords < 1 || snap.IssuedLogBytes <= 0 {
+		t.Errorf("issued log gauges after restart: records=%d bytes=%d, want >= 1 record",
 			snap.IssuedLogRecords, snap.IssuedLogBytes)
 	}
 	if snap.DiskBytes == 0 {

@@ -2,9 +2,9 @@
 // HTTP service. It is the system the paper's batching argument calls for:
 // per-proof overhead (Groth16 CRS generation, Spartan commitments)
 // dominates small matmuls, so the service folds requests arriving close
-// together into a single ProveBatch call — one circuit, one setup, one
-// proof for the whole window — and a bounded worker pool keeps proving off
-// the request goroutines.
+// together into a single ProveBatchContext call — one circuit, one
+// setup, one proof for the whole window — and a bounded worker pool
+// keeps proving off the request goroutines.
 //
 // Work flows through a kind-dispatched job system: a job is "prove these
 // circuits". Matmul jobs coalesce into batches; model jobs — a captured
@@ -15,14 +15,13 @@
 // worker pool, the process-wide parallel budget (one token per running
 // job; independent ops of a model borrow the idle rest, exactly like
 // batch statements), the Groth16 CRS cache (keyed by gadget circuit
-// structure digest, not just matmul dimensions, so identical transformer
-// blocks pay one setup) and the issued-proof policy. A new workload is a
-// new job kind, not a new service.
+// structure digest, so identical transformer blocks pay one setup) and
+// the issued-proof policy. A new workload is a new job kind, not a new
+// service.
 //
 // Endpoints (all proof bodies use the canonical internal/wire encoding):
 //
 //	POST /v1/prove        coalescing batch proving (wire.ProveRequest → wire.ProveResponse)
-//	POST /v1/prove/single one epoch proof per request, Groth16 CRS cached per shape (→ wire MatMulProof)
 //	POST /v1/prove/matmul one per-statement Fiat–Shamir proof per request — zkvc.Local.ProveMatMul over HTTP (wire.ProveRequest → wire MatMulProof)
 //	POST /v1/prove/batch  fold exactly the submitted pairs into one proof, no coalescing window (wire.ProveBatchRequest → wire BatchProof)
 //	POST /v1/prove/model  prove a captured model trace (wire.ProveModelRequest → framed stream of wire.OpProof)
@@ -33,8 +32,8 @@
 //	DELETE /v1/jobs/{id}          cancel a job and delete its journal
 //	POST /v1/verify       check a single proof (wire.VerifyRequest → JSON)
 //	POST /v1/verify/batch check a coalesced batch (wire.ProveResponse → JSON)
-//	POST /v1/verify/model check a model report this service issued: bare wire.Report → JSON (per-op), or with
-//	                      ?mode=per-op|aggregate wire.VerifyModelRequest → wire.VerifyModelResponse
+//	POST /v1/verify/model check a model report this service issued
+//	                      (?mode=per-op|aggregate, wire.VerifyModelRequest → wire.VerifyModelResponse)
 //	POST /v1/cluster/attest       ingest a peer's attestation digests, relayed by the coordinator (wire.AttestationUpdate)
 //	GET  /metrics         per-kind queue depth, coalesce ratio, per-phase timings, stream backpressure (JSON)
 //	GET  /metrics/prometheus      the same counters and gauges in Prometheus text exposition format
@@ -55,27 +54,10 @@
 // verified principal. Without such a proxy, treat the whole deployment
 // as one trust domain, exactly as for requests without the header, which
 // share the default pool.
-//
-// # Epoch proofs on /v1/verify
-//
-// The service's epoch label is public, so the epoch CRPC challenge is
-// predictable and an arbitrary prover could forge an epoch "proof" of a
-// false product (pick D ≠ 0 with Σ Z^{ib+j}·d_ij = 0 and claim Y = X·W +
-// D; the circuit identity still holds). VerifyMatMulInEpoch is only sound
-// when the label was unpredictable at W-commitment time, which cannot be
-// attested for proofs walking in off the street. /v1/verify therefore
-// accepts an epoch proof only if this service issued it (it keeps a
-// bounded log of issued-proof digests), substituting its own trusted CRS
-// for the Groth16 verifying key; all other provers must submit
-// per-statement Fiat–Shamir proofs. Spartan per-statement proofs verify
-// unconditionally — the backend is transparent — while Groth16
-// per-statement proofs are rejected outright, since they carry their own
-// verifying key and a key from a setup this service did not witness
-// proves nothing.
 package server
 
 import (
-	"bytes"
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -118,18 +100,17 @@ type Config struct {
 	// coalescing window, or proving) before the service sheds load with
 	// 503s.
 	QueueCap int
-	// MaxShapes bounds the per-shape CRS cache (LRU eviction): each
-	// distinct shape costs a Groth16 trusted setup and keeps its keys
-	// resident, and /v1/prove/single lets clients pick shapes freely.
-	// 0 means 64.
+	// MaxShapes bounds the circuit-digest CRS cache (LRU eviction): each
+	// distinct model-op circuit costs a Groth16 trusted setup and keeps
+	// its keys resident, and clients pick models freely. 0 means 64.
 	MaxShapes int
 	// StreamWriteTimeout bounds how long one model-stream frame write may
 	// wait on the client. Without it, a client that connects and never
 	// reads wedges a worker (and its parallel-budget token and queue
 	// units) forever — the frame write blocks on full socket buffers and
-	// clientGone only fires on disconnect. Past the deadline the write
-	// fails, the connection is torn down and the job cancels like any
-	// other disconnect. 0 means 30s.
+	// the request context only ends on disconnect. Past the deadline the
+	// write fails, the connection is torn down and the job cancels like
+	// any other disconnect. 0 means 30s.
 	StreamWriteTimeout time.Duration
 	// JobTTL is how long an async job and its journal are retained after
 	// submission before the reaper deletes them (status turns 404, the
@@ -165,12 +146,10 @@ type Config struct {
 	// ReapInterval is how often the reaper scans for expired jobs.
 	// 0 means 1 second.
 	ReapInterval time.Duration
-	// Epoch labels the shape epoch for the single-proof CRS cache.
-	Epoch []byte
 	// Seed makes proving deterministic for tests. 0 (the default) keeps
 	// the provers on crypto/rand, which production deployments must: a
 	// guessable seed lets anyone reconstruct the Groth16 CRS toxic waste
-	// and forge proofs for every shape this service caches.
+	// and forge proofs for every circuit this service sets up.
 	Seed int64
 }
 
@@ -195,7 +174,6 @@ func DefaultConfig() Config {
 		JobTTL:             15 * time.Minute,
 		TenantJobQuota:     64,
 		ReapInterval:       time.Second,
-		Epoch:              []byte("zkvc-epoch-0"),
 		StreamWriteTimeout: 30 * time.Second,
 	}
 }
@@ -340,13 +318,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ReapInterval <= 0 {
 		cfg.ReapInterval = time.Second
 	}
-	if len(cfg.Epoch) == 0 {
-		return nil, fmt.Errorf("server: epoch label must be non-empty")
-	}
-	if len(cfg.Epoch) > wire.MaxEpochLen {
-		return nil, fmt.Errorf("server: epoch label is %d bytes, wire format allows %d",
-			len(cfg.Epoch), wire.MaxEpochLen)
-	}
 	// The issued log opens (and replays) before anything else can fail:
 	// it is the attestation store every prove handler appends to, and an
 	// unreadable one is a refuse-to-start error, not a degraded mode.
@@ -427,8 +398,7 @@ func (s *Server) Close() {
 }
 
 // newProver returns a fresh prover. MatMulProver is not safe for
-// concurrent use, so every worker and every single-proof request gets its
-// own. Provers stay on their crypto/rand default unless the configuration
+// concurrent use, so every worker gets its own. Provers stay on their crypto/rand default unless the configuration
 // asks for test determinism, in which case each gets a unique derived
 // seed so concurrent proofs still differ.
 func (s *Server) newProver() *zkvc.MatMulProver {
@@ -639,7 +609,7 @@ func (s *Server) proveBatch(prover *zkvc.MatMulProver, jobs []*job) {
 		pairs[i] = [2]*zkvc.Matrix{j.x, j.w}
 		xs[i] = j.x
 	}
-	proof, err := prover.ProveBatch(pairs...)
+	proof, err := prover.ProveBatchContext(context.Background(), pairs...)
 	if err != nil {
 		s.metrics.proveErrors.Add(1)
 		for _, j := range jobs {
@@ -654,63 +624,17 @@ func (s *Server) proveBatch(prover *zkvc.MatMulProver, jobs []*job) {
 		// Attest Groth16 batches so /v1/verify/batch can tell this
 		// service's responses from foreign-setup forgeries: one fsync
 		// for the whole batch, then one replication update.
-		s.replicate(s.issued.addAll(issuedBatchDigests(xs, proof, len(jobs)), 0), nil)
+		s.replicate(s.issued.addAll(issuedBatchDigests(xs, proof, len(jobs))), nil)
 	}
 	for i, j := range jobs {
 		j.resp <- jobResult{resp: &wire.ProveResponse{Index: i, Xs: xs, Batch: proof}}
 	}
 }
 
-// proveSingle serves the uncoalesced path: one proof per request against
-// the per-shape epoch CRS, generated at most once thanks to singleflight.
-// Like batch workers it holds one budget token for the duration, which
-// doubles as backpressure on the unpooled handler goroutines.
-func (s *Server) proveSingle(x, w *zkvc.Matrix) (*zkvc.MatMulProof, error) {
-	pool := parallel.Default()
-	pool.Acquire()
-	defer pool.Release()
-	key := cacheKey{backend: s.cfg.Backend, shape: zkvc.Shape(x, w, s.cfg.Opts)}
-	crs, tag, hit, err := s.cache.getCRS(key, func() (*zkvc.CRS, error) {
-		return s.newProver().Setup(x.Rows, x.Cols, w.Cols, s.cfg.Epoch)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		s.metrics.crsHits.Add(1)
-	} else {
-		s.metrics.crsMisses.Add(1)
-		// Epoch proofs carry Timings.Setup == 0; the CRS paid it. Charge
-		// it to the setup phase here so /metrics reflects real work.
-		s.metrics.setupNanos.Add(int64(crs.SetupTime))
-	}
-	proof, err := s.newProver().ProveWithCRS(crs, x, w)
-	if err != nil {
-		return nil, err
-	}
-	// Attest the proof: /v1/verify only accepts epoch proofs this service
-	// issued, and it recognizes them by this digest (see handleVerify).
-	// Groth16 attestations bind to the CRS instance; Spartan ones don't
-	// need to (see issuedDigest).
-	if s.cfg.Backend != zkvc.Groth16 {
-		tag = 0
-	}
-	if s.issued.add(issuedDigest(x, proof, tag), tag) {
-		// The replicated digest is always untagged: a replica holds no
-		// copy of this node's epoch CRS, so the tag would name a key it
-		// cannot use — the digest alone binds the exact issued bytes.
-		s.replicate([][sha256.Size]byte{issuedDigest(x, proof, 0)}, nil)
-	}
-	s.metrics.singlesProved.Add(1)
-	s.metrics.recordTimings(proof.Timings)
-	return proof, nil
-}
-
 // Handler returns the HTTP surface of the service.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/prove", s.handleProve)
-	mux.HandleFunc("POST /v1/prove/single", s.handleProveSingle)
 	mux.HandleFunc("POST /v1/prove/matmul", s.handleProveMatMul)
 	mux.HandleFunc("POST /v1/prove/batch", s.handleProveBatch)
 	mux.HandleFunc("POST /v1/prove/model", s.handleProveModel)
@@ -774,30 +698,11 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 	w.Write(wire.EncodeProveResponse(resp))
 }
 
-func (s *Server) handleProveSingle(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeProveRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	proof, err := s.proveSingle(req.X, req.W)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(wire.EncodeMatMulProof(proof))
-}
-
 // handleProveMatMul serves the Engine-shape per-statement endpoint: one
 // proof per request with a per-statement Fiat–Shamir challenge — exactly
 // zkvc.Local's ProveMatMul semantics, so a client swapping Local for a
-// Client sees identical proofs at equal seeds. No coalescing, no epoch
-// CRS: the Groth16 backend pays a fresh setup here, and the proof is
+// Client sees identical proofs at equal seeds. No coalescing: the
+// Groth16 backend pays a fresh setup here, and the proof is
 // attested in the issued log so /v1/verify can later vouch for it (a
 // per-statement Groth16 proof carries its own verifying key, which only
 // means something when this service ran that setup).
@@ -837,11 +742,10 @@ func (s *Server) handleProveMatMul(w http.ResponseWriter, r *http.Request) {
 	// against the issued log (the embedded key is trustworthy exactly
 	// because this service ran the setup). Spartan proofs verify
 	// transparently and never consult the log — attesting them would
-	// only push live Groth16/epoch/model attestations out of the
-	// bounded FIFO.
+	// only push live Groth16/model attestations out of the bounded FIFO.
 	if s.cfg.Backend == zkvc.Groth16 {
-		d := issuedDigest(req.X, proof, 0)
-		if s.issued.add(d, 0) {
+		d := issuedDigest(req.X, proof)
+		if s.issued.add(d) {
 			s.replicate([][sha256.Size]byte{d}, nil)
 		}
 	}
@@ -894,7 +798,7 @@ func (s *Server) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 			xs[i] = pair[0]
 		}
 		d := issuedBatchDigest(&wire.ProveResponse{Index: 0, Xs: xs, Batch: proof})
-		if s.issued.add(d, 0) {
+		if s.issued.add(d) {
 			s.replicate([][sha256.Size]byte{d}, nil)
 		}
 	}
@@ -916,7 +820,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.verifyRequests.Add(1)
 	if len(req.Proof.Epoch) > 0 {
-		writeVerdict(w, s.verifyEpochProof(req))
+		writeVerdict(w, fmt.Errorf("%w: this service issues no epoch proofs; submit a per-statement proof", zkvc.ErrVerification))
 		return
 	}
 	// A per-statement Groth16 proof carries its own verifying key, and a
@@ -928,58 +832,12 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	// from a setup a cluster member ran, so re-checking against it is
 	// sound. Everything else must use the transparent Spartan backend,
 	// which verifies without trusting prover-supplied material.
-	if req.Proof.Backend == zkvc.Groth16 && !s.attested(issuedDigest(req.X, req.Proof, 0)) {
+	if req.Proof.Backend == zkvc.Groth16 && !s.attested(issuedDigest(req.X, req.Proof)) {
 		s.metrics.vkRejects.Add(1)
-		writeVerdict(w, fmt.Errorf("%w: per-statement Groth16 proofs carry a prover-supplied verifying key this service has no reason to trust (only proofs this service issued are re-checked; attestations also expire from the bounded issued log); use the Spartan backend, or an epoch proof issued by this service", zkvc.ErrVerification))
+		writeVerdict(w, fmt.Errorf("%w: per-statement Groth16 proofs carry a prover-supplied verifying key this service has no reason to trust (only proofs this service issued are re-checked; attestations also expire from the bounded issued log); use the Spartan backend", zkvc.ErrVerification))
 		return
 	}
 	writeVerdict(w, zkvc.VerifyMatMul(req.X, req.Proof))
-}
-
-// verifyEpochProof checks an epoch proof submitted to /v1/verify. The
-// epoch label is public, so the shared CRPC challenge is predictable and
-// VerifyMatMulInEpoch's soundness precondition — label unpredictable when
-// the prover committed to W — cannot hold for an arbitrary submitter.
-// Only proofs this service itself issued are accepted: their statements
-// were computed honestly here, which is exactly the attestation the
-// issued-proof log records. Groth16 proofs are additionally checked
-// against the service's own cached CRS rather than the verifying key the
-// proof carries, so a forged key from a foreign setup is never trusted.
-func (s *Server) verifyEpochProof(req *wire.VerifyRequest) error {
-	if !bytes.Equal(req.Proof.Epoch, s.cfg.Epoch) {
-		s.metrics.epochRejects.Add(1)
-		return fmt.Errorf("%w: proof epoch is not this service's epoch", zkvc.ErrVerification)
-	}
-	if req.Proof.Backend == zkvc.Groth16 {
-		key := cacheKey{backend: zkvc.Groth16, shape: zkvc.ShapeKey{
-			Rows: req.X.Rows, Inner: req.X.Cols, Cols: req.Proof.Y.Cols, Opts: s.cfg.Opts,
-		}}
-		crs, tag, ok := s.cache.peek(key)
-		if !ok {
-			// No local CRS to re-check against; a replicated peer
-			// attestation still vouches — the issuer verified these exact
-			// bytes under its own CRS before attesting them, and that CRS
-			// never left the issuer.
-			if s.replicated.has(issuedDigest(req.X, req.Proof, 0)) {
-				return nil
-			}
-			s.metrics.epochRejects.Add(1)
-			return fmt.Errorf("%w: no trusted CRS for this shape (it may have been evicted)", zkvc.ErrVerification)
-		}
-		if !s.issued.has(issuedDigest(req.X, req.Proof, tag)) {
-			if s.replicated.has(issuedDigest(req.X, req.Proof, 0)) {
-				return nil
-			}
-			s.metrics.epochRejects.Add(1)
-			return fmt.Errorf("%w: epoch proof was not issued by this service under its current CRS (the epoch label is public, so third-party epoch proofs are forgeable, and attestations expire when a shape's CRS rotates); submit a per-statement Spartan proof instead", zkvc.ErrVerification)
-		}
-		return crs.Verify(req.X, req.Proof)
-	}
-	if !s.attested(issuedDigest(req.X, req.Proof, 0)) {
-		s.metrics.epochRejects.Add(1)
-		return fmt.Errorf("%w: epoch proof was not issued by this service (the epoch label is public, so third-party epoch proofs are forgeable); submit a per-statement Spartan proof instead", zkvc.ErrVerification)
-	}
-	return zkvc.VerifyMatMulInEpoch(req.X, req.Proof, s.cfg.Epoch)
 }
 
 func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {

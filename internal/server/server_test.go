@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,8 +14,10 @@ import (
 	"time"
 
 	"zkvc"
+	"zkvc/internal/nn"
 	"zkvc/internal/server"
 	"zkvc/internal/wire"
+	"zkvc/internal/zkml"
 )
 
 func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
@@ -144,59 +147,53 @@ func TestServerCoalescingE2E(t *testing.T) {
 	}
 }
 
-// TestSingleProveCRSCache exercises the uncoalesced Groth16 path:
-// concurrent same-shape requests must trigger exactly one trusted setup
-// (singleflight), every proof must verify, and proofs after the first must
-// not pay setup.
-func TestSingleProveCRSCache(t *testing.T) {
+// TestModelCRSCacheSingleflight exercises the digest-keyed Groth16 CRS
+// cache under concurrency: identical model jobs racing for the same
+// circuit digests must run exactly one trusted setup per digest
+// (singleflight) and hit for the rest, and every report must verify.
+func TestModelCRSCacheSingleflight(t *testing.T) {
 	cfg := server.DefaultConfig()
 	cfg.Backend = zkvc.Groth16
 	cfg.Seed = 2
+	// As many jobs as the model endpoints admit buffered bodies at once
+	// (modelBodySlots), so no submission is shed with a 503.
+	const n = 4
+	cfg.Workers = n
 
 	_, ts := newTestServer(t, cfg)
 
-	const n = 5
+	mcfg := tinyModelConfig(nn.MixerPooling)
+	trace := capturedTrace(t, mcfg, 200)
+	req := &wire.ProveModelRequest{Backend: zkvc.Groth16, Cfg: mcfg, Trace: trace}
+	reps := make([]*zkml.Report, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rng := mrand.New(mrand.NewSource(int64(200 + i)))
-			x := zkvc.RandomMatrix(rng, 3, 4, 32)
-			w := zkvc.RandomMatrix(rng, 4, 2, 32)
-			status, raw := post(t, ts.URL+"/v1/prove/single", wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: w}))
-			if status != http.StatusOK {
-				errs <- fmt.Errorf("client %d: status %d: %s", i, status, raw)
-				return
-			}
-			proof, err := wire.DecodeMatMulProof(raw)
-			if err != nil {
-				errs <- fmt.Errorf("client %d: decode: %v", i, err)
-				return
-			}
-			if err := zkvc.VerifyMatMulInEpoch(x, proof, cfg.Epoch); err != nil {
-				errs <- fmt.Errorf("client %d: proof does not verify: %v", i, err)
-				return
-			}
-			if proof.Timings.Setup != 0 {
-				errs <- fmt.Errorf("client %d: epoch proof paid setup (%v)", i, proof.Timings.Setup)
-			}
-			if len(proof.Epoch) == 0 {
-				errs <- fmt.Errorf("client %d: proof does not record its epoch", i)
-			}
-			// The service attests proofs it issued, so /v1/verify accepts
-			// this one (and checks it against its own trusted CRS).
-			status, verdict := post(t, ts.URL+"/v1/verify", wire.EncodeVerifyRequest(&wire.VerifyRequest{X: x, Proof: proof}))
-			if status != http.StatusOK || !bytes.Contains(verdict, []byte(`"ok":true`)) {
-				errs <- fmt.Errorf("client %d: issued epoch proof rejected: status %d body %s", i, status, verdict)
-			}
+			reps[i], errs[i] = proveModelHTTP(t, ts.URL, "", req)
 		}(i)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	// Verified one at a time: the model endpoints admit only a few
+	// buffered bodies at once, and this test is about proving.
+	for i, rep := range reps {
+		if errs[i] != nil {
+			t.Fatalf("job %d: %v", i, errs[i])
+		}
+		if ok, msg := verifyModelHTTP(t, ts.URL, "", rep); !ok {
+			t.Errorf("job %d: service rejected its own report: %s", i, msg)
+		}
+	}
+
+	// Every job looks each of the model's D distinct circuit digests up
+	// once, so hits + misses = n·D. Singleflight means misses = D, which
+	// holds exactly when hits = (n−1)·misses.
+	snap := getMetrics(t, ts.URL)
+	if snap.CRSCacheMisses == 0 || snap.CRSCacheHits != (n-1)*snap.CRSCacheMisses {
+		t.Errorf("CRS cache misses %d, hits %d: want one setup per digest and n-1 hits each",
+			snap.CRSCacheMisses, snap.CRSCacheHits)
 	}
 
 	// A Groth16 batch this service issued round-trips /v1/verify/batch
@@ -211,17 +208,6 @@ func TestSingleProveCRSCache(t *testing.T) {
 	status, verdict := post(t, ts.URL+"/v1/verify/batch", raw)
 	if status != http.StatusOK || !bytes.Contains(verdict, []byte(`"ok":true`)) {
 		t.Fatalf("issued Groth16 batch rejected: status %d body %s", status, verdict)
-	}
-
-	snap := getMetrics(t, ts.URL)
-	if snap.CRSCacheMisses != 1 {
-		t.Errorf("CRS cache misses %d, want exactly 1 (singleflight)", snap.CRSCacheMisses)
-	}
-	if snap.CRSCacheHits != n-1 {
-		t.Errorf("CRS cache hits %d, want %d", snap.CRSCacheHits, n-1)
-	}
-	if snap.SinglesProved != n {
-		t.Errorf("singles proved %d, want %d", snap.SinglesProved, n)
 	}
 }
 
@@ -252,7 +238,7 @@ func TestVerifyEndpoints(t *testing.T) {
 	// Single proof → /v1/verify, honest then tampered.
 	prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
 	prover.Reseed(4)
-	proof, err := prover.Prove(x, w)
+	proof, err := prover.ProveContext(context.Background(), x, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +256,7 @@ func TestVerifyEndpoints(t *testing.T) {
 	// the service cannot trust — whoever ran that setup can forge.
 	g16 := zkvc.NewMatMulProver(zkvc.Groth16, zkvc.DefaultOptions())
 	g16.Reseed(9)
-	g16Proof, err := g16.Prove(x, w)
+	g16Proof, err := g16.ProveContext(context.Background(), x, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +267,7 @@ func TestVerifyEndpoints(t *testing.T) {
 
 	// Same for a Groth16 batch from a foreign setup: /v1/verify/batch
 	// only accepts Groth16 batches this service issued.
-	g16Batch, err := g16.ProveBatch([2]*zkvc.Matrix{x, w})
+	g16Batch, err := g16.ProveBatchContext(context.Background(), [2]*zkvc.Matrix{x, w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,61 +283,76 @@ func TestVerifyEndpoints(t *testing.T) {
 	}
 }
 
-// TestVerifyRejectsForeignEpochProofs covers the epoch soundness policy:
-// the service's epoch label is public, so an epoch proof from anyone but
-// the service itself proves nothing (the prover saw the challenge before
-// choosing its statement). /v1/verify must reject such proofs even when
+// TestVerifyRejectsForeignEpochProofs: the service issues no epoch
+// proofs, and an epoch label is public, so an epoch proof from anyone
+// else proves nothing (its prover saw the challenge before choosing its
+// statement). /v1/verify must reject them on both backends, even when
 // they are honestly generated and would pass VerifyMatMulInEpoch.
 func TestVerifyRejectsForeignEpochProofs(t *testing.T) {
 	cfg := server.DefaultConfig()
-	cfg.Backend = zkvc.Spartan
 	cfg.Seed = 6
-
 	_, ts := newTestServer(t, cfg)
 
 	rng := mrand.New(mrand.NewSource(500))
 	x := zkvc.RandomMatrix(rng, 3, 4, 32)
 	w := zkvc.RandomMatrix(rng, 4, 2, 32)
+	epoch := []byte("zkvc-epoch-0")
 
-	// A third party generates its own CRS for the service's (public!)
-	// epoch label and proves an honest statement under it.
-	prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
-	prover.Reseed(7)
-	crs, err := prover.Setup(3, 4, 2, cfg.Epoch)
-	if err != nil {
-		t.Fatal(err)
+	for _, backend := range []zkvc.Backend{zkvc.Spartan, zkvc.Groth16} {
+		prover := zkvc.NewMatMulProver(backend, zkvc.DefaultOptions())
+		prover.Reseed(7)
+		crs, err := prover.Setup(3, 4, 2, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proof, err := prover.ProveWithCRS(crs, x, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := zkvc.VerifyMatMulInEpoch(x, proof, epoch); err != nil {
+			t.Fatalf("%v: library epoch proof should be cryptographically valid: %v", backend, err)
+		}
+		status, verdict := post(t, ts.URL+"/v1/verify", wire.EncodeVerifyRequest(&wire.VerifyRequest{X: x, Proof: proof}))
+		if status != http.StatusUnprocessableEntity || !bytes.Contains(verdict, []byte(`"ok":false`)) {
+			t.Errorf("%v: epoch proof accepted: status %d body %s", backend, status, verdict)
+		}
+		if !bytes.Contains(verdict, []byte("issues no epoch proofs")) {
+			t.Errorf("%v: rejection does not explain the policy: %s", backend, verdict)
+		}
 	}
-	proof, err := prover.ProveWithCRS(crs, x, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := zkvc.VerifyMatMulInEpoch(x, proof, cfg.Epoch); err != nil {
-		t.Fatalf("foreign epoch proof should be cryptographically valid: %v", err)
-	}
-	status, verdict := post(t, ts.URL+"/v1/verify", wire.EncodeVerifyRequest(&wire.VerifyRequest{X: x, Proof: proof}))
-	if status != http.StatusUnprocessableEntity || !bytes.Contains(verdict, []byte(`"ok":false`)) {
-		t.Errorf("foreign epoch proof accepted: status %d body %s", status, verdict)
-	}
-	if !bytes.Contains(verdict, []byte("not issued by this service")) {
-		t.Errorf("rejection does not explain the issued-only policy: %s", verdict)
+}
+
+// TestRemovedSurfacesRejected pins what is gone from the node: the
+// epoch-proof route is no longer served, and /v1/verify/model without
+// its ?mode= query is a 400 that names the query.
+func TestRemovedSurfacesRejected(t *testing.T) {
+	cfg := server.DefaultConfig()
+	cfg.Seed = 12
+	_, ts := newTestServer(t, cfg)
+
+	rng := mrand.New(mrand.NewSource(510))
+	x := zkvc.RandomMatrix(rng, 3, 4, 32)
+	w := zkvc.RandomMatrix(rng, 4, 2, 32)
+	status, raw := post(t, ts.URL+"/v1/prove/single", wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: w}))
+	if status != http.StatusNotFound && status != http.StatusMethodNotAllowed {
+		t.Errorf("/v1/prove/single: status %d body %s, want 404 or 405", status, raw)
 	}
 
-	// A proof for some other epoch label is rejected up front.
-	otherCRS, err := prover.Setup(3, 4, 2, []byte("someone-elses-epoch"))
+	mcfg := tinyModelConfig(nn.MixerPooling)
+	rep, err := proveModelHTTP(t, ts.URL, "", &wire.ProveModelRequest{
+		Backend: zkvc.Spartan, Cfg: mcfg, Trace: capturedTrace(t, mcfg, 511),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherProof, err := prover.ProveWithCRS(otherCRS, x, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	status, verdict = post(t, ts.URL+"/v1/verify", wire.EncodeVerifyRequest(&wire.VerifyRequest{X: x, Proof: otherProof}))
-	if status != http.StatusUnprocessableEntity || !bytes.Contains(verdict, []byte(`"ok":false`)) {
-		t.Errorf("wrong-epoch proof accepted: status %d body %s", status, verdict)
-	}
-
-	if snap := getMetrics(t, ts.URL); snap.EpochRejects != 2 {
-		t.Errorf("epoch rejects %d, want 2", snap.EpochRejects)
+	for _, body := range [][]byte{
+		wire.EncodeReport(rep), // the old mode-less dialect's body
+		wire.EncodeVerifyModelRequest(&wire.VerifyModelRequest{Mode: zkvc.VerifyPerOp, Report: rep}),
+	} {
+		status, raw := post(t, ts.URL+"/v1/verify/model", body)
+		if status != http.StatusBadRequest || !bytes.Contains(raw, []byte("?mode=")) {
+			t.Errorf("/v1/verify/model without ?mode=: status %d body %s, want 400 naming the query", status, raw)
+		}
 	}
 }
 
@@ -434,58 +435,6 @@ func TestTenantPartitioning(t *testing.T) {
 	}
 	if snap.BatchesProved >= 2*perTenant {
 		t.Errorf("coalescing produced %d backend proofs for %d requests, want fewer", snap.BatchesProved, 2*perTenant)
-	}
-}
-
-// TestVerifyAfterCRSRotation: issued-proof attestations are bound to the
-// CRS instance. Once a shape's Groth16 CRS is LRU-evicted, re-verifying a
-// proof issued under it must fail with an honest policy error — first "no
-// trusted CRS", and after the shape is set up again (new keys, same
-// epoch label), "not issued under its current CRS" — never a bare pairing
-// failure against the wrong verifying key.
-func TestVerifyAfterCRSRotation(t *testing.T) {
-	cfg := server.DefaultConfig()
-	cfg.Backend = zkvc.Groth16
-	cfg.MaxShapes = 1
-	cfg.Seed = 10
-
-	_, ts := newTestServer(t, cfg)
-
-	rng := mrand.New(mrand.NewSource(800))
-	x := zkvc.RandomMatrix(rng, 3, 4, 32)
-	w := zkvc.RandomMatrix(rng, 4, 2, 32)
-	proveSingle := func(x, w *zkvc.Matrix) []byte {
-		t.Helper()
-		status, raw := post(t, ts.URL+"/v1/prove/single", wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: w}))
-		if status != http.StatusOK {
-			t.Fatalf("prove/single: status %d: %s", status, raw)
-		}
-		return raw
-	}
-
-	raw := proveSingle(x, w)
-	proof, err := wire.DecodeMatMulProof(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := wire.EncodeVerifyRequest(&wire.VerifyRequest{X: x, Proof: proof})
-	if status, verdict := post(t, ts.URL+"/v1/verify", body); status != http.StatusOK {
-		t.Fatalf("fresh issued proof rejected: status %d body %s", status, verdict)
-	}
-
-	// A different shape evicts the first CRS (MaxShapes = 1).
-	proveSingle(zkvc.RandomMatrix(rng, 2, 3, 32), zkvc.RandomMatrix(rng, 3, 2, 32))
-	status, verdict := post(t, ts.URL+"/v1/verify", body)
-	if status != http.StatusUnprocessableEntity || !bytes.Contains(verdict, []byte("no trusted CRS")) {
-		t.Fatalf("post-eviction verify: status %d body %s, want 'no trusted CRS'", status, verdict)
-	}
-
-	// Re-setting up the shape installs new keys under the same epoch
-	// label; the old proof's attestation must not transfer to them.
-	proveSingle(x, w)
-	status, verdict = post(t, ts.URL+"/v1/verify", body)
-	if status != http.StatusUnprocessableEntity || !bytes.Contains(verdict, []byte("current CRS")) {
-		t.Fatalf("post-rotation verify: status %d body %s, want 'current CRS' rejection", status, verdict)
 	}
 }
 

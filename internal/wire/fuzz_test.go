@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	mrand "math/rand"
 	"testing"
@@ -25,14 +26,14 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	for _, backend := range []zkvc.Backend{zkvc.Spartan, zkvc.Groth16} {
 		prover := zkvc.NewMatMulProver(backend, zkvc.DefaultOptions())
 		prover.Reseed(42)
-		proof, err := prover.Prove(x, w)
+		proof, err := prover.ProveContext(context.Background(), x, w)
 		if err != nil {
 			f.Fatal(err)
 		}
 		raw := wire.EncodeMatMulProof(proof)
 		seeds = append(seeds, raw, raw[:len(raw)/2], raw[:7])
 
-		batch, err := prover.ProveBatch([2]*zkvc.Matrix{x, w}, [2]*zkvc.Matrix{x, w})
+		batch, err := prover.ProveBatchContext(context.Background(), [2]*zkvc.Matrix{x, w}, [2]*zkvc.Matrix{x, w})
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -33,8 +33,9 @@ const maxAttestationDigests = 1 << 12
 // per-file identity — the log has exactly one chain), so a log read back
 // from disk proves its own integrity and a torn or tampered suffix is
 // truncated instead of trusted. Digest is the attestation itself — the
-// sha256 the verify handlers look up — and CRSTag names the Groth16
-// epoch CRS the proof verifies under (0 for Spartan and untagged kinds).
+// sha256 the verify handlers look up. CRSTag is always 0 in records
+// written now; older logs carry non-zero tags on epoch-proof records,
+// and the hash chain covers them, so the field stays.
 type IssuedRecord struct {
 	Seq    int64
 	Kind   byte
@@ -70,9 +71,8 @@ func DecodeIssuedRecord(b []byte) (*IssuedRecord, error) {
 // AttestationUpdate replicates attestation digests across the cluster:
 // the issuing node posts it to the coordinator, which fans it out to the
 // digest's replica set, so a verify request can be vouched for by a
-// surviving replica after the issuer dies. Digests travel untagged — a
-// replica has no copy of the issuer's epoch CRS, so the tag would name a
-// key it cannot use; the digest alone binds the exact issued bytes.
+// surviving replica after the issuer dies. The digest alone binds the
+// exact issued bytes.
 type AttestationUpdate struct {
 	Node    string
 	Added   [][32]byte

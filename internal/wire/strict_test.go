@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	mrand "math/rand"
@@ -81,7 +82,7 @@ func strictRows(t *testing.T) map[string][]byte {
 	for _, backend := range []zkvc.Backend{zkvc.Spartan, zkvc.Groth16} {
 		prover := zkvc.NewMatMulProver(backend, zkvc.DefaultOptions())
 		prover.Reseed(51)
-		proof, err := prover.Prove(x, w)
+		proof, err := prover.ProveContext(context.Background(), x, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func strictRows(t *testing.T) map[string][]byte {
 		if backend == zkvc.Groth16 {
 			continue
 		}
-		batch, err := prover.ProveBatch([2]*zkvc.Matrix{x, w}, [2]*zkvc.Matrix{w, x})
+		batch, err := prover.ProveBatchContext(context.Background(), [2]*zkvc.Matrix{x, w}, [2]*zkvc.Matrix{w, x})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,10 @@
 package wire
 
-// Mode-carrying verify exchange. The original /v1/verify/model path
-// posts a bare TagReport and reads a JSON verdict; the ?mode= fast path
-// introduced with aggregate verification speaks these two binary
-// messages instead, so the requested mode travels inside the signed-off
-// frame (the query string is routing, the body is the statement) and
-// the verdict comes back strict-decoded rather than as free-form JSON.
+// Mode-carrying verify exchange: /v1/verify/model?mode=per-op|aggregate
+// speaks these two binary messages, so the requested mode travels inside
+// the signed-off frame (the query string is routing, the body is the
+// statement) and the verdict comes back strict-decoded rather than as
+// free-form JSON.
 
 import (
 	"zkvc"
@@ -14,8 +13,8 @@ import (
 
 // VerifyModelRequest asks the service to verify a report in an explicit
 // mode. The embedded report is encoded exactly like TagReport, so the
-// policy digest a service computes over it is byte-for-byte the digest
-// of the legacy path — an aggregate accept attests the same report.
+// policy digest a service computes over it is the same in both modes —
+// an aggregate accept attests the same report as a per-op one.
 type VerifyModelRequest struct {
 	Mode   zkvc.VerifyMode
 	Report *zkml.Report

@@ -89,9 +89,8 @@ const (
 	// durable issued-proof log.
 	TagIssuedRecord      byte = 0x14
 	TagAttestationUpdate byte = 0x15
-	// Mode-carrying verify exchange (the ?mode= fast path of
-	// /v1/verify/model); the mode-less legacy path posts a bare
-	// TagReport and reads a JSON verdict. Never stored.
+	// Mode-carrying verify exchange of /v1/verify/model?mode=. Never
+	// stored.
 	TagVerifyModelRequest  byte = 0x16
 	TagVerifyModelResponse byte = 0x17
 )
@@ -127,10 +126,6 @@ var tagNames = map[byte]string{
 
 // ErrDecode is wrapped by every decoding failure.
 var ErrDecode = errors.New("wire: malformed message")
-
-// MaxEpochLen is the longest epoch label (or other blob) the format can
-// carry; producers must stay under it or their messages will not decode.
-const MaxEpochLen = maxBlobLen
 
 // Size limits enforced during decoding. They bound a single dimension;
 // element counts are additionally bounded by the remaining input length,

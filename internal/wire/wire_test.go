@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	mrand "math/rand"
 	"testing"
@@ -17,7 +18,7 @@ func singleProof(t *testing.T, backend zkvc.Backend, seed int64) (*zkvc.Matrix, 
 	w := zkvc.RandomMatrix(rng, 6, 5, 64)
 	prover := zkvc.NewMatMulProver(backend, zkvc.DefaultOptions())
 	prover.Reseed(seed)
-	proof, err := prover.Prove(x, w)
+	proof, err := prover.ProveContext(context.Background(), x, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func batchProof(t *testing.T, backend zkvc.Backend, seed int64) ([]*zkvc.Matrix,
 	}
 	prover := zkvc.NewMatMulProver(backend, zkvc.DefaultOptions())
 	prover.Reseed(seed)
-	proof, err := prover.ProveBatch(pairs...)
+	proof, err := prover.ProveBatchContext(context.Background(), pairs...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,16 +106,6 @@ type Options struct {
 	DiscardOps bool
 	// Setup overrides Groth16 CRS generation (see SetupFunc).
 	Setup SetupFunc
-	// Stop, when set, is polled between operations; once it returns
-	// true no further op starts and ProveTrace returns ErrCanceled
-	// (ops already in flight still finish, and still reach OnOp).
-	//
-	// Deprecated: pass a context to ProveTraceContext (or use a
-	// zkvc.Engine, whose methods are context-first) instead. Stop is
-	// still honored — the proving service keeps it as the signal for
-	// "a stream frame write failed", which no context observes — and a
-	// run stopped either way reports ErrCanceled.
-	Stop func() bool
 }
 
 // DefaultOptions proves everything with CRPC+PSQ on the Spartan backend
@@ -289,9 +279,7 @@ func ProveTrace(cfg nn.Config, trace *nn.Trace, opts Options) (*Report, error) {
 // pipeline: once ctx is done, no further operation starts (the parallel
 // schedule skips unstarted chunks), ops already in flight finish — and
 // still reach OnOp — and the returned error wraps both ErrCanceled and
-// ctx's error, so errors.Is works against either taxonomy. The legacy
-// Options.Stop predicate is honored the same way and reports plain
-// ErrCanceled.
+// ctx's error, so errors.Is works against either taxonomy.
 func ProveTraceContext(ctx context.Context, cfg nn.Config, trace *nn.Trace, opts Options) (*Report, error) {
 	plan, err := PlanTrace(trace, opts)
 	if err != nil {
@@ -305,14 +293,10 @@ func ProveTraceContext(ctx context.Context, cfg nn.Config, trace *nn.Trace, opts
 	setups := newSetupCache(opts.Seed, opts.Setup)
 
 	errs := make([]error, len(plan))
-	var failed, canceled atomic.Bool
+	var failed atomic.Bool
 	parallel.ForCtx(ctx, len(plan), 1, func(start, end int) {
 		for i := start; i < end; i++ {
-			if failed.Load() || canceled.Load() {
-				continue
-			}
-			if ctx.Err() != nil || (opts.Stop != nil && opts.Stop()) {
-				canceled.Store(true)
+			if failed.Load() || ctx.Err() != nil {
 				continue
 			}
 			op := plan[i]
@@ -350,20 +334,16 @@ func ProveTraceContext(ctx context.Context, cfg nn.Config, trace *nn.Trace, opts
 			return nil, err
 		}
 	}
-	if canceled.Load() || ctx.Err() != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCanceled, err)
-		}
-		return nil, ErrCanceled
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCanceled, err)
 	}
 	return rep, nil
 }
 
-// ErrCanceled reports that cancellation — a done context handed to
-// ProveTraceContext, or the legacy Options.Stop predicate — ended a run
-// before every operation was proved. When the cause was a context, the
-// returned error additionally wraps ctx.Err(), so callers can match
-// either errors.Is(err, ErrCanceled) or errors.Is(err, context.Canceled).
+// ErrCanceled reports that a done context handed to ProveTraceContext
+// ended a run before every operation was proved. The returned error
+// additionally wraps ctx.Err(), so callers can match either
+// errors.Is(err, ErrCanceled) or errors.Is(err, context.Canceled).
 var ErrCanceled = errors.New("zkml: proving canceled")
 
 // setupCache memoizes Groth16 proving material per circuit digest for

@@ -136,22 +136,12 @@ func (p *InferenceProof) Constraints() int { return p.report.TotalConstraints() 
 // Operations is the number of proved circuits.
 func (p *InferenceProof) Operations() int { return len(p.report.Ops) }
 
-// ProveInference runs the model on x and proves every operation of the
-// forward pass (matmuls through CRPC+PSQ, nonlinears through the §III-C
-// gadgets).
-//
-// Deprecated: use an Engine — Local.ProveModel streams the same per-op
-// proofs with cancellation and works identically against a remote
-// service or cluster; ModelStream.Report assembles the report
-// VerifyInference checks. ProveInference remains a thin wrapper over
-// ProveInferenceContext with context.Background().
-func ProveInference(m *Model, x *IntMatrix, opts InferenceOptions) (*InferenceProof, error) {
-	return ProveInferenceContext(context.Background(), m, x, opts)
-}
-
-// ProveInferenceContext is ProveInference with cancellation: once ctx is
-// done no further operation starts and the error matches both
-// errors.Is(err, ctx.Err()) and the compiler's cancellation sentinel.
+// ProveInferenceContext runs the model on x and proves every operation of
+// the forward pass (matmuls through CRPC+PSQ, nonlinears through the
+// §III-C gadgets). Once ctx is done no further operation starts and the
+// error matches both errors.Is(err, ctx.Err()) and the compiler's
+// cancellation sentinel. An Engine's ProveModel streams the same per-op
+// proofs and works identically against a remote service or cluster.
 func ProveInferenceContext(ctx context.Context, m *Model, x *IntMatrix, opts InferenceOptions) (*InferenceProof, error) {
 	logits := m.Forward(x, nil)
 	rep, err := zkml.ProveModelContext(ctx, m, x, opts)

@@ -1,6 +1,7 @@
 package zkvc_test
 
 import (
+	"context"
 	mrand "math/rand"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestProveInferenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := zkvc.RandomInput(model, mrand.New(mrand.NewSource(1)))
-	proof, err := zkvc.ProveInference(model, x, zkvc.DefaultInferenceOptions())
+	proof, err := zkvc.ProveInferenceContext(context.Background(), model, x, zkvc.DefaultInferenceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package zkvc_test
 
 import (
 	"bytes"
+	"context"
 	mrand "math/rand"
 	"testing"
 
@@ -18,7 +19,7 @@ func proveSingleAt(t *testing.T, backend zkvc.Backend, par int, x, w *zkvc.Matri
 	zkvc.SetParallelism(par)
 	prover := zkvc.NewMatMulProver(backend, zkvc.DefaultOptions())
 	prover.Reseed(42)
-	proof, err := prover.Prove(x, w)
+	proof, err := prover.ProveContext(context.Background(), x, w)
 	if err != nil {
 		t.Fatalf("parallelism %d: %v", par, err)
 	}
@@ -68,7 +69,7 @@ func TestBatchProveBitIdenticalAcrossParallelism(t *testing.T) {
 		zkvc.SetParallelism(par)
 		prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
 		prover.Reseed(42)
-		proof, err := prover.ProveBatch(pairs...)
+		proof, err := prover.ProveBatchContext(context.Background(), pairs...)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}

@@ -2,6 +2,7 @@ package zkvc_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	mrand "math/rand"
 	"testing"
@@ -21,7 +22,7 @@ func TestProofGobRoundTrip(t *testing.T) {
 	for _, backend := range []zkvc.Backend{zkvc.Spartan, zkvc.Groth16} {
 		prover := zkvc.NewMatMulProver(backend, zkvc.DefaultOptions())
 		prover.Reseed(9)
-		proof, err := prover.Prove(x, w)
+		proof, err := prover.ProveContext(context.Background(), x, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +58,7 @@ func TestQuickProveVerifyShapes(t *testing.T) {
 		rng := mrand.New(mrand.NewSource(seed))
 		x := zkvc.RandomMatrix(rng, a, n, 32)
 		w := zkvc.RandomMatrix(rng, n, b, 32)
-		proof, err := prover.Prove(x, w)
+		proof, err := prover.ProveContext(context.Background(), x, w)
 		if err != nil {
 			t.Logf("prove %dx%dx%d: %v", a, n, b, err)
 			return false

@@ -1,6 +1,7 @@
 package zkvc_test
 
 import (
+	"context"
 	"errors"
 	mrand "math/rand"
 	"testing"
@@ -19,7 +20,7 @@ func provenStatement(t *testing.T, backend zkvc.Backend, seed int64) (*zkvc.Matr
 	w := zkvc.RandomMatrix(rng, 6, 5, 64)
 	prover := zkvc.NewMatMulProver(backend, zkvc.DefaultOptions())
 	prover.Reseed(seed)
-	proof, err := prover.Prove(x, w)
+	proof, err := prover.ProveContext(context.Background(), x, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ type Timings struct {
 // WCommit", carrying everything the verifier needs beyond the public X.
 //
 // Epoch is empty for proofs whose CRPC challenge was derived per-statement
-// (Prove). Proofs produced against a cached per-shape CRS (ProveWithCRS)
+// (ProveContext). Proofs produced against a cached per-shape CRS (ProveWithCRS)
 // record the epoch label instead, and the verifier re-derives the shared
 // challenge from it.
 type MatMulProof struct {
@@ -115,7 +115,7 @@ func (p *MatMulProof) SizeBytes() int {
 // MatMulProver proves matrix products against a chosen backend.
 //
 // For the Groth16 backend each distinct (shape, Z) pair needs a CRS; this
-// implementation regenerates it inside Prove and reports the cost
+// implementation regenerates it inside ProveContext and reports the cost
 // separately in Timings.Setup (in a deployment the CRS is produced once
 // per shape epoch by a trusted party; the Spartan backend has no setup at
 // all).
@@ -149,15 +149,6 @@ func (p *MatMulProver) Reseed(seed int64) { p.rng = mrand.New(mrand.NewSource(se
 // PCSParams returns the polynomial-commitment parameters of the Spartan
 // backend.
 func (p *MatMulProver) PCSParams() pcs.Params { return p.pcs }
-
-// Prove computes Y = X·W and produces a proof of correctness that hides W.
-//
-// Deprecated: use ProveContext, or an Engine (Local for in-process
-// proving) whose methods are context-first and cancelable. Prove remains
-// a thin wrapper over ProveContext with context.Background().
-func (p *MatMulProver) Prove(x, w *Matrix) (*MatMulProof, error) {
-	return p.ProveContext(context.Background(), x, w)
-}
 
 // ProveContext computes Y = X·W and produces a proof of correctness that
 // hides W, checking ctx between the proving phases (synthesis, setup,
@@ -288,7 +279,7 @@ func verifyMatMulAt(x *Matrix, proof *MatMulProof, epoch []byte) error {
 		return fmt.Errorf("%w: missing statement data", ErrVerification)
 	}
 	if proof.Y.Rows != x.Rows {
-		return fmt.Errorf("zkvc: output has %d rows, input has %d", proof.Y.Rows, x.Rows)
+		return fmt.Errorf("%w: output has %d rows, input has %d", ErrVerification, proof.Y.Rows, x.Rows)
 	}
 	if len(proof.WCommit) != wCommitLen {
 		return fmt.Errorf("%w: malformed W commitment (%d bytes, want %d)",
@@ -328,7 +319,7 @@ func verifyMatMulAt(x *Matrix, proof *MatMulProof, epoch []byte) error {
 			return fmt.Errorf("%w: %v", ErrVerification, err)
 		}
 	default:
-		return fmt.Errorf("zkvc: unknown backend %d", proof.Backend)
+		return fmt.Errorf("%w: unknown backend %d", ErrVerification, proof.Backend)
 	}
 	return nil
 }

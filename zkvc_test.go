@@ -1,6 +1,7 @@
 package zkvc
 
 import (
+	"context"
 	mrand "math/rand"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestMatMulProveVerifySpartan(t *testing.T) {
 	for _, opts := range []Options{{}, {PSQ: true}, {CRPC: true}, DefaultOptions()} {
 		p := NewMatMulProver(Spartan, opts)
 		p.Reseed(1)
-		proof, err := p.Prove(x, w)
+		proof, err := p.ProveContext(context.Background(), x, w)
 		if err != nil {
 			t.Fatalf("%v: %v", opts, err)
 		}
@@ -34,7 +35,7 @@ func TestMatMulProveVerifyGroth16(t *testing.T) {
 	w := RandomMatrix(rng, 8, 4, 64)
 	p := NewMatMulProver(Groth16, DefaultOptions())
 	p.Reseed(2)
-	proof, err := p.Prove(x, w)
+	proof, err := p.ProveContext(context.Background(), x, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestVerifyRejectsTamperedOutput(t *testing.T) {
 	w := RandomMatrix(rng, 8, 4, 64)
 	p := NewMatMulProver(Spartan, DefaultOptions())
 	p.Reseed(3)
-	proof, err := p.Prove(x, w)
+	proof, err := p.ProveContext(context.Background(), x, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestVerifyRejectsWrongInput(t *testing.T) {
 	w := RandomMatrix(rng, 8, 4, 64)
 	p := NewMatMulProver(Spartan, DefaultOptions())
 	p.Reseed(4)
-	proof, err := p.Prove(x, w)
+	proof, err := p.ProveContext(context.Background(), x, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestVerifyRejectsTamperedCommitment(t *testing.T) {
 	w := RandomMatrix(rng, 8, 4, 64)
 	p := NewMatMulProver(Spartan, DefaultOptions())
 	p.Reseed(5)
-	proof, err := p.Prove(x, w)
+	proof, err := p.ProveContext(context.Background(), x, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +110,11 @@ func TestSameCommitment(t *testing.T) {
 	w := RandomMatrix(rng, 4, 2, 64)
 	p := NewMatMulProver(Spartan, DefaultOptions())
 	p.Reseed(6)
-	pr1, err := p.Prove(x1, w)
+	pr1, err := p.ProveContext(context.Background(), x1, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr2, err := p.Prove(x2, w)
+	pr2, err := p.ProveContext(context.Background(), x2, w)
 	if err != nil {
 		t.Fatal(err)
 	}
