@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"log"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -32,7 +31,7 @@ const issuedLogFile = "issued.log"
 // fsynced appends.
 var issuedCompactSlack int64 = 4096
 
-// issuedDigest fingerprints an issued (statement, proof) pair by its
+// IssuedDigest fingerprints an issued (statement, proof) pair by its
 // canonical wire encoding. The wire format is injective (strict decoding,
 // re-encode yields identical bytes), so a client posting back the exact
 // proof it was handed — and nothing else — reproduces the digest.
@@ -40,8 +39,10 @@ var issuedCompactSlack int64 = 4096
 // The eight zero bytes after the encoding are the CRS tag that epoch
 // proofs once bound their digests to. No proof carries a tag any more,
 // but the suffix stays so the digests in issued.log files written by
-// earlier versions keep matching after an upgrade.
-func issuedDigest(x *zkvc.Matrix, proof *zkvc.MatMulProof) [sha256.Size]byte {
+// earlier versions keep matching after an upgrade. It is exported for
+// the cluster router, which picks a proof's replica set for verify
+// failover by it.
+func IssuedDigest(x *zkvc.Matrix, proof *zkvc.MatMulProof) [sha256.Size]byte {
 	h := sha256.New()
 	h.Write(wire.EncodeVerifyRequest(&wire.VerifyRequest{X: x, Proof: proof}))
 	var crsTag [8]byte
@@ -51,15 +52,16 @@ func issuedDigest(x *zkvc.Matrix, proof *zkvc.MatMulProof) [sha256.Size]byte {
 	return d
 }
 
-// issuedBatchDigest is the batch-response analogue: the digest of the
+// IssuedBatchDigest is the batch-response analogue: the digest of the
 // exact coalesced response a /v1/prove client was handed, which
 // /v1/verify/batch requires for Groth16 batches (their verifying key is
-// only meaningful when this service ran the setup).
-func issuedBatchDigest(resp *wire.ProveResponse) [sha256.Size]byte {
+// only meaningful when this service ran the setup). Exported for the
+// cluster router, like IssuedDigest.
+func IssuedBatchDigest(resp *wire.ProveResponse) [sha256.Size]byte {
 	return sha256.Sum256(wire.EncodeProveResponse(resp))
 }
 
-// issuedBatchDigests computes issuedBatchDigest for every recipient index
+// issuedBatchDigests computes IssuedBatchDigest for every recipient index
 // 0..n-1 of one coalesced batch. The n encodings differ only in the Index
 // u32 right after the wire header, so the batch — which can be megabytes
 // across the Xs and proof — is encoded once and the four index bytes are
@@ -74,36 +76,33 @@ func issuedBatchDigests(xs []*zkvc.Matrix, batch *zkvc.BatchProof, n int) [][sha
 	return out
 }
 
-// IssuedDigest exposes the per-statement attestation digest for the
-// cluster router, which needs it to pick a proof's replica set for
-// verify failover.
-func IssuedDigest(x *zkvc.Matrix, proof *zkvc.MatMulProof) [sha256.Size]byte {
-	return issuedDigest(x, proof)
-}
-
-// IssuedBatchDigest exposes the batch attestation digest for the
-// cluster router.
-func IssuedBatchDigest(resp *wire.ProveResponse) [sha256.Size]byte {
-	return issuedBatchDigest(resp)
-}
-
 // issuedChainSeed starts the issued log's hash chain. Unlike job
 // journals the log has exactly one chain per node, so the seed is a
 // fixed label rather than a per-file identity.
-var issuedChainSeed = sha256.Sum256([]byte("zkvc issued log v1"))
+var issuedChainSeed = chainSeed("zkvc issued log v1")
 
-// issuedChainPayload is the canonical bytes a record contributes to the
-// hash chain: the attested digest, the record kind and the record's CRS
-// tag — everything except Seq and Prev, which the chain itself fixes.
-// This version writes tag 0 only; replay still reads the tag, because
-// records written by earlier versions chain over theirs.
-func issuedChainPayload(kind byte, d [sha256.Size]byte, tag uint64) []byte {
+// issuedRec is one issued-log record: an add attests a digest, a
+// tombstone withdraws it. This version writes tag 0 only; replay still
+// reads the tag, because records written by earlier versions carry the
+// CRS tag of the epoch proof they attested and chain over it.
+type issuedRec struct {
+	kind   byte
+	digest [sha256.Size]byte
+	tag    uint64
+}
+
+// link is the canonical bytes a record contributes to the hash chain:
+// the attested digest, the record kind and the CRS tag — everything
+// except Seq and Prev, which the chain itself fixes.
+func (r issuedRec) link() []byte {
 	p := make([]byte, 0, sha256.Size+1+8)
-	p = append(p, d[:]...)
-	p = append(p, kind)
-	var t [8]byte
-	binary.BigEndian.PutUint64(t[:], tag)
-	return append(p, t[:]...)
+	p = append(p, r.digest[:]...)
+	p = append(p, r.kind)
+	return binary.BigEndian.AppendUint64(p, r.tag)
+}
+
+func (r issuedRec) frame(seq int64, prev [32]byte) []byte {
+	return wire.EncodeIssuedRecord(&wire.IssuedRecord{Seq: seq, Kind: r.kind, Prev: prev, Digest: r.digest, CRSTag: r.tag})
 }
 
 // issuedLog is a bounded FIFO set of digests of the proofs this service
@@ -116,9 +115,9 @@ func issuedChainPayload(kind byte, d [sha256.Size]byte, tag uint64) []byte {
 // owns its digest so a removed-then-readded digest is never evicted by
 // its stale slot.
 //
-// With a path configured the log is also durable: an append-only file of
-// hash-chained wire.IssuedRecord frames (journal framing, fsync per
-// logical append, torn-tail truncation on load), so a node restart keeps
+// With a path configured the log is also durable: a chainlog
+// (chainlog.go) of wire.IssuedRecord frames, fsynced per logical append
+// and cut back to its intact prefix on load, so a node restart keeps
 // every attestation — PR 1's issued-only policy survives the process.
 // Removals append tombstone records rather than deleting in place; once
 // the dead records outgrow the live set by issuedCompactSlack the file
@@ -130,78 +129,42 @@ type issuedLog struct {
 	next int // next fifo slot to overwrite once full
 	cap  int
 
-	// Durable state; file == nil means memory-only (no JournalDir, or
-	// the replicated-attestation set, which is rebuilt by its peers).
-	path    string
-	file    *os.File
-	seq     int64
-	chain   [sha256.Size]byte
-	records int64 // records currently in the file
-	bytes   int64 // file size
+	// log == nil means memory-only (no JournalDir, or the replicated-
+	// attestation set, which is rebuilt by its peers).
+	log     *chainlog
 	errs    atomic.Int64
 	logOnce sync.Once
 }
 
 func newIssuedLog(cap int) *issuedLog {
-	return &issuedLog{
-		set:   make(map[[sha256.Size]byte]int),
-		cap:   cap,
-		chain: issuedChainSeed,
-	}
+	return &issuedLog{set: make(map[[sha256.Size]byte]int), cap: cap}
 }
 
 // openIssuedLog opens (or creates) the durable issued log in dir,
 // replaying every intact record into the in-memory set. The replay
 // applies the same add/remove logic appends use, so the recovered state
-// is exactly what the sequence of surviving records produces; the first
-// record that fails to decode, breaks the chain or jumps the sequence —
-// and everything after it — is a torn tail and is truncated off, exactly
-// like a job journal's.
+// is exactly what the sequence of surviving records produces.
 func openIssuedLog(cap int, dir string) (*issuedLog, error) {
 	l := newIssuedLog(cap)
-	l.path = filepath.Join(dir, issuedLogFile)
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_RDWR, 0o644)
+	decode := func(frame []byte) (issuedRec, int64, [32]byte, error) {
+		rec, err := wire.DecodeIssuedRecord(frame)
+		if err != nil {
+			return issuedRec{}, 0, [32]byte{}, err
+		}
+		return issuedRec{kind: rec.Kind, digest: rec.Digest, tag: rec.CRSTag}, rec.Seq, rec.Prev, nil
+	}
+	log, err := openChainlog(filepath.Join(dir, issuedLogFile), issuedChainSeed, decode, func(rec issuedRec) bool {
+		if rec.kind == wire.IssuedAdd {
+			l.applyAdd(rec.digest)
+		} else {
+			delete(l.set, rec.digest)
+		}
+		return true
+	})
 	if err != nil {
 		return nil, fmt.Errorf("server: opening issued log: %w", err)
 	}
-	var goodOffset int64
-	for {
-		frame, err := wire.ReadFrame(f)
-		if err != nil {
-			break // io.EOF: clean end; anything else: torn tail
-		}
-		rec, err := wire.DecodeIssuedRecord(frame)
-		if err != nil || rec.Seq != l.seq || rec.Prev != l.chain {
-			break
-		}
-		switch rec.Kind {
-		case wire.IssuedAdd:
-			l.applyAdd(rec.Digest)
-		case wire.IssuedTombstone:
-			delete(l.set, rec.Digest)
-		}
-		l.chain = chainNext(l.chain, issuedChainPayload(rec.Kind, rec.Digest, rec.CRSTag))
-		l.seq++
-		l.records++
-		pos, err := f.Seek(0, 1)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		goodOffset = pos
-	}
-	// Drop the torn tail on disk too, so the file and the verified
-	// in-memory state agree from here on.
-	if err := f.Truncate(goodOffset); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(goodOffset, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	l.file = f
-	l.bytes = goodOffset
+	l.log = log
 	return l, nil
 }
 
@@ -226,36 +189,20 @@ func (l *issuedLog) applyAdd(d [sha256.Size]byte) bool {
 	return true
 }
 
-// persist appends one record to the durable file without syncing; the
-// caller syncs once per logical operation. A persistence failure is
-// counted and logged once, and the in-memory attestation stands — the
-// service keeps honoring proofs it issued this run; what degrades is
-// restart survival, which the error counter makes visible.
-func (l *issuedLog) persist(kind byte, d [sha256.Size]byte) bool {
-	if l.file == nil {
-		return false
-	}
-	raw := wire.EncodeIssuedRecord(&wire.IssuedRecord{
-		Seq: l.seq, Kind: kind, Prev: l.chain, Digest: d,
-	})
-	if err := wire.WriteFrame(l.file, raw); err != nil {
-		l.countError(err)
-		return false
-	}
-	l.chain = chainNext(l.chain, issuedChainPayload(kind, d, 0))
-	l.seq++
-	l.records++
-	l.bytes += int64(len(raw)) + 4 // frame length prefix
-	return true
-}
-
-func (l *issuedLog) sync() {
-	if l.file == nil {
+// persist appends records to the durable file with one fsync. A
+// persistence failure is counted and logged once, and the in-memory
+// attestation stands — the service keeps honoring proofs it issued this
+// run; what degrades is restart survival, which the error counter makes
+// visible.
+func (l *issuedLog) persist(recs ...chainRecord) {
+	if l.log == nil || len(recs) == 0 {
 		return
 	}
-	if err := l.file.Sync(); err != nil {
+	if err := l.log.append(recs...); err != nil {
 		l.countError(err)
+		return
 	}
+	l.maybeCompact()
 }
 
 func (l *issuedLog) countError(err error) {
@@ -276,10 +223,7 @@ func (l *issuedLog) add(d [sha256.Size]byte) bool {
 	if !l.applyAdd(d) {
 		return false
 	}
-	if l.persist(wire.IssuedAdd, d) {
-		l.sync()
-		l.maybeCompact()
-	}
+	l.persist(issuedRec{kind: wire.IssuedAdd, digest: d})
 	return true
 }
 
@@ -315,18 +259,14 @@ func (l *issuedLog) addAll(ds [][sha256.Size]byte) [][sha256.Size]byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var fresh [][sha256.Size]byte
-	wrote := false
+	var recs []chainRecord
 	for _, d := range ds {
-		if !l.applyAdd(d) {
-			continue
+		if l.applyAdd(d) {
+			fresh = append(fresh, d)
+			recs = append(recs, issuedRec{kind: wire.IssuedAdd, digest: d})
 		}
-		fresh = append(fresh, d)
-		wrote = l.persist(wire.IssuedAdd, d) || wrote
 	}
-	if wrote {
-		l.sync()
-		l.maybeCompact()
-	}
+	l.persist(recs...)
 	return fresh
 }
 
@@ -350,89 +290,37 @@ func (l *issuedLog) remove(d [sha256.Size]byte) bool {
 		return false
 	}
 	delete(l.set, d)
-	if l.persist(wire.IssuedTombstone, d) {
-		l.sync()
-		l.maybeCompact()
-	}
+	l.persist(issuedRec{kind: wire.IssuedTombstone, digest: d})
 	return true
 }
 
 // maybeCompact rewrites the file once dead records (tombstones, their
 // withdrawn adds, cap-evicted adds) outgrow the live set by the slack:
-// the live digests are re-emitted in FIFO order under a fresh chain to a
-// temp file, synced, and renamed over the log. Called with mu held,
-// after the triggering append has synced. A compaction failure keeps the
-// old (larger but valid) file.
+// the live digests are re-emitted in FIFO order under a fresh chain.
+// Called with mu held, after the triggering append has synced. A
+// compaction failure keeps the old (larger but valid) file.
 func (l *issuedLog) maybeCompact() {
 	live := int64(len(l.set))
-	if l.file == nil || l.records-live <= live+issuedCompactSlack {
+	if l.log.seq-live <= live+issuedCompactSlack {
 		return
-	}
-	tmp := l.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		l.countError(err)
-		return
-	}
-	var (
-		seq     int64
-		chain   = issuedChainSeed
-		written int64
-	)
-	emit := func(d [sha256.Size]byte) bool {
-		slot, ok := l.set[d]
-		if !ok || l.fifo[slot] != d {
-			return true // tombstoned slot or stale digest: skip
-		}
-		raw := wire.EncodeIssuedRecord(&wire.IssuedRecord{
-			Seq: seq, Kind: wire.IssuedAdd, Prev: chain, Digest: d,
-		})
-		if err := wire.WriteFrame(f, raw); err != nil {
-			l.countError(err)
-			return false
-		}
-		chain = chainNext(chain, issuedChainPayload(wire.IssuedAdd, d, 0))
-		seq++
-		written += int64(len(raw)) + 4
-		return true
 	}
 	// FIFO order: once the ring is full the oldest slot is next; before
-	// that, slot 0 is.
-	ok := true
+	// that, slot 0 is. A slot is live only while its digest still maps
+	// back to it (tombstoned and re-added digests live in a later slot).
+	start := 0
 	if len(l.fifo) == l.cap {
-		for i := 0; ok && i < l.cap; i++ {
-			ok = emit(l.fifo[(l.next+i)%l.cap])
+		start = l.next
+	}
+	recs := make([]chainRecord, 0, live)
+	for i := range l.fifo {
+		slot := (start + i) % len(l.fifo)
+		if owner, ok := l.set[l.fifo[slot]]; ok && owner == slot {
+			recs = append(recs, issuedRec{kind: wire.IssuedAdd, digest: l.fifo[slot]})
 		}
-	} else {
-		for i := 0; ok && i < len(l.fifo); i++ {
-			ok = emit(l.fifo[i])
-		}
 	}
-	if !ok {
-		f.Close()
-		os.Remove(tmp)
-		return
-	}
-	if err := f.Sync(); err != nil {
+	if err := l.log.rewrite(recs); err != nil {
 		l.countError(err)
-		f.Close()
-		os.Remove(tmp)
-		return
 	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		l.countError(err)
-		f.Close()
-		os.Remove(tmp)
-		return
-	}
-	// The temp handle now names the log file (rename moves the inode, not
-	// the descriptor) and its write position is already at the end.
-	l.file.Close()
-	l.file = f
-	l.seq = seq
-	l.chain = chain
-	l.records = seq
-	l.bytes = written
 }
 
 // stats reports the log's gauges for /metrics: live attestations,
@@ -440,7 +328,10 @@ func (l *issuedLog) maybeCompact() {
 func (l *issuedLog) stats() (live int64, records, bytes, errs int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return int64(len(l.set)), l.records, l.bytes, l.errs.Load()
+	if l.log != nil {
+		records, bytes = l.log.seq, l.log.bytes
+	}
+	return int64(len(l.set)), records, bytes, l.errs.Load()
 }
 
 // close releases the file handle; the records stay on disk for the next
@@ -448,8 +339,8 @@ func (l *issuedLog) stats() (live int64, records, bytes, errs int64) {
 func (l *issuedLog) close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.file != nil {
-		l.file.Close()
-		l.file = nil
+	if l.log != nil {
+		l.log.close()
+		l.log = nil
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"zkvc"
@@ -54,13 +53,10 @@ type asyncJob struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	header   []byte
-	opHashes [][32]byte
-
-	mu       sync.Mutex
-	state    byte // wire.JobQueued … wire.JobCanceled
-	digest   [sha256.Size]byte
-	attested bool
+	mu sync.Mutex
+	// state is JobQueued, JobRunning, JobFailed or JobCanceled; JobDone
+	// is the journal's completion, which status reads from the journal.
+	state byte
 }
 
 func (*asyncJob) submissionKind() string { return "async-job" }
@@ -78,25 +74,12 @@ func (j *asyncJob) setState(st byte) {
 // of a response body.
 func (j *asyncJob) run(s *Server, _ *zkvc.MatMulProver) {
 	j.setState(wire.JobRunning)
-	var completed atomic.Int64
-	opts := zkml.DefaultOptions()
-	opts.Backend = j.backend
-	opts.Circuit = s.cfg.Opts
-	opts.ProveNonlinear = j.proveNonlinear
-	opts.Seed = s.cfg.Seed
-	opts.KeepProofs = true
-	opts.DiscardOps = true
-	if j.backend == zkml.Groth16 {
-		opts.Setup = s.circuitSetup
-	}
-	// OnOp runs on whichever worker goroutine finished the op, so both the
-	// progress count and the first-append-failure slot must be atomic.
+	// OnOp runs on whichever worker goroutine finished the op, so the
+	// first-append-failure slot is locked; the journal counts the ops.
 	var appendErrMu sync.Mutex
 	var appendErr error
-	opts.OnOp = func(op *zkml.OpProof) {
-		frame := wire.EncodeOpProof(op)
-		j.opHashes[op.Seq] = sha256.Sum256(frame)
-		if err := j.jl.append(wire.JournalOp, frame); err != nil {
+	opts := s.modelOpts(j.backend, j.proveNonlinear, func(op *zkml.OpProof) {
+		if err := j.jl.append(journalRec{kind: wire.JournalOp, payload: wire.EncodeOpProof(op), opSeq: op.Seq}); err != nil {
 			// Teardown racing (reaper/cancel already ended the journal) is
 			// routine; anything else means an op could not be persisted, and
 			// a journal that cannot persist an op must not pretend the op was
@@ -111,61 +94,64 @@ func (j *asyncJob) run(s *Server, _ *zkvc.MatMulProver) {
 			}
 			return
 		}
-		completed.Add(1)
 		s.metrics.modelOpsProved.Add(1)
 		s.metrics.modelOpsQueued.Add(-1)
 		s.metrics.queueUnits.Add(-1)
 		s.metrics.recordOpTimings(op)
-	}
+	})
 	_, err := zkml.ProveTraceContext(j.ctx, j.cfg, j.trace, opts)
 	// Ops never proved (error or cancellation) leave the queue ledger here.
-	delta := completed.Load() - int64(j.plan)
+	ops, _, _ := j.jl.snapshot()
+	delta := int64(ops - j.plan)
 	s.metrics.modelOpsQueued.Add(delta)
 	s.metrics.queueUnits.Add(delta)
 	j.trace = nil // the journal is the job's memory from here on
 	appendErrMu.Lock()
 	failedAppend := appendErr
 	appendErrMu.Unlock()
+	_, complete := j.jl.attestation()
 	switch {
+	case complete:
+		// The append of the last op attested the report and made the job
+		// done before any streamer could see that frame.
+		s.metrics.modelJobsProved.Add(1)
 	case failedAppend != nil:
 		s.metrics.proveErrors.Add(1)
 		j.jl.fail(fmt.Sprintf("journal write failed: %v", failedAppend))
 		j.setState(wire.JobFailed)
+	case errors.Is(err, zkml.ErrCanceled):
+		s.metrics.modelJobsCanceled.Add(1)
+		j.jl.fail("job canceled before completion")
+		j.setState(wire.JobCanceled)
 	case err != nil:
-		if errors.Is(err, zkml.ErrCanceled) {
-			s.metrics.modelJobsCanceled.Add(1)
-			j.jl.fail("job canceled before completion")
-			j.setState(wire.JobCanceled)
-		} else {
-			s.metrics.proveErrors.Add(1)
-			j.jl.fail(err.Error())
-			j.setState(wire.JobFailed)
-		}
-	default:
-		// Attest the journaled report exactly like a streamed one: the
-		// digest binds header, op frames in sequence order, and tenant,
-		// so /v1/verify/model vouches for the reassembled report until
-		// the reaper withdraws it. The attestation is memory-only in the
-		// issued log — the journal is its durable record, and recovery
-		// re-attests exactly the journals that are still complete.
-		d := modelReportDigest(j.header, j.opHashes, j.tenant)
-		if s.issued.addMem(d) {
-			s.replicate([][sha256.Size]byte{d}, nil)
-		}
-		j.mu.Lock()
-		j.digest, j.attested = d, true
-		j.state = wire.JobDone
-		j.mu.Unlock()
-		s.metrics.modelJobsProved.Add(1)
+		s.metrics.proveErrors.Add(1)
+		j.jl.fail(err.Error())
+		j.setState(wire.JobFailed)
+	}
+}
+
+// attestJournaled attests a journaled report exactly like a streamed
+// one: the digest binds header, op frames in sequence order, and tenant,
+// so /v1/verify/model vouches for the reassembled report until the
+// reaper withdraws it. It is the journal's completion hook and
+// recovery's re-attestation. The attestation is memory-only in the
+// issued log — the journal is its durable record, and recovery
+// re-attests exactly the journals that are still complete.
+func (s *Server) attestJournaled(d [sha256.Size]byte) {
+	if s.issued.addMem(d) {
+		s.replicate([][sha256.Size]byte{d}, nil)
 	}
 }
 
 // status snapshots the job for wire.JobStatus responses.
 func (j *asyncJob) status(queueUnits int64) *wire.JobStatus {
-	ops, total, _, errMsg := j.jl.snapshot()
+	ops, total, errMsg := j.jl.snapshot()
 	j.mu.Lock()
 	st := j.state
 	j.mu.Unlock()
+	if ops == total {
+		st = wire.JobDone
+	}
 	out := &wire.JobStatus{ID: j.id, State: st, TotalOps: total, CompletedOps: ops, Error: errMsg}
 	if st == wire.JobQueued {
 		out.QueuePos = queueUnits
@@ -311,18 +297,8 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	raw = nil
-	plan, err := zkml.PlanTrace(req.Model.Trace, zkml.Options{ProveNonlinear: req.Model.ProveNonlinear})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(plan) == 0 {
-		http.Error(w, "trace has no provable operations", http.StatusBadRequest)
-		return
-	}
-	if len(plan) > s.cfg.QueueCap {
-		http.Error(w, fmt.Sprintf("trace has %d provable operations, above this service's queue capacity %d; split the model or raise QueueCap",
-			len(plan), s.cfg.QueueCap), http.StatusBadRequest)
+	plan, ok := s.planModel(w, req.Model.Trace, req.Model.ProveNonlinear)
+	if !ok {
 		return
 	}
 	id, err := newJobID()
@@ -342,9 +318,9 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		Model:    req.Model.Cfg.Name,
 		Backend:  req.Model.Backend,
 		Circuit:  s.cfg.Opts,
-		TotalOps: len(plan),
+		TotalOps: plan,
 	})
-	jl, err := newJournal(id, tenant, now, now.Add(ttl), s.cfg.JournalDir, header, len(plan))
+	jl, err := newJournal(id, tenant, now, now.Add(ttl), s.cfg.JournalDir, header, plan, s.attestJournaled)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -357,12 +333,10 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		proveNonlinear: req.Model.ProveNonlinear,
 		cfg:            req.Model.Cfg,
 		trace:          req.Model.Trace,
-		plan:           len(plan),
+		plan:           plan,
 		jl:             jl,
 		ctx:            ctx,
 		cancel:         cancel,
-		header:         header,
-		opHashes:       make([][32]byte, len(plan)),
 		state:          wire.JobQueued,
 	}
 	if !s.jobs.admit(j, s.cfg.TenantJobQuota) {
@@ -371,7 +345,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		s.rejectJob(w, fmt.Sprintf("tenant holds %d live jobs, the per-tenant quota; cancel or let some expire", s.cfg.TenantJobQuota))
 		return
 	}
-	if err := s.submitAsync(j); err != nil {
+	if err := s.submitPlanned(j, plan); err != nil {
 		s.jobs.remove(id)
 		cancel()
 		jl.removeFile()
@@ -390,29 +364,6 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Location", "/v1/jobs/"+id)
 	w.WriteHeader(http.StatusAccepted)
 	w.Write(wire.EncodeJobStatus(j.status(s.metrics.queueUnits.Load())))
-}
-
-// submitAsync charges the queue ledger and enqueues the job, mirroring
-// submitModel's accounting (one unit per op).
-func (s *Server) submitAsync(j *asyncJob) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.metrics.queueUnits.Add(int64(j.plan)) > int64(s.cfg.QueueCap) {
-		s.metrics.queueUnits.Add(-int64(j.plan))
-		return errQueueFull
-	}
-	s.metrics.modelOpsQueued.Add(int64(j.plan))
-	select {
-	case s.submit <- j:
-		return nil
-	default:
-		s.metrics.modelOpsQueued.Add(-int64(j.plan))
-		s.metrics.queueUnits.Add(-int64(j.plan))
-		return errQueueFull
-	}
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
@@ -520,19 +471,16 @@ func (s *Server) reapJob(id, reason string) {
 		return
 	}
 	j.cancel()
+	// Once fail returns the journal is terminal, so a completing append
+	// either attested before it or never will.
 	j.jl.fail(reason)
 	j.jl.removeFile()
-	j.mu.Lock()
-	if j.attested {
-		// Deleting the journal IS the durable withdrawal (recovery only
-		// re-attests journals it can still read complete); here the
-		// in-memory attestation goes, and the cluster learns the removal.
-		if s.issued.removeMem(j.digest) {
-			s.replicate(nil, [][sha256.Size]byte{j.digest})
-		}
-		j.attested = false
+	// Deleting the journal IS the durable withdrawal (recovery only
+	// re-attests journals it can still read complete); here the
+	// in-memory attestation goes, and the cluster learns the removal.
+	if d, ok := j.jl.attestation(); ok && s.issued.removeMem(d) {
+		s.replicate(nil, [][sha256.Size]byte{d})
 	}
-	j.mu.Unlock()
 	s.metrics.jobsActive.Add(-1)
 	s.metrics.jobsReaped.Add(1)
 }
@@ -574,42 +522,27 @@ func (s *Server) recoverJobs() error {
 			continue
 		}
 		path := filepath.Join(s.cfg.JournalDir, ent.Name())
-		rec, err := loadJournal(path)
+		jl, err := loadJournal(path)
 		if err != nil {
 			os.Remove(path)
 			continue
 		}
-		if !rec.jl.deadline.IsZero() && now.After(rec.jl.deadline) {
+		if !jl.deadline.IsZero() && now.After(jl.deadline) {
 			// Expired while the process was down: reap it now, before
-			// the complete branch below would have re-attested it.
-			rec.jl.removeFile()
+			// it would be re-attested below.
+			jl.removeFile()
 			s.metrics.jobsReaped.Add(1)
 			continue
 		}
-		j := &asyncJob{
-			id:       rec.jl.id,
-			tenant:   rec.jl.tenant,
-			plan:     rec.jl.totalOps,
-			jl:       rec.jl,
-			header:   rec.header,
-			opHashes: rec.opHashes,
-		}
+		j := &asyncJob{id: jl.id, tenant: jl.tenant, plan: jl.totalOps, jl: jl}
 		j.ctx, j.cancel = context.WithCancel(context.Background())
-		switch {
-		case rec.complete:
-			j.state = wire.JobDone
-			j.digest = modelReportDigest(rec.header, rec.opHashes, rec.jl.tenant)
-			j.attested = true
-			// Journal-backed attestation, rebuilt from the journal on
-			// every restart (memory-only in the issued log; see addMem).
-			s.issued.addMem(j.digest)
-			s.replicate([][sha256.Size]byte{j.digest}, nil)
-		case rec.jl.errMsg != "":
-			j.state = wire.JobFailed
-		default:
+		if d, ok := jl.attestation(); ok {
+			s.attestJournaled(d)
+		} else {
 			// Mid-proving at the crash: the acked prefix is intact, the
-			// rest is gone with the process. Say so in-stream.
-			rec.jl.fail("server restarted before the job completed; the journaled prefix is intact, resubmit to prove the rest")
+			// rest is gone with the process. Say so in-stream (a journal
+			// that already failed keeps its own error record).
+			jl.fail("server restarted before the job completed; the journaled prefix is intact, resubmit to prove the rest")
 			j.state = wire.JobFailed
 		}
 		s.jobs.admit(j, int(^uint(0)>>1)) // recovery ignores quotas: the work already exists

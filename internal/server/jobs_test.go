@@ -24,6 +24,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -345,32 +346,24 @@ func TestJobJournalSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ack k=3 frames (header + 2 ops) against the first server, then
-	// drain the rest so the job completes before the restart.
+	// drain the rest. The journal publishes the last op's frame only
+	// once the report is attested and the job done, so both must hold
+	// the instant the stream ends — no status polling.
 	body, err := ac.StreamJob(ctx, st.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	acked := readFrames(t, body, 3)
-	body.Close()
 	if len(acked) != 3 {
 		t.Fatalf("acked %d frames, want 3", len(acked))
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		cur, err := ac.JobStatus(ctx, st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur.State == wire.JobDone {
-			break
-		}
-		if cur.State == wire.JobFailed || cur.State == wire.JobCanceled {
-			t.Fatalf("job ended in state %d: %s", cur.State, cur.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job did not complete in time")
-		}
-		time.Sleep(10 * time.Millisecond)
+	drained := assembleReport(t, append(acked, readFrames(t, body, -1)...))
+	body.Close()
+	if cur, err := ac.JobStatus(ctx, st.ID); err != nil || cur.State != wire.JobDone {
+		t.Fatalf("job status the instant its stream ended: %+v, %v (want done)", cur, err)
+	}
+	if ok, msg := verifyModelHTTP(t, ts1.URL, tenant, drained); !ok {
+		t.Fatalf("report rejected the instant its stream ended: %s", msg)
 	}
 
 	// Restart: tear the whole server down and recreate it over the same
@@ -665,5 +658,103 @@ func TestJobTenantIsolationQuotaAndCancel(t *testing.T) {
 	}
 	if _, err := acA.SubmitJob(ctx, req); err != nil {
 		t.Fatalf("submission after cancel freed the quota slot: %v", err)
+	}
+}
+
+// writeJournalFile hand-encodes a journal the way the server writes one:
+// each record numbered and chained over the payloads before it, starting
+// from sha256 of the job ID.
+func writeJournalFile(t *testing.T, dir, id string, recs []wire.JournalRecord) string {
+	t.Helper()
+	var buf bytes.Buffer
+	chain := sha256.Sum256([]byte(id))
+	for i := range recs {
+		recs[i].Seq, recs[i].Prev = i, chain
+		if err := wire.WriteFrame(&buf, wire.EncodeJournalRecord(&recs[i])); err != nil {
+			t.Fatal(err)
+		}
+		chain = sha256.Sum256(append(chain[:], recs[i].Payload...))
+	}
+	path := filepath.Join(dir, id+".journal")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestJobJournalCompleteByOpCount: recovery calls a journal complete
+// when it holds every announced op, never because its error record is
+// empty. A journal with 0 of 2 ops and an empty error message, and one
+// whose error record does not decode at all (a grammar break, truncated
+// like a torn tail), must both come back failed — not done, not
+// attested, and streaming to an error instead of a short report.
+func TestJobJournalCompleteByOpCount(t *testing.T) {
+	const tenant = "tenant-count"
+	dir := t.TempDir()
+	now := time.Now()
+	manifest := func(id string) wire.JournalRecord {
+		return wire.JournalRecord{Kind: wire.JournalManifest, Payload: wire.EncodeJobManifest(&wire.JobManifest{
+			ID: id, Tenant: tenant, CreatedUnix: now.Unix(), DeadlineUnix: now.Add(time.Hour).Unix(),
+		})}
+	}
+	header := wire.JournalRecord{Kind: wire.JournalHeader, Payload: wire.EncodeModelStreamHeader(&wire.ModelStreamHeader{
+		Model: "tiny", Backend: zkvc.Spartan, Circuit: zkvc.DefaultOptions(), TotalOps: 2,
+	})}
+	op := wire.JournalRecord{Kind: wire.JournalOp, Payload: wire.EncodeOpProof(&zkml.OpProof{Seq: 0, Tag: "op0"})}
+
+	const emptyErr = "00000000000000000000000000000001"
+	writeJournalFile(t, dir, emptyErr, []wire.JournalRecord{manifest(emptyErr), header,
+		{Kind: wire.JournalError, Payload: wire.EncodeModelStreamError("")}})
+	const badErr = "00000000000000000000000000000002"
+	path := writeJournalFile(t, dir, badErr, []wire.JournalRecord{manifest(badErr), header, op,
+		{Kind: wire.JournalError, Payload: []byte("not a stream error")}})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	scfg := server.DefaultConfig()
+	scfg.JournalDir = dir
+	_, ts := newTestServer(t, scfg)
+	ac := server.NewAsyncClient(ts.URL)
+	ac.Tenant = tenant
+	ctx := context.Background()
+	for _, tc := range []struct {
+		id  string
+		ops int
+	}{{emptyErr, 0}, {badErr, 1}} {
+		st, err := ac.JobStatus(ctx, tc.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != wire.JobFailed || st.CompletedOps != tc.ops {
+			t.Fatalf("journal %s with %d of 2 ops recovered as state %d with %d ops, want failed",
+				tc.id, tc.ops, st.State, st.CompletedOps)
+		}
+		body, err := ac.StreamJob(ctx, tc.id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wire.DecodeModelStream(body, nil); err == nil {
+			t.Fatalf("journal %s streamed as a complete report", tc.id)
+		}
+		body.Close()
+	}
+	// The undecodable error record was cut off and replaced by the
+	// restart's own, explicit one.
+	cut, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := readFrames(t, bytes.NewReader(cut), -1)
+	if len(frames) != 4 || !bytes.HasPrefix(raw, cut[:len(cut)-4-len(frames[3])]) {
+		t.Fatalf("journal with an undecodable error record kept %d records", len(frames))
+	}
+	rec, err := wire.DecodeJournalRecord(frames[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := wire.DecodeModelStreamError(rec.Payload); err != nil || !strings.Contains(msg, "restarted") {
+		t.Fatalf("replacement error record %q, %v", msg, err)
 	}
 }

@@ -7,19 +7,20 @@ package server
 // terminal error record. Records 1..n are byte-for-byte the frames of
 // the job's model stream, so resuming a client from frame k is replaying
 // journal records k+1 onward; nothing is re-proved and nothing already
-// acked is re-sent. With a JournalDir configured each journal is also a
-// file of framed wire.JournalRecord messages, fsynced per append, and a
-// restarted server recovers every journal it finds: the hash chain is
-// recomputed from the job ID, a torn or tampered suffix is truncated
-// (and the job honestly failed), and a complete journal's report is
-// re-attested so /v1/verify/model keeps vouching for it.
+// acked is re-sent. The append that completes the journal also attests
+// its report, before any reader can see that record. With a JournalDir
+// configured each journal is also a chainlog (chainlog.go) of framed
+// wire.JournalRecord messages, fsynced per append, and a restarted
+// server recovers every journal it finds: the hash chain is recomputed
+// from the job ID, a torn or tampered suffix is truncated (and the job
+// honestly failed), and a complete journal's report is re-attested so
+// /v1/verify/model keeps vouching for it.
 
 import (
 	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -36,12 +37,21 @@ const journalExt = ".journal"
 // routine teardown racing, not a persistence failure.
 var errJournalDone = errors.New("server: journal already terminal")
 
-// journalRec is one in-memory journal entry: the record kind and its
-// payload (an encoded JobManifest, ModelStreamHeader, OpProof or
-// ModelStreamError, by kind).
+// journalRec is one journal entry: the record kind, its payload (an
+// encoded JobManifest, ModelStreamHeader, OpProof or ModelStreamError,
+// by kind) and, for an op record, the op's position in the report.
 type journalRec struct {
 	kind    byte
 	payload []byte
+	opSeq   int
+}
+
+// link chains the payload only: the grammar and the record's position
+// fix its kind.
+func (r journalRec) link() []byte { return r.payload }
+
+func (r journalRec) frame(seq int64, prev [32]byte) []byte {
+	return wire.EncodeJournalRecord(&wire.JournalRecord{Seq: int(seq), Kind: r.kind, Prev: prev, Payload: r.payload})
 }
 
 // journal is one job's write-ahead log plus the subscription machinery
@@ -53,115 +63,99 @@ type journal struct {
 	tenant   string
 	created  time.Time
 	deadline time.Time // zero value = no expiry
-	path     string    // "" = memory-only journal
+	// attest is called by the append that completes the journal, under
+	// mu and before readers are woken, with the report's digest; holding
+	// mu is what makes "visible" and "attested" one step, so attest must
+	// not block or call back into the journal.
+	attest func(d [sha256.Size]byte)
 
 	mu       sync.Mutex
-	updated  chan struct{} // closed and replaced on every append
-	recs     []journalRec  // index = record seq; recs[0] is the manifest
-	chain    [32]byte      // running hash over payloads, seeded from the ID
-	ops      int           // op records appended so far
-	totalOps int           // announced op count (from the header record)
-	done     bool          // terminal: complete, failed or canceled
-	errMsg   string        // non-empty iff a terminal error record exists
-	file     *os.File
-}
-
-// chainSeed starts a journal's hash chain: the chain value "before the
-// first record" is the hash of the job ID, so two journals with
-// identical payloads still chain differently and a record file renamed
-// to another job's ID fails recovery.
-func chainSeed(id string) [32]byte { return sha256.Sum256([]byte(id)) }
-
-// chainNext folds one record payload into the chain.
-func chainNext(prev [32]byte, payload []byte) [32]byte {
-	h := sha256.New()
-	h.Write(prev[:])
-	h.Write(payload)
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	log      *chainlog         // nil = memory-only journal
+	updated  chan struct{}     // closed and replaced on every append
+	recs     []journalRec      // index = record seq; recs[0] is the manifest
+	opHashes [][32]byte        // op frame digests at their report positions
+	ops      int               // op records appended so far
+	totalOps int               // announced op count (from the header record)
+	done     bool              // terminal: complete, failed or canceled
+	errMsg   string            // message of the terminal error record, if any
+	digest   [sha256.Size]byte // the report's attestation, once complete
 }
 
 // newJournal creates a journal for a freshly admitted job and writes its
 // first two records (manifest, stream header). With dir non-empty the
 // journal is also persisted to <dir>/<id>.journal.
-func newJournal(id, tenant string, created, deadline time.Time, dir string, header []byte, totalOps int) (*journal, error) {
+func newJournal(id, tenant string, created, deadline time.Time, dir string, header []byte, totalOps int, attest func([sha256.Size]byte)) (*journal, error) {
 	jl := &journal{
 		id:       id,
 		tenant:   tenant,
 		created:  created,
 		deadline: deadline,
+		attest:   attest,
 		updated:  make(chan struct{}),
-		chain:    chainSeed(id),
+		opHashes: make([][32]byte, totalOps),
 		totalOps: totalOps,
 	}
 	if dir != "" {
-		jl.path = filepath.Join(dir, id+journalExt)
-		f, err := os.OpenFile(jl.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		log, err := createChainlog(filepath.Join(dir, id+journalExt), chainSeed(id))
 		if err != nil {
 			return nil, fmt.Errorf("server: creating journal: %w", err)
 		}
-		jl.file = f
+		jl.log = log
 	}
-	manifest := wire.EncodeJobManifest(&wire.JobManifest{
-		ID:          id,
-		Tenant:      tenant,
-		CreatedUnix: created.Unix(),
-		DeadlineUnix: func() int64 {
-			if deadline.IsZero() {
-				return 0
-			}
-			return deadline.Unix()
-		}(),
-	})
-	if err := jl.append(wire.JournalManifest, manifest); err != nil {
-		jl.removeFile()
-		return nil, err
+	manifest := &wire.JobManifest{ID: id, Tenant: tenant, CreatedUnix: created.Unix()}
+	if !deadline.IsZero() {
+		manifest.DeadlineUnix = deadline.Unix()
 	}
-	if err := jl.append(wire.JournalHeader, header); err != nil {
-		jl.removeFile()
-		return nil, err
+	for _, rec := range []journalRec{{kind: wire.JournalManifest, payload: wire.EncodeJobManifest(manifest)}, {kind: wire.JournalHeader, payload: header}} {
+		if err := jl.append(rec); err != nil {
+			jl.removeFile()
+			return nil, err
+		}
 	}
 	return jl, nil
 }
 
-// append writes one record: chain it, persist it (fsynced, so an acked
-// frame survives a crash), then publish it to blocked readers. The
-// terminal transitions live here so every append site agrees on them:
-// the totalOps'th op record completes the journal, an error record
-// fails it.
-func (jl *journal) append(kind byte, payload []byte) error {
+// append writes one record: persist it (fsynced, so an acked frame
+// survives a crash), fold it into the journal's state — the completing
+// op attests the report there — and only then publish it to blocked
+// readers.
+func (jl *journal) append(rec journalRec) error {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
 	if jl.done {
 		return errJournalDone
 	}
-	rec := &wire.JournalRecord{Seq: len(jl.recs), Kind: kind, Prev: jl.chain, Payload: payload}
-	if jl.file != nil {
-		if err := wire.WriteFrame(jl.file, wire.EncodeJournalRecord(rec)); err != nil {
-			return fmt.Errorf("server: journal write: %w", err)
-		}
-		if err := jl.file.Sync(); err != nil {
-			return fmt.Errorf("server: journal sync: %w", err)
+	if jl.log != nil {
+		if err := jl.log.append(rec); err != nil {
+			return fmt.Errorf("server: journal append: %w", err)
 		}
 	}
-	jl.chain = chainNext(jl.chain, payload)
-	jl.recs = append(jl.recs, journalRec{kind: kind, payload: payload})
-	switch kind {
-	case wire.JournalOp:
-		jl.ops++
-		if jl.ops == jl.totalOps {
-			jl.done = true
-		}
-	case wire.JournalError:
-		jl.done = true
-		if msg, err := wire.DecodeModelStreamError(payload); err == nil {
-			jl.errMsg = msg
-		}
-	}
+	jl.apply(rec)
 	close(jl.updated)
 	jl.updated = make(chan struct{})
 	return nil
+}
+
+// apply folds one record into the journal's state. It is the one home
+// of the terminal transitions, shared by live appends and replay: the
+// totalOps'th op record completes the journal and attests its report,
+// an error record fails it.
+func (jl *journal) apply(rec journalRec) {
+	jl.recs = append(jl.recs, rec)
+	switch rec.kind {
+	case wire.JournalOp:
+		jl.opHashes[rec.opSeq] = sha256.Sum256(rec.payload)
+		if jl.ops++; jl.ops == jl.totalOps {
+			jl.done = true
+			jl.digest = modelReportDigest(jl.recs[1].payload, jl.opHashes, jl.tenant)
+			if jl.attest != nil {
+				jl.attest(jl.digest)
+			}
+		}
+	case wire.JournalError:
+		jl.done = true
+		jl.errMsg, _ = wire.DecodeModelStreamError(rec.payload)
+	}
 }
 
 // fail records a terminal error unless the journal already ended; it is
@@ -176,7 +170,7 @@ func (jl *journal) fail(msg string) {
 	}
 	jl.mu.Unlock()
 	// Encode outside the lock; append re-checks done under it.
-	jl.append(wire.JournalError, wire.EncodeModelStreamError(msg))
+	jl.append(journalRec{kind: wire.JournalError, payload: wire.EncodeModelStreamError(msg)})
 }
 
 // frame returns stream frame k (journal record k+1), blocking until it
@@ -215,19 +209,27 @@ func (jl *journal) frames() (n int, done bool) {
 }
 
 // snapshot reports the journal's progress for job status responses.
-func (jl *journal) snapshot() (ops, totalOps int, done bool, errMsg string) {
+func (jl *journal) snapshot() (ops, totalOps int, errMsg string) {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	return jl.ops, jl.totalOps, jl.done, jl.errMsg
+	return jl.ops, jl.totalOps, jl.errMsg
+}
+
+// attestation returns the report digest the journal attested, and
+// whether it did: exactly when every announced op is journaled.
+func (jl *journal) attestation() (d [sha256.Size]byte, ok bool) {
+	jl.mu.Lock()
+	defer jl.mu.Unlock()
+	return jl.digest, jl.ops == jl.totalOps
 }
 
 // closeFile releases the file handle (the records stay on disk).
 func (jl *journal) closeFile() {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	if jl.file != nil {
-		jl.file.Close()
-		jl.file = nil
+	if jl.log != nil {
+		jl.log.close()
+		jl.log = nil
 	}
 }
 
@@ -235,134 +237,87 @@ func (jl *journal) closeFile() {
 func (jl *journal) removeFile() {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	if jl.file != nil {
-		jl.file.Close()
-		jl.file = nil
-	}
-	if jl.path != "" {
-		os.Remove(jl.path)
+	if jl.log != nil {
+		jl.log.remove()
+		jl.log = nil
 	}
 }
 
-// recoveredJournal is one journal read back from disk after a restart.
-type recoveredJournal struct {
-	jl       *journal
-	header   []byte     // stream-header payload (record 1)
-	opHashes [][32]byte // per-seq op frame digests, only for complete journals
-	complete bool       // every announced op present
-}
-
-// loadJournal reads one journal file back, verifying the hash chain and
-// the record grammar (manifest, header, ops, optional trailing error) as
-// it goes. The first record that fails to decode, breaks the chain or
-// violates the grammar — and everything after it — is a torn tail: the
-// file is truncated back to the last good record, because a record that
+// loadJournal reads one journal file back, replaying the records that
+// fit the grammar (manifest, header, ops, optional trailing error) into
+// a fresh journal. Whatever does not fit — a record that fails to
+// decode, breaks the chain or violates the grammar, and everything after
+// it — is a torn tail the chainlog cuts off, because a record that
 // cannot be proven to belong to this journal must not be replayed as if
 // the client's acked prefix included it. A file without a valid
 // manifest+header prefix is not a journal at all and returns an error.
-func loadJournal(path string) (*recoveredJournal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+func loadJournal(path string) (*journal, error) {
+	id := strings.TrimSuffix(filepath.Base(path), journalExt)
+	jl := &journal{id: id, updated: make(chan struct{})}
+	seen := map[int]bool{}
+	decode := func(frame []byte) (journalRec, int64, [32]byte, error) {
+		rec, err := wire.DecodeJournalRecord(frame)
+		if err != nil {
+			return journalRec{}, 0, [32]byte{}, err
+		}
+		return journalRec{kind: rec.Kind, payload: rec.Payload}, int64(rec.Seq), rec.Prev, nil
+	}
+	log, err := openChainlog(path, chainSeed(id), decode, func(rec journalRec) bool {
+		if !jl.fits(&rec, seen) {
+			return false
+		}
+		jl.apply(rec)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	id := strings.TrimSuffix(filepath.Base(path), journalExt)
-	jl := &journal{
-		id:      id,
-		updated: make(chan struct{}),
-		chain:   chainSeed(id),
-		path:    path,
-	}
-	out := &recoveredJournal{jl: jl}
-	var manifest *wire.JobManifest
-	var goodOffset int64
-	seenSeqs := map[int]bool{}
-	for {
-		frame, err := wire.ReadFrame(f)
-		if err != nil {
-			break // io.EOF: clean end; anything else: torn tail
-		}
-		rec, err := wire.DecodeJournalRecord(frame)
-		if err != nil || rec.Seq != len(jl.recs) || rec.Prev != jl.chain {
-			break
-		}
-		switch {
-		case rec.Seq == 0:
-			if rec.Kind != wire.JournalManifest {
-				goto done
-			}
-			if manifest, err = wire.DecodeJobManifest(rec.Payload); err != nil || manifest.ID != id {
-				goto done
-			}
-		case rec.Seq == 1:
-			if rec.Kind != wire.JournalHeader {
-				goto done
-			}
-			hdr, err := wire.DecodeModelStreamHeader(rec.Payload)
-			if err != nil {
-				goto done
-			}
-			jl.totalOps = hdr.TotalOps
-			out.header = rec.Payload
-			out.opHashes = make([][32]byte, hdr.TotalOps)
-		case rec.Kind == wire.JournalOp:
-			if jl.done {
-				goto done // record after completion is never legitimate
-			}
-			op, err := wire.DecodeOpProof(rec.Payload)
-			if err != nil || op.Seq >= jl.totalOps || seenSeqs[op.Seq] {
-				goto done
-			}
-			seenSeqs[op.Seq] = true
-			out.opHashes[op.Seq] = sha256.Sum256(rec.Payload)
-		case rec.Kind == wire.JournalError:
-			if jl.done {
-				goto done
-			}
-		default:
-			goto done
-		}
-		jl.chain = chainNext(jl.chain, rec.Payload)
-		jl.recs = append(jl.recs, journalRec{kind: rec.Kind, payload: rec.Payload})
-		switch rec.Kind {
-		case wire.JournalOp:
-			jl.ops++
-			if jl.ops == jl.totalOps {
-				jl.done = true
-			}
-		case wire.JournalError:
-			jl.done = true
-			if msg, err := wire.DecodeModelStreamError(rec.Payload); err == nil {
-				jl.errMsg = msg
-			}
-		}
-		var pos int64
-		if pos, err = f.Seek(0, 1); err != nil {
-			f.Close()
-			return nil, err
-		}
-		goodOffset = pos
-	}
-done:
-	if manifest == nil || len(jl.recs) < 2 {
-		f.Close()
+	jl.log = log
+	if len(jl.recs) < 2 {
+		log.close()
 		return nil, fmt.Errorf("server: %s holds no valid journal prefix", filepath.Base(path))
 	}
-	// Drop the torn tail on disk too, so the file and the verified
-	// in-memory state agree from here on.
-	if err := f.Truncate(goodOffset); err != nil {
-		f.Close()
-		return nil, err
+	return jl, nil
+}
+
+// fits checks one replayed record against the journal grammar and reads
+// what apply needs out of it: the manifest's identity and retention, the
+// header's op count, an op's report position (each distinct and below
+// the count). An error record must carry a decodable message, and
+// nothing may follow a terminal record.
+func (jl *journal) fits(rec *journalRec, seen map[int]bool) bool {
+	switch seq := len(jl.recs); {
+	case jl.done:
+		return false
+	case seq == 0:
+		m, err := wire.DecodeJobManifest(rec.payload)
+		if rec.kind != wire.JournalManifest || err != nil || m.ID != jl.id {
+			return false
+		}
+		jl.tenant = m.Tenant
+		jl.created = time.Unix(m.CreatedUnix, 0)
+		if m.DeadlineUnix != 0 {
+			jl.deadline = time.Unix(m.DeadlineUnix, 0)
+		}
+	case seq == 1:
+		hdr, err := wire.DecodeModelStreamHeader(rec.payload)
+		if rec.kind != wire.JournalHeader || err != nil || hdr.TotalOps < 1 {
+			return false
+		}
+		jl.totalOps = hdr.TotalOps
+		jl.opHashes = make([][32]byte, hdr.TotalOps)
+	case rec.kind == wire.JournalOp:
+		op, err := wire.DecodeOpProof(rec.payload)
+		if err != nil || op.Seq >= jl.totalOps || seen[op.Seq] {
+			return false
+		}
+		seen[op.Seq] = true
+		rec.opSeq = op.Seq
+	case rec.kind == wire.JournalError:
+		_, err := wire.DecodeModelStreamError(rec.payload)
+		return err == nil
+	default:
+		return false
 	}
-	if _, err := f.Seek(goodOffset, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	jl.file = f
-	jl.tenant = manifest.Tenant
-	jl.created = time.Unix(manifest.CreatedUnix, 0)
-	if manifest.DeadlineUnix != 0 {
-		jl.deadline = time.Unix(manifest.DeadlineUnix, 0)
-	}
-	out.complete = jl.done && jl.errMsg == ""
-	return out, nil
+	return true
 }

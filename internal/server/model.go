@@ -92,66 +92,76 @@ func (j *modelJob) run(s *Server, _ *zkvc.MatMulProver) {
 		s.metrics.modelOpsQueued.Add(delta)
 		s.metrics.queueUnits.Add(delta)
 	}()
-	_, err := zkml.ProveTraceContext(j.ctx, j.cfg, j.trace, s.modelOpts(j))
-	if err != nil {
+	opts := s.modelOpts(j.backend, j.proveNonlinear, func(op *zkml.OpProof) { s.streamOp(j, op) })
+	_, err := zkml.ProveTraceContext(j.ctx, j.cfg, j.trace, opts)
+	switch {
+	case j.completed.Load() == int64(j.plan):
+		// Every op was proved (and the report attested, see streamOp),
+		// even if the context ended after the last one.
+		s.metrics.modelJobsProved.Add(1)
+	case errors.Is(err, zkml.ErrCanceled):
 		// A client disconnect or failed frame write is routine churn,
 		// not a proving fault; keep prove_errors meaningful for
 		// operators alerting on it.
-		if errors.Is(err, zkml.ErrCanceled) {
-			s.metrics.modelJobsCanceled.Add(1)
-		} else {
-			s.metrics.proveErrors.Add(1)
-		}
+		s.metrics.modelJobsCanceled.Add(1)
 		j.events <- modelEvent{err: err}
-		return
+	default:
+		s.metrics.proveErrors.Add(1)
+		j.events <- modelEvent{err: err}
 	}
-	// Attest the whole report at once: header, every op frame digest in
-	// sequence order, and the tenant. A report relabeled, spliced from
-	// other issued reports, or reordered no longer matches. Canceled or
-	// failed jobs attest nothing.
-	d := modelReportDigest(j.header, j.opHashes, j.tenant)
-	if s.issued.add(d) {
-		s.replicate([][sha256.Size]byte{d}, nil)
-	}
-	s.metrics.modelJobsProved.Add(1)
 }
 
-// modelOpts assembles the compiler options for one model job: the
-// service's circuit options and seed, the client's backend and nonlinear
-// choice, payloads kept but ops discarded (each exists only long enough
-// to be framed and streamed), and Groth16 setups routed through the
-// shared digest-keyed CRS cache.
-func (s *Server) modelOpts(j *modelJob) zkml.Options {
+// modelOpts assembles the compiler options for a model job of either
+// kind: the service's circuit options and seed, the client's backend and
+// nonlinear choice, payloads kept but ops discarded (each exists only
+// long enough to be framed by onOp), and Groth16 setups routed through
+// the shared digest-keyed CRS cache.
+func (s *Server) modelOpts(backend zkml.Backend, proveNonlinear bool, onOp func(*zkml.OpProof)) zkml.Options {
 	opts := zkml.DefaultOptions()
-	opts.Backend = j.backend
+	opts.Backend = backend
 	opts.Circuit = s.cfg.Opts
-	opts.ProveNonlinear = j.proveNonlinear
+	opts.ProveNonlinear = proveNonlinear
 	opts.Seed = s.cfg.Seed
 	opts.KeepProofs = true
 	opts.DiscardOps = true
-	if j.backend == zkml.Groth16 {
+	if backend == zkml.Groth16 {
 		opts.Setup = s.circuitSetup
 	}
-	opts.OnOp = func(op *zkml.OpProof) {
-		frame := wire.EncodeOpProof(op)
-		j.opHashes[op.Seq] = sha256.Sum256(frame)
-		s.metrics.modelOpsProved.Add(1)
-		s.metrics.modelOpsQueued.Add(-1)
-		s.metrics.queueUnits.Add(-1)
-		j.completed.Add(1)
-		s.metrics.recordOpTimings(op)
-		select {
-		case j.events <- modelEvent{frame: frame}:
-		default:
-			// The handler (or its client) is behind; block, and account
-			// the stall so /metrics shows stream backpressure.
-			s.metrics.streamStalls.Add(1)
-			start := time.Now()
-			j.events <- modelEvent{frame: frame}
-			s.metrics.streamStallNanos.Add(time.Since(start).Nanoseconds())
+	opts.OnOp = onOp
+	return opts
+}
+
+// streamOp frames one proved op for the stream handler. It runs on
+// whichever worker goroutine finished the op.
+func (s *Server) streamOp(j *modelJob, op *zkml.OpProof) {
+	frame := wire.EncodeOpProof(op)
+	j.opHashes[op.Seq] = sha256.Sum256(frame)
+	s.metrics.modelOpsProved.Add(1)
+	s.metrics.modelOpsQueued.Add(-1)
+	s.metrics.queueUnits.Add(-1)
+	s.metrics.recordOpTimings(op)
+	if j.completed.Add(1) == int64(j.plan) {
+		// The plan's last op: attest the whole report — header, every op
+		// frame digest in sequence order, and the tenant — before its
+		// final frame is queued, so a client holding every op can verify
+		// at once. A report relabeled, spliced from other issued reports,
+		// or reordered no longer matches. Canceled or failed jobs never
+		// get here and attest nothing.
+		d := modelReportDigest(j.header, j.opHashes, j.tenant)
+		if s.issued.add(d) {
+			s.replicate([][sha256.Size]byte{d}, nil)
 		}
 	}
-	return opts
+	select {
+	case j.events <- modelEvent{frame: frame}:
+	default:
+		// The handler (or its client) is behind; block, and account the
+		// stall so /metrics shows stream backpressure.
+		s.metrics.streamStalls.Add(1)
+		start := time.Now()
+		j.events <- modelEvent{frame: frame}
+		s.metrics.streamStallNanos.Add(time.Since(start).Nanoseconds())
+	}
 }
 
 // circuitSetup is the SetupFunc model jobs use: Groth16 proving material
@@ -224,28 +234,48 @@ func ReportDigest(rep *zkml.Report, tenant string) [sha256.Size]byte {
 	return modelReportDigest(header, opHashes, tenant)
 }
 
-// submitModel admits a model job into the dispatcher. The job charges
-// its op count against the shared queue capacity: a parked model is
-// parked work proportional to its trace, not one slot.
-func (s *Server) submitModel(j *modelJob) error {
+// submitPlanned admits a model job of either kind into the dispatcher.
+// The job charges its op count against the shared queue capacity: a
+// parked model is parked work proportional to its trace, not one slot.
+func (s *Server) submitPlanned(j submission, plan int) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if s.metrics.queueUnits.Add(int64(j.plan)) > int64(s.cfg.QueueCap) {
-		s.metrics.queueUnits.Add(-int64(j.plan))
+	if s.metrics.queueUnits.Add(int64(plan)) > int64(s.cfg.QueueCap) {
+		s.metrics.queueUnits.Add(-int64(plan))
 		return errQueueFull
 	}
-	s.metrics.modelOpsQueued.Add(int64(j.plan))
+	s.metrics.modelOpsQueued.Add(int64(plan))
 	select {
 	case s.submit <- j:
 		return nil
 	default:
-		s.metrics.modelOpsQueued.Add(-int64(j.plan))
-		s.metrics.queueUnits.Add(-int64(j.plan))
+		s.metrics.modelOpsQueued.Add(-int64(plan))
+		s.metrics.queueUnits.Add(-int64(plan))
 		return errQueueFull
 	}
+}
+
+// planModel plans a submitted trace and returns its op count, answering
+// 400 for a trace that cannot be planned, has nothing to prove, or could
+// never be admitted: one bigger than the whole queue capacity gets that
+// said honestly instead of 503 forever.
+func (s *Server) planModel(w http.ResponseWriter, trace *nn.Trace, proveNonlinear bool) (int, bool) {
+	plan, err := zkml.PlanTrace(trace, zkml.Options{ProveNonlinear: proveNonlinear})
+	switch {
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	case len(plan) == 0:
+		http.Error(w, "trace has no provable operations", http.StatusBadRequest)
+	case len(plan) > s.cfg.QueueCap:
+		http.Error(w, fmt.Sprintf("trace has %d provable operations, above this service's queue capacity %d; split the model or raise QueueCap",
+			len(plan), s.cfg.QueueCap), http.StatusBadRequest)
+	default:
+		return len(plan), true
+	}
+	return 0, false
 }
 
 // handleProveModel proves a captured trace and streams each operation's
@@ -273,21 +303,8 @@ func (s *Server) handleProveModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	raw = nil
-	planOpts := zkml.Options{ProveNonlinear: req.ProveNonlinear}
-	plan, err := zkml.PlanTrace(req.Trace, planOpts)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(plan) == 0 {
-		http.Error(w, "trace has no provable operations", http.StatusBadRequest)
-		return
-	}
-	// A trace bigger than the whole queue capacity could never be
-	// admitted; say so honestly instead of returning 503 forever.
-	if len(plan) > s.cfg.QueueCap {
-		http.Error(w, fmt.Sprintf("trace has %d provable operations, above this service's queue capacity %d; split the model or raise QueueCap",
-			len(plan), s.cfg.QueueCap), http.StatusBadRequest)
+	plan, ok := s.planModel(w, req.Trace, req.ProveNonlinear)
+	if !ok {
 		return
 	}
 	ctx, cancel := context.WithCancel(r.Context())
@@ -299,17 +316,17 @@ func (s *Server) handleProveModel(w http.ResponseWriter, r *http.Request) {
 		cfg:            req.Cfg,
 		trace:          req.Trace,
 		ctx:            ctx,
-		plan:           len(plan),
-		opHashes:       make([][32]byte, len(plan)),
+		plan:           plan,
+		opHashes:       make([][32]byte, plan),
 		events:         make(chan modelEvent, modelEventBuffer),
 	}
 	j.header = wire.EncodeModelStreamHeader(&wire.ModelStreamHeader{
 		Model:    req.Cfg.Name,
 		Backend:  req.Backend,
 		Circuit:  s.cfg.Opts,
-		TotalOps: len(plan),
+		TotalOps: plan,
 	})
-	if err := s.submitModel(j); err != nil {
+	if err := s.submitPlanned(j, plan); err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
@@ -355,26 +372,12 @@ func (s *Server) handleProveModel(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	write(j.header)
-	// A client holding every announced op may post the report to
-	// /v1/verify/model at once, and run attests the report only after the
-	// last op is proved. So the last frame is held until events closes —
-	// which run defers past the attestation — and dropped if the job
-	// failed after all, since a failed job attests nothing.
-	var last []byte
-	sent := 0
 	for ev := range j.events {
 		if ev.err != nil {
 			write(wire.EncodeModelStreamError(ev.err.Error()))
 			return
 		}
-		if sent++; sent == j.plan {
-			last = ev.frame
-			continue
-		}
 		write(ev.frame)
-	}
-	if last != nil {
-		write(last)
 	}
 }
 

@@ -39,6 +39,17 @@
 //	GET  /metrics/prometheus      the same counters and gauges in Prometheus text exposition format
 //	GET  /healthz         liveness
 //
+// # Durable state
+//
+// With Config.JournalDir set the service keeps two kinds of file there,
+// both chainlogs (chainlog.go): one write-ahead journal per async job
+// (journal.go) and the issued-proof log (issued.go). A chainlog is
+// hash-chained, fsynced per append and cut back to its intact prefix on
+// startup. A report is attested in the same step that makes its last
+// frame visible — under the journal lock for async jobs, before the
+// final frame is queued for sync streams — so a client can verify the
+// moment it holds every op.
+//
 // # Tenancy
 //
 // A coalesced response carries the whole batch: every X in the window and
@@ -440,7 +451,7 @@ func (s *Server) submitJob(tenant string, x, w *zkvc.Matrix) (*wire.ProveRespons
 	// sheds no load; without this bound a burst of distinct tenants
 	// could park unbounded decoded matrices. The ledger (queueUnits) is
 	// shared with model jobs, which charge their per-op counts
-	// (submitModel); the single atomic add is what keeps concurrent
+	// (submitPlanned); the single atomic add is what keeps concurrent
 	// submissions of both kinds from jointly overshooting the cap.
 	// Units are released when a batch's proving finishes.
 	if s.metrics.queueUnits.Add(1) > int64(s.cfg.QueueCap) {
@@ -744,7 +755,7 @@ func (s *Server) handleProveMatMul(w http.ResponseWriter, r *http.Request) {
 	// transparently and never consult the log — attesting them would
 	// only push live Groth16/model attestations out of the bounded FIFO.
 	if s.cfg.Backend == zkvc.Groth16 {
-		d := issuedDigest(req.X, proof)
+		d := IssuedDigest(req.X, proof)
 		if s.issued.add(d) {
 			s.replicate([][sha256.Size]byte{d}, nil)
 		}
@@ -797,7 +808,7 @@ func (s *Server) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 		for i, pair := range req.Pairs {
 			xs[i] = pair[0]
 		}
-		d := issuedBatchDigest(&wire.ProveResponse{Index: 0, Xs: xs, Batch: proof})
+		d := IssuedBatchDigest(&wire.ProveResponse{Index: 0, Xs: xs, Batch: proof})
 		if s.issued.add(d) {
 			s.replicate([][sha256.Size]byte{d}, nil)
 		}
@@ -832,7 +843,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	// from a setup a cluster member ran, so re-checking against it is
 	// sound. Everything else must use the transparent Spartan backend,
 	// which verifies without trusting prover-supplied material.
-	if req.Proof.Backend == zkvc.Groth16 && !s.attested(issuedDigest(req.X, req.Proof)) {
+	if req.Proof.Backend == zkvc.Groth16 && !s.attested(IssuedDigest(req.X, req.Proof)) {
 		s.metrics.vkRejects.Add(1)
 		writeVerdict(w, fmt.Errorf("%w: per-statement Groth16 proofs carry a prover-supplied verifying key this service has no reason to trust (only proofs this service issued are re-checked; attestations also expire from the bounded issued log); use the Spartan backend", zkvc.ErrVerification))
 		return
@@ -855,7 +866,7 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	// per-statement Fiat–Shamir challenges). A Groth16 batch proof is
 	// only checked against its own embedded verifying key, so it proves
 	// nothing unless this service ran the setup — i.e. issued the batch.
-	if resp.Batch.Backend == zkvc.Groth16 && !s.attested(issuedBatchDigest(resp)) {
+	if resp.Batch.Backend == zkvc.Groth16 && !s.attested(IssuedBatchDigest(resp)) {
 		s.metrics.vkRejects.Add(1)
 		writeVerdict(w, fmt.Errorf("%w: Groth16 batch proofs carry a prover-supplied verifying key; only batches this service issued are accepted", zkvc.ErrVerification))
 		return

@@ -133,7 +133,8 @@ const maxJournalKind = JournalError
 // hash chain up to the previous record (sha256 over the job ID for the
 // first record), so a journal read back from disk proves its own
 // integrity and any torn or tampered suffix is detected instead of
-// replayed; see the server's journal chain for the exact chaining rule.
+// replayed; see the server's chainlog (internal/server/chainlog.go) for
+// the exact chaining rule.
 type JournalRecord struct {
 	Seq     int
 	Kind    byte
