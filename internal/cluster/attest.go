@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"net/http"
 
+	"zkvc/internal/server"
 	"zkvc/internal/wire"
 )
 
@@ -80,7 +81,7 @@ func (c *Coordinator) verifyCandidates(key []byte, digest [sha256.Size]byte) []*
 // best-effort: a replica that cannot be reached right now simply misses
 // this update, and the issuer's durable log remains the ground truth.
 func (c *Coordinator) handleAttest(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBodyN(w, r, maxAttestBodyBytes)
+	raw, ok := server.ReadBody(w, r, maxAttestBodyBytes)
 	if !ok {
 		return
 	}

@@ -8,21 +8,29 @@
 // options); model: (tenant, backend, trace circuit structure) — so a
 // tenant's repeated shapes hit one node's Groth16 CRS cache instead of
 // every node re-deriving every shape, and adding a node only remaps the
-// 1/n of the keyspace it takes over. The coordinator forwards request
-// bodies byte-for-byte (the Zkvc-Tenant header travels verbatim — a
-// dropped header would silently merge tenants' coalescing windows on
-// the node) and passes model stream frames through unmodified, with the
-// same per-frame write deadline discipline as the nodes themselves.
+// 1/n of the keyspace it takes over.
 //
-// Failure handling: a job whose node cannot be reached (or sheds load
-// with 503) is retried, unstarted, against the next node in hash order;
-// a node that dies mid-model-stream is surfaced to the client as an
-// in-stream error frame — started ops cannot be transparently replayed,
-// because the stream already carries their frames. A periodic
-// /metrics-based probe marks unreachable nodes unhealthy: they stop
-// receiving new work but finish what they accepted (forwarding is
-// synchronous, so nothing is queued at the coordinator), which is also
-// exactly what Drain does on demand.
+// Forwarding is one table (forward.go): a row per endpoint of the node
+// surface, and one function that relays every row. The body limit is
+// the node's own, so the coordinator never forwards what a node would
+// reject. The model-slot column bounds buffered model bodies exactly as
+// a node does. The finder column names the candidates: the affinity rank
+// for prove routes and submissions, the issuer then the digest's
+// replicas for verifies, the job's home node for job exchanges. The
+// retry column says which answers leave the exchange unstarted — a
+// transport error always, a 503 on prove routes, a 503 or 429 on a
+// submission — and only those move to the next candidate. The stream
+// column commits a frame stream to its node on the first frame, after
+// which a node death is an in-stream error frame. The accepted column
+// records a submitted job's home node and forgets a canceled one.
+// Bodies are forwarded byte for byte and the Zkvc-Tenant header
+// verbatim: a dropped header would silently merge tenants' coalescing
+// windows on the node.
+//
+// A periodic /metrics-based probe marks unreachable nodes unhealthy:
+// they stop receiving new work but finish what they accepted
+// (forwarding is synchronous, so nothing is queued at the coordinator),
+// which is also exactly what Drain does on demand.
 //
 // Verify endpoints route by the same affinity as their prove
 // counterparts, so a resubmitted proof finds the node whose issued log
@@ -147,10 +155,10 @@ type Coordinator struct {
 	nodes []*node
 
 	// modelSlots bounds concurrent model-endpoint requests while their
-	// (up to maxModelBodyBytes) bodies are buffered here — the same
-	// protection the nodes have, because routing does not make the
-	// coordinator's memory any less finite.
-	modelSlots chan struct{}
+	// bodies are buffered here — the same protection the nodes have,
+	// because routing does not make the coordinator's memory any less
+	// finite.
+	modelSlots server.ModelSlots
 
 	// jobRoutes remembers which node each accepted async job lives on,
 	// so status/stream/cancel exchanges find the journal again.
@@ -179,7 +187,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:        cfg,
-		modelSlots: make(chan struct{}, modelBodySlots),
+		modelSlots: server.NewModelSlots(),
 		jobRoutes:  newJobRouteTable(),
 		stop:       make(chan struct{}),
 	}
@@ -355,22 +363,18 @@ func (c *Coordinator) healthyRanked(key []byte) []*node {
 	return out
 }
 
-// Handler returns the coordinator's HTTP surface: the full proving
-// surface of a node (forwarded), plus the cluster control plane.
+// maxControlBodyBytes bounds control-plane bodies (announce, heartbeat)
+// and the node answers buffered for a failover message.
+const maxControlBodyBytes = 1 << 16
+
+// Handler returns the coordinator's HTTP surface: the forwarding table,
+// then the cluster control plane.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/prove", c.handleProve)
-	mux.HandleFunc("POST /v1/prove/matmul", c.handleProve)
-	mux.HandleFunc("POST /v1/prove/batch", c.handleProveBatch)
-	mux.HandleFunc("POST /v1/prove/model", c.handleProveModel)
-	mux.HandleFunc("POST /v1/jobs", c.handleSubmitJob)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJobStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", c.handleJobStreamGet)
-	mux.HandleFunc("POST /v1/jobs/stream", c.handleJobStreamPost)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleJobCancel)
-	mux.HandleFunc("POST /v1/verify", c.handleVerify)
-	mux.HandleFunc("POST /v1/verify/batch", c.handleVerifyBatch)
-	mux.HandleFunc("POST /v1/verify/model", c.handleVerifyModel)
+	for i := range routes {
+		rt := &routes[i]
+		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { c.forward(w, r, rt) })
+	}
 	mux.HandleFunc("POST /v1/cluster/announce", c.handleAnnounce)
 	mux.HandleFunc("POST /v1/cluster/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v1/cluster/drain", c.handleDrain)
@@ -388,7 +392,7 @@ func (c *Coordinator) ListenAndServe(addr string) error {
 }
 
 func (c *Coordinator) handleAnnounce(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBodyN(w, r, maxControlBodyBytes)
+	raw, ok := server.ReadBody(w, r, maxControlBodyBytes)
 	if !ok {
 		return
 	}
@@ -406,7 +410,7 @@ func (c *Coordinator) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBodyN(w, r, maxControlBodyBytes)
+	raw, ok := server.ReadBody(w, r, maxControlBodyBytes)
 	if !ok {
 		return
 	}

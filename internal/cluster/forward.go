@@ -1,434 +1,370 @@
 package cluster
 
-// Forwarding: every proving-surface endpoint decodes just enough of its
-// body to derive the affinity key, then relays the original bytes to
-// the key's home node — bodies are forwarded unmodified, so the node
-// sees exactly what the client sent (and issued-proof digests, which
-// bind exact bytes, keep working). Decoding at the coordinator doubles
-// as an input filter: malformed bodies die here with a 400 instead of
-// costing a node a round trip.
+// Forwarding: every endpoint of the node surface the coordinator serves
+// is one row of the routes table, and one function, forward, relays them
+// all. Bodies reach the node byte for byte with the Zkvc-Tenant header
+// verbatim, so the node sees exactly what the client sent (and
+// issued-proof digests, which bind exact bytes, keep working). A row's
+// columns are the whole per-endpoint policy:
+//
+//   - limit bounds the buffered body with the node's own bound (0: the
+//     route has no body).
+//   - modelSlot holds one of the coordinator's model-body slots while the
+//     body is buffered, shedding with 503 exactly like a node past its
+//     bound.
+//   - find decodes just enough of the request to list its candidate
+//     nodes in order — the affinity rank for new work, the issuer then
+//     the digest's replicas for a verify, the journal's node for a job
+//     exchange — so a malformed body dies here with a 400 instead of
+//     costing a node a round trip.
+//   - retry lists the answers that mean "unstarted, try the next node";
+//     a transport error always does.
+//   - stream marks frame-stream replies, which commit to their node on
+//     the first frame.
+//   - accepted sees every buffered answer before it is relayed.
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
+	"slices"
 	"time"
 
-	"zkvc"
 	"zkvc/internal/server"
 	"zkvc/internal/wire"
 )
 
-// Body bounds, mirroring the node-side limits: what a node would
-// reject, the coordinator need not forward.
-const (
-	maxBodyBytes        = 64 << 20
-	maxModelBodyBytes   = 1 << 30
-	maxControlBodyBytes = 1 << 16
+// route is one forwarded endpoint.
+type route struct {
+	pattern   string
+	limit     int64
+	modelSlot bool
+	find      finder
+	retry     []int
+	stream    bool
+	accepted  func(c *Coordinator, r *http.Request, n *node, code int, body []byte)
+}
+
+// finder lists a request's candidate nodes, most preferred first. An
+// error is the client's: a *server.StatusError carries its own code,
+// anything else is a 400.
+type finder func(c *Coordinator, r *http.Request, body []byte) ([]*node, error)
+
+// Retry policies. A proving job shed with 503 is safe anywhere — any node
+// produces an equally valid proof — and a submission refused with 429
+// (quota or queue) may be admitted by the next node. A verify answer is
+// node state, not work: only the issuer's log (or a replica's) can vouch
+// for a proof, so failing a busy verify over would turn a transient 503
+// into a definitive, wrong "not issued". Verifies and job exchanges
+// therefore move on only when their node is unreachable.
+var (
+	onShed        = []int{http.StatusServiceUnavailable}
+	onShedOrQuota = []int{http.StatusServiceUnavailable, http.StatusTooManyRequests}
 )
 
-// modelBodySlots mirrors the node-side bound on concurrent buffered
-// model bodies.
-const modelBodySlots = 4
+var routes = []route{
+	{pattern: "POST /v1/prove", limit: server.MaxBodyBytes, find: byAffinity(proveKey), retry: onShed},
+	{pattern: "POST /v1/prove/matmul", limit: server.MaxBodyBytes, find: byAffinity(proveKey), retry: onShed},
+	{pattern: "POST /v1/prove/batch", limit: server.MaxBodyBytes, find: byAffinity(batchKey), retry: onShed},
+	{pattern: "POST /v1/prove/model", limit: server.MaxModelBodyBytes, modelSlot: true, find: byAffinity(modelProveKey), retry: onShed, stream: true},
+	{pattern: "POST /v1/jobs", limit: server.MaxModelBodyBytes, modelSlot: true, find: byAffinity(submitKey), retry: onShedOrQuota, accepted: recordJobRoute},
+	{pattern: "GET /v1/jobs/{id}", find: byJobHome(pathJobID)},
+	{pattern: "GET /v1/jobs/{id}/stream", find: byJobHome(pathJobID), stream: true},
+	{pattern: "POST /v1/jobs/stream", limit: server.MaxBodyBytes, find: byJobHome(bodyJobID), stream: true},
+	{pattern: "DELETE /v1/jobs/{id}", find: byJobHome(pathJobID), accepted: dropJobRoute},
+	{pattern: "POST /v1/verify", limit: server.MaxBodyBytes, find: byIssuer(verifyKey)},
+	{pattern: "POST /v1/verify/batch", limit: server.MaxBodyBytes, find: byIssuer(verifyBatchKey)},
+	{pattern: "POST /v1/verify/model", limit: server.MaxModelBodyBytes, modelSlot: true, find: byIssuer(verifyModelKey)},
+}
 
-// acquireModelSlot bounds concurrent model-endpoint body buffering;
-// past the bound the coordinator sheds load exactly like a node would.
-func (c *Coordinator) acquireModelSlot(w http.ResponseWriter) (func(), bool) {
-	select {
-	case c.modelSlots <- struct{}{}:
-		var once sync.Once
-		return func() { once.Do(func() { <-c.modelSlots }) }, true
-	default:
-		http.Error(w, "too many concurrent model requests", http.StatusServiceUnavailable)
-		return nil, false
+// byAffinity places new work: healthy nodes in rendezvous order on the
+// request's affinity key.
+func byAffinity(key func(c *Coordinator, r *http.Request, body []byte) ([]byte, error)) finder {
+	return func(c *Coordinator, r *http.Request, body []byte) ([]*node, error) {
+		k, err := key(c, r, body)
+		if err != nil {
+			return nil, err
+		}
+		return c.healthyRanked(k), nil
 	}
 }
 
-func readBodyN(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
-		return nil, false
+// byIssuer orders a verification's candidates (verifyCandidates): the
+// node prove-time affinity picked, then the attestation digest's
+// replicas.
+func byIssuer(key func(c *Coordinator, r *http.Request, body []byte) ([]byte, [sha256.Size]byte, error)) finder {
+	return func(c *Coordinator, r *http.Request, body []byte) ([]*node, error) {
+		k, digest, err := key(c, r, body)
+		if err != nil {
+			return nil, err
+		}
+		return c.verifyCandidates(k, digest), nil
 	}
-	return raw, true
 }
 
-// post relays one request body to this node, with the tenant header
-// forwarded verbatim. Forwarding — not re-encoding — is what keeps the
-// bytes the node attests identical to the bytes the client holds.
-func (n *node) post(r *http.Request, path, tenant string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, n.url+path, bytes.NewReader(body))
+func tenantOf(r *http.Request) string { return r.Header.Get(server.TenantHeader) }
+
+// proveKey keys both single-statement proving routes by the (tenant,
+// shape, options) key /v1/verify uses, so a proof's verification finds
+// the node whose issued log attests it.
+func proveKey(c *Coordinator, r *http.Request, body []byte) ([]byte, error) {
+	req, err := wire.DecodeProveRequest(body)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if tenant != "" {
+	return matmulKey(tenantOf(r), req.X.Rows, req.X.Cols, req.W.Cols, c.cfg.Opts), nil
+}
+
+// batchKey keys a direct batch by its first pair — the canonical-member
+// rule /v1/verify/batch uses.
+func batchKey(c *Coordinator, r *http.Request, body []byte) ([]byte, error) {
+	req, err := wire.DecodeProveBatchRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	x, w := req.Pairs[0][0], req.Pairs[0][1]
+	return matmulKey(tenantOf(r), x.Rows, x.Cols, w.Cols, c.cfg.Opts), nil
+}
+
+func modelProveKey(_ *Coordinator, r *http.Request, body []byte) ([]byte, error) {
+	req, err := wire.DecodeProveModelRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	return modelKeyFromRequest(tenantOf(r), req)
+}
+
+// submitKey routes an async job exactly like a sync model job, so a job
+// and its later verification land on one node.
+func submitKey(_ *Coordinator, r *http.Request, body []byte) ([]byte, error) {
+	req, err := wire.DecodeJobSubmitRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	return modelKeyFromRequest(tenantOf(r), req.Model)
+}
+
+func verifyKey(c *Coordinator, r *http.Request, body []byte) ([]byte, [sha256.Size]byte, error) {
+	req, err := wire.DecodeVerifyRequest(body)
+	if err != nil {
+		return nil, [sha256.Size]byte{}, err
+	}
+	key := matmulKey(tenantOf(r), req.X.Rows, req.X.Cols, req.Proof.Y.Cols, c.cfg.Opts)
+	return key, server.IssuedDigest(req.X, req.Proof), nil
+}
+
+// verifyBatchKey keys by the first statement: every job of a coalesced
+// batch was routed by its own (tenant, shape) key, so the first — the
+// canonical member — finds the issuing node again.
+func verifyBatchKey(c *Coordinator, r *http.Request, body []byte) ([]byte, [sha256.Size]byte, error) {
+	resp, err := wire.DecodeProveResponse(body)
+	if err != nil {
+		return nil, [sha256.Size]byte{}, err
+	}
+	x := resp.Xs[0]
+	key := matmulKey(tenantOf(r), x.Rows, x.Cols, resp.Batch.Shapes[0][2], c.cfg.Opts)
+	return key, server.IssuedBatchDigest(resp), nil
+}
+
+// verifyModelKey re-derives the prove-time model key from the report. The
+// request decodes exactly as on a node (?mode= required, matching the
+// body's), so a disagreeing request dies here, not a hop later.
+func verifyModelKey(_ *Coordinator, r *http.Request, body []byte) ([]byte, [sha256.Size]byte, error) {
+	req, err := server.DecodeVerifyModel(r, body)
+	if err != nil {
+		return nil, [sha256.Size]byte{}, err
+	}
+	tenant := tenantOf(r)
+	return modelKeyFromReport(tenant, req.Report), server.ReportDigest(req.Report, tenant), nil
+}
+
+// forward relays one client exchange along its route: the only candidate
+// loop in the coordinator. Attempts that leave the exchange unstarted
+// move to the next candidate; the first other answer is relayed.
+func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, rt *route) {
+	release := func() {}
+	if rt.modelSlot {
+		var ok bool
+		if release, ok = c.modelSlots.Acquire(w); !ok {
+			return
+		}
+		defer release()
+	}
+	var body []byte
+	if rt.limit > 0 {
+		var ok bool
+		if body, ok = server.ReadBody(w, r, rt.limit); !ok {
+			return
+		}
+	}
+	nodes, err := rt.find(c, r, body)
+	var se *server.StatusError
+	switch {
+	case errors.As(err, &se):
+		http.Error(w, se.Body, se.Code)
+		return
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(nodes) == 0 {
+		c.metrics.unroutable.Add(1)
+		http.Error(w, "no healthy prover nodes", http.StatusServiceUnavailable)
+		return
+	}
+	var shed *http.Response // the last 429, relayed if no candidate admits the job
+	var shedBody []byte
+	var lastErr string
+	for i, n := range nodes {
+		if i > 0 {
+			c.metrics.retried.Add(1)
+		}
+		resp, err := n.send(r, body)
+		if err == nil && rt.stream && resp.StatusCode == http.StatusOK {
+			// Read the first frame before committing to this node: a node
+			// that dies this early left nothing with the client, so the
+			// exchange is still unstarted.
+			var first []byte
+			if first, err = wire.ReadFrame(resp.Body); err == nil {
+				// Committed. No retry can use the body again: let it (and
+				// the slot bounding it) go before a relay that lasts as
+				// long as proving does.
+				body = nil
+				release()
+				c.relayStream(w, r, n, first, resp.Body)
+				resp.Body.Close()
+				return
+			}
+			resp.Body.Close()
+		}
+		if err == nil && !slices.Contains(rt.retry, resp.StatusCode) {
+			c.answer(w, r, rt, n, resp)
+			return
+		}
+		if err != nil {
+			lastErr = fmt.Sprintf("node %s: %v", n.name, err)
+		} else {
+			msg, _ := io.ReadAll(io.LimitReader(resp.Body, maxControlBodyBytes))
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusTooManyRequests {
+				shed, shedBody = resp, msg
+			}
+			lastErr = fmt.Sprintf("node %s: %d: %s", n.name, resp.StatusCode, bytes.TrimSpace(msg))
+		}
+		if r.Context().Err() != nil {
+			// The client hung up: not the node's failure, and nobody is
+			// left to answer.
+			return
+		}
+		n.failedOver.Add(1)
+		c.metrics.failedOver.Add(1)
+	}
+	c.metrics.unroutable.Add(1)
+	if shed != nil {
+		// Every candidate shed: the cluster is honestly saturated, and its
+		// answer is a node's, Retry-After and queue position included.
+		writeAnswer(w, shed, shedBody)
+		return
+	}
+	http.Error(w, "every candidate node failed: "+lastErr, http.StatusServiceUnavailable)
+}
+
+// send issues the client's request to this node — same method, path and
+// query, the buffered body (nil for a bodyless route) and the tenant
+// header. Forwarding, not re-encoding, is what keeps the bytes the node
+// attests identical to the bytes the client holds.
+func (n *node) send(r *http.Request, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, n.url+r.URL.RequestURI(), rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/octet-stream")
+	}
+	if tenant := tenantOf(r); tenant != "" {
 		req.Header.Set(server.TenantHeader, tenant)
 	}
 	return n.forward.Do(req)
 }
 
-// retryable reports whether an attempt's failure left the job
-// unstarted, making it safe to hand to the next node in hash order: a
-// transport error means no response ever arrived, and a 503 means the
-// node refused to admit the job (shedding load or shutting down).
-func retryable(resp *http.Response, err error) bool {
-	return err != nil || resp.StatusCode == http.StatusServiceUnavailable
-}
-
-// forwardBuffered routes one buffered request-response exchange by key,
-// failing unstarted attempts over to the next node in hash order.
-//
-// failover503 distinguishes prove semantics from verify semantics. A
-// proving job shed with 503 is safe anywhere — any node produces an
-// equally valid proof — so it moves on. A verify answer is node-STATE,
-// not work: only the issuing node's log can vouch for a proof, so
-// failing a shed verify over to another node would turn a transient
-// "busy" into a definitive (and wrong) "not issued by this service".
-// Verify requests therefore relay the 503 verbatim — honestly
-// retryable — and fail over only when the node is unreachable. The
-// fallback for verify is the digest's replica set (verifyCandidates):
-// a replica holding the replicated attestation vouches in the issuer's
-// stead, and only if no candidate holds it is the policy rejection the
-// service's answer (same as attestation expiry).
-func (c *Coordinator) forwardBuffered(w http.ResponseWriter, r *http.Request, path string, key []byte, body []byte, failover503 bool) {
-	c.forwardToCandidates(w, r, path, c.healthyRanked(key), body, failover503)
-}
-
-// forwardToCandidates relays one buffered exchange to the first
-// candidate node that produces an answer, in the order given. It is
-// forwardBuffered with the candidate ordering factored out: prove paths
-// pass plain affinity order, verify paths pass verifyCandidates — the
-// issuer first, then the digest's attestation replicas.
-func (c *Coordinator) forwardToCandidates(w http.ResponseWriter, r *http.Request, path string, nodes []*node, body []byte, failover503 bool) {
-	if len(nodes) == 0 {
-		c.metrics.unroutable.Add(1)
-		http.Error(w, "no healthy prover nodes", http.StatusServiceUnavailable)
-		return
-	}
-	tenant := r.Header.Get(server.TenantHeader)
-	var lastErr string
-	for i, n := range nodes {
-		if i > 0 {
-			c.metrics.retried.Add(1)
-		}
-		resp, err := n.post(r, path, tenant, body)
-		if err != nil || (failover503 && resp.StatusCode == http.StatusServiceUnavailable) {
-			if err != nil {
-				lastErr = fmt.Sprintf("node %s: %v", n.name, err)
-			} else {
-				raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-				resp.Body.Close()
-				lastErr = fmt.Sprintf("node %s: 503: %s", n.name, bytes.TrimSpace(raw))
-			}
-			n.failedOver.Add(1)
-			c.metrics.failedOver.Add(1)
-			continue
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			// The node produced a response and died inside it: the job
-			// started, so it is not ours to replay.
-			http.Error(w, fmt.Sprintf("node %s failed mid-response: %v", n.name, err), http.StatusBadGateway)
-			return
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		w.WriteHeader(resp.StatusCode)
-		w.Write(raw)
-		n.routed.Add(1)
-		c.metrics.routed.Add(1)
-		return
-	}
-	c.metrics.unroutable.Add(1)
-	http.Error(w, "every candidate node failed: "+lastErr, http.StatusServiceUnavailable)
-}
-
-// handleProve serves both single-statement proving routes — coalescing
-// /v1/prove and per-statement /v1/prove/matmul — forwarding to the same
-// path on the node. Both route by the (tenant, shape, options) key
-// /v1/verify uses, so a proof's later verification finds the node whose
-// issued log attests it.
-func (c *Coordinator) handleProve(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBodyN(w, r, maxBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeProveRequest(raw)
+// answer relays a node's buffered answer and counts the exchange routed.
+func (c *Coordinator) answer(w http.ResponseWriter, r *http.Request, rt *route, n *node, resp *http.Response) {
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		// The node produced a response and died inside it: the exchange
+		// started, so it is not ours to replay.
+		http.Error(w, fmt.Sprintf("node %s failed mid-response: %v", n.name, err), http.StatusBadGateway)
 		return
 	}
-	key := matmulKey(r.Header.Get(server.TenantHeader), req.X.Rows, req.X.Cols, req.W.Cols, c.cfg.Opts)
-	c.forwardBuffered(w, r, r.URL.Path, key, raw, true)
+	if rt.accepted != nil {
+		rt.accepted(c, r, n, resp.StatusCode, raw)
+	}
+	writeAnswer(w, resp, raw)
+	n.routed.Add(1)
+	c.metrics.routed.Add(1)
 }
 
-// handleProveBatch routes a direct batch job by its first pair's shape —
-// the same canonical-member rule /v1/verify/batch uses, so a batch and
-// its verification land on one node.
-func (c *Coordinator) handleProveBatch(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBodyN(w, r, maxBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeProveBatchRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	x, wm := req.Pairs[0][0], req.Pairs[0][1]
-	key := matmulKey(r.Header.Get(server.TenantHeader), x.Rows, x.Cols, wm.Cols, c.cfg.Opts)
-	c.forwardBuffered(w, r, "/v1/prove/batch", key, raw, true)
-}
-
-// handleVerify routes a verification to the node whose shape slice the
-// proof belongs to — for Groth16 proofs, the node whose issued log
-// attests it, then the digest's replicas.
-func (c *Coordinator) handleVerify(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBodyN(w, r, maxBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeVerifyRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	key := matmulKey(r.Header.Get(server.TenantHeader), req.X.Rows, req.X.Cols, req.Proof.Y.Cols, c.cfg.Opts)
-	digest := server.IssuedDigest(req.X, req.Proof)
-	c.forwardToCandidates(w, r, "/v1/verify", c.verifyCandidates(key, digest), raw, false)
-}
-
-// handleVerifyBatch routes by the first statement's shape: every job in
-// a coalesced batch routed to the issuing node by its own (tenant,
-// shape) key, so any member's key — the first is canonical — finds the
-// node again.
-func (c *Coordinator) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBodyN(w, r, maxBodyBytes)
-	if !ok {
-		return
-	}
-	resp, err := wire.DecodeProveResponse(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	x := resp.Xs[0]
-	key := matmulKey(r.Header.Get(server.TenantHeader), x.Rows, x.Cols, resp.Batch.Shapes[0][2], c.cfg.Opts)
-	digest := server.IssuedBatchDigest(resp)
-	c.forwardToCandidates(w, r, "/v1/verify/batch", c.verifyCandidates(key, digest), raw, false)
-}
-
-// handleVerifyModel routes a ?mode=per-op|aggregate report verification
-// to the node that issued the report, by the same CRS-affinity key the
-// prove path used. The mode query survives the forward: it rides on the
-// relayed path, and the body's embedded mode must already match it
-// (checked here so a disagreeing frame dies at the coordinator, not a
-// hop later).
-func (c *Coordinator) handleVerifyModel(w http.ResponseWriter, r *http.Request) {
-	release, ok := c.acquireModelSlot(w)
-	if !ok {
-		return
-	}
-	defer release()
-	raw, ok := readBodyN(w, r, maxModelBodyBytes)
-	if !ok {
-		return
-	}
-	q := r.URL.Query().Get("mode")
-	if q == "" {
-		http.Error(w, fmt.Sprintf("missing ?mode= query: /v1/verify/model needs ?mode=%s or ?mode=%s", zkvc.VerifyPerOp, zkvc.VerifyAggregate), http.StatusBadRequest)
-		return
-	}
-	mode, err := zkvc.ParseVerifyMode(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	req, err := wire.DecodeVerifyModelRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.Mode != mode {
-		http.Error(w, fmt.Sprintf("request body carries mode %q, query requests %q", req.Mode, mode), http.StatusBadRequest)
-		return
-	}
-	tenant := r.Header.Get(server.TenantHeader)
-	key := modelKeyFromReport(tenant, req.Report)
-	digest := server.ReportDigest(req.Report, tenant)
-	c.forwardToCandidates(w, r, "/v1/verify/model?mode="+mode.String(), c.verifyCandidates(key, digest), raw, false)
-}
-
-// errClientGone marks a relay failure on the client side of the stream;
-// the node is fine, there is just nobody left to tell.
-var errClientGone = errors.New("cluster: client stopped reading the stream")
-
-// handleProveModel forwards a model job and passes the response stream
-// through frame by frame, unmodified. Attempts that fail before the
-// first frame arrives fail over like any unstarted job; once a frame
-// has been forwarded the stream is committed to its node, and a node
-// death becomes an in-stream error frame — the client's decoder
-// surfaces it as a server error instead of a silent truncation. The
-// buffered request body (and its slot) is released the moment the
-// stream commits: the relay can run for as long as proving does, and
-// holding gigabytes of already-delivered input across it would starve
-// the slot pool for nothing.
-func (c *Coordinator) handleProveModel(w http.ResponseWriter, r *http.Request) {
-	release, ok := c.acquireModelSlot(w)
-	if !ok {
-		return
-	}
-	defer release()
-	raw, ok := readBodyN(w, r, maxModelBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeProveModelRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	key, err := modelKeyFromRequest(r.Header.Get(server.TenantHeader), req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	req = nil
-
-	nodes := c.healthyRanked(key)
-	if len(nodes) == 0 {
-		c.metrics.unroutable.Add(1)
-		http.Error(w, "no healthy prover nodes", http.StatusServiceUnavailable)
-		return
-	}
-	tenant := r.Header.Get(server.TenantHeader)
-	var lastErr string
-	for i, n := range nodes {
-		if i > 0 {
-			c.metrics.retried.Add(1)
+// writeAnswer writes a node's status, body and the headers a client acts
+// on, verbatim.
+func writeAnswer(w http.ResponseWriter, resp *http.Response, raw []byte) {
+	for _, h := range []string{"Content-Type", "Location", "Retry-After"} {
+		if v := resp.Header.Get(h); v != "" {
+			w.Header().Set(h, v)
 		}
-		resp, err := n.post(r, "/v1/prove/model", tenant, raw)
-		if retryable(resp, err) {
-			if err != nil {
-				lastErr = fmt.Sprintf("node %s: %v", n.name, err)
-			} else {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-				resp.Body.Close()
-				lastErr = fmt.Sprintf("node %s: 503: %s", n.name, bytes.TrimSpace(msg))
-			}
-			n.failedOver.Add(1)
-			c.metrics.failedOver.Add(1)
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			// A node-side rejection (400 etc.) is the job's real answer;
-			// relay it verbatim.
-			msg, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if ct := resp.Header.Get("Content-Type"); ct != "" {
-				w.Header().Set("Content-Type", ct)
-			}
-			w.WriteHeader(resp.StatusCode)
-			w.Write(msg)
-			n.routed.Add(1)
-			c.metrics.routed.Add(1)
-			return
-		}
-		// Read the first frame before committing to this node: a node
-		// that dies this early left nothing with the client, so its job
-		// is still unstarted from the client's side and can fail over.
-		first, err := wire.ReadFrame(resp.Body)
-		if err != nil {
-			resp.Body.Close()
-			n.failedOver.Add(1)
-			c.metrics.failedOver.Add(1)
-			lastErr = fmt.Sprintf("node %s: %v", n.name, err)
-			continue
-		}
-		// Committed. The request body has been delivered and no retry can
-		// use it again — let it (and the slot bounding it) go before the
-		// long relay.
-		raw = nil
-		release()
-		_, relayErr := c.relayFrames(w, first, resp.Body)
-		resp.Body.Close()
-		switch {
-		case relayErr == nil:
-			n.routed.Add(1)
-			c.metrics.routed.Add(1)
-		case errors.Is(relayErr, errClientGone), r.Context().Err() != nil:
-			// Nothing to report and nobody to report it to. The second
-			// clause matters: the forward to the node runs under the
-			// client's request context, so a client that cancels
-			// mid-stream surfaces here as a failed READ from the node —
-			// without the context check that would be misattributed as a
-			// node death and pollute cluster_stream_errors.
-		default:
-			// Mid-stream death with frames already forwarded: started ops
-			// cannot be replayed under this stream, so surface the failure
-			// in-stream.
-			c.metrics.streamErrors.Add(1)
-			n.failedOver.Add(1)
-			c.writeStreamError(w, fmt.Sprintf("prover node %s failed mid-stream: %v", n.name, relayErr))
-		}
-		return
 	}
-	c.metrics.unroutable.Add(1)
-	http.Error(w, "every candidate node failed: "+lastErr, http.StatusServiceUnavailable)
+	w.WriteHeader(resp.StatusCode)
+	w.Write(raw)
 }
 
-// relayFrames pipes length-prefixed frames from the node to the client
-// — first (already read by the caller's commit check), then the rest —
-// flushing each and applying the per-frame write deadline the nodes
-// themselves use. It returns how many frames reached the client and,
-// on failure, whether the broken side was the node (its error) or the
-// client (errClientGone).
-func (c *Coordinator) relayFrames(w http.ResponseWriter, first []byte, from io.Reader) (int, error) {
+// relayStream pipes a committed frame stream from the node to the client
+// unmodified — frame, then the rest — flushing each and applying the
+// per-frame write deadline the nodes themselves use. Started ops cannot
+// be replayed under a stream the client already holds frames of, so a
+// node that dies mid-stream becomes an in-stream ModelStreamError frame,
+// never a silent truncation.
+func (c *Coordinator) relayStream(w http.ResponseWriter, r *http.Request, n *node, frame []byte, from io.Reader) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
-	forwarded := 0
-	write := func(frame []byte) error {
+	write := func(frame []byte) bool {
 		rc.SetWriteDeadline(time.Now().Add(c.cfg.StreamWriteTimeout))
-		if err := wire.WriteFrame(w, frame); err != nil {
-			return fmt.Errorf("%w: %v", errClientGone, err)
+		if wire.WriteFrame(w, frame) != nil {
+			return false
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		forwarded++
-		return nil
-	}
-	if err := write(first); err != nil {
-		return forwarded, err
+		return true
 	}
 	for {
-		frame, err := wire.ReadFrame(from)
-		if err == io.EOF {
-			return forwarded, nil
+		if !write(frame) {
+			return // the client stopped reading; the node is fine
 		}
-		if err != nil {
-			return forwarded, err
-		}
-		if err := write(frame); err != nil {
-			return forwarded, err
-		}
-	}
-}
-
-// writeStreamError best-effort appends a ModelStreamError frame.
-func (c *Coordinator) writeStreamError(w http.ResponseWriter, msg string) {
-	rc := http.NewResponseController(w)
-	rc.SetWriteDeadline(time.Now().Add(c.cfg.StreamWriteTimeout))
-	if wire.WriteFrame(w, wire.EncodeModelStreamError(msg)) == nil {
-		if flusher, ok := w.(http.Flusher); ok {
-			flusher.Flush()
+		var err error
+		switch frame, err = wire.ReadFrame(from); {
+		case err == io.EOF:
+			n.routed.Add(1)
+			c.metrics.routed.Add(1)
+			return
+		case err != nil && r.Context().Err() != nil:
+			// The forward runs under the client's request context, so a
+			// client that cancels mid-stream surfaces here as a failed
+			// read from the node — not a node death.
+			return
+		case err != nil:
+			c.metrics.streamErrors.Add(1)
+			n.failedOver.Add(1)
+			write(wire.EncodeModelStreamError(fmt.Sprintf(
+				"prover node %s failed mid-stream: %v; an async job stream resumes from its last acked frame", n.name, err)))
+			return
 		}
 	}
 }

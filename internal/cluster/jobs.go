@@ -1,23 +1,15 @@
 package cluster
 
-// Async-job forwarding. A job submission routes exactly like a model
-// proving job — same (tenant, backend, model, op-shape) affinity key, so
-// a job and its later verification land on one node — but the exchange
-// is two-phase: the 202 comes back immediately and the frames are
+// Async-job routing. A submission routes like a sync model job, but the
+// exchange is two-phase: the 202 comes back at once and the frames are
 // fetched later, possibly across many connections. The coordinator
 // therefore remembers which node each accepted job ID lives on (a
-// bounded table — the journal, not this table, is the durable truth) and
-// routes status, stream, and cancel exchanges through it. Admission
-// honesty is preserved end to end: a node that sheds a submission with
-// 429 leaves the job unstarted, so the coordinator tries the next node
-// in hash order, and only when every candidate shed does it relay the
-// last 429 — Retry-After, queue position and all — to the client.
+// bounded table — the journal, not this table, is the durable truth),
+// and the status, stream and cancel routes find their one candidate
+// through it.
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -73,256 +65,56 @@ func (t *jobRouteTable) len() int {
 	return len(t.byID)
 }
 
-// relay issues one request of any method to this node, with the tenant
-// header forwarded verbatim.
-func (n *node) relay(r *http.Request, method, pathAndQuery, tenant string, body []byte) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(r.Context(), method, n.url+pathAndQuery, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/octet-stream")
-	}
-	if tenant != "" {
-		req.Header.Set(server.TenantHeader, tenant)
-	}
-	return n.forward.Do(req)
-}
-
-// copyResponse relays a buffered node response verbatim — status,
-// job-relevant headers and body — so the client sees exactly what the
-// node said.
-func copyResponse(w http.ResponseWriter, resp *http.Response) {
-	for _, h := range []string{"Content-Type", "Location", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
+// byJobHome resolves a job exchange to the node holding the job's
+// journal, whatever its health: the journal lives nowhere else. An
+// unknown ID and an evicted route get the honest 404 a node gives for a
+// reaped job — there is nothing there anymore.
+func byJobHome(id func(r *http.Request, body []byte) (string, error)) finder {
+	return func(c *Coordinator, r *http.Request, body []byte) ([]*node, error) {
+		jobID, err := id(r, body)
+		if err != nil {
+			return nil, err
 		}
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	w.WriteHeader(resp.StatusCode)
-	w.Write(raw)
-}
-
-// handleSubmitJob admits one async job into the cluster: route by the
-// model affinity key, fail unstarted submissions (transport error, 503,
-// 429) over to the next node in hash order, and remember the accepted
-// job's home node. All candidates shedding with 429 relays the final
-// 429 verbatim — the cluster's admission answer is its least-loaded
-// candidate's, not a made-up one.
-func (c *Coordinator) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	release, ok := c.acquireModelSlot(w)
-	if !ok {
-		return
-	}
-	defer release()
-	raw, ok := readBodyN(w, r, maxModelBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeJobSubmitRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	tenant := r.Header.Get(server.TenantHeader)
-	key, err := modelKeyFromRequest(tenant, req.Model)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	req = nil
-
-	nodes := c.healthyRanked(key)
-	if len(nodes) == 0 {
-		c.metrics.unroutable.Add(1)
-		http.Error(w, "no healthy prover nodes", http.StatusServiceUnavailable)
-		return
-	}
-	var lastShed *http.Response
-	var lastErr string
-	for i, n := range nodes {
-		if i > 0 {
-			c.metrics.retried.Add(1)
+		name, ok := c.jobRoutes.lookup(jobID)
+		if !ok {
+			return nil, &server.StatusError{Code: http.StatusNotFound,
+				Body: "no such job on this cluster (it may have expired, been reaped, or its route evicted)"}
 		}
-		resp, err := n.post(r, "/v1/jobs", tenant, raw)
-		if err != nil || resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests {
-			// Unstarted on this node; the next candidate may admit it.
-			if err != nil {
-				lastErr = fmt.Sprintf("node %s: %v", n.name, err)
-			} else if resp.StatusCode == http.StatusTooManyRequests {
-				if lastShed != nil {
-					lastShed.Body.Close()
-				}
-				lastShed = resp
-				lastErr = fmt.Sprintf("node %s: 429", n.name)
-			} else {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-				resp.Body.Close()
-				lastErr = fmt.Sprintf("node %s: 503: %s", n.name, bytes.TrimSpace(msg))
-			}
-			n.failedOver.Add(1)
-			c.metrics.failedOver.Add(1)
-			continue
+		n := c.lookup(name)
+		if n == nil {
+			c.jobRoutes.remove(jobID)
+			return nil, &server.StatusError{Code: http.StatusNotFound,
+				Body: fmt.Sprintf("job's node %s has left the cluster; its journal is gone with it", name)}
 		}
-		if lastShed != nil {
-			lastShed.Body.Close()
-		}
-		if resp.StatusCode == http.StatusAccepted {
-			// Peek the job ID out of the status body so later status /
-			// stream / cancel exchanges find the journal's node.
-			raw, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				http.Error(w, fmt.Sprintf("node %s failed mid-response: %v", n.name, err), http.StatusBadGateway)
-				return
-			}
-			if st, err := wire.DecodeJobStatus(raw); err == nil && st.ID != "" {
-				c.jobRoutes.add(st.ID, n.name)
-			}
-			for _, h := range []string{"Content-Type", "Location"} {
-				if v := resp.Header.Get(h); v != "" {
-					w.Header().Set(h, v)
-				}
-			}
-			w.WriteHeader(http.StatusAccepted)
-			w.Write(raw)
-			n.routed.Add(1)
-			c.metrics.routed.Add(1)
-			c.metrics.jobsRouted.Add(1)
-			return
-		}
-		// A node-side rejection (400 etc.) is the job's real answer.
-		copyResponse(w, resp)
-		n.routed.Add(1)
-		c.metrics.routed.Add(1)
-		return
+		return []*node{n}, nil
 	}
-	c.metrics.unroutable.Add(1)
-	if lastShed != nil {
-		// Every candidate shed: the cluster is honestly saturated.
-		copyResponse(w, lastShed)
-		return
-	}
-	http.Error(w, "every candidate node failed: "+lastErr, http.StatusServiceUnavailable)
 }
 
-// jobNode resolves a job ID to its home node, or writes the honest 404.
-// An unknown ID and an evicted route get the same answer a node gives
-// for a reaped job — there is nothing there anymore.
-func (c *Coordinator) jobNode(w http.ResponseWriter, id string) *node {
-	name, ok := c.jobRoutes.lookup(id)
-	if !ok {
-		http.Error(w, "no such job on this cluster (it may have expired, been reaped, or its route evicted)", http.StatusNotFound)
-		return nil
-	}
-	n := c.lookup(name)
-	if n == nil {
-		c.jobRoutes.remove(id)
-		http.Error(w, fmt.Sprintf("job's node %s has left the cluster; its journal is gone with it", name), http.StatusNotFound)
-		return nil
-	}
-	return n
-}
+func pathJobID(r *http.Request, _ []byte) (string, error) { return r.PathValue("id"), nil }
 
-func (c *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	n := c.jobNode(w, id)
-	if n == nil {
-		return
-	}
-	resp, err := n.relay(r, http.MethodGet, "/v1/jobs/"+id, r.Header.Get(server.TenantHeader), nil)
+func bodyJobID(_ *http.Request, body []byte) (string, error) {
+	req, err := wire.DecodeJobStreamRequest(body)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("node %s: %v", n.name, err), http.StatusBadGateway)
-		return
+		return "", err
 	}
-	copyResponse(w, resp)
-	c.metrics.routed.Add(1)
+	return req.ID, nil
 }
 
-func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	n := c.jobNode(w, id)
-	if n == nil {
+// recordJobRoute remembers an accepted job's node, peeking the ID out of
+// the 202's status body.
+func recordJobRoute(c *Coordinator, _ *http.Request, n *node, code int, body []byte) {
+	if code != http.StatusAccepted {
 		return
 	}
-	resp, err := n.relay(r, http.MethodDelete, "/v1/jobs/"+id, r.Header.Get(server.TenantHeader), nil)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("node %s: %v", n.name, err), http.StatusBadGateway)
-		return
+	if st, err := wire.DecodeJobStatus(body); err == nil && st.ID != "" {
+		c.jobRoutes.add(st.ID, n.name)
 	}
-	if resp.StatusCode == http.StatusNoContent {
-		c.jobRoutes.remove(id)
-	}
-	copyResponse(w, resp)
-	c.metrics.routed.Add(1)
+	c.metrics.jobsRouted.Add(1)
 }
 
-func (c *Coordinator) handleJobStreamGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	path := "/v1/jobs/" + id + "/stream"
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	c.relayJobStream(w, r, id, http.MethodGet, path, nil)
-}
-
-func (c *Coordinator) handleJobStreamPost(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBodyN(w, r, maxControlBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeJobStreamRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	c.relayJobStream(w, r, req.ID, http.MethodPost, "/v1/jobs/stream", raw)
-}
-
-// relayJobStream pipes a job's frame stream through unmodified. There is
-// no failover here — the journal lives on exactly one node — so a node
-// that dies mid-stream becomes an explicit in-stream error frame, never
-// a silent truncation: the client's resumable reader reconnects later
-// (through this coordinator again) from its ack boundary, and the
-// journal replays the rest.
-func (c *Coordinator) relayJobStream(w http.ResponseWriter, r *http.Request, id, method, pathAndQuery string, body []byte) {
-	n := c.jobNode(w, id)
-	if n == nil {
-		return
-	}
-	resp, err := n.relay(r, method, pathAndQuery, r.Header.Get(server.TenantHeader), body)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("node %s: %v", n.name, err), http.StatusBadGateway)
-		return
-	}
-	if resp.StatusCode != http.StatusOK {
-		copyResponse(w, resp)
-		return
-	}
-	first, err := wire.ReadFrame(resp.Body)
-	if err != nil {
-		// Nothing reached the client yet; an honest gateway error beats
-		// an empty 200.
-		resp.Body.Close()
-		http.Error(w, fmt.Sprintf("node %s died before the first frame: %v", n.name, err), http.StatusBadGateway)
-		return
-	}
-	_, relayErr := c.relayFrames(w, first, resp.Body)
-	resp.Body.Close()
-	switch {
-	case relayErr == nil:
-		n.routed.Add(1)
-		c.metrics.routed.Add(1)
-	case errors.Is(relayErr, errClientGone), r.Context().Err() != nil:
-		// The client hung up; nothing to report and nobody to tell.
-	default:
-		c.metrics.streamErrors.Add(1)
-		n.failedOver.Add(1)
-		c.writeStreamError(w, fmt.Sprintf("prover node %s failed mid-stream: %v; reconnect from your last acked frame", n.name, relayErr))
+// dropJobRoute forgets a canceled job: its journal is gone.
+func dropJobRoute(c *Coordinator, r *http.Request, _ *node, code int, _ []byte) {
+	if code == http.StatusNoContent {
+		c.jobRoutes.remove(r.PathValue("id"))
 	}
 }

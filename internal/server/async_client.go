@@ -17,6 +17,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -312,9 +313,12 @@ func (rs *resumingStream) fetchFrame() error {
 		if rs.body == nil {
 			body, err := rs.c.StreamJob(rs.ctx, rs.id, rs.delivered)
 			if err != nil {
-				// A typed rejection (404: reaped; 4xx: policy) is final —
-				// redialing cannot fix it. Transport errors get backoff.
-				if _, ok := err.(*StatusError); ok {
+				// A 4xx (404: reaped; otherwise policy) is final — redialing
+				// cannot fix it. Transport errors and 5xx answers (a
+				// coordinator whose job node died before the first frame, a
+				// node shedding load) get backoff.
+				var se *StatusError
+				if errors.As(err, &se) && se.Code < 500 {
 					return err
 				}
 				if rs.ctx.Err() != nil {

@@ -282,12 +282,12 @@ func (s *Server) rejectJob(w http.ResponseWriter, reason string) {
 // The 202 response carries the job's initial status; the client streams
 // frames whenever it likes.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.acquireModelSlot(w)
+	release, ok := s.modelSlots.Acquire(w)
 	if !ok {
 		return
 	}
 	defer release()
-	raw, ok := readBodyN(w, r, maxModelBodyBytes)
+	raw, ok := ReadBody(w, r, MaxModelBodyBytes)
 	if !ok {
 		return
 	}
@@ -392,7 +392,7 @@ func (s *Server) handleJobStreamGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobStreamPost(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBody(w, r)
+	raw, ok := ReadBody(w, r, MaxBodyBytes)
 	if !ok {
 		return
 	}

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -285,7 +284,7 @@ func (s *Server) planModel(w http.ResponseWriter, trace *nn.Trace, proveNonlinea
 // is a ModelStreamError frame. wire.DecodeModelStream reassembles the
 // report client-side.
 func (s *Server) handleProveModel(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.acquireModelSlot(w)
+	release, ok := s.modelSlots.Acquire(w)
 	if !ok {
 		return
 	}
@@ -293,7 +292,7 @@ func (s *Server) handleProveModel(w http.ResponseWriter, r *http.Request) {
 	// early exit slot-safe while still letting the success path hand the
 	// slot back before streaming.
 	defer release()
-	raw, ok := readBodyN(w, r, maxModelBodyBytes)
+	raw, ok := ReadBody(w, r, MaxModelBodyBytes)
 	if !ok {
 		return
 	}
@@ -381,20 +380,6 @@ func (s *Server) handleProveModel(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// acquireModelSlot bounds how many model-endpoint requests may buffer
-// their (up to maxModelBodyBytes) bodies concurrently; beyond that the
-// service sheds load instead of holding gigabytes of unadmitted input.
-func (s *Server) acquireModelSlot(w http.ResponseWriter) (func(), bool) {
-	select {
-	case s.modelSlots <- struct{}{}:
-		var once sync.Once
-		return func() { once.Do(func() { <-s.modelSlots }) }, true
-	default:
-		http.Error(w, "too many concurrent model requests", http.StatusServiceUnavailable)
-		return nil, false
-	}
-}
-
 // errReportNotIssued is the issued-only policy rejection, identical in
 // both verify modes: they attest exactly the same whole-report digest.
 var errReportNotIssued = fmt.Errorf("%w: report was not issued by this service under this tenant (model reports carry prover-supplied verifying material, so only reports this service streamed — resubmitted unmodified and complete, with the same Zkvc-Tenant header — are accepted; attestations also expire from the bounded issued log)",
@@ -430,16 +415,16 @@ func writeVerifyModelResponse(w http.ResponseWriter, mode zkvc.VerifyMode, err e
 // binary wire.VerifyModelResponse; mode=aggregate runs the whole-report
 // batched check, attesting exactly the digest the per-op path attests.
 func (s *Server) handleVerifyModel(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.acquireModelSlot(w)
+	release, ok := s.modelSlots.Acquire(w)
 	if !ok {
 		return
 	}
 	defer release()
-	raw, ok := readBodyN(w, r, maxModelBodyBytes)
+	raw, ok := ReadBody(w, r, MaxModelBodyBytes)
 	if !ok {
 		return
 	}
-	req, err := decodeVerifyModel(r, raw)
+	req, err := DecodeVerifyModel(r, raw)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -466,10 +451,11 @@ func (s *Server) handleVerifyModel(w http.ResponseWriter, r *http.Request) {
 	writeVerifyModelResponse(w, mode, err)
 }
 
-// decodeVerifyModel parses a /v1/verify/model request: the ?mode= query,
+// DecodeVerifyModel parses a /v1/verify/model request: the ?mode= query,
 // which is required, and the wire.VerifyModelRequest body, whose
-// embedded mode must match it.
-func decodeVerifyModel(r *http.Request, raw []byte) (*wire.VerifyModelRequest, error) {
+// embedded mode must match it. The coordinator routes by the same
+// decode, so a request it forwards is one a node accepts.
+func DecodeVerifyModel(r *http.Request, raw []byte) (*wire.VerifyModelRequest, error) {
 	q := r.URL.Query().Get("mode")
 	if q == "" {
 		return nil, fmt.Errorf("missing ?mode= query: /v1/verify/model needs ?mode=%s or ?mode=%s", zkvc.VerifyPerOp, zkvc.VerifyAggregate)

@@ -73,7 +73,7 @@ func (s *Server) replicator() {
 // handleAttest ingests a peer's attestation update (relayed through the
 // coordinator) into the replicated set.
 func (s *Server) handleAttest(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBody(w, r)
+	raw, ok := ReadBody(w, r, MaxBodyBytes)
 	if !ok {
 		return
 	}

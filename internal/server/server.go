@@ -189,21 +189,43 @@ func DefaultConfig() Config {
 	}
 }
 
-// maxBodyBytes bounds request bodies (a 256×256 matrix pair is ~4 MiB).
-const maxBodyBytes = 64 << 20
+// MaxBodyBytes bounds request bodies (a 256×256 matrix pair is ~4 MiB).
+// The coordinator applies the same bound before forwarding.
+const MaxBodyBytes = 64 << 20
 
-// maxModelBodyBytes bounds model-endpoint bodies, which are legitimately
+// MaxModelBodyBytes bounds model-endpoint bodies, which are legitimately
 // much larger: a prove request carries every captured operand tensor of a
 // trace, and a report being verified carries per-op proof payloads —
 // including, for Spartan ops, the R1CS instance the verifier checks
 // against, so report size scales with circuit size.
-const maxModelBodyBytes = 1 << 30
+const MaxModelBodyBytes = 1 << 30
 
 // modelBodySlots bounds how many model-endpoint requests may hold a
-// buffered body at once (maxModelBodyBytes each, worst case) — past it
+// buffered body at once (MaxModelBodyBytes each, worst case) — past it
 // the endpoints shed load with 503 rather than let unadmitted input
 // grow resident memory without bound.
 const modelBodySlots = 4
+
+// ModelSlots is the modelBodySlots-wide bound on buffered model bodies.
+// A node and a coordinator each hold one.
+type ModelSlots chan struct{}
+
+// NewModelSlots returns an empty slot pool.
+func NewModelSlots() ModelSlots { return make(ModelSlots, modelBodySlots) }
+
+// Acquire takes a slot or sheds the request with 503. The release func
+// is idempotent, so a handler can defer it and still hand the slot back
+// early once the body is no longer held.
+func (m ModelSlots) Acquire(w http.ResponseWriter) (func(), bool) {
+	select {
+	case m <- struct{}{}:
+		var once sync.Once
+		return func() { once.Do(func() { <-m }) }, true
+	default:
+		http.Error(w, "too many concurrent model requests", http.StatusServiceUnavailable)
+		return nil, false
+	}
+}
 
 // ErrClosed is returned for jobs submitted after Close.
 var ErrClosed = errors.New("server: shutting down")
@@ -270,8 +292,8 @@ type Server struct {
 	work   chan workItem
 
 	// modelSlots bounds concurrent model-endpoint requests while they
-	// buffer and decode their (large) bodies; see acquireModelSlot.
-	modelSlots chan struct{}
+	// buffer and decode their (large) bodies.
+	modelSlots ModelSlots
 
 	// jobs is the async durable-job store (journals, TTLs, quotas);
 	// reapStop ends its reaper goroutine on Close.
@@ -358,7 +380,7 @@ func New(cfg Config) (*Server, error) {
 		attestCh:   make(chan *wire.AttestationUpdate, 1024),
 		attestStop: make(chan struct{}),
 
-		modelSlots: make(chan struct{}, modelBodySlots),
+		modelSlots: NewModelSlots(),
 
 		jobs:     newJobStore(),
 		reapStop: make(chan struct{}),
@@ -673,11 +695,9 @@ func (s *Server) ListenAndServe(addr string) error {
 	return hs.ListenAndServe()
 }
 
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	return readBodyN(w, r, maxBodyBytes)
-}
-
-func readBodyN(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+// ReadBody buffers a request body of at most limit bytes, answering 400
+// itself when the body is too large or the read fails.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
@@ -687,7 +707,7 @@ func readBodyN(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, boo
 }
 
 func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBody(w, r)
+	raw, ok := ReadBody(w, r, MaxBodyBytes)
 	if !ok {
 		return
 	}
@@ -718,7 +738,7 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 // per-statement Groth16 proof carries its own verifying key, which only
 // means something when this service ran that setup).
 func (s *Server) handleProveMatMul(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBody(w, r)
+	raw, ok := ReadBody(w, r, MaxBodyBytes)
 	if !ok {
 		return
 	}
@@ -727,16 +747,37 @@ func (s *Server) handleProveMatMul(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// One budget token per request, like every other unit of proving
-	// work — and the request context bounds the wait, so a caller that
-	// cancels while queued leaves the line instead of proving to nobody.
+	s.proveDirect(w, r, &s.metrics.matmulsProved, func(ctx context.Context, p *zkvc.MatMulProver) (*directProof, error) {
+		proof, err := p.ProveContext(ctx, req.X, req.W)
+		if err != nil {
+			return nil, err
+		}
+		digest := func() [sha256.Size]byte { return IssuedDigest(req.X, proof) }
+		return &directProof{wire.EncodeMatMulProof(proof), proof.Timings, digest}, nil
+	})
+}
+
+// directProof is one direct endpoint's finished proof: the response
+// body, the timings to record, and the issued-log digest (computed only
+// when the backend needs an attestation).
+type directProof struct {
+	body    []byte
+	timings zkvc.Timings
+	digest  func() [sha256.Size]byte
+}
+
+// proveDirect is the one path behind both direct endpoints. It holds one
+// budget token for the proof, like every other unit of proving work, and
+// the request context bounds the wait, so a caller that cancels while
+// queued leaves the line instead of proving to nobody.
+func (s *Server) proveDirect(w http.ResponseWriter, r *http.Request, proved *atomic.Int64, prove func(context.Context, *zkvc.MatMulProver) (*directProof, error)) {
 	pool := parallel.Default()
 	if err := pool.AcquireCtx(r.Context()); err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	defer pool.Release()
-	proof, err := s.newDirectProver().ProveContext(r.Context(), req.X, req.W)
+	p, err := prove(r.Context(), s.newDirectProver())
 	if err != nil {
 		// A canceled request is client churn, not a proving fault: keep
 		// prove_errors an operator alarm, matching the model pipeline's
@@ -749,21 +790,21 @@ func (s *Server) handleProveMatMul(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	// Attest Groth16 proofs only: they are the ones /v1/verify re-checks
-	// against the issued log (the embedded key is trustworthy exactly
-	// because this service ran the setup). Spartan proofs verify
+	// Attest Groth16 proofs only: they are the ones the verify endpoints
+	// re-check against the issued log (the embedded key is trustworthy
+	// exactly because this service ran the setup). Spartan proofs verify
 	// transparently and never consult the log — attesting them would
 	// only push live Groth16/model attestations out of the bounded FIFO.
 	if s.cfg.Backend == zkvc.Groth16 {
-		d := IssuedDigest(req.X, proof)
+		d := p.digest()
 		if s.issued.add(d) {
 			s.replicate([][sha256.Size]byte{d}, nil)
 		}
 	}
-	s.metrics.matmulsProved.Add(1)
-	s.metrics.recordTimings(proof.Timings)
+	proved.Add(1)
+	s.metrics.recordTimings(p.timings)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(wire.EncodeMatMulProof(proof))
+	w.Write(p.body)
 }
 
 // handleProveBatch serves the Engine-shape direct batch endpoint: fold
@@ -776,7 +817,7 @@ func (s *Server) handleProveMatMul(w http.ResponseWriter, r *http.Request) {
 // canonical index for a client-assembled batch) so /v1/verify/batch can
 // vouch for them.
 func (s *Server) handleProveBatch(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBody(w, r)
+	raw, ok := ReadBody(w, r, MaxBodyBytes)
 	if !ok {
 		return
 	}
@@ -785,42 +826,24 @@ func (s *Server) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	pool := parallel.Default()
-	if err := pool.AcquireCtx(r.Context()); err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	defer pool.Release()
-	proof, err := s.newDirectProver().ProveBatchContext(r.Context(), req.Pairs...)
-	if err != nil {
-		// Cancellation is client churn, not a proving fault (see
-		// handleProveMatMul).
-		if r.Context().Err() != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
+	s.proveDirect(w, r, &s.metrics.directBatchesProved, func(ctx context.Context, p *zkvc.MatMulProver) (*directProof, error) {
+		proof, err := p.ProveBatchContext(ctx, req.Pairs...)
+		if err != nil {
+			return nil, err
 		}
-		s.metrics.proveErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if s.cfg.Backend == zkvc.Groth16 {
-		xs := make([]*zkvc.Matrix, len(req.Pairs))
-		for i, pair := range req.Pairs {
-			xs[i] = pair[0]
+		digest := func() [sha256.Size]byte {
+			xs := make([]*zkvc.Matrix, len(req.Pairs))
+			for i, pair := range req.Pairs {
+				xs[i] = pair[0]
+			}
+			return IssuedBatchDigest(&wire.ProveResponse{Index: 0, Xs: xs, Batch: proof})
 		}
-		d := IssuedBatchDigest(&wire.ProveResponse{Index: 0, Xs: xs, Batch: proof})
-		if s.issued.add(d) {
-			s.replicate([][sha256.Size]byte{d}, nil)
-		}
-	}
-	s.metrics.directBatchesProved.Add(1)
-	s.metrics.recordTimings(proof.Timings)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(wire.EncodeBatchProof(proof))
+		return &directProof{wire.EncodeBatchProof(proof), proof.Timings, digest}, nil
+	})
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBody(w, r)
+	raw, ok := ReadBody(w, r, MaxBodyBytes)
 	if !ok {
 		return
 	}
@@ -852,7 +875,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBody(w, r)
+	raw, ok := ReadBody(w, r, MaxBodyBytes)
 	if !ok {
 		return
 	}
