@@ -175,7 +175,7 @@ func cmdVerifyModel(args []string) {
 	local := fs.Bool("local", false,
 		"verify in-process instead of asking the service (trusts the report's own verifying material)")
 	aggregate := fs.Bool("aggregate", false,
-		"verify the whole report with one batched check per backend instead of one check per op")
+		"verify a Groth16 report with one batched check instead of one check per op (Spartan reports verify per op either way)")
 	fs.Parse(args)
 
 	raw, err := os.ReadFile(*reportPath)

@@ -104,21 +104,23 @@
 //
 // VerifyPerOp checks every operation's proof independently — one
 // pairing product per Groth16 op, one transcript replay per Spartan op.
-// VerifyAggregate folds the whole report into one succinct check: all
-// Groth16 ops join a single random-linear-combination multi-pairing
-// (one final exponentiation total), and Spartan ops sharing a circuit
-// structure batch their final identity checks. The combination weights
-// are Fiat–Shamir challenges bound to the entire report — op
-// identities, public inputs and complete proof material — so no op can
-// be swapped, dropped or forged without changing its weight.
+// VerifyAggregate folds a Groth16 report into one succinct check: all
+// ops join a single random-linear-combination multi-pairing (one final
+// exponentiation total). The combination weights are Fiat–Shamir
+// challenges bound to the entire report — op identities, public inputs
+// and complete proof material — so no op can be swapped, dropped or
+// forged without changing its weight. Only Groth16 aggregates: each
+// Spartan proof's sumchecks and opening are bound to its own
+// transcript, leaving nothing worth batching, so a Spartan report
+// verifies per op in both modes.
 //
 // The modes agree on every verdict (conformance-pinned: same accepts,
 // same rejections, same ErrVerification sentinel), and aggregation
 // attests nothing beyond what per-op verification attests: on remote
 // engines both modes are subject to the service's issued-only report
-// policy over the same whole-report digest. Aggregate mode requires the
+// policy over the same whole-report digest. Both modes require the
 // report to retain its proof payloads (Options.KeepProofs); a stripped
-// report fails verification rather than passing vacuously.
+// or empty report fails verification rather than passing vacuously.
 //
 // With no options, VerifyModel(ctx, report) verifies per op.
 //

@@ -50,11 +50,11 @@ const (
 	// VerifyPerOp (the zero value) runs one full proof verification per
 	// traced operation — the original, linear-cost path.
 	VerifyPerOp VerifyMode = iota
-	// VerifyAggregate folds the whole report into one batched check per
-	// backend: a single random-linear-combination multi-pairing for
-	// Groth16 reports, a shared-structure batched check for Spartan
-	// reports. Same accept set as VerifyPerOp (up to the ~1/r batching
-	// error), attesting exactly the same report.
+	// VerifyAggregate folds a Groth16 report into a single
+	// random-linear-combination multi-pairing. Same accept set as
+	// VerifyPerOp (up to the ~1/r batching error), attesting exactly the
+	// same report. Only Groth16 aggregates: a Spartan report verifies per
+	// op in both modes.
 	VerifyAggregate
 )
 
@@ -86,7 +86,9 @@ func ParseVerifyMode(s string) (VerifyMode, error) {
 // VerifyOptions configures Engine.VerifyModel. The zero value is the
 // per-op path, so VerifyModel(ctx, rep) verifies per op.
 type VerifyOptions struct {
-	// Mode selects per-op or aggregate verification.
+	// Mode selects per-op or aggregate verification. It changes the work
+	// only for Groth16 reports; Spartan reports verify per op in either
+	// mode.
 	Mode VerifyMode
 }
 
@@ -430,7 +432,7 @@ func (l *Local) VerifyBatch(ctx context.Context, xs []*Matrix, proof *BatchProof
 }
 
 // VerifyModel re-verifies every retained proof in a report in-process —
-// per-op by default, or as one batched check per backend under
+// per-op by default, or, for a Groth16 report, as one batched check under
 // VerifyOptions{Mode: VerifyAggregate}. Note the trust posture: Groth16
 // ops are checked against the verifying keys the report itself carries,
 // which proves nothing unless the report comes from a setup this process

@@ -354,13 +354,14 @@ func TestEngineConformanceCNN(t *testing.T) {
 }
 
 // TestVerifyModelAggregateRejectsCorruptedOpProof pins the soundness of
-// the random-linear-combination batch behind VerifyAggregate: corrupting
-// exactly one op proof — with a valid group element, so no decode-stage
-// subgroup check can reject early — must sink the whole aggregated
-// verdict, on both backends, with the standard sentinel. Run against the
-// Local engine, where the report reaches the RLC check directly (remote
-// engines reject altered bytes at the issued-report policy instead,
-// which the main suite covers).
+// VerifyAggregate: corrupting exactly one op proof — on Groth16 with a
+// valid group element, so no decode-stage subgroup check can reject
+// early — must sink the whole verdict, on both backends, with the
+// standard sentinel; and an empty report fails in both modes. Run
+// against the Local engine, where the report reaches the
+// random-linear-combination check directly (remote engines reject
+// altered bytes at the issued-report policy instead, which the main
+// suite covers).
 func TestVerifyModelAggregateRejectsCorruptedOpProof(t *testing.T) {
 	ctx := context.Background()
 	for _, backend := range []zkvc.Backend{zkvc.Spartan, zkvc.Groth16} {
@@ -395,6 +396,14 @@ func TestVerifyModelAggregateRejectsCorruptedOpProof(t *testing.T) {
 			// Parity: per-op mode agrees on the verdict.
 			if err := eng.VerifyModel(ctx, rep, zkvc.VerifyOptions{Mode: zkvc.VerifyPerOp}); !errors.Is(err, zkvc.ErrVerification) {
 				t.Fatalf("per-op mode disagrees with aggregate verdict: %v", err)
+			}
+			// A report with no ops proves nothing: both modes reject it
+			// instead of passing vacuously.
+			for _, mode := range []zkvc.VerifyMode{zkvc.VerifyPerOp, zkvc.VerifyAggregate} {
+				empty := &zkvc.Report{Backend: backend}
+				if err := eng.VerifyModel(ctx, empty, zkvc.VerifyOptions{Mode: mode}); !errors.Is(err, zkvc.ErrVerification) {
+					t.Fatalf("%s: empty report: got %v, want ErrVerification", mode, err)
+				}
 			}
 		})
 	}

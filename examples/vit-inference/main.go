@@ -86,9 +86,9 @@ func main() {
 		streamed, report.TotalConstraints(), report.TotalProofBytes(), report.TotalProve().Seconds())
 
 	// Ask the service for its verdict twice — once per op, once through
-	// the aggregate fast path (?mode=aggregate, one batched check for the
-	// whole report) — then re-verify the aggregate locally. The three
-	// verdicts attest the same report.
+	// ?mode=aggregate, which on this Spartan report is the same per-op
+	// check (only Groth16 reports aggregate) — then re-verify locally.
+	// The three verdicts attest the same report.
 	perOp := zkvc.VerifyOptions{Mode: zkvc.VerifyPerOp}
 	agg := zkvc.VerifyOptions{Mode: zkvc.VerifyAggregate}
 	if err := eng.VerifyModel(ctx, report, perOp); err != nil {

@@ -413,7 +413,8 @@ func writeVerifyModelResponse(w http.ResponseWriter, mode zkvc.VerifyMode, err e
 // and the mode embedded in the wire.VerifyModelRequest body, which must
 // agree (routing and statement may not disagree). The verdict is a
 // binary wire.VerifyModelResponse; mode=aggregate runs the whole-report
-// batched check, attesting exactly the digest the per-op path attests.
+// batched check on a Groth16 report (a Spartan one verifies per op),
+// attesting exactly the digest the per-op path attests.
 func (s *Server) handleVerifyModel(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.modelSlots.Acquire(w)
 	if !ok {

@@ -1,11 +1,15 @@
 package spartan
 
 import (
+	"errors"
 	"testing"
 
 	"zkvc/internal/ff"
+	"zkvc/internal/mle"
 	"zkvc/internal/pcs"
 	"zkvc/internal/r1cs"
+	"zkvc/internal/sumcheck"
+	"zkvc/internal/transcript"
 )
 
 func fr(v int64) ff.Fr {
@@ -101,17 +105,23 @@ func TestSpartanRejectsBadWitness(t *testing.T) {
 func TestSpartanRejectsTamperedProof(t *testing.T) {
 	sys, z, pub := chainCircuit(8)
 	params := pcs.DefaultParams()
+	bump := func(x *ff.Fr) { one := ff.NewFr(1); x.Add(x, &one) }
+	last := func(s *sumcheck.Proof) []ff.Fr { return s.RoundPolys[len(s.RoundPolys)-1] }
 	// Tamper with each component in turn; every mutation must be caught.
 	mutations := []func(p *Proof){
-		func(p *Proof) { p.VA.Add(&p.VA, func() *ff.Fr { o := ff.NewFr(1); return &o }()) },
-		func(p *Proof) { p.PrivEval.Add(&p.PrivEval, func() *ff.Fr { o := ff.NewFr(1); return &o }()) },
-		func(p *Proof) {
-			p.Sum1.RoundPolys[0][0].Add(&p.Sum1.RoundPolys[0][0], func() *ff.Fr { o := ff.NewFr(1); return &o }())
-		},
-		func(p *Proof) {
-			p.Sum2.RoundPolys[0][1].Add(&p.Sum2.RoundPolys[0][1], func() *ff.Fr { o := ff.NewFr(1); return &o }())
-		},
+		func(p *Proof) { bump(&p.VA) },
+		func(p *Proof) { bump(&p.PrivEval) },
+		func(p *Proof) { bump(&p.Sum1.RoundPolys[0][0]) },
+		func(p *Proof) { bump(&p.Sum2.RoundPolys[0][1]) },
 		func(p *Proof) { p.Comm.Root[0] ^= 1 },
+		// Round polynomials travel as evaluations at 0..deg and each round
+		// check constrains only p(0)+p(1): bending the last round's
+		// evaluation at 2 passes every round check and moves the final
+		// evaluation. The closing identity rejects it first; the bent
+		// bytes also move every later challenge, so the identities alone
+		// are pinned by TestSpartanRejectsForgedFinalEvaluation.
+		func(p *Proof) { bump(&last(p.Sum1)[2]) },
+		func(p *Proof) { bump(&last(p.Sum2)[2]) },
 	}
 	for i, mutate := range mutations {
 		fresh, err := Prove(sys, z, params)
@@ -121,6 +131,125 @@ func TestSpartanRejectsTamperedProof(t *testing.T) {
 		mutate(fresh)
 		if err := Verify(sys, fresh, pub, params); err == nil {
 			t.Fatalf("mutation %d accepted", i)
+		}
+	}
+}
+
+// forgeProof runs Prove's protocol on a satisfying z, but hands one
+// sumcheck a vector shifted along a direction its claimed sum cannot
+// see: Cz in the outer sumcheck (which = 1), the padded witness in the
+// inner one (which = 2). Every round check passes and every later
+// challenge is drawn from the forged transcript, so the proof is
+// consistent everywhere except that sumcheck's closing identity — the
+// final1 or final2 comparison in Verify is all that can reject it.
+func forgeProof(t *testing.T, sys *r1cs.System, z []ff.Fr, params pcs.Params, which int) *Proof {
+	t.Helper()
+	sx, sy := logDim(sys.NumConstraints()), logDim(sys.NumVars)
+	dense := func(v []ff.Fr) *mle.Dense {
+		return &mle.Dense{NumVars: logDim(len(v)), Evals: append([]ff.Fr(nil), v...)}
+	}
+	// shift adds d to v with Σ w·d = 0: d[i] = w[j], d[j] = −w[i] for the
+	// first two nonzero weights.
+	shift := func(v, w []ff.Fr) []ff.Fr {
+		v = append([]ff.Fr(nil), v...)
+		var nz []int
+		for k := 0; k < len(w) && len(nz) < 2; k++ {
+			if !w[k].IsZero() {
+				nz = append(nz, k)
+			}
+		}
+		i, j := nz[0], nz[1]
+		v[i].Add(&v[i], &w[j])
+		v[j].Sub(&v[j], &w[i])
+		return v
+	}
+
+	priv := make([]ff.Fr, 1<<sy)
+	copy(priv[sys.NumPublic:], z[sys.NumPublic:])
+	comm, st, err := pcs.Commit(priv, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := transcript.New(protocolLabel)
+	tr.Append("comm", comm.Root[:])
+	tr.AppendFrs("public", z[:sys.NumPublic])
+
+	tau := tr.ChallengeFrs("tau", sx)
+	az, bz, cz := make([]ff.Fr, 1<<sx), make([]ff.Fr, 1<<sx), make([]ff.Fr, 1<<sx)
+	for q, c := range sys.Constraints {
+		az[q], bz[q], cz[q] = r1cs.EvalLC(c.A, z), r1cs.EvalLC(c.B, z), r1cs.EvalLC(c.C, z)
+	}
+	eq := make([]ff.Fr, 1<<sx)
+	mle.EqTableInto(tau, eq)
+	czSum := cz
+	if which == 1 {
+		czSum = shift(cz, eq)
+	}
+	one := ff.NewFr(1)
+	var minusOne ff.Fr
+	minusOne.Neg(&one)
+	ins1, err := sumcheck.NewInstance(sx, []sumcheck.Term{
+		{Coeff: one, Factors: []*mle.Dense{dense(eq), dense(az), dense(bz)}},
+		{Coeff: minusOne, Factors: []*mle.Dense{dense(eq), dense(czSum)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum1, rx, _ := sumcheck.Prove(ins1, tr)
+	va, vb, vc := dense(az).Eval(rx), dense(bz).Eval(rx), dense(cz).Eval(rx)
+	tr.AppendFr("va", &va)
+	tr.AppendFr("vb", &vb)
+	tr.AppendFr("vc", &vc)
+
+	mz := make([]ff.Fr, 1<<sy)
+	ma, mb, mc := matrices(sys)
+	for _, m := range []struct {
+		r   ff.Fr
+		mat *mle.Sparse
+	}{{tr.ChallengeFr("rA"), ma}, {tr.ChallengeFr("rB"), mb}, {tr.ChallengeFr("rC"), mc}} {
+		bound := make([]ff.Fr, 1<<sy)
+		m.mat.BindRowsInto(rx, bound)
+		for y := range mz {
+			var t ff.Fr
+			t.Mul(&m.r, &bound[y])
+			mz[y].Add(&mz[y], &t)
+		}
+	}
+	zSum := make([]ff.Fr, 1<<sy)
+	copy(zSum, z)
+	if which == 2 {
+		zSum = shift(zSum, mz)
+	}
+	ins2, err := sumcheck.NewInstance(sy, []sumcheck.Term{{Coeff: one, Factors: []*mle.Dense{dense(mz), dense(zSum)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum2, ry, _ := sumcheck.Prove(ins2, tr)
+
+	privEval := dense(priv).Eval(ry)
+	tr.AppendFr("priv.eval", &privEval)
+	opening := st.Open(ry, tr)
+	st.Release()
+	return &Proof{
+		Comm: *comm, Sum1: sum1, VA: va, VB: vb, VC: vc,
+		Sum2: sum2, PrivEval: privEval, Opening: opening,
+	}
+}
+
+// A proof that is consistent except for one closing identity: only the
+// final1 (outer) or final2 (inner) comparison stands between it and an
+// accept. The unshifted forge is the control that the forger itself is
+// honest.
+func TestSpartanRejectsForgedFinalEvaluation(t *testing.T) {
+	sys, z, pub := chainCircuit(8)
+	params := pcs.DefaultParams()
+	if err := Verify(sys, forgeProof(t, sys, z, params, 0), pub, params); err != nil {
+		t.Fatalf("unshifted forge rejected: %v", err)
+	}
+	for _, which := range []int{1, 2} {
+		err := Verify(sys, forgeProof(t, sys, z, params, which), pub, params)
+		if !errors.Is(err, ErrInvalidProof) {
+			t.Fatalf("sumcheck %d with a forged final evaluation: got %v, want ErrInvalidProof", which, err)
 		}
 	}
 }

@@ -2,28 +2,48 @@ package zkml
 
 import (
 	mrand "math/rand"
+	"sync"
 	"testing"
 
 	"zkvc/internal/curve"
+	"zkvc/internal/ff"
 	"zkvc/internal/nn"
 	"zkvc/internal/pcs"
 )
 
+// proven holds one proved report per backend; Groth16 pays a trusted
+// setup per op, so each is proved once and handed out as copies.
+var proven [2]struct {
+	once sync.Once
+	rep  *Report
+	err  error
+}
+
+// provenReport returns a copy of the backend's proved report whose op
+// fields and public inputs a test may overwrite freely.
 func provenReport(t *testing.T, backend Backend) *Report {
 	t.Helper()
-	kind := nn.MixerLinear
-	if backend == Groth16 {
-		kind = nn.MixerPooling // fewest ops: per-op trusted setup
+	p := &proven[backend]
+	p.once.Do(func() {
+		kind := nn.MixerLinear
+		if backend == Groth16 {
+			kind = nn.MixerPooling // fewest ops: per-op trusted setup
+		}
+		m, _ := tinyModel(t, kind)
+		x := m.RandomInput(mrand.New(mrand.NewSource(6)))
+		opts := DefaultOptions()
+		opts.Backend = backend
+		p.rep, p.err = ProveModel(m, x, opts)
+	})
+	if p.rep == nil {
+		t.Fatalf("proving the %s fixture report: %v", backend, p.err)
 	}
-	m, _ := tinyModel(t, kind)
-	x := m.RandomInput(mrand.New(mrand.NewSource(6)))
-	opts := DefaultOptions()
-	opts.Backend = backend
-	rep, err := ProveModel(m, x, opts)
-	if err != nil {
-		t.Fatal(err)
+	rep := *p.rep
+	rep.Ops = append([]OpProof(nil), p.rep.Ops...)
+	for i := range rep.Ops {
+		rep.Ops[i].Public = append([]ff.Fr(nil), rep.Ops[i].Public...)
 	}
-	return rep
+	return &rep
 }
 
 func TestVerifyAggregatedSpartan(t *testing.T) {
@@ -71,7 +91,10 @@ func TestVerifyAggregatedGroth16(t *testing.T) {
 // an op (without touching any proof bytes) must change the transcript
 // and therefore the weights.
 func TestAggregateWeightsBindReportIdentity(t *testing.T) {
-	rep := provenReport(t, Spartan)
+	if testing.Short() {
+		t.Skip("per-op trusted setup")
+	}
+	rep := provenReport(t, Groth16)
 	w1, err := aggregateWeights(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -96,14 +119,28 @@ func TestAggregateWeightsBindReportIdentity(t *testing.T) {
 	}
 }
 
+// A report whose op lost its proof payload (KeepProofs off, or stripped
+// in transit) and a report with no ops both fail in aggregate mode, on
+// both backends, instead of passing vacuously.
 func TestVerifyAggregatedRejectsStrippedReport(t *testing.T) {
-	rep := provenReport(t, Spartan)
-	rep.Ops[1].Spartan = nil // KeepProofs off / stripped payload
-	if err := rep.VerifyAggregated(pcs.DefaultParams()); err == nil {
-		t.Fatal("report with a missing op payload verified in aggregate mode")
-	}
-	rep.Ops = nil
-	if err := rep.VerifyAggregated(pcs.DefaultParams()); err == nil {
-		t.Fatal("empty report verified in aggregate mode")
+	for _, backend := range []Backend{Spartan, Groth16} {
+		t.Run(backend.String(), func(t *testing.T) {
+			if backend == Groth16 && testing.Short() {
+				t.Skip("per-op trusted setup")
+			}
+			rep := provenReport(t, backend)
+			if backend == Groth16 {
+				rep.Ops[1].G16 = nil
+			} else {
+				rep.Ops[1].Spartan = nil
+			}
+			if err := rep.VerifyAggregated(pcs.DefaultParams()); err == nil {
+				t.Fatal("report with a missing op payload verified in aggregate mode")
+			}
+			rep.Ops = nil
+			if err := rep.VerifyAggregated(pcs.DefaultParams()); err == nil {
+				t.Fatal("empty report verified in aggregate mode")
+			}
+		})
 	}
 }

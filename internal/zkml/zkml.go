@@ -591,8 +591,12 @@ func VerifyOp(backend Backend, op *OpProof, params pcs.Params) error {
 }
 
 // VerifyReport re-verifies every retained proof in the report. It
-// returns an error naming the first operation that fails.
+// returns an error naming the first operation that fails. A report with
+// no ops proves nothing and fails rather than passing vacuously.
 func VerifyReport(rep *Report, opts Options) error {
+	if len(rep.Ops) == 0 {
+		return errors.New("zkml: empty report")
+	}
 	for i := range rep.Ops {
 		if err := VerifyOp(rep.Backend, &rep.Ops[i], opts.PCS); err != nil {
 			return err
