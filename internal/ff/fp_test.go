@@ -43,38 +43,24 @@ func TestFrRoundTripBig(t *testing.T) {
 	}
 }
 
-func TestFpMulMatchesBig(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		a := new(big.Int).Rand(rng, pMod.big)
-		b := new(big.Int).Rand(rng, pMod.big)
-		var x, y, z Fp
-		x.SetBig(a)
-		y.SetBig(b)
-		z.Mul(&x, &y)
-		want := new(big.Int).Mul(a, b)
-		want.Mod(want, pMod.big)
-		if z.Big().Cmp(want) != 0 {
-			t.Fatalf("mul mismatch at %d", i)
+// TestModuliAllowNoCarry pins montMul's precondition on the modulus:
+// both BN254 primes have a top limb below 2⁶³−1, and initModulus refuses
+// one that does not rather than multiply wrongly.
+func TestModuliAllowNoCarry(t *testing.T) {
+	for _, m := range []*modulus{&pMod, &rMod} {
+		if m.limbs[3] >= 1<<63-1 {
+			t.Fatalf("modulus %v: top limb %#x", m.big, m.limbs[3])
 		}
 	}
-}
-
-func TestFrMulMatchesBig(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(4))
-	for i := 0; i < 500; i++ {
-		a := new(big.Int).Rand(rng, rMod.big)
-		b := new(big.Int).Rand(rng, rMod.big)
-		var x, y, z Fr
-		x.SetBig(a)
-		y.SetBig(b)
-		z.Mul(&x, &y)
-		want := new(big.Int).Mul(a, b)
-		want.Mod(want, rMod.big)
-		if z.Big().Cmp(want) != 0 {
-			t.Fatalf("mul mismatch at %d", i)
+	wide := new(big.Int).Lsh(big.NewInt(1<<63-1), 192)
+	wide.Add(wide, big.NewInt(1))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("initModulus accepted a top limb of 2⁶³−1")
 		}
-	}
+	}()
+	var m modulus
+	initModulus(&m, wide.String())
 }
 
 func TestFrFieldAxiomsQuick(t *testing.T) {
@@ -285,6 +271,28 @@ func BenchmarkFrMul(b *testing.B) {
 	rng := mrand.New(mrand.NewSource(12))
 	x, y := randFr(rng), randFr(rng)
 	var z Fr
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Mul(&x, &y)
+	}
+	_ = z
+}
+
+func BenchmarkFrSquare(b *testing.B) {
+	rng := mrand.New(mrand.NewSource(12))
+	x := randFr(rng)
+	var z Fr
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Square(&x)
+	}
+	_ = z
+}
+
+func BenchmarkFpMul(b *testing.B) {
+	rng := mrand.New(mrand.NewSource(13))
+	x, y := randFp(rng), randFp(rng)
+	var z Fp
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Mul(&x, &y)

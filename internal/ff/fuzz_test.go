@@ -3,13 +3,16 @@ package ff
 import (
 	"bytes"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 )
 
 // FuzzFrSetBytesRoundTrip: SetBytes must accept arbitrary byte strings
 // without panicking, reduce them mod r, and reach a fixed point — the
 // canonical 32-byte encoding re-parses to the same element, and an input
-// that is already canonical survives the round trip bit-for-bit.
+// that is already canonical survives the round trip bit-for-bit. The raw
+// limb paths are checked against big.Int: Fr.SetBytes and Fr.SetBytesWide
+// mod r, Fp.SetBytes mod p.
 func FuzzFrSetBytesRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -28,6 +31,7 @@ func FuzzFrSetBytesRoundTrip(f *testing.F) {
 	f.Add(modBytes[:])
 	new(big.Int).Sub(PModulus(), big.NewInt(1)).FillBytes(modBytes[:])
 	f.Add(modBytes[:])
+	f.Add(bytes.Repeat([]byte{0xff}, 48)) // the transcript's challenge width
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) > 128 {
@@ -55,6 +59,13 @@ func FuzzFrSetBytesRoundTrip(f *testing.F) {
 			t.Fatalf("SetBytes(%x) = %v, want %v", b, got, want)
 		}
 
+		// SetBytesWide — the Fiat–Shamir challenge path for 33–64 bytes —
+		// against the same reduction.
+		var zw Fr
+		if got := zw.SetBytesWide(b).Big(); got.Cmp(want) != 0 {
+			t.Fatalf("Fr.SetBytesWide(%x) = %v, want %v", b, got, want)
+		}
+
 		// A 32-byte input that is already canonical round-trips exactly.
 		if len(b) == 32 && new(big.Int).SetBytes(b).Cmp(RModulus()) < 0 && !bytes.Equal(c[:], b) {
 			t.Fatalf("canonical input %x re-encoded as %x", b, c)
@@ -72,10 +83,109 @@ func FuzzFrSetBytesRoundTrip(f *testing.F) {
 		}
 		var sp, zp Fp
 		zp.SetBytes(b)
+		if got, want := zp.Big(), new(big.Int).Mod(v, PModulus()); got.Cmp(want) != 0 {
+			t.Fatalf("Fp.SetBytes(%x) = %v, want %v", b, got, want)
+		}
 		if ok, want := sp.SetBytesCanonical(b), len(b) == 32 && v.Cmp(PModulus()) < 0; ok != want {
 			t.Fatalf("Fp.SetBytesCanonical(%x) = %v, big.Int says %v", b, ok, want)
 		} else if ok && !sp.Equal(&zp) || !ok && !sp.IsZero() {
 			t.Fatalf("Fp.SetBytesCanonical(%x) left %v", b, sp.String())
+		}
+	})
+}
+
+// FuzzMontMul is the differential check of the Montgomery multiply:
+// Fp.Mul, Fr.Mul, Fp.Square and Fr.Square against big.Int, aliased
+// z.Mul(z, z) included. Each input is read as a big-endian integer,
+// reduced mod m and taken as the Montgomery limbs of an element, so the
+// expected limbs of the product are a·b·R⁻¹ mod m and no conversion that
+// itself multiplies stands between the code and the oracle. The output
+// must also be fully reduced (< m): Equal, IsZero and IsOne compare limbs.
+func FuzzMontMul(f *testing.F) {
+	R := new(big.Int).Lsh(big.NewInt(1), 256)
+	var edges [][]byte
+	for _, m := range []*big.Int{PModulus(), RModulus()} {
+		for _, v := range []*big.Int{
+			big.NewInt(0),
+			big.NewInt(1),
+			new(big.Int).Sub(m, big.NewInt(1)),
+			new(big.Int).Mod(R, m),
+			new(big.Int).Mod(new(big.Int).Mul(R, R), m),
+			new(big.Int).Mod(new(big.Int).Sub(R, big.NewInt(1)), m),
+		} {
+			var b [32]byte
+			v.FillBytes(b[:])
+			edges = append(edges, b[:])
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			f.Add(a, b)
+		}
+	}
+	rng := mrand.New(mrand.NewSource(32))
+	for i := 0; i < 8; i++ {
+		a, b := make([]byte, 32), make([]byte, 32)
+		rng.Read(a)
+		rng.Read(b)
+		f.Add(a, b)
+	}
+
+	pInv := new(big.Int).ModInverse(R, PModulus())
+	frInv := new(big.Int).ModInverse(R, RModulus())
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		for _, c := range []struct {
+			name   string
+			mod    *modulus
+			rInv   *big.Int
+			mul    func(z, x, y *[4]uint64)
+			square func(z, x *[4]uint64)
+		}{
+			{"Fp", &pMod, pInv,
+				func(z, x, y *[4]uint64) { (*Fp)(z).Mul((*Fp)(x), (*Fp)(y)) },
+				func(z, x *[4]uint64) { (*Fp)(z).Square((*Fp)(x)) }},
+			{"Fr", &rMod, frInv,
+				func(z, x, y *[4]uint64) { (*Fr)(z).Mul((*Fr)(x), (*Fr)(y)) },
+				func(z, x *[4]uint64) { (*Fr)(z).Square((*Fr)(x)) }},
+		} {
+			m := c.mod.big
+			av := new(big.Int).Mod(new(big.Int).SetBytes(a), m)
+			bv := new(big.Int).Mod(new(big.Int).SetBytes(b), m)
+			var x, y [4]uint64
+			bigToLimbs(av, &x)
+			bigToLimbs(bv, &y)
+			want := func(u, v *big.Int) *big.Int {
+				w := new(big.Int).Mul(u, v)
+				w.Mul(w, c.rInv)
+				return w.Mod(w, m)
+			}
+			check := func(op string, got *[4]uint64, w *big.Int) {
+				t.Helper()
+				if geqLimbs(got, &c.mod.limbs) {
+					t.Fatalf("%s.%s(%v, %v) = %x, not reduced below the modulus", c.name, op, av, bv, *got)
+				}
+				if g := limbsToBig(got); g.Cmp(w) != 0 {
+					t.Fatalf("%s.%s(%v, %v) = %v, want %v", c.name, op, av, bv, g, w)
+				}
+			}
+
+			var z [4]uint64
+			c.mul(&z, &x, &y)
+			check("Mul", &z, want(av, bv))
+			z = x
+			c.mul(&z, &z, &y)
+			check("Mul(z, z, y)", &z, want(av, bv))
+			z = y
+			c.mul(&z, &x, &z)
+			check("Mul(z, x, z)", &z, want(av, bv))
+			c.square(&z, &x)
+			check("Square", &z, want(av, av))
+			z = x
+			c.mul(&z, &z, &z)
+			check("Mul(z, z, z)", &z, want(av, av))
+			z = y
+			c.square(&z, &z)
+			check("Square(z, z)", &z, want(bv, bv))
 		}
 	})
 }

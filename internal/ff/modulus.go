@@ -48,6 +48,9 @@ func initModulus(m *modulus, dec string) {
 	}
 	m.big = v
 	bigToLimbs(v, &m.limbs)
+	if m.limbs[3] >= 1<<63-1 {
+		panic("ff: modulus too wide for the no-carry montMul")
+	}
 
 	// ninv = -m^{-1} mod 2^64.
 	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
@@ -102,11 +105,16 @@ func limbsFromBytesBE(b []byte, out *[4]uint64) {
 }
 
 // montFromRaw sets z to the Montgomery form of the (unreduced, < 2^256)
-// limb value raw: montMul's trailing reduction loop handles inputs above
-// the modulus, so this is a full alloc-free replacement for the
-// big.Int round trip on ≤32-byte inputs.
+// limb value raw, an alloc-free replacement for the big.Int round trip on
+// ≤32-byte inputs. montMul wants its inputs below m, so raw is reduced
+// first by subtracting m: at most five times, as 2^256 < 6m for both
+// BN254 primes.
 func montFromRaw(z, raw *[4]uint64, m *modulus) {
-	montMul(z, raw, &m.r2, m)
+	r := *raw
+	for geqLimbs(&r, &m.limbs) {
+		subModulus(&r, m)
+	}
+	montMul(z, &r, &m.r2, m)
 }
 
 // setCanonical sets z to the element whose canonical encoding is exactly
@@ -130,66 +138,92 @@ func setCanonical(z *[4]uint64, b []byte, m *modulus) bool {
 
 func limbsToBig(l *[4]uint64) *big.Int {
 	var buf [32]byte
-	for i := 0; i < 4; i++ {
-		v := l[i]
-		for j := 0; j < 8; j++ {
-			buf[31-8*i-j] = byte(v >> (8 * j))
-		}
-	}
+	limbsToBytesBE(l, &buf)
 	return new(big.Int).SetBytes(buf[:])
 }
 
-// montMul sets z = x*y*R^{-1} mod m (CIOS). Aliasing of z with x or y is
-// allowed.
+// montMul sets z = x·y·R⁻¹ mod m. Inputs must be reduced (x, y < m); the
+// output then is too (z < m), which Equal, IsZero and IsOne rely on, as
+// they compare limbs. Aliasing of z with x or y is allowed.
+//
+// It is the CIOS method (Koç, Acar and Kaliski) unrolled over four limbs,
+// without a fifth: each round adds xᵢ·y and u·m to t and shifts it down a
+// limb, keeping t < 2m < 2²⁵⁶, so the two carry chains' last words sum
+// into t3 without overflow as m's top limb is below 2⁶³−1 (initModulus
+// checks it). One conditional subtraction then brings t below m.
 func montMul(z, x, y *[4]uint64, m *modulus) {
-	var t [5]uint64
-	for i := 0; i < 4; i++ {
-		xi := x[i]
-		var c, c1 uint64
-		for j := 0; j < 4; j++ {
-			hi, lo := bits.Mul64(xi, y[j])
-			lo, c1 = bits.Add64(lo, c, 0)
-			hi += c1
-			t[j], c1 = bits.Add64(t[j], lo, 0)
-			c = hi + c1
-		}
-		t[4], c = bits.Add64(t[4], c, 0)
-		t5 := c
+	m0, m1, m2, m3, ninv := m.limbs[0], m.limbs[1], m.limbs[2], m.limbs[3], m.ninv
+	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
+	var t0, t1, t2, t3, a, c, u uint64
 
-		u := t[0] * m.ninv
-		c = 0
-		for j := 0; j < 4; j++ {
-			hi, lo := bits.Mul64(u, m.limbs[j])
-			lo, c1 = bits.Add64(lo, c, 0)
-			hi += c1
-			t[j], c1 = bits.Add64(t[j], lo, 0)
-			c = hi + c1
-		}
-		t[4], c = bits.Add64(t[4], c, 0)
-		t5 += c
+	a, t0 = bits.Mul64(x[0], y0)
+	u = t0 * ninv
+	c, _ = madd1(u, m0, t0)
+	a, t1 = madd1(x[0], y1, a)
+	c, t0 = madd2(u, m1, t1, c)
+	a, t2 = madd1(x[0], y2, a)
+	c, t1 = madd2(u, m2, t2, c)
+	a, t3 = madd1(x[0], y3, a)
+	c, t2 = madd2(u, m3, t3, c)
+	t3 = a + c
 
-		t[0], t[1], t[2], t[3], t[4] = t[1], t[2], t[3], t[4], t5
+	a, t0 = madd1(x[1], y0, t0)
+	u = t0 * ninv
+	c, _ = madd1(u, m0, t0)
+	a, t1 = madd2(x[1], y1, a, t1)
+	c, t0 = madd2(u, m1, t1, c)
+	a, t2 = madd2(x[1], y2, a, t2)
+	c, t1 = madd2(u, m2, t2, c)
+	a, t3 = madd2(x[1], y3, a, t3)
+	c, t2 = madd2(u, m3, t3, c)
+	t3 = a + c
+
+	a, t0 = madd1(x[2], y0, t0)
+	u = t0 * ninv
+	c, _ = madd1(u, m0, t0)
+	a, t1 = madd2(x[2], y1, a, t1)
+	c, t0 = madd2(u, m1, t1, c)
+	a, t2 = madd2(x[2], y2, a, t2)
+	c, t1 = madd2(u, m2, t2, c)
+	a, t3 = madd2(x[2], y3, a, t3)
+	c, t2 = madd2(u, m3, t3, c)
+	t3 = a + c
+
+	a, t0 = madd1(x[3], y0, t0)
+	u = t0 * ninv
+	c, _ = madd1(u, m0, t0)
+	a, t1 = madd2(x[3], y1, a, t1)
+	c, t0 = madd2(u, m1, t1, c)
+	a, t2 = madd2(x[3], y2, a, t2)
+	c, t1 = madd2(u, m2, t2, c)
+	a, t3 = madd2(x[3], y3, a, t3)
+	c, t2 = madd2(u, m3, t3, c)
+	t3 = a + c
+
+	var b uint64
+	z[0], b = bits.Sub64(t0, m0, 0)
+	z[1], b = bits.Sub64(t1, m1, b)
+	z[2], b = bits.Sub64(t2, m2, b)
+	z[3], b = bits.Sub64(t3, m3, b)
+	if b != 0 {
+		z[0], z[1], z[2], z[3] = t0, t1, t2, t3
 	}
-	// T < 2m here; reduce into [0, m).
-	for t[4] != 0 || geq4(&t, &m.limbs) {
-		var b uint64
-		t[0], b = bits.Sub64(t[0], m.limbs[0], 0)
-		t[1], b = bits.Sub64(t[1], m.limbs[1], b)
-		t[2], b = bits.Sub64(t[2], m.limbs[2], b)
-		t[3], b = bits.Sub64(t[3], m.limbs[3], b)
-		t[4] -= b
-	}
-	z[0], z[1], z[2], z[3] = t[0], t[1], t[2], t[3]
 }
 
-// geq4 reports whether the low 4 limbs of t are >= m.
-func geq4(t *[5]uint64, m *[4]uint64) bool {
-	for i := 3; i >= 0; i-- {
-		if t[i] != m[i] {
-			return t[i] > m[i]
-		}
-	}
-	return true
+// madd1 returns a·b + c as two words.
+func madd1(a, b, c uint64) (hi, lo uint64) {
+	hi, lo = bits.Mul64(a, b)
+	lo, carry := bits.Add64(lo, c, 0)
+	return hi + carry, lo
+}
+
+// madd2 returns a·b + c + d as two words; it cannot overflow 128 bits.
+func madd2(a, b, c, d uint64) (hi, lo uint64) {
+	hi, lo = bits.Mul64(a, b)
+	c, carry := bits.Add64(c, d, 0)
+	hi += carry
+	lo, carry = bits.Add64(lo, c, 0)
+	return hi + carry, lo
 }
 
 // modAdd sets z = x + y mod m.
@@ -200,13 +234,17 @@ func modAdd(z, x, y *[4]uint64, m *modulus) {
 	z[2], c = bits.Add64(x[2], y[2], c)
 	z[3], c = bits.Add64(x[3], y[3], c)
 	if c != 0 || geqLimbs(z, &m.limbs) {
-		var b uint64
-		z[0], b = bits.Sub64(z[0], m.limbs[0], 0)
-		z[1], b = bits.Sub64(z[1], m.limbs[1], b)
-		z[2], b = bits.Sub64(z[2], m.limbs[2], b)
-		z[3], _ = bits.Sub64(z[3], m.limbs[3], b)
-		_ = b
+		subModulus(z, m)
 	}
+}
+
+// subModulus sets z = z − m mod 2^256.
+func subModulus(z *[4]uint64, m *modulus) {
+	var b uint64
+	z[0], b = bits.Sub64(z[0], m.limbs[0], 0)
+	z[1], b = bits.Sub64(z[1], m.limbs[1], b)
+	z[2], b = bits.Sub64(z[2], m.limbs[2], b)
+	z[3], _ = bits.Sub64(z[3], m.limbs[3], b)
 }
 
 // modSub sets z = x - y mod m.
