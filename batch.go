@@ -3,12 +3,10 @@ package zkvc
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"zkvc/internal/crpc"
-	"zkvc/internal/ff"
 	"zkvc/internal/groth16"
-	"zkvc/internal/pcs"
+	"zkvc/internal/r1cs"
 	"zkvc/internal/spartan"
 )
 
@@ -19,8 +17,11 @@ import (
 // proof: the per-product CRPC identities at a shared challenge Z are
 // combined with a second Fiat–Shamir challenge γ, so the batch circuit
 // has exactly the sum of the individual constraint counts but a single
-// setup, witness commitment, and proof. See internal/crpc/batch.go for
-// the identity and its Schwartz–Zippel soundness bound.
+// setup, witness commitment, and proof. The circuit comes from the same
+// builder as a single statement's, which is a batch of one (see
+// internal/crpc/batch.go for the identity and its Schwartz–Zippel
+// soundness bound), and the proof goes through the same prove and verify
+// seams as single and epoch proofs.
 
 // BatchProof is a verifiable statement "Y_m = X_m·W_m for every m, for
 // the W_m under Commit".
@@ -69,45 +70,11 @@ func (p *MatMulProver) ProveBatchContext(ctx context.Context, pairs ...[2]*Matri
 		proof.Shapes = append(proof.Shapes, [3]int{s.X.Rows, s.X.Cols, s.W.Cols})
 		proof.Ys = append(proof.Ys, s.Y)
 	}
-
-	start := time.Now()
-	syn, err := crpc.SynthesizeBatch(bs, p.opts)
+	var err error
+	proof.G16Proof, proof.G16VK, proof.SpartanProof, err = p.prove(ctx, nil, &proof.Timings,
+		func() (*crpc.Synthesis, error) { return crpc.SynthesizeBatch(bs, p.opts) })
 	if err != nil {
 		return nil, err
-	}
-	proof.Timings.Synthesis = time.Since(start)
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	switch p.backend {
-	case Groth16:
-		start = time.Now()
-		pk, vk, err := groth16.Setup(syn.Sys, p.rng)
-		if err != nil {
-			return nil, err
-		}
-		proof.Timings.Setup = time.Since(start)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		start = time.Now()
-		g16, err := groth16.Prove(syn.Sys, pk, syn.Assignment, p.rng)
-		if err != nil {
-			return nil, err
-		}
-		proof.Timings.Prove = time.Since(start)
-		proof.G16Proof, proof.G16VK = g16, vk
-	case Spartan:
-		start = time.Now()
-		sp, err := spartan.Prove(syn.Sys, syn.Assignment, p.pcs)
-		if err != nil {
-			return nil, err
-		}
-		proof.Timings.Prove = time.Since(start)
-		proof.SpartanProof = sp
-	default:
-		return nil, fmt.Errorf("zkvc: unknown backend %d", p.backend)
 	}
 	return proof, nil
 }
@@ -119,6 +86,9 @@ func (p *MatMulProver) ProveBatchContext(ctx context.Context, pairs ...[2]*Matri
 func VerifyMatMulBatch(xs []*Matrix, proof *BatchProof) error {
 	if proof == nil {
 		return fmt.Errorf("%w: missing batch proof", ErrVerification)
+	}
+	if !proof.Opts.CRPC {
+		return fmt.Errorf("%w: batch proofs require the CRPC identity", ErrVerification)
 	}
 	if len(proof.Commit) != wCommitLen {
 		return fmt.Errorf("%w: malformed batch commitment (%d bytes, want %d)",
@@ -142,41 +112,9 @@ func VerifyMatMulBatch(xs []*Matrix, proof *BatchProof) error {
 		}
 		stmts[i] = &crpc.Statement{X: xs[i], Y: proof.Ys[i]}
 	}
-	// Public witness: [1, all X entries, all Y entries] in batch order.
-	total := 1
-	for i := range xs {
-		total += len(xs[i].Data) + len(proof.Ys[i].Data)
-	}
-	public := make([]ff.Fr, 1, total)
-	public[0].SetOne()
-	for i := range xs {
-		public = append(public, xs[i].Data...)
-	}
-	for i := range proof.Ys {
-		public = append(public, proof.Ys[i].Data...)
-	}
-
-	switch proof.Backend {
-	case Groth16:
-		if proof.G16Proof == nil || proof.G16VK == nil {
-			return fmt.Errorf("%w: missing Groth16 payload", ErrVerification)
-		}
-		if err := groth16.Verify(proof.G16VK, proof.G16Proof, public); err != nil {
-			return fmt.Errorf("%w: %v", ErrVerification, err)
-		}
-	case Spartan:
-		if proof.SpartanProof == nil {
-			return fmt.Errorf("%w: missing Spartan payload", ErrVerification)
-		}
-		// Only Spartan consumes the rebuilt system; Groth16's circuit
-		// binding lives entirely in the verifying key (see verifyMatMulAt).
-		z, gamma := crpc.DeriveBatchChallenges(stmts, proof.Commit)
-		sys := crpc.SynthesizeBatchShape(proof.Shapes, z, gamma, proof.Opts)
-		if err := spartan.Verify(sys, proof.SpartanProof, public, pcs.DefaultParams()); err != nil {
-			return fmt.Errorf("%w: %v", ErrVerification, err)
-		}
-	default:
-		return fmt.Errorf("%w: unknown backend %d", ErrVerification, proof.Backend)
-	}
-	return nil
+	return verify(proof.Backend, proof.G16Proof, proof.G16VK, proof.SpartanProof, xs, proof.Ys,
+		func() *r1cs.System {
+			z, gamma := crpc.DeriveBatchChallenges(stmts, proof.Commit)
+			return crpc.SynthesizeBatchShape(proof.Shapes, z, gamma, proof.Opts)
+		})
 }

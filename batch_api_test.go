@@ -98,8 +98,9 @@ func TestBatchRejectsShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestBatchRejectsMissingData: nil proofs, nil inputs and nil outputs
-// must return ErrVerification like the single-proof verifier, not panic.
+// TestBatchRejectsMissingData: nil proofs, nil inputs and nil outputs,
+// a truncated commitment and options without CRPC must return
+// ErrVerification like the single-proof verifier, not panic.
 func TestBatchRejectsMissingData(t *testing.T) {
 	pairs, xs := batchPairs(t, 37)
 	prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
@@ -129,6 +130,11 @@ func TestBatchRejectsMissingData(t *testing.T) {
 		t.Errorf("truncated commitment: got %v, want ErrVerification", err)
 	}
 	proof.Commit = savedCommit
+	proof.Opts.CRPC = false // batches exist only under the CRPC identity
+	if err := zkvc.VerifyMatMulBatch(xs, proof); !errors.Is(err, zkvc.ErrVerification) {
+		t.Errorf("options without CRPC: got %v, want ErrVerification", err)
+	}
+	proof.Opts.CRPC = true
 	if err := zkvc.VerifyMatMulBatch(xs, proof); err != nil {
 		t.Errorf("restored proof no longer verifies: %v", err)
 	}

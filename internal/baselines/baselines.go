@@ -120,10 +120,12 @@ func SynthesizeZEN(stmt *crpc.Statement) (*crpc.Synthesis, error) {
 	two.SetUint64(2)
 	for i := 0; i < a; i++ {
 		for j := 0; j < b; j++ {
-			dot := r1cs.LC{}
+			// Every summed wire is fresh, so the sums are plain term
+			// lists, as in SynthesizeVCNN.
+			dot := make(r1cs.LC, 0, n)
 			for k := 0; k < n; k++ {
 				d := bld.Mul(r1cs.VarLC(xVars[i*n+k]), r1cs.VarLC(wVars[k*b+j]))
-				dot = r1cs.AddLC(dot, r1cs.VarLC(d))
+				dot = append(dot, r1cs.Term{Coeff: one(), V: d})
 			}
 			bld.AssertEqual(dot, r1cs.VarLC(yVars[i*b+j]))
 			// Requantization range check on a shifted accumulator:
@@ -135,7 +137,7 @@ func SynthesizeZEN(stmt *crpc.Statement) (*crpc.Synthesis, error) {
 			var sv ff.Fr
 			sv.Add(&yv, &offFr)
 			bits := sv.Big()
-			recompose := r1cs.LC{}
+			recompose := make(r1cs.LC, 0, ZENQuantBits)
 			var coeff ff.Fr
 			coeff.SetOne()
 			for t := 0; t < ZENQuantBits; t++ {
@@ -143,7 +145,7 @@ func SynthesizeZEN(stmt *crpc.Statement) (*crpc.Synthesis, error) {
 				bitVal.SetUint64(uint64(bits.Bit(t)))
 				bv := bld.Secret(bitVal)
 				bld.AssertBool(r1cs.VarLC(bv))
-				recompose = r1cs.AddLC(recompose, r1cs.ScaleLC(r1cs.VarLC(bv), &coeff))
+				recompose = append(recompose, r1cs.Term{Coeff: coeff, V: bv})
 				coeff.Mul(&coeff, &two)
 			}
 			shiftedLC := r1cs.AddLC(r1cs.VarLC(yVars[i*b+j]), r1cs.ConstLC(offFr))

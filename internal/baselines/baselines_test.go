@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"encoding/hex"
 	mrand "math/rand"
 	"testing"
 
@@ -158,5 +159,29 @@ func TestZKCNNRejectsWrongWCommitment(t *testing.T) {
 	}
 	if err := ZKCNNVerify(x, y, proof, params); err == nil {
 		t.Fatal("zkCNN accepted a proof against the wrong committed model")
+	}
+}
+
+// TestZENStructureKnownAnswer pins the ZEN circuit's structure digest,
+// computed while its sums were still built with repeated AddLC. Every
+// summed wire is fresh, so appending terms must leave the circuit as it
+// was.
+func TestZENStructureKnownAnswer(t *testing.T) {
+	for _, c := range []struct {
+		a, n, b int
+		want    string
+	}{
+		{3, 4, 5, "7886061ee8a342030e89e8336c41f281421736bd8eae54a99c280bcdcbfafa10"},
+		{2, 1, 3, "6c644d8b779ba2a8487494c5e1ae025a6cd3dc39da71ca49ca68bf2bd4b466bf"},
+	} {
+		rng := mrand.New(mrand.NewSource(int64(710 + c.n)))
+		syn, err := SynthesizeZEN(randomStatement(rng, c.a, c.n, c.b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := syn.Sys.StructureDigest()
+		if got := hex.EncodeToString(d[:]); got != c.want {
+			t.Errorf("%dx%dx%d: structure digest %s, want %s", c.a, c.n, c.b, got, c.want)
+		}
 	}
 }

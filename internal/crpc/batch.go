@@ -14,19 +14,22 @@ import (
 // numbers* of matrix multiplications (Transformer inference is hundreds
 // of them). Proving each product separately pays per-proof overhead —
 // for Groth16 a CRS and three MSM walks per product, for Spartan a
-// commitment and two sumchecks. This file extends CRPC to a batch: the m
-// per-product identities at the shared challenge Z are folded into a
-// single statement with a second Fiat–Shamir challenge γ,
+// commitment and two sumchecks. A batch is what synthesize builds anyway
+// (a single statement is a batch of one): the m per-product identities
+// at the shared challenge Z are folded into one with a second
+// Fiat–Shamir challenge γ,
 //
 //	Σ_m γ^m · [ Σ_{i,j} Z^{ib+j}·y^{(m)}_ij − Σ_k L^{(m)}_k·R^{(m)}_k ] = 0,
 //
-// where L/R are the per-product CRPC column/row polynomials. Every term
+// where L/R are the per-product CRPC column/row polynomials. CRPC picks
+// these products and PSQ sums them, as for one statement. Every term
 // γ^m·L·R still needs its own multiplication constraint (Σ_m n_m total —
 // exactly the sum of the individual circuits), but the batch shares one
 // circuit, one witness commitment, and one proof, so the per-proof
 // overhead amortizes. Soundness: a cheating prover must fool both the Z
 // identity of some product and the γ fold — by Schwartz–Zippel the union
-// bound stays ≈ (Σ a_m·b_m + m)/|F|.
+// bound stays ≈ (Σ a_m·b_m + m)/|F|. This file derives the batch
+// challenges and checks the batch; synthesize builds it.
 
 // BatchStatement is a list of matmul relations proved together. Every
 // product has public X^{(m)}, Y^{(m)} and private W^{(m)}.
@@ -82,177 +85,17 @@ func SynthesizeBatch(bs *BatchStatement, opts Options) (*Synthesis, error) {
 	if len(bs.Stmts) == 0 {
 		return nil, fmt.Errorf("crpc: empty batch")
 	}
-	for mi, s := range bs.Stmts {
-		if s.X.Cols != s.W.Rows || s.Y.Rows != s.X.Rows || s.Y.Cols != s.W.Cols {
-			return nil, fmt.Errorf("crpc: batch element %d has inconsistent dims", mi)
+	for m, s := range bs.Stmts {
+		if err := s.check(); err != nil {
+			return nil, fmt.Errorf("crpc: batch element %d: %w", m, err)
 		}
 	}
 	z, gamma := DeriveBatchChallenges(bs.Stmts, BatchCommit(bs.Stmts))
-	return synthesizeBatchWithChallenges(bs, z, gamma, opts)
+	return synthesize(bs.Stmts, z, gamma, opts), nil
 }
 
 // SynthesizeBatchShape rebuilds the batch constraint system from public
 // shapes and challenges only (verifier side).
 func SynthesizeBatchShape(shapes [][3]int, z, gamma ff.Fr, opts Options) *r1cs.System {
-	bs := &BatchStatement{}
-	for _, sh := range shapes {
-		bs.Stmts = append(bs.Stmts, &Statement{
-			X: matrix.New(sh[0], sh[1]),
-			W: matrix.New(sh[1], sh[2]),
-			Y: matrix.New(sh[0], sh[2]),
-		})
-	}
-	syn, err := synthesizeBatchWithChallenges(bs, z, gamma, opts)
-	if err != nil {
-		panic(err) // consistent zero statements cannot fail
-	}
-	return syn.Sys
-}
-
-func synthesizeBatchWithChallenges(bs *BatchStatement, z, gamma ff.Fr, opts Options) (*Synthesis, error) {
-	bld := r1cs.NewBuilder()
-	// Same per-product CRPC upper bound as the single-statement
-	// synthesis (batching requires CRPC), summed over the batch.
-	growCons, growVars := 0, 0
-	for _, s := range bs.Stmts {
-		a, n, b := s.X.Rows, s.X.Cols, s.W.Cols
-		growCons += n + 1
-		growVars += a*n + a*b + n*b + 2*n + 1
-	}
-	bld.Grow(growCons, growVars)
-
-	// Publics first: every X, then every Y (batch order).
-	xVars := make([][]r1cs.Var, len(bs.Stmts))
-	yVars := make([][]r1cs.Var, len(bs.Stmts))
-	for mi, s := range bs.Stmts {
-		xVars[mi] = make([]r1cs.Var, len(s.X.Data))
-		for i := range s.X.Data {
-			xVars[mi][i] = bld.PublicInput(s.X.Data[i])
-		}
-	}
-	for mi, s := range bs.Stmts {
-		yVars[mi] = make([]r1cs.Var, len(s.Y.Data))
-		for i := range s.Y.Data {
-			yVars[mi][i] = bld.PublicInput(s.Y.Data[i])
-		}
-	}
-	wVars := make([][]r1cs.Var, len(bs.Stmts))
-	for mi, s := range bs.Stmts {
-		wVars[mi] = make([]r1cs.Var, len(s.W.Data))
-		for i := range s.W.Data {
-			wVars[mi][i] = bld.Secret(s.W.Data[i])
-		}
-	}
-
-	// Fold the per-product identities:
-	//   lhs = Σ_m γ^m Σ_{ij} Z^{ib+j} y^{(m)}_ij
-	//   Σ over all products' k of ( γ^m · L^{(m)}_k )·( R^{(m)}_k ) = lhs,
-	// accumulated either through one wide addition (PSQ off) or through a
-	// global prefix-sum chain whose final constraint ties to lhs (PSQ on),
-	// mirroring synthesizeCRPC's wiring across the whole batch.
-	var gammaPow, coeff ff.Fr
-	gammaPow.SetOne()
-	lhs := r1cs.LC{}
-	var lefts, rights []r1cs.LC
-	for mi, s := range bs.Stmts {
-		a, n, b := s.X.Rows, s.X.Cols, s.W.Cols
-
-		// lhs terms: γ^m · Z^{ib+j} · y_ij.
-		var zp ff.Fr
-		zp.SetOne()
-		for i := 0; i < a; i++ {
-			for j := 0; j < b; j++ {
-				coeff.Mul(&gammaPow, &zp)
-				lhs = append(lhs, r1cs.Term{Coeff: coeff, V: yVars[mi][i*b+j]})
-				zp.Mul(&zp, &z)
-			}
-		}
-
-		// Per k: L_k = γ^m Σ_i Z^{ib} x_ik, R_k = Σ_j Z^j w_kj.
-		zb := zPowInt(&z, b)
-		for k := 0; k < n; k++ {
-			left := make(r1cs.LC, 0, a)
-			var zib ff.Fr
-			zib.SetOne()
-			for i := 0; i < a; i++ {
-				coeff.Mul(&gammaPow, &zib)
-				left = append(left, r1cs.Term{Coeff: coeff, V: xVars[mi][i*n+k]})
-				zib.Mul(&zib, &zb)
-			}
-			right := make(r1cs.LC, 0, b)
-			var zj ff.Fr
-			zj.SetOne()
-			for j := 0; j < b; j++ {
-				right = append(right, r1cs.Term{Coeff: zj, V: wVars[mi][k*b+j]})
-				zj.Mul(&zj, &z)
-			}
-			lefts = append(lefts, left)
-			rights = append(rights, right)
-		}
-		gammaPow.Mul(&gammaPow, &gamma)
-	}
-
-	total := len(lefts)
-	if !opts.PSQ {
-		sum := make(r1cs.LC, 0, total)
-		for k := 0; k < total; k++ {
-			p := bld.Mul(lefts[k], rights[k])
-			sum = append(sum, r1cs.Term{Coeff: one(), V: p})
-		}
-		bld.AssertEqual(sum, lhs)
-	} else {
-		var prev r1cs.LC
-		for k := 0; k < total; k++ {
-			if k == total-1 {
-				rhs := lhs
-				if prev != nil {
-					rhs = r1cs.SubLC(rhs, prev)
-				}
-				bld.AssertMul(lefts[k], rights[k], rhs)
-				continue
-			}
-			var prefixVal ff.Fr
-			if prev != nil {
-				prefixVal = bld.Eval(prev)
-			}
-			lv := bld.Eval(lefts[k])
-			rv := bld.Eval(rights[k])
-			var prod ff.Fr
-			prod.Mul(&lv, &rv)
-			prefixVal.Add(&prefixVal, &prod)
-			sVar := bld.Secret(prefixVal)
-			rhs := r1cs.VarLC(sVar)
-			if prev != nil {
-				rhs = r1cs.SubLC(rhs, prev)
-			}
-			bld.AssertMul(lefts[k], rights[k], rhs)
-			prev = r1cs.VarLC(sVar)
-		}
-	}
-
-	sys, assignment := bld.Finish()
-	return &Synthesis{
-		Sys:        sys,
-		Assignment: assignment,
-		Public:     bld.PublicWitness(),
-		Z:          z,
-		Opts:       opts,
-	}, nil
-}
-
-// zPowInt returns z^e for a small non-negative exponent.
-func zPowInt(z *ff.Fr, e int) ff.Fr {
-	var out ff.Fr
-	out.SetOne()
-	for i := 0; i < e; i++ {
-		out.Mul(&out, z)
-	}
-	return out
-}
-
-// one returns the field element 1.
-func one() ff.Fr {
-	var v ff.Fr
-	v.SetOne()
-	return v
+	return synthesize(zeroStatements(shapes), z, gamma, opts).Sys
 }

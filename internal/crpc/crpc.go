@@ -1,9 +1,12 @@
-// Package crpc implements zkVC's two matmul circuit optimizations
-// (paper §III):
+// Package crpc builds zkVC's matmul circuits (paper §III). One builder,
+// synthesize, proves a batch of relations Y_m = X_m·W_m; a single
+// statement is a batch of one. Two independent switches pick the circuit,
+// giving the four circuits of the paper's Table II ablation:
 //
-//   - CRPC (Constraint-Reduced Polynomial Circuits): the matrix product
-//     Y[a×b] = X[a×n]·W[n×b] is verified through the single aggregated
-//     polynomial identity
+//   - CRPC (Constraint-Reduced Polynomial Circuits) picks the products.
+//     Off, the circuit multiplies every scalar x_ik·w_kj and closes each
+//     y_ij on its own n products. On, Y[a×b] = X[a×n]·W[n×b] is verified
+//     through the single aggregated polynomial identity
 //
 //     Σ_{i,j} Z^{ib+j}·y_ij  =  Σ_k ( Σ_i Z^{ib}·x_ik )·( Σ_j Z^j·w_kj )
 //
@@ -11,16 +14,15 @@
 //     combinations — free in R1CS — so only n multiplication constraints
 //     remain instead of a·b·n. The monomials Z^{ib+j} are pairwise
 //     distinct, so by Schwartz–Zippel a false Y survives with probability
-//     at most a·b/|F| ≈ 2^{-240}.
+//     at most a·b/|F| ≈ 2^{-240}. A batch folds its statements' identities
+//     into one with a second challenge γ (batch.go).
 //
-//   - PSQ (Prefix-Sum Query): instead of materializing every product and
-//     closing with one wide addition constraint (whose left side touches
-//     every product wire), each constraint writes into a running prefix
-//     sum: p_k = s_k − s_{k−1}. The last prefix IS the result, the wide
-//     addition disappears, and the number of live wires drops.
-//
-// Both switches compose, giving the four circuits of the paper's Table II
-// ablation.
+//   - PSQ (Prefix-Sum Query) picks how each group of products is summed.
+//     Off, every product gets a wire and one wide addition constraint,
+//     whose left side touches every product wire, closes the sum. On, each
+//     constraint writes into a running prefix sum: p_k = s_k − s_{k−1}.
+//     The last prefix IS the result, the wide addition disappears, and the
+//     number of live wires drops.
 package crpc
 
 import (
@@ -129,28 +131,16 @@ func DeriveEpochZ(epoch []byte, a, n, b int, opts Options) ff.Fr {
 	return tr.ChallengeFr("z")
 }
 
-// SynthesizeAt builds the circuit at a caller-supplied challenge. The
-// epoch-keyed proving path uses it with DeriveEpochZ so the circuit (and
-// hence the Groth16 CRS) matches a cached per-shape setup.
-func SynthesizeAt(stmt *Statement, z ff.Fr, opts Options) (*Synthesis, error) {
-	return synthesizeWithZ(stmt, z, opts)
-}
-
-// SynthesizeShape rebuilds just the constraint system for given dimensions
-// and challenge, without any witness values: the circuit structure depends
-// only on (a, n, b, Z, opts), so a verifier can reconstruct it from public
-// data. The returned assignment is meaningless and must not be used.
-func SynthesizeShape(a, n, b int, z ff.Fr, opts Options) *r1cs.System {
-	stmt := &Statement{
-		X: matrix.New(a, n),
-		W: matrix.New(n, b),
-		Y: matrix.New(a, b),
+// check rejects a statement whose dimensions disagree.
+func (s *Statement) check() error {
+	a, n := s.X.Rows, s.X.Cols
+	if s.W.Rows != n {
+		return fmt.Errorf("crpc: inner dimensions %d != %d", n, s.W.Rows)
 	}
-	syn, err := synthesizeWithZ(stmt, z, opts)
-	if err != nil {
-		panic(err) // zero statements of consistent shape cannot fail
+	if s.Y.Rows != a || s.Y.Cols != s.W.Cols {
+		return fmt.Errorf("crpc: output is %dx%d, want %dx%d", s.Y.Rows, s.Y.Cols, a, s.W.Cols)
 	}
-	return syn.Sys
+	return nil
 }
 
 // Synthesize builds the circuit selected by opts and returns the system,
@@ -160,200 +150,183 @@ func Synthesize(stmt *Statement, opts Options) (*Synthesis, error) {
 	if opts.CRPC {
 		z = DeriveZ(stmt)
 	}
-	return synthesizeWithZ(stmt, z, opts)
+	return SynthesizeAt(stmt, z, opts)
 }
 
-// synthesizeWithZ is Synthesize with the challenge supplied by the caller
-// (the verifier recomputes Z from the W commitment).
-func synthesizeWithZ(stmt *Statement, z ff.Fr, opts Options) (*Synthesis, error) {
-	a, n := stmt.X.Rows, stmt.X.Cols
-	n2, b := stmt.W.Rows, stmt.W.Cols
-	if n != n2 {
-		return nil, fmt.Errorf("crpc: inner dimensions %d != %d", n, n2)
+// SynthesizeAt builds the circuit at a caller-supplied challenge. The
+// epoch-keyed proving path uses it with DeriveEpochZ so the circuit (and
+// hence the Groth16 CRS) matches a cached per-shape setup.
+func SynthesizeAt(stmt *Statement, z ff.Fr, opts Options) (*Synthesis, error) {
+	if err := stmt.check(); err != nil {
+		return nil, err
 	}
-	if stmt.Y.Rows != a || stmt.Y.Cols != b {
-		return nil, fmt.Errorf("crpc: output is %dx%d, want %dx%d", stmt.Y.Rows, stmt.Y.Cols, a, b)
-	}
+	return synthesize([]*Statement{stmt}, z, ff.Fr{}, opts), nil
+}
 
+// SynthesizeShape rebuilds just the constraint system for given dimensions
+// and challenge, without any witness values: the circuit structure depends
+// only on (a, n, b, Z, opts), so a verifier can reconstruct it from public
+// data.
+func SynthesizeShape(a, n, b int, z ff.Fr, opts Options) *r1cs.System {
+	return synthesize(zeroStatements([][3]int{{a, n, b}}), z, ff.Fr{}, opts).Sys
+}
+
+// zeroStatements returns all-zero statements of the given (a, n, b)
+// shapes, from which the shape-only builders synthesize.
+func zeroStatements(shapes [][3]int) []*Statement {
+	stmts := make([]*Statement, len(shapes))
+	for m, sh := range shapes {
+		stmts[m] = &Statement{X: matrix.New(sh[0], sh[1]), W: matrix.New(sh[1], sh[2]), Y: matrix.New(sh[0], sh[2])}
+	}
+	return stmts
+}
+
+// synthesize is the one matmul circuit builder. It proves every statement
+// of stmts, whose dimensions the caller has checked; a single statement is
+// a batch of one (γ⁰ = 1, so the fold adds nothing). The public wires are
+// every X, then every Y, in batch order; the W entries are the first
+// private wires.
+//
+// CRPC picks the products. Off, each y_ij closes its own group of n
+// scalar products x_ik·w_kj. On, statement m contributes its n products
+// L_k·R_k of the γ^m-scaled Z-weighted column of X with the Z-weighted row
+// of W, and the whole batch closes one group on
+// Σ_m γ^m Σ_{i,j} Z^{ib+j}·y^{(m)}_ij. PSQ picks how each group is summed
+// (accumulate).
+func synthesize(stmts []*Statement, z, gamma ff.Fr, opts Options) *Synthesis {
+	// Reserve the exact upper bound so synthesis is free of append-growth
+	// garbage. CRPC: n multiplication constraints per statement (+1
+	// closing add), with at most one product or prefix wire each.
+	// Vanilla: one constraint and one wire per scalar product plus one
+	// closing constraint per output.
+	cons, wires, products, outputs, maxPow := 0, 0, 0, 0, 0
+	for _, s := range stmts {
+		a, n, b := s.X.Rows, s.X.Cols, s.W.Cols
+		wires += a*n + a*b + n*b
+		if opts.CRPC {
+			cons, wires = cons+n+1, wires+2*n+1
+		} else {
+			cons, wires = cons+a*b*(n+1), wires+a*b*(n+1)
+		}
+		products, outputs, maxPow = products+n, outputs+a*b, max(maxPow, a*b, b)
+	}
 	bld := r1cs.NewBuilder()
-	// Reserve the variant's exact upper bound so synthesis is free of
-	// append-growth garbage — the two circuits differ by a factor of a·b,
-	// so reserving the vanilla bound for CRPC would waste, not save.
-	// CRPC: n multiplication constraints (+1 closing add), with at most
-	// one product or prefix wire each. Vanilla: one constraint and one
-	// wire per scalar product plus one closing constraint per output.
-	if opts.CRPC {
-		bld.Grow(n+1, a*n+a*b+n*b+2*n+1)
-	} else {
-		bld.Grow(a*b*(n+1), a*n+a*b+n*b+a*b*(n+1))
+	bld.Grow(cons, wires)
+	xs, ys, ws := make([][]r1cs.Var, len(stmts)), make([][]r1cs.Var, len(stmts)), make([][]r1cs.Var, len(stmts))
+	for m, s := range stmts {
+		xs[m] = allocate(s.X, bld.PublicInput)
 	}
-	// Publics first: X then Y.
-	xVars := make([]r1cs.Var, a*n)
-	for i := range stmt.X.Data {
-		xVars[i] = bld.PublicInput(stmt.X.Data[i])
+	for m, s := range stmts {
+		ys[m] = allocate(s.Y, bld.PublicInput)
 	}
-	yVars := make([]r1cs.Var, a*b)
-	for i := range stmt.Y.Data {
-		yVars[i] = bld.PublicInput(stmt.Y.Data[i])
-	}
-	wVars := make([]r1cs.Var, n*b)
-	for i := range stmt.W.Data {
-		wVars[i] = bld.Secret(stmt.W.Data[i])
+	for m, s := range stmts {
+		ws[m] = allocate(s.W, bld.Secret)
 	}
 
 	syn := &Synthesis{Opts: opts}
-	if opts.CRPC {
-		syn.Z = z
-		synthesizeCRPC(bld, stmt, xVars, yVars, wVars, &syn.Z, opts.PSQ)
-	} else {
-		synthesizeVanilla(bld, stmt, xVars, yVars, wVars, opts.PSQ)
-	}
-	sys, assignment := bld.Finish()
-	syn.Sys = sys
-	syn.Assignment = assignment
-	syn.Public = bld.PublicWitness()
-	return syn, nil
-}
-
-// synthesizeVanilla emits the unoptimized circuit: one constraint per
-// scalar product. Without PSQ each dot product additionally closes with a
-// wide addition constraint over all its product wires (Figure 5a); with
-// PSQ the products accumulate into prefix-sum wires and the last product
-// constraint writes directly against the public y wire (Figure 5b).
-func synthesizeVanilla(bld *r1cs.Builder, stmt *Statement, xVars, yVars, wVars []r1cs.Var, psq bool) {
-	a, n, b := stmt.X.Rows, stmt.X.Cols, stmt.W.Cols
-	for i := 0; i < a; i++ {
-		for j := 0; j < b; j++ {
-			yVar := yVars[i*b+j]
-			if !psq {
-				prods := make([]r1cs.Var, n)
-				for k := 0; k < n; k++ {
-					prods[k] = bld.Mul(
-						r1cs.VarLC(xVars[i*n+k]),
-						r1cs.VarLC(wVars[k*b+j]),
-					)
-				}
-				sum := r1cs.LC{}
-				for _, p := range prods {
-					sum = r1cs.AddLC(sum, r1cs.VarLC(p))
-				}
-				bld.AssertEqual(sum, r1cs.VarLC(yVar))
-				continue
-			}
-			// PSQ: p_k = s_k − s_{k−1}; the final prefix is y itself.
-			var prev r1cs.LC
-			for k := 0; k < n; k++ {
-				xLC := r1cs.VarLC(xVars[i*n+k])
-				wLC := r1cs.VarLC(wVars[k*b+j])
-				if k == n-1 {
-					rhs := r1cs.VarLC(yVar)
-					if prev != nil {
-						rhs = r1cs.SubLC(rhs, prev)
+	if !opts.CRPC {
+		for m, s := range stmts {
+			a, n, b := s.X.Rows, s.X.Cols, s.W.Cols
+			lefts, rights := make([]r1cs.LC, n), make([]r1cs.LC, n)
+			for i := range a {
+				for j := range b {
+					for k := range n {
+						lefts[k], rights[k] = r1cs.VarLC(xs[m][i*n+k]), r1cs.VarLC(ws[m][k*b+j])
 					}
-					bld.AssertMul(xLC, wLC, rhs)
-					continue
+					accumulate(bld, lefts, rights, r1cs.VarLC(ys[m][i*b+j]), opts.PSQ)
 				}
-				// Allocate the prefix wire s_k with its running value.
-				var prefixVal ff.Fr
-				if prev != nil {
-					prefixVal = bld.Eval(prev)
-				}
-				var prod ff.Fr
-				xv := bld.Value(xVars[i*n+k])
-				wv := bld.Value(wVars[k*b+j])
-				prod.Mul(&xv, &wv)
-				prefixVal.Add(&prefixVal, &prod)
-				s := bld.Secret(prefixVal)
-				rhs := r1cs.VarLC(s)
-				if prev != nil {
-					rhs = r1cs.SubLC(rhs, prev)
-				}
-				bld.AssertMul(xLC, wLC, rhs)
-				prev = r1cs.VarLC(s)
 			}
 		}
+	} else {
+		syn.Z = z
+		pows := make([]ff.Fr, maxPow+1)
+		pows[0].SetOne()
+		for e := 1; e <= maxPow; e++ {
+			pows[e].Mul(&pows[e-1], &z)
+		}
+		target := make(r1cs.LC, 0, outputs)
+		lefts, rights := make([]r1cs.LC, 0, products), make([]r1cs.LC, 0, products)
+		var gammaPow ff.Fr
+		gammaPow.SetOne()
+		for m, s := range stmts {
+			a, n, b := s.X.Rows, s.X.Cols, s.W.Cols
+			// coeff is γ^m·Z^e; the first statement skips the multiply by γ⁰.
+			coeff := func(e int) ff.Fr {
+				c := pows[e]
+				if m > 0 {
+					c.Mul(&c, &gammaPow)
+				}
+				return c
+			}
+			for i := range a {
+				for j := range b {
+					target = append(target, r1cs.Term{Coeff: coeff(i*b + j), V: ys[m][i*b+j]})
+				}
+			}
+			// One backing array per statement; the three-index slices keep
+			// each LC from growing into its neighbour.
+			terms := make([]r1cs.Term, n*(a+b))
+			for k := range n {
+				left, right := terms[:a:a], terms[a:a+b:a+b]
+				terms = terms[a+b:]
+				for i := range a {
+					left[i] = r1cs.Term{Coeff: coeff(i * b), V: xs[m][i*n+k]}
+				}
+				for j := range b {
+					right[j] = r1cs.Term{Coeff: pows[j], V: ws[m][k*b+j]}
+				}
+				lefts, rights = append(lefts, left), append(rights, right)
+			}
+			gammaPow.Mul(&gammaPow, &gamma)
+		}
+		accumulate(bld, lefts, rights, target, opts.PSQ)
 	}
+	syn.Sys, syn.Assignment = bld.Finish()
+	syn.Public = bld.PublicWitness()
+	return syn
 }
 
-// synthesizeCRPC emits the aggregated polynomial circuit: n multiplication
-// constraints between the Z-weighted column combination of X and the
-// Z-weighted row combination of W (Figure 4b), accumulated either through
-// one wide addition (PSQ off) or prefix sums ending on the Z-weighted
-// public Y combination (PSQ on).
-func synthesizeCRPC(bld *r1cs.Builder, stmt *Statement, xVars, yVars, wVars []r1cs.Var, z *ff.Fr, psq bool) {
-	a, n, b := stmt.X.Rows, stmt.X.Cols, stmt.W.Cols
+// allocate gives every entry of mat a wire, in row-major order.
+func allocate(mat *matrix.Matrix, wire func(ff.Fr) r1cs.Var) []r1cs.Var {
+	vars := make([]r1cs.Var, len(mat.Data))
+	for i := range mat.Data {
+		vars[i] = wire(mat.Data[i])
+	}
+	return vars
+}
 
-	// Precompute powers of Z up to max(a·b) and the aggregated LCs.
-	maxPow := a * b
-	if n > maxPow {
-		maxPow = n
-	}
-	pows := make([]ff.Fr, maxPow+1)
-	pows[0].SetOne()
-	for i := 1; i <= maxPow; i++ {
-		pows[i].Mul(&pows[i-1], z)
-	}
-
-	// colX_k = Σ_i Z^{ib}·x_ik,  rowW_k = Σ_j Z^j·w_kj.
-	colX := make([]r1cs.LC, n)
-	rowW := make([]r1cs.LC, n)
-	for k := 0; k < n; k++ {
-		lcx := make(r1cs.LC, 0, a)
-		for i := 0; i < a; i++ {
-			lcx = append(lcx, r1cs.Term{Coeff: pows[i*b], V: xVars[i*n+k]})
-		}
-		colX[k] = lcx
-		lcw := make(r1cs.LC, 0, b)
-		for j := 0; j < b; j++ {
-			lcw = append(lcw, r1cs.Term{Coeff: pows[j], V: wVars[k*b+j]})
-		}
-		rowW[k] = lcw
-	}
-	// yAgg = Σ_{i,j} Z^{ib+j}·y_ij.
-	yAgg := make(r1cs.LC, 0, a*b)
-	for i := 0; i < a; i++ {
-		for j := 0; j < b; j++ {
-			yAgg = append(yAgg, r1cs.Term{Coeff: pows[i*b+j], V: yVars[i*b+j]})
-		}
-	}
-
+// accumulate closes one group of products, Σ_k lefts[k]·rights[k] =
+// target. Without PSQ every product gets its own wire and one wide
+// addition constraint closes the sum (Figure 5a). With PSQ each product
+// constraint writes into a running prefix sum, p_k = s_k − s_{k−1}, and
+// the last one writes against the target itself (Figure 5b); an empty
+// group then adds nothing.
+func accumulate(bld *r1cs.Builder, lefts, rights []r1cs.LC, target r1cs.LC, psq bool) {
 	if !psq {
-		prods := make([]r1cs.Var, n)
-		for k := 0; k < n; k++ {
-			prods[k] = bld.Mul(colX[k], rowW[k])
+		var one ff.Fr
+		one.SetOne()
+		sum := make(r1cs.LC, 0, len(lefts))
+		for k := range lefts {
+			sum = append(sum, r1cs.Term{Coeff: one, V: bld.Mul(lefts[k], rights[k])})
 		}
-		sum := r1cs.LC{}
-		for _, p := range prods {
-			sum = r1cs.AddLC(sum, r1cs.VarLC(p))
-		}
-		bld.AssertEqual(sum, yAgg)
+		bld.AssertEqual(sum, target)
 		return
 	}
 	var prev r1cs.LC
-	for k := 0; k < n; k++ {
-		if k == n-1 {
-			rhs := yAgg
-			if prev != nil {
-				rhs = r1cs.SubLC(rhs, prev)
-			}
-			bld.AssertMul(colX[k], rowW[k], rhs)
-			continue
+	var prefix ff.Fr // s_k, the running value
+	for k := range lefts {
+		next := target
+		if k < len(lefts)-1 {
+			l, r := bld.Eval(lefts[k]), bld.Eval(rights[k])
+			l.Mul(&l, &r)
+			prefix.Add(&prefix, &l)
+			next = r1cs.VarLC(bld.Secret(prefix))
 		}
-		var prefixVal ff.Fr
+		rhs := next
 		if prev != nil {
-			prefixVal = bld.Eval(prev)
+			rhs = r1cs.SubLC(next, prev)
 		}
-		cx := bld.Eval(colX[k])
-		rw := bld.Eval(rowW[k])
-		var prod ff.Fr
-		prod.Mul(&cx, &rw)
-		prefixVal.Add(&prefixVal, &prod)
-		s := bld.Secret(prefixVal)
-		rhs := r1cs.VarLC(s)
-		if prev != nil {
-			rhs = r1cs.SubLC(rhs, prev)
-		}
-		bld.AssertMul(colX[k], rowW[k], rhs)
-		prev = r1cs.VarLC(s)
+		bld.AssertMul(lefts[k], rights[k], rhs)
+		prev = next
 	}
 }

@@ -2,6 +2,7 @@ package crpc
 
 import (
 	mrand "math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -180,13 +181,36 @@ func TestCRPCWithSpartanEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDimensionMismatch: every entry point rejects a statement whose
+// dimensions disagree, under every circuit, and a batch names the
+// element at fault.
 func TestDimensionMismatch(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(607))
 	x := matrix.Random(rng, 2, 3, 10)
-	w := matrix.Random(rng, 4, 2, 10) // inner mismatch
-	stmt := &Statement{X: x, W: w, Y: matrix.New(2, 2)}
-	if _, err := Synthesize(stmt, Options{}); err == nil {
-		t.Fatal("dimension mismatch accepted")
+	w := matrix.Random(rng, 3, 4, 10)
+	good := NewStatement(x, w)
+	for _, c := range []struct {
+		name string
+		bad  *Statement
+	}{
+		{"inner", &Statement{X: x, W: matrix.Random(rng, 4, 4, 10), Y: matrix.New(2, 4)}},
+		{"Y rows", &Statement{X: x, W: w, Y: matrix.New(3, 4)}},
+		{"Y cols", &Statement{X: x, W: w, Y: matrix.New(2, 3)}},
+	} {
+		for _, opts := range allOptions {
+			if _, err := Synthesize(c.bad, opts); err == nil {
+				t.Errorf("%s %v: Synthesize accepted the mismatch", c.name, opts)
+			}
+			if _, err := SynthesizeAt(c.bad, DeriveZ(good), opts); err == nil {
+				t.Errorf("%s %v: SynthesizeAt accepted the mismatch", c.name, opts)
+			}
+		}
+		for _, opts := range allOptions[2:] {
+			_, err := SynthesizeBatch(&BatchStatement{Stmts: []*Statement{good, c.bad, good}}, opts)
+			if err == nil || !strings.Contains(err.Error(), "batch element 1") {
+				t.Errorf("%s %v: SynthesizeBatch error %v does not name element 1", c.name, opts, err)
+			}
+		}
 	}
 }
 

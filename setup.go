@@ -112,15 +112,10 @@ func (p *MatMulProver) ProveWithCRSContext(ctx context.Context, crs *CRS, x, w *
 		WCommit: crpc.WCommit(w),
 		Epoch:   crs.Epoch,
 	}
-
-	start := time.Now()
-	syn, err := crpc.SynthesizeAt(stmt, crs.Z, p.opts)
+	var err error
+	proof.G16Proof, proof.G16VK, proof.SpartanProof, err = p.prove(ctx, crs, &proof.Timings,
+		func() (*crpc.Synthesis, error) { return crpc.SynthesizeAt(stmt, crs.Z, p.opts) })
 	if err != nil {
-		return nil, err
-	}
-	proof.Timings.Synthesis = time.Since(start)
-
-	if err := p.attachBackendProof(ctx, proof, syn, crs); err != nil {
 		return nil, err
 	}
 	return proof, nil

@@ -15,6 +15,7 @@ import (
 	"zkvc/internal/matrix"
 	"zkvc/internal/parallel"
 	"zkvc/internal/pcs"
+	"zkvc/internal/r1cs"
 	"zkvc/internal/randutil"
 	"zkvc/internal/spartan"
 	"zkvc/internal/zkml"
@@ -167,65 +168,57 @@ func (p *MatMulProver) ProveContext(ctx context.Context, x, w *Matrix) (*MatMulP
 		Y:       stmt.Y,
 		WCommit: crpc.WCommit(w),
 	}
-
-	start := time.Now()
-	syn, err := crpc.Synthesize(stmt, p.opts)
+	var err error
+	proof.G16Proof, proof.G16VK, proof.SpartanProof, err = p.prove(ctx, nil, &proof.Timings,
+		func() (*crpc.Synthesis, error) { return crpc.Synthesize(stmt, p.opts) })
 	if err != nil {
-		return nil, err
-	}
-	proof.Timings.Synthesis = time.Since(start)
-
-	if err := p.attachBackendProof(ctx, proof, syn, nil); err != nil {
 		return nil, err
 	}
 	return proof, nil
 }
 
-// attachBackendProof runs the selected backend over a synthesized circuit.
-// With a non-nil crs the Groth16 keys are reused (epoch path, Timings.Setup
-// stays zero); otherwise a fresh CRS is generated and timed. ctx is
-// checked at each phase boundary.
-func (p *MatMulProver) attachBackendProof(ctx context.Context, proof *MatMulProof, syn *crpc.Synthesis, crs *CRS) error {
+// prove is the one prover seam under single, epoch and batch proofs: it
+// times synth, then runs the prover's backend over the circuit, checking
+// ctx at each phase boundary. With a non-nil crs the Groth16 keys are
+// reused (epoch path, t.Setup stays zero); otherwise a fresh CRS is
+// generated and timed.
+func (p *MatMulProver) prove(ctx context.Context, crs *CRS, t *Timings, synth func() (*crpc.Synthesis, error)) (*groth16.Proof, *groth16.VerifyingKey, *spartan.Proof, error) {
+	start := time.Now()
+	syn, err := synth()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	t.Synthesis = time.Since(start)
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 	switch p.backend {
 	case Groth16:
-		pk, vk := (*groth16.ProvingKey)(nil), (*groth16.VerifyingKey)(nil)
+		var pk *groth16.ProvingKey
+		var vk *groth16.VerifyingKey
 		if crs != nil {
 			pk, vk = crs.G16PK, crs.G16VK
 		} else {
-			start := time.Now()
-			var err error
-			pk, vk, err = groth16.Setup(syn.Sys, p.rng)
-			if err != nil {
-				return err
+			start = time.Now()
+			if pk, vk, err = groth16.Setup(syn.Sys, p.rng); err != nil {
+				return nil, nil, nil, err
 			}
-			proof.Timings.Setup = time.Since(start)
+			t.Setup = time.Since(start)
+			if err := ctx.Err(); err != nil {
+				return nil, nil, nil, err
+			}
 		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		start := time.Now()
+		start = time.Now()
 		g16, err := groth16.Prove(syn.Sys, pk, syn.Assignment, p.rng)
-		if err != nil {
-			return err
-		}
-		proof.Timings.Prove = time.Since(start)
-		proof.G16Proof = g16
-		proof.G16VK = vk
+		t.Prove = time.Since(start)
+		return g16, vk, nil, err
 	case Spartan:
-		start := time.Now()
+		start = time.Now()
 		sp, err := spartan.Prove(syn.Sys, syn.Assignment, p.pcs)
-		if err != nil {
-			return err
-		}
-		proof.Timings.Prove = time.Since(start)
-		proof.SpartanProof = sp
-	default:
-		return fmt.Errorf("zkvc: unknown backend %d", p.backend)
+		t.Prove = time.Since(start)
+		return nil, nil, sp, err
 	}
-	return nil
+	return nil, nil, nil, fmt.Errorf("zkvc: unknown backend %d", p.backend)
 }
 
 // ErrVerification is returned when a proof does not verify.
@@ -285,41 +278,55 @@ func verifyMatMulAt(x *Matrix, proof *MatMulProof, epoch []byte) error {
 		return fmt.Errorf("%w: malformed W commitment (%d bytes, want %d)",
 			ErrVerification, len(proof.WCommit), wCommitLen)
 	}
-	// Public witness = [1, X entries, Y entries].
-	public := make([]ff.Fr, 1, 1+len(x.Data)+len(proof.Y.Data))
-	public[0].SetOne()
-	public = append(public, x.Data...)
-	public = append(public, proof.Y.Data...)
+	return verify(proof.Backend, proof.G16Proof, proof.G16VK, proof.SpartanProof, []*Matrix{x}, []*Matrix{proof.Y},
+		func() *r1cs.System {
+			var z ff.Fr
+			if proof.Opts.CRPC {
+				if len(epoch) > 0 {
+					z = crpc.DeriveEpochZ(epoch, x.Rows, x.Cols, proof.Y.Cols, proof.Opts)
+				} else {
+					z = crpc.DeriveZFromCommit(x, proof.Y, proof.WCommit)
+				}
+			}
+			return crpc.SynthesizeShape(x.Rows, x.Cols, proof.Y.Cols, z, proof.Opts)
+		})
+}
 
-	switch proof.Backend {
+// verify is the one verifier seam under single, epoch and batch proofs:
+// it checks a backend proof against the public witness [1, every X
+// entry, every Y entry]. Only Spartan consumes the circuit, so shape
+// rebuilds it only there: Groth16's circuit binding lives entirely in
+// the verifying key.
+func verify(backend Backend, g16 *groth16.Proof, vk *groth16.VerifyingKey, sp *spartan.Proof, xs, ys []*Matrix, shape func() *r1cs.System) error {
+	total := 1
+	for m := range xs {
+		total += len(xs[m].Data) + len(ys[m].Data)
+	}
+	public := make([]ff.Fr, 1, total)
+	public[0].SetOne()
+	for _, x := range xs {
+		public = append(public, x.Data...)
+	}
+	for _, y := range ys {
+		public = append(public, y.Data...)
+	}
+	var err error
+	switch backend {
 	case Groth16:
-		if proof.G16Proof == nil || proof.G16VK == nil {
+		if g16 == nil || vk == nil {
 			return fmt.Errorf("%w: missing Groth16 payload", ErrVerification)
 		}
-		if err := groth16.Verify(proof.G16VK, proof.G16Proof, public); err != nil {
-			return fmt.Errorf("%w: %v", ErrVerification, err)
-		}
+		err = groth16.Verify(vk, g16, public)
 	case Spartan:
-		if proof.SpartanProof == nil {
+		if sp == nil {
 			return fmt.Errorf("%w: missing Spartan payload", ErrVerification)
 		}
-		// Only Spartan consumes the synthesized system (and hence the
-		// CRPC challenge): Groth16's circuit binding lives entirely in
-		// the verifying key, so synthesizing there would be wasted work.
-		var z ff.Fr
-		if proof.Opts.CRPC {
-			if len(epoch) > 0 {
-				z = crpc.DeriveEpochZ(epoch, x.Rows, x.Cols, proof.Y.Cols, proof.Opts)
-			} else {
-				z = crpc.DeriveZFromCommit(x, proof.Y, proof.WCommit)
-			}
-		}
-		sys := crpc.SynthesizeShape(x.Rows, x.Cols, proof.Y.Cols, z, proof.Opts)
-		if err := spartan.Verify(sys, proof.SpartanProof, public, pcs.DefaultParams()); err != nil {
-			return fmt.Errorf("%w: %v", ErrVerification, err)
-		}
+		err = spartan.Verify(shape(), sp, public, pcs.DefaultParams())
 	default:
-		return fmt.Errorf("%w: unknown backend %d", ErrVerification, proof.Backend)
+		return fmt.Errorf("%w: unknown backend %d", ErrVerification, backend)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrVerification, err)
 	}
 	return nil
 }
