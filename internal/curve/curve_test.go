@@ -121,19 +121,49 @@ func TestG1ToAffineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchToAffineG1 converts general-Z points, Z = 1 points (as
+// fixed-base multiplication returns them, passed through without joining
+// the inversion) and infinity, in one batch.
 func TestBatchToAffineG1(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(44))
 	g := G1GeneratorJac()
 	pts := make([]G1Jac, 33)
 	for i := range pts {
-		if i == 7 {
-			pts[i].SetInfinity()
-			continue
-		}
 		s := randScalar(rng)
 		pts[i].ScalarMul(&g, &s)
+		switch i % 5 {
+		case 2:
+			pts[i].SetInfinity()
+		case 3, 4:
+			a := pts[i].ToAffine()
+			pts[i].FromAffine(&a)
+		}
 	}
 	affs := BatchToAffineG1(pts)
+	for i := range pts {
+		want := pts[i].ToAffine()
+		if !affs[i].Equal(&want) {
+			t.Fatalf("batch affine mismatch at %d", i)
+		}
+	}
+}
+
+func TestBatchToAffineG2(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(45))
+	g := G2GeneratorJac()
+	pts := make([]G2Jac, 33)
+	for i := range pts {
+		s := randScalar(rng)
+		pts[i].ScalarMul(&g, &s)
+		switch i % 5 {
+		case 2:
+			pts[i].SetInfinity()
+		case 3, 4:
+			a := pts[i].ToAffine()
+			pts[i].FromAffine(&a)
+		}
+	}
+	affs := BatchToAffineG2(pts)
 	for i := range pts {
 		want := pts[i].ToAffine()
 		if !affs[i].Equal(&want) {

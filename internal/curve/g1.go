@@ -81,6 +81,9 @@ func (p *G1Jac) SetInfinity() *G1Jac {
 // IsInfinity reports whether p is the point at infinity.
 func (p *G1Jac) IsInfinity() bool { return p.Z.IsZero() }
 
+// zIsOne reports whether p is in affine form, Z = 1.
+func (p *G1Jac) zIsOne() bool { return p.Z.IsOne() }
+
 // Set sets p = q and returns p.
 func (p *G1Jac) Set(q *G1Jac) *G1Jac { *p = *q; return p }
 
@@ -301,7 +304,8 @@ func (p *G1Jac) Equal(q *G1Jac) bool {
 }
 
 // BatchToAffineG1 converts many Jacobian points with a single shared
-// inversion (Montgomery batch-inversion trick).
+// inversion (Montgomery batch-inversion trick). Points with Z = 1, as
+// FixedBaseMulG1 returns them, are copied without joining the inversion.
 func BatchToAffineG1(pts []G1Jac) []G1Affine {
 	out := make([]G1Affine, len(pts))
 	prod := make([]ff.Fp, len(pts))
@@ -309,7 +313,7 @@ func BatchToAffineG1(pts []G1Jac) []G1Affine {
 	acc.SetOne()
 	for i := range pts {
 		prod[i].Set(&acc)
-		if !pts[i].IsInfinity() {
+		if !pts[i].IsInfinity() && !pts[i].zIsOne() {
 			acc.Mul(&acc, &pts[i].Z)
 		}
 	}
@@ -318,6 +322,10 @@ func BatchToAffineG1(pts []G1Jac) []G1Affine {
 	for i := len(pts) - 1; i >= 0; i-- {
 		if pts[i].IsInfinity() {
 			out[i].Infinity = true
+			continue
+		}
+		if pts[i].zIsOne() {
+			out[i].X, out[i].Y = pts[i].X, pts[i].Y
 			continue
 		}
 		var zInv, zInv2, zInv3 ff.Fp

@@ -1,6 +1,8 @@
 package curve
 
 import (
+	"sync"
+
 	"zkvc/internal/ff"
 )
 
@@ -17,14 +19,16 @@ type G2Jac struct {
 
 // G2Generator returns the standard generator of the order-r subgroup of
 // the twist (the EIP-197 G2 generator).
-func G2Generator() G2Affine {
+func G2Generator() G2Affine { return g2Generator() }
+
+var g2Generator = sync.OnceValue(func() G2Affine {
 	var g G2Affine
 	g.X.A0.SetBig(mustBig("10857046999023057135944570762232829481370756359578518086990519993285655852781"))
 	g.X.A1.SetBig(mustBig("11559732032986387107991004021392285783925812861821192530917403151452391805634"))
 	g.Y.A0.SetBig(mustBig("8495653923123431417604973247489272438418190587263600148770280649306958101930"))
 	g.Y.A1.SetBig(mustBig("4082367875863433681332203403145435568316851327593401208105741076214120093531"))
 	return g
-}
+})
 
 // G2GeneratorJac returns the generator in Jacobian coordinates.
 func G2GeneratorJac() G2Jac {
@@ -102,6 +106,9 @@ func (p *G2Jac) SetInfinity() *G2Jac {
 
 // IsInfinity reports whether p is the point at infinity.
 func (p *G2Jac) IsInfinity() bool { return p.Z.IsZero() }
+
+// zIsOne reports whether p is in affine form, Z = 1.
+func (p *G2Jac) zIsOne() bool { return p.Z.A0.IsOne() && p.Z.A1.IsZero() }
 
 // Set sets p = q and returns p.
 func (p *G2Jac) Set(q *G2Jac) *G2Jac { *p = *q; return p }
@@ -323,7 +330,8 @@ func (p *G2Jac) Equal(q *G2Jac) bool {
 }
 
 // BatchToAffineG2 converts many Jacobian points with a single shared
-// inversion (Montgomery batch-inversion trick).
+// inversion (Montgomery batch-inversion trick). Points with Z = 1, as
+// FixedBaseMulG2 returns them, are copied without joining the inversion.
 func BatchToAffineG2(pts []G2Jac) []G2Affine {
 	out := make([]G2Affine, len(pts))
 	prod := make([]ff.Fp2, len(pts))
@@ -331,7 +339,7 @@ func BatchToAffineG2(pts []G2Jac) []G2Affine {
 	acc.SetOne()
 	for i := range pts {
 		prod[i].Set(&acc)
-		if !pts[i].IsInfinity() {
+		if !pts[i].IsInfinity() && !pts[i].zIsOne() {
 			acc.Mul(&acc, &pts[i].Z)
 		}
 	}
@@ -340,6 +348,10 @@ func BatchToAffineG2(pts []G2Jac) []G2Affine {
 	for i := len(pts) - 1; i >= 0; i-- {
 		if pts[i].IsInfinity() {
 			out[i].Infinity = true
+			continue
+		}
+		if pts[i].zIsOne() {
+			out[i].X, out[i].Y = pts[i].X, pts[i].Y
 			continue
 		}
 		var zInv, zInv2, zInv3 ff.Fp2

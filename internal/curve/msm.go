@@ -22,13 +22,16 @@ import (
 // per group. Running time therefore depends on the scalars' magnitudes;
 // like the rest of the package, none of this is constant-time.
 
-// Pools for MSM scratch: bucket state, scalar magnitudes and class
-// indices. Buckets are rented once per worker chunk and reset in place
-// between windows, so Pippenger's bucket churn (one allocation of 2^(c−1)
-// points per window per chunk) collapses to one checkout.
+// Pools for MSM and fixed-base scratch: bucket state, batch-inversion
+// prefix products, scalar magnitudes and indices. Buckets are rented
+// once per worker chunk and reset in place between windows, so
+// Pippenger's bucket churn (one allocation of 2^(c−1) points per window
+// per chunk) collapses to one checkout.
 var (
 	g1JacPool arena.Of[G1Jac]
 	g2JacPool arena.Of[G2Jac]
+	fpPool    arena.Of[ff.Fp]
+	fp2Pool   arena.Of[ff.Fp2]
 	limbPool  arena.Of[[4]uint64]
 	idxPool   arena.Of[uint32]
 )
@@ -237,21 +240,17 @@ func msmWindowSumG1(points []G1Affine, limbs [][4]uint64, idx []uint32, w int, c
 		buckets[i].SetInfinity()
 	}
 	for _, e := range idx {
-		i := e &^ msmNeg
-		d := boothDigit(&limbs[i], w, c)
-		if d == 0 {
+		k, neg := signedDigit(limbs, e, w, c)
+		if k < 0 {
 			continue
 		}
-		neg := e&msmNeg != 0
-		if d < 0 {
-			d, neg = -d, !neg
-		}
+		i := e &^ msmNeg
 		if neg {
 			var np G1Affine
 			np.Neg(&points[i])
-			buckets[d-1].AddMixed(&np)
+			buckets[k].AddMixed(&np)
 		} else {
-			buckets[d-1].AddMixed(&points[i])
+			buckets[k].AddMixed(&points[i])
 		}
 	}
 	// Σ (i+1)·bucket[i] via suffix sums.
@@ -265,30 +264,79 @@ func msmWindowSumG1(points []G1Affine, limbs [][4]uint64, idx []uint32, w int, c
 	return sum
 }
 
-// Fixed-base multiplication uses 8-bit unsigned windows: one table row
-// per byte of the scalar.
+// Fixed-base multiplication computes s_i·B for one base B and a vector
+// of scalars, the shape of CRS generation. The scalars go through the
+// MSM's preparation: zeros are dropped before chunking, so workers split
+// the non-zero terms evenly however they cluster. B's table holds
+// (k+1)·2^{cw}·B for k < 2^{c−1} in every window w, so a signed digit is
+// one table point and no doublings are needed. The pass is window-major:
+// each output is an affine accumulator (Z = 1, or infinity), and per
+// window a worker adds its chunk's non-zero digits with affine formulas
+// (≈6 muls against AddMixed's 11) behind one shared Montgomery batch
+// inversion of the Δx. An output's first digit is a copy; an x-collision
+// (acc = ±addend) takes the exact Jacobian AddMixed. The outputs keep
+// Z = 1, which BatchToAffineG1/G2 pass through without inverting.
 const (
-	fixedBaseWindow  = 8
-	fixedBaseWindows = 256 / fixedBaseWindow
+	// fixedBaseWindow is the signed window width c: 24 windows, tables
+	// of ≈1.8 MB (G1) and ≈3.3 MB (G2). In a sweep over 8–12
+	// (BenchmarkFixedBaseWindow) 11 and 12 led, within a few per cent
+	// per point; 12 doubles the tables and their one-time build.
+	fixedBaseWindow = 11
+	// fixedBaseGrain floors a worker's share of non-zero scalars so that
+	// its one field inversion per window stays amortised.
+	fixedBaseGrain = 128
 )
 
-// fixedBaseTableG1 returns table[w][d-1] = d·2^{8w}·base for d ∈ [1, 2^8).
-func fixedBaseTableG1(base *G1Jac) [][]G1Affine {
-	table := make([][]G1Affine, fixedBaseWindows)
-	var cur G1Jac
-	cur.Set(base)
+// fixedBaseWindows returns the window count of width c covering a
+// magnitude ≤ (r−1)/2 < 2^253 plus Booth's spare top bit.
+func fixedBaseWindows(c uint) int { return int(253+c) / int(c) }
+
+// signedDigit returns the bucket or table column |d|−1 of window w's
+// signed digit d of the prepared term e (−1 for d = 0), and whether the
+// point is negated: when the digit's sign and the scalar's disagree.
+func signedDigit(limbs [][4]uint64, e uint32, w int, c uint) (k int, neg bool) {
+	d := boothDigit(&limbs[e&^msmNeg], w, c)
+	neg = e&msmNeg != 0
+	if d < 0 {
+		d, neg = -d, !neg
+	}
+	return d - 1, neg
+}
+
+// fixedBase runs the pass over every prepared class, its non-zero terms
+// split into chunks of at least fixedBaseGrain, one per budgeted worker;
+// chunk adds the first windows windows of the terms idx to their outputs.
+func fixedBase(scalars []ff.Fr, c uint, chunk func(idx []uint32, limbs [][4]uint64, windows int)) {
+	ps := prepareMSM(scalars, func(int) bool { return false })
+	workers := parallel.DefaultSize()
+	for _, cls := range []msmClass{ps.short, ps.long} {
+		windows := (cls.bits + int(c)) / int(c)
+		parallel.For(len(cls.idx), max(fixedBaseGrain, (len(cls.idx)+workers-1)/workers), func(start, end int) {
+			chunk(cls.idx[start:end], ps.limbs, windows)
+		})
+	}
+	ps.release()
+}
+
+// fixedBaseTable returns base's signed-window table of width c, in
+// either group: table[w][k] = (k+1)·2^{cw}·base for k < 2^{c−1} and
+// w < fixedBaseWindows(c), each row made affine by toAffine.
+func fixedBaseTable[J, A any, PJ interface {
+	*J
+	AddAssign(*J) *J
+	Double(*J) *J
+}](base *J, c uint, toAffine func([]J) []A) [][]A {
+	table := make([][]A, fixedBaseWindows(c))
+	row := make([]J, 1<<(c-1))
+	cur := *base
 	for w := range table {
-		row := make([]G1Jac, (1<<fixedBaseWindow)-1)
-		row[0].Set(&cur)
-		for d := 1; d < len(row); d++ {
-			row[d].Set(&row[d-1])
-			row[d].AddAssign(&cur)
+		row[0] = cur
+		for k := 1; k < len(row); k++ {
+			row[k] = row[k-1]
+			PJ(&row[k]).AddAssign(&cur)
 		}
-		table[w] = BatchToAffineG1(row)
-		// advance cur to 2^{8(w+1)}·base
-		for k := 0; k < fixedBaseWindow; k++ {
-			cur.Double(&cur)
-		}
+		table[w] = toAffine(row)
+		PJ(&cur).Double(&row[len(row)-1]) // 2·2^{c−1}·2^{cw}·base
 	}
 	return table
 }
@@ -300,43 +348,98 @@ var g1GeneratorTable = sync.OnceValue(buildG1GeneratorTable)
 
 func buildG1GeneratorTable() [][]G1Affine {
 	g := G1GeneratorJac()
-	return fixedBaseTableG1(&g)
+	return fixedBaseTable(&g, fixedBaseWindow, BatchToAffineG1)
 }
 
-// FixedBaseMulG1 computes scalar·base for every scalar using one shared
-// precomputed window table; this is the workhorse of CRS generation. The
-// generator's table is cached (g1GeneratorTable); any other base builds
-// its own per call.
+// FixedBaseMulG1 computes scalar·base for every scalar (see the
+// fixed-base comment above); this is the workhorse of CRS generation.
+// The generator's table is cached (g1GeneratorTable); any other base
+// builds its own per call. Outputs have Z = 1 or are infinity.
 func FixedBaseMulG1(base G1Jac, scalars []ff.Fr) []G1Jac {
-	var table [][]G1Affine
 	if gen := G1GeneratorJac(); base.Equal(&gen) {
-		table = g1GeneratorTable()
-	} else {
-		table = fixedBaseTableG1(&base)
+		return fixedBaseG1(g1GeneratorTable(), fixedBaseWindow, scalars)
 	}
-	out := make([]G1Jac, len(scalars))
-	parallelFor(len(scalars), func(start, end int) {
-		for i := start; i < end; i++ {
-			limbs := scalars[i].Canonical()
-			var acc G1Jac
-			acc.SetInfinity()
-			for w := range table {
-				if d := byte(limbs[w/8] >> (8 * (w % 8))); d != 0 {
-					acc.AddMixed(&table[w][d-1])
-				}
-			}
-			out[i] = acc
+	return fixedBaseG1(fixedBaseTable(&base, fixedBaseWindow, BatchToAffineG1), fixedBaseWindow, scalars)
+}
+
+// fixedBaseG1 multiplies the base of table, of width c, by every scalar.
+func fixedBaseG1(table [][]G1Affine, c uint, scalars []ff.Fr) []G1Jac {
+	out := make([]G1Jac, len(scalars)) // Z = 0: infinity
+	fixedBase(scalars, c, func(idx []uint32, limbs [][4]uint64, windows int) {
+		inv, pend := fpPool.Get(len(idx)), idxPool.Get(len(idx))
+		for w := range windows {
+			fixedBaseWindowG1(out, limbs, idx, table[w], w, c, inv, pend)
 		}
+		fpPool.Put(inv)
+		idxPool.Put(pend)
 	})
 	return out
 }
 
-// parallelFor splits [0,n) across the shared worker budget (one chunk
-// per budgeted worker, floor 16 so tiny inputs stay inline).
-func parallelFor(n int, body func(start, end int)) {
-	grain := (n + parallel.DefaultSize() - 1) / parallel.DefaultSize()
-	if grain < 16 {
-		grain = 16
+// fixedBaseWindowG1 adds window w's digit of every term in idx to its
+// output, out holding affine accumulators (Z = 1) or infinity. inv and
+// pend are scratch of len(idx): the prefix products of the Δx, then the
+// terms waiting for the shared inversion.
+//
+// The exceptional branch (acc.x = addend.x, so acc = ±addend) cannot be
+// reached by canonical scalars and a base of order r: before window w
+// the accumulator is t·B with t = Σ_{v<w} d_v·2^{cv} ∈ [−2^{cw−1},
+// 2^{cw−1}), the addend d·2^{cw}·B has |d|·2^{cw} ≥ 2^{cw}, and for
+// magnitudes m ≤ (r−1)/2 both t ± d·2^{cw} are non-zero integers of
+// magnitude < r. At c = 11 the tight case is the top window, cw = 253:
+// its digit is 1 only when bit 252 of m is set, and then |t − 2^253| =
+// 2^254 − m ≤ 3·2^252 < r. It stays for exactness;
+// TestFixedBaseWindowCollision drives it directly.
+func fixedBaseWindowG1(out []G1Jac, limbs [][4]uint64, idx []uint32, row []G1Affine, w int, c uint, inv []ff.Fp, pend []uint32) {
+	addend := func(e uint32) (q G1Affine, ok bool) {
+		k, neg := signedDigit(limbs, e, w, c)
+		if k < 0 || row[k].Infinity {
+			return q, false
+		}
+		q = row[k]
+		if neg {
+			q.Y.Neg(&q.Y)
+		}
+		return q, true
 	}
-	parallel.For(n, grain, body)
+	var prod, dx ff.Fp
+	prod.SetOne()
+	n := 0
+	for _, e := range idx {
+		q, ok := addend(e)
+		acc := &out[e&^msmNeg]
+		switch {
+		case !ok:
+		case acc.IsInfinity():
+			acc.FromAffine(&q)
+		case acc.X.Equal(&q.X):
+			acc.AddMixed(&q)
+			a := acc.ToAffine()
+			acc.FromAffine(&a)
+		default:
+			inv[n] = prod
+			dx.Sub(&q.X, &acc.X)
+			prod.Mul(&prod, &dx)
+			pend[n] = e
+			n++
+		}
+	}
+	prod.Inverse(&prod)
+	var lambda, t ff.Fp
+	for j := n - 1; j >= 0; j-- {
+		q, _ := addend(pend[j])
+		acc := &out[pend[j]&^msmNeg]
+		dx.Sub(&q.X, &acc.X)
+		lambda.Mul(&prod, &inv[j]) // 1/Δx
+		prod.Mul(&prod, &dx)
+		t.Sub(&q.Y, &acc.Y)
+		lambda.Mul(&lambda, &t)
+		t.Square(&lambda)
+		t.Sub(&t, &acc.X)
+		t.Sub(&t, &q.X) // x₃ = λ² − x₁ − x₂
+		dx.Sub(&acc.X, &t)
+		dx.Mul(&dx, &lambda)
+		acc.Y.Sub(&dx, &acc.Y) // y₃ = λ(x₁ − x₃) − y₁
+		acc.X = t
+	}
 }

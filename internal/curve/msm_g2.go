@@ -73,21 +73,17 @@ func msmWindowSumG2(points []G2Affine, limbs [][4]uint64, idx []uint32, w int, c
 		buckets[i].SetInfinity()
 	}
 	for _, e := range idx {
-		i := e &^ msmNeg
-		d := boothDigit(&limbs[i], w, c)
-		if d == 0 {
+		k, neg := signedDigit(limbs, e, w, c)
+		if k < 0 {
 			continue
 		}
-		neg := e&msmNeg != 0
-		if d < 0 {
-			d, neg = -d, !neg
-		}
+		i := e &^ msmNeg
 		if neg {
 			var np G2Affine
 			np.Neg(&points[i])
-			buckets[d-1].AddMixed(&np)
+			buckets[k].AddMixed(&np)
 		} else {
-			buckets[d-1].AddMixed(&points[i])
+			buckets[k].AddMixed(&points[i])
 		}
 	}
 	// Σ (i+1)·bucket[i] via suffix sums.
@@ -101,59 +97,96 @@ func msmWindowSumG2(points []G2Affine, limbs [][4]uint64, idx []uint32, w int, c
 	return sum
 }
 
-// fixedBaseTableG2 returns table[w][d-1] = d·2^{8w}·base for d ∈ [1, 2^8).
-func fixedBaseTableG2(base *G2Jac) [][]G2Affine {
-	table := make([][]G2Affine, fixedBaseWindows)
-	var cur G2Jac
-	cur.Set(base)
-	for w := range table {
-		row := make([]G2Jac, (1<<fixedBaseWindow)-1)
-		row[0].Set(&cur)
-		for d := 1; d < len(row); d++ {
-			row[d].Set(&row[d-1])
-			row[d].AddAssign(&cur)
-		}
-		table[w] = BatchToAffineG2(row)
-		// advance cur to 2^{8(w+1)}·base
-		for k := 0; k < fixedBaseWindow; k++ {
-			cur.Double(&cur)
-		}
-	}
-	return table
-}
-
 // g2GeneratorTable is the generator's window table, built on first use
 // and kept for the life of the process (see g1GeneratorTable).
 var g2GeneratorTable = sync.OnceValue(buildG2GeneratorTable)
 
 func buildG2GeneratorTable() [][]G2Affine {
 	g := G2GeneratorJac()
-	return fixedBaseTableG2(&g)
+	return fixedBaseTable(&g, fixedBaseWindow, BatchToAffineG2)
 }
 
-// FixedBaseMulG2 computes scalar·base for every scalar using one shared
-// precomputed window table, cached for the generator and built per call
-// for any other base.
+// FixedBaseMulG2 computes scalar·base for every scalar exactly like
+// FixedBaseMulG1, with the generator's table cached and any other base's
+// built per call. Outputs have Z = 1 or are infinity.
 func FixedBaseMulG2(base G2Jac, scalars []ff.Fr) []G2Jac {
-	var table [][]G2Affine
 	if gen := G2GeneratorJac(); base.Equal(&gen) {
-		table = g2GeneratorTable()
-	} else {
-		table = fixedBaseTableG2(&base)
+		return fixedBaseG2(g2GeneratorTable(), fixedBaseWindow, scalars)
 	}
-	out := make([]G2Jac, len(scalars))
-	parallelFor(len(scalars), func(start, end int) {
-		for i := start; i < end; i++ {
-			limbs := scalars[i].Canonical()
-			var acc G2Jac
-			acc.SetInfinity()
-			for w := range table {
-				if d := byte(limbs[w/8] >> (8 * (w % 8))); d != 0 {
-					acc.AddMixed(&table[w][d-1])
-				}
-			}
-			out[i] = acc
+	return fixedBaseG2(fixedBaseTable(&base, fixedBaseWindow, BatchToAffineG2), fixedBaseWindow, scalars)
+}
+
+// fixedBaseG2 multiplies the base of table, of width c, by every scalar.
+func fixedBaseG2(table [][]G2Affine, c uint, scalars []ff.Fr) []G2Jac {
+	out := make([]G2Jac, len(scalars)) // Z = 0: infinity
+	fixedBase(scalars, c, func(idx []uint32, limbs [][4]uint64, windows int) {
+		inv, pend := fp2Pool.Get(len(idx)), idxPool.Get(len(idx))
+		for w := range windows {
+			fixedBaseWindowG2(out, limbs, idx, table[w], w, c, inv, pend)
 		}
+		fp2Pool.Put(inv)
+		idxPool.Put(pend)
 	})
 	return out
+}
+
+// fixedBaseWindowG2 is fixedBaseWindowG1 over G2.
+func fixedBaseWindowG2(out []G2Jac, limbs [][4]uint64, idx []uint32, row []G2Affine, w int, c uint, inv []ff.Fp2, pend []uint32) {
+	addend := func(e uint32) (q G2Affine, ok bool) {
+		k, neg := signedDigit(limbs, e, w, c)
+		if k < 0 || row[k].Infinity {
+			return q, false
+		}
+		q = row[k]
+		if neg {
+			q.Y.Neg(&q.Y)
+		}
+		return q, true
+	}
+	var prod, dx ff.Fp2
+	prod.SetOne()
+	n := 0
+	for _, e := range idx {
+		q, ok := addend(e)
+		acc := &out[e&^msmNeg]
+		switch {
+		case !ok:
+		case acc.IsInfinity():
+			acc.FromAffine(&q)
+		case acc.X.Equal(&q.X):
+			acc.AddMixed(&q)
+			a := acc.ToAffine()
+			acc.FromAffine(&a)
+		default:
+			inv[n] = prod
+			dx.Sub(&q.X, &acc.X)
+			prod.Mul(&prod, &dx)
+			pend[n] = e
+			n++
+		}
+	}
+	// 1/(a0+a1u) = (a0 − a1u)/(a0² + a1²): Fp.Inverse on the norm is a
+	// quarter of Fp2.Inverse's Fermat chain.
+	var nrm, t0 ff.Fp
+	nrm.Square(&prod.A0)
+	nrm.Add(&nrm, t0.Square(&prod.A1))
+	nrm.Inverse(&nrm)
+	prod.MulByFp(prod.Conjugate(&prod), &nrm)
+	var lambda, t ff.Fp2
+	for j := n - 1; j >= 0; j-- {
+		q, _ := addend(pend[j])
+		acc := &out[pend[j]&^msmNeg]
+		dx.Sub(&q.X, &acc.X)
+		lambda.Mul(&prod, &inv[j])
+		prod.Mul(&prod, &dx)
+		t.Sub(&q.Y, &acc.Y)
+		lambda.Mul(&lambda, &t)
+		t.Square(&lambda)
+		t.Sub(&t, &acc.X)
+		t.Sub(&t, &q.X)
+		dx.Sub(&acc.X, &t)
+		dx.Mul(&dx, &lambda)
+		acc.Y.Sub(&dx, &acc.Y)
+		acc.X = t
+	}
 }

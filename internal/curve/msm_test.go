@@ -6,6 +6,7 @@ import (
 	mrand "math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"zkvc/internal/arena"
 	"zkvc/internal/ff"
@@ -443,23 +444,73 @@ func TestMSMWindowAllocs(t *testing.T) {
 	}
 }
 
-// TestFixedBaseMulG1 checks FixedBaseMul against ScalarMul for the
+// fixedBaseEdgeScalars are the fixed-base edge cases at the width
+// fixedBaseWindow: 0, 1, r−1, the sign boundary (r−1)/2 | (r+1)/2, window
+// edges 2^{cw}, the largest signed digits ±2^{c−1}·2^{cw}, and all-ones
+// runs, whose Booth digits carry through every window.
+func fixedBaseEdgeScalars() []*big.Int {
+	r, one := ff.RModulus(), big.NewInt(1)
+	c := int(fixedBaseWindow)
+	top := fixedBaseWindows(fixedBaseWindow) - 1
+	pow := func(k int) *big.Int { return new(big.Int).Lsh(one, uint(k)) }
+	half := new(big.Int).Rsh(r, 1)
+	out := []*big.Int{new(big.Int), one, new(big.Int).Sub(r, one), half, new(big.Int).Add(half, one)}
+	for _, w := range []int{1, top / 2, top} {
+		out = append(out, pow(c*w))
+	}
+	for _, w := range []int{0, top / 2, top - 1} {
+		v := pow(c - 1 + c*w)
+		out = append(out, v, new(big.Int).Sub(r, v))
+	}
+	for _, k := range []int{c, 2 * c, c*top - 1, c * top} {
+		out = append(out, new(big.Int).Sub(pow(k), one))
+	}
+	return out
+}
+
+// fixedBaseScalars returns the edge scalars, then n more of which the
+// first half are zero — CRS scalars cluster their zeros, so this is what
+// compaction before chunking must balance — and the rest random with
+// every seventh small and signed.
+func fixedBaseScalars(rng *mrand.Rand, n int) []ff.Fr {
+	var s []ff.Fr
+	for _, v := range fixedBaseEdgeScalars() {
+		s = append(s, frFromBig(v))
+	}
+	for i := range n {
+		switch {
+		case i < n/2:
+			s = append(s, ff.Fr{})
+		case i%7 == 0:
+			s = append(s, smallSigned(rng, 9))
+		default:
+			s = append(s, randScalar(rng))
+		}
+	}
+	return s
+}
+
+// TestFixedBaseMulG1 checks FixedBaseMulG1 against ScalarMul for the
 // generator (the cached table) and for another base (a table built per
-// call).
+// call), at one worker and at four, and that every output is affine
+// (Z = 1) or infinity.
 func TestFixedBaseMulG1(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(47))
-	scalars := randLogs(rng, 40)
-	scalars[3].SetZero()
-	scalars[4] = smallSigned(rng, 9)
+	scalars := fixedBaseScalars(rng, 400)
 	other := G1GeneratorJac()
-	other.ScalarMul(&other, &scalars[0])
+	other.ScalarMul(&other, &scalars[len(scalars)-1])
+	defer parallel.SetDefaultSize(0)
 	for _, base := range []G1Jac{G1GeneratorJac(), other} {
-		got := FixedBaseMulG1(base, scalars)
+		want := make([]G1Jac, len(scalars))
 		for i := range scalars {
-			var want G1Jac
-			want.ScalarMul(&base, &scalars[i])
-			if !got[i].Equal(&want) {
-				t.Fatalf("fixed-base mismatch at %d", i)
+			want[i].ScalarMul(&base, &scalars[i])
+		}
+		for _, workers := range []int{1, 4} {
+			parallel.SetDefaultSize(workers)
+			for i, got := range FixedBaseMulG1(base, scalars) {
+				if !got.Equal(&want[i]) || !got.IsInfinity() && !got.zIsOne() {
+					t.Fatalf("workers=%d: fixed-base mismatch at %d", workers, i)
+				}
 			}
 		}
 	}
@@ -467,26 +518,135 @@ func TestFixedBaseMulG1(t *testing.T) {
 
 func TestFixedBaseMulG2(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(48))
-	scalars := randLogs(rng, 40)
-	scalars[3].SetZero()
-	scalars[4] = smallSigned(rng, 9)
+	scalars := fixedBaseScalars(rng, 400)
 	other := G2GeneratorJac()
-	other.ScalarMul(&other, &scalars[0])
+	other.ScalarMul(&other, &scalars[len(scalars)-1])
+	defer parallel.SetDefaultSize(0)
 	for _, base := range []G2Jac{G2GeneratorJac(), other} {
-		got := FixedBaseMulG2(base, scalars)
+		want := make([]G2Jac, len(scalars))
 		for i := range scalars {
-			var want G2Jac
-			want.ScalarMul(&base, &scalars[i])
-			if !got[i].Equal(&want) {
-				t.Fatalf("fixed-base mismatch at %d", i)
+			want[i].ScalarMul(&base, &scalars[i])
+		}
+		for _, workers := range []int{1, 4} {
+			parallel.SetDefaultSize(workers)
+			for i, got := range FixedBaseMulG2(base, scalars) {
+				if !got.Equal(&want[i]) || !got.IsInfinity() && !got.zIsOne() {
+					t.Fatalf("workers=%d: fixed-base mismatch at %d", workers, i)
+				}
 			}
+		}
+	}
+}
+
+// collisionTerms sets up one window step of fixed-base multiplication in
+// which every term has digit d in window w: term 0's accumulator equals
+// its addend (must double), terms 1 and 2 meet their addend's negative,
+// once through the scalar's sign and once through the accumulator (must
+// cancel to infinity), term 3 is an ordinary affine add and term 4 a
+// first-digit copy.
+func collisionTerms(w, d int) (limbs [][4]uint64, idx []uint32) {
+	var m [4]uint64
+	m[fixedBaseWindow*w/64] = uint64(d) << (fixedBaseWindow * w % 64)
+	return [][4]uint64{m, m, m, m, m}, []uint32{0, 1 | msmNeg, 2, 3, 4}
+}
+
+// TestFixedBaseWindowCollision drives the batch-affine window step into
+// its exceptional branch (acc = ±addend) next to ordinary terms of the
+// same batch. Canonical scalars cannot reach that branch through
+// FixedBaseMulG1/G2 (see fixedBaseWindowG1), so this is its only test.
+func TestFixedBaseWindowCollision(t *testing.T) {
+	const w, d = 3, 5
+	limbs, idx := collisionTerms(w, d)
+	t.Run("G1", func(t *testing.T) {
+		row := g1GeneratorTable()[w]
+		addend, other := row[d-1], G1Generator()
+		var neg G1Affine
+		neg.Neg(&addend)
+		out := make([]G1Jac, len(idx))
+		for i, a := range []*G1Affine{&addend, &addend, &neg, &other} {
+			out[i].FromAffine(a)
+		}
+		var want [5]G1Jac
+		want[0].FromAffine(&addend)
+		want[0].Double(&want[0])
+		want[1].SetInfinity()
+		want[2].SetInfinity()
+		want[3].FromAffine(&other)
+		want[3].AddMixed(&addend)
+		want[4].FromAffine(&addend)
+		fixedBaseWindowG1(out, limbs, idx, row, w, fixedBaseWindow, make([]ff.Fp, len(idx)), make([]uint32, len(idx)))
+		for i := range want {
+			if !out[i].Equal(&want[i]) || !out[i].IsInfinity() && !out[i].zIsOne() {
+				t.Errorf("term %d: wrong sum or not affine", i)
+			}
+		}
+	})
+	t.Run("G2", func(t *testing.T) {
+		row := g2GeneratorTable()[w]
+		addend, other := row[d-1], G2Generator()
+		var neg G2Affine
+		neg.Neg(&addend)
+		out := make([]G2Jac, len(idx))
+		for i, a := range []*G2Affine{&addend, &addend, &neg, &other} {
+			out[i].FromAffine(a)
+		}
+		var want [5]G2Jac
+		want[0].FromAffine(&addend)
+		want[0].Double(&want[0])
+		want[1].SetInfinity()
+		want[2].SetInfinity()
+		want[3].FromAffine(&other)
+		want[3].AddMixed(&addend)
+		want[4].FromAffine(&addend)
+		fixedBaseWindowG2(out, limbs, idx, row, w, fixedBaseWindow, make([]ff.Fp2, len(idx)), make([]uint32, len(idx)))
+		for i := range want {
+			if !out[i].Equal(&want[i]) || !out[i].IsInfinity() && !out[i].zIsOne() {
+				t.Errorf("term %d: wrong sum or not affine", i)
+			}
+		}
+	})
+}
+
+// TestFixedBaseAllocs pins fixed-base multiplication's scratch
+// discipline: a warm call rents magnitudes, indices and per-chunk scratch
+// from the arena and allocates nothing per point, so beyond the output
+// and a handful of closures only the one Fp.Inverse per window allocates
+// (it goes through math/big). One worker, as in TestMSMWindowAllocs.
+func TestFixedBaseAllocs(t *testing.T) {
+	if !arena.Enabled() {
+		t.Skip("pooling disabled via ZKVC_NO_POOL")
+	}
+	parallel.SetDefaultSize(1)
+	defer parallel.SetDefaultSize(0)
+	rng := mrand.New(mrand.NewSource(85))
+	var perInverse float64 // the most any of a few full-width inverses allocates
+	for range 8 {
+		var x, y ff.Fp
+		x.SetPseudoRandom(rng)
+		perInverse = max(perInverse, testing.AllocsPerRun(4, func() { y.Inverse(&x) }))
+	}
+	bound := 8 + float64(fixedBaseWindows(fixedBaseWindow))*perInverse
+	scalars := randLogs(rng, 1024)
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"G1", func() { FixedBaseMulG1(G1GeneratorJac(), scalars) }},
+		{"G2", func() { FixedBaseMulG2(G2GeneratorJac(), scalars) }},
+	} {
+		tc.run() // warm the pools and the table
+		avg := testing.AllocsPerRun(10, tc.run)
+		t.Logf("%s: %.1f allocs/op (Fp.Inverse: %.0f)", tc.name, avg, perInverse)
+		if avg > bound {
+			t.Errorf("%s: warm fixed-base call allocates %.1f objects/op, want ≤ %.0f", tc.name, avg, bound)
 		}
 	}
 }
 
 // TestGeneratorTablesFirstUse hits the cached generator tables from many
 // goroutines before anything has built them (the race job runs this
-// under -race): every caller must see the one finished table.
+// under -race): every caller must see the one finished table, whose
+// rows hold (k+1)·2^{cw}·G.
 func TestGeneratorTablesFirstUse(t *testing.T) {
 	g1GeneratorTable = sync.OnceValue(buildG1GeneratorTable)
 	g2GeneratorTable = sync.OnceValue(buildG2GeneratorTable)
@@ -511,6 +671,86 @@ func TestGeneratorTablesFirstUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	t1, t2 := g1GeneratorTable(), g2GeneratorTable()
+	if len(t1) != fixedBaseWindows(fixedBaseWindow) || len(t2) != len(t1) || len(t1[0]) != 1<<(fixedBaseWindow-1) || len(t2[0]) != len(t1[0]) {
+		t.Fatalf("tables are %d×%d and %d×%d", len(t1), len(t1[0]), len(t2), len(t2[0]))
+	}
+	for _, at := range [][2]int{{0, 0}, {1, 1}, {len(t1) / 2, 517}, {len(t1) - 1, len(t1[0]) - 1}} {
+		w, k := at[0], at[1]
+		s := frFromBig(new(big.Int).Lsh(big.NewInt(int64(k+1)), uint(fixedBaseWindow*w)))
+		var p1 G1Jac
+		var p2 G2Jac
+		p1.ScalarMul(&g1, &s)
+		p2.ScalarMul(&g2, &s)
+		if a1, a2 := p1.ToAffine(), p2.ToAffine(); !t1[w][k].Equal(&a1) || !t2[w][k].Equal(&a2) {
+			t.Errorf("table[%d][%d] is not %d·2^%d·G", w, k, k+1, fixedBaseWindow*w)
+		}
+	}
+}
+
+// fixedBaseFuzzScalars decodes data as up to 24 scalars of 32 bytes,
+// big-endian, reduced mod r.
+func fixedBaseFuzzScalars(data []byte) []ff.Fr {
+	scalars := make([]ff.Fr, min(len(data)/32, 24))
+	for i := range scalars {
+		scalars[i].SetBytes(data[32*i : 32*i+32])
+	}
+	return scalars
+}
+
+// addFixedBaseSeeds seeds a fixed-base fuzzer with the edge scalars, a
+// repeated scalar (with its negative) and a lone non-zero among zeros.
+func addFixedBaseSeeds(f *testing.F) {
+	seed := func(vs ...*big.Int) {
+		var data []byte
+		for _, v := range vs {
+			data = append(data, new(big.Int).Mod(v, ff.RModulus()).FillBytes(make([]byte, 32))...)
+		}
+		f.Add(data)
+	}
+	edge := fixedBaseEdgeScalars()
+	seed(edge[:len(edge)/2]...)
+	seed(edge[len(edge)/2:]...)
+	x, _ := new(big.Int).SetString("1234567890123456789012345678901234567890123456789", 10)
+	seed(x, x, x, new(big.Int).Neg(x), x)
+	lone := make([]*big.Int, 24)
+	for i := range lone {
+		lone[i] = new(big.Int)
+	}
+	lone[17] = x
+	seed(lone...)
+}
+
+// FuzzFixedBaseMulG1 checks FixedBaseMulG1 of the generator against
+// ScalarMul on every term.
+func FuzzFixedBaseMulG1(f *testing.F) {
+	addFixedBaseSeeds(f)
+	g := G1GeneratorJac()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scalars := fixedBaseFuzzScalars(data)
+		for i, got := range FixedBaseMulG1(g, scalars) {
+			var want G1Jac
+			want.ScalarMul(&g, &scalars[i])
+			if !got.Equal(&want) {
+				t.Fatalf("G1 fixed-base disagrees with ScalarMul at term %d of %x", i, data)
+			}
+		}
+	})
+}
+
+func FuzzFixedBaseMulG2(f *testing.F) {
+	addFixedBaseSeeds(f)
+	g := G2GeneratorJac()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scalars := fixedBaseFuzzScalars(data)
+		for i, got := range FixedBaseMulG2(g, scalars) {
+			var want G2Jac
+			want.ScalarMul(&g, &scalars[i])
+			if !got.Equal(&want) {
+				t.Fatalf("G2 fixed-base disagrees with ScalarMul at term %d of %x", i, data)
+			}
+		}
+	})
 }
 
 // fuzzMSM decodes data as up to 24 terms of 33 bytes — a tag (low nibble
@@ -558,6 +798,68 @@ func BenchmarkMSMG1_4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = MSMG1(pts, scalars)
+	}
+}
+
+// BenchmarkFixedBaseMulG1 and BenchmarkFixedBaseMulG2 time CRS-style
+// fixed-base multiplication of the generator by n random scalars, the
+// generator tables already built.
+func BenchmarkFixedBaseMulG1(b *testing.B) {
+	for _, n := range []int{16, 256, 4096} {
+		scalars := randLogs(mrand.New(mrand.NewSource(51)), n)
+		FixedBaseMulG1(G1GeneratorJac(), scalars[:1])
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				FixedBaseMulG1(G1GeneratorJac(), scalars)
+			}
+		})
+	}
+}
+
+func BenchmarkFixedBaseMulG2(b *testing.B) {
+	for _, n := range []int{16, 256, 4096} {
+		scalars := randLogs(mrand.New(mrand.NewSource(52)), n)
+		FixedBaseMulG2(G2GeneratorJac(), scalars[:1])
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				FixedBaseMulG2(G2GeneratorJac(), scalars)
+			}
+		})
+	}
+}
+
+// BenchmarkFixedBaseWindow sweeps the signed window width of fixed-base
+// multiplication: time per point at n = 4096 (G1) and 1024 (G2), and the
+// one-time generator table build as table-ms. Interleave by hand on a
+// noisy box: ZKVC_PARALLELISM=1 go test -run '^$' -bench
+// BenchmarkFixedBaseWindow -benchtime 5x ./internal/curve
+func BenchmarkFixedBaseWindow(b *testing.B) {
+	scalars := randLogs(mrand.New(mrand.NewSource(53)), 4096)
+	g1, g2 := G1GeneratorJac(), G2GeneratorJac()
+	for c := uint(8); c <= 12; c++ {
+		start := time.Now()
+		t1 := fixedBaseTable(&g1, c, BatchToAffineG1)
+		build1 := time.Since(start)
+		start = time.Now()
+		t2 := fixedBaseTable(&g2, c, BatchToAffineG2)
+		build2 := time.Since(start)
+		for _, g := range []struct {
+			name  string
+			n     int
+			build time.Duration
+			run   func(s []ff.Fr)
+		}{
+			{"G1", 4096, build1, func(s []ff.Fr) { fixedBaseG1(t1, c, s) }},
+			{"G2", 1024, build2, func(s []ff.Fr) { fixedBaseG2(t2, c, s) }},
+		} {
+			b.Run(fmt.Sprintf("%s/c=%d", g.name, c), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					g.run(scalars[:g.n])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*g.n), "us/point")
+				b.ReportMetric(float64(g.build.Microseconds())/1e3, "table-ms")
+			})
+		}
 	}
 }
 
