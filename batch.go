@@ -60,6 +60,11 @@ func (p *MatMulProver) ProveBatchContext(ctx context.Context, pairs ...[2]*Matri
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	for _, pair := range pairs {
+		if err := checkShape(pair[0].Rows, pair[0].Cols, pair[1].Cols); err != nil {
+			return nil, err
+		}
+	}
 	bs := crpc.NewBatchStatement(pairs...)
 	proof := &BatchProof{
 		Opts:    p.opts,
@@ -104,6 +109,9 @@ func VerifyMatMulBatch(xs []*Matrix, proof *BatchProof) error {
 			return fmt.Errorf("%w: missing statement data", ErrVerification)
 		}
 		sh := proof.Shapes[i]
+		if err := checkShape(sh[0], sh[1], sh[2]); err != nil {
+			return fmt.Errorf("%w: statement %d: %v", ErrVerification, i, err)
+		}
 		if xs[i].Rows != sh[0] || xs[i].Cols != sh[1] {
 			return fmt.Errorf("%w: input %d is %dx%d, want %dx%d", ErrVerification, i, xs[i].Rows, xs[i].Cols, sh[0], sh[1])
 		}

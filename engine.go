@@ -321,20 +321,6 @@ func (l *Local) ProveBatch(ctx context.Context, pairs [][2]*Matrix) (*BatchProof
 	return l.prover().ProveBatchContext(ctx, pairs...)
 }
 
-// modelOptions assembles the compiler options for one model job — the
-// same shape the proving service uses, which is what makes Local and
-// service proofs byte-identical at equal seeds.
-func (l *Local) modelOptions(req *ModelRequest) zkml.Options {
-	opts := zkml.DefaultOptions()
-	opts.Backend = req.Backend
-	opts.Circuit = l.Circuit
-	opts.ProveNonlinear = req.ProveNonlinear
-	opts.Seed = l.Seed
-	opts.KeepProofs = true
-	opts.DiscardOps = true
-	return opts
-}
-
 // ProveModel proves a captured forward pass in-process, yielding each
 // op's proof as it finishes. Independent ops prove concurrently over the
 // shared parallel budget; canceling ctx (or breaking out of the range)
@@ -345,7 +331,7 @@ func (l *Local) ProveModel(ctx context.Context, req *ModelRequest) *ModelStream 
 			yield(nil, errors.New("zkvc: nil model request or trace"))
 			return
 		}
-		opts := l.modelOptions(req)
+		opts := zkml.JobOptions(req.Backend, l.Circuit, req.ProveNonlinear, l.Seed)
 		plan, err := zkml.PlanTrace(req.Trace, opts)
 		if err != nil {
 			yield(nil, err)

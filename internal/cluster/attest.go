@@ -18,11 +18,6 @@ import (
 	"zkvc/internal/wire"
 )
 
-// maxAttestBodyBytes bounds one attestation update body: the wire
-// format caps each direction at 4096 digests of 32 bytes, so 1 MiB
-// clears the largest legal update with room for framing.
-const maxAttestBodyBytes = 1 << 20
-
 // replicaTargets is a digest's replica set: the first ReplicaCount
 // healthy nodes in rendezvous order on the digest, excluding the
 // issuing node (its own durable log already holds the attestation).
@@ -80,16 +75,8 @@ func (c *Coordinator) verifyCandidates(key []byte, digest [sha256.Size]byte) []*
 // Relaying is synchronous but bounded (the probe client's timeout) and
 // best-effort: a replica that cannot be reached right now simply misses
 // this update, and the issuer's durable log remains the ground truth.
-func (c *Coordinator) handleAttest(w http.ResponseWriter, r *http.Request) {
-	raw, ok := server.ReadBody(w, r, maxAttestBodyBytes)
-	if !ok {
-		return
-	}
-	u, err := wire.DecodeAttestationUpdate(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (c *Coordinator) handleAttest(w http.ResponseWriter, r *http.Request, in server.Input) {
+	u := in.Msg.(*wire.AttestationUpdate)
 	c.metrics.attestUpdates.Add(1)
 	perNode := make(map[*node]*wire.AttestationUpdate)
 	group := func(d [sha256.Size]byte, removed bool) {

@@ -11,10 +11,11 @@
 // 1/n of the keyspace it takes over.
 //
 // Forwarding is one table (forward.go): a row per endpoint of the node
-// surface, and one function that relays every row. The body limit is
-// the node's own, so the coordinator never forwards what a node would
-// reject. The model-slot column bounds buffered model bodies exactly as
-// a node does. The finder column names the candidates: the affinity rank
+// surface, and one function that relays every row. Each row is the
+// node's own server.Routes row — body bound, model slot and decoder,
+// run by the same prelude — so the coordinator never forwards what a
+// node would reject, and bounds buffered model bodies exactly as a node
+// does. The finder column names the candidates: the affinity rank
 // for prove routes and submissions, the issuer then the digest's
 // replicas for verifies, the job's home node for job exchanges. The
 // retry column says which answers leave the exchange unstarted — a
@@ -367,18 +368,25 @@ func (c *Coordinator) healthyRanked(key []byte) []*node {
 // and the node answers buffered for a failover message.
 const maxControlBodyBytes = 1 << 16
 
+// The coordinator's own control routes with a body. Attestation updates
+// use the node's row, server.Routes.Attest.
+var (
+	announceRoute  = server.Route{Pattern: "POST /v1/cluster/announce", Limit: maxControlBodyBytes, Decode: server.Decoder(wire.DecodeNodeAnnounce)}
+	heartbeatRoute = server.Route{Pattern: "POST /v1/cluster/heartbeat", Limit: maxControlBodyBytes, Decode: server.Decoder(wire.DecodeNodeHeartbeat)}
+)
+
 // Handler returns the coordinator's HTTP surface: the forwarding table,
 // then the cluster control plane.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for i := range routes {
 		rt := &routes[i]
-		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { c.forward(w, r, rt) })
+		rt.Mount(mux, c.modelSlots, func(w http.ResponseWriter, r *http.Request, in server.Input) { c.forward(w, r, in, rt) })
 	}
-	mux.HandleFunc("POST /v1/cluster/announce", c.handleAnnounce)
-	mux.HandleFunc("POST /v1/cluster/heartbeat", c.handleHeartbeat)
+	announceRoute.Mount(mux, c.modelSlots, c.handleAnnounce)
+	heartbeatRoute.Mount(mux, c.modelSlots, c.handleHeartbeat)
+	server.Routes.Attest.Mount(mux, c.modelSlots, c.handleAttest)
 	mux.HandleFunc("POST /v1/cluster/drain", c.handleDrain)
-	mux.HandleFunc("POST /v1/cluster/attest", c.handleAttest)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("GET /metrics/prometheus", c.handleMetricsProm)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
@@ -391,16 +399,8 @@ func (c *Coordinator) ListenAndServe(addr string) error {
 	return hs.ListenAndServe()
 }
 
-func (c *Coordinator) handleAnnounce(w http.ResponseWriter, r *http.Request) {
-	raw, ok := server.ReadBody(w, r, maxControlBodyBytes)
-	if !ok {
-		return
-	}
-	a, err := wire.DecodeNodeAnnounce(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (c *Coordinator) handleAnnounce(w http.ResponseWriter, _ *http.Request, in server.Input) {
+	a := in.Msg.(*wire.NodeAnnounce)
 	if _, err := c.addNode(a.Name, a.URL, a.Workers); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -409,16 +409,8 @@ func (c *Coordinator) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	raw, ok := server.ReadBody(w, r, maxControlBodyBytes)
-	if !ok {
-		return
-	}
-	h, err := wire.DecodeNodeHeartbeat(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, _ *http.Request, in server.Input) {
+	h := in.Msg.(*wire.NodeHeartbeat)
 	n := c.lookup(h.Name)
 	if n == nil {
 		http.Error(w, fmt.Sprintf("unknown node %q (announce first)", h.Name), http.StatusNotFound)

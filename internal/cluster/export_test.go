@@ -5,7 +5,7 @@ package cluster
 func ForwardedPatterns() []string {
 	out := make([]string, len(routes))
 	for i, rt := range routes {
-		out[i] = rt.pattern
+		out[i] = rt.Pattern
 	}
 	return out
 }

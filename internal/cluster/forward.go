@@ -4,19 +4,15 @@ package cluster
 // is one row of the routes table, and one function, forward, relays them
 // all. Bodies reach the node byte for byte with the Zkvc-Tenant header
 // verbatim, so the node sees exactly what the client sent (and
-// issued-proof digests, which bind exact bytes, keep working). A row's
-// columns are the whole per-endpoint policy:
+// issued-proof digests, which bind exact bytes, keep working). A row is
+// the node's own server.Routes row — pattern, body bound, model slot and
+// decoder, run by the same prelude as on the node, so a malformed body
+// dies here with a 400 instead of costing a node a round trip — plus the
+// forwarding policy:
 //
-//   - limit bounds the buffered body with the node's own bound (0: the
-//     route has no body).
-//   - modelSlot holds one of the coordinator's model-body slots while the
-//     body is buffered, shedding with 503 exactly like a node past its
-//     bound.
-//   - find decodes just enough of the request to list its candidate
-//     nodes in order — the affinity rank for new work, the issuer then
-//     the digest's replicas for a verify, the journal's node for a job
-//     exchange — so a malformed body dies here with a 400 instead of
-//     costing a node a round trip.
+//   - find lists the decoded request's candidate nodes in order — the
+//     affinity rank for new work, the issuer then the digest's replicas
+//     for a verify, the journal's node for a job exchange.
 //   - retry lists the answers that mean "unstarted, try the next node";
 //     a transport error always does.
 //   - stream marks frame-stream replies, which commit to their node on
@@ -37,21 +33,19 @@ import (
 	"zkvc/internal/wire"
 )
 
-// route is one forwarded endpoint.
+// route is one forwarded endpoint: the node's row and its policy.
 type route struct {
-	pattern   string
-	limit     int64
-	modelSlot bool
-	find      finder
-	retry     []int
-	stream    bool
-	accepted  func(c *Coordinator, r *http.Request, n *node, code int, body []byte)
+	*server.Route
+	find     finder
+	retry    []int
+	stream   bool
+	accepted func(c *Coordinator, r *http.Request, n *node, code int, body []byte)
 }
 
-// finder lists a request's candidate nodes, most preferred first. An
-// error is the client's: a *server.StatusError carries its own code,
-// anything else is a 400.
-type finder func(c *Coordinator, r *http.Request, body []byte) ([]*node, error)
+// finder lists a decoded request's candidate nodes, most preferred
+// first. An error is the client's: a *server.StatusError carries its own
+// code, anything else is a 400.
+type finder func(c *Coordinator, r *http.Request, req any) ([]*node, error)
 
 // Retry policies. A proving job shed with 503 is safe anywhere — any node
 // produces an equally valid proof — and a submission refused with 429
@@ -66,25 +60,25 @@ var (
 )
 
 var routes = []route{
-	{pattern: "POST /v1/prove", limit: server.MaxBodyBytes, find: byAffinity(proveKey), retry: onShed},
-	{pattern: "POST /v1/prove/matmul", limit: server.MaxBodyBytes, find: byAffinity(proveKey), retry: onShed},
-	{pattern: "POST /v1/prove/batch", limit: server.MaxBodyBytes, find: byAffinity(batchKey), retry: onShed},
-	{pattern: "POST /v1/prove/model", limit: server.MaxModelBodyBytes, modelSlot: true, find: byAffinity(modelProveKey), retry: onShed, stream: true},
-	{pattern: "POST /v1/jobs", limit: server.MaxModelBodyBytes, modelSlot: true, find: byAffinity(submitKey), retry: onShedOrQuota, accepted: recordJobRoute},
-	{pattern: "GET /v1/jobs/{id}", find: byJobHome(pathJobID)},
-	{pattern: "GET /v1/jobs/{id}/stream", find: byJobHome(pathJobID), stream: true},
-	{pattern: "POST /v1/jobs/stream", limit: server.MaxBodyBytes, find: byJobHome(bodyJobID), stream: true},
-	{pattern: "DELETE /v1/jobs/{id}", find: byJobHome(pathJobID), accepted: dropJobRoute},
-	{pattern: "POST /v1/verify", limit: server.MaxBodyBytes, find: byIssuer(verifyKey)},
-	{pattern: "POST /v1/verify/batch", limit: server.MaxBodyBytes, find: byIssuer(verifyBatchKey)},
-	{pattern: "POST /v1/verify/model", limit: server.MaxModelBodyBytes, modelSlot: true, find: byIssuer(verifyModelKey)},
+	{Route: &server.Routes.Prove, find: byAffinity(proveKey), retry: onShed},
+	{Route: &server.Routes.ProveMatMul, find: byAffinity(proveKey), retry: onShed},
+	{Route: &server.Routes.ProveBatch, find: byAffinity(batchKey), retry: onShed},
+	{Route: &server.Routes.ProveModel, find: byAffinity(modelProveKey), retry: onShed, stream: true},
+	{Route: &server.Routes.SubmitJob, find: byAffinity(submitKey), retry: onShedOrQuota, accepted: recordJobRoute},
+	{Route: &server.Routes.JobStatus, find: byJobHome(pathJobID)},
+	{Route: &server.Routes.JobStream, find: byJobHome(pathJobID), stream: true},
+	{Route: &server.Routes.JobStreamPost, find: byJobHome(bodyJobID), stream: true},
+	{Route: &server.Routes.CancelJob, find: byJobHome(pathJobID), accepted: dropJobRoute},
+	{Route: &server.Routes.Verify, find: byIssuer(verifyKey)},
+	{Route: &server.Routes.VerifyBatch, find: byIssuer(verifyBatchKey)},
+	{Route: &server.Routes.VerifyModel, find: byIssuer(verifyModelKey)},
 }
 
 // byAffinity places new work: healthy nodes in rendezvous order on the
 // request's affinity key.
-func byAffinity(key func(c *Coordinator, r *http.Request, body []byte) ([]byte, error)) finder {
-	return func(c *Coordinator, r *http.Request, body []byte) ([]*node, error) {
-		k, err := key(c, r, body)
+func byAffinity(key func(c *Coordinator, r *http.Request, req any) ([]byte, error)) finder {
+	return func(c *Coordinator, r *http.Request, req any) ([]*node, error) {
+		k, err := key(c, r, req)
 		if err != nil {
 			return nil, err
 		}
@@ -95,12 +89,9 @@ func byAffinity(key func(c *Coordinator, r *http.Request, body []byte) ([]byte, 
 // byIssuer orders a verification's candidates (verifyCandidates): the
 // node prove-time affinity picked, then the attestation digest's
 // replicas.
-func byIssuer(key func(c *Coordinator, r *http.Request, body []byte) ([]byte, [sha256.Size]byte, error)) finder {
-	return func(c *Coordinator, r *http.Request, body []byte) ([]*node, error) {
-		k, digest, err := key(c, r, body)
-		if err != nil {
-			return nil, err
-		}
+func byIssuer(key func(c *Coordinator, r *http.Request, req any) ([]byte, [sha256.Size]byte)) finder {
+	return func(c *Coordinator, r *http.Request, req any) ([]*node, error) {
+		k, digest := key(c, r, req)
 		return c.verifyCandidates(k, digest), nil
 	}
 }
@@ -110,97 +101,54 @@ func tenantOf(r *http.Request) string { return r.Header.Get(server.TenantHeader)
 // proveKey keys both single-statement proving routes by the (tenant,
 // shape, options) key /v1/verify uses, so a proof's verification finds
 // the node whose issued log attests it.
-func proveKey(c *Coordinator, r *http.Request, body []byte) ([]byte, error) {
-	req, err := wire.DecodeProveRequest(body)
-	if err != nil {
-		return nil, err
-	}
-	return matmulKey(tenantOf(r), req.X.Rows, req.X.Cols, req.W.Cols, c.cfg.Opts), nil
+func proveKey(c *Coordinator, r *http.Request, req any) ([]byte, error) {
+	p := req.(*wire.ProveRequest)
+	return matmulKey(tenantOf(r), p.X.Rows, p.X.Cols, p.W.Cols, c.cfg.Opts), nil
 }
 
 // batchKey keys a direct batch by its first pair — the canonical-member
 // rule /v1/verify/batch uses.
-func batchKey(c *Coordinator, r *http.Request, body []byte) ([]byte, error) {
-	req, err := wire.DecodeProveBatchRequest(body)
-	if err != nil {
-		return nil, err
-	}
-	x, w := req.Pairs[0][0], req.Pairs[0][1]
-	return matmulKey(tenantOf(r), x.Rows, x.Cols, w.Cols, c.cfg.Opts), nil
+func batchKey(c *Coordinator, r *http.Request, req any) ([]byte, error) {
+	pair := req.(*wire.ProveBatchRequest).Pairs[0]
+	return matmulKey(tenantOf(r), pair[0].Rows, pair[0].Cols, pair[1].Cols, c.cfg.Opts), nil
 }
 
-func modelProveKey(_ *Coordinator, r *http.Request, body []byte) ([]byte, error) {
-	req, err := wire.DecodeProveModelRequest(body)
-	if err != nil {
-		return nil, err
-	}
-	return modelKeyFromRequest(tenantOf(r), req)
+func modelProveKey(_ *Coordinator, r *http.Request, req any) ([]byte, error) {
+	return modelKeyFromRequest(tenantOf(r), req.(*wire.ProveModelRequest))
 }
 
 // submitKey routes an async job exactly like a sync model job, so a job
 // and its later verification land on one node.
-func submitKey(_ *Coordinator, r *http.Request, body []byte) ([]byte, error) {
-	req, err := wire.DecodeJobSubmitRequest(body)
-	if err != nil {
-		return nil, err
-	}
-	return modelKeyFromRequest(tenantOf(r), req.Model)
+func submitKey(_ *Coordinator, r *http.Request, req any) ([]byte, error) {
+	return modelKeyFromRequest(tenantOf(r), req.(*wire.JobSubmitRequest).Model)
 }
 
-func verifyKey(c *Coordinator, r *http.Request, body []byte) ([]byte, [sha256.Size]byte, error) {
-	req, err := wire.DecodeVerifyRequest(body)
-	if err != nil {
-		return nil, [sha256.Size]byte{}, err
-	}
-	key := matmulKey(tenantOf(r), req.X.Rows, req.X.Cols, req.Proof.Y.Cols, c.cfg.Opts)
-	return key, server.IssuedDigest(req.X, req.Proof), nil
+func verifyKey(c *Coordinator, r *http.Request, req any) ([]byte, [sha256.Size]byte) {
+	v := req.(*wire.VerifyRequest)
+	return matmulKey(tenantOf(r), v.X.Rows, v.X.Cols, v.Proof.Y.Cols, c.cfg.Opts), server.IssuedDigest(v.X, v.Proof)
 }
 
 // verifyBatchKey keys by the first statement: every job of a coalesced
 // batch was routed by its own (tenant, shape) key, so the first — the
 // canonical member — finds the issuing node again.
-func verifyBatchKey(c *Coordinator, r *http.Request, body []byte) ([]byte, [sha256.Size]byte, error) {
-	resp, err := wire.DecodeProveResponse(body)
-	if err != nil {
-		return nil, [sha256.Size]byte{}, err
-	}
+func verifyBatchKey(c *Coordinator, r *http.Request, req any) ([]byte, [sha256.Size]byte) {
+	resp := req.(*wire.ProveResponse)
 	x := resp.Xs[0]
-	key := matmulKey(tenantOf(r), x.Rows, x.Cols, resp.Batch.Shapes[0][2], c.cfg.Opts)
-	return key, server.IssuedBatchDigest(resp), nil
+	return matmulKey(tenantOf(r), x.Rows, x.Cols, resp.Batch.Shapes[0][2], c.cfg.Opts), server.IssuedBatchDigest(resp)
 }
 
-// verifyModelKey re-derives the prove-time model key from the report. The
-// request decodes exactly as on a node (?mode= required, matching the
-// body's), so a disagreeing request dies here, not a hop later.
-func verifyModelKey(_ *Coordinator, r *http.Request, body []byte) ([]byte, [sha256.Size]byte, error) {
-	req, err := server.DecodeVerifyModel(r, body)
-	if err != nil {
-		return nil, [sha256.Size]byte{}, err
-	}
-	tenant := tenantOf(r)
-	return modelKeyFromReport(tenant, req.Report), server.ReportDigest(req.Report, tenant), nil
+// verifyModelKey re-derives the prove-time model key from the report.
+func verifyModelKey(_ *Coordinator, r *http.Request, req any) ([]byte, [sha256.Size]byte) {
+	rep, tenant := req.(*wire.VerifyModelRequest).Report, tenantOf(r)
+	return modelKeyFromReport(tenant, rep), server.ReportDigest(rep, tenant)
 }
 
 // forward relays one client exchange along its route: the only candidate
 // loop in the coordinator. Attempts that leave the exchange unstarted
 // move to the next candidate; the first other answer is relayed.
-func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, rt *route) {
-	release := func() {}
-	if rt.modelSlot {
-		var ok bool
-		if release, ok = c.modelSlots.Acquire(w); !ok {
-			return
-		}
-		defer release()
-	}
-	var body []byte
-	if rt.limit > 0 {
-		var ok bool
-		if body, ok = server.ReadBody(w, r, rt.limit); !ok {
-			return
-		}
-	}
-	nodes, err := rt.find(c, r, body)
+func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, in server.Input, rt *route) {
+	nodes, err := rt.find(c, r, in.Msg)
+	in.Msg = nil // routed: only the bytes travel on
 	var se *server.StatusError
 	switch {
 	case errors.As(err, &se):
@@ -222,7 +170,7 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, rt *route)
 		if i > 0 {
 			c.metrics.retried.Add(1)
 		}
-		resp, err := n.send(r, body)
+		resp, err := n.send(r, in.Body)
 		if err == nil && rt.stream && resp.StatusCode == http.StatusOK {
 			// Read the first frame before committing to this node: a node
 			// that dies this early left nothing with the client, so the
@@ -232,8 +180,8 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, rt *route)
 				// Committed. No retry can use the body again: let it (and
 				// the slot bounding it) go before a relay that lasts as
 				// long as proving does.
-				body = nil
-				release()
+				in.Body = nil
+				in.Release()
 				c.relayStream(w, r, n, first, resp.Body)
 				resp.Body.Close()
 				return

@@ -69,12 +69,9 @@ func (t *jobRouteTable) len() int {
 // journal, whatever its health: the journal lives nowhere else. An
 // unknown ID and an evicted route get the honest 404 a node gives for a
 // reaped job — there is nothing there anymore.
-func byJobHome(id func(r *http.Request, body []byte) (string, error)) finder {
-	return func(c *Coordinator, r *http.Request, body []byte) ([]*node, error) {
-		jobID, err := id(r, body)
-		if err != nil {
-			return nil, err
-		}
+func byJobHome(id func(r *http.Request, req any) string) finder {
+	return func(c *Coordinator, r *http.Request, req any) ([]*node, error) {
+		jobID := id(r, req)
 		name, ok := c.jobRoutes.lookup(jobID)
 		if !ok {
 			return nil, &server.StatusError{Code: http.StatusNotFound,
@@ -90,15 +87,9 @@ func byJobHome(id func(r *http.Request, body []byte) (string, error)) finder {
 	}
 }
 
-func pathJobID(r *http.Request, _ []byte) (string, error) { return r.PathValue("id"), nil }
+func pathJobID(r *http.Request, _ any) string { return r.PathValue("id") }
 
-func bodyJobID(_ *http.Request, body []byte) (string, error) {
-	req, err := wire.DecodeJobStreamRequest(body)
-	if err != nil {
-		return "", err
-	}
-	return req.ID, nil
-}
+func bodyJobID(_ *http.Request, req any) string { return req.(*wire.JobStreamRequest).ID }
 
 // recordJobRoute remembers an accepted job's node, peeking the ID out of
 // the 202's status body.

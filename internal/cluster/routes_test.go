@@ -103,6 +103,41 @@ func TestRouteParityNodeAndCoordinator(t *testing.T) {
 	}
 }
 
+// TestModelSlotsSurviveMalformedBodiesThroughCoordinator: the
+// coordinator holds its own model-body slots (4) on every model-slot
+// route. More malformed bodies than slots all answer 400 there — a
+// leaked slot would turn the tail of the flood into 503s — and valid
+// requests afterwards are still forwarded and served.
+func TestModelSlotsSurviveMalformedBodiesThroughCoordinator(t *testing.T) {
+	_, nodeTS := newNode(t, nodeConfig(harnessSeed))
+	ccfg := cluster.DefaultConfig()
+	ccfg.Nodes = []string{nodeTS.URL}
+	ccfg.ProbeInterval = time.Hour
+	_, coordTS := newCoordinator(t, ccfg)
+
+	for _, path := range []string{"/v1/prove/model", "/v1/verify/model?mode=per-op", "/v1/jobs"} {
+		for i := 0; i < 9; i++ { // 2×slots+1
+			if code, body := exchange(t, "POST", coordTS.URL+path, []byte("not a wire message")); code != http.StatusBadRequest {
+				t.Fatalf("%s malformed body %d: %d (%s), want 400", path, i, code, strings.TrimSpace(body))
+			}
+		}
+	}
+
+	req := modelRequest(t, zkvc.Spartan, 43)
+	client := server.NewClient(coordTS.URL)
+	rep, err := client.ProveModel(tctx, req).Report()
+	if err != nil {
+		t.Fatalf("prove after malformed flood: %v", err)
+	}
+	if err := client.VerifyModel(tctx, rep); err != nil {
+		t.Fatalf("verify after malformed flood: %v", err)
+	}
+	submit := wire.EncodeJobSubmitRequest(&wire.JobSubmitRequest{Model: wireModelRequest(req)})
+	if code, body := exchange(t, "POST", coordTS.URL+"/v1/jobs", submit); code != http.StatusAccepted {
+		t.Fatalf("job submission after malformed flood: %d (%s), want 202", code, strings.TrimSpace(body))
+	}
+}
+
 // faultDrop makes a faultNode drop the connection before answering.
 const faultDrop = -1
 

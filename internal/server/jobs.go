@@ -281,22 +281,9 @@ func (s *Server) rejectJob(w http.ResponseWriter, reason string) {
 // the manifest + stream header, and hand the proving to the dispatcher.
 // The 202 response carries the job's initial status; the client streams
 // frames whenever it likes.
-func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.modelSlots.Acquire(w)
-	if !ok {
-		return
-	}
-	defer release()
-	raw, ok := ReadBody(w, r, MaxModelBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeJobSubmitRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	raw = nil
+func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request, in Input) {
+	req := in.Msg.(*wire.JobSubmitRequest)
+	in.Body = nil // the decoded request is all the job keeps
 	plan, ok := s.planModel(w, req.Model.Trace, req.Model.ProveNonlinear)
 	if !ok {
 		return
@@ -359,14 +346,14 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	s.metrics.jobsSubmitted.Add(1)
 	s.metrics.jobsActive.Add(1)
 	s.metrics.modelJobs.Add(1)
-	release()
+	in.Release()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Location", "/v1/jobs/"+id)
 	w.WriteHeader(http.StatusAccepted)
 	w.Write(wire.EncodeJobStatus(j.status(s.metrics.queueUnits.Load())))
 }
 
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request, _ Input) {
 	j := s.jobs.get(r.PathValue("id"), r.Header.Get(TenantHeader))
 	if j == nil {
 		http.Error(w, "no such job (it may have expired and been reaped)", http.StatusNotFound)
@@ -378,7 +365,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleJobStreamGet(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleJobStreamGet(w http.ResponseWriter, r *http.Request, _ Input) {
 	from := 0
 	if v := r.URL.Query().Get("from"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -391,16 +378,8 @@ func (s *Server) handleJobStreamGet(w http.ResponseWriter, r *http.Request) {
 	s.streamJob(w, r, r.PathValue("id"), from)
 }
 
-func (s *Server) handleJobStreamPost(w http.ResponseWriter, r *http.Request) {
-	raw, ok := ReadBody(w, r, MaxBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeJobStreamRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (s *Server) handleJobStreamPost(w http.ResponseWriter, r *http.Request, in Input) {
+	req := in.Msg.(*wire.JobStreamRequest)
 	s.streamJob(w, r, req.ID, req.From)
 }
 
@@ -453,7 +432,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string, fr
 // handleJobCancel ends a job and forgets it: proving is canceled, the
 // journal file deleted, the attestation withdrawn. In-flight streams
 // drain to an explicit cancellation frame.
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request, _ Input) {
 	id := r.PathValue("id")
 	if s.jobs.get(id, r.Header.Get(TenantHeader)) == nil {
 		http.Error(w, "no such job (it may have expired and been reaped)", http.StatusNotFound)

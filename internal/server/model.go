@@ -110,19 +110,11 @@ func (j *modelJob) run(s *Server, _ *zkvc.MatMulProver) {
 	}
 }
 
-// modelOpts assembles the compiler options for a model job of either
-// kind: the service's circuit options and seed, the client's backend and
-// nonlinear choice, payloads kept but ops discarded (each exists only
-// long enough to be framed by onOp), and Groth16 setups routed through
-// the shared digest-keyed CRS cache.
+// modelOpts is zkml.JobOptions at the service's circuit options and
+// seed, with Groth16 setups routed through the shared digest-keyed CRS
+// cache and each proved op handed to onOp.
 func (s *Server) modelOpts(backend zkml.Backend, proveNonlinear bool, onOp func(*zkml.OpProof)) zkml.Options {
-	opts := zkml.DefaultOptions()
-	opts.Backend = backend
-	opts.Circuit = s.cfg.Opts
-	opts.ProveNonlinear = proveNonlinear
-	opts.Seed = s.cfg.Seed
-	opts.KeepProofs = true
-	opts.DiscardOps = true
+	opts := zkml.JobOptions(backend, s.cfg.Opts, proveNonlinear, s.cfg.Seed)
 	if backend == zkml.Groth16 {
 		opts.Setup = s.circuitSetup
 	}
@@ -283,25 +275,9 @@ func (s *Server) planModel(w http.ResponseWriter, trace *nn.Trace, proveNonlinea
 // positions each in the report), then end of body. A mid-stream failure
 // is a ModelStreamError frame. wire.DecodeModelStream reassembles the
 // report client-side.
-func (s *Server) handleProveModel(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.modelSlots.Acquire(w)
-	if !ok {
-		return
-	}
-	// release is sync.Once-guarded, so the deferred call makes every
-	// early exit slot-safe while still letting the success path hand the
-	// slot back before streaming.
-	defer release()
-	raw, ok := ReadBody(w, r, MaxModelBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeProveModelRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	raw = nil
+func (s *Server) handleProveModel(w http.ResponseWriter, r *http.Request, in Input) {
+	req := in.Msg.(*wire.ProveModelRequest)
+	in.Body = nil // the decoded request is all the job keeps
 	plan, ok := s.planModel(w, req.Trace, req.ProveNonlinear)
 	if !ok {
 		return
@@ -332,7 +308,7 @@ func (s *Server) handleProveModel(w http.ResponseWriter, r *http.Request) {
 	s.metrics.modelJobs.Add(1)
 	// The job is admitted and its memory is accounted by the queue
 	// ledger; the body-buffering slot can go back before streaming.
-	release()
+	in.Release()
 
 	w.Header().Set("Content-Type", "application/octet-stream")
 	flusher, _ := w.(http.Flusher)
@@ -415,22 +391,8 @@ func writeVerifyModelResponse(w http.ResponseWriter, mode zkvc.VerifyMode, err e
 // binary wire.VerifyModelResponse; mode=aggregate runs the whole-report
 // batched check on a Groth16 report (a Spartan one verifies per op),
 // attesting exactly the digest the per-op path attests.
-func (s *Server) handleVerifyModel(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.modelSlots.Acquire(w)
-	if !ok {
-		return
-	}
-	defer release()
-	raw, ok := ReadBody(w, r, MaxModelBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := DecodeVerifyModel(r, raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	raw = nil
+func (s *Server) handleVerifyModel(w http.ResponseWriter, r *http.Request, in Input) {
+	req := in.Msg.(*wire.VerifyModelRequest)
 	rep, mode := req.Report, req.Mode
 	s.metrics.verifyRequests.Add(1)
 	if !s.attested(ReportDigest(rep, r.Header.Get(TenantHeader))) {
@@ -444,6 +406,7 @@ func (s *Server) handleVerifyModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer pool.Release()
+	var err error
 	if mode == zkvc.VerifyAggregate {
 		err = rep.VerifyAggregated(pcs.DefaultParams())
 	} else {
@@ -452,11 +415,11 @@ func (s *Server) handleVerifyModel(w http.ResponseWriter, r *http.Request) {
 	writeVerifyModelResponse(w, mode, err)
 }
 
-// DecodeVerifyModel parses a /v1/verify/model request: the ?mode= query,
+// decodeVerifyModel parses a /v1/verify/model request: the ?mode= query,
 // which is required, and the wire.VerifyModelRequest body, whose
-// embedded mode must match it. The coordinator routes by the same
-// decode, so a request it forwards is one a node accepts.
-func DecodeVerifyModel(r *http.Request, raw []byte) (*wire.VerifyModelRequest, error) {
+// embedded mode must match it. It is Routes.VerifyModel's decoder, so a
+// request a coordinator forwards is one a node accepts.
+func decodeVerifyModel(r *http.Request, raw []byte) (any, error) {
 	q := r.URL.Query().Get("mode")
 	if q == "" {
 		return nil, fmt.Errorf("missing ?mode= query: /v1/verify/model needs ?mode=%s or ?mode=%s", zkvc.VerifyPerOp, zkvc.VerifyAggregate)

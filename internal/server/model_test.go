@@ -233,16 +233,16 @@ func TestVerifyModelPolicy(t *testing.T) {
 }
 
 // TestModelSlotsSurviveMalformedBodies pins the body-slot accounting of
-// every early-exit path on the model endpoints: more malformed bodies
+// every early-exit path on the model-slot routes: more malformed bodies
 // than there are buffering slots (4) must all answer 400 — a leaked slot
-// would turn the tail of the flood into 503s — and a valid request
+// would turn the tail of the flood into 503s — and valid requests
 // afterwards must still be served.
 func TestModelSlotsSurviveMalformedBodies(t *testing.T) {
 	cfg := server.DefaultConfig()
 	cfg.Seed = 29
 	_, ts := newTestServer(t, cfg)
 
-	for _, path := range []string{"/v1/prove/model", "/v1/verify/model"} {
+	for _, path := range []string{"/v1/prove/model", "/v1/verify/model", "/v1/jobs"} {
 		for i := 0; i < 9; i++ { // 2×modelBodySlots+1
 			status, raw := post(t, ts.URL+path, []byte("not a wire message"))
 			if status != http.StatusBadRequest {
@@ -261,6 +261,12 @@ func TestModelSlotsSurviveMalformedBodies(t *testing.T) {
 	}
 	if ok, msg := verifyModelHTTP(t, ts.URL, "", rep); !ok {
 		t.Fatalf("verify after malformed flood: %s", msg)
+	}
+	submit := wire.EncodeJobSubmitRequest(&wire.JobSubmitRequest{Model: &wire.ProveModelRequest{
+		Backend: zkvc.Spartan, ProveNonlinear: true, Cfg: mcfg, Trace: trace,
+	}})
+	if status, raw := post(t, ts.URL+"/v1/jobs", submit); status != http.StatusAccepted {
+		t.Fatalf("job submission after malformed flood: status %d (%s), want 202", status, raw)
 	}
 }
 

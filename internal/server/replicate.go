@@ -72,16 +72,8 @@ func (s *Server) replicator() {
 
 // handleAttest ingests a peer's attestation update (relayed through the
 // coordinator) into the replicated set.
-func (s *Server) handleAttest(w http.ResponseWriter, r *http.Request) {
-	raw, ok := ReadBody(w, r, MaxBodyBytes)
-	if !ok {
-		return
-	}
-	u, err := wire.DecodeAttestationUpdate(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (s *Server) handleAttest(w http.ResponseWriter, _ *http.Request, in Input) {
+	u := in.Msg.(*wire.AttestationUpdate)
 	for _, d := range u.Added {
 		s.replicated.add(d)
 	}

@@ -19,25 +19,10 @@
 // the issued-proof policy. A new workload is a new job kind, not a new
 // service.
 //
-// Endpoints (all proof bodies use the canonical internal/wire encoding):
-//
-//	POST /v1/prove        coalescing batch proving (wire.ProveRequest → wire.ProveResponse)
-//	POST /v1/prove/matmul one per-statement Fiat–Shamir proof per request — zkvc.Local.ProveMatMul over HTTP (wire.ProveRequest → wire MatMulProof)
-//	POST /v1/prove/batch  fold exactly the submitted pairs into one proof, no coalescing window (wire.ProveBatchRequest → wire BatchProof)
-//	POST /v1/prove/model  prove a captured model trace (wire.ProveModelRequest → framed stream of wire.OpProof)
-//	POST /v1/jobs         submit a model trace as a durable async job (wire.JobSubmitRequest → 202 wire.JobStatus, or 429 + Retry-After)
-//	GET  /v1/jobs/{id}            poll a job (→ wire.JobStatus)
-//	GET  /v1/jobs/{id}/stream     stream the job's frames; ?from=k resumes after k acked frames
-//	POST /v1/jobs/stream          the same stream, addressed by a wire.JobStreamRequest body
-//	DELETE /v1/jobs/{id}          cancel a job and delete its journal
-//	POST /v1/verify       check a single proof (wire.VerifyRequest → JSON)
-//	POST /v1/verify/batch check a coalesced batch (wire.ProveResponse → JSON)
-//	POST /v1/verify/model check a model report this service issued
-//	                      (?mode=per-op|aggregate, wire.VerifyModelRequest → wire.VerifyModelResponse)
-//	POST /v1/cluster/attest       ingest a peer's attestation digests, relayed by the coordinator (wire.AttestationUpdate)
-//	GET  /metrics         per-kind queue depth, coalesce ratio, per-phase timings, stream backpressure (JSON)
-//	GET  /metrics/prometheus      the same counters and gauges in Prometheus text exposition format
-//	GET  /healthz         liveness
+// The endpoints are the rows of Routes (route.go), each with its request
+// and answer; besides them a node serves GET /metrics (JSON), GET
+// /metrics/prometheus (the same counters in Prometheus text format) and
+// GET /healthz.
 //
 // # Durable state
 //
@@ -186,44 +171,6 @@ func DefaultConfig() Config {
 		TenantJobQuota:     64,
 		ReapInterval:       time.Second,
 		StreamWriteTimeout: 30 * time.Second,
-	}
-}
-
-// MaxBodyBytes bounds request bodies (a 256×256 matrix pair is ~4 MiB).
-// The coordinator applies the same bound before forwarding.
-const MaxBodyBytes = 64 << 20
-
-// MaxModelBodyBytes bounds model-endpoint bodies, which are legitimately
-// much larger: a prove request carries every captured operand tensor of a
-// trace, and a report being verified carries per-op proof payloads —
-// including, for Spartan ops, the R1CS instance the verifier checks
-// against, so report size scales with circuit size.
-const MaxModelBodyBytes = 1 << 30
-
-// modelBodySlots bounds how many model-endpoint requests may hold a
-// buffered body at once (MaxModelBodyBytes each, worst case) — past it
-// the endpoints shed load with 503 rather than let unadmitted input
-// grow resident memory without bound.
-const modelBodySlots = 4
-
-// ModelSlots is the modelBodySlots-wide bound on buffered model bodies.
-// A node and a coordinator each hold one.
-type ModelSlots chan struct{}
-
-// NewModelSlots returns an empty slot pool.
-func NewModelSlots() ModelSlots { return make(ModelSlots, modelBodySlots) }
-
-// Acquire takes a slot or sheds the request with 503. The release func
-// is idempotent, so a handler can defer it and still hand the slot back
-// early once the body is no longer held.
-func (m ModelSlots) Acquire(w http.ResponseWriter) (func(), bool) {
-	select {
-	case m <- struct{}{}:
-		var once sync.Once
-		return func() { once.Do(func() { <-m }) }, true
-	default:
-		http.Error(w, "too many concurrent model requests", http.StatusServiceUnavailable)
-		return nil, false
 	}
 }
 
@@ -667,19 +614,19 @@ func (s *Server) proveBatch(prover *zkvc.MatMulProver, jobs []*job) {
 // Handler returns the HTTP surface of the service.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/prove", s.handleProve)
-	mux.HandleFunc("POST /v1/prove/matmul", s.handleProveMatMul)
-	mux.HandleFunc("POST /v1/prove/batch", s.handleProveBatch)
-	mux.HandleFunc("POST /v1/prove/model", s.handleProveModel)
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmitJob)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleJobStreamGet)
-	mux.HandleFunc("POST /v1/jobs/stream", s.handleJobStreamPost)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	mux.HandleFunc("POST /v1/verify", s.handleVerify)
-	mux.HandleFunc("POST /v1/verify/batch", s.handleVerifyBatch)
-	mux.HandleFunc("POST /v1/verify/model", s.handleVerifyModel)
-	mux.HandleFunc("POST /v1/cluster/attest", s.handleAttest)
+	Routes.Prove.Mount(mux, s.modelSlots, s.handleProve)
+	Routes.ProveMatMul.Mount(mux, s.modelSlots, s.handleProveMatMul)
+	Routes.ProveBatch.Mount(mux, s.modelSlots, s.handleProveBatch)
+	Routes.ProveModel.Mount(mux, s.modelSlots, s.handleProveModel)
+	Routes.SubmitJob.Mount(mux, s.modelSlots, s.handleSubmitJob)
+	Routes.JobStatus.Mount(mux, s.modelSlots, s.handleJobStatus)
+	Routes.JobStream.Mount(mux, s.modelSlots, s.handleJobStreamGet)
+	Routes.JobStreamPost.Mount(mux, s.modelSlots, s.handleJobStreamPost)
+	Routes.CancelJob.Mount(mux, s.modelSlots, s.handleJobCancel)
+	Routes.Verify.Mount(mux, s.modelSlots, s.handleVerify)
+	Routes.VerifyBatch.Mount(mux, s.modelSlots, s.handleVerifyBatch)
+	Routes.VerifyModel.Mount(mux, s.modelSlots, s.handleVerifyModel)
+	Routes.Attest.Mount(mux, s.modelSlots, s.handleAttest)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics/prometheus", s.handleMetricsProm)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -695,27 +642,8 @@ func (s *Server) ListenAndServe(addr string) error {
 	return hs.ListenAndServe()
 }
 
-// ReadBody buffers a request body of at most limit bytes, answering 400
-// itself when the body is too large or the read fails.
-func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
-		return nil, false
-	}
-	return raw, true
-}
-
-func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
-	raw, ok := ReadBody(w, r, MaxBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeProveRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (s *Server) handleProve(w http.ResponseWriter, r *http.Request, in Input) {
+	req := in.Msg.(*wire.ProveRequest)
 	resp, err := s.submitJob(r.Header.Get(TenantHeader), req.X, req.W)
 	switch {
 	case errors.Is(err, errQueueFull) || errors.Is(err, ErrClosed):
@@ -737,16 +665,8 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 // attested in the issued log so /v1/verify can later vouch for it (a
 // per-statement Groth16 proof carries its own verifying key, which only
 // means something when this service ran that setup).
-func (s *Server) handleProveMatMul(w http.ResponseWriter, r *http.Request) {
-	raw, ok := ReadBody(w, r, MaxBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeProveRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (s *Server) handleProveMatMul(w http.ResponseWriter, r *http.Request, in Input) {
+	req := in.Msg.(*wire.ProveRequest)
 	s.proveDirect(w, r, &s.metrics.matmulsProved, func(ctx context.Context, p *zkvc.MatMulProver) (*directProof, error) {
 		proof, err := p.ProveContext(ctx, req.X, req.W)
 		if err != nil {
@@ -816,16 +736,8 @@ func (s *Server) proveDirect(w http.ResponseWriter, r *http.Request, proved *ato
 // equal seeds. Groth16 batches are attested (at recipient index 0, the
 // canonical index for a client-assembled batch) so /v1/verify/batch can
 // vouch for them.
-func (s *Server) handleProveBatch(w http.ResponseWriter, r *http.Request) {
-	raw, ok := ReadBody(w, r, MaxBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeProveBatchRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (s *Server) handleProveBatch(w http.ResponseWriter, r *http.Request, in Input) {
+	req := in.Msg.(*wire.ProveBatchRequest)
 	s.proveDirect(w, r, &s.metrics.directBatchesProved, func(ctx context.Context, p *zkvc.MatMulProver) (*directProof, error) {
 		proof, err := p.ProveBatchContext(ctx, req.Pairs...)
 		if err != nil {
@@ -842,16 +754,8 @@ func (s *Server) handleProveBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	raw, ok := ReadBody(w, r, MaxBodyBytes)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeVerifyRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (s *Server) handleVerify(w http.ResponseWriter, _ *http.Request, in Input) {
+	req := in.Msg.(*wire.VerifyRequest)
 	s.metrics.verifyRequests.Add(1)
 	if len(req.Proof.Epoch) > 0 {
 		writeVerdict(w, fmt.Errorf("%w: this service issues no epoch proofs; submit a per-statement proof", zkvc.ErrVerification))
@@ -874,16 +778,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	writeVerdict(w, zkvc.VerifyMatMul(req.X, req.Proof))
 }
 
-func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
-	raw, ok := ReadBody(w, r, MaxBodyBytes)
-	if !ok {
-		return
-	}
-	resp, err := wire.DecodeProveResponse(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (s *Server) handleVerifyBatch(w http.ResponseWriter, _ *http.Request, in Input) {
+	resp := in.Msg.(*wire.ProveResponse)
 	s.metrics.verifyRequests.Add(1)
 	// Spartan batches verify unconditionally (transparent backend,
 	// per-statement Fiat–Shamir challenges). A Groth16 batch proof is

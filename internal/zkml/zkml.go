@@ -121,6 +121,22 @@ func DefaultOptions() Options {
 	}
 }
 
+// JobOptions is the option set of one model proving job, shared by the
+// in-process engine and the proving service — which is what makes their
+// proofs byte-identical at equal seeds: the deployment's circuit options
+// and seed, the request's backend and nonlinear choice, payloads kept
+// and ops discarded (each proof exists only for its OnOp call).
+func JobOptions(backend Backend, circuit crpc.Options, proveNonlinear bool, seed int64) Options {
+	opts := DefaultOptions()
+	opts.Backend = backend
+	opts.Circuit = circuit
+	opts.ProveNonlinear = proveNonlinear
+	opts.Seed = seed
+	opts.KeepProofs = true
+	opts.DiscardOps = true
+	return opts
+}
+
 // OpProof is the per-operation result. Seq is the operation's position
 // in the report (assigned before proving starts, so a streamed proof can
 // be placed without waiting for its predecessors).
@@ -231,16 +247,9 @@ func nonlinearConfig(cfg nn.Config) gadgets.NonlinearConfig {
 // ProveModel runs the model on x with a capturing trace and proves every
 // traced operation, verifying each proof as it goes.
 func ProveModel(m *nn.Model, x *tensor.Mat, opts Options) (*Report, error) {
-	return ProveModelContext(context.Background(), m, x, opts)
-}
-
-// ProveModelContext is ProveModel with cancellation: once ctx is done no
-// further operation starts and the error reports both ErrCanceled and
-// ctx's error.
-func ProveModelContext(ctx context.Context, m *nn.Model, x *tensor.Mat, opts Options) (*Report, error) {
 	trace := nn.Trace{Capture: true}
 	m.Forward(x, &trace)
-	return ProveTraceContext(ctx, m.Cfg, &trace, opts)
+	return ProveTrace(m.Cfg, &trace, opts)
 }
 
 // PlanTrace returns the trace operations ProveTrace would prove under

@@ -7,7 +7,6 @@ package zkvc
 // users never import internal packages.
 
 import (
-	"context"
 	mrand "math/rand"
 
 	"zkvc/internal/nn"
@@ -104,57 +103,13 @@ func RandomInput(m *Model, rng *mrand.Rand) *IntMatrix { return m.RandomInput(rn
 // sync): Backend picks the proof system, Circuit the CRPC/PSQ matmul
 // optimizations (zero value = the paper's baseline circuits),
 // ProveNonlinear the SoftMax/GELU gadget circuits. Start from
-// DefaultInferenceOptions and override fields — in particular,
-// KeepProofs must be set for VerifyInference to have anything to
-// re-check (an unset PCS falls back to the defaults on its own).
+// DefaultInferenceOptions and override fields (an unset PCS falls back
+// to the defaults on its own). EstimateInference reads it; proving a
+// captured trace goes through an Engine's ProveModel.
 type InferenceOptions = zkml.Options
 
 // DefaultInferenceOptions proves everything, optimized, on Spartan.
 func DefaultInferenceOptions() InferenceOptions { return zkml.DefaultOptions() }
-
-// InferenceProof is an end-to-end proved inference: one proof per traced
-// operation, verified together by VerifyInference.
-type InferenceProof struct {
-	Logits *IntMatrix
-	report *zkml.Report
-	opts   zkml.Options
-}
-
-// ProveTime is the total proving time across all operations (the paper's
-// P_G / P_S columns).
-func (p *InferenceProof) ProveTime() float64 { return p.report.TotalProve().Seconds() }
-
-// VerifyTime is the total verification time.
-func (p *InferenceProof) VerifyTime() float64 { return p.report.TotalVerify().Seconds() }
-
-// SizeBytes is the total proof size.
-func (p *InferenceProof) SizeBytes() int { return p.report.TotalProofBytes() }
-
-// Constraints is the total constraint count across all circuits.
-func (p *InferenceProof) Constraints() int { return p.report.TotalConstraints() }
-
-// Operations is the number of proved circuits.
-func (p *InferenceProof) Operations() int { return len(p.report.Ops) }
-
-// ProveInferenceContext runs the model on x and proves every operation of
-// the forward pass (matmuls through CRPC+PSQ, nonlinears through the
-// §III-C gadgets). Once ctx is done no further operation starts and the
-// error matches both errors.Is(err, ctx.Err()) and the compiler's
-// cancellation sentinel. An Engine's ProveModel streams the same per-op
-// proofs and works identically against a remote service or cluster.
-func ProveInferenceContext(ctx context.Context, m *Model, x *IntMatrix, opts InferenceOptions) (*InferenceProof, error) {
-	logits := m.Forward(x, nil)
-	rep, err := zkml.ProveModelContext(ctx, m, x, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &InferenceProof{Logits: logits, report: rep, opts: opts}, nil
-}
-
-// VerifyInference re-verifies every operation proof.
-func VerifyInference(p *InferenceProof) error {
-	return zkml.VerifyReport(p.report, p.opts)
-}
 
 // InferenceEstimate is a measured-and-extrapolated end-to-end cost at
 // full architectural shapes (see internal/zkml's MeasureModel).

@@ -3,6 +3,7 @@ package zkvc_test
 import (
 	"context"
 	mrand "math/rand"
+	"slices"
 	"testing"
 
 	"zkvc"
@@ -19,6 +20,8 @@ func scaledViT(t *testing.T) zkvc.ModelConfig {
 	return cfg
 }
 
+// TestProveInferenceRoundTrip: a captured forward pass proves and
+// verifies through Local, and the trace's logits are the model's.
 func TestProveInferenceRoundTrip(t *testing.T) {
 	cfg := scaledViT(t)
 	cfg.Mixers = zkvc.UniformMixers(cfg.TotalBlocks(), zkvc.MixerPooling)
@@ -27,17 +30,21 @@ func TestProveInferenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := zkvc.RandomInput(model, mrand.New(mrand.NewSource(1)))
-	proof, err := zkvc.ProveInferenceContext(context.Background(), model, x, zkvc.DefaultInferenceOptions())
+	trace := zkvc.Trace{Capture: true}
+	logits := model.Forward(x, &trace)
+	if logits == nil || logits.Cols != cfg.NumClasses || !slices.Equal(logits.Data, model.Forward(x, nil).Data) {
+		t.Fatal("captured forward pass does not reproduce the model's logits")
+	}
+	local := zkvc.NewLocal(zkvc.Spartan, zkvc.DefaultOptions())
+	req := &zkvc.ModelRequest{Backend: zkvc.Spartan, ProveNonlinear: true, Cfg: cfg, Trace: &trace}
+	rep, err := local.ProveModel(context.Background(), req).Report()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if proof.Operations() == 0 || proof.Constraints() == 0 {
+	if len(rep.Ops) == 0 || rep.TotalConstraints() == 0 {
 		t.Fatal("empty proof")
 	}
-	if proof.Logits == nil || proof.Logits.Cols != cfg.NumClasses {
-		t.Fatal("missing logits")
-	}
-	if err := zkvc.VerifyInference(proof); err != nil {
+	if err := local.VerifyModel(context.Background(), rep); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -54,8 +54,8 @@ type CRS struct {
 // non-empty: it domain-separates the shared challenge, and an empty label
 // is reserved for per-statement proofs.
 func (p *MatMulProver) Setup(rows, inner, cols int, epoch []byte) (*CRS, error) {
-	if rows <= 0 || inner <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("zkvc: invalid shape %dx%dx%d", rows, inner, cols)
+	if err := checkShape(rows, inner, cols); err != nil {
+		return nil, err
 	}
 	if len(epoch) == 0 {
 		return nil, fmt.Errorf("zkvc: epoch label must be non-empty")

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"zkvc"
+	"zkvc/internal/crpc"
+	"zkvc/internal/groth16"
 )
 
 // Tamper-rejection tests for the single-proof path, mirroring
@@ -110,4 +112,60 @@ func TestVerifyRejectsNilArguments(t *testing.T) {
 	wantVerificationErr(t, "nil-x", zkvc.VerifyMatMul(nil, proof))
 	proof.Y = nil
 	wantVerificationErr(t, "nil-y", zkvc.VerifyMatMul(x, proof))
+}
+
+// TestRejectsZeroDimensionForgery: with a zero inner dimension the
+// matmul circuit never reads Y, so a Groth16 proof for X 2×0 · W 0×3
+// verifies against any claimed 2×3 output. The provers refuse such a
+// statement and both verifiers reject its forgery. The forged proofs
+// are built from the circuit packages directly, as a forger who does
+// not use this package's prover would.
+func TestRejectsZeroDimensionForgery(t *testing.T) {
+	ctx := context.Background()
+	x, w := zkvc.NewMatrix(2, 0), zkvc.NewMatrix(0, 3)
+	forgedY := zkvc.MatrixFromInt64(2, 3, []int64{1, 2, 3, 4, 5, 6})
+	opts := zkvc.DefaultOptions()
+	rng := mrand.New(mrand.NewSource(61))
+	groth16Proof := func(syn *crpc.Synthesis, err error) (*groth16.Proof, *groth16.VerifyingKey) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk, vk, err := groth16.Setup(syn.Sys, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proof, err := groth16.Prove(syn.Sys, pk, syn.Assignment, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return proof, vk
+	}
+
+	for _, backend := range []zkvc.Backend{zkvc.Spartan, zkvc.Groth16} {
+		prover := zkvc.NewMatMulProver(backend, opts)
+		if _, err := prover.ProveContext(ctx, x, w); err == nil {
+			t.Errorf("%v: ProveContext accepted a zero inner dimension", backend)
+		}
+		if _, err := prover.ProveBatchContext(ctx, [2]*zkvc.Matrix{x, w}); err == nil {
+			t.Errorf("%v: ProveBatchContext accepted a zero inner dimension", backend)
+		}
+	}
+
+	stmt := crpc.NewStatement(x, w)
+	single := &zkvc.MatMulProof{Backend: zkvc.Groth16, Opts: opts, Y: forgedY, WCommit: crpc.WCommit(w)}
+	single.G16Proof, single.G16VK = groth16Proof(crpc.Synthesize(stmt, opts))
+
+	bs := crpc.NewBatchStatement([2]*zkvc.Matrix{x, w})
+	batch := &zkvc.BatchProof{Backend: zkvc.Groth16, Opts: opts, Commit: crpc.BatchCommit(bs.Stmts),
+		Shapes: [][3]int{{2, 0, 3}}, Ys: []*zkvc.Matrix{forgedY}}
+	batch.G16Proof, batch.G16VK = groth16Proof(crpc.SynthesizeBatch(bs, opts))
+	for name, err := range map[string]error{
+		"VerifyMatMul":      zkvc.VerifyMatMul(x, single),
+		"VerifyMatMulBatch": zkvc.VerifyMatMulBatch([]*zkvc.Matrix{x}, batch),
+	} {
+		if !errors.Is(err, zkvc.ErrVerification) {
+			t.Errorf("%s accepted a forged output for a zero inner dimension (err %v)", name, err)
+		}
+	}
 }

@@ -161,6 +161,9 @@ func (p *MatMulProver) ProveContext(ctx context.Context, x, w *Matrix) (*MatMulP
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if err := checkShape(x.Rows, x.Cols, w.Cols); err != nil {
+		return nil, err
+	}
 	stmt := crpc.NewStatement(x, w)
 	proof := &MatMulProof{
 		Backend: p.backend,
@@ -227,6 +230,16 @@ var ErrVerification = errors.New("zkvc: verification failed")
 // wCommitLen is the SHA-256 commitment size every proof must carry.
 const wCommitLen = 32
 
+// checkShape refuses a matmul with a zero dimension: with no inner
+// products the circuit never constrains Y, so any claimed output would
+// verify. Provers return the error; verifiers wrap it in ErrVerification.
+func checkShape(rows, inner, cols int) error {
+	if rows <= 0 || inner <= 0 || cols <= 0 {
+		return fmt.Errorf("zkvc: invalid shape %dx%dx%d", rows, inner, cols)
+	}
+	return nil
+}
+
 // VerifyMatMul checks a proof against the public input X and the claimed
 // output proof.Y. The verifier reconstructs the circuit from public data
 // only: dimensions, the claimed Y, and the prover's commitment to W.
@@ -273,6 +286,9 @@ func verifyMatMulAt(x *Matrix, proof *MatMulProof, epoch []byte) error {
 	}
 	if proof.Y.Rows != x.Rows {
 		return fmt.Errorf("%w: output has %d rows, input has %d", ErrVerification, proof.Y.Rows, x.Rows)
+	}
+	if err := checkShape(x.Rows, x.Cols, proof.Y.Cols); err != nil {
+		return fmt.Errorf("%w: %v", ErrVerification, err)
 	}
 	if len(proof.WCommit) != wCommitLen {
 		return fmt.Errorf("%w: malformed W commitment (%d bytes, want %d)",
