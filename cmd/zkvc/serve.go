@@ -183,12 +183,7 @@ func announceLoop(s *server.Server, coordinatorURL, name, advertise string, work
 	for {
 		time.Sleep(interval)
 		snap := s.Metrics()
-		err := c.Heartbeat(context.Background(), &wire.NodeHeartbeat{
-			Name:       name,
-			QueueUnits: snap.QueueDepth + snap.ModelOpsQueued,
-			DiskBytes:  snap.DiskBytes,
-			MemBytes:   snap.HeapAllocBytes,
-		})
+		err := c.Heartbeat(context.Background(), snap.Heartbeat(name))
 		var se *server.StatusError
 		if errors.As(err, &se) && se.Code == 404 {
 			// Coordinator restarted and lost the registration.

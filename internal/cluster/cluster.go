@@ -146,6 +146,16 @@ func (n *node) healthy() bool {
 
 func (n *node) draining() bool { return n.opDrained.Load() || n.selfDraining.Load() }
 
+// heard records a successful probe or heartbeat: the node is alive and
+// carries h's load.
+func (n *node) heard(h *wire.NodeHeartbeat) {
+	n.fails.Store(0)
+	n.probeOK.Store(true)
+	n.queueUnits.Store(h.QueueUnits)
+	n.diskBytes.Store(h.DiskBytes)
+	n.memBytes.Store(h.MemBytes)
+}
+
 // Coordinator fronts the node pool. Create with New, serve Handler,
 // Close to stop the probe loop.
 type Coordinator struct {
@@ -306,11 +316,7 @@ func (c *Coordinator) probeLoop() {
 					}
 					return
 				}
-				n.fails.Store(0)
-				n.probeOK.Store(true)
-				n.queueUnits.Store(snap.QueueDepth + snap.ModelOpsQueued)
-				n.diskBytes.Store(snap.DiskBytes)
-				n.memBytes.Store(snap.HeapAllocBytes)
+				n.heard(snap.Heartbeat(n.name))
 			}(n)
 		}
 		wg.Wait()
@@ -387,8 +393,8 @@ func (c *Coordinator) Handler() http.Handler {
 	heartbeatRoute.Mount(mux, c.modelSlots, c.handleHeartbeat)
 	server.Routes.Attest.Mount(mux, c.modelSlots, c.handleAttest)
 	mux.HandleFunc("POST /v1/cluster/drain", c.handleDrain)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.HandleFunc("GET /metrics/prometheus", c.handleMetricsProm)
+	// The coordinator counts no write errors of its own.
+	server.MountMetrics(mux, c.Metrics, func(error) {})
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	return mux
 }
@@ -418,12 +424,8 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, _ *http.Request, in
 	}
 	// A heartbeat is liveness evidence on par with a successful probe.
 	// It moves only the node's own draining flag, never the operator's.
-	n.fails.Store(0)
-	n.probeOK.Store(true)
-	n.queueUnits.Store(h.QueueUnits)
+	n.heard(h)
 	n.selfDraining.Store(h.Draining)
-	n.diskBytes.Store(h.DiskBytes)
-	n.memBytes.Store(h.MemBytes)
 	w.WriteHeader(http.StatusOK)
 }
 

@@ -2,14 +2,16 @@
 // format (version 0.0.4) without depending on the Prometheus client
 // libraries. The service's operational surface is deliberately small —
 // counters, gauges, and labeled per-node series — so a hand-rolled
-// writer that emits exactly the grammar a scraper parses, plus a strict
-// validator the tests run against every endpoint's output, covers it
-// without a new dependency.
+// writer that emits exactly the grammar a scraper parses, Encode, which
+// drives it from a snapshot struct's tags, and a strict validator the
+// tests run against every endpoint's output cover it without a new
+// dependency.
 package promtext
 
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -146,7 +148,8 @@ func validLabelName(name string) bool {
 // Validate strictly checks a full exposition-format payload: every line
 // is a # TYPE comment or a sample; every sample's metric name was
 // TYPE-declared first (with a valid type); names, label syntax and
-// values all parse; the payload ends with a newline. It is the scrape
+// values all parse; no series (name and label set, in any label order)
+// has two samples; the payload ends with a newline. It is the scrape
 // validation CI runs in place of a real Prometheus parser, so it errs
 // on the strict side — output that merely "mostly works" fails here.
 func Validate(payload []byte) error {
@@ -158,6 +161,7 @@ func Validate(payload []byte) error {
 		return fmt.Errorf("promtext: payload does not end with a newline")
 	}
 	typed := map[string]bool{}
+	series := map[string]bool{}
 	for i, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
 		lineNo := i + 1
 		switch {
@@ -183,56 +187,63 @@ func Validate(payload []byte) error {
 		case strings.HasPrefix(line, "#"):
 			return fmt.Errorf("promtext: line %d: comment is neither TYPE nor HELP", lineNo)
 		default:
-			name, err := validateSample(line)
+			name, labels, err := validateSample(line)
 			if err != nil {
 				return fmt.Errorf("promtext: line %d: %w", lineNo, err)
 			}
 			if !typed[name] {
 				return fmt.Errorf("promtext: line %d: sample %q has no preceding TYPE", lineNo, name)
 			}
+			sort.Strings(labels)
+			key := name + "{" + strings.Join(labels, ",") + "}"
+			if series[key] {
+				return fmt.Errorf("promtext: line %d: repeated series %s", lineNo, key)
+			}
+			series[key] = true
 		}
 	}
 	return nil
 }
 
-// validateSample checks one sample line and returns its metric name.
-func validateSample(line string) (string, error) {
+// validateSample checks one sample line and returns its metric name
+// and its name="value" label pairs, as written.
+func validateSample(line string) (name string, labels []string, err error) {
 	rest := line
 	end := strings.IndexAny(rest, "{ ")
 	if end <= 0 {
-		return "", fmt.Errorf("malformed sample %q", line)
+		return "", nil, fmt.Errorf("malformed sample %q", line)
 	}
-	name := rest[:end]
+	name = rest[:end]
 	if !validMetricName(name) {
-		return "", fmt.Errorf("invalid metric name %q", name)
+		return "", nil, fmt.Errorf("invalid metric name %q", name)
 	}
 	rest = rest[end:]
 	if rest[0] == '{' {
 		body, tail, err := splitLabelBlock(rest)
 		if err != nil {
-			return "", err
+			return "", nil, err
 		}
-		if err := validateLabels(body); err != nil {
-			return "", err
+		if labels, err = validateLabels(body); err != nil {
+			return "", nil, err
 		}
 		rest = tail
 	}
 	if !strings.HasPrefix(rest, " ") {
-		return "", fmt.Errorf("missing space before value in %q", line)
+		return "", nil, fmt.Errorf("missing space before value in %q", line)
 	}
 	fields := strings.Split(rest[1:], " ")
 	if len(fields) < 1 || len(fields) > 2 {
-		return "", fmt.Errorf("sample %q has %d value fields", line, len(fields))
+		return "", nil, fmt.Errorf("sample %q has %d value fields", line, len(fields))
 	}
 	if _, err := strconv.ParseFloat(fields[0], 64); err != nil {
-		return "", fmt.Errorf("bad sample value %q", fields[0])
+		return "", nil, fmt.Errorf("bad sample value %q", fields[0])
 	}
 	if len(fields) == 2 {
 		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
-			return "", fmt.Errorf("bad sample timestamp %q", fields[1])
+			return "", nil, fmt.Errorf("bad sample timestamp %q", fields[1])
 		}
 	}
-	return name, nil
+	return name, labels, nil
 }
 
 // splitLabelBlock splits "{...}rest", honoring escapes inside quoted
@@ -252,32 +263,34 @@ func splitLabelBlock(s string) (body, tail string, err error) {
 	return "", "", fmt.Errorf("unterminated label block in %q", s)
 }
 
-// validateLabels checks a label block body: name="value" pairs,
-// comma-separated, values escaped per the format.
-func validateLabels(body string) error {
+// validateLabels checks a label block body — name="value" pairs,
+// comma-separated, values escaped per the format — and returns the
+// pairs.
+func validateLabels(body string) ([]string, error) {
+	var pairs []string
 	for body != "" {
 		eq := strings.Index(body, "=")
 		if eq <= 0 {
-			return fmt.Errorf("malformed label in %q", body)
+			return nil, fmt.Errorf("malformed label in %q", body)
 		}
 		if !validLabelName(body[:eq]) {
-			return fmt.Errorf("invalid label name %q", body[:eq])
+			return nil, fmt.Errorf("invalid label name %q", body[:eq])
 		}
 		rest := body[eq+1:]
 		if len(rest) < 2 || rest[0] != '"' {
-			return fmt.Errorf("label value not quoted in %q", body)
+			return nil, fmt.Errorf("label value not quoted in %q", body)
 		}
 		i := 1
 		closed := false
 		for ; i < len(rest); i++ {
 			if rest[i] == '\\' {
 				if i+1 >= len(rest) {
-					return fmt.Errorf("dangling escape in %q", rest)
+					return nil, fmt.Errorf("dangling escape in %q", rest)
 				}
 				switch rest[i+1] {
 				case '\\', '"', 'n':
 				default:
-					return fmt.Errorf("bad escape \\%c in %q", rest[i+1], rest)
+					return nil, fmt.Errorf("bad escape \\%c in %q", rest[i+1], rest)
 				}
 				i++
 				continue
@@ -288,19 +301,20 @@ func validateLabels(body string) error {
 			}
 		}
 		if !closed {
-			return fmt.Errorf("unterminated label value in %q", body)
+			return nil, fmt.Errorf("unterminated label value in %q", body)
 		}
+		pairs = append(pairs, body[:eq+1+i+1])
 		body = rest[i+1:]
 		if body == "" {
-			return nil
+			return pairs, nil
 		}
 		if body[0] != ',' {
-			return fmt.Errorf("labels not comma-separated near %q", body)
+			return nil, fmt.Errorf("labels not comma-separated near %q", body)
 		}
 		body = body[1:]
 		if body == "" {
-			return fmt.Errorf("trailing comma in label block")
+			return nil, fmt.Errorf("trailing comma in label block")
 		}
 	}
-	return nil
+	return pairs, nil
 }

@@ -1,9 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
-	"io"
 	"log"
+	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,12 +14,13 @@ import (
 
 	"zkvc"
 	"zkvc/internal/parallel"
+	"zkvc/internal/promtext"
+	"zkvc/internal/wire"
 	"zkvc/internal/zkml"
 )
 
-// metrics are the service counters, all lock-free. The coalesce ratio
-// (requests per backend proof) is the service's headline number: it is the
-// amortization factor of the paper's batching argument, measured live.
+// metrics are the service counters, all lock-free: the live values
+// behind the Snapshot fields of the same meaning, which document them.
 type metrics struct {
 	// queueUnits is the single capacity ledger QueueCap bounds: one unit
 	// per matmul job, one per model op. Admission checks increment it
@@ -27,62 +29,15 @@ type metrics struct {
 	// the cap.
 	queueUnits atomic.Int64
 
-	queueDepth     atomic.Int64
-	requestsProved atomic.Int64
-	batchesProved  atomic.Int64
-	// Engine-shape direct endpoints: per-statement proofs from
-	// /v1/prove/matmul and client-named batches from /v1/prove/batch.
-	// They are counted apart from the coalescing path so CoalesceRatio
-	// (requests per coalesced backend proof) stays meaningful.
-	matmulsProved       atomic.Int64
-	directBatchesProved atomic.Int64
-	verifyRequests      atomic.Int64
-	vkRejects           atomic.Int64
-	proveErrors         atomic.Int64
-	crsHits             atomic.Int64
-	crsMisses           atomic.Int64
-
-	// Model-job counters: accepted jobs, jobs fully proved, per-op
-	// progress, queued-but-unproved ops (the model share of QueueCap),
-	// issued-policy rejections on /v1/verify/model, and stream
-	// backpressure (how often — and for how long — proving blocked on a
-	// slow response reader).
-	modelJobs         atomic.Int64
-	modelJobsProved   atomic.Int64
-	modelJobsCanceled atomic.Int64
-	modelOpsProved    atomic.Int64
-	modelOpsQueued    atomic.Int64
-	modelRejects      atomic.Int64
-	streamStalls      atomic.Int64
-	streamStallNanos  atomic.Int64
-
-	// Async-job counters: jobs admitted through POST /v1/jobs, jobs
-	// currently held by the store (gauge), streams resumed from a
-	// non-zero frame, journals deleted by the TTL reaper or DELETE, and
-	// submissions turned away with 429 (queue saturation or tenant
-	// quota) — the honest-admission counterpart of silent parking.
-	jobsSubmitted    atomic.Int64
-	jobsActive       atomic.Int64
-	jobsResumed      atomic.Int64
-	jobsReaped       atomic.Int64
-	admissionRejects atomic.Int64
-
-	synthesisNanos atomic.Int64
-	setupNanos     atomic.Int64
-	proveNanos     atomic.Int64
-	verifyNanos    atomic.Int64
-
-	// replicationErrors counts attestation updates dropped or failed on
-	// their way to the coordinator (replication is best-effort; this is
-	// where the effort's failures become visible). writeErrors counts
-	// response writes/encodes that failed on /metrics and job-status
-	// responses — a wedged scraper or poller should show up here, not
-	// vanish. Each logs once so a broken scrape loop does not flood the
-	// log.
-	replicationErrors atomic.Int64
-	writeErrors       atomic.Int64
-	replLogOnce       sync.Once
-	writeLogOnce      sync.Once
+	queueDepth, modelOpsQueued                                           atomic.Int64
+	requestsProved, batchesProved, matmulsProved, directBatchesProved    atomic.Int64
+	modelJobs, modelJobsProved, modelJobsCanceled, modelOpsProved        atomic.Int64
+	modelRejects, streamStalls, streamStallNanos                         atomic.Int64
+	jobsSubmitted, jobsActive, jobsResumed, jobsReaped, admissionRejects atomic.Int64
+	verifyRequests, vkRejects, proveErrors, crsHits, crsMisses           atomic.Int64
+	synthesisNanos, setupNanos, proveNanos, verifyNanos                  atomic.Int64
+	replicationErrors, writeErrors                                       atomic.Int64
+	replLogOnce, writeLogOnce                                            sync.Once
 }
 
 // countWriteError records a failed response write or encode: counted
@@ -117,64 +72,71 @@ func (m *metrics) recordOpTimings(op *zkml.OpProof) {
 	m.verifyNanos.Add(int64(op.Verify))
 }
 
-// Snapshot is the JSON shape of GET /metrics.
+// Snapshot is a node's metrics, and the only place one is declared:
+// GET /metrics is its JSON encoding and GET /metrics/prometheus its
+// promtext.Encode, both written by MountMetrics. A new metric is one
+// field here with a json and a prom tag.
 type Snapshot struct {
 	// QueueDepth is the matmul share of the queue; ModelOpsQueued the
 	// model share (in ops — a parked model is parked work proportional
 	// to its trace). Their sum is what Config.QueueCap bounds.
-	QueueDepth     int64 `json:"queue_depth"`
-	ModelOpsQueued int64 `json:"model_ops_queued"`
-	Requests       int64 `json:"requests"`
-	BatchesProved  int64 `json:"batches_proved"`
+	QueueDepth     int64 `json:"queue_depth" prom:"gauge"`
+	ModelOpsQueued int64 `json:"model_ops_queued" prom:"gauge"`
+	Requests       int64 `json:"requests" prom:"counter"`
+	BatchesProved  int64 `json:"batches_proved" prom:"counter"`
 	// MatMulsProved counts /v1/prove/matmul proofs and
 	// DirectBatchesProved counts /v1/prove/batch proofs — the
-	// Engine-shape direct endpoints, outside the coalescing pipeline.
-	MatMulsProved       int64 `json:"matmuls_proved"`
-	DirectBatchesProved int64 `json:"direct_batches_proved"`
+	// Engine-shape direct endpoints, outside the coalescing pipeline,
+	// counted apart so that CoalesceRatio stays meaningful.
+	MatMulsProved       int64 `json:"matmuls_proved" prom:"counter"`
+	DirectBatchesProved int64 `json:"direct_batches_proved" prom:"counter"`
 
 	// Model-job counters: accepted jobs, fully proved jobs, streamed op
 	// proofs, issued-policy rejections on /v1/verify/model, and stream
 	// backpressure (count and total nanoseconds proving spent blocked on
 	// slow response readers).
-	ModelJobs       int64 `json:"model_jobs"`
-	ModelJobsProved int64 `json:"model_jobs_proved"`
+	ModelJobs       int64 `json:"model_jobs" prom:"counter"`
+	ModelJobsProved int64 `json:"model_jobs_proved" prom:"counter"`
 	// ModelJobsCanceled counts jobs ended by client disconnect (or a
 	// stalled reader hitting StreamWriteTimeout) — routine churn, kept
 	// apart from ProveErrors so that counter stays a proving-fault alarm.
-	ModelJobsCanceled int64 `json:"model_jobs_canceled"`
-	ModelOpsProved    int64 `json:"model_ops_proved"`
-	ModelRejects      int64 `json:"model_rejects"`
-	StreamStalls      int64 `json:"stream_stalls"`
-	StreamStallNanos  int64 `json:"stream_stall_nanos"`
+	ModelJobsCanceled int64 `json:"model_jobs_canceled" prom:"counter"`
+	ModelOpsProved    int64 `json:"model_ops_proved" prom:"counter"`
+	ModelRejects      int64 `json:"model_rejects" prom:"counter"`
+	StreamStalls      int64 `json:"stream_stalls" prom:"counter"`
+	StreamStallNanos  int64 `json:"stream_stall_nanos" prom:"counter"`
 
-	// Async-job counters: admitted jobs, live jobs (gauge), resumed
-	// streams, reaped journals, and 429-rejected submissions.
-	JobsSubmitted    int64 `json:"jobs_submitted"`
-	JobsActive       int64 `json:"jobs_active"`
-	JobsResumed      int64 `json:"jobs_resumed"`
-	JobsReaped       int64 `json:"jobs_reaped"`
-	AdmissionRejects int64 `json:"admission_rejects"`
+	// Async-job counters: jobs admitted through POST /v1/jobs, live jobs
+	// (gauge), streams resumed from a non-zero frame, journals deleted by
+	// the TTL reaper or DELETE, and submissions turned away with 429
+	// (queue saturation or tenant quota).
+	JobsSubmitted    int64 `json:"jobs_submitted" prom:"counter"`
+	JobsActive       int64 `json:"jobs_active" prom:"gauge"`
+	JobsResumed      int64 `json:"jobs_resumed" prom:"counter"`
+	JobsReaped       int64 `json:"jobs_reaped" prom:"counter"`
+	AdmissionRejects int64 `json:"admission_rejects" prom:"counter"`
 
-	VerifyRequests int64 `json:"verify_requests"`
+	VerifyRequests int64 `json:"verify_requests" prom:"counter"`
 	// VKRejects counts Groth16 proofs turned away because they carry a
 	// prover-supplied verifying key the service cannot trust.
-	VKRejects   int64 `json:"vk_rejects"`
-	ProveErrors int64 `json:"prove_errors"`
+	VKRejects   int64 `json:"vk_rejects" prom:"counter"`
+	ProveErrors int64 `json:"prove_errors" prom:"counter"`
 
 	// CoalesceRatio is batch-path requests per backend proof (≥ 1 once
-	// any batch has been proved; higher means better amortization).
-	CoalesceRatio float64 `json:"coalesce_ratio"`
+	// any batch has been proved): the amortization factor of the paper's
+	// batching argument, measured live.
+	CoalesceRatio float64 `json:"coalesce_ratio" prom:"gauge"`
 
-	CRSCacheHits   int64 `json:"crs_cache_hits"`
-	CRSCacheMisses int64 `json:"crs_cache_misses"`
+	CRSCacheHits   int64 `json:"crs_cache_hits" prom:"counter"`
+	CRSCacheMisses int64 `json:"crs_cache_misses" prom:"counter"`
 
 	// Parallelism is the process-wide worker budget proofs draw from
 	// (Config.Parallelism / ZKVC_PARALLELISM / GOMAXPROCS), and
 	// ParallelInUse is how many of those tokens are held right now by
 	// proving jobs and the loop workers they borrowed — the service's
 	// effective parallelism at snapshot time.
-	Parallelism   int `json:"parallelism"`
-	ParallelInUse int `json:"parallel_in_use"`
+	Parallelism   int `json:"parallelism" prom:"gauge"`
+	ParallelInUse int `json:"parallel_in_use" prom:"gauge"`
 
 	// Memory-discipline gauges. The proving hot path recycles its scratch
 	// buffers through internal/arena, so under steady load the live heap
@@ -184,26 +146,27 @@ type Snapshot struct {
 	// occupied by live heap objects (runtime/metrics
 	// "/memory/classes/heap/objects:bytes"); GCPauseTotalNanos is the
 	// cumulative stop-the-world pause time since process start.
-	HeapAllocBytes    uint64 `json:"heap_alloc_bytes"`
-	GCPauseTotalNanos int64  `json:"gc_pause_total_nanos"`
+	HeapAllocBytes    uint64 `json:"heap_alloc_bytes" prom:"gauge"`
+	GCPauseTotalNanos int64  `json:"gc_pause_total_nanos" prom:"counter,name=gc_pause_nanos"`
 
 	// Issued-log gauges: live attestations in the local log, records and
 	// bytes in its durable file (both 0 without a JournalDir), and write
 	// errors — a nonzero error count means attestations made this run may
 	// not survive the next restart. ReplicatedAttestations counts peer
 	// attestations this node holds (the cluster verify-failover set) and
-	// ReplicationErrors the updates this node failed to push out.
+	// ReplicationErrors the updates this node failed to push out
+	// (replication is best-effort; this is where its failures show).
 	// WriteErrors counts failed /metrics and job-status response writes.
 	// DiskBytes is the node's total on-disk state (job journals plus the
 	// issued log) — the disk gauge heartbeats carry to the coordinator.
-	IssuedAttestations     int64  `json:"issued_attestations"`
-	IssuedLogRecords       int64  `json:"issued_log_records"`
-	IssuedLogBytes         int64  `json:"issued_log_bytes"`
-	IssuedLogErrors        int64  `json:"issued_log_errors"`
-	ReplicatedAttestations int64  `json:"replicated_attestations"`
-	ReplicationErrors      int64  `json:"replication_errors"`
-	WriteErrors            int64  `json:"write_errors"`
-	DiskBytes              uint64 `json:"disk_bytes"`
+	IssuedAttestations     int64  `json:"issued_attestations" prom:"gauge"`
+	IssuedLogRecords       int64  `json:"issued_log_records" prom:"gauge"`
+	IssuedLogBytes         int64  `json:"issued_log_bytes" prom:"gauge"`
+	IssuedLogErrors        int64  `json:"issued_log_errors" prom:"counter"`
+	ReplicatedAttestations int64  `json:"replicated_attestations" prom:"gauge"`
+	ReplicationErrors      int64  `json:"replication_errors" prom:"counter"`
+	WriteErrors            int64  `json:"write_errors" prom:"counter"`
+	DiskBytes              uint64 `json:"disk_bytes" prom:"gauge"`
 
 	PhaseNanos struct {
 		Synthesis int64 `json:"synthesis"`
@@ -211,84 +174,105 @@ type Snapshot struct {
 		Prove     int64 `json:"prove"`
 		// Verify is the per-op self-verification model jobs perform.
 		Verify int64 `json:"verify"`
-	} `json:"phase_nanos"`
+	} `json:"phase_nanos" prom:"counter,label=phase"`
 }
 
-func (m *metrics) snapshot(pool *parallel.Pool) Snapshot {
-	var s Snapshot
-	s.QueueDepth = m.queueDepth.Load()
-	s.ModelOpsQueued = m.modelOpsQueued.Load()
-	s.Requests = m.requestsProved.Load()
-	s.BatchesProved = m.batchesProved.Load()
-	s.MatMulsProved = m.matmulsProved.Load()
-	s.DirectBatchesProved = m.directBatchesProved.Load()
-	s.ModelJobs = m.modelJobs.Load()
-	s.ModelJobsProved = m.modelJobsProved.Load()
-	s.ModelJobsCanceled = m.modelJobsCanceled.Load()
-	s.ModelOpsProved = m.modelOpsProved.Load()
-	s.ModelRejects = m.modelRejects.Load()
-	s.StreamStalls = m.streamStalls.Load()
-	s.StreamStallNanos = m.streamStallNanos.Load()
-	s.JobsSubmitted = m.jobsSubmitted.Load()
-	s.JobsActive = m.jobsActive.Load()
-	s.JobsResumed = m.jobsResumed.Load()
-	s.JobsReaped = m.jobsReaped.Load()
-	s.AdmissionRejects = m.admissionRejects.Load()
-	s.VerifyRequests = m.verifyRequests.Load()
-	s.VKRejects = m.vkRejects.Load()
-	s.ProveErrors = m.proveErrors.Load()
-	if s.BatchesProved > 0 {
-		s.CoalesceRatio = float64(s.Requests) / float64(s.BatchesProved)
+// Metrics returns a point-in-time snapshot of the service counters and
+// of the issued-log, replication, memory and disk gauges.
+func (s *Server) Metrics() Snapshot {
+	m := s.metrics
+	snap := Snapshot{
+		QueueDepth:          m.queueDepth.Load(),
+		ModelOpsQueued:      m.modelOpsQueued.Load(),
+		Requests:            m.requestsProved.Load(),
+		BatchesProved:       m.batchesProved.Load(),
+		MatMulsProved:       m.matmulsProved.Load(),
+		DirectBatchesProved: m.directBatchesProved.Load(),
+		ModelJobs:           m.modelJobs.Load(),
+		ModelJobsProved:     m.modelJobsProved.Load(),
+		ModelJobsCanceled:   m.modelJobsCanceled.Load(),
+		ModelOpsProved:      m.modelOpsProved.Load(),
+		ModelRejects:        m.modelRejects.Load(),
+		StreamStalls:        m.streamStalls.Load(),
+		StreamStallNanos:    m.streamStallNanos.Load(),
+		JobsSubmitted:       m.jobsSubmitted.Load(),
+		JobsActive:          m.jobsActive.Load(),
+		JobsResumed:         m.jobsResumed.Load(),
+		JobsReaped:          m.jobsReaped.Load(),
+		AdmissionRejects:    m.admissionRejects.Load(),
+		VerifyRequests:      m.verifyRequests.Load(),
+		VKRejects:           m.vkRejects.Load(),
+		ProveErrors:         m.proveErrors.Load(),
+		CRSCacheHits:        m.crsHits.Load(),
+		CRSCacheMisses:      m.crsMisses.Load(),
+		ReplicationErrors:   m.replicationErrors.Load(),
+		WriteErrors:         m.writeErrors.Load(),
+		DiskBytes:           s.diskBytes(),
 	}
-	s.CRSCacheHits = m.crsHits.Load()
-	s.CRSCacheMisses = m.crsMisses.Load()
-	if pool != nil {
-		s.Parallelism = pool.Size()
-		s.ParallelInUse = pool.InUse()
+	if snap.BatchesProved > 0 {
+		snap.CoalesceRatio = float64(snap.Requests) / float64(snap.BatchesProved)
 	}
+	pool := parallel.Default()
+	snap.Parallelism, snap.ParallelInUse = pool.Size(), pool.InUse()
 	sample := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
 	rtmetrics.Read(sample)
 	if sample[0].Value.Kind() == rtmetrics.KindUint64 {
-		s.HeapAllocBytes = sample[0].Value.Uint64()
+		snap.HeapAllocBytes = sample[0].Value.Uint64()
 	}
 	// PauseTotalNs has no scalar runtime/metrics equivalent (only a
 	// histogram); ReadMemStats is exact and /metrics is polled, not hot.
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	s.GCPauseTotalNanos = int64(ms.PauseTotalNs)
-	s.PhaseNanos.Synthesis = m.synthesisNanos.Load()
-	s.PhaseNanos.Setup = m.setupNanos.Load()
-	s.PhaseNanos.Prove = m.proveNanos.Load()
-	s.PhaseNanos.Verify = m.verifyNanos.Load()
-	s.ReplicationErrors = m.replicationErrors.Load()
-	s.WriteErrors = m.writeErrors.Load()
-	return s
+	snap.GCPauseTotalNanos = int64(ms.PauseTotalNs)
+	snap.PhaseNanos.Synthesis = m.synthesisNanos.Load()
+	snap.PhaseNanos.Setup = m.setupNanos.Load()
+	snap.PhaseNanos.Prove = m.proveNanos.Load()
+	snap.PhaseNanos.Verify = m.verifyNanos.Load()
+	snap.IssuedAttestations, snap.IssuedLogRecords, snap.IssuedLogBytes, snap.IssuedLogErrors = s.issued.stats()
+	snap.ReplicatedAttestations, _, _, _ = s.replicated.stats()
+	return snap
 }
 
-// writeJSON encodes a snapshot; a failed encode (client hung up
-// mid-scrape) is counted, not swallowed.
-func (m *metrics) writeJSON(w io.Writer, snap Snapshot) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(snap); err != nil {
-		m.countWriteError(err)
+// Heartbeat is the load a node reports as of this snapshot: its queued
+// work units (matmul jobs plus model ops, the sum Config.QueueCap
+// bounds), its on-disk state and its live heap. A node sends it to its
+// coordinator, and the coordinator's probe derives the same figures
+// from a node's GET /metrics.
+func (s *Snapshot) Heartbeat(name string) *wire.NodeHeartbeat {
+	return &wire.NodeHeartbeat{
+		Name:       name,
+		QueueUnits: s.QueueDepth + s.ModelOpsQueued,
+		DiskBytes:  s.DiskBytes,
+		MemBytes:   s.HeapAllocBytes,
 	}
 }
 
-// Metrics returns a point-in-time snapshot of the service counters,
-// including the issued-log, replication and disk gauges only the Server
-// (not the bare counter set) can see.
-func (s *Server) Metrics() Snapshot {
-	snap := s.metrics.snapshot(parallel.Default())
-	live, records, bytes, errs := s.issued.stats()
-	snap.IssuedAttestations = live
-	snap.IssuedLogRecords = records
-	snap.IssuedLogBytes = bytes
-	snap.IssuedLogErrors = errs
-	replicated, _, _, _ := s.replicated.stats()
-	snap.ReplicatedAttestations = replicated
-	snap.DiskBytes = s.diskBytes()
-	return snap
+// MountMetrics registers the two encodings of one metrics snapshot on
+// mux, for a node and a coordinator alike: GET /metrics as indented
+// JSON, GET /metrics/prometheus as promtext.Encode of its prom tags.
+// Each scrape takes a fresh snapshot. writeErr hears about every failed
+// encode or write.
+func MountMetrics[S any](mux *http.ServeMux, snapshot func() S, writeErr func(error)) {
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(snapshot()); err != nil {
+			writeErr(err)
+		}
+	})
+	mux.HandleFunc("GET /metrics/prometheus", func(w http.ResponseWriter, _ *http.Request) {
+		var buf bytes.Buffer
+		if err := promtext.Encode(&buf, "zkvc", snapshot()); err != nil {
+			writeErr(err)
+			http.Error(w, "rendering metrics failed", http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", promtext.ContentType)
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			writeErr(err)
+		}
+	})
 }
 
 // diskBytes sums the node's on-disk state: every regular file directly

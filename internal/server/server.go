@@ -20,9 +20,10 @@
 // service.
 //
 // The endpoints are the rows of Routes (route.go), each with its request
-// and answer; besides them a node serves GET /metrics (JSON), GET
-// /metrics/prometheus (the same counters in Prometheus text format) and
-// GET /healthz.
+// and answer; besides them a node serves GET /healthz and, through
+// MountMetrics, GET /metrics and GET /metrics/prometheus: two encodings
+// (JSON, Prometheus text) of one Snapshot. Adding a metric means adding
+// one field to Snapshot with a json and a prom tag.
 //
 // # Durable state
 //
@@ -627,8 +628,7 @@ func (s *Server) Handler() http.Handler {
 	Routes.VerifyBatch.Mount(mux, s.modelSlots, s.handleVerifyBatch)
 	Routes.VerifyModel.Mount(mux, s.modelSlots, s.handleVerifyModel)
 	Routes.Attest.Mount(mux, s.modelSlots, s.handleAttest)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /metrics/prometheus", s.handleMetricsProm)
+	MountMetrics(mux, s.Metrics, s.metrics.countWriteError)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		io.WriteString(w, "ok\n")
@@ -801,9 +801,4 @@ func writeVerdict(w http.ResponseWriter, err error) {
 		return
 	}
 	io.WriteString(w, "{\"ok\":true}\n")
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	s.metrics.writeJSON(w, s.Metrics())
 }
