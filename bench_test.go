@@ -349,8 +349,12 @@ func TestAllocBudget(t *testing.T) {
 	}{
 		// 1.25 × (2957, 10 736 976), (24 783, 30 097 320), (6601, 6 579 440).
 		// The zkVC-G op runs a Groth16 setup; its row was re-measured when
-		// the generator window tables became once-per-process.
-		{"PublicAPI/zkVC-S", publicAPIOp(zkvc.Spartan), 3_696, 13_421_220},
+		// the generator window tables became once-per-process. The zkVC-S
+		// allocs were re-measured at 1379–1439 (GOMAXPROCS 1–2) when the
+		// sumcheck interpolation stopped allocating and Spartan stopped
+		// building sparse matrices; its bytes vary up to 11.1 MB and keep
+		// their budget.
+		{"PublicAPI/zkVC-S", publicAPIOp(zkvc.Spartan), 2_000, 13_421_220},
 		{"PublicAPI/zkVC-G", publicAPIOp(zkvc.Groth16), 30_979, 37_621_650},
 		{"BatchProve/folded", foldedBatchOp(), 8_251, 8_224_300},
 	} {

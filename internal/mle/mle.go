@@ -204,32 +204,6 @@ func NewSparse(entries []SparseEntry, numRows, numCols int) *Sparse {
 	return &Sparse{RowVars: rv, ColVars: cv, Entries: entries}
 }
 
-// Eval computes M̃(rx, ry) = Σ entries v·eq(rx,row)·eq(ry,col) in
-// O(2^rowVars + 2^colVars + nnz). Both eq tables are rented scratch.
-func (s *Sparse) Eval(rx, ry []ff.Fr) ff.Fr {
-	eqR := arena.Frs(1 << len(rx))
-	eqC := arena.Frs(1 << len(ry))
-	EqTableInto(rx, eqR)
-	EqTableInto(ry, eqC)
-	var acc, t ff.Fr
-	for _, e := range s.Entries {
-		t.Mul(&e.Val, &eqR[e.Row])
-		t.Mul(&t, &eqC[e.Col])
-		acc.Add(&acc, &t)
-	}
-	arena.PutFrs(eqR)
-	arena.PutFrs(eqC)
-	return acc
-}
-
-// BindRows returns the dense column vector d[col] = Σ_rows eq(rx,row)·M[row,col],
-// i.e. the matrix MLE with the row block bound to rx. O(2^colVars + nnz).
-func (s *Sparse) BindRows(rx []ff.Fr) *Dense {
-	evals := make([]ff.Fr, 1<<s.ColVars)
-	s.BindRowsInto(rx, evals)
-	return &Dense{NumVars: s.ColVars, Evals: evals}
-}
-
 // BindRowsInto accumulates the row-bound column vector into evals, which
 // must be zeroed and of length 1<<ColVars (arena.Frs satisfies both). The
 // eq(rx, ·) table is rented scratch, so a caller that also rents evals

@@ -59,37 +59,48 @@ func logDim(n int) int {
 	return k
 }
 
-// matrices extracts the three sparse matrix MLEs of the system. Entry
-// slices are counted first and allocated exactly, avoiding the ~2×
-// append-growth garbage of the naive build.
-func matrices(sys *r1cs.System) (a, b, c *mle.Sparse) {
-	nCons := sys.NumConstraints()
-	if nCons == 0 {
-		nCons = 1
-	}
-	na, nb, nc := 0, 0, 0
+// bindRows accumulates Σ_M r_M·M̃(rx, ·) over the matrices A, B, C into
+// mz (zeroed, 1<<sy long) in one pass over the constraints, from one
+// eq(rx, ·) table: mz[col] += (r_M·eq(rx,q))·coeff.
+func bindRows(sys *r1cs.System, rx []ff.Fr, r *[3]ff.Fr, mz []ff.Fr) {
+	eq := arena.Frs(1 << len(rx))
+	mle.EqTableInto(rx, eq)
+	var w, t ff.Fr
 	for q := range sys.Constraints {
-		na += len(sys.Constraints[q].A)
-		nb += len(sys.Constraints[q].B)
-		nc += len(sys.Constraints[q].C)
-	}
-	ea := make([]mle.SparseEntry, 0, na)
-	eb := make([]mle.SparseEntry, 0, nb)
-	ec := make([]mle.SparseEntry, 0, nc)
-	for q := range sys.Constraints {
-		for _, t := range sys.Constraints[q].A {
-			ea = append(ea, mle.SparseEntry{Row: q, Col: int(t.V), Val: t.Coeff})
-		}
-		for _, t := range sys.Constraints[q].B {
-			eb = append(eb, mle.SparseEntry{Row: q, Col: int(t.V), Val: t.Coeff})
-		}
-		for _, t := range sys.Constraints[q].C {
-			ec = append(ec, mle.SparseEntry{Row: q, Col: int(t.V), Val: t.Coeff})
+		c := &sys.Constraints[q]
+		for m, lc := range [3]r1cs.LC{c.A, c.B, c.C} {
+			if len(lc) == 0 {
+				continue
+			}
+			w.Mul(&r[m], &eq[q])
+			for i := range lc {
+				if lc[i].Coeff.IsOne() {
+					mz[lc[i].V].Add(&mz[lc[i].V], &w)
+					continue
+				}
+				t.Mul(&w, &lc[i].Coeff)
+				mz[lc[i].V].Add(&mz[lc[i].V], &t)
+			}
 		}
 	}
-	return mle.NewSparse(ea, nCons, sys.NumVars),
-		mle.NewSparse(eb, nCons, sys.NumVars),
-		mle.NewSparse(ec, nCons, sys.NumVars)
+	arena.PutFrs(eq)
+}
+
+// evalMatrices returns rA·Ã(rx,ry) + rB·B̃(rx,ry) + rC·C̃(rx,ry): the
+// rows bound to rx, then summed against one eq(ry, ·) table.
+func evalMatrices(sys *r1cs.System, rx, ry []ff.Fr, r *[3]ff.Fr) ff.Fr {
+	mz := arena.Frs(1 << len(ry))
+	eq := arena.Frs(1 << len(ry))
+	bindRows(sys, rx, r, mz)
+	mle.EqTableInto(ry, eq)
+	var acc, t ff.Fr
+	for y := range mz {
+		t.Mul(&mz[y], &eq[y])
+		acc.Add(&acc, &t)
+	}
+	arena.PutFrs(mz)
+	arena.PutFrs(eq)
+	return acc
 }
 
 // Prove produces a Spartan proof for a satisfying assignment z.
@@ -121,7 +132,9 @@ func Prove(sys *r1cs.System, z []ff.Fr, params pcs.Params) (*Proof, error) {
 	tr.Append("comm", comm.Root[:])
 	tr.AppendFrs("public", z[:sys.NumPublic])
 
-	// Sumcheck 1: 0 = Σ_x eq(τ,x)·(Az(x)·Bz(x) − Cz(x)).
+	// Sumcheck 1: 0 = Σ_x eq(τ,x)·(Az(x)·Bz(x) − Cz(x)). Both terms begin
+	// with the one eq table, so the prover folds it once per round and
+	// multiplies it in once per point.
 	tau := tr.ChallengeFrs("tau", sx)
 	az := arena.Frs(1 << sx)
 	bz := arena.Frs(1 << sx)
@@ -135,10 +148,7 @@ func Prove(sys *r1cs.System, z []ff.Fr, params pcs.Params) (*Proof, error) {
 	})
 	eqTab := arena.Frs(1 << sx)
 	mle.EqTableInto(tau, eqTab)
-	eqTab2 := arena.Frs(1 << sx)
-	copy(eqTab2, eqTab)
 	eqTau := &mle.Dense{NumVars: sx, Evals: eqTab}
-	eqTau2 := &mle.Dense{NumVars: sx, Evals: eqTab2}
 	azM := &mle.Dense{NumVars: sx, Evals: az}
 	bzM := &mle.Dense{NumVars: sx, Evals: bz}
 	czM := &mle.Dense{NumVars: sx, Evals: cz}
@@ -146,7 +156,7 @@ func Prove(sys *r1cs.System, z []ff.Fr, params pcs.Params) (*Proof, error) {
 	one.SetOne()
 	minusOne.Neg(&one)
 	ins1, err := sumcheck.NewInstance(sx, []sumcheck.Term{
-		{Coeff: one, Factors: []*mle.Dense{eqTau2, azM, bzM}},
+		{Coeff: one, Factors: []*mle.Dense{eqTau, azM, bzM}},
 		{Coeff: minusOne, Factors: []*mle.Dense{eqTau, czM}},
 	})
 	if err != nil {
@@ -158,37 +168,14 @@ func Prove(sys *r1cs.System, z []ff.Fr, params pcs.Params) (*Proof, error) {
 	arena.PutFrs(bz)
 	arena.PutFrs(cz)
 	arena.PutFrs(eqTab)
-	arena.PutFrs(eqTab2)
 	tr.AppendFr("va", &va)
 	tr.AppendFr("vb", &vb)
 	tr.AppendFr("vc", &vc)
 
 	// Sumcheck 2: rA·va + rB·vb + rC·vc = Σ_y M_rx(y)·z̃(y).
-	rA := tr.ChallengeFr("rA")
-	rB := tr.ChallengeFr("rB")
-	rC := tr.ChallengeFr("rC")
-	ma, mb, mc := matrices(sys)
-	mzA := arena.Frs(1 << sy)
-	mzB := arena.Frs(1 << sy)
-	mzC := arena.Frs(1 << sy)
-	ma.BindRowsInto(rx, mzA)
-	mb.BindRowsInto(rx, mzB)
-	mc.BindRowsInto(rx, mzC)
+	r := [3]ff.Fr{tr.ChallengeFr("rA"), tr.ChallengeFr("rB"), tr.ChallengeFr("rC")}
 	mz := arena.Frs(1 << sy)
-	parallel.For(len(mz), 2048, func(start, end int) {
-		var t ff.Fr
-		for y := start; y < end; y++ {
-			t.Mul(&rA, &mzA[y])
-			mz[y].Add(&mz[y], &t)
-			t.Mul(&rB, &mzB[y])
-			mz[y].Add(&mz[y], &t)
-			t.Mul(&rC, &mzC[y])
-			mz[y].Add(&mz[y], &t)
-		}
-	})
-	arena.PutFrs(mzA)
-	arena.PutFrs(mzB)
-	arena.PutFrs(mzC)
+	bindRows(sys, rx, &r, mz)
 	zPad := arena.Frs(1 << sy)
 	copy(zPad, z)
 	ins2, err := sumcheck.NewInstance(sy, []sumcheck.Term{
@@ -256,16 +243,12 @@ func Verify(sys *r1cs.System, proof *Proof, public []ff.Fr, params pcs.Params) e
 	tr.AppendFr("vb", &proof.VB)
 	tr.AppendFr("vc", &proof.VC)
 
-	rA := tr.ChallengeFr("rA")
-	rB := tr.ChallengeFr("rB")
-	rC := tr.ChallengeFr("rC")
+	r := [3]ff.Fr{tr.ChallengeFr("rA"), tr.ChallengeFr("rB"), tr.ChallengeFr("rC")}
 	var claim2, t ff.Fr
-	t.Mul(&rA, &proof.VA)
-	claim2.Add(&claim2, &t)
-	t.Mul(&rB, &proof.VB)
-	claim2.Add(&claim2, &t)
-	t.Mul(&rC, &proof.VC)
-	claim2.Add(&claim2, &t)
+	for m, v := range [3]*ff.Fr{&proof.VA, &proof.VB, &proof.VC} {
+		t.Mul(&r[m], v)
+		claim2.Add(&claim2, &t)
+	}
 
 	ry, final2, err := sumcheck.Verify(claim2, sy, 2, proof.Sum2, tr)
 	if err != nil {
@@ -273,17 +256,7 @@ func Verify(sys *r1cs.System, proof *Proof, public []ff.Fr, params pcs.Params) e
 	}
 
 	// vM = rA·Ã(rx,ry) + rB·B̃(rx,ry) + rC·C̃(rx,ry), evaluated directly.
-	ma, mb, mc := matrices(sys)
-	var vm ff.Fr
-	ea := ma.Eval(rx, ry)
-	eb := mb.Eval(rx, ry)
-	ec := mc.Eval(rx, ry)
-	t.Mul(&rA, &ea)
-	vm.Add(&vm, &t)
-	t.Mul(&rB, &eb)
-	vm.Add(&vm, &t)
-	t.Mul(&rC, &ec)
-	vm.Add(&vm, &t)
+	vm := evalMatrices(sys, rx, ry, &r)
 
 	// z̃(ry) = pub̃(ry) + priṽ(ry)
 	pubEval := evalPublicPart(public, ry)

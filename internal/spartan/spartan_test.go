@@ -2,6 +2,7 @@ package spartan
 
 import (
 	"errors"
+	mrand "math/rand"
 	"testing"
 
 	"zkvc/internal/ff"
@@ -201,20 +202,9 @@ func forgeProof(t *testing.T, sys *r1cs.System, z []ff.Fr, params pcs.Params, wh
 	tr.AppendFr("vb", &vb)
 	tr.AppendFr("vc", &vc)
 
+	r := [3]ff.Fr{tr.ChallengeFr("rA"), tr.ChallengeFr("rB"), tr.ChallengeFr("rC")}
 	mz := make([]ff.Fr, 1<<sy)
-	ma, mb, mc := matrices(sys)
-	for _, m := range []struct {
-		r   ff.Fr
-		mat *mle.Sparse
-	}{{tr.ChallengeFr("rA"), ma}, {tr.ChallengeFr("rB"), mb}, {tr.ChallengeFr("rC"), mc}} {
-		bound := make([]ff.Fr, 1<<sy)
-		m.mat.BindRowsInto(rx, bound)
-		for y := range mz {
-			var t ff.Fr
-			t.Mul(&m.r, &bound[y])
-			mz[y].Add(&mz[y], &t)
-		}
-	}
+	bindRows(sys, rx, &r, mz)
 	zSum := make([]ff.Fr, 1<<sy)
 	copy(zSum, z)
 	if which == 2 {
@@ -266,5 +256,82 @@ func TestSpartanPublicMustStartWithOne(t *testing.T) {
 	bad[0] = fr(2)
 	if err := Verify(sys, proof, bad, params); err == nil {
 		t.Fatal("public witness without leading 1 accepted")
+	}
+}
+
+// randomSystem draws an R1CS structure (no assignment) with numCons
+// constraints over numVars wires: LCs of 0..4 terms, repeated wires
+// within an LC, and coefficients that are often 1.
+func randomSystem(rng *mrand.Rand, numCons, numVars int) *r1cs.System {
+	lc := func() r1cs.LC {
+		out := make(r1cs.LC, rng.Intn(5))
+		for i := range out {
+			out[i].V = r1cs.Var(rng.Intn(numVars))
+			if i > 0 && rng.Intn(3) == 0 {
+				out[i].V = out[i-1].V
+			}
+			out[i].Coeff = ff.NewFr(1)
+			if rng.Intn(2) == 0 {
+				out[i].Coeff.SetPseudoRandom(rng)
+			}
+		}
+		return out
+	}
+	sys := &r1cs.System{NumPublic: 1, NumVars: numVars, Constraints: make([]r1cs.Constraint, numCons)}
+	for q := range sys.Constraints {
+		sys.Constraints[q] = r1cs.Constraint{A: lc(), B: lc(), C: lc()}
+	}
+	return sys
+}
+
+// bindRows and evalMatrices agree with the three matrices taken apart as
+// sparse MLEs: rows bound by mle.BindRowsInto and combined, and the
+// evaluation summed entry by entry over eq(rx,row)·eq(ry,col).
+func TestMatrixBindingMatchesSparseOracle(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(77))
+	for _, shape := range [][2]int{{1, 1}, {1, 5}, {3, 2}, {5, 9}, {8, 8}, {13, 30}, {37, 17}} {
+		numCons, numVars := shape[0], shape[1]
+		sys := randomSystem(rng, numCons, numVars)
+		sx, sy := logDim(numCons), logDim(numVars)
+		rx, ry := make([]ff.Fr, sx), make([]ff.Fr, sy)
+		var r [3]ff.Fr
+		for _, v := range [][]ff.Fr{rx, ry, r[:]} {
+			for i := range v {
+				v[i].SetPseudoRandom(rng)
+			}
+		}
+
+		wantBound := make([]ff.Fr, 1<<sy)
+		var wantEval, term ff.Fr
+		eqX, eqY := mle.EqTable(rx), mle.EqTable(ry)
+		for m := range r {
+			var entries []mle.SparseEntry
+			for q, c := range sys.Constraints {
+				for _, lt := range [3]r1cs.LC{c.A, c.B, c.C}[m] {
+					entries = append(entries, mle.SparseEntry{Row: q, Col: int(lt.V), Val: lt.Coeff})
+					term.Mul(&lt.Coeff, &eqX[q])
+					term.Mul(&term, &eqY[lt.V])
+					term.Mul(&term, &r[m])
+					wantEval.Add(&wantEval, &term)
+				}
+			}
+			bound := make([]ff.Fr, 1<<sy)
+			mle.NewSparse(entries, numCons, numVars).BindRowsInto(rx, bound)
+			for y := range bound {
+				term.Mul(&r[m], &bound[y])
+				wantBound[y].Add(&wantBound[y], &term)
+			}
+		}
+
+		got := make([]ff.Fr, 1<<sy)
+		bindRows(sys, rx, &r, got)
+		for y := range got {
+			if !got[y].Equal(&wantBound[y]) {
+				t.Fatalf("%dx%d: bound column %d differs from the sparse oracle", numCons, numVars, y)
+			}
+		}
+		if v := evalMatrices(sys, rx, ry, &r); !v.Equal(&wantEval) {
+			t.Fatalf("%dx%d: matrix evaluation differs from the sparse oracle", numCons, numVars)
+		}
 	}
 }

@@ -7,6 +7,7 @@ package sumcheck
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"zkvc/internal/arena"
 	"zkvc/internal/ff"
@@ -15,7 +16,9 @@ import (
 	"zkvc/internal/transcript"
 )
 
-// Term is coeff · Π factors.
+// Term is coeff · Π factors. A factor may be shared between terms and
+// repeated within one: the prover finds tables by pointer and folds each
+// distinct one once per round.
 type Term struct {
 	Coeff   ff.Fr
 	Factors []*mle.Dense
@@ -27,7 +30,11 @@ type Instance struct {
 	Terms   []Term
 }
 
-// NewInstance validates factor shapes and wraps them.
+// maxDegree bounds the degree of an instance: the Lagrange weights of
+// every degree up to it are inverted once, when the package loads.
+const maxDegree = 16
+
+// NewInstance validates factor shapes and the degree and wraps them.
 func NewInstance(numVars int, terms []Term) (*Instance, error) {
 	for i, t := range terms {
 		if len(t.Factors) == 0 {
@@ -39,7 +46,11 @@ func NewInstance(numVars int, terms []Term) (*Instance, error) {
 			}
 		}
 	}
-	return &Instance{NumVars: numVars, Terms: terms}, nil
+	ins := &Instance{NumVars: numVars, Terms: terms}
+	if d := ins.Degree(); d > maxDegree {
+		return nil, fmt.Errorf("sumcheck: degree %d above %d", d, maxDegree)
+	}
+	return ins, nil
 }
 
 // Degree is the maximum number of factors in any term: the degree of the
@@ -82,20 +93,23 @@ type Proof struct {
 // factors. It returns the proof, the bound challenge point, and the final
 // evaluations of each term's factors at that point (in term order).
 func Prove(ins *Instance, tr *transcript.Transcript) (*Proof, []ff.Fr, [][]ff.Fr) {
-	deg := ins.Degree()
+	pl := newPlan(ins)
 	proof := &Proof{RoundPolys: make([][]ff.Fr, ins.NumVars)}
 	challenges := make([]ff.Fr, ins.NumVars)
 
+	// claim is p₍ᵢ₋₁₎(rᵢ₋₁), interpolated as the verifier does; known is
+	// nil until the first round has been sent.
+	var claim ff.Fr
+	var known *ff.Fr
 	for round := 0; round < ins.NumVars; round++ {
-		evals := roundPolynomial(ins, deg)
+		evals := pl.roundPolynomial(known)
 		proof.RoundPolys[round] = evals
 		tr.AppendFrs("sumcheck.round", evals)
 		r := tr.ChallengeFr("sumcheck.challenge")
 		challenges[round] = r
-		for _, term := range ins.Terms {
-			for _, f := range term.Factors {
-				f.Fix(&r)
-			}
+		claim, known = interpolateAt(evals, &r), &claim
+		for _, f := range pl.tables {
+			f.Fix(&r)
 		}
 	}
 	finals := make([][]ff.Fr, len(ins.Terms))
@@ -109,47 +123,120 @@ func Prove(ins *Instance, tr *transcript.Transcript) (*Proof, []ff.Fr, [][]ff.Fr
 	return proof, challenges, finals
 }
 
+// plan is an instance with its factors found by pointer: the distinct
+// tables, each term as indices into them, and the table that begins
+// every term (lead), which is multiplied in once after the sum of terms.
+type plan struct {
+	tables []*mle.Dense
+	terms  []planTerm
+	lead   int // −1 when the terms begin with different tables
+	deg    int
+}
+
+// planTerm is coeff · Π tables[idx], the lead left out. sign is +1 or −1
+// when coeff is, so that the coefficient is added, not multiplied.
+type planTerm struct {
+	coeff ff.Fr
+	sign  int
+	idx   []int
+}
+
+func newPlan(ins *Instance) *plan {
+	pl := &plan{lead: -1, deg: ins.Degree()}
+	for _, term := range ins.Terms {
+		pt := planTerm{coeff: term.Coeff}
+		var neg ff.Fr
+		switch {
+		case term.Coeff.IsOne():
+			pt.sign = 1
+		case neg.Neg(&term.Coeff).IsOne():
+			pt.sign = -1
+		}
+		for _, f := range term.Factors {
+			k := slices.Index(pl.tables, f)
+			if k < 0 {
+				k = len(pl.tables)
+				pl.tables = append(pl.tables, f)
+			}
+			pt.idx = append(pt.idx, k)
+		}
+		pl.terms = append(pl.terms, pt)
+	}
+	for _, pt := range pl.terms {
+		if pt.idx[0] != pl.terms[0].idx[0] {
+			return pl
+		}
+	}
+	for i := range pl.terms {
+		pl.lead = pl.terms[i].idx[0]
+		pl.terms[i].idx = pl.terms[i].idx[1:]
+	}
+	return pl
+}
+
 // roundGrain is the number of hypercube points a borrowed worker chews
-// per chunk; each point costs (deg+1)·Σ|factors| field multiplications.
+// per chunk. Each point costs deg additions per distinct table and, per
+// evaluated t, one multiplication per non-lead factor beyond a term's
+// first, one per non-±1 coefficient and one for the lead.
 const roundGrain = 256
 
 // roundPolynomial computes the current round's univariate polynomial
 // evaluated at t = 0..deg:  p(t) = Σ_{x'} Σ_terms coeff·Π_j f_j(t, x').
-// The hypercube is split across the shared worker budget; per-chunk
-// partial sums are folded in chunk order (field addition is exact, so
-// the result is identical at every parallelism level).
-func roundPolynomial(ins *Instance, deg int) []ff.Fr {
-	half := 1 << (factorVars(ins) - 1)
+// Each table is evaluated by repeated addition, f(t+1) = f(t) + f(1)−f(0).
+// Given the running claim, p(1) = claim − p(0) is not summed: the
+// identity is exact, so the evaluations are those of the full sum. The
+// hypercube is split across the shared worker budget; per-chunk partial
+// sums are folded in chunk order (field addition is exact, so the result
+// is identical at every parallelism level).
+func (pl *plan) roundPolynomial(claim *ff.Fr) []ff.Fr {
+	deg, w := pl.deg, pl.deg+1
+	half := len(pl.tables[0].Evals) / 2
 	acc := parallel.MapReduce(parallel.Default(), half, roundGrain,
 		func(start, end int) []ff.Fr {
-			out := arena.Frs(deg + 1)
-			var prod, diff, ft ff.Fr
-			for _, term := range ins.Terms {
-				for x := start; x < end; x++ {
-					// f(t,x') = f0 + t·(f1−f0) per factor; evaluate at each t.
-					for t := 0; t <= deg; t++ {
-						prod.Set(&term.Coeff)
-						for _, f := range term.Factors {
-							f0 := &f.Evals[x]
-							f1 := &f.Evals[half+x]
-							switch t {
-							case 0:
-								ft.Set(f0)
-							case 1:
-								ft.Set(f1)
-							default:
-								diff.Sub(f1, f0)
-								var tFr ff.Fr
-								tFr.SetUint64(uint64(t))
-								ft.Mul(&diff, &tFr)
-								ft.Add(&ft, f0)
-							}
-							prod.Mul(&prod, &ft)
-						}
-						out[t].Add(&out[t], &prod)
+			out := arena.Frs(w)
+			vals := arena.Frs(len(pl.tables) * w) // vals[k·w+t] = table k at (t, x')
+			var inner, prod, d ff.Fr
+			for x := start; x < end; x++ {
+				for k, f := range pl.tables {
+					v := vals[k*w : k*w+w]
+					v[0], v[1] = f.Evals[x], f.Evals[half+x]
+					d.Sub(&v[1], &v[0])
+					for t := 2; t <= deg; t++ {
+						v[t].Add(&v[t-1], &d)
 					}
 				}
+				for t := 0; t <= deg; t++ {
+					if t == 1 && claim != nil {
+						continue
+					}
+					inner.SetZero()
+					for i := range pl.terms {
+						pt := &pl.terms[i]
+						if len(pt.idx) == 0 {
+							prod.SetOne()
+						} else {
+							prod = vals[pt.idx[0]*w+t]
+							for _, k := range pt.idx[1:] {
+								prod.Mul(&prod, &vals[k*w+t])
+							}
+						}
+						switch pt.sign {
+						case 1:
+							inner.Add(&inner, &prod)
+						case -1:
+							inner.Sub(&inner, &prod)
+						default:
+							prod.Mul(&prod, &pt.coeff)
+							inner.Add(&inner, &prod)
+						}
+					}
+					if pl.lead >= 0 {
+						inner.Mul(&inner, &vals[pl.lead*w+t])
+					}
+					out[t].Add(&out[t], &inner)
+				}
 			}
+			arena.PutFrs(vals)
 			return out
 		},
 		func(acc, next []ff.Fr) []ff.Fr {
@@ -161,14 +248,13 @@ func roundPolynomial(ins *Instance, deg int) []ff.Fr {
 		})
 	// The round polynomial escapes into the proof, so it is copied out of
 	// the rented accumulator into plainly allocated memory.
-	evals := make([]ff.Fr, deg+1)
+	evals := make([]ff.Fr, w)
 	copy(evals, acc)
 	arena.PutFrs(acc)
+	if claim != nil {
+		evals[1].Sub(claim, &evals[0])
+	}
 	return evals
-}
-
-func factorVars(ins *Instance) int {
-	return ins.Terms[0].Factors[0].NumVars
 }
 
 // ErrSumcheck is returned on any verification failure.
@@ -181,6 +267,9 @@ var ErrSumcheck = errors.New("sumcheck: verification failed")
 func Verify(claim ff.Fr, numVars, degree int, proof *Proof, tr *transcript.Transcript) ([]ff.Fr, ff.Fr, error) {
 	if len(proof.RoundPolys) != numVars {
 		return nil, ff.Fr{}, fmt.Errorf("%w: %d rounds, want %d", ErrSumcheck, len(proof.RoundPolys), numVars)
+	}
+	if degree < 1 || degree > maxDegree {
+		return nil, ff.Fr{}, fmt.Errorf("%w: degree %d outside 1..%d", ErrSumcheck, degree, maxDegree)
 	}
 	challenges := make([]ff.Fr, numVars)
 	cur := claim
@@ -202,55 +291,58 @@ func Verify(claim ff.Fr, numVars, degree int, proof *Proof, tr *transcript.Trans
 	return challenges, cur, nil
 }
 
+// lagrangeWeights[d][i] = 1 / (i!·(d−i)!·(−1)^(d−i)), the inverted
+// denominators of Lagrange interpolation on the nodes 0..d, from one
+// inversion of maxDegree!.
+var lagrangeWeights = func() (w [maxDegree + 1][maxDegree + 1]ff.Fr) {
+	var fact, invFact [maxDegree + 1]ff.Fr
+	fact[0].SetOne()
+	for i := 1; i <= maxDegree; i++ {
+		n := ff.NewFr(uint64(i))
+		fact[i].Mul(&fact[i-1], &n)
+	}
+	invFact[maxDegree].Inverse(&fact[maxDegree])
+	for i := maxDegree; i > 0; i-- {
+		n := ff.NewFr(uint64(i))
+		invFact[i-1].Mul(&invFact[i], &n)
+	}
+	for d := 0; d <= maxDegree; d++ {
+		for i := 0; i <= d; i++ {
+			w[d][i].Mul(&invFact[i], &invFact[d-i])
+			if (d-i)%2 == 1 {
+				w[d][i].Neg(&w[d][i])
+			}
+		}
+	}
+	return w
+}()
+
 // interpolateAt evaluates the degree-d polynomial given by its values at
-// 0..d at the point r (Lagrange on consecutive integer nodes).
+// 0..d at the point r (Lagrange on consecutive integer nodes), d ≤
+// maxDegree, without allocating.
 func interpolateAt(evals []ff.Fr, r *ff.Fr) ff.Fr {
 	d := len(evals) - 1
 	// prefix[i] = Π_{j<i} (r−j), suffix[i] = Π_{j>i} (r−j)
-	prefix := make([]ff.Fr, d+1)
-	suffix := make([]ff.Fr, d+1)
-	var t ff.Fr
+	var prefix, suffix [maxDegree + 1]ff.Fr
+	var t, node ff.Fr
 	prefix[0].SetOne()
 	for i := 1; i <= d; i++ {
-		var node ff.Fr
 		node.SetUint64(uint64(i - 1))
 		t.Sub(r, &node)
 		prefix[i].Mul(&prefix[i-1], &t)
 	}
 	suffix[d].SetOne()
 	for i := d - 1; i >= 0; i-- {
-		var node ff.Fr
 		node.SetUint64(uint64(i + 1))
 		t.Sub(r, &node)
 		suffix[i].Mul(&suffix[i+1], &t)
 	}
-	// denominators: i!·(d−i)!·(−1)^{d−i}
 	var acc ff.Fr
 	for i := 0; i <= d; i++ {
-		den := factorialFr(i)
-		var dmi ff.Fr
-		dmi.Set(factorialFr(d - i))
-		den.Mul(den, &dmi)
-		if (d-i)%2 == 1 {
-			den.Neg(den)
-		}
-		den.Inverse(den)
-		var term ff.Fr
-		term.Mul(&prefix[i], &suffix[i])
-		term.Mul(&term, den)
-		term.Mul(&term, &evals[i])
-		acc.Add(&acc, &term)
+		t.Mul(&prefix[i], &suffix[i])
+		t.Mul(&t, &lagrangeWeights[d][i])
+		t.Mul(&t, &evals[i])
+		acc.Add(&acc, &t)
 	}
 	return acc
-}
-
-func factorialFr(n int) *ff.Fr {
-	var f ff.Fr
-	f.SetOne()
-	var t ff.Fr
-	for i := 2; i <= n; i++ {
-		t.SetUint64(uint64(i))
-		f.Mul(&f, &t)
-	}
-	return &f
 }

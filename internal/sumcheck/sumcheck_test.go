@@ -164,3 +164,47 @@ func TestInstanceValidation(t *testing.T) {
 		t.Fatal("empty factor list accepted")
 	}
 }
+
+// BenchmarkSumcheckProve proves Spartan's two sumcheck shapes over 2¹⁴
+// points: the outer eq·Az·Bz − eq·Cz with one shared eq table, and the
+// inner product of two tables. It reports ns per hypercube point.
+func BenchmarkSumcheckProve(b *testing.B) {
+	const k = 14
+	rng := mrand.New(mrand.NewSource(407))
+	one := ff.NewFr(1)
+	var minusOne ff.Fr
+	minusOne.Neg(&one)
+	tables := make([]*mle.Dense, 4)
+	for i := range tables {
+		tables[i] = mle.NewDense(randVec(rng, 1<<k))
+	}
+	for _, bc := range []struct {
+		name  string
+		terms func(f []*mle.Dense) []Term
+	}{
+		{"outer", func(f []*mle.Dense) []Term {
+			return []Term{{Coeff: one, Factors: []*mle.Dense{f[0], f[1], f[2]}}, {Coeff: minusOne, Factors: []*mle.Dense{f[0], f[3]}}}
+		}},
+		{"inner", func(f []*mle.Dense) []Term {
+			return []Term{{Coeff: one, Factors: []*mle.Dense{f[0], f[1]}}}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			fresh := make([]*mle.Dense, len(tables))
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j, t := range tables {
+					fresh[j] = t.Clone()
+				}
+				ins, err := NewInstance(k, bc.terms(fresh))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				Prove(ins, transcript.New("bench"))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(1<<k), "ns/elem")
+		})
+	}
+}
