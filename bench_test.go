@@ -23,9 +23,12 @@ import (
 	"zkvc"
 	"zkvc/internal/bench"
 	"zkvc/internal/crpc"
+	"zkvc/internal/ff"
+	"zkvc/internal/gadgets"
 	"zkvc/internal/matrix"
 	"zkvc/internal/nn"
 	"zkvc/internal/planner"
+	"zkvc/internal/r1cs"
 	"zkvc/internal/zkml"
 )
 
@@ -327,6 +330,30 @@ func BenchmarkBatchProve(b *testing.B) {
 	})
 }
 
+// softmaxSynthOp returns the synthesis of one 64-wide softmax row under
+// the scaled ViT-CIFAR10 gadget parameters (the model prover's, as in
+// zkml), reporting its constraint count. BenchmarkSoftmaxSynth in
+// internal/gadgets times the same row.
+func softmaxSynthOp() func() (int, error) {
+	c := nn.ViTCIFAR10().Scaled(32)
+	cfg := gadgets.NonlinearConfig{Fixed: c.Fixed, ExpIters: c.SquareIters, ClipT: c.ClipT, RangeBits: 40}
+	rng := mrand.New(mrand.NewSource(71))
+	vals := make([]ff.Fr, 64)
+	for i := range vals {
+		vals[i].SetInt64(rng.Int63n(8*cfg.Fixed.Scale()) - 6*cfg.Fixed.Scale())
+	}
+	return func() (int, error) {
+		b := r1cs.NewBuilder()
+		ins := make([]r1cs.LC, len(vals))
+		for i := range vals {
+			ins[i] = r1cs.VarLC(b.Secret(vals[i]))
+		}
+		gadgets.Softmax(b, ins, cfg)
+		sys, _ := b.Finish()
+		return sys.NumConstraints(), nil
+	}
+}
+
 // TestAllocBudget is the machine-portable gate on the pooled hot path
 // (internal/arena): allocations and bytes per steady-state operation,
 // budgeted at 1.25× what the commit before this test measured. The
@@ -357,6 +384,12 @@ func TestAllocBudget(t *testing.T) {
 		{"PublicAPI/zkVC-S", publicAPIOp(zkvc.Spartan), 2_000, 13_421_220},
 		{"PublicAPI/zkVC-G", publicAPIOp(zkvc.Groth16), 30_979, 37_621_650},
 		{"BatchProve/folded", foldedBatchOp(), 8_251, 8_224_300},
+		// 1.25 × (49 412, 19 382 272), measured when the linear
+		// combination algebra stopped building maps, ToBits stopped
+		// rebuilding its recomposition per bit and the builder began to
+		// double its slices. The same row took 307 644 allocs and 99.3 MB
+		// before (BenchmarkSoftmaxSynth, which skips Finish).
+		{"Synthesize/softmax64", softmaxSynthOp(), 61_765, 24_227_840},
 	} {
 		// One unmeasured op first: the pools fill on it.
 		if _, err := row.op(); err != nil {

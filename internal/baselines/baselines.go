@@ -56,8 +56,8 @@ func SynthesizeVCNN(stmt *crpc.Statement) (*crpc.Synthesis, error) {
 	// Dummy products d_{ikj} = x_ik·w_kj, one constraint each, woven into
 	// an aggregated polynomial identity at the challenge point. The dummy
 	// variables are all fresh, so the aggregate is accumulated as a plain
-	// term list (repeated AddLC would dedupe through a map and turn this
-	// loop quadratic).
+	// term list (repeated AddLC would re-merge the growing sum and turn
+	// this loop quadratic).
 	aggLHS := make(r1cs.LC, 0, a*b*n)
 	for i := 0; i < a; i++ {
 		for j := 0; j < b; j++ {

@@ -35,10 +35,21 @@ func SignedInt64(v ff.Fr) int64 {
 	return b.Int64()
 }
 
+// MaxBits is the widest decomposition ToBits accepts. Beyond it 2^n
+// exceeds the field modulus r, so a value x and x + r both decompose and
+// the bits bound nothing.
+const MaxBits = 253
+
 // ToBits decomposes lc — whose assigned value must lie in [0, 2^n) — into
 // n boolean wires, asserting booleanity and recomposition. This is the
-// paper's "bit-decomposition" primitive for comparisons.
+// paper's "bit-decomposition" primitive for comparisons. It costs n + 1
+// constraints, and the recomposition is one n-term LC over the fresh bit
+// wires. A width above MaxBits panics: it is a malformed circuit, a
+// programmer error at synthesis time.
 func ToBits(b *r1cs.Builder, lc r1cs.LC, n int) []r1cs.Var {
+	if n > MaxBits {
+		panic(fmt.Sprintf("gadgets: %d-bit decomposition is no range check (max %d)", n, MaxBits))
+	}
 	val := b.Eval(lc)
 	big := val.Big()
 	if big.BitLen() > n {
@@ -49,17 +60,21 @@ func ToBits(b *r1cs.Builder, lc r1cs.LC, n int) []r1cs.Var {
 		b.AssertZero(r1cs.ConstLC(ff.NewFr(1)))
 	}
 	bits := make([]r1cs.Var, n)
-	recompose := r1cs.LC{}
-	var coeff, two ff.Fr
+	recompose := make(r1cs.LC, n)
+	// The single-wire LCs of the n booleanity checks share one backing
+	// array; each is capped at its own term.
+	single := make(r1cs.LC, n)
+	var one, coeff ff.Fr
+	one.SetOne()
 	coeff.SetOne()
-	two.SetUint64(2)
 	for i := 0; i < n; i++ {
 		var bv ff.Fr
 		bv.SetUint64(uint64(big.Bit(i)))
 		bits[i] = b.Secret(bv)
-		b.AssertBool(r1cs.VarLC(bits[i]))
-		recompose = r1cs.AddLC(recompose, r1cs.ScaleLC(r1cs.VarLC(bits[i]), &coeff))
-		coeff.Mul(&coeff, &two)
+		single[i] = r1cs.Term{Coeff: one, V: bits[i]}
+		b.AssertBool(single[i : i+1 : i+1])
+		recompose[i] = r1cs.Term{Coeff: coeff, V: bits[i]}
+		coeff.Add(&coeff, &coeff)
 	}
 	b.AssertEqual(recompose, lc)
 	return bits
@@ -240,11 +255,14 @@ func Softmax(b *r1cs.Builder, xs []r1cs.LC, cfg NonlinearConfig) []r1cs.LC {
 	m := Max(b, xs, cfg.RangeBits)
 	mLC := r1cs.VarLC(m)
 	exps := make([]r1cs.LC, len(xs))
-	sum := r1cs.LC{}
+	var terms r1cs.LC
 	for i, x := range xs {
 		exps[i] = ExpNeg(b, r1cs.SubLC(x, mLC), cfg)
-		sum = r1cs.AddLC(sum, exps[i])
+		terms = append(terms, exps[i]...)
 	}
+	// Each exponential is its own fresh product wire, so no partial sum
+	// cancels and one merge equals merging entry by entry.
+	sum := r1cs.AddLC(terms, nil)
 	var scale ff.Fr
 	scale.SetInt64(cfg.Fixed.Scale())
 	out := make([]r1cs.LC, len(xs))

@@ -63,6 +63,23 @@ func TestToBitsNegativeRejected(t *testing.T) {
 	mustViolate(t, b)
 }
 
+// TestToBitsRejectsWideDecomposition holds ToBits to MaxBits: 253 bits
+// still bound a value below r, 254 would let x and x + r both decompose.
+func TestToBitsRejectsWideDecomposition(t *testing.T) {
+	b := r1cs.NewBuilder()
+	x := b.Secret(fr(12345))
+	if bits := ToBits(b, r1cs.VarLC(x), MaxBits); len(bits) != MaxBits {
+		t.Fatalf("got %d bits", len(bits))
+	}
+	mustSatisfy(t, b)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for a 254-bit decomposition")
+		}
+	}()
+	ToBits(r1cs.NewBuilder(), r1cs.OneLC(), MaxBits+1)
+}
+
 func TestSignedValue(t *testing.T) {
 	if got := SignedInt64(fr(-42)); got != -42 {
 		t.Fatalf("SignedInt64(-42) = %d", got)
@@ -267,4 +284,48 @@ func TestSelect(t *testing.T) {
 		t.Fatal("Select wrong")
 	}
 	mustSatisfy(t, b)
+}
+
+// synthRow builds one softmax row or one row of GELUs over width seeded
+// fixed-point inputs under the scaled-ViT parameters, as the model
+// prover's gadget ops do per row.
+func synthRow(softmax bool, width int) func() {
+	cfg := vitNonlinear()
+	rng := mrand.New(mrand.NewSource(71))
+	vals := make([]int64, width)
+	for i := range vals {
+		vals[i] = rng.Int63n(8*cfg.Fixed.Scale()) - 6*cfg.Fixed.Scale()
+	}
+	return func() {
+		b := r1cs.NewBuilder()
+		ins := make([]r1cs.LC, width)
+		for i, v := range vals {
+			ins[i] = r1cs.VarLC(b.Secret(fr(v)))
+		}
+		if softmax {
+			Softmax(b, ins, cfg)
+			return
+		}
+		for i := range ins {
+			GELU(b, ins[i], cfg)
+		}
+	}
+}
+
+// BenchmarkSoftmaxSynth and BenchmarkGELUSynth time gadget synthesis
+// alone; run them with -benchmem to see the allocations per row.
+func BenchmarkSoftmaxSynth(b *testing.B) {
+	op := synthRow(true, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+func BenchmarkGELUSynth(b *testing.B) {
+	op := synthRow(false, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
 }

@@ -115,16 +115,15 @@ func Commit(values []ff.Fr, p Params) (*Commitment, *ProverState, error) {
 		st.Release()
 		return nil, nil, err
 	}
-	// Rows are Reed–Solomon encoded independently; fan the per-row NTTs
-	// out across the shared worker budget (each NTT may itself borrow
-	// further workers when the pool is otherwise idle). Codeword rows are
-	// per-chunk arena checkouts, released with the state.
+	// Rows are Reed–Solomon encoded independently; fan the per-row
+	// encodings out across the shared worker budget (each may itself
+	// borrow further workers when the pool is otherwise idle). Codeword
+	// rows are per-chunk arena checkouts, released with the state.
 	parallel.For(rows, 1, func(start, end int) {
 		for i := start; i < end; i++ {
 			st.message[i] = padded[i*cols : (i+1)*cols]
 			cw := arena.Frs(d.N)
-			copy(cw, st.message[i])
-			d.NTT(cw)
+			d.Encode(st.message[i], cw)
 			st.codeword[i] = cw
 		}
 	})
@@ -220,6 +219,11 @@ func VerifyOpen(c *Commitment, point []ff.Fr, claim *ff.Fr, op *Opening, p Param
 	if len(point) != c.NumVars {
 		return fmt.Errorf("%w: point has %d coords, want %d", ErrOpening, len(point), c.NumVars)
 	}
+	// Commit's layout, which Encode relies on: power-of-two rows and
+	// columns splitting the variables.
+	if c.Rows != 1<<(c.NumVars/2) || c.Cols != 1<<(c.NumVars-c.NumVars/2) {
+		return fmt.Errorf("%w: %dx%d layout does not match %d variables", ErrOpening, c.Rows, c.Cols, c.NumVars)
+	}
 	if len(op.URand) != c.Cols || len(op.UEq) != c.Cols {
 		return fmt.Errorf("%w: combined rows have wrong length", ErrOpening)
 	}
@@ -250,8 +254,7 @@ func VerifyOpen(c *Commitment, point []ff.Fr, claim *ff.Fr, op *Opening, p Param
 	}
 	encode := func(u []ff.Fr) []ff.Fr {
 		cw := arena.Frs(d.N)
-		copy(cw, u)
-		d.NTT(cw)
+		d.Encode(u, cw)
 		return cw
 	}
 	cwRand := encode(op.URand)

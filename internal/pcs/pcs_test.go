@@ -1,6 +1,7 @@
 package pcs
 
 import (
+	"errors"
 	"fmt"
 	mrand "math/rand"
 	"testing"
@@ -163,6 +164,29 @@ func TestOpeningSize(t *testing.T) {
 func TestCommitRejectsBadBlowup(t *testing.T) {
 	if _, _, err := Commit(make([]ff.Fr, 4), Params{Blowup: 1, Queries: 4}); err == nil {
 		t.Fatal("blowup 1 accepted")
+	}
+}
+
+// TestVerifyRejectsMalformedLayout feeds VerifyOpen commitments whose
+// rows and columns are not the split Commit makes of their variables:
+// an error, never a panic in the encoder.
+func TestVerifyRejectsMalformedLayout(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(503))
+	p := DefaultParams()
+	comm, st, err := Commit(randVec(rng, 64), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	point := randVec(rng, 6)
+	claim := st.Eval(point)
+	trP := transcript.New("pcs-test")
+	op := st.Open(point, trP)
+	for _, layout := range [][2]int{{4, 16}, {8, 6}, {0, 0}} {
+		bad := *comm
+		bad.Rows, bad.Cols = layout[0], layout[1]
+		if err := VerifyOpen(&bad, point, &claim, op, p, transcript.New("pcs-test")); !errors.Is(err, ErrOpening) {
+			t.Fatalf("%dx%d layout: %v, want ErrOpening", layout[0], layout[1], err)
+		}
 	}
 }
 

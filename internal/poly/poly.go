@@ -132,15 +132,54 @@ func (d *Domain) INTT(a []ff.Fr) {
 	}
 }
 
-func (d *Domain) transform(a []ff.Fr, roots [][]ff.Fr) {
-	n := d.N
-	if len(a) != n {
-		panic(fmt.Sprintf("poly: NTT input length %d != domain size %d", len(a), n))
+// Encode writes the Reed–Solomon codeword of msg into out: the NTT of
+// msg padded with zeros to the domain size, equal to copy followed by
+// NTT. len(out) must equal d.N and len(msg) must be a power of two that
+// divides it; blowup = N/len(msg). After the bit-reversal permutation
+// each message entry heads a block of blowup slots whose other slots are
+// zero, so the first log₂(blowup) stages only copy it across its block.
+// Encode writes the blocks directly and runs the remaining stages:
+// (N/2)·(log₂N − log₂blowup) butterflies instead of (N/2)·log₂N.
+func (d *Domain) Encode(msg, out []ff.Fr) {
+	m := len(msg)
+	if len(out) != d.N || m == 0 || m&(m-1) != 0 || m > d.N {
+		panic(fmt.Sprintf("poly: cannot encode %d entries into %d slots over a domain of %d", m, len(out), d.N))
 	}
-	// Bit-reversal permutation. The reversal is an involution, so each
-	// unordered pair {i, j} is swapped exactly once (by its smaller
-	// index) and pairs never share elements — chunks write disjoint
-	// pairs and the parallel permutation is race-free.
+	logBlowup := d.Log2N - bits.Len(uint(m-1))
+	// Block j holds msg[rev(j)], reversed over log₂m bits (a shift by
+	// 64 leaves 0, so m = 1 needs no case of its own).
+	shift := uint(64 - d.Log2N + logBlowup)
+	spread := func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			v := &msg[bits.Reverse64(uint64(j))>>shift]
+			block := out[j<<logBlowup : (j+1)<<logBlowup]
+			for i := range block {
+				block[i] = *v
+			}
+		}
+	}
+	if d.N >= parThreshold {
+		parallel.For(m, max(1, parThreshold/2>>logBlowup), spread)
+	} else {
+		spread(0, m)
+	}
+	d.stages(out, d.roots, logBlowup+1)
+}
+
+func (d *Domain) transform(a []ff.Fr, roots [][]ff.Fr) {
+	if len(a) != d.N {
+		panic(fmt.Sprintf("poly: NTT input length %d != domain size %d", len(a), d.N))
+	}
+	d.bitReverse(a)
+	d.stages(a, roots, 1)
+}
+
+// bitReverse applies the bit-reversal permutation in place. The reversal
+// is an involution, so each unordered pair {i, j} is swapped exactly once
+// (by its smaller index) and pairs never share elements — chunks write
+// disjoint pairs and the parallel permutation is race-free.
+func (d *Domain) bitReverse(a []ff.Fr) {
+	n := d.N
 	shift := 64 - uint(d.Log2N)
 	bitrev := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -150,13 +189,19 @@ func (d *Domain) transform(a []ff.Fr, roots [][]ff.Fr) {
 			}
 		}
 	}
-	par := n >= parThreshold
-	if par {
+	if n >= parThreshold {
 		parallel.For(n, parThreshold/2, bitrev)
 	} else {
 		bitrev(0, n)
 	}
-	for s := 1; s <= d.Log2N; s++ {
+}
+
+// stages runs the radix-2 butterfly stages from..log₂N over a
+// bit-reversed vector.
+func (d *Domain) stages(a []ff.Fr, roots [][]ff.Fr, from int) {
+	n := d.N
+	par := n >= parThreshold
+	for s := from; s <= d.Log2N; s++ {
 		size := 1 << s
 		half := size >> 1
 		tw := roots[s]

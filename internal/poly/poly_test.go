@@ -1,11 +1,13 @@
 package poly
 
 import (
+	"fmt"
 	"math/big"
 	mrand "math/rand"
 	"testing"
 
 	"zkvc/internal/ff"
+	"zkvc/internal/parallel"
 )
 
 func randVec(rng *mrand.Rand, n int) []ff.Fr {
@@ -179,5 +181,59 @@ func BenchmarkNTT64k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.NTT(a)
+	}
+}
+
+// TestEncodeMatchesPaddedNTT holds Encode to copy + NTT for blowups 2, 4
+// and 8 and messages of 2⁰ … 2¹³ entries. Domains from parThreshold up
+// take the parallel spread and butterfly paths; the test runs them on one
+// worker and at full width.
+func TestEncodeMatchesPaddedNTT(t *testing.T) {
+	defer parallel.SetDefaultSize(0)
+	rng := mrand.New(mrand.NewSource(67))
+	for _, workers := range []int{1, 0} {
+		parallel.SetDefaultSize(workers)
+		for _, blowup := range []int{2, 4, 8} {
+			for logM := 0; logM <= 13; logM++ {
+				m := 1 << logM
+				d, err := Shared(m * blowup)
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg := randVec(rng, m)
+				want := make([]ff.Fr, d.N)
+				copy(want, msg)
+				d.NTT(want)
+				got := randVec(rng, d.N) // Encode must overwrite every slot
+				d.Encode(msg, got)
+				for i := range got {
+					if !got[i].Equal(&want[i]) {
+						t.Fatalf("workers %d, blowup %d, m = %d: slot %d differs", workers, blowup, m, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkEncode times one rate-1/4 Reed–Solomon row encoding (2¹²
+// entries into 2¹⁴) by Encode and by the copy + NTT it replaces.
+func BenchmarkEncode(b *testing.B) {
+	rng := mrand.New(mrand.NewSource(68))
+	d, _ := Shared(1 << 14)
+	msg := randVec(rng, 1<<12)
+	out := make([]ff.Fr, d.N)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"encode", func() { d.Encode(msg, out) }},
+		{"copy+NTT", func() { clear(out); copy(out, msg); d.NTT(out) }},
+	} {
+		b.Run(fmt.Sprintf("blowup=4/%s", c.name), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.run()
+			}
+		})
 	}
 }

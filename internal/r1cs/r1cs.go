@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"zkvc/internal/ff"
 )
@@ -38,11 +39,16 @@ type System struct {
 	Constraints []Constraint
 }
 
-// EvalLC computes ⟨lc, z⟩.
+// EvalLC computes ⟨lc, z⟩. Coefficient-1 terms, the bulk of every
+// gadget and matmul LC, are added without a multiplication.
 func EvalLC(lc LC, z []ff.Fr) ff.Fr {
 	var acc, t ff.Fr
-	for _, term := range lc {
-		t.Mul(&term.Coeff, &z[term.V])
+	for i := range lc {
+		if lc[i].Coeff.IsOne() {
+			acc.Add(&acc, &z[lc[i].V])
+			continue
+		}
+		t.Mul(&lc[i].Coeff, &z[lc[i].V])
 		acc.Add(&acc, &t)
 	}
 	return acc
@@ -171,11 +177,27 @@ func (b *Builder) Grow(n, v int) {
 	}
 }
 
+// grow doubles a full constraint list or assignment. append grows a long
+// slice by a quarter at a time, which for a gadget circuit of tens of
+// thousands of constraints allocates and copies about five times its
+// final size; doubling keeps it under twice.
+func (b *Builder) grow() {
+	n, v := 0, 0
+	if len(b.constraints) == cap(b.constraints) {
+		n = max(len(b.constraints), 64)
+	}
+	if len(b.assignment) == cap(b.assignment) {
+		v = max(len(b.assignment), 64)
+	}
+	b.Grow(n, v)
+}
+
 // PublicInput allocates an instance wire with the given value.
 func (b *Builder) PublicInput(v ff.Fr) Var {
 	if b.sealed {
 		panic("r1cs: public inputs must be allocated before private wires")
 	}
+	b.grow()
 	b.assignment = append(b.assignment, v)
 	b.numPublic++
 	return Var(len(b.assignment) - 1)
@@ -184,6 +206,7 @@ func (b *Builder) PublicInput(v ff.Fr) Var {
 // Secret allocates a private (witness) wire with the given value.
 func (b *Builder) Secret(v ff.Fr) Var {
 	b.sealed = true
+	b.grow()
 	b.assignment = append(b.assignment, v)
 	return Var(len(b.assignment) - 1)
 }
@@ -198,6 +221,7 @@ func (b *Builder) Eval(lc LC) ff.Fr { return EvalLC(lc, b.assignment) }
 // AddConstraint appends a raw constraint; the caller is responsible for it
 // being satisfied (checked by Finish in tests via Satisfied).
 func (b *Builder) AddConstraint(a, bb, c LC) {
+	b.grow()
 	b.constraints = append(b.constraints, Constraint{A: a, B: bb, C: c})
 }
 
@@ -279,51 +303,99 @@ func OneLC() LC { return VarLC(0) }
 // ConstLC is the constant-c linear combination.
 func ConstLC(c ff.Fr) LC { return LC{{Coeff: c, V: 0}} }
 
-// ScaleLC returns c·lc as a fresh linear combination.
+// ScaleLC returns c·lc as a fresh linear combination, dropping the terms
+// whose product is zero. Duplicate variables are kept as they are.
 func ScaleLC(lc LC, c *ff.Fr) LC {
 	out := make(LC, 0, len(lc))
 	for _, t := range lc {
-		var nc ff.Fr
-		nc.Mul(&t.Coeff, c)
-		if nc.IsZero() {
-			continue
+		t.Coeff.Mul(&t.Coeff, c)
+		if !t.Coeff.IsZero() {
+			out = append(out, t)
 		}
-		out = append(out, Term{Coeff: nc, V: t.V})
 	}
 	return out
 }
 
-// AddLC returns a + b, merging duplicate variables.
-func AddLC(a, b LC) LC {
-	merged := make(map[Var]ff.Fr, len(a)+len(b))
-	order := make([]Var, 0, len(a)+len(b))
-	accum := func(lc LC) {
-		for _, t := range lc {
-			cur, ok := merged[t.V]
-			if !ok {
-				order = append(order, t.V)
+// AddLC returns a + b, merging duplicate variables: each variable keeps
+// the position of its first appearance in a then b, and variables whose
+// coefficients sum to zero are dropped.
+func AddLC(a, b LC) LC { return combine(a, b, false) }
+
+// SubLC returns a − b, merged as AddLC merges a and −b.
+func SubLC(a, b LC) LC { return combine(a, b, true) }
+
+// combine accumulates the terms of a and then of ±b into one fresh LC
+// without a map, in time linear in |a|+|b|.
+func combine(a, b LC, negB bool) LC {
+	n := len(a) + len(b)
+	m := merger{out: make(LC, 0, n)}
+	if n > scanLimit {
+		// At most n variables arrive: the index is never half full.
+		m.slots = make([]int32, 1<<bits.Len(uint(2*n-1)))
+	}
+	for i := range a {
+		m.add(a[i])
+	}
+	for _, t := range b {
+		if negB {
+			// −b as ScaleLC(b, −1) forms it: a zero term of b is
+			// dropped before the merge and claims no position.
+			if t.Coeff.IsZero() {
+				continue
 			}
-			cur.Add(&cur, &t.Coeff)
-			merged[t.V] = cur
+			t.Coeff.Neg(&t.Coeff)
+		}
+		m.add(t)
+	}
+	k := 0
+	for i := range m.out {
+		if !m.out[i].Coeff.IsZero() {
+			m.out[k] = m.out[i]
+			k++
 		}
 	}
-	accum(a)
-	accum(b)
-	out := make(LC, 0, len(order))
-	for _, v := range order {
-		c := merged[v]
-		if c.IsZero() {
-			continue
-		}
-		out = append(out, Term{Coeff: c, V: v})
-	}
-	return out
+	return m.out[:k]
 }
 
-// SubLC returns a − b.
-func SubLC(a, b LC) LC {
-	var minusOne ff.Fr
-	minusOne.SetOne()
-	minusOne.Neg(&minusOne)
-	return AddLC(a, ScaleLC(b, &minusOne))
+// scanLimit is the most terms a merge finds its variables among by
+// scanning; gadget LCs rarely have more. A longer merge, such as a
+// softmax denominator minus one, indexes them instead: scanning costs up
+// to (|a|+|b|)² steps, which would make a width-w softmax row O(w³).
+const scanLimit = 32
+
+// merger accumulates terms into out, one term per distinct variable in
+// order of first appearance.
+type merger struct {
+	out   LC
+	slots []int32 // 1 + position in out, by hashed variable; nil: scan out
+}
+
+func (m *merger) add(t Term) {
+	if i := m.index(t.V); i < len(m.out) {
+		m.out[i].Coeff.Add(&m.out[i].Coeff, &t.Coeff)
+		return
+	}
+	m.out = append(m.out, t)
+}
+
+// index returns the position of v in out, or len(out) — where add will
+// append it — when v is not there yet.
+func (m *merger) index(v Var) int {
+	if m.slots == nil {
+		for i := range m.out {
+			if m.out[i].V == v {
+				return i
+			}
+		}
+		return len(m.out)
+	}
+	mask := len(m.slots) - 1
+	s := int(uint64(v)*0x9e3779b97f4a7c15>>32) & mask
+	for ; m.slots[s] != 0; s = (s + 1) & mask {
+		if i := int(m.slots[s]) - 1; m.out[i].V == v {
+			return i
+		}
+	}
+	m.slots[s] = int32(len(m.out) + 1)
+	return len(m.out)
 }

@@ -160,3 +160,135 @@ func TestSatisfiedLengthMismatch(t *testing.T) {
 		t.Fatal("short assignment accepted")
 	}
 }
+
+// The map-based linear combination algebra the package shipped before
+// AddLC, SubLC and ScaleLC became map-free: FuzzLCAlgebra holds the
+// shipped functions to its output term for term, order included.
+
+// oracleScaleLC returns c·lc as a fresh linear combination.
+func oracleScaleLC(lc LC, c *ff.Fr) LC {
+	out := make(LC, 0, len(lc))
+	for _, t := range lc {
+		var nc ff.Fr
+		nc.Mul(&t.Coeff, c)
+		if nc.IsZero() {
+			continue
+		}
+		out = append(out, Term{Coeff: nc, V: t.V})
+	}
+	return out
+}
+
+// oracleAddLC returns a + b, merging duplicate variables.
+func oracleAddLC(a, b LC) LC {
+	merged := make(map[Var]ff.Fr, len(a)+len(b))
+	order := make([]Var, 0, len(a)+len(b))
+	accum := func(lc LC) {
+		for _, t := range lc {
+			cur, ok := merged[t.V]
+			if !ok {
+				order = append(order, t.V)
+			}
+			cur.Add(&cur, &t.Coeff)
+			merged[t.V] = cur
+		}
+	}
+	accum(a)
+	accum(b)
+	out := make(LC, 0, len(order))
+	for _, v := range order {
+		c := merged[v]
+		if c.IsZero() {
+			continue
+		}
+		out = append(out, Term{Coeff: c, V: v})
+	}
+	return out
+}
+
+// oracleSubLC returns a − b.
+func oracleSubLC(a, b LC) LC {
+	var minusOne ff.Fr
+	minusOne.SetOne()
+	minusOne.Neg(&minusOne)
+	return oracleAddLC(a, oracleScaleLC(b, &minusOne))
+}
+
+// FuzzLCAlgebra generates linear combinations with variables repeated
+// within and across operands, the constant wire, and zero, ±1, small and
+// random coefficients, and asserts that AddLC, SubLC and ScaleLC return
+// the oracle's terms in the oracle's order. Long operands take the merge
+// past scanLimit, onto its indexed path.
+func FuzzLCAlgebra(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{3, 2, 2, 0, 0, 1, 1, 0, 1, 2, 1, 1, 3})
+	f.Add([]byte{4, 3, 5, 0, 2, 1, 2, 2, 3, 3, 2, 0, 2, 1, 4, 3, 7})
+	// b = 0·z₁ + z₂ + z₁: in a − b, z₁ follows z₂ because ScaleLC drops
+	// the zero term before the merge.
+	f.Add([]byte{9, 0, 0, 3, 0, 1, 1, 2, 1, 1, 1})
+	f.Add(append([]byte{200, 90, 40, 6}, make([]byte, 400)...))
+	// Long operands over 10, 60 and 256 variables: repeats, and more
+	// than scanLimit distinct ones, on the indexed path.
+	for _, vars := range []byte{9, 59, 255} {
+		long := []byte{vars, 70, 75}
+		for i := 0; i < 400; i++ {
+			long = append(long, byte(i*37+i/7))
+		}
+		f.Add(long)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		vars := 1 + next()
+		rng := mrand.New(mrand.NewSource(int64(next())))
+		coeff := func() ff.Fr {
+			var c ff.Fr
+			switch k := next(); k % 5 {
+			case 0: // zero
+			case 1:
+				c.SetOne()
+			case 2:
+				c.SetOne()
+				c.Neg(&c)
+			case 3:
+				c.SetInt64(int64(k) - 128)
+			default:
+				c.SetPseudoRandom(rng)
+			}
+			return c
+		}
+		lc := func() LC {
+			n := next() % 80
+			out := make(LC, n)
+			for i := range out {
+				out[i] = Term{Coeff: coeff(), V: Var(next() % vars)}
+			}
+			return out
+		}
+		a, b := lc(), lc()
+		c := coeff()
+		same := func(op string, got, want LC) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d terms, oracle %d", op, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].V != want[i].V || !got[i].Coeff.Equal(&want[i].Coeff) {
+					t.Fatalf("%s: term %d is %v·z[%d], oracle %v·z[%d]",
+						op, i, &got[i].Coeff, got[i].V, &want[i].Coeff, want[i].V)
+				}
+			}
+		}
+		same("AddLC(a, b)", AddLC(a, b), oracleAddLC(a, b))
+		same("AddLC(b, a)", AddLC(b, a), oracleAddLC(b, a))
+		same("SubLC(a, b)", SubLC(a, b), oracleSubLC(a, b))
+		same("SubLC(b, a)", SubLC(b, a), oracleSubLC(b, a))
+		same("ScaleLC(a, c)", ScaleLC(a, &c), oracleScaleLC(a, &c))
+	})
+}

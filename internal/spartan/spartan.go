@@ -14,6 +14,7 @@ package spartan
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"zkvc/internal/arena"
 	"zkvc/internal/ff"
@@ -108,11 +109,34 @@ func Prove(sys *r1cs.System, z []ff.Fr, params pcs.Params) (*Proof, error) {
 	if len(z) != sys.NumVars {
 		return nil, fmt.Errorf("spartan: assignment length %d != %d", len(z), sys.NumVars)
 	}
-	if err := sys.Satisfied(z); err != nil {
-		return nil, fmt.Errorf("spartan: %w", err)
-	}
 	sx := logDim(sys.NumConstraints())
 	sy := logDim(sys.NumVars)
+
+	// One parallel pass over the constraints evaluates Az, Bz and Cz for
+	// sumcheck 1 and checks Az·Bz = Cz on the way, before anything is
+	// committed. A violation is rare, so only then does the serial
+	// Satisfied run, to name the lowest violated constraint.
+	az := arena.Frs(1 << sx)
+	bz := arena.Frs(1 << sx)
+	cz := arena.Frs(1 << sx)
+	var violated atomic.Bool
+	parallel.For(len(sys.Constraints), 512, func(start, end int) {
+		var ab ff.Fr
+		for q := start; q < end; q++ {
+			az[q] = r1cs.EvalLC(sys.Constraints[q].A, z)
+			bz[q] = r1cs.EvalLC(sys.Constraints[q].B, z)
+			cz[q] = r1cs.EvalLC(sys.Constraints[q].C, z)
+			if ab.Mul(&az[q], &bz[q]); !ab.Equal(&cz[q]) {
+				violated.Store(true)
+			}
+		}
+	})
+	if violated.Load() {
+		arena.PutFrs(az)
+		arena.PutFrs(bz)
+		arena.PutFrs(cz)
+		return nil, fmt.Errorf("spartan: %w", sys.Satisfied(z))
+	}
 
 	// Commit to the private slice (public slots zeroed). Every prover
 	// working vector below is rented scratch: the PCS copies priv into its
@@ -136,16 +160,6 @@ func Prove(sys *r1cs.System, z []ff.Fr, params pcs.Params) (*Proof, error) {
 	// with the one eq table, so the prover folds it once per round and
 	// multiplies it in once per point.
 	tau := tr.ChallengeFrs("tau", sx)
-	az := arena.Frs(1 << sx)
-	bz := arena.Frs(1 << sx)
-	cz := arena.Frs(1 << sx)
-	parallel.For(len(sys.Constraints), 512, func(start, end int) {
-		for q := start; q < end; q++ {
-			az[q] = r1cs.EvalLC(sys.Constraints[q].A, z)
-			bz[q] = r1cs.EvalLC(sys.Constraints[q].B, z)
-			cz[q] = r1cs.EvalLC(sys.Constraints[q].C, z)
-		}
-	})
 	eqTab := arena.Frs(1 << sx)
 	mle.EqTableInto(tau, eqTab)
 	eqTau := &mle.Dense{NumVars: sx, Evals: eqTab}

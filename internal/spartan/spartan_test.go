@@ -3,10 +3,12 @@ package spartan
 import (
 	"errors"
 	mrand "math/rand"
+	"strings"
 	"testing"
 
 	"zkvc/internal/ff"
 	"zkvc/internal/mle"
+	"zkvc/internal/parallel"
 	"zkvc/internal/pcs"
 	"zkvc/internal/r1cs"
 	"zkvc/internal/sumcheck"
@@ -100,6 +102,33 @@ func TestSpartanRejectsBadWitness(t *testing.T) {
 	z[len(z)-1] = fr(6)
 	if _, err := Prove(sys, z, pcs.DefaultParams()); err == nil {
 		t.Fatal("Prove accepted unsatisfying witness")
+	}
+}
+
+// TestSpartanNamesLowestViolatedConstraint breaks two of 2000 copy
+// constraints, in different chunks of the prover's constraint pass, and
+// expects Prove to fail before committing with the error Satisfied gives:
+// the lower of the two, at any worker count.
+func TestSpartanNamesLowestViolatedConstraint(t *testing.T) {
+	b := r1cs.NewBuilder()
+	outs := make([]r1cs.Var, 2000)
+	for q := range outs {
+		outs[q] = b.Mul(r1cs.VarLC(b.Secret(fr(int64(q)))), r1cs.OneLC())
+	}
+	sys, z := b.Finish()
+	z[outs[1500]] = fr(1)
+	z[outs[700]] = fr(2)
+	want := "spartan: " + sys.Satisfied(z).Error()
+	if !strings.Contains(want, "constraint 700 violated") {
+		t.Fatalf("Satisfied names another constraint: %s", want)
+	}
+	defer parallel.SetDefaultSize(0)
+	for _, workers := range []int{1, 4} {
+		parallel.SetDefaultSize(workers)
+		_, err := Prove(sys, z, pcs.DefaultParams())
+		if err == nil || err.Error() != want {
+			t.Fatalf("%d workers: Prove error %v, want %s", workers, err, want)
+		}
 	}
 }
 
