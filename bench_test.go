@@ -330,25 +330,27 @@ func BenchmarkBatchProve(b *testing.B) {
 	})
 }
 
-// softmaxSynthOp returns the synthesis of one 64-wide softmax row under
-// the scaled ViT-CIFAR10 gadget parameters (the model prover's, as in
-// zkml), reporting its constraint count. BenchmarkSoftmaxSynth in
-// internal/gadgets times the same row.
-func softmaxSynthOp() func() (int, error) {
+// softmaxSynthOp returns the synthesis of a softmax op of rows rows of
+// width seeded fixed-point inputs under the scaled ViT-CIFAR10 gadget
+// parameters (the model prover's, as in zkml), reporting its constraint
+// count. BenchmarkSoftmaxSynth in internal/gadgets times one such row.
+func softmaxSynthOp(rows, width int) func() (int, error) {
 	c := nn.ViTCIFAR10().Scaled(32)
 	cfg := gadgets.NonlinearConfig{Fixed: c.Fixed, ExpIters: c.SquareIters, ClipT: c.ClipT, RangeBits: 40}
 	rng := mrand.New(mrand.NewSource(71))
-	vals := make([]ff.Fr, 64)
+	vals := make([]ff.Fr, rows*width)
 	for i := range vals {
 		vals[i].SetInt64(rng.Int63n(8*cfg.Fixed.Scale()) - 6*cfg.Fixed.Scale())
 	}
 	return func() (int, error) {
 		b := r1cs.NewBuilder()
-		ins := make([]r1cs.LC, len(vals))
-		for i := range vals {
-			ins[i] = r1cs.VarLC(b.Secret(vals[i]))
+		for r := 0; r < rows; r++ {
+			ins := make([]r1cs.LC, width)
+			for i := range ins {
+				ins[i] = r1cs.VarLC(b.Secret(vals[r*width+i]))
+			}
+			gadgets.Softmax(b, ins, cfg)
 		}
-		gadgets.Softmax(b, ins, cfg)
 		sys, _ := b.Finish()
 		return sys.NumConstraints(), nil
 	}
@@ -384,12 +386,17 @@ func TestAllocBudget(t *testing.T) {
 		{"PublicAPI/zkVC-S", publicAPIOp(zkvc.Spartan), 2_000, 13_421_220},
 		{"PublicAPI/zkVC-G", publicAPIOp(zkvc.Groth16), 30_979, 37_621_650},
 		{"BatchProve/folded", foldedBatchOp(), 8_251, 8_224_300},
-		// 1.25 × (49 412, 19 382 272), measured when the linear
-		// combination algebra stopped building maps, ToBits stopped
-		// rebuilding its recomposition per bit and the builder began to
-		// double its slices. The same row took 307 644 allocs and 99.3 MB
-		// before (BenchmarkSoftmaxSynth, which skips Finish).
-		{"Synthesize/softmax64", softmaxSynthOp(), 61_765, 24_227_840},
+		// Softmax synthesis, budgeted when the linear combination
+		// algebra stopped building maps and ToBits stopped rebuilding
+		// its recomposition per bit. 4×4 is a softmax op of the scaled
+		// model the prover benchmark runs (ViTCIFAR10().Scaled(32): 4
+		// tokens); 1.25 × (12 346, 5 709 680). One 64-wide row is the
+		// unscaled ViT-CIFAR10 width, whose denominator merges outgrow
+		// the LC algebra's stack table; 1.25 × (49 440, 25 086 336),
+		// where the same row took 307 644 allocs and 99.3 MB before
+		// (BenchmarkSoftmaxSynth, which skips Finish).
+		{"Synthesize/softmax4x4", softmaxSynthOp(4, 4), 15_433, 7_137_100},
+		{"Synthesize/softmax64", softmaxSynthOp(1, 64), 61_800, 31_357_920},
 	} {
 		// One unmeasured op first: the pools fill on it.
 		if _, err := row.op(); err != nil {

@@ -1,6 +1,7 @@
 package gadgets
 
 import (
+	"fmt"
 	"math"
 	mrand "math/rand"
 	"testing"
@@ -287,8 +288,7 @@ func TestSelect(t *testing.T) {
 }
 
 // synthRow builds one softmax row or one row of GELUs over width seeded
-// fixed-point inputs under the scaled-ViT parameters, as the model
-// prover's gadget ops do per row.
+// fixed-point inputs under the scaled-ViT parameters.
 func synthRow(softmax bool, width int) func() {
 	cfg := vitNonlinear()
 	rng := mrand.New(mrand.NewSource(71))
@@ -313,12 +313,20 @@ func synthRow(softmax bool, width int) func() {
 }
 
 // BenchmarkSoftmaxSynth and BenchmarkGELUSynth time gadget synthesis
-// alone; run them with -benchmem to see the allocations per row.
+// alone; run them with -benchmem to see the allocations per row. A
+// softmax row of the scaled ViT the prover benchmark runs
+// (ViTCIFAR10().Scaled(32)) is 4 wide and one of the unscaled model 64
+// wide; its GELU rows are 32 wide, and each GELU is independent of the
+// others in its row.
 func BenchmarkSoftmaxSynth(b *testing.B) {
-	op := synthRow(true, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		op()
+	for _, width := range []int{4, 64} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			op := synthRow(true, width)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
 	}
 }
 

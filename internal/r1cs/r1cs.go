@@ -177,27 +177,11 @@ func (b *Builder) Grow(n, v int) {
 	}
 }
 
-// grow doubles a full constraint list or assignment. append grows a long
-// slice by a quarter at a time, which for a gadget circuit of tens of
-// thousands of constraints allocates and copies about five times its
-// final size; doubling keeps it under twice.
-func (b *Builder) grow() {
-	n, v := 0, 0
-	if len(b.constraints) == cap(b.constraints) {
-		n = max(len(b.constraints), 64)
-	}
-	if len(b.assignment) == cap(b.assignment) {
-		v = max(len(b.assignment), 64)
-	}
-	b.Grow(n, v)
-}
-
 // PublicInput allocates an instance wire with the given value.
 func (b *Builder) PublicInput(v ff.Fr) Var {
 	if b.sealed {
 		panic("r1cs: public inputs must be allocated before private wires")
 	}
-	b.grow()
 	b.assignment = append(b.assignment, v)
 	b.numPublic++
 	return Var(len(b.assignment) - 1)
@@ -206,7 +190,6 @@ func (b *Builder) PublicInput(v ff.Fr) Var {
 // Secret allocates a private (witness) wire with the given value.
 func (b *Builder) Secret(v ff.Fr) Var {
 	b.sealed = true
-	b.grow()
 	b.assignment = append(b.assignment, v)
 	return Var(len(b.assignment) - 1)
 }
@@ -221,7 +204,6 @@ func (b *Builder) Eval(lc LC) ff.Fr { return EvalLC(lc, b.assignment) }
 // AddConstraint appends a raw constraint; the caller is responsible for it
 // being satisfied (checked by Finish in tests via Satisfied).
 func (b *Builder) AddConstraint(a, bb, c LC) {
-	b.grow()
 	b.constraints = append(b.constraints, Constraint{A: a, B: bb, C: c})
 }
 
@@ -328,74 +310,56 @@ func SubLC(a, b LC) LC { return combine(a, b, true) }
 // without a map, in time linear in |a|+|b|.
 func combine(a, b LC, negB bool) LC {
 	n := len(a) + len(b)
-	m := merger{out: make(LC, 0, n)}
-	if n > scanLimit {
-		// At most n variables arrive: the index is never half full.
-		m.slots = make([]int32, 1<<bits.Len(uint(2*n-1)))
+	out := make(LC, 0, n)
+	// One slot per variable seen, at most n of them, in a table of more
+	// than 2n slots, so it is never half full. A merge of up to 31 terms
+	// indexes a table on the stack and allocates only its result; the
+	// scaled-ViT gadgets merge at most 6.
+	var stack [64]int32
+	var slots []int32
+	if size := 1 << bits.Len(uint(2*n)); size <= len(stack) {
+		slots = stack[:size]
+	} else {
+		slots = make([]int32, size)
 	}
-	for i := range a {
-		m.add(a[i])
-	}
-	for _, t := range b {
-		if negB {
-			// −b as ScaleLC(b, −1) forms it: a zero term of b is
-			// dropped before the merge and claims no position.
-			if t.Coeff.IsZero() {
-				continue
+	for k, lc := range [2]LC{a, b} {
+		for _, t := range lc {
+			if k == 1 && negB {
+				// −b as ScaleLC(b, −1) forms it: a zero term of b is
+				// dropped before the merge and claims no position.
+				if t.Coeff.IsZero() {
+					continue
+				}
+				t.Coeff.Neg(&t.Coeff)
 			}
-			t.Coeff.Neg(&t.Coeff)
+			if i := index(slots, out, t.V); i < len(out) {
+				out[i].Coeff.Add(&out[i].Coeff, &t.Coeff)
+			} else {
+				out = append(out, t)
+			}
 		}
-		m.add(t)
 	}
 	k := 0
-	for i := range m.out {
-		if !m.out[i].Coeff.IsZero() {
-			m.out[k] = m.out[i]
+	for i := range out {
+		if !out[i].Coeff.IsZero() {
+			out[k] = out[i]
 			k++
 		}
 	}
-	return m.out[:k]
+	return out[:k]
 }
 
-// scanLimit is the most terms a merge finds its variables among by
-// scanning; gadget LCs rarely have more. A longer merge, such as a
-// softmax denominator minus one, indexes them instead: scanning costs up
-// to (|a|+|b|)² steps, which would make a width-w softmax row O(w³).
-const scanLimit = 32
-
-// merger accumulates terms into out, one term per distinct variable in
-// order of first appearance.
-type merger struct {
-	out   LC
-	slots []int32 // 1 + position in out, by hashed variable; nil: scan out
-}
-
-func (m *merger) add(t Term) {
-	if i := m.index(t.V); i < len(m.out) {
-		m.out[i].Coeff.Add(&m.out[i].Coeff, &t.Coeff)
-		return
-	}
-	m.out = append(m.out, t)
-}
-
-// index returns the position of v in out, or len(out) — where add will
-// append it — when v is not there yet.
-func (m *merger) index(v Var) int {
-	if m.slots == nil {
-		for i := range m.out {
-			if m.out[i].V == v {
-				return i
-			}
-		}
-		return len(m.out)
-	}
-	mask := len(m.slots) - 1
+// index returns the position of v in out, found through the
+// open-addressed slots (1 + position, 0 for empty), or claims a slot for
+// it and returns len(out), where combine appends it.
+func index(slots []int32, out LC, v Var) int {
+	mask := len(slots) - 1
 	s := int(uint64(v)*0x9e3779b97f4a7c15>>32) & mask
-	for ; m.slots[s] != 0; s = (s + 1) & mask {
-		if i := int(m.slots[s]) - 1; m.out[i].V == v {
+	for ; slots[s] != 0; s = (s + 1) & mask {
+		if i := int(slots[s]) - 1; out[i].V == v {
 			return i
 		}
 	}
-	m.slots[s] = int32(len(m.out) + 1)
-	return len(m.out)
+	slots[s] = int32(len(out) + 1)
+	return len(out)
 }

@@ -217,8 +217,8 @@ func oracleSubLC(a, b LC) LC {
 // FuzzLCAlgebra generates linear combinations with variables repeated
 // within and across operands, the constant wire, and zero, ±1, small and
 // random coefficients, and asserts that AddLC, SubLC and ScaleLC return
-// the oracle's terms in the oracle's order. Long operands take the merge
-// past scanLimit, onto its indexed path.
+// the oracle's terms in the oracle's order. Long operands outgrow the
+// merge's stack slot table.
 func FuzzLCAlgebra(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 2, 2, 0, 0, 1, 1, 0, 1, 2, 1, 1, 3})
@@ -228,7 +228,7 @@ func FuzzLCAlgebra(f *testing.F) {
 	f.Add([]byte{9, 0, 0, 3, 0, 1, 1, 2, 1, 1, 1})
 	f.Add(append([]byte{200, 90, 40, 6}, make([]byte, 400)...))
 	// Long operands over 10, 60 and 256 variables: repeats, and more
-	// than scanLimit distinct ones, on the indexed path.
+	// distinct ones than the stack slot table holds.
 	for _, vars := range []byte{9, 59, 255} {
 		long := []byte{vars, 70, 75}
 		for i := 0; i < 400; i++ {
