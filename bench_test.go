@@ -29,6 +29,7 @@ import (
 	"zkvc/internal/nn"
 	"zkvc/internal/planner"
 	"zkvc/internal/r1cs"
+	"zkvc/internal/wire"
 	"zkvc/internal/zkml"
 )
 
@@ -356,6 +357,65 @@ func softmaxSynthOp(rows, width int) func() (int, error) {
 	}
 }
 
+// softmaxOpProof proves the first softmax op of one
+// ViTCIFAR10().Scaled(32) forward pass, a 4×4 op as the model stream
+// sends it: Spartan, with its R1CS system in the frame.
+func softmaxOpProof(tb testing.TB) *zkml.OpProof {
+	tb.Helper()
+	cfg := nn.ViTCIFAR10().Scaled(32)
+	m, err := nn.NewModel(cfg, 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	trace := nn.Trace{Capture: true}
+	m.Forward(m.RandomInput(mrand.New(mrand.NewSource(6))), &trace)
+	for _, op := range trace.Ops {
+		if op.Kind != nn.OpSoftmax {
+			continue
+		}
+		rep, err := zkml.ProveTrace(cfg, &nn.Trace{Capture: true, Ops: []nn.Op{op}}, zkml.DefaultOptions())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return &rep.Ops[0]
+	}
+	tb.Fatal("no softmax op in the trace")
+	return nil
+}
+
+// opFrameOp returns the wire round trip of one model-stream frame —
+// EncodeOpProof, then DecodeOpProof — of op, reporting the frame size.
+func opFrameOp(op *zkml.OpProof) func() (int, error) {
+	return func() (int, error) {
+		frame := wire.EncodeOpProof(op)
+		_, err := wire.DecodeOpProof(frame)
+		return len(frame), err
+	}
+}
+
+// BenchmarkOpFrame times the encode and the decode of one softmax 4×4
+// op frame, the unit the model stream sends and the report repeats.
+func BenchmarkOpFrame(b *testing.B) {
+	op := softmaxOpProof(b)
+	frame := wire.EncodeOpProof(op)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(frame)))
+		for i := 0; i < b.N; i++ {
+			wire.EncodeOpProof(op)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(frame)))
+		for i := 0; i < b.N; i++ {
+			if _, err := wire.DecodeOpProof(frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // TestAllocBudget is the machine-portable gate on the pooled hot path
 // (internal/arena): allocations and bytes per steady-state operation,
 // budgeted at 1.25× what the commit before this test measured. The
@@ -397,6 +457,12 @@ func TestAllocBudget(t *testing.T) {
 		// (BenchmarkSoftmaxSynth, which skips Finish).
 		{"Synthesize/softmax4x4", softmaxSynthOp(4, 4), 15_433, 7_137_100},
 		{"Synthesize/softmax64", softmaxSynthOp(1, 64), 61_800, 31_357_920},
+		// One model-stream frame, encoded and decoded: a proved softmax
+		// op of the scaled model (4×4), its R1CS system in the frame.
+		// 1.25 × (113, 3 584 592) at GOMAXPROCS 1 and 2, budgeted when
+		// the decoder carved every LC from one term slice; a make per LC
+		// took the same row to 17 573 allocs and 10.6 MB.
+		{"Wire/opframe-softmax4x4", opFrameOp(softmaxOpProof(t)), 142, 4_480_740},
 	} {
 		// One unmeasured op first: the pools fill on it.
 		if _, err := row.op(); err != nil {

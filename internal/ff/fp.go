@@ -149,11 +149,14 @@ func (z *Fp) SetPseudoRandom(rng *mrand.Rand) *Fp {
 // Bytes returns the canonical 32-byte big-endian encoding of z,
 // allocation-free (pure limb arithmetic, no math/big).
 func (z *Fp) Bytes() [32]byte {
-	canon := z.Canonical()
 	var out [32]byte
-	limbsToBytesBE(&canon, &out)
+	z.PutBytes(out[:])
 	return out
 }
+
+// PutBytes writes the canonical 32-byte big-endian encoding of z to
+// b[:32], straight into a caller's buffer; it panics if len(b) < 32.
+func (z *Fp) PutBytes(b []byte) { putCanonical((*[4]uint64)(z), b, &pMod) }
 
 // SetBytes interprets b as a big-endian integer mod p. Inputs of at most
 // 32 bytes take an allocation-free limb path.
@@ -178,9 +181,4 @@ func (z *Fp) SetBytesCanonical(b []byte) bool {
 func (z *Fp) String() string { return z.Big().String() }
 
 // Canonical returns the non-Montgomery (canonical) little-endian limbs of z.
-func (z *Fp) Canonical() [4]uint64 {
-	one := [4]uint64{1, 0, 0, 0}
-	var out [4]uint64
-	montMul(&out, (*[4]uint64)(z), &one, &pMod)
-	return out
-}
+func (z *Fp) Canonical() [4]uint64 { return fromMont((*[4]uint64)(z), &pMod) }

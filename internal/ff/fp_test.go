@@ -309,3 +309,63 @@ func BenchmarkFpInverse(b *testing.B) {
 		z.Inverse(&x)
 	}
 }
+
+// byteBenchInputs returns 1024 elements to cycle through: uniformly
+// random ones, or the ±1 that make up most R1CS coefficients.
+func byteBenchInputs(pm1 bool) []Fr {
+	rng := mrand.New(mrand.NewSource(14))
+	xs := make([]Fr, 1024)
+	for i := range xs {
+		switch {
+		case !pm1:
+			xs[i] = randFr(rng)
+		case i%2 == 0:
+			xs[i].SetOne()
+		default:
+			xs[i].SetInt64(-1)
+		}
+	}
+	return xs
+}
+
+func BenchmarkFrBytes(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		pm1  bool
+	}{{"random", false}, {"pm1", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			xs := byteBenchInputs(c.pm1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink byte
+			for i := 0; i < b.N; i++ {
+				out := xs[i&1023].Bytes()
+				sink ^= out[31]
+			}
+			_ = sink
+		})
+	}
+}
+
+func BenchmarkFrSetBytesCanonical(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		pm1  bool
+	}{{"random", false}, {"pm1", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			xs := byteBenchInputs(c.pm1)
+			enc := make([][32]byte, len(xs))
+			for i := range xs {
+				enc[i] = xs[i].Bytes()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var z Fr
+			for i := 0; i < b.N; i++ {
+				if !z.SetBytesCanonical(enc[i&1023][:]) {
+					b.Fatal("canonical encoding rejected")
+				}
+			}
+		})
+	}
+}

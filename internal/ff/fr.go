@@ -140,11 +140,14 @@ func (z *Fr) SetPseudoRandom(rng *mrand.Rand) *Fr {
 // allocation-free (pure limb arithmetic, no math/big) — this is the
 // prover's hottest serialization path.
 func (z *Fr) Bytes() [32]byte {
-	canon := z.Canonical()
 	var out [32]byte
-	limbsToBytesBE(&canon, &out)
+	z.PutBytes(out[:])
 	return out
 }
+
+// PutBytes writes the canonical 32-byte big-endian encoding of z to
+// b[:32], straight into a caller's buffer; it panics if len(b) < 32.
+func (z *Fr) PutBytes(b []byte) { putCanonical((*[4]uint64)(z), b, &rMod) }
 
 // SetBytes interprets b as a big-endian integer mod r. Inputs of at most
 // 32 bytes take an allocation-free limb path; longer inputs fall back to
@@ -192,12 +195,7 @@ func (z *Fr) SetBytesWide(b []byte) *Fr {
 func (z *Fr) String() string { return z.Big().String() }
 
 // Canonical returns the non-Montgomery (canonical) little-endian limbs of z.
-func (z *Fr) Canonical() [4]uint64 {
-	one := [4]uint64{1, 0, 0, 0}
-	var out [4]uint64
-	montMul(&out, (*[4]uint64)(z), &one, &rMod)
-	return out
-}
+func (z *Fr) Canonical() [4]uint64 { return fromMont((*[4]uint64)(z), &rMod) }
 
 // CanonicalSigned returns the canonical limbs of |z| under the balanced
 // representation of Fr — z itself when z ≤ (r−1)/2, else r − z with

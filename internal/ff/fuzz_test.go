@@ -189,3 +189,127 @@ func FuzzMontMul(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCanonicalBytes is the differential check of the crossings out of
+// and into Montgomery form — Fp and Fr Canonical, Bytes, PutBytes, Big
+// and SetBytesCanonical — against math/big alone. Big is the oracle of
+// the other fuzzers and itself goes through fromMont, so nothing here
+// converts through montMul, fromMont or the limb byte codecs: limbs and
+// integers are moved by shifts. The input's first 32 bytes are taken as
+// raw, unreduced Montgomery limbs x (a limb vector that is a nonzero
+// multiple of m is the one whose reduction needs the final
+// subtraction), whose canonical value is x·R⁻¹ mod m; the whole input is
+// also fed to SetBytesCanonical as an encoding.
+func FuzzCanonicalBytes(f *testing.F) {
+	R := new(big.Int).Lsh(big.NewInt(1), 256)
+	for _, m := range []*big.Int{PModulus(), RModulus()} {
+		rm := new(big.Int).Mod(R, m)
+		for _, v := range []*big.Int{
+			big.NewInt(0),
+			big.NewInt(1),
+			rm,                                 // Montgomery limbs of 1
+			new(big.Int).Sub(m, rm),            // Montgomery limbs of −1
+			new(big.Int).Sub(m, big.NewInt(1)), // canonical −1
+			new(big.Int).Set(m),                // REDC lands on m: unreduced zero
+			new(big.Int).Mul(m, big.NewInt(5)),
+			new(big.Int).Add(m, big.NewInt(1)),
+			new(big.Int).Sub(R, big.NewInt(1)),
+		} {
+			var b [32]byte
+			v.FillBytes(b[:])
+			f.Add(b[:])
+		}
+	}
+	f.Add([]byte{1})
+	f.Add(bytes.Repeat([]byte{0}, 33))
+
+	mask := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 64), big.NewInt(1))
+	limbsOf := func(v *big.Int) (l [4]uint64) {
+		for i := range l {
+			l[i] = new(big.Int).And(new(big.Int).Rsh(v, uint(64*i)), mask).Uint64()
+		}
+		return l
+	}
+	bigOf := func(l [4]uint64) *big.Int {
+		v := new(big.Int)
+		for i := 3; i >= 0; i-- {
+			v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(l[i]))
+		}
+		return v
+	}
+	type field struct {
+		name      string
+		m         *big.Int
+		canonical func(x *[4]uint64) [4]uint64
+		put       func(x *[4]uint64, b []byte)
+		bytes     func(x *[4]uint64) [32]byte
+		big       func(x *[4]uint64) *big.Int
+		setCanon  func(z *[4]uint64, b []byte) bool
+	}
+	fields := []field{
+		{"Fp", PModulus(),
+			func(x *[4]uint64) [4]uint64 { return (*Fp)(x).Canonical() },
+			func(x *[4]uint64, b []byte) { (*Fp)(x).PutBytes(b) },
+			func(x *[4]uint64) [32]byte { return (*Fp)(x).Bytes() },
+			func(x *[4]uint64) *big.Int { return (*Fp)(x).Big() },
+			func(z *[4]uint64, b []byte) bool { return (*Fp)(z).SetBytesCanonical(b) }},
+		{"Fr", RModulus(),
+			func(x *[4]uint64) [4]uint64 { return (*Fr)(x).Canonical() },
+			func(x *[4]uint64, b []byte) { (*Fr)(x).PutBytes(b) },
+			func(x *[4]uint64) [32]byte { return (*Fr)(x).Bytes() },
+			func(x *[4]uint64) *big.Int { return (*Fr)(x).Big() },
+			func(z *[4]uint64, b []byte) bool { return (*Fr)(z).SetBytesCanonical(b) }},
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		X := new(big.Int).SetBytes(in[:min(len(in), 32)])
+		B := new(big.Int).SetBytes(in)
+		for _, c := range fields {
+			rInv := new(big.Int).ModInverse(R, c.m)
+			want := new(big.Int).Mul(X, rInv)
+			want.Mod(want, c.m)
+			var wantBytes [32]byte
+			want.FillBytes(wantBytes[:])
+			x := limbsOf(X)
+
+			if got := bigOf(c.canonical(&x)); got.Cmp(want) != 0 {
+				t.Fatalf("%s.Canonical(limbs %v) = %v, want %v", c.name, X, got, want)
+			}
+			if got := c.big(&x); got.Cmp(want) != 0 {
+				t.Fatalf("%s.Big(limbs %v) = %v, want %v", c.name, X, got, want)
+			}
+			if got := c.bytes(&x); got != wantBytes {
+				t.Fatalf("%s.Bytes(limbs %v) = %x, want %x", c.name, X, got, wantBytes)
+			}
+			buf := bytes.Repeat([]byte{0xa5}, 34)
+			c.put(&x, buf[1:])
+			if buf[0] != 0xa5 || buf[33] != 0xa5 || !bytes.Equal(buf[1:33], wantBytes[:]) {
+				t.Fatalf("%s.PutBytes(limbs %v) wrote %x", c.name, X, buf)
+			}
+
+			// The canonical encoding decodes to the reduced Montgomery
+			// limbs, X mod m.
+			var z [4]uint64
+			if !c.setCanon(&z, wantBytes[:]) {
+				t.Fatalf("%s.SetBytesCanonical rejected its own encoding %x", c.name, wantBytes)
+			}
+			if got, w := bigOf(z), new(big.Int).Mod(X, c.m); got.Cmp(w) != 0 {
+				t.Fatalf("%s.SetBytesCanonical(%x) = limbs %v, want %v", c.name, wantBytes, got, w)
+			}
+
+			// The raw input as an encoding: accepted iff it is 32 bytes
+			// below m, as the limbs B·R mod m; zero otherwise.
+			ok := c.setCanon(&z, in)
+			switch wantOK := len(in) == 32 && B.Cmp(c.m) < 0; {
+			case ok != wantOK:
+				t.Fatalf("%s.SetBytesCanonical(%x) = %v, want %v", c.name, in, ok, wantOK)
+			case !ok && z != [4]uint64{}:
+				t.Fatalf("%s.SetBytesCanonical(%x) failed but left %v", c.name, in, z)
+			case ok:
+				w := new(big.Int).Lsh(B, 256)
+				if got := bigOf(z); got.Cmp(w.Mod(w, c.m)) != 0 {
+					t.Fatalf("%s.SetBytesCanonical(%x) = limbs %v, want %v", c.name, in, got, w)
+				}
+			}
+		}
+	})
+}

@@ -9,6 +9,7 @@
 package ff
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/bits"
 )
@@ -18,7 +19,9 @@ type modulus struct {
 	limbs [4]uint64 // little-endian limbs of the prime
 	ninv  uint64    // -limbs^{-1} mod 2^64
 	r     [4]uint64 // 2^256 mod m (Montgomery form of 1)
+	negR  [4]uint64 // m − (2^256 mod m) (Montgomery form of −1)
 	r2    [4]uint64 // 2^512 mod m (used to enter Montgomery form)
+	m1    [4]uint64 // m − 1 (the canonical limbs of −1)
 	half  [4]uint64 // (m-1)/2, the largest "non-negative" canonical value
 	big   *big.Int  // the prime as a big.Int
 }
@@ -61,6 +64,9 @@ func initModulus(m *modulus, dec string) {
 	r := new(big.Int).Lsh(big.NewInt(1), 256)
 	r.Mod(r, v)
 	bigToLimbs(r, &m.r)
+	modNeg(&m.negR, &m.r, m)
+	m.m1 = m.limbs
+	m.m1[0]-- // m is odd
 
 	r2 := new(big.Int).Lsh(big.NewInt(1), 512)
 	r2.Mod(r2, v)
@@ -72,31 +78,32 @@ func initModulus(m *modulus, dec string) {
 func bigToLimbs(v *big.Int, out *[4]uint64) {
 	var buf [32]byte
 	v.FillBytes(buf[:])
-	for i := 0; i < 4; i++ {
-		out[i] = be64(buf[32-8*(i+1):])
-	}
-}
-
-func be64(b []byte) uint64 {
-	return uint64(b[7]) | uint64(b[6])<<8 | uint64(b[5])<<16 | uint64(b[4])<<24 |
-		uint64(b[3])<<32 | uint64(b[2])<<40 | uint64(b[1])<<48 | uint64(b[0])<<56
+	limbsFromBytesBE(buf[:], out)
 }
 
 // limbsToBytesBE writes the little-endian limb vector as 32 big-endian
-// bytes without going through math/big — this is the prover's hottest
-// serialization (every transcript absorb and Merkle leaf).
-func limbsToBytesBE(l *[4]uint64, out *[32]byte) {
-	for i := 0; i < 4; i++ {
-		v := l[i]
-		for j := 0; j < 8; j++ {
-			out[31-8*i-j] = byte(v >> (8 * j))
-		}
-	}
+// bytes to out[:32], one byte-swapped word store per limb — this is the
+// prover's hottest serialization (every transcript absorb and Merkle
+// leaf).
+func limbsToBytesBE(l *[4]uint64, out []byte) {
+	_ = out[31]
+	binary.BigEndian.PutUint64(out[0:8], l[3])
+	binary.BigEndian.PutUint64(out[8:16], l[2])
+	binary.BigEndian.PutUint64(out[16:24], l[1])
+	binary.BigEndian.PutUint64(out[24:32], l[0])
 }
 
 // limbsFromBytesBE loads up to 32 big-endian bytes into little-endian
-// limbs (the value is NOT reduced mod anything).
+// limbs (the value is NOT reduced mod anything). A full 32-byte input is
+// four word loads; shorter ones go a byte at a time.
 func limbsFromBytesBE(b []byte, out *[4]uint64) {
+	if len(b) == 32 {
+		out[3] = binary.BigEndian.Uint64(b[0:8])
+		out[2] = binary.BigEndian.Uint64(b[8:16])
+		out[1] = binary.BigEndian.Uint64(b[16:24])
+		out[0] = binary.BigEndian.Uint64(b[24:32])
+		return
+	}
 	*out = [4]uint64{}
 	for i := 0; i < len(b); i++ {
 		v := uint64(b[len(b)-1-i])
@@ -121,7 +128,8 @@ func montFromRaw(z, raw *[4]uint64, m *modulus) {
 // the 32 big-endian bytes b and reports true. Anything else — another
 // length, or a value ≥ m that would only be valid after reduction — leaves
 // z zero and reports false. A limb compare against the modulus, no
-// math/big: this is the strict decoder's per-element check.
+// math/big: this is the strict decoder's per-element check. The values 1
+// and −1, most R1CS coefficients, are set without a multiply.
 func setCanonical(z *[4]uint64, b []byte, m *modulus) bool {
 	*z = [4]uint64{}
 	if len(b) != 32 {
@@ -129,16 +137,89 @@ func setCanonical(z *[4]uint64, b []byte, m *modulus) bool {
 	}
 	var raw [4]uint64
 	limbsFromBytesBE(b, &raw)
-	if geqLimbs(&raw, &m.limbs) {
+	switch {
+	case raw == [4]uint64{1}:
+		*z = m.r
+	case raw == m.m1:
+		*z = m.negR
+	case geqLimbs(&raw, &m.limbs):
 		return false
+	default:
+		montMul(z, &raw, &m.r2, m)
 	}
-	montFromRaw(z, &raw, m)
 	return true
+}
+
+// putCanonical writes the canonical 32-byte big-endian encoding of the
+// Montgomery-form limbs l to out[:32]: 1 and −1 from constants, anything
+// else through fromMont.
+func putCanonical(l *[4]uint64, out []byte, m *modulus) {
+	var c [4]uint64
+	switch *l {
+	case m.r:
+		c = [4]uint64{1}
+	case m.negR:
+		c = m.m1
+	default:
+		c = fromMont(l, m)
+	}
+	limbsToBytesBE(&c, out)
+}
+
+// fromMont returns x·R⁻¹ mod m, the canonical limbs of the Montgomery
+// form x: Montgomery reduction (REDC) alone, four rounds of t ← (t +
+// u·m)/2⁶⁴ with u = t₀·(−m⁻¹) mod 2⁶⁴ — the reduction half of montMul,
+// without its products. After the rounds t ≤ (x + (R−1)·m)/R < m + 1
+// for any x < 2²⁵⁶, so the conditional subtraction only fires for limbs
+// that are a nonzero multiple of m (unreduced zero).
+func fromMont(x *[4]uint64, m *modulus) [4]uint64 {
+	m0, m1, m2, m3, ninv := m.limbs[0], m.limbs[1], m.limbs[2], m.limbs[3], m.ninv
+	t0, t1, t2, t3 := x[0], x[1], x[2], x[3]
+	var c, u uint64
+
+	u = t0 * ninv
+	c, _ = madd1(u, m0, t0)
+	c, t0 = madd2(u, m1, t1, c)
+	c, t1 = madd2(u, m2, t2, c)
+	c, t2 = madd2(u, m3, t3, c)
+	t3 = c
+
+	u = t0 * ninv
+	c, _ = madd1(u, m0, t0)
+	c, t0 = madd2(u, m1, t1, c)
+	c, t1 = madd2(u, m2, t2, c)
+	c, t2 = madd2(u, m3, t3, c)
+	t3 = c
+
+	u = t0 * ninv
+	c, _ = madd1(u, m0, t0)
+	c, t0 = madd2(u, m1, t1, c)
+	c, t1 = madd2(u, m2, t2, c)
+	c, t2 = madd2(u, m3, t3, c)
+	t3 = c
+
+	u = t0 * ninv
+	c, _ = madd1(u, m0, t0)
+	c, t0 = madd2(u, m1, t1, c)
+	c, t1 = madd2(u, m2, t2, c)
+	c, t2 = madd2(u, m3, t3, c)
+	t3 = c
+
+	var z [4]uint64
+	var b uint64
+	z[0], b = bits.Sub64(t0, m0, 0)
+	z[1], b = bits.Sub64(t1, m1, b)
+	z[2], b = bits.Sub64(t2, m2, b)
+	z[3], b = bits.Sub64(t3, m3, b)
+	if b != 0 {
+		return [4]uint64{t0, t1, t2, t3}
+	}
+	return z
 }
 
 func limbsToBig(l *[4]uint64) *big.Int {
 	var buf [32]byte
-	limbsToBytesBE(l, &buf)
+	limbsToBytesBE(l, buf[:])
 	return new(big.Int).SetBytes(buf[:])
 }
 
@@ -287,10 +368,8 @@ func geqLimbs(a, b *[4]uint64) bool {
 
 // montToBig converts a Montgomery-form limb vector to a canonical big.Int.
 func montToBig(l *[4]uint64, m *modulus) *big.Int {
-	var one = [4]uint64{1, 0, 0, 0}
-	var out [4]uint64
-	montMul(&out, l, &one, m)
-	return limbsToBig(&out)
+	c := fromMont(l, m)
+	return limbsToBig(&c)
 }
 
 // bigToMont loads a big.Int (any sign/magnitude) into Montgomery form.

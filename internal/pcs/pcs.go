@@ -128,8 +128,9 @@ func Commit(values []ff.Fr, p Params) (*Commitment, *ProverState, error) {
 		}
 	})
 	// Column leaves are hashed straight into the tree's leaf layer from a
-	// per-chunk rented serialization buffer, so no leaf byte slices are
-	// ever materialized. The buffer layout reproduces
+	// per-chunk rented serialization buffer, each element's canonical
+	// bytes written in place, so no leaf byte slices are ever
+	// materialized. The buffer layout reproduces
 	// hashLeaf(leafBytes(column)) exactly: 0x00 domain tag, then the
 	// little-endian row count, then the big-endian column elements.
 	leafHashes := arena.Hashes(d.N)
@@ -139,8 +140,7 @@ func Commit(values []ff.Fr, p Params) (*Commitment, *ProverState, error) {
 		binary.LittleEndian.PutUint64(scratch[1:9], uint64(rows))
 		for j := start; j < end; j++ {
 			for i := 0; i < rows; i++ {
-				b := st.codeword[i][j].Bytes()
-				copy(scratch[9+32*i:], b[:])
+				st.codeword[i][j].PutBytes(scratch[9+32*i:])
 			}
 			leafHashes[j] = sha256.Sum256(scratch[:9+32*rows])
 		}
@@ -281,8 +281,7 @@ func VerifyOpen(c *Commitment, point []ff.Fr, claim *ff.Fr, op *Opening, p Param
 			return fmt.Errorf("%w: column height mismatch", ErrOpening)
 		}
 		for i := range col.Values {
-			b := col.Values[i].Bytes()
-			copy(leafScratch[8+32*i:], b[:])
+			col.Values[i].PutBytes(leafScratch[8+32*i:])
 		}
 		if !verifyPath(c.Root, leafScratch, j, col.Path) {
 			return fmt.Errorf("%w: bad Merkle path for column %d", ErrOpening, j)

@@ -12,9 +12,11 @@ package wire
 // proof simply could not leave the process.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"zkvc"
@@ -336,6 +338,17 @@ func encodeLC(e *enc, lc r1cs.LC) {
 	}
 }
 
+// systemSize is the encoded length of sys: three u32 headers, then per
+// LC a u32 term count and 36 bytes a term.
+func systemSize(sys *r1cs.System) int {
+	n := 12
+	for q := range sys.Constraints {
+		c := &sys.Constraints[q]
+		n += 12 + 36*(len(c.A)+len(c.B)+len(c.C))
+	}
+	return n
+}
+
 func decodeSystemBody(d *dec) *r1cs.System {
 	sys := &r1cs.System{}
 	sys.NumPublic = d.u32pos("public wires", maxWires)
@@ -344,21 +357,50 @@ func decodeSystemBody(d *dec) *r1cs.System {
 		d.fail("%d wires but %d public", sys.NumVars, sys.NumPublic)
 	}
 	sys.Constraints = make([]r1cs.Constraint, d.count("constraints", maxConstraints, 12))
+	// Every LC is carved from one term slice instead of a make per LC.
+	terms := make([]r1cs.Term, d.lcTerms(3*len(sys.Constraints)))
 	for q := range sys.Constraints {
 		c := &sys.Constraints[q]
-		c.A = decodeLC(d, sys.NumVars)
-		c.B = decodeLC(d, sys.NumVars)
-		c.C = decodeLC(d, sys.NumVars)
+		c.A = decodeLC(d, sys.NumVars, &terms)
+		c.B = decodeLC(d, sys.NumVars, &terms)
+		c.C = decodeLC(d, sys.NumVars, &terms)
 	}
 	return sys
 }
 
-func decodeLC(d *dec, numVars int) r1cs.LC {
+// lcTerms totals the term counts of the next lcs LCs without consuming
+// input. It stops at the first count whose terms the remaining bytes
+// cannot hold (where decodeLC's count check fails), so the total — an
+// allocation size — is bounded by the input, whatever the counts claim.
+func (d *dec) lcTerms(lcs int) int {
+	if d.err != nil {
+		return 0
+	}
+	total, off := 0, d.off
+	for i := 0; i < lcs && len(d.b)-off >= 4; i++ {
+		n := int(binary.BigEndian.Uint32(d.b[off:]))
+		off += 4
+		if n > (len(d.b)-off)/36 {
+			break
+		}
+		off += 36 * n
+		total += n
+	}
+	return total
+}
+
+// decodeLC reads one LC into the front of *pool, the term slice
+// lcTerms sized.
+func decodeLC(d *dec, numVars int, pool *[]r1cs.Term) r1cs.LC {
 	n := d.count("LC terms", maxWires, 36)
-	if n == 0 {
+	if n > len(*pool) {
+		d.fail("LC of %d terms overruns the pre-scanned %d", n, len(*pool))
+	}
+	if n == 0 || d.err != nil {
 		return nil
 	}
-	lc := make(r1cs.LC, n)
+	lc := (*pool)[:n:n]
+	*pool = (*pool)[n:]
 	for i := range lc {
 		v := d.u32()
 		if int(v) >= numVars {
@@ -370,12 +412,32 @@ func decodeLC(d *dec, numVars int) r1cs.LC {
 	return lc
 }
 
+// opSize bounds the encoded length of op from what it holds — the
+// system exactly, the payload by its SizeBytes plus count prefixes — so
+// an encoder sizes its buffer once. The declared Stats and ProofBytes
+// are not used: on the verify path they are decoder input, and a buffer
+// sized from them could be made arbitrarily large.
+func opSize(op *zkml.OpProof) int {
+	n := 1024 + len(op.Tag) + 32*len(op.Public)
+	if op.Sys != nil {
+		n += systemSize(op.Sys)
+	}
+	if op.Spartan != nil {
+		n += op.Spartan.SizeBytes() + 4*len(op.Spartan.Opening.Columns)
+	}
+	if op.G16VK != nil {
+		n += 65 * len(op.G16VK.IC)
+	}
+	return n
+}
+
 // ---- OpProof ----
 
 // EncodeOpProof serializes one per-operation proof as a top-level
 // message — the unit /v1/prove/model streams.
 func EncodeOpProof(op *zkml.OpProof) []byte {
 	e := newEnc(TagOpProof)
+	e.buf = slices.Grow(e.buf, opSize(op))
 	encodeOpProofBody(e, op)
 	return e.buf
 }
@@ -473,6 +535,11 @@ func EncodeReport(rep *zkml.Report) []byte {
 // encodeReportBody writes a report's header and ops — shared between the
 // standalone TagReport message and the mode-carrying verify request.
 func encodeReportBody(e *enc, rep *zkml.Report) {
+	n := 1024 + len(rep.Model)
+	for i := range rep.Ops {
+		n += opSize(&rep.Ops[i])
+	}
+	e.buf = slices.Grow(e.buf, n)
 	e.str(rep.Model)
 	encodeBackend(e, rep.Backend)
 	encodeOptions(e, rep.Circuit)

@@ -2,13 +2,17 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math/big"
 	mrand "math/rand"
 	"testing"
 	"testing/iotest"
 
+	"zkvc/internal/ff"
 	"zkvc/internal/nn"
+	"zkvc/internal/r1cs"
 	"zkvc/internal/wire"
 	"zkvc/internal/zkml"
 )
@@ -229,5 +233,126 @@ func TestReadFrameAllocatesForBytesReceived(t *testing.T) {
 	broken := io.MultiReader(bytes.NewReader(partial[:100]), iotest.ErrReader(cause))
 	if _, err := wire.ReadFrame(broken); !errors.Is(err, cause) || !errors.Is(err, wire.ErrDecode) {
 		t.Fatalf("broken read: %v, want ErrDecode wrapping the cause", err)
+	}
+}
+
+// TestLCCoefficientFastPaths pins the R1CS codec around its shortcuts:
+// the ±1 coefficients that skip arithmetic in ff and the LCs carved from
+// one pre-scanned term slice. A Spartan op frame carries a hand-built
+// system; a marker coefficient, unique in the frame, locates the bytes
+// the test rewrites.
+func TestLCCoefficientFastPaths(t *testing.T) {
+	_, _, rep := modelFixture(t, zkml.Spartan, 27)
+	rng := mrand.New(mrand.NewSource(27))
+	var one, minusOne, two, rMinus2, marker ff.Fr
+	one.SetOne()
+	minusOne.Neg(&one)
+	two.SetUint64(2)
+	rMinus2.Neg(&two)
+	marker.SetPseudoRandom(rng)
+	coeffs := []ff.Fr{{}, one, minusOne, two, rMinus2}
+	for i := 0; i < 8; i++ {
+		var c ff.Fr
+		coeffs = append(coeffs, *c.SetPseudoRandom(rng))
+	}
+	op := rep.Ops[0]
+	sys := &r1cs.System{NumPublic: len(op.Public), NumVars: len(op.Public) + 2}
+	lc := r1cs.LC{{Coeff: marker, V: 1}}
+	for i, c := range coeffs {
+		lc = append(lc, r1cs.Term{Coeff: c, V: r1cs.Var(i % sys.NumVars)})
+		sys.Constraints = append(sys.Constraints, r1cs.Constraint{
+			A: r1cs.LC{{Coeff: c, V: 0}}, B: r1cs.LC{{Coeff: one, V: r1cs.Var(sys.NumVars - 1)}}, C: nil})
+	}
+	sys.Constraints = append(sys.Constraints, r1cs.Constraint{A: lc, B: r1cs.LC{{Coeff: minusOne, V: 0}}, C: lc[1:]})
+	op.Sys = sys
+
+	frame := wire.EncodeOpProof(&op)
+	back, err := wire.DecodeOpProof(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wire.EncodeOpProof(back), frame) {
+		t.Fatal("op frame does not re-encode to the same bytes")
+	}
+	for q, c := range sys.Constraints {
+		d := back.Sys.Constraints[q]
+		for k, pair := range [][2]r1cs.LC{{c.A, d.A}, {c.B, d.B}, {c.C, d.C}} {
+			if len(pair[0]) != len(pair[1]) {
+				t.Fatalf("constraint %d LC %d: %d terms back, want %d", q, k, len(pair[1]), len(pair[0]))
+			}
+			for i := range pair[0] {
+				if pair[0][i] != pair[1][i] {
+					t.Fatalf("constraint %d LC %d term %d changed across the round trip", q, k, i)
+				}
+			}
+		}
+	}
+
+	markerBytes := marker.Bytes()
+	at := bytes.Index(frame, markerBytes[:])
+	if at < 0 || bytes.Index(frame[at+1:], markerBytes[:]) >= 0 {
+		t.Fatal("marker coefficient is not unique in the frame")
+	}
+	// Each candidate replaces the marker: a value below r decodes to
+	// exactly that element and re-encodes to the same frame; anything
+	// else is an ErrDecode.
+	r := ff.RModulus()
+	try := func(enc [32]byte) {
+		t.Helper()
+		f := bytes.Clone(frame)
+		copy(f[at:], enc[:])
+		got, err := wire.DecodeOpProof(f)
+		v := new(big.Int).SetBytes(enc[:])
+		if v.Cmp(r) >= 0 {
+			if !errors.Is(err, wire.ErrDecode) {
+				t.Fatalf("coefficient %x ≥ r: %v, want ErrDecode", enc, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("coefficient %x < r rejected: %v", enc, err)
+		}
+		last := got.Sys.Constraints[len(got.Sys.Constraints)-1]
+		if c := last.A[0].Coeff; c.Big().Cmp(v) != 0 {
+			t.Fatalf("coefficient %x decoded as %v", enc, c.Big())
+		}
+		if !bytes.Equal(wire.EncodeOpProof(got), f) {
+			t.Fatalf("coefficient %x does not re-encode to the same bytes", enc)
+		}
+	}
+	for _, c := range []ff.Fr{one, minusOne} {
+		enc := c.Bytes()
+		try(enc)
+		for bit := 0; bit < 256; bit++ {
+			flipped := enc
+			flipped[bit/8] ^= 1 << (bit % 8)
+			try(flipped)
+		}
+	}
+	var rPlus1, all [32]byte
+	new(big.Int).Add(r, big.NewInt(1)).FillBytes(rPlus1[:])
+	for i := range all {
+		all[i] = 0xff
+	}
+	try(rPlus1)
+	try(all)
+
+	// LC counts that claim more terms than the frame holds: the marker
+	// LC's count sits 8 bytes before its first coefficient (count, wire).
+	countAt := at - 8
+	if n := binary.BigEndian.Uint32(frame[countAt:]); n != uint32(len(lc)) {
+		t.Fatalf("marker LC count reads %d, want %d", n, len(lc))
+	}
+	for _, n := range []uint32{uint32(len(lc) + 1), uint32(len(frame) / 36), 1 << 22, 1<<32 - 1} {
+		f := bytes.Clone(frame)
+		binary.BigEndian.PutUint32(f[countAt:], n)
+		var err error
+		allocated := allocatedBy(func() { _, err = wire.DecodeOpProof(f) })
+		if !errors.Is(err, wire.ErrDecode) {
+			t.Fatalf("LC count %d: %v, want ErrDecode", n, err)
+		}
+		if allocated > 8*uint64(len(frame))+1<<20 {
+			t.Fatalf("LC count %d: a %d-byte frame allocated %d bytes", n, len(frame), allocated)
+		}
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"zkvc/internal/curve"
 	"zkvc/internal/ff"
@@ -194,9 +195,11 @@ func (e *enc) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
+// fr writes a field element's canonical bytes straight into the buffer.
 func (e *enc) fr(x *ff.Fr) {
-	b := x.Bytes()
-	e.buf = append(e.buf, b[:]...)
+	n := len(e.buf)
+	e.buf = slices.Grow(e.buf, 32)[:n+32]
+	x.PutBytes(e.buf[n:])
 }
 
 // frs writes field elements back to back, with no count.
@@ -213,8 +216,9 @@ func (e *enc) frVec(xs []ff.Fr) {
 }
 
 func (e *enc) fp(x *ff.Fp) {
-	b := x.Bytes()
-	e.buf = append(e.buf, b[:]...)
+	n := len(e.buf)
+	e.buf = slices.Grow(e.buf, 32)[:n+32]
+	x.PutBytes(e.buf[n:])
 }
 
 func (e *enc) g1(p *curve.G1Affine) {
