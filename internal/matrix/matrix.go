@@ -4,6 +4,7 @@ package matrix
 
 import (
 	"fmt"
+	"math/bits"
 	mrand "math/rand"
 
 	"zkvc/internal/ff"
@@ -59,10 +60,14 @@ func (m *Matrix) Equal(o *Matrix) bool {
 	return true
 }
 
-// Mul returns m·o. Output rows are split into blocks across the shared
-// worker budget (zkvc.SetParallelism); each block is an independent
-// i-k-j walk over disjoint output rows, so the product is identical at
-// every parallelism level.
+// Mul returns m·o. Quantized tensors hold small signed integers; when
+// both operands do and n·max|m|·max|o| < 2^63 for inner dimension n, no
+// partial sum can leave int64, so the product is taken exactly in machine
+// integers and each output entry is set once. Any other input takes the
+// field i-k-j loop. Output rows are split into blocks
+// across the shared worker budget (zkvc.SetParallelism); each block writes
+// disjoint output rows, so the product is identical at every parallelism
+// level.
 func Mul(m, o *Matrix) *Matrix {
 	if m.Cols != o.Rows {
 		panic(fmt.Sprintf("matrix: %dx%d · %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
@@ -74,6 +79,24 @@ func Mul(m, o *Matrix) *Matrix {
 	grain := 1
 	if rowWork > 0 && rowWork < 4096 {
 		grain = (4096 + rowWork - 1) / rowWork
+	}
+	if xs, ws, ok := intOperands(m, o); ok {
+		acc := make([]int64, len(out.Data))
+		parallel.For(m.Rows, grain, func(rStart, rEnd int) {
+			for i := rStart; i < rEnd; i++ {
+				row := acc[i*o.Cols : (i+1)*o.Cols]
+				for k, xik := range xs[i*m.Cols : (i+1)*m.Cols] {
+					wRow := ws[k*o.Cols:][:len(row)]
+					for j := range row {
+						row[j] += xik * wRow[j]
+					}
+				}
+				for j, v := range row {
+					out.At(i, j).SetInt64(v)
+				}
+			}
+		})
+		return out
 	}
 	parallel.For(m.Rows, grain, func(rStart, rEnd int) {
 		var t ff.Fr
@@ -93,6 +116,39 @@ func Mul(m, o *Matrix) *Matrix {
 		}
 	})
 	return out
+}
+
+// intOperands returns the entries of m and o as int64, with ok set when
+// Mul may take the integer path: every entry's balanced representative
+// (Fr.CanonicalSigned) fits in 63 bits and n·max|m|·max|o| < 2^63, checked
+// in 128-bit arithmetic.
+func intOperands(m, o *Matrix) (xs, ws []int64, ok bool) {
+	xs, xMax, ok := smallInts(m.Data)
+	if !ok {
+		return nil, nil, false
+	}
+	ws, wMax, ok := smallInts(o.Data)
+	hi, p := bits.Mul64(xMax, wMax)
+	hi2, p2 := bits.Mul64(p, uint64(m.Cols))
+	return xs, ws, ok && hi == 0 && hi2 == 0 && p2 < 1<<63
+}
+
+// smallInts converts a to int64 and returns the largest magnitude, or
+// ok = false at the first entry whose magnitude needs more than 63 bits.
+func smallInts(a []ff.Fr) (vals []int64, maxMag uint64, ok bool) {
+	vals = make([]int64, len(a))
+	for i := range a {
+		mag, neg := a[i].CanonicalSigned()
+		if mag[1]|mag[2]|mag[3] != 0 || mag[0] >= 1<<63 {
+			return nil, 0, false
+		}
+		vals[i] = int64(mag[0])
+		if neg {
+			vals[i] = -vals[i]
+		}
+		maxMag = max(maxMag, mag[0])
+	}
+	return vals, maxMag, true
 }
 
 // Random fills a matrix with small signed integers in [−bound, bound],

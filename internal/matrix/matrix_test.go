@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"bytes"
+	"math/big"
 	mrand "math/rand"
 	"testing"
 	"testing/quick"
@@ -153,5 +154,145 @@ func TestQuickMulAssociativity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mulField is the field-only i-k-j product, the oracle for Mul's integer
+// path.
+func mulField(m, o *Matrix) *Matrix {
+	out := New(m.Rows, o.Cols)
+	var t ff.Fr
+	for i := 0; i < m.Rows; i++ {
+		for k := 0; k < m.Cols; k++ {
+			for j := 0; j < o.Cols; j++ {
+				t.Mul(m.At(i, k), o.At(k, j))
+				out.At(i, j).Add(out.At(i, j), &t)
+			}
+		}
+	}
+	return out
+}
+
+// mulBounds are the magnitude bounds FuzzMulSmallInts draws entries at
+// and just past: int8/int16 quantization, 2^20, the 2^31 and 2^62 edges
+// of n·max|x|·max|w| < 2^63, and the 63-bit edge of a single entry.
+var mulBounds = []int64{256, 1 << 15, 1 << 20, 1 << 31, 1<<31 + 1, 1 << 62, 1<<63 - 1}
+
+// FuzzMulSmallInts checks Mul against the field-only oracle on entries
+// that are 0, ±1, ±256, at and just past a magnitude bound, r − 1, small
+// random or random full-width, over shapes up to inner dimension 64. It
+// also checks that the integer path is taken exactly when every entry is
+// a signed integer below 2^63 in magnitude and n·max|x|·max|w| < 2^63,
+// both worked out in math/big.
+func FuzzMulSmallInts(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1})
+	f.Add([]byte{2, 63, 7, 2, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
+	f.Add([]byte{7, 40, 3, 0, 12, 0x13, 0x05, 0x0d, 0x0e, 0x1c})
+	f.Add([]byte{3, 5, 4, 6, 3, 0x04, 0x0c, 0x0f, 0x05})
+	// n·max|x|·max|w| exactly 2^63: 1×2 times 2×1, all entries 2^31.
+	f.Add([]byte{0, 1, 0, 3, 0, 3, 3, 3, 3})
+	// Below 2^63: 2^62 times 1, and (2^63 − 1) times 1 and −1.
+	f.Add([]byte{0, 0, 0, 5, 0, 3, 1})
+	f.Add([]byte{0, 0, 1, 6, 0, 3, 1, 9})
+	one := big.NewInt(1)
+	limit := new(big.Int).Lsh(one, 63)
+	r := ff.RModulus()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		rows, n, cols := 1+next()%8, 1+next()%64, 1+next()%8
+		bound := mulBounds[next()%len(mulBounds)]
+		rng := mrand.New(mrand.NewSource(int64(next())))
+		entry := func() ff.Fr {
+			k := next()
+			v := new(big.Int)
+			switch k & 7 {
+			case 1:
+				v.SetInt64(1)
+			case 2:
+				v.SetInt64(256)
+			case 3:
+				v.SetInt64(bound)
+			case 4:
+				v.Add(v.SetInt64(bound), one)
+			case 5:
+				v.Sub(r, one)
+			case 6:
+				v.SetInt64(rng.Int63n(bound) + 1)
+			case 7:
+				v.Rand(rng, r)
+			}
+			if k&8 != 0 {
+				v.Neg(v)
+			}
+			var x ff.Fr
+			x.SetBig(v)
+			return x
+		}
+		// fill also returns the largest entry magnitude under the
+		// balanced representation, and whether every magnitude is below
+		// 2^63.
+		fill := func(nr, nc int) (*Matrix, *big.Int, bool) {
+			m := New(nr, nc)
+			maxMag, small := new(big.Int), true
+			for i := range m.Data {
+				m.Data[i] = entry()
+				v := m.Data[i].Big()
+				if v.Cmp(new(big.Int).Rsh(r, 1)) > 0 {
+					v.Sub(r, v)
+				}
+				small = small && v.Cmp(limit) < 0
+				if v.Cmp(maxMag) > 0 {
+					maxMag = v
+				}
+			}
+			return m, maxMag, small
+		}
+		x, xMax, xSmall := fill(rows, n)
+		w, wMax, wSmall := fill(n, cols)
+
+		if !Mul(x, w).Equal(mulField(x, w)) {
+			t.Fatalf("%dx%dx%d at bound %d: Mul disagrees with the field product", rows, n, cols, bound)
+		}
+		prod := new(big.Int).Mul(xMax, wMax)
+		prod.Mul(prod, big.NewInt(int64(n)))
+		want := xSmall && wSmall && prod.Cmp(limit) < 0
+		if _, _, ok := intOperands(x, w); ok != want {
+			t.Fatalf("%dx%dx%d: integer path %v, want %v (n·max|x|·max|w| = %v)", rows, n, cols, ok, want, prod)
+		}
+	})
+}
+
+// BenchmarkMatMul times the paper's 49×64×128 product on int8-range
+// quantized entries (the integer path) and on full-width field entries
+// (the field loop).
+func BenchmarkMatMul(b *testing.B) {
+	rng := mrand.New(mrand.NewSource(3))
+	full := func(rows, cols int) *Matrix {
+		m := New(rows, cols)
+		for i := range m.Data {
+			m.Data[i].SetPseudoRandom(rng)
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name string
+		x, w *Matrix
+	}{
+		{"small", Random(rng, 49, 64, 128), Random(rng, 64, 128, 128)},
+		{"full", full(49, 64), full(64, 128)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				Mul(c.x, c.w)
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ package pcs
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 
 	"zkvc/internal/arena"
 	"zkvc/internal/parallel"
@@ -44,28 +43,6 @@ func hashNode(l, r [32]byte) [32]byte {
 	copy(buf[1:], l[:])
 	copy(buf[33:], r[:])
 	return sha256.Sum256(buf[:])
-}
-
-// newMerkleTree hashes raw leaves and builds the tree (non-power-of-two
-// counts are padded with the empty leaf hash). The hot path is
-// newMerkleTreeHashed; this wrapper serves callers that still hold leaf
-// byte slices.
-func newMerkleTree(leaves [][]byte) *merkleTree {
-	n := 1
-	for n < len(leaves) {
-		n <<= 1
-	}
-	layer := arena.Hashes(n)
-	parallel.For(len(leaves), hashGrain, func(start, end int) {
-		for i := start; i < end; i++ {
-			layer[i] = hashLeaf(leaves[i])
-		}
-	})
-	empty := hashLeaf(nil)
-	for i := len(leaves); i < n; i++ {
-		layer[i] = empty
-	}
-	return newMerkleTreeHashed(layer)
 }
 
 // newMerkleTreeHashed builds the tree over an already-hashed leaf layer
@@ -122,16 +99,4 @@ func verifyPath(root [32]byte, leafData []byte, index int, path [][32]byte) bool
 		index >>= 1
 	}
 	return bytes.Equal(h[:], root[:])
-}
-
-// leafBytes serializes a column of field elements into a Merkle leaf.
-func leafBytes(col [][32]byte) []byte {
-	out := make([]byte, 0, 8+32*len(col))
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(col)))
-	out = append(out, n[:]...)
-	for i := range col {
-		out = append(out, col[i][:]...)
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"zkvc/internal/arena"
 	"zkvc/internal/ff"
@@ -45,6 +46,7 @@ type ProverState struct {
 	padded   []ff.Fr   // rented backing store of the message rows
 	message  [][]ff.Fr // rows × cols message matrix (aliases padded)
 	codeword [][]ff.Fr // rows × (cols·blowup) RS codewords (rented)
+	nonzero  []int     // ascending indices of the rows with a nonzero entry
 	tree     *merkleTree
 	comm     Commitment
 }
@@ -63,7 +65,7 @@ func (st *ProverState) Release() {
 	if st.tree != nil {
 		st.tree.release()
 	}
-	st.padded, st.message, st.codeword, st.tree = nil, nil, nil, nil
+	st.padded, st.message, st.codeword, st.nonzero, st.tree = nil, nil, nil, nil, nil
 }
 
 // ColumnOpening reveals one codeword column with its Merkle path.
@@ -115,16 +117,25 @@ func Commit(values []ff.Fr, p Params) (*Commitment, *ProverState, error) {
 		st.Release()
 		return nil, nil, err
 	}
-	// Rows are Reed–Solomon encoded independently; fan the per-row
-	// encodings out across the shared worker budget (each may itself
-	// borrow further workers when the pool is otherwise idle). Codeword
-	// rows are per-chunk arena checkouts, released with the state.
+	// Rows are Reed–Solomon encoded independently, so an all-zero row's
+	// codeword is the zero vector: the arena's zeroed buffer already is
+	// it, and only the nonzero rows (a Spartan witness's zeroed public
+	// slots and power-of-two padding are whole zero rows) are encoded.
+	// Rows fan out one at a time across the shared worker budget.
+	// Codeword rows are arena checkouts, released with the state.
+	st.nonzero = make([]int, 0, rows)
+	for i := range st.message {
+		st.message[i] = padded[i*cols : (i+1)*cols]
+		if slices.ContainsFunc(st.message[i], func(x ff.Fr) bool { return !x.IsZero() }) {
+			st.nonzero = append(st.nonzero, i)
+		}
+	}
 	parallel.For(rows, 1, func(start, end int) {
 		for i := start; i < end; i++ {
-			st.message[i] = padded[i*cols : (i+1)*cols]
-			cw := arena.Frs(d.N)
-			d.Encode(st.message[i], cw)
-			st.codeword[i] = cw
+			st.codeword[i] = arena.Frs(d.N)
+			if _, found := slices.BinarySearch(st.nonzero, i); found {
+				d.Encode(st.message[i], st.codeword[i])
+			}
 		}
 	})
 	// Column leaves are hashed straight into the tree's leaf layer from a
@@ -132,14 +143,16 @@ func Commit(values []ff.Fr, p Params) (*Commitment, *ProverState, error) {
 	// bytes written in place, so no leaf byte slices are ever
 	// materialized. The buffer layout reproduces
 	// hashLeaf(leafBytes(column)) exactly: 0x00 domain tag, then the
-	// little-endian row count, then the big-endian column elements.
+	// little-endian row count, then the big-endian column elements. The
+	// buffer is rented zeroed, which is the encoding of a zero row's
+	// entries, so only nonzero rows are written.
 	leafHashes := arena.Hashes(d.N)
 	parallel.For(d.N, hashGrain, func(start, end int) {
 		scratch := arena.Bytes(9 + 32*rows)
 		scratch[0] = 0x00
 		binary.LittleEndian.PutUint64(scratch[1:9], uint64(rows))
 		for j := start; j < end; j++ {
-			for i := 0; i < rows; i++ {
+			for _, i := range st.nonzero {
 				st.codeword[i][j].PutBytes(scratch[9+32*i:])
 			}
 			leafHashes[j] = sha256.Sum256(scratch[:9+32*rows])
@@ -151,16 +164,20 @@ func Commit(values []ff.Fr, p Params) (*Commitment, *ProverState, error) {
 	return &st.comm, st, nil
 }
 
-// Eval evaluates the committed polynomial at a point (prover side).
+// Eval evaluates the committed polynomial at a point (prover side) as
+// Σᵢ eqR[i]·⟨rowᵢ, eqC⟩ over the nonzero rows.
 func (st *ProverState) Eval(point []ff.Fr) ff.Fr {
 	eqR, eqC := splitEq(point, st.rows, st.cols)
-	var acc, t ff.Fr
-	for i := 0; i < st.rows; i++ {
-		for j := 0; j < st.cols; j++ {
-			t.Mul(&st.message[i][j], &eqR[i])
-			t.Mul(&t, &eqC[j])
-			acc.Add(&acc, &t)
+	var acc ff.Fr
+	for _, i := range st.nonzero {
+		var dot, t ff.Fr
+		row := st.message[i]
+		for j := range row {
+			t.Mul(&row[j], &eqC[j])
+			dot.Add(&dot, &t)
 		}
+		t.Mul(&dot, &eqR[i])
+		acc.Add(&acc, &t)
 	}
 	arena.PutFrs(eqR)
 	arena.PutFrs(eqC)
@@ -177,13 +194,14 @@ func (st *ProverState) Open(point []ff.Fr, tr *transcript.Transcript) *Opening {
 	arena.PutFrs(eqC)
 
 	// Column-major combination: each worker owns a disjoint range of
-	// output columns and walks all rows for it, so the accumulation
-	// order per column is fixed regardless of parallelism.
+	// output columns and walks the nonzero rows for it (a zero row adds
+	// nothing), so the accumulation order per column is fixed regardless
+	// of parallelism.
 	combine := func(w []ff.Fr) []ff.Fr {
 		u := make([]ff.Fr, st.cols)
 		parallel.For(st.cols, 512, func(start, end int) {
 			var t ff.Fr
-			for i := 0; i < st.rows; i++ {
+			for _, i := range st.nonzero {
 				row := st.message[i]
 				for j := start; j < end; j++ {
 					t.Mul(&w[i], &row[j])

@@ -148,6 +148,7 @@ func Prove(sys *r1cs.System, z []ff.Fr, params pcs.Params) (*Proof, error) {
 		priv[i] = z[i]
 	}
 	comm, st, err := pcs.Commit(priv, params)
+	arena.PutFrs(priv)
 	if err != nil {
 		return nil, err
 	}
@@ -205,12 +206,11 @@ func Prove(sys *r1cs.System, z []ff.Fr, params pcs.Params) (*Proof, error) {
 	arena.PutFrs(mz)
 	arena.PutFrs(zPad)
 
-	// Witness evaluation: z̃(ry) = pub̃(ry) + priṽ(ry).
-	privM := &mle.Dense{NumVars: sy, Evals: priv}
-	privEval := privM.Eval(ry)
+	// Witness evaluation: z̃(ry) = pub̃(ry) + priṽ(ry), where priṽ is the
+	// committed polynomial.
+	privEval := st.Eval(ry)
 	tr.AppendFr("priv.eval", &privEval)
 	opening := st.Open(ry, tr)
-	arena.PutFrs(priv)
 	st.Release()
 
 	return &Proof{
