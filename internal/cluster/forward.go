@@ -65,10 +65,9 @@ var routes = []route{
 	{Route: &server.Routes.ProveBatch, find: byAffinity(batchKey), retry: onShed},
 	{Route: &server.Routes.ProveModel, find: byAffinity(modelProveKey), retry: onShed, stream: true},
 	{Route: &server.Routes.SubmitJob, find: byAffinity(submitKey), retry: onShedOrQuota, accepted: recordJobRoute},
-	{Route: &server.Routes.JobStatus, find: byJobHome(pathJobID)},
-	{Route: &server.Routes.JobStream, find: byJobHome(pathJobID), stream: true},
-	{Route: &server.Routes.JobStreamPost, find: byJobHome(bodyJobID), stream: true},
-	{Route: &server.Routes.CancelJob, find: byJobHome(pathJobID), accepted: dropJobRoute},
+	{Route: &server.Routes.JobStatus, find: byJobHome},
+	{Route: &server.Routes.JobStream, find: byJobHome, stream: true},
+	{Route: &server.Routes.CancelJob, find: byJobHome, accepted: dropJobRoute},
 	{Route: &server.Routes.Verify, find: byIssuer(verifyKey)},
 	{Route: &server.Routes.VerifyBatch, find: byIssuer(verifyBatchKey)},
 	{Route: &server.Routes.VerifyModel, find: byIssuer(verifyModelKey)},

@@ -69,27 +69,21 @@ func (t *jobRouteTable) len() int {
 // journal, whatever its health: the journal lives nowhere else. An
 // unknown ID and an evicted route get the honest 404 a node gives for a
 // reaped job — there is nothing there anymore.
-func byJobHome(id func(r *http.Request, req any) string) finder {
-	return func(c *Coordinator, r *http.Request, req any) ([]*node, error) {
-		jobID := id(r, req)
-		name, ok := c.jobRoutes.lookup(jobID)
-		if !ok {
-			return nil, &server.StatusError{Code: http.StatusNotFound,
-				Body: "no such job on this cluster (it may have expired, been reaped, or its route evicted)"}
-		}
-		n := c.lookup(name)
-		if n == nil {
-			c.jobRoutes.remove(jobID)
-			return nil, &server.StatusError{Code: http.StatusNotFound,
-				Body: fmt.Sprintf("job's node %s has left the cluster; its journal is gone with it", name)}
-		}
-		return []*node{n}, nil
+func byJobHome(c *Coordinator, r *http.Request, _ any) ([]*node, error) {
+	jobID := r.PathValue("id")
+	name, ok := c.jobRoutes.lookup(jobID)
+	if !ok {
+		return nil, &server.StatusError{Code: http.StatusNotFound,
+			Body: "no such job on this cluster (it may have expired, been reaped, or its route evicted)"}
 	}
+	n := c.lookup(name)
+	if n == nil {
+		c.jobRoutes.remove(jobID)
+		return nil, &server.StatusError{Code: http.StatusNotFound,
+			Body: fmt.Sprintf("job's node %s has left the cluster; its journal is gone with it", name)}
+	}
+	return []*node{n}, nil
 }
-
-func pathJobID(r *http.Request, _ any) string { return r.PathValue("id") }
-
-func bodyJobID(_ *http.Request, req any) string { return req.(*wire.JobStreamRequest).ID }
 
 // recordJobRoute remembers an accepted job's node, peeking the ID out of
 // the 202's status body.

@@ -106,7 +106,6 @@ func stubJobNode(t *testing.T, id string, totalOps, opFrames int) *httptest.Serv
 		panic(http.ErrAbortHandler)
 	}
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", stream)
-	mux.HandleFunc("POST /v1/jobs/stream", stream)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts

@@ -77,8 +77,6 @@ func TestRouteParityNodeAndCoordinator(t *testing.T) {
 		{"POST /v1/jobs", "POST", "/v1/jobs", bad, http.StatusBadRequest},
 		{"GET /v1/jobs/{id}", "GET", "/v1/jobs/" + unknown, nil, http.StatusNotFound},
 		{"GET /v1/jobs/{id}/stream", "GET", "/v1/jobs/" + unknown + "/stream", nil, http.StatusNotFound},
-		{"POST /v1/jobs/stream", "POST", "/v1/jobs/stream", bad, http.StatusBadRequest},
-		{"POST /v1/jobs/stream", "POST", "/v1/jobs/stream", wire.EncodeJobStreamRequest(&wire.JobStreamRequest{ID: unknown}), http.StatusNotFound},
 		{"DELETE /v1/jobs/{id}", "DELETE", "/v1/jobs/" + unknown, nil, http.StatusNotFound},
 		{"POST /v1/verify", "POST", "/v1/verify", bad, http.StatusBadRequest},
 		{"POST /v1/verify/batch", "POST", "/v1/verify/batch", bad, http.StatusBadRequest},
@@ -92,6 +90,13 @@ func TestRouteParityNodeAndCoordinator(t *testing.T) {
 		if nodeCode != tc.want || coordCode != tc.want {
 			t.Errorf("%s %s: node %d (%s), coordinator %d (%s), want %d from both",
 				tc.method, tc.path, nodeCode, strings.TrimSpace(nodeBody), coordCode, strings.TrimSpace(coordBody), tc.want)
+		}
+	}
+	// A job stream has one route: the body-addressed POST twin is gone
+	// from both hops.
+	for _, base := range []string{nodeTS.URL, coordTS.URL} {
+		if code, body := exchange(t, "POST", base+"/v1/jobs/stream", bad); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s/v1/jobs/stream: %d (%s), want 404 or 405", base, code, strings.TrimSpace(body))
 		}
 	}
 	covered = slices.Compact(covered)
@@ -239,7 +244,6 @@ func TestFailoverPolicyTable(t *testing.T) {
 		{"POST", "/v1/jobs", submit, []int{http.StatusServiceUnavailable, http.StatusTooManyRequests}, 2},
 		{"GET", "/v1/jobs/" + stubJobID, nil, nil, 1},
 		{"GET", "/v1/jobs/" + stubJobID + "/stream", nil, nil, 1},
-		{"POST", "/v1/jobs/stream", wire.EncodeJobStreamRequest(&wire.JobStreamRequest{ID: stubJobID}), nil, 1},
 		{"DELETE", "/v1/jobs/" + stubJobID, nil, nil, 1},
 		{"POST", "/v1/verify", wire.EncodeVerifyRequest(&wire.VerifyRequest{X: x, Proof: proof}), nil, 2},
 		{"POST", "/v1/verify/batch", wire.EncodeProveResponse(&wire.ProveResponse{Xs: []*zkvc.Matrix{x}, Batch: batch}), nil, 2},
@@ -326,7 +330,7 @@ func TestAsyncClientResumesThroughCoordinator5xx(t *testing.T) {
 		w.WriteHeader(http.StatusAccepted)
 		w.Write(wire.EncodeJobStatus(&wire.JobStatus{ID: stubJobID, State: wire.JobRunning, TotalOps: len(rep.Ops)}))
 	})
-	mux.HandleFunc("POST /v1/jobs/stream", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, _ *http.Request) {
 		if streams.Add(1) == 1 {
 			panic(http.ErrAbortHandler) // dies before the first frame
 		}

@@ -107,7 +107,7 @@ func (c *AsyncClient) SubmitJob(ctx context.Context, req *zkvc.ModelRequest) (*w
 		},
 	})
 	for attempt := 0; ; attempt++ {
-		resp, err := c.do(ctx, "/v1/jobs", body)
+		resp, err := c.do(ctx, http.MethodPost, "/v1/jobs", body)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +167,7 @@ func (c *AsyncClient) rejectionWait(resp *http.Response, raw []byte) time.Durati
 
 // JobStatus polls one job.
 func (c *AsyncClient) JobStatus(ctx context.Context, id string) (*wire.JobStatus, error) {
-	raw, err := c.simple(ctx, http.MethodGet, "/v1/jobs/"+id)
+	raw, err := c.call(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -176,15 +176,16 @@ func (c *AsyncClient) JobStatus(ctx context.Context, id string) (*wire.JobStatus
 
 // CancelJob cancels a job and deletes its journal.
 func (c *AsyncClient) CancelJob(ctx context.Context, id string) error {
-	_, err := c.simple(ctx, http.MethodDelete, "/v1/jobs/"+id)
+	_, err := c.call(ctx, http.MethodDelete, "/v1/jobs/"+id, nil)
 	return err
 }
 
-// StreamJob opens the job's frame stream at frame `from`. The caller
-// owns the body. Most callers want ProveModel, which resumes
-// transparently; this is the single-connection primitive.
+// StreamJob opens the job's frame stream at frame `from`
+// (GET /v1/jobs/{id}/stream?from=k). The caller owns the body. Most
+// callers want ProveModel, which resumes transparently; this is the
+// single-connection primitive.
 func (c *AsyncClient) StreamJob(ctx context.Context, id string, from int) (io.ReadCloser, error) {
-	resp, err := c.do(ctx, "/v1/jobs/stream", wire.EncodeJobStreamRequest(&wire.JobStreamRequest{ID: id, From: from}))
+	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/stream?from="+strconv.Itoa(from), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -194,31 +195,6 @@ func (c *AsyncClient) StreamJob(ctx context.Context, id string, from int) (io.Re
 		return nil, &StatusError{Code: resp.StatusCode, Body: string(raw)}
 	}
 	return resp.Body, nil
-}
-
-// simple issues one bodyless request with the tenant header and returns
-// a 2xx body.
-func (c *AsyncClient) simple(ctx context.Context, method, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	if c.Tenant != "" {
-		req.Header.Set(TenantHeader, c.Tenant)
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("reading response: %w", err)
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return nil, &StatusError{Code: resp.StatusCode, Body: string(raw)}
-	}
-	return raw, nil
 }
 
 // ProveModel proves a model through the job API: submit, then iterate
@@ -236,37 +212,10 @@ func (c *AsyncClient) ProveModel(ctx context.Context, req *zkvc.ModelRequest) *z
 		}
 		rs := &resumingStream{c: c, ctx: ctx, id: st.ID}
 		defer rs.Close()
-		completed := false
-		defer func() {
-			if !completed {
-				// The consumer walked away mid-stream; free the server-side
-				// job and its journal instead of waiting for the reaper.
-				c.CancelJob(ctx, st.ID)
-			}
-		}()
-		// The same trust boundary as the synchronous client: everything
-		// read from the (resuming) byte stream goes through
-		// wire.ModelStreamReader's validation.
-		sr, err := wire.NewModelStreamReader(rs)
-		if err != nil {
-			yield(nil, err)
-			return
-		}
-		hdr := sr.Header()
-		info(zkvc.ModelStreamInfo{Model: hdr.Model, Backend: hdr.Backend, Circuit: hdr.Circuit, TotalOps: hdr.TotalOps})
-		for {
-			op, err := sr.Next()
-			if err == io.EOF {
-				completed = true
-				return
-			}
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			if !yield(op, nil) {
-				return
-			}
+		if !readModelStream(rs, info, yield) {
+			// The consumer walked away mid-stream; free the server-side
+			// job and its journal instead of waiting for the reaper.
+			c.CancelJob(ctx, st.ID)
 		}
 	})
 }

@@ -61,24 +61,30 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("server returned %d: %s", e.Code, strings.TrimSpace(e.Body))
 }
 
-// do issues one POST with the tenant header under ctx. The caller owns
-// the response body.
-func (c *Client) do(ctx context.Context, path string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
+// do issues one request with the tenant header under ctx, carrying body
+// as its payload unless body is nil. The caller owns the response body.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/octet-stream")
+	}
 	if c.Tenant != "" {
 		req.Header.Set(TenantHeader, c.Tenant)
 	}
 	return c.HTTP.Do(req)
 }
 
-// post issues one buffered POST and returns the body of a 200 response;
-// any other status becomes a *StatusError.
-func (c *Client) post(ctx context.Context, path string, body []byte) ([]byte, error) {
-	resp, err := c.do(ctx, path, body)
+// call issues one buffered request (see do) and returns the body of a
+// 2xx response; any other status becomes a *StatusError.
+func (c *Client) call(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+	resp, err := c.do(ctx, method, path, body)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +93,7 @@ func (c *Client) post(ctx context.Context, path string, body []byte) ([]byte, er
 	if err != nil {
 		return nil, fmt.Errorf("reading response: %w", err)
 	}
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return nil, &StatusError{Code: resp.StatusCode, Body: string(raw)}
 	}
 	return raw, nil
@@ -98,7 +104,7 @@ func (c *Client) post(ctx context.Context, path string, body []byte) ([]byte, er
 // carrying the service's reason under the zkvc.ErrVerification sentinel
 // — the Engine error taxonomy.
 func (c *Client) verdict(ctx context.Context, path string, body []byte) error {
-	resp, err := c.do(ctx, path, body)
+	resp, err := c.do(ctx, http.MethodPost, path, body)
 	if err != nil {
 		return err
 	}
@@ -128,7 +134,7 @@ func (c *Client) verdict(ctx context.Context, path string, body []byte) error {
 // ProveMatMul asks the service for one per-statement proof of X·W
 // (POST /v1/prove/matmul) — zkvc.Local's ProveMatMul semantics, remote.
 func (c *Client) ProveMatMul(ctx context.Context, x, w *zkvc.Matrix) (*zkvc.MatMulProof, error) {
-	raw, err := c.post(ctx, "/v1/prove/matmul", wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: w}))
+	raw, err := c.call(ctx, http.MethodPost, "/v1/prove/matmul", wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: w}))
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +145,7 @@ func (c *Client) ProveMatMul(ctx context.Context, x, w *zkvc.Matrix) (*zkvc.MatM
 // direct batch proof (POST /v1/prove/batch) — no coalescing window, no
 // other tenants' statements.
 func (c *Client) ProveBatch(ctx context.Context, pairs [][2]*zkvc.Matrix) (*zkvc.BatchProof, error) {
-	raw, err := c.post(ctx, "/v1/prove/batch", wire.EncodeProveBatchRequest(&wire.ProveBatchRequest{Pairs: pairs}))
+	raw, err := c.call(ctx, http.MethodPost, "/v1/prove/batch", wire.EncodeProveBatchRequest(&wire.ProveBatchRequest{Pairs: pairs}))
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +160,7 @@ func (c *Client) ProveModel(ctx context.Context, req *zkvc.ModelRequest) *zkvc.M
 	return zkvc.NewModelStream(func(info func(zkvc.ModelStreamInfo), yield func(*zkvc.OpProof, error) bool) {
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel() // an abandoned stream tears the request down
-		resp, err := c.do(ctx, "/v1/prove/model", wire.EncodeProveModelRequest(&wire.ProveModelRequest{
+		resp, err := c.do(ctx, http.MethodPost, "/v1/prove/model", wire.EncodeProveModelRequest(&wire.ProveModelRequest{
 			Backend:        req.Backend,
 			ProveNonlinear: req.ProveNonlinear,
 			Cfg:            req.Cfg,
@@ -170,33 +176,40 @@ func (c *Client) ProveModel(ctx context.Context, req *zkvc.ModelRequest) *zkvc.M
 			yield(nil, &StatusError{Code: resp.StatusCode, Body: string(raw)})
 			return
 		}
-		// wire.ModelStreamReader is the trust boundary: it validates the
-		// header, folds in-stream error frames into errors, and enforces
-		// sequence numbers in range, no duplicates and no truncation —
-		// the same code path DecodeModelStream uses, so a misbehaving
-		// server can never hand ModelStream.Report a report it would
-		// mis-assemble.
-		sr, err := wire.NewModelStreamReader(resp.Body)
+		readModelStream(resp.Body, info, yield)
+	})
+}
+
+// readModelStream is the client half of a model stream, shared by the
+// sync and async clients: the header goes to info, then every op to
+// yield, until the stream ends, fails or the consumer stops. It reports
+// whether the stream ended cleanly. wire.ModelStreamReader is the trust
+// boundary: it validates the header, folds in-stream error frames into
+// errors, and enforces sequence numbers in range, no duplicates and no
+// truncation — the same code path DecodeModelStream uses, so a
+// misbehaving server can never hand ModelStream.Report a report it
+// would mis-assemble.
+func readModelStream(body io.Reader, info func(zkvc.ModelStreamInfo), yield func(*zkvc.OpProof, error) bool) bool {
+	sr, err := wire.NewModelStreamReader(body)
+	if err != nil {
+		yield(nil, err)
+		return false
+	}
+	hdr := sr.Header()
+	info(zkvc.ModelStreamInfo{Model: hdr.Model, Backend: hdr.Backend, Circuit: hdr.Circuit, TotalOps: hdr.TotalOps})
+	for {
+		op, err := sr.Next()
+		if err == io.EOF {
+			return true
+		}
 		if err != nil {
 			yield(nil, err)
-			return
+			return false
 		}
-		hdr := sr.Header()
-		info(zkvc.ModelStreamInfo{Model: hdr.Model, Backend: hdr.Backend, Circuit: hdr.Circuit, TotalOps: hdr.TotalOps})
-		for {
-			op, err := sr.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			if !yield(op, nil) {
-				return
-			}
+		if !yield(op, nil) {
+			return false
 		}
-	})
+	}
 }
 
 // VerifyMatMul asks the service to check a single proof against X
@@ -220,7 +233,7 @@ func (c *Client) VerifyBatch(ctx context.Context, xs []*zkvc.Matrix, proof *zkvc
 // means per-op).
 func (c *Client) VerifyModel(ctx context.Context, rep *zkvc.Report, opts ...zkvc.VerifyOptions) error {
 	mode := zkvc.ResolveVerifyOptions(opts...).Mode
-	raw, err := c.post(ctx, "/v1/verify/model?mode="+mode.String(),
+	raw, err := c.call(ctx, http.MethodPost, "/v1/verify/model?mode="+mode.String(),
 		wire.EncodeVerifyModelRequest(&wire.VerifyModelRequest{Mode: mode, Report: rep}))
 	if err != nil {
 		return err
@@ -246,7 +259,7 @@ func (c *Client) VerifyModel(ctx context.Context, rep *zkvc.Report, opts ...zkvc
 // statement is at Index, next to whatever same-tenant statements shared
 // the window. Use VerifyResponse to have the service re-check it.
 func (c *Client) ProveCoalesced(ctx context.Context, x, w *zkvc.Matrix) (*wire.ProveResponse, error) {
-	raw, err := c.post(ctx, "/v1/prove", wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: w}))
+	raw, err := c.call(ctx, http.MethodPost, "/v1/prove", wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: w}))
 	if err != nil {
 		return nil, err
 	}
@@ -264,20 +277,11 @@ func (c *Client) VerifyResponse(ctx context.Context, resp *wire.ProveResponse) e
 // probe, and an operator's one-liner.
 func (c *Client) Metrics(ctx context.Context) (Snapshot, error) {
 	var snap Snapshot
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
+	raw, err := c.call(ctx, http.MethodGet, "/metrics", nil)
 	if err != nil {
 		return snap, err
 	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return snap, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return snap, &StatusError{Code: resp.StatusCode, Body: string(raw)}
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := json.Unmarshal(raw, &snap); err != nil {
 		return snap, fmt.Errorf("decoding metrics: %w", err)
 	}
 	return snap, nil
@@ -285,33 +289,21 @@ func (c *Client) Metrics(ctx context.Context) (Snapshot, error) {
 
 // Healthz checks liveness.
 func (c *Client) Healthz(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return &StatusError{Code: resp.StatusCode, Body: string(raw)}
-	}
-	return nil
+	_, err := c.call(ctx, http.MethodGet, "/healthz", nil)
+	return err
 }
 
 // Announce registers a prover node with the coordinator this client
 // points at.
 func (c *Client) Announce(ctx context.Context, a *wire.NodeAnnounce) error {
-	_, err := c.post(ctx, "/v1/cluster/announce", wire.EncodeNodeAnnounce(a))
+	_, err := c.call(ctx, http.MethodPost, "/v1/cluster/announce", wire.EncodeNodeAnnounce(a))
 	return err
 }
 
 // Heartbeat refreshes a node's liveness with the coordinator this
 // client points at.
 func (c *Client) Heartbeat(ctx context.Context, h *wire.NodeHeartbeat) error {
-	_, err := c.post(ctx, "/v1/cluster/heartbeat", wire.EncodeNodeHeartbeat(h))
+	_, err := c.call(ctx, http.MethodPost, "/v1/cluster/heartbeat", wire.EncodeNodeHeartbeat(h))
 	return err
 }
 
@@ -320,6 +312,6 @@ func (c *Client) Heartbeat(ctx context.Context, h *wire.NodeHeartbeat) error {
 // ingests it into its replicated set) — both serve POST
 // /v1/cluster/attest.
 func (c *Client) Attest(ctx context.Context, u *wire.AttestationUpdate) error {
-	_, err := c.post(ctx, "/v1/cluster/attest", wire.EncodeAttestationUpdate(u))
+	_, err := c.call(ctx, http.MethodPost, "/v1/cluster/attest", wire.EncodeAttestationUpdate(u))
 	return err
 }

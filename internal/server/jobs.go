@@ -1,17 +1,19 @@
 package server
 
-// The asynchronous durable-job layer: POST /v1/jobs admits a model trace
-// and returns immediately; the proving work flows through the same
-// dispatcher, worker pool, queue ledger and budget discipline as a
-// synchronous model job, but every completed op frame is appended to the
-// job's write-ahead journal (journal.go) instead of a response body, so
-// the client streams the frames on its own schedule — resuming from the
-// last frame it acked after a reconnect and, with JournalDir set, after
-// a server restart. Admission is honest: a saturated pool or exhausted
-// tenant quota answers 429 with a Retry-After header and a queue-position
-// snapshot in the body, never unbounded parking. A reaper enforces
-// per-job TTLs: expired journals are deleted, their report attestations
-// withdrawn, and later lookups get an honest 404 (or, for verify, the
+// Model jobs and the durable-job API. Every model job proves its trace
+// through the dispatcher, worker pool, queue ledger and budget
+// discipline, appending each completed op frame to its journal
+// (journal.go), and every stream of a job is served from that journal
+// by one frame loop. POST /v1/prove/model attaches the job to its
+// request and streams it in the response. POST /v1/jobs submits it:
+// the answer returns at once and the client streams the frames on its
+// own schedule — resuming from the last frame it acked after a
+// reconnect and, with JournalDir set, after a server restart.
+// Admission is honest: a saturated pool or exhausted tenant quota
+// answers 429 with a Retry-After header and a queue-position snapshot in
+// the body, never unbounded parking. A reaper enforces per-job TTLs:
+// expired journals are deleted, their report attestations withdrawn,
+// and later lookups get an honest 404 (or, for verify, the
 // issued-policy error).
 
 import (
@@ -29,37 +31,51 @@ import (
 	"time"
 
 	"zkvc"
-	"zkvc/internal/nn"
 	"zkvc/internal/wire"
 	"zkvc/internal/zkml"
 )
 
-// asyncJob is the third submission kind of the dispatcher: a model trace
-// proved into a journal rather than a response stream.
+// asyncJob is the service's one model job: a trace proved op by op
+// into a journal that serveFrames streams. A submitted job
+// (POST /v1/jobs) is detached from its request and kept in the job
+// store, its journal under JournalDir, so its stream is read and
+// resumed on the client's schedule. An attached job
+// (POST /v1/prove/model) belongs to its request, with a memory-only
+// journal and credits that bound the op frames queued for its writer.
 type asyncJob struct {
-	id     string
+	id     string // empty for an attached job, which has no ID lookup
 	tenant string
+	req    *wire.ProveModelRequest // nil once proved: the journal holds the work
+	plan   int
+	jl     *journal
 
-	backend        zkml.Backend
-	proveNonlinear bool
-	cfg            nn.Config
-	trace          *nn.Trace
-
-	plan int
-	jl   *journal
-
-	// ctx is detached from any request — the job survives its submitter.
-	// cancel ends it early (DELETE, reaper, journal write failure).
+	// ctx ends the job early. A submitted job's is detached from any
+	// request, and cancel ends it (DELETE, reaper, journal write
+	// failure); an attached job's is its request's.
 	ctx    context.Context
 	cancel context.CancelFunc
+
+	// credits is nil for a submitted job; an attached job holds one per
+	// op frame journaled and not yet taken by the frame loop.
+	credits  chan struct{}
+	finished chan struct{} // closed when run returns
 
 	mu sync.Mutex
 	// state is JobQueued, JobRunning, JobFailed or JobCanceled; JobDone
 	// is the journal's completion, which status reads from the journal.
 	state byte
+	// appendErr is the first op append that failed.
+	appendErr error
 }
 
-func (*asyncJob) submissionKind() string { return "async-job" }
+// attachedQueuedFrames is an attached job's memory bound: this many op
+// frames may wait behind the one being written, and the next proved op
+// waits for the writer. A slow reader backpressures proving instead of
+// letting finished proofs pile up in memory — the reason the endpoint
+// streams at all.
+const attachedQueuedFrames = 4
+
+func (*asyncJob) submissionKind() string { return "model" }
 
 func (j *asyncJob) setState(st byte) {
 	j.mu.Lock()
@@ -67,48 +83,29 @@ func (j *asyncJob) setState(st byte) {
 	j.mu.Unlock()
 }
 
-// run proves the trace on a worker goroutine, exactly like a synchronous
-// model job — same per-op seeding, so the journaled frames are
-// byte-identical to a streamed or local run at the same seed — but frames
-// land in the journal and the terminal state lands in the store instead
-// of a response body.
+// run proves the trace on a worker goroutine. Independent ops fan out
+// over whatever budget tokens are free, each drawing its randomness from
+// its sequence number, so the journaled frames are byte-identical to a
+// local ProveTrace at any parallelism level. The terminal state lands in
+// the journal, where every stream of the job reads it.
 func (j *asyncJob) run(s *Server, _ *zkvc.MatMulProver) {
+	defer close(j.finished)
 	j.setState(wire.JobRunning)
-	// OnOp runs on whichever worker goroutine finished the op, so the
-	// first-append-failure slot is locked; the journal counts the ops.
-	var appendErrMu sync.Mutex
-	var appendErr error
-	opts := s.modelOpts(j.backend, j.proveNonlinear, func(op *zkml.OpProof) {
-		if err := j.jl.append(journalRec{kind: wire.JournalOp, payload: wire.EncodeOpProof(op), opSeq: op.Seq}); err != nil {
-			// Teardown racing (reaper/cancel already ended the journal) is
-			// routine; anything else means an op could not be persisted, and
-			// a journal that cannot persist an op must not pretend the op was
-			// durably streamed — fail the job.
-			if !errors.Is(err, errJournalDone) {
-				appendErrMu.Lock()
-				if appendErr == nil {
-					appendErr = err
-					j.cancel()
-				}
-				appendErrMu.Unlock()
-			}
-			return
-		}
-		s.metrics.modelOpsProved.Add(1)
-		s.metrics.modelOpsQueued.Add(-1)
-		s.metrics.queueUnits.Add(-1)
-		s.metrics.recordOpTimings(op)
-	})
-	_, err := zkml.ProveTraceContext(j.ctx, j.cfg, j.trace, opts)
-	// Ops never proved (error or cancellation) leave the queue ledger here.
+	opts := zkml.JobOptions(j.req.Backend, s.cfg.Opts, j.req.ProveNonlinear, s.cfg.Seed)
+	if j.req.Backend == zkml.Groth16 {
+		opts.Setup = s.circuitSetup // the shared digest-keyed CRS cache
+	}
+	opts.OnOp = func(op *zkml.OpProof) { j.journalOp(s, op) }
+	_, err := zkml.ProveTraceContext(j.ctx, j.req.Cfg, j.req.Trace, opts)
+	// Ops never journaled (error or cancellation) leave the queue ledger here.
 	ops, _, _ := j.jl.snapshot()
 	delta := int64(ops - j.plan)
 	s.metrics.modelOpsQueued.Add(delta)
 	s.metrics.queueUnits.Add(delta)
-	j.trace = nil // the journal is the job's memory from here on
-	appendErrMu.Lock()
-	failedAppend := appendErr
-	appendErrMu.Unlock()
+	j.req = nil // the journal is the job's memory from here on
+	j.mu.Lock()
+	failedAppend := j.appendErr
+	j.mu.Unlock()
 	_, complete := j.jl.attestation()
 	switch {
 	case complete:
@@ -119,26 +116,93 @@ func (j *asyncJob) run(s *Server, _ *zkvc.MatMulProver) {
 		s.metrics.proveErrors.Add(1)
 		j.jl.fail(fmt.Sprintf("journal write failed: %v", failedAppend))
 		j.setState(wire.JobFailed)
-	case errors.Is(err, zkml.ErrCanceled):
+	case err == nil, errors.Is(err, zkml.ErrCanceled):
+		// Canceled, or every op proved but the job ended before the last
+		// were journaled. A disconnect, a failed frame write or a DELETE
+		// is routine churn, not a proving fault; keep prove_errors
+		// meaningful for operators alerting on it.
 		s.metrics.modelJobsCanceled.Add(1)
 		j.jl.fail("job canceled before completion")
 		j.setState(wire.JobCanceled)
-	case err != nil:
+	default:
 		s.metrics.proveErrors.Add(1)
 		j.jl.fail(err.Error())
 		j.setState(wire.JobFailed)
 	}
 }
 
-// attestJournaled attests a journaled report exactly like a streamed
-// one: the digest binds header, op frames in sequence order, and tenant,
-// so /v1/verify/model vouches for the reassembled report until the
-// reaper withdraws it. It is the journal's completion hook and
-// recovery's re-attestation. The attestation is memory-only in the
-// issued log — the journal is its durable record, and recovery
+// journalOp journals one proved op, on whichever worker goroutine
+// finished it; an attached job first takes a frame credit.
+func (j *asyncJob) journalOp(s *Server, op *zkml.OpProof) {
+	if j.credits != nil && !j.takeCredit(s.metrics) {
+		return
+	}
+	if err := j.jl.append(journalRec{kind: wire.JournalOp, payload: wire.EncodeOpProof(op), opSeq: op.Seq}); err != nil {
+		// Teardown racing (reaper/cancel already ended the journal) is
+		// routine; anything else means an op could not be persisted, and
+		// a journal that cannot persist an op must not pretend the op was
+		// durably streamed — fail the job.
+		if !errors.Is(err, errJournalDone) {
+			j.mu.Lock()
+			if j.appendErr == nil {
+				j.appendErr = err
+				j.cancel()
+			}
+			j.mu.Unlock()
+		}
+		return
+	}
+	s.metrics.modelOpsProved.Add(1)
+	s.metrics.modelOpsQueued.Add(-1)
+	s.metrics.queueUnits.Add(-1)
+	s.metrics.recordOpTimings(op)
+}
+
+// takeCredit waits for room in an attached job's frame queue, counted
+// as a stream stall. It fails once the job's ctx ends: a reader that
+// left cancels the job instead of wedging it.
+func (j *asyncJob) takeCredit(m *metrics) bool {
+	select {
+	case j.credits <- struct{}{}:
+		return true
+	default:
+	}
+	m.streamStalls.Add(1)
+	start := time.Now()
+	defer func() { m.streamStallNanos.Add(time.Since(start).Nanoseconds()) }()
+	select {
+	case j.credits <- struct{}{}:
+		return true
+	case <-j.ctx.Done():
+		return false
+	}
+}
+
+// sending hands stream frame k to the wire. An attached job gets an op
+// frame's credit back and the journal drops its copy of the payload,
+// which nothing reads again (the loop's reference lives until the write
+// ends). A submitted job keeps every frame for resumption.
+func (j *asyncJob) sending(k int) {
+	if j.credits != nil && j.jl.forget(k) {
+		<-j.credits
+	}
+}
+
+// attestJournaled is a submitted journal's completion hook and
+// recovery's re-attestation, so /v1/verify/model vouches for the
+// reassembled report until the reaper withdraws it. It is memory-only
+// in the issued log: the journal is its durable record, and recovery
 // re-attests exactly the journals that are still complete.
 func (s *Server) attestJournaled(d [sha256.Size]byte) {
 	if s.issued.addMem(d) {
+		s.replicate([][sha256.Size]byte{d}, nil)
+	}
+}
+
+// attestIssued is an attached job's completion hook: its journal dies
+// with the request, so the durable issued log is the only record.
+func (s *Server) attestIssued(d [sha256.Size]byte) {
+	if s.issued.add(d) {
 		s.replicate([][sha256.Size]byte{d}, nil)
 	}
 }
@@ -276,18 +340,73 @@ func (s *Server) rejectJob(w http.ResponseWriter, reason string) {
 	}))
 }
 
-// handleSubmitJob admits one async job: plan the trace, charge the
-// shared queue ledger (ops, same coin as every other workload), journal
-// the manifest + stream header, and hand the proving to the dispatcher.
-// The 202 response carries the job's initial status; the client streams
-// frames whenever it likes.
+// startModelJob is the one constructor of both model routes: plan the
+// trace, journal its stream header and admit the job to the dispatcher
+// against the shared queue ledger (ops, the same coin as every other
+// workload). A submitted job (id set) is detached from r, journaled
+// under JournalDir when one is set, retained for ttl and entered in the
+// job store under its tenant's quota. An attached job (id empty)
+// belongs to r: its journal lives in memory even with a JournalDir set,
+// since it can never be resumed, and its report is attested in the
+// durable issued log instead. On failure the answer is written to w and
+// the job is nil.
+func (s *Server) startModelJob(w http.ResponseWriter, r *http.Request, in Input, req *wire.ProveModelRequest, id string, ttl time.Duration) *asyncJob {
+	plan, ok := s.planModel(w, req.Trace, req.ProveNonlinear)
+	if !ok {
+		return nil
+	}
+	j := &asyncJob{id: id, tenant: r.Header.Get(TenantHeader), req: req, plan: plan, finished: make(chan struct{}), state: wire.JobQueued}
+	header := wire.EncodeModelStreamHeader(&wire.ModelStreamHeader{
+		Model:    req.Cfg.Name,
+		Backend:  req.Backend,
+		Circuit:  s.cfg.Opts,
+		TotalOps: plan,
+	})
+	now := time.Now()
+	var err error
+	if id == "" {
+		j.ctx, j.cancel = context.WithCancel(r.Context())
+		j.credits = make(chan struct{}, attachedQueuedFrames)
+		j.jl, err = newJournal(id, j.tenant, now, time.Time{}, "", header, plan, s.attestIssued)
+	} else {
+		j.ctx, j.cancel = context.WithCancel(context.Background())
+		j.jl, err = newJournal(id, j.tenant, now, now.Add(ttl), s.cfg.JournalDir, header, plan, s.attestJournaled)
+	}
+	if err != nil {
+		j.cancel()
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return nil
+	}
+	if id != "" && !s.jobs.admit(j, s.cfg.TenantJobQuota) {
+		j.cancel()
+		j.jl.removeFile()
+		s.rejectJob(w, fmt.Sprintf("tenant holds %d live jobs, the per-tenant quota; cancel or let some expire", s.cfg.TenantJobQuota))
+		return nil
+	}
+	if err := s.submitPlanned(j, plan); err != nil {
+		s.jobs.remove(id)
+		j.cancel()
+		j.jl.removeFile()
+		if id == "" || errors.Is(err, ErrClosed) {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		} else {
+			s.rejectJob(w, err.Error())
+		}
+		return nil
+	}
+	s.metrics.modelJobs.Add(1)
+	// The job is admitted and its memory is accounted by the queue
+	// ledger; the body-buffering slot can go back before streaming.
+	in.Release()
+	return j
+}
+
+// handleSubmitJob admits one async job and hands the proving to the
+// dispatcher. The 202 response carries the job's initial status; the
+// client streams frames whenever it likes.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request, in Input) {
 	req := in.Msg.(*wire.JobSubmitRequest)
 	in.Body = nil // the decoded request is all the job keeps
-	plan, ok := s.planModel(w, req.Model.Trace, req.Model.ProveNonlinear)
-	if !ok {
-		return
-	}
 	id, err := newJobID()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -299,64 +418,31 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request, in Inpu
 			ttl = asked
 		}
 	}
-	now := time.Now()
-	tenant := r.Header.Get(TenantHeader)
-	header := wire.EncodeModelStreamHeader(&wire.ModelStreamHeader{
-		Model:    req.Model.Cfg.Name,
-		Backend:  req.Model.Backend,
-		Circuit:  s.cfg.Opts,
-		TotalOps: plan,
-	})
-	jl, err := newJournal(id, tenant, now, now.Add(ttl), s.cfg.JournalDir, header, plan, s.attestJournaled)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &asyncJob{
-		id:             id,
-		tenant:         tenant,
-		backend:        req.Model.Backend,
-		proveNonlinear: req.Model.ProveNonlinear,
-		cfg:            req.Model.Cfg,
-		trace:          req.Model.Trace,
-		plan:           plan,
-		jl:             jl,
-		ctx:            ctx,
-		cancel:         cancel,
-		state:          wire.JobQueued,
-	}
-	if !s.jobs.admit(j, s.cfg.TenantJobQuota) {
-		cancel()
-		jl.removeFile()
-		s.rejectJob(w, fmt.Sprintf("tenant holds %d live jobs, the per-tenant quota; cancel or let some expire", s.cfg.TenantJobQuota))
-		return
-	}
-	if err := s.submitPlanned(j, plan); err != nil {
-		s.jobs.remove(id)
-		cancel()
-		jl.removeFile()
-		if errors.Is(err, ErrClosed) {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		s.rejectJob(w, err.Error())
+	j := s.startModelJob(w, r, in, req.Model, id, ttl)
+	if j == nil {
 		return
 	}
 	s.metrics.jobsSubmitted.Add(1)
 	s.metrics.jobsActive.Add(1)
-	s.metrics.modelJobs.Add(1)
-	in.Release()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Location", "/v1/jobs/"+id)
 	w.WriteHeader(http.StatusAccepted)
 	w.Write(wire.EncodeJobStatus(j.status(s.metrics.queueUnits.Load())))
 }
 
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request, _ Input) {
+// lookupJob finds the path's job for the requesting tenant, answering
+// 404 when there is none.
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *asyncJob {
 	j := s.jobs.get(r.PathValue("id"), r.Header.Get(TenantHeader))
 	if j == nil {
 		http.Error(w, "no such job (it may have expired and been reaped)", http.StatusNotFound)
+	}
+	return j
+}
+
+func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request, _ Input) {
+	j := s.lookupJob(w, r)
+	if j == nil {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -365,7 +451,9 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request, _ Input
 	}
 }
 
-func (s *Server) handleJobStreamGet(w http.ResponseWriter, r *http.Request, _ Input) {
+// handleJobStream serves a submitted job's stream from frame ?from=k:
+// the k frames the client acked are never re-sent.
+func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request, _ Input) {
 	from := 0
 	if v := r.URL.Query().Get("from"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -375,25 +463,8 @@ func (s *Server) handleJobStreamGet(w http.ResponseWriter, r *http.Request, _ In
 		}
 		from = n
 	}
-	s.streamJob(w, r, r.PathValue("id"), from)
-}
-
-func (s *Server) handleJobStreamPost(w http.ResponseWriter, r *http.Request, in Input) {
-	req := in.Msg.(*wire.JobStreamRequest)
-	s.streamJob(w, r, req.ID, req.From)
-}
-
-// streamJob replays a job's journal from frame `from` (frame 0 is the
-// stream header) and keeps following it live until the journal is
-// terminal — the same wire format as /v1/prove/model, so the client-side
-// trust boundary (wire.ModelStreamReader) is reused unchanged. Frames
-// the client acked are never re-sent (the replay starts exactly at
-// `from`) and a stream never just stops: it ends at the announced op
-// count or with an explicit error frame.
-func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string, from int) {
-	j := s.jobs.get(id, r.Header.Get(TenantHeader))
+	j := s.lookupJob(w, r)
 	if j == nil {
-		http.Error(w, "no such job (it may have expired and been reaped)", http.StatusNotFound)
 		return
 	}
 	// On a terminal journal, a resume point beyond the last frame can
@@ -409,6 +480,17 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string, fr
 	if from > 0 {
 		s.metrics.jobsResumed.Add(1)
 	}
+	s.serveFrames(w, r, j, from)
+}
+
+// serveFrames writes a job's stream from frame `from` (frame 0 is the
+// stream header) and follows the journal live until it is terminal,
+// r's context ends or a write fails. It is the one frame loop of both
+// model routes, so the client-side trust boundary
+// (wire.ModelStreamReader) is the same for both. A stream never just
+// stops: it ends at the announced op count or with an explicit error
+// frame.
+func (s *Server) serveFrames(w http.ResponseWriter, r *http.Request, j *asyncJob, from int) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
@@ -417,10 +499,26 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string, fr
 		if !ok {
 			return
 		}
-		// Same per-frame deadline discipline as the synchronous stream: a
-		// reader that stops reading must not wedge this handler forever.
+		j.sending(k)
+		// Per-frame write deadline: a client that stops reading (socket
+		// buffers full, connection still open) must not wedge this
+		// handler — nor an attached job's worker and budget token —
+		// forever. Past the deadline the write fails. Best-effort — a
+		// ResponseWriter without deadline support just keeps the old
+		// write-failure-only detection. Deliberately never cleared: the
+		// server clears it between keep-alive requests itself, and an
+		// expired deadline is what makes the post-handler flush to a
+		// stalled client fail fast instead of blocking conn.serve.
 		rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
 		if err := wire.WriteFrame(w, frame); err != nil {
+			if errors.Is(err, wire.ErrFrameTooLarge) {
+				// The connection is healthy — the server hit its own
+				// encoding bound. Say so in-stream instead of letting the
+				// client see an unexplained truncated stream.
+				if wire.WriteFrame(w, wire.EncodeModelStreamError(err.Error())) == nil && flusher != nil {
+					flusher.Flush()
+				}
+			}
 			return
 		}
 		if flusher != nil {
@@ -433,12 +531,11 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string, fr
 // journal file deleted, the attestation withdrawn. In-flight streams
 // drain to an explicit cancellation frame.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request, _ Input) {
-	id := r.PathValue("id")
-	if s.jobs.get(id, r.Header.Get(TenantHeader)) == nil {
-		http.Error(w, "no such job (it may have expired and been reaped)", http.StatusNotFound)
+	j := s.lookupJob(w, r)
+	if j == nil {
 		return
 	}
-	s.reapJob(id, "job canceled by the client")
+	s.reapJob(j.id, "job canceled by the client")
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -32,6 +32,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -122,12 +123,12 @@ func TestAsyncJobMatchesLocalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// cuttingTransport interposes on /v1/jobs/stream responses and severs
-// the connection mid-body a configured number of times: each victim
-// stream delivers only `cutAfter` bytes and then fails with a transport
-// error, exactly what a dropped TCP connection looks like to the
-// client. It also records the `from` value of every stream request so
-// the test can pin that resumption never re-asks for acked frames.
+// cuttingTransport interposes on GET /v1/jobs/{id}/stream responses and
+// severs the connection mid-body a configured number of times: each
+// victim stream delivers only `cutAfter` bytes and then fails with a
+// transport error, exactly what a dropped TCP connection looks like to
+// the client. It also records the `from` value of every stream request
+// so the test can pin that resumption never re-asks for acked frames.
 type cuttingTransport struct {
 	base     http.RoundTripper
 	cutAfter int64
@@ -138,25 +139,19 @@ type cuttingTransport struct {
 }
 
 func (ct *cuttingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path != "/v1/jobs/stream" {
+	if req.Method != http.MethodGet || !strings.HasSuffix(req.URL.Path, "/stream") {
 		return ct.base.RoundTrip(req)
 	}
-	raw, err := io.ReadAll(req.Body)
-	req.Body.Close()
+	from, err := strconv.Atoi(req.URL.Query().Get("from"))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cuttingTransport: stream request without a from= count: %w", err)
 	}
-	sreq, err := wire.DecodeJobStreamRequest(raw)
-	if err != nil {
-		return nil, fmt.Errorf("cuttingTransport: malformed stream request: %w", err)
-	}
-	req.Body = io.NopCloser(bytes.NewReader(raw))
 	resp, err := ct.base.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}
 	ct.mu.Lock()
-	ct.froms = append(ct.froms, sreq.From)
+	ct.froms = append(ct.froms, from)
 	cut := ct.cuts > 0
 	if cut {
 		ct.cuts--
@@ -658,6 +653,71 @@ func TestJobTenantIsolationQuotaAndCancel(t *testing.T) {
 	}
 	if _, err := acA.SubmitJob(ctx, req); err != nil {
 		t.Fatalf("submission after cancel freed the quota slot: %v", err)
+	}
+}
+
+// TestSyncStreamIsNotASubmittedJob: a /v1/prove/model stream is a job
+// attached to its request, not a submitted one. With a JournalDir set it
+// leaves no journal file, nothing of it shows under /v1/jobs/* or in the
+// job counters, and a tenant already at its async-job quota is still
+// served.
+func TestSyncStreamIsNotASubmittedJob(t *testing.T) {
+	const seed, tenant = 7, "acme"
+	cfg := tinyModelConfig(nn.MixerPooling)
+	trace := capturedTrace(t, cfg, 3)
+
+	dir := t.TempDir()
+	scfg := server.DefaultConfig()
+	scfg.Seed = seed
+	scfg.JournalDir = dir
+	scfg.TenantJobQuota = 1
+	s, ts := newTestServer(t, scfg)
+
+	ctx := context.Background()
+	ac := server.NewAsyncClient(ts.URL)
+	ac.Tenant = tenant
+	ac.SubmitRetries = 1
+	ac.RetryCap = 10 * time.Millisecond
+	req := modelRequest(zkvc.Spartan, cfg, trace)
+	st, err := ac.SubmitJob(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var se *server.StatusError
+	if _, err := ac.SubmitJob(ctx, req); !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
+		t.Fatalf("second submission: %v, want 429 (the tenant is at quota)", err)
+	}
+
+	onlyTheSubmittedJob := func(when string) {
+		t.Helper()
+		if got := journalFiles(t, dir); len(got) != 1 || got[0] != st.ID+".journal" {
+			t.Fatalf("%s: journal files %v, want only the submitted job's", when, got)
+		}
+		if snap := s.Metrics(); snap.JobsSubmitted != 1 || snap.JobsActive != 1 {
+			t.Fatalf("%s: jobs submitted/active %d/%d, want 1/1", when, snap.JobsSubmitted, snap.JobsActive)
+		}
+	}
+	body := wire.EncodeProveModelRequest(&wire.ProveModelRequest{Backend: zkvc.Spartan, ProveNonlinear: true, Cfg: cfg, Trace: trace})
+	hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/prove/model", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set(server.TenantHeader, tenant)
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("/v1/prove/model for a tenant at quota: %d %s, want 200", resp.StatusCode, raw)
+	}
+	frames := readFrames(t, resp.Body, 1)
+	onlyTheSubmittedJob("mid-stream")
+	rep := assembleReport(t, append(frames, readFrames(t, resp.Body, -1)...))
+	onlyTheSubmittedJob("after the stream")
+	if ok, msg := verifyModelHTTP(t, ts.URL, tenant, rep); !ok {
+		t.Fatalf("the service rejected its own streamed report: %s", msg)
 	}
 }
 

@@ -1,20 +1,21 @@
 package server
 
-// The per-job write-ahead journal behind the async job API. A journal is
-// an append-only sequence of hash-chained records: one manifest (job
-// identity + retention policy), one model-stream header, one record per
-// proved op in completion order, and — only if the job ended early — one
-// terminal error record. Records 1..n are byte-for-byte the frames of
-// the job's model stream, so resuming a client from frame k is replaying
-// journal records k+1 onward; nothing is re-proved and nothing already
-// acked is re-sent. The append that completes the journal also attests
-// its report, before any reader can see that record. With a JournalDir
-// configured each journal is also a chainlog (chainlog.go) of framed
-// wire.JournalRecord messages, fsynced per append, and a restarted
-// server recovers every journal it finds: the hash chain is recomputed
-// from the job ID, a torn or tampered suffix is truncated (and the job
-// honestly failed), and a complete journal's report is re-attested so
-// /v1/verify/model keeps vouching for it.
+// The per-job write-ahead journal every model job proves into and every
+// stream of the job is served from. A journal is an append-only
+// sequence of hash-chained records: one manifest (job identity +
+// retention policy), one model-stream header, one record per proved op
+// in completion order, and — only if the job ended early — one terminal
+// error record. Records 1..n are byte-for-byte the frames of the job's
+// model stream, so resuming a client from frame k is replaying journal
+// records k+1 onward; nothing is re-proved and nothing already acked is
+// re-sent. The append that completes the journal also attests its
+// report, before any reader can see that record. With a JournalDir
+// configured a submitted job's journal is also a chainlog (chainlog.go)
+// of framed wire.JournalRecord messages, fsynced per append, and a
+// restarted server recovers every journal it finds: the hash chain is
+// recomputed from the job ID, a torn or tampered suffix is truncated
+// (and the job honestly failed), and a complete journal's report is
+// re-attested so /v1/verify/model keeps vouching for it.
 
 import (
 	"context"
@@ -66,7 +67,8 @@ type journal struct {
 	// attest is called by the append that completes the journal, under
 	// mu and before readers are woken, with the report's digest; holding
 	// mu is what makes "visible" and "attested" one step, so attest must
-	// not block or call back into the journal.
+	// not call back into the journal. It may block: an attached job's
+	// hook fsyncs the issued log, which holds up only this journal.
 	attest func(d [sha256.Size]byte)
 
 	mu       sync.Mutex
@@ -197,6 +199,21 @@ func (jl *journal) frame(ctx context.Context, k int) (payload []byte, ok bool) {
 			return nil, false
 		}
 	}
+}
+
+// forget drops stream frame k's payload if it is an op frame, and
+// reports whether it was. Only an attached job's frame loop calls it:
+// nothing replays that journal. The header record stays, because the
+// report digest reads it.
+func (jl *journal) forget(k int) bool {
+	jl.mu.Lock()
+	defer jl.mu.Unlock()
+	rec := &jl.recs[k+1]
+	if rec.kind != wire.JournalOp {
+		return false
+	}
+	rec.payload = nil
+	return true
 }
 
 // frames reports how many stream frames exist right now (the manifest

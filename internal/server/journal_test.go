@@ -13,67 +13,65 @@ import (
 )
 
 // TestAttestationBeforeLastFrame pins "record visible" and "attested" as
-// one step, on both model paths, 1,000 times at one core and at all of
-// them. Async: a reader blocked on a journal's last frame must find the
-// report attested and the job done the moment it wakes. Sync: the frame
-// of the op that completes the plan must reach the stream handler only
-// after the report is attested.
+// one step, for both kinds of model job, 1,000 times at one core and at
+// all of them: a reader blocked on a journal's last frame must find the
+// report attested and the job done the moment it wakes. A submitted
+// job's hook attests in memory (its journal is the durable record); an
+// attached job's takes frame credits and attests in the durable issued
+// log, the path /v1/prove/model runs.
 func TestAttestationBeforeLastFrame(t *testing.T) {
 	const rounds = 1000
 	header := pinHeader(2)
-	ops := []journalRec{pinOp(1, "b"), pinOp(0, "a")}
-	want := modelReportDigest(header, [][32]byte{sha256.Sum256(ops[1].payload), sha256.Sum256(ops[0].payload)}, "acme")
+	ops := []*zkml.OpProof{{Seq: 1, Tag: "b", Dims: [3]int{2, 3, 4}}, {Seq: 0, Tag: "a", Dims: [3]int{2, 3, 4}}}
+	want := modelReportDigest(header, [][32]byte{sha256.Sum256(wire.EncodeOpProof(ops[1])), sha256.Sum256(wire.EncodeOpProof(ops[0]))}, "acme")
 	for _, procs := range []int{1, runtime.NumCPU()} {
 		prev := runtime.GOMAXPROCS(procs)
 		for i := 0; i < rounds; i++ {
-			s := &Server{metrics: &metrics{}, issued: newIssuedLog(issuedLogCap)}
-			jl, err := newJournal(pinCompleteID, "acme", pinCreated, time.Time{}, "", header, 2, s.attestJournaled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j := &asyncJob{jl: jl, state: wire.JobRunning}
-			ready, verdict := make(chan struct{}), make(chan string, 1)
-			go func() {
-				close(ready)
-				switch _, ok := jl.frame(context.Background(), len(ops)); {
-				case !ok:
-					verdict <- "last frame never arrived"
-				case !s.issued.has(want):
-					verdict <- "last frame visible before the report was attested"
-				case j.status(0).State != wire.JobDone:
-					verdict <- "last frame visible before the job was done"
-				default:
-					verdict <- ""
+			for _, attached := range []bool{false, true} {
+				s := &Server{metrics: &metrics{}, issued: newIssuedLog(issuedLogCap)}
+				id, hook := pinCompleteID, s.attestJournaled
+				if attached {
+					id, hook = "", s.attestIssued
 				}
-			}()
-			<-ready
-			runtime.Gosched() // let the reader block on the missing frame
-			for _, op := range ops {
-				if err := jl.append(op); err != nil {
+				jl, err := newJournal(id, "acme", pinCreated, time.Time{}, "", header, 2, hook)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			if msg := <-verdict; msg != "" {
-				t.Fatalf("async, GOMAXPROCS=%d, round %d: %s", procs, i, msg)
-			}
-
-			s = &Server{metrics: &metrics{}, issued: newIssuedLog(issuedLogCap)}
-			mj := &modelJob{tenant: "acme", plan: 2, header: header, opHashes: make([][32]byte, 2), events: make(chan modelEvent, modelEventBuffer)}
-			var wg sync.WaitGroup
-			for seq, tag := range []string{"a", "b"} {
-				wg.Add(1)
+				ctx, cancel := context.WithCancel(context.Background())
+				j := &asyncJob{id: id, jl: jl, ctx: ctx, cancel: cancel, state: wire.JobRunning}
+				if attached {
+					j.credits = make(chan struct{}, attachedQueuedFrames)
+				}
+				ready, verdict := make(chan struct{}), make(chan string, 1)
 				go func() {
-					defer wg.Done()
-					s.streamOp(mj, &zkml.OpProof{Seq: seq, Tag: tag, Dims: [3]int{2, 3, 4}})
+					close(ready)
+					switch _, ok := jl.frame(context.Background(), len(ops)); {
+					case !ok:
+						verdict <- "last frame never arrived"
+					case !s.issued.has(want):
+						verdict <- "last frame visible before the report was attested"
+					case j.status(0).State != wire.JobDone:
+						verdict <- "last frame visible before the job was done"
+					default:
+						verdict <- ""
+					}
 				}()
-			}
-			for k := 1; k <= 2; k++ {
-				<-mj.events
-				if k == 2 && !s.issued.has(want) {
-					t.Fatalf("sync, GOMAXPROCS=%d, round %d: last frame queued before the report was attested", procs, i)
+				<-ready
+				runtime.Gosched() // let the reader block on the missing frame
+				var wg sync.WaitGroup
+				for _, op := range ops {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						j.journalOp(s, op)
+					}()
+				}
+				wg.Wait()
+				cancel()
+				if msg := <-verdict; msg != "" {
+					t.Fatalf("attached=%v, GOMAXPROCS=%d, round %d: %s", attached, procs, i, msg)
 				}
 			}
-			wg.Wait()
 		}
 		runtime.GOMAXPROCS(prev)
 	}

@@ -112,7 +112,7 @@ func (rt *Route) Mount(mux *http.ServeMux, slots ModelSlots, h Handler) {
 // each row names its request and answer.
 var Routes = struct {
 	Prove, ProveMatMul, ProveBatch, ProveModel, SubmitJob,
-	JobStatus, JobStream, JobStreamPost, CancelJob,
+	JobStatus, JobStream, CancelJob,
 	Verify, VerifyBatch, VerifyModel, Attest Route
 }{
 	// Coalescing batch proving: wire.ProveRequest → wire.ProveResponse.
@@ -133,8 +133,6 @@ var Routes = struct {
 	JobStatus: Route{Pattern: "GET /v1/jobs/{id}"},
 	// Stream the job's frames; ?from=k resumes after k acked frames.
 	JobStream: Route{Pattern: "GET /v1/jobs/{id}/stream"},
-	// The same stream, addressed by a wire.JobStreamRequest body.
-	JobStreamPost: Route{Pattern: "POST /v1/jobs/stream", Limit: maxBodyBytes, Decode: Decoder(wire.DecodeJobStreamRequest)},
 	// Cancel a job and delete its journal → 204.
 	CancelJob: Route{Pattern: "DELETE /v1/jobs/{id}"},
 	// Check a single proof: wire.VerifyRequest → JSON verdict.

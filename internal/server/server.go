@@ -28,13 +28,14 @@
 // # Durable state
 //
 // With Config.JournalDir set the service keeps two kinds of file there,
-// both chainlogs (chainlog.go): one write-ahead journal per async job
-// (journal.go) and the issued-proof log (issued.go). A chainlog is
-// hash-chained, fsynced per append and cut back to its intact prefix on
-// startup. A report is attested in the same step that makes its last
-// frame visible — under the journal lock for async jobs, before the
-// final frame is queued for sync streams — so a client can verify the
-// moment it holds every op.
+// both chainlogs (chainlog.go): one write-ahead journal per submitted
+// async job (journal.go) and the issued-proof log (issued.go). A
+// chainlog is hash-chained, fsynced per append and cut back to its
+// intact prefix on startup. Every model job, attached to its request or
+// submitted, has a journal (memory-only for an attached one), and a
+// report has one attestation point: the append that journals its last
+// op attests it under the journal lock, before any stream can see that
+// frame, so a client can verify the moment it holds every op.
 //
 // # Tenancy
 //
@@ -621,8 +622,7 @@ func (s *Server) Handler() http.Handler {
 	Routes.ProveModel.Mount(mux, s.modelSlots, s.handleProveModel)
 	Routes.SubmitJob.Mount(mux, s.modelSlots, s.handleSubmitJob)
 	Routes.JobStatus.Mount(mux, s.modelSlots, s.handleJobStatus)
-	Routes.JobStream.Mount(mux, s.modelSlots, s.handleJobStreamGet)
-	Routes.JobStreamPost.Mount(mux, s.modelSlots, s.handleJobStreamPost)
+	Routes.JobStream.Mount(mux, s.modelSlots, s.handleJobStream)
 	Routes.CancelJob.Mount(mux, s.modelSlots, s.handleJobCancel)
 	Routes.Verify.Mount(mux, s.modelSlots, s.handleVerify)
 	Routes.VerifyBatch.Mount(mux, s.modelSlots, s.handleVerifyBatch)

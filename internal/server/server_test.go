@@ -323,8 +323,9 @@ func TestVerifyRejectsForeignEpochProofs(t *testing.T) {
 }
 
 // TestRemovedSurfacesRejected pins what is gone from the node: the
-// epoch-proof route is no longer served, and /v1/verify/model without
-// its ?mode= query is a 400 that names the query.
+// epoch-proof route and the POST twin of the job stream are no longer
+// served, and /v1/verify/model without its ?mode= query is a 400 that
+// names the query.
 func TestRemovedSurfacesRejected(t *testing.T) {
 	cfg := server.DefaultConfig()
 	cfg.Seed = 12
@@ -336,6 +337,13 @@ func TestRemovedSurfacesRejected(t *testing.T) {
 	status, raw := post(t, ts.URL+"/v1/prove/single", wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: w}))
 	if status != http.StatusNotFound && status != http.StatusMethodNotAllowed {
 		t.Errorf("/v1/prove/single: status %d body %s, want 404 or 405", status, raw)
+	}
+
+	// A job stream has one route, GET /v1/jobs/{id}/stream; its
+	// body-addressed POST twin is gone.
+	status, raw = post(t, ts.URL+"/v1/jobs/stream", []byte("job-1"))
+	if status != http.StatusNotFound && status != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v1/jobs/stream: status %d body %s, want 404 or 405", status, raw)
 	}
 
 	mcfg := tinyModelConfig(nn.MixerPooling)

@@ -53,7 +53,6 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		wire.EncodeJobStatus(&wire.JobStatus{ID: "job-1", State: wire.JobRunning, TotalOps: 9, CompletedOps: 4}),
 		wire.EncodeJobStatus(&wire.JobStatus{State: wire.JobRejected, QueuePos: 12, RetryAfterSeconds: 2, Error: "queue full"}),
 		wire.EncodeJournalRecord(&wire.JournalRecord{Seq: 2, Kind: wire.JournalOp, Payload: []byte("frame")}),
-		wire.EncodeJobStreamRequest(&wire.JobStreamRequest{ID: "job-1", From: 3}),
 		wire.EncodeJobManifest(&wire.JobManifest{ID: "job-1", Tenant: "acme", CreatedUnix: 1700000000, DeadlineUnix: 1700003600}),
 		[]byte("ZKVC"),
 		[]byte{},

@@ -33,7 +33,7 @@ const (
 
 // JobSubmitRequest asks the service to prove a model trace asynchronously:
 // the response is a job ID, not a stream, and the frames are read back —
-// possibly much later, possibly more than once — via JobStreamRequest.
+// possibly much later, possibly more than once — from the job's stream.
 // TTLSeconds caps how long the finished journal is retained (0 means the
 // server's default); the payload is the same config + trace a synchronous
 // /v1/prove/model request carries.
@@ -162,33 +162,6 @@ func DecodeJournalRecord(b []byte) (*JournalRecord, error) {
 		r.Kind = d.u8max("journal record kind", maxJournalKind)
 		r.Prev = d.hash32()
 		r.Payload = d.blob("journal payload", maxJournalPayload)
-		return r
-	})
-}
-
-// JobStreamRequest asks for a job's frame stream starting at frame From
-// (0 restarts from the stream header; k skips the k frames the client
-// already acked). It is the body of POST /v1/jobs/stream — the wire-typed
-// twin of GET /v1/jobs/{id}/stream?from=k.
-type JobStreamRequest struct {
-	ID   string
-	From int
-}
-
-// EncodeJobStreamRequest serializes a stream-resume request.
-func EncodeJobStreamRequest(r *JobStreamRequest) []byte {
-	e := newEnc(TagJobStreamRequest)
-	e.str(r.ID)
-	e.u32(uint32(r.From))
-	return e.buf
-}
-
-// DecodeJobStreamRequest parses a stream-resume request.
-func DecodeJobStreamRequest(b []byte) (*JobStreamRequest, error) {
-	return decode(b, TagJobStreamRequest, func(d *dec) *JobStreamRequest {
-		r := &JobStreamRequest{}
-		r.ID = d.strNonEmpty("job ID")
-		r.From = d.u32max("resume frame", maxJournalSeq)
 		return r
 	})
 }

@@ -87,24 +87,11 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJobStreamRequestAndManifestRoundTrip pins the remaining two job
-// messages.
-func TestJobStreamRequestAndManifestRoundTrip(t *testing.T) {
-	sr := &wire.JobStreamRequest{ID: "a1b2c3", From: 7}
-	raw := wire.EncodeJobStreamRequest(sr)
-	gotSR, err := wire.DecodeJobStreamRequest(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *gotSR != *sr {
-		t.Fatalf("round trip: got %+v, want %+v", gotSR, sr)
-	}
-	if again := wire.EncodeJobStreamRequest(gotSR); !bytes.Equal(raw, again) {
-		t.Fatal("stream request re-encode is not canonical")
-	}
-
+// TestJobManifestRoundTrip pins the journal manifest, the remaining
+// job message.
+func TestJobManifestRoundTrip(t *testing.T) {
 	m := &wire.JobManifest{ID: "a1b2c3", Tenant: "acme", CreatedUnix: 1700000000, DeadlineUnix: 1700003600}
-	raw = wire.EncodeJobManifest(m)
+	raw := wire.EncodeJobManifest(m)
 	gotM, err := wire.DecodeJobManifest(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +120,6 @@ func TestJobMessagesStrictDecode(t *testing.T) {
 		{"status: admitted without ID", decStatus, wire.EncodeJobStatus(&wire.JobStatus{State: wire.JobRunning})},
 		{"status: rejected with ID", decStatus, wire.EncodeJobStatus(&wire.JobStatus{ID: "a", State: wire.JobRejected})},
 		{"status: completed > total", decStatus, wire.EncodeJobStatus(&wire.JobStatus{ID: "a", State: wire.JobRunning, TotalOps: 2, CompletedOps: 3})},
-		{"stream: empty ID", decStream, wire.EncodeJobStreamRequest(&wire.JobStreamRequest{From: 1})},
 		{"manifest: empty ID", decManifest, wire.EncodeJobManifest(&wire.JobManifest{Tenant: "t"})},
 	}
 	for _, c := range cases {
@@ -159,5 +145,4 @@ func TestJobMessagesStrictDecode(t *testing.T) {
 
 func decStatus(b []byte) error   { _, err := wire.DecodeJobStatus(b); return err }
 func decRecord(b []byte) error   { _, err := wire.DecodeJournalRecord(b); return err }
-func decStream(b []byte) error   { _, err := wire.DecodeJobStreamRequest(b); return err }
 func decManifest(b []byte) error { _, err := wire.DecodeJobManifest(b); return err }

@@ -55,7 +55,6 @@ var codecs = []codec{
 	newCodec("JobSubmitRequest", wire.DecodeJobSubmitRequest, wire.EncodeJobSubmitRequest),
 	newCodec("JobStatus", wire.DecodeJobStatus, wire.EncodeJobStatus),
 	newCodec("JournalRecord", wire.DecodeJournalRecord, wire.EncodeJournalRecord),
-	newCodec("JobStreamRequest", wire.DecodeJobStreamRequest, wire.EncodeJobStreamRequest),
 	newCodec("JobManifest", wire.DecodeJobManifest, wire.EncodeJobManifest),
 	newCodec("IssuedRecord", wire.DecodeIssuedRecord, wire.EncodeIssuedRecord),
 	newCodec("AttestationUpdate", wire.DecodeAttestationUpdate, wire.EncodeAttestationUpdate),
@@ -119,7 +118,6 @@ func strictRows(t *testing.T) map[string][]byte {
 	rows["JobStatus/running"] = wire.EncodeJobStatus(&wire.JobStatus{ID: "a", State: wire.JobRunning, TotalOps: 5, CompletedOps: 2})
 	rows["JobStatus/rejected"] = wire.EncodeJobStatus(&wire.JobStatus{State: wire.JobRejected, QueuePos: 12, RetryAfterSeconds: 2, Error: "queue full"})
 	rows["JournalRecord"] = wire.EncodeJournalRecord(&wire.JournalRecord{Seq: 1, Kind: wire.JournalHeader, Prev: [32]byte{7}, Payload: []byte("frame")})
-	rows["JobStreamRequest"] = wire.EncodeJobStreamRequest(&wire.JobStreamRequest{ID: "a", From: 1})
 	rows["JobManifest"] = wire.EncodeJobManifest(&wire.JobManifest{ID: "a", Tenant: "t", CreatedUnix: 10, DeadlineUnix: 20})
 	rows["IssuedRecord"] = wire.EncodeIssuedRecord(&wire.IssuedRecord{Seq: 1, Kind: wire.IssuedAdd, Prev: [32]byte{8}, Digest: [32]byte{9}, CRSTag: 2})
 	rows["AttestationUpdate"] = wire.EncodeAttestationUpdate(&wire.AttestationUpdate{Node: "n", Added: [][32]byte{{1}, {2}}, Removed: [][32]byte{{3}}})

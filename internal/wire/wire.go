@@ -84,8 +84,9 @@ const (
 	TagJobSubmitRequest byte = 0x0f
 	TagJobStatus        byte = 0x10
 	TagJournalRecord    byte = 0x11
-	TagJobStreamRequest byte = 0x12
-	TagJobManifest      byte = 0x13
+	// 0x12 was JobStreamRequest, the body of the retired
+	// POST /v1/jobs/stream. Never reuse it.
+	TagJobManifest byte = 0x13
 	// Issued-log messages (issued.go). TagIssuedRecord is stored in the
 	// durable issued-proof log.
 	TagIssuedRecord      byte = 0x14
@@ -117,7 +118,6 @@ var tagNames = map[byte]string{
 	TagJobSubmitRequest:    "JobSubmitRequest",
 	TagJobStatus:           "JobStatus",
 	TagJournalRecord:       "JournalRecord",
-	TagJobStreamRequest:    "JobStreamRequest",
 	TagJobManifest:         "JobManifest",
 	TagIssuedRecord:        "IssuedRecord",
 	TagAttestationUpdate:   "AttestationUpdate",
