@@ -174,8 +174,6 @@ func cmdVerifyModel(args []string) {
 	tenant := fs.String("tenant", "", "tenant header the report was issued under")
 	local := fs.Bool("local", false,
 		"verify in-process instead of asking the service (trusts the report's own verifying material)")
-	aggregate := fs.Bool("aggregate", false,
-		"verify a Groth16 report with one batched check instead of one check per op (Spartan reports verify per op either way)")
 	fs.Parse(args)
 
 	raw, err := os.ReadFile(*reportPath)
@@ -186,25 +184,21 @@ func cmdVerifyModel(args []string) {
 	if err != nil {
 		fatalf("verify-model: decoding report: %v", err)
 	}
-	opts := zkvc.VerifyOptions{}
-	if *aggregate {
-		opts.Mode = zkvc.VerifyAggregate
-	}
 
 	if *local {
-		if err := zkvc.NewLocal(rep.Backend, rep.Circuit).VerifyModel(context.Background(), rep, opts); err != nil {
+		if err := zkvc.NewLocal(rep.Backend, rep.Circuit).VerifyModel(context.Background(), rep); err != nil {
 			fatalf("verification FAILED: %v", err)
 		}
-		fmt.Printf("local %s verification OK: %s, %d ops on %s (note: Groth16 ops are checked against their embedded keys — trust them only if you trust where this report came from)\n",
-			opts.Mode, rep.Model, len(rep.Ops), rep.Backend)
+		fmt.Printf("local verification OK: %s, %d ops on %s (note: Groth16 ops are checked against their embedded keys — trust them only if you trust where this report came from)\n",
+			rep.Model, len(rep.Ops), rep.Backend)
 		return
 	}
 
 	c := server.NewClient(*serverURL)
 	c.Tenant = *tenant
-	if err := c.VerifyModel(context.Background(), rep, opts); err != nil {
+	if err := c.VerifyModel(context.Background(), rep); err != nil {
 		fatalf("verification FAILED: %v", err)
 	}
-	fmt.Printf("%s verification OK: service vouches for %s (%d ops on %s)\n",
-		opts.Mode, rep.Model, len(rep.Ops), rep.Backend)
+	fmt.Printf("verification OK: service vouches for %s (%d ops on %s)\n",
+		rep.Model, len(rep.Ops), rep.Backend)
 }

@@ -4,7 +4,7 @@ package zkvc_test
 // proved through the model pipeline (sync service, async jobs, a
 // cluster), byte-identical across engines and parallelism levels on
 // both backends, and one verifiable SGD fine-tuning step whose
-// tampered weight-update op is rejected in both verify modes.
+// tampered weight-update op is rejected.
 
 import (
 	"bytes"
@@ -71,7 +71,7 @@ func proveCNN(t *testing.T, eng zkvc.Engine, req *zkvc.ModelRequest) *zkvc.Repor
 // TestCNNModelParallelByteIdentity is the acceptance grid: the CNNMNIST
 // trace proved locally and through /v1/prove/model at parallelism 1, 2
 // and 4, on both backends — every report byte-identical to the
-// sequential local reference, and verifying in both modes.
+// sequential local reference, and verifying.
 func TestCNNModelParallelByteIdentity(t *testing.T) {
 	defer zkvc.SetParallelism(0)
 	ctx := context.Background()
@@ -89,10 +89,8 @@ func TestCNNModelParallelByteIdentity(t *testing.T) {
 				lrep := proveCNN(t, local, req)
 				if par == 1 {
 					ref = canonicalReport(lrep)
-					for _, mode := range []zkvc.VerifyMode{zkvc.VerifyPerOp, zkvc.VerifyAggregate} {
-						if err := local.VerifyModel(ctx, lrep, zkvc.VerifyOptions{Mode: mode}); err != nil {
-							t.Fatalf("VerifyModel(%s): %v", mode, err)
-						}
+					if err := local.VerifyModel(ctx, lrep); err != nil {
+						t.Fatalf("VerifyModel: %v", err)
 					}
 				} else if !bytes.Equal(ref, canonicalReport(lrep)) {
 					t.Fatalf("local CNN report at parallelism %d differs from sequential", par)
@@ -108,8 +106,7 @@ func TestCNNModelParallelByteIdentity(t *testing.T) {
 
 // TestCNNModelAsyncClusterParallel drives the same CNNMNIST trace
 // through the durable-job API and a two-node cluster (Spartan — the
-// backend grid is covered above), checks both verify modes on every
-// engine, and pins byte identity against the local reference.
+// backend grid is covered above), verifies on every engine, and pins byte identity against the local reference.
 func TestCNNModelAsyncClusterParallel(t *testing.T) {
 	ctx := context.Background()
 	backend := zkvc.Spartan
@@ -140,10 +137,8 @@ func TestCNNModelAsyncClusterParallel(t *testing.T) {
 		if !bytes.Equal(ref, canonicalReport(rep)) {
 			t.Fatalf("%s CNN report differs from local at equal seeds", ne.name)
 		}
-		for _, mode := range []zkvc.VerifyMode{zkvc.VerifyPerOp, zkvc.VerifyAggregate} {
-			if err := ne.eng.VerifyModel(ctx, rep, zkvc.VerifyOptions{Mode: mode}); err != nil {
-				t.Fatalf("%s VerifyModel(%s): %v", ne.name, mode, err)
-			}
+		if err := ne.eng.VerifyModel(ctx, rep); err != nil {
+			t.Fatalf("%s VerifyModel: %v", ne.name, err)
 		}
 	}
 }
@@ -166,8 +161,8 @@ func sgdModelRequest(t *testing.T, backend zkvc.Backend) (*zkvc.ModelRequest, *z
 
 // TestSGDStepProvesAndTamperedUpdateRejected proves one recorded SGD
 // step on both backends, locally and through the service, and then
-// flips the weight-update op's public input: both verify modes must
-// reject with ErrVerification, and the remote policy must reject the
+// flips the weight-update op's public input: VerifyModel must reject
+// with ErrVerification, and the remote policy must reject the
 // altered report too.
 func TestSGDStepProvesAndTamperedUpdateRejected(t *testing.T) {
 	ctx := context.Background()
@@ -194,10 +189,8 @@ func TestSGDStepProvesAndTamperedUpdateRejected(t *testing.T) {
 			if updIdx < 0 {
 				t.Fatal("report has no sgd.update.head op")
 			}
-			for _, mode := range []zkvc.VerifyMode{zkvc.VerifyPerOp, zkvc.VerifyAggregate} {
-				if err := local.VerifyModel(ctx, rep, zkvc.VerifyOptions{Mode: mode}); err != nil {
-					t.Fatalf("VerifyModel(%s): %v", mode, err)
-				}
+			if err := local.VerifyModel(ctx, rep); err != nil {
+				t.Fatalf("VerifyModel: %v", err)
 			}
 
 			// Forge the update: a prover claiming a different W' changes
@@ -209,10 +202,8 @@ func TestSGDStepProvesAndTamperedUpdateRejected(t *testing.T) {
 			one.SetOne()
 			pub[1].Add(&pub[1], &one)
 			bad.Ops[updIdx].Public = pub
-			for _, mode := range []zkvc.VerifyMode{zkvc.VerifyPerOp, zkvc.VerifyAggregate} {
-				if err := local.VerifyModel(ctx, &bad, zkvc.VerifyOptions{Mode: mode}); !errors.Is(err, zkvc.ErrVerification) {
-					t.Fatalf("tampered update, VerifyModel(%s): got %v, want ErrVerification", mode, err)
-				}
+			if err := local.VerifyModel(ctx, &bad); !errors.Is(err, zkvc.ErrVerification) {
+				t.Fatalf("tampered update, VerifyModel: got %v, want ErrVerification", err)
 			}
 			if err := remote.VerifyModel(ctx, &bad); !errors.Is(err, zkvc.ErrVerification) {
 				t.Fatalf("tampered update, remote VerifyModel: got %v, want ErrVerification", err)
@@ -256,7 +247,7 @@ func TestCNNReportTamperSuite(t *testing.T) {
 
 	// Flipped im2col operand: the conv op's public inputs carry the
 	// lowered statement, so changing one entry is claiming a different
-	// expansion — rejected cryptographically in both modes.
+	// expansion — rejected cryptographically.
 	flipped := *rep
 	flipped.Ops = append([]zkvc.OpProof(nil), rep.Ops...)
 	pub := append([]ff.Fr(nil), flipped.Ops[convIdx].Public...)
@@ -264,10 +255,8 @@ func TestCNNReportTamperSuite(t *testing.T) {
 	one.SetOne()
 	pub[1].Add(&pub[1], &one)
 	flipped.Ops[convIdx].Public = pub
-	for _, mode := range []zkvc.VerifyMode{zkvc.VerifyPerOp, zkvc.VerifyAggregate} {
-		if err := local.VerifyModel(ctx, &flipped, zkvc.VerifyOptions{Mode: mode}); !errors.Is(err, zkvc.ErrVerification) {
-			t.Fatalf("flipped im2col operand, mode %s: got %v, want ErrVerification", mode, err)
-		}
+	if err := local.VerifyModel(ctx, &flipped); !errors.Is(err, zkvc.ErrVerification) {
+		t.Fatalf("flipped im2col operand: got %v, want ErrVerification", err)
 	}
 
 	// Relabeled conv op: rewriting conv2d as a plain matmul changes the

@@ -95,34 +95,29 @@
 //     completion order, with valid sequence numbers; ModelStream.Report
 //     reassembles the sequence-ordered report.
 //
-// # Verify modes
+// # Verifying a model report
 //
-// VerifyModel takes optional VerifyOptions selecting how much work the
-// verifier does, never what it accepts:
+// VerifyModel runs one check on every engine:
 //
-//	err := eng.VerifyModel(ctx, report, zkvc.VerifyOptions{Mode: zkvc.VerifyAggregate})
+//	err := eng.VerifyModel(ctx, report)
 //
-// VerifyPerOp checks every operation's proof independently — one
-// pairing product per Groth16 op, one transcript replay per Spartan op.
-// VerifyAggregate folds a Groth16 report into one succinct check: all
-// ops join a single random-linear-combination multi-pairing (one final
+// A Groth16 report is folded into one succinct check: all ops join a
+// single random-linear-combination multi-pairing (one final
 // exponentiation total). The combination weights are Fiat–Shamir
 // challenges bound to the entire report — op identities, public inputs
 // and complete proof material — so no op can be swapped, dropped or
-// forged without changing its weight. Only Groth16 aggregates: each
-// Spartan proof's sumchecks and opening are bound to its own
-// transcript, leaving nothing worth batching, so a Spartan report
-// verifies per op in both modes.
+// forged without changing its weight. If that check rejects, the ops are
+// checked one by one so the error names the first failing op. A Spartan
+// report verifies per op: each proof's sumchecks and opening are bound to
+// its own transcript, leaving nothing worth batching.
 //
-// The modes agree on every verdict (conformance-pinned: same accepts,
-// same rejections, same ErrVerification sentinel), and aggregation
-// attests nothing beyond what per-op verification attests: on remote
-// engines both modes are subject to the service's issued-only report
-// policy over the same whole-report digest. Both modes require the
-// report to retain its proof payloads (Options.KeepProofs); a stripped
-// or empty report fails verification rather than passing vacuously.
-//
-// With no options, VerifyModel(ctx, report) verifies per op.
+// The batched check accepts exactly the reports the op-by-op check
+// accepts, up to the ~1/r batching error, and the verifier needs the
+// report's proof payloads (Options.KeepProofs): a stripped or empty
+// report fails verification rather than passing vacuously. On remote
+// engines the service first applies its issued-only report policy to
+// the whole-report digest. The VerifyOptions tail is deprecated and
+// ignored.
 //
 // # Operating the service
 //

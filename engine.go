@@ -43,65 +43,24 @@ type ModelRequest struct {
 	Trace          *Trace
 }
 
-// VerifyMode selects how Engine.VerifyModel checks a report.
+// VerifyMode once selected per-op or aggregate model verification.
+//
+// Deprecated: ignored; every report gets the same check.
 type VerifyMode int
 
 const (
-	// VerifyPerOp (the zero value) runs one full proof verification per
-	// traced operation — the original, linear-cost path.
+	// Deprecated: ignored; every report gets the same check.
 	VerifyPerOp VerifyMode = iota
-	// VerifyAggregate folds a Groth16 report into a single
-	// random-linear-combination multi-pairing. Same accept set as
-	// VerifyPerOp (up to the ~1/r batching error), attesting exactly the
-	// same report. Only Groth16 aggregates: a Spartan report verifies per
-	// op in both modes.
+	// Deprecated: ignored; every report gets the same check.
 	VerifyAggregate
 )
 
-// String returns the mode's wire name — the value of the proving
-// service's ?mode= query parameter.
-func (m VerifyMode) String() string {
-	switch m {
-	case VerifyPerOp:
-		return "per-op"
-	case VerifyAggregate:
-		return "aggregate"
-	default:
-		return fmt.Sprintf("VerifyMode(%d)", int(m))
-	}
-}
-
-// ParseVerifyMode maps a wire name back to its VerifyMode.
-func ParseVerifyMode(s string) (VerifyMode, error) {
-	switch s {
-	case "per-op":
-		return VerifyPerOp, nil
-	case "aggregate":
-		return VerifyAggregate, nil
-	default:
-		return 0, fmt.Errorf("zkvc: unknown verify mode %q", s)
-	}
-}
-
-// VerifyOptions configures Engine.VerifyModel. The zero value is the
-// per-op path, so VerifyModel(ctx, rep) verifies per op.
+// VerifyOptions is the optional tail of Engine.VerifyModel.
+//
+// Deprecated: ignored; every report gets the same check.
 type VerifyOptions struct {
-	// Mode selects per-op or aggregate verification. It changes the work
-	// only for Groth16 reports; Spartan reports verify per op in either
-	// mode.
+	// Deprecated: ignored; every report gets the same check.
 	Mode VerifyMode
-}
-
-// ResolveVerifyOptions collapses a VerifyModel opts tail into one
-// VerifyOptions value: none → the zero (per-op) options, otherwise the
-// last value wins, matching the functional-options reading of a
-// variadic tail. Engine implementations outside this package use it so
-// every engine reads the tail identically.
-func ResolveVerifyOptions(opts ...VerifyOptions) VerifyOptions {
-	if len(opts) == 0 {
-		return VerifyOptions{}
-	}
-	return opts[len(opts)-1]
 }
 
 // Engine proves and verifies zkVC statements. Implementations differ
@@ -144,9 +103,8 @@ type Engine interface {
 	VerifyMatMul(ctx context.Context, x *Matrix, proof *MatMulProof) error
 	// VerifyBatch checks a folded batch proof against its public inputs.
 	VerifyBatch(ctx context.Context, xs []*Matrix, proof *BatchProof) error
-	// VerifyModel checks an assembled model report. The opts tail picks
-	// the verification mode (ResolveVerifyOptions: last value wins); no
-	// options means per-op verification.
+	// VerifyModel checks an assembled model report. The opts tail is
+	// deprecated and ignored: every report gets the same check.
 	VerifyModel(ctx context.Context, rep *Report, opts ...VerifyOptions) error
 }
 
@@ -417,27 +375,18 @@ func (l *Local) VerifyBatch(ctx context.Context, xs []*Matrix, proof *BatchProof
 	return VerifyMatMulBatch(xs, proof)
 }
 
-// VerifyModel re-verifies every retained proof in a report in-process —
-// per-op by default, or, for a Groth16 report, as one batched check under
-// VerifyOptions{Mode: VerifyAggregate}. Note the trust posture: Groth16
-// ops are checked against the verifying keys the report itself carries,
-// which proves nothing unless the report comes from a setup this process
-// trusts (its own Local proving, or a service whose attestation was
-// checked remotely first).
-func (l *Local) VerifyModel(ctx context.Context, rep *Report, opts ...VerifyOptions) error {
+// VerifyModel re-verifies every retained proof in a report in-process
+// with zkml.VerifyReport: one batched pairing check for a Groth16 report,
+// per op for a Spartan one. opts is ignored. Note the trust posture:
+// Groth16 ops are checked against the verifying keys the report itself
+// carries, which proves nothing unless the report comes from a setup
+// this process trusts (its own Local proving, or a service whose
+// attestation was checked remotely first).
+func (l *Local) VerifyModel(ctx context.Context, rep *Report, _ ...VerifyOptions) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var err error
-	switch mode := ResolveVerifyOptions(opts...).Mode; mode {
-	case VerifyPerOp:
-		err = zkml.VerifyReport(rep, zkml.Options{PCS: pcs.DefaultParams()})
-	case VerifyAggregate:
-		err = rep.VerifyAggregated(pcs.DefaultParams())
-	default:
-		return fmt.Errorf("zkvc: unknown verify mode %q", mode)
-	}
-	if err != nil {
+	if err := zkml.VerifyReport(rep, zkml.Options{PCS: pcs.DefaultParams()}); err != nil {
 		// Fold the compiler's failure into the package sentinel: the
 		// Engine error taxonomy promises errors.Is(err, ErrVerification)
 		// on every implementation, and remote engines already map their

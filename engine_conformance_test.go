@@ -21,6 +21,7 @@ import (
 	"errors"
 	mrand "math/rand"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"zkvc"
@@ -208,26 +209,14 @@ func TestEngineConformance(t *testing.T) {
 							t.Fatalf("report op %d carries sequence %d", i, rep.Ops[i].Seq)
 						}
 					}
-					// --- verify-mode dimension ---
-					// The no-options call (per-op) and both explicit
-					// modes accept the engine's own report; the verdict
-					// must not depend on the mode (aggregate ⇔ per-op
-					// parity), only the number of pairing checks does.
 					if err := eng.VerifyModel(ctx, rep); err != nil {
-						t.Fatalf("VerifyModel of own report (no options): %v", err)
-					}
-					for _, mode := range []zkvc.VerifyMode{zkvc.VerifyPerOp, zkvc.VerifyAggregate} {
-						opts := zkvc.VerifyOptions{Mode: mode}
-						if err := eng.VerifyModel(ctx, rep, opts); err != nil {
-							t.Fatalf("VerifyModel(%s) of own report: %v", mode, err)
-						}
+						t.Fatalf("VerifyModel of own report: %v", err)
 					}
 					reports[ne.name] = canonicalReport(rep)
 					// A tampered report fails with the same sentinel on
 					// every engine (a policy rejection remotely, a
-					// cryptographic failure locally), in every mode.
-					// Deep-copy the tampered op so the retained report
-					// stays intact.
+					// cryptographic failure locally). Deep-copy the
+					// tampered op so the retained report stays intact.
 					bad := *rep
 					bad.Ops = append([]zkvc.OpProof(nil), rep.Ops...)
 					pub := append([]ff.Fr(nil), bad.Ops[0].Public...)
@@ -237,12 +226,6 @@ func TestEngineConformance(t *testing.T) {
 					bad.Ops[0].Public = pub
 					if err := eng.VerifyModel(ctx, &bad); !errors.Is(err, zkvc.ErrVerification) {
 						t.Fatalf("tampered VerifyModel: got %v, want ErrVerification", err)
-					}
-					for _, mode := range []zkvc.VerifyMode{zkvc.VerifyPerOp, zkvc.VerifyAggregate} {
-						opts := zkvc.VerifyOptions{Mode: mode}
-						if err := eng.VerifyModel(ctx, &bad, opts); !errors.Is(err, zkvc.ErrVerification) {
-							t.Fatalf("tampered VerifyModel(%s): got %v, want ErrVerification", mode, err)
-						}
 					}
 
 					// --- cancellation taxonomy ---
@@ -297,7 +280,7 @@ func conformanceCNNRequest(t *testing.T, backend zkvc.Backend) *zkvc.ModelReques
 }
 
 // TestEngineConformanceCNN runs the CNN fixture through every engine on
-// both backends: round trip in both verify modes, cross-engine byte
+// both backends: round trip, cross-engine byte
 // identity at equal seeds, and the tamper sentinel on the conv op.
 func TestEngineConformanceCNN(t *testing.T) {
 	for _, backend := range []zkvc.Backend{zkvc.Spartan, zkvc.Groth16} {
@@ -325,10 +308,8 @@ func TestEngineConformanceCNN(t *testing.T) {
 					if convIdx < 0 {
 						t.Fatal("CNN report has no conv2d op")
 					}
-					for _, mode := range []zkvc.VerifyMode{zkvc.VerifyPerOp, zkvc.VerifyAggregate} {
-						if err := ne.eng.VerifyModel(ctx, rep, zkvc.VerifyOptions{Mode: mode}); err != nil {
-							t.Fatalf("VerifyModel(%s): %v", mode, err)
-						}
+					if err := ne.eng.VerifyModel(ctx, rep); err != nil {
+						t.Fatalf("VerifyModel: %v", err)
 					}
 					reports[ne.name] = canonicalReport(rep)
 
@@ -354,16 +335,18 @@ func TestEngineConformanceCNN(t *testing.T) {
 }
 
 // TestVerifyModelAggregateRejectsCorruptedOpProof pins the soundness of
-// VerifyAggregate: corrupting exactly one op proof — on Groth16 with a
-// valid group element, so no decode-stage subgroup check can reject
-// early — must sink the whole verdict, on both backends, with the
-// standard sentinel; and an empty report fails in both modes. Run
-// against the Local engine, where the report reaches the
-// random-linear-combination check directly (remote engines reject
-// altered bytes at the issued-report policy instead, which the main
-// suite covers).
+// the one model check: corrupting exactly one op proof — on Groth16 with
+// a valid group element, so no decode-stage subgroup check can reject
+// early, and only the batched pairing check sees it — must sink the
+// whole verdict, on both backends, with the standard sentinel; and an
+// empty report fails instead of passing vacuously. The deprecated
+// VerifyOptions{Mode: VerifyAggregate} tail must give the same verdict
+// as no options. Run against the Local engine, where the report reaches
+// the cryptographic check directly (remote engines reject altered bytes
+// at the issued-report policy instead, which the main suite covers).
 func TestVerifyModelAggregateRejectsCorruptedOpProof(t *testing.T) {
 	ctx := context.Background()
+	agg := zkvc.VerifyOptions{Mode: zkvc.VerifyAggregate}
 	for _, backend := range []zkvc.Backend{zkvc.Spartan, zkvc.Groth16} {
 		backend := backend
 		t.Run(backend.String(), func(t *testing.T) {
@@ -374,9 +357,11 @@ func TestVerifyModelAggregateRejectsCorruptedOpProof(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			agg := zkvc.VerifyOptions{Mode: zkvc.VerifyAggregate}
+			if err := eng.VerifyModel(ctx, rep); err != nil {
+				t.Fatalf("valid report rejected: %v", err)
+			}
 			if err := eng.VerifyModel(ctx, rep, agg); err != nil {
-				t.Fatalf("valid report rejected in aggregate mode: %v", err)
+				t.Fatalf("valid report rejected under the deprecated aggregate option: %v", err)
 			}
 			// Corrupt one op, leaving every other proof intact.
 			op := &rep.Ops[len(rep.Ops)/2]
@@ -390,20 +375,16 @@ func TestVerifyModelAggregateRejectsCorruptedOpProof(t *testing.T) {
 				forged.VA.Add(&forged.VA, &forged.VB)
 				op.Spartan = &forged
 			}
-			if err := eng.VerifyModel(ctx, rep, agg); !errors.Is(err, zkvc.ErrVerification) {
-				t.Fatalf("one corrupted op proof: got %v, want ErrVerification", err)
+			err = eng.VerifyModel(ctx, rep)
+			if !errors.Is(err, zkvc.ErrVerification) || !strings.Contains(err.Error(), op.Tag) {
+				t.Fatalf("one corrupted op proof: got %v, want ErrVerification naming op %q", err, op.Tag)
 			}
-			// Parity: per-op mode agrees on the verdict.
-			if err := eng.VerifyModel(ctx, rep, zkvc.VerifyOptions{Mode: zkvc.VerifyPerOp}); !errors.Is(err, zkvc.ErrVerification) {
-				t.Fatalf("per-op mode disagrees with aggregate verdict: %v", err)
+			if aggErr := eng.VerifyModel(ctx, rep, agg); aggErr == nil || aggErr.Error() != err.Error() {
+				t.Fatalf("deprecated aggregate option: got %v, no options gave %v", aggErr, err)
 			}
-			// A report with no ops proves nothing: both modes reject it
-			// instead of passing vacuously.
-			for _, mode := range []zkvc.VerifyMode{zkvc.VerifyPerOp, zkvc.VerifyAggregate} {
-				empty := &zkvc.Report{Backend: backend}
-				if err := eng.VerifyModel(ctx, empty, zkvc.VerifyOptions{Mode: mode}); !errors.Is(err, zkvc.ErrVerification) {
-					t.Fatalf("%s: empty report: got %v, want ErrVerification", mode, err)
-				}
+			// A report with no ops proves nothing.
+			if err := eng.VerifyModel(ctx, &zkvc.Report{Backend: backend}); !errors.Is(err, zkvc.ErrVerification) {
+				t.Fatalf("empty report: got %v, want ErrVerification", err)
 			}
 		})
 	}

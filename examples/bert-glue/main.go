@@ -52,12 +52,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Attest the report through the aggregate fast path: one batched
-	// check for the whole report, same verdict as per-op verification.
-	if err := eng.VerifyModel(ctx, report, zkvc.VerifyOptions{Mode: zkvc.VerifyAggregate}); err != nil {
-		log.Fatalf("/v1/verify/model?mode=aggregate rejected the report: %v", err)
+	if err := eng.VerifyModel(ctx, report); err != nil {
+		log.Fatalf("/v1/verify/model rejected the report: %v", err)
 	}
-	fmt.Printf("service proved %s end to end: %d ops, %d constraints, prove %.2fs, report attested (aggregate)\n\n",
+	fmt.Printf("service proved %s end to end: %d ops, %d constraints, prove %.2fs, report attested\n\n",
 		small.Name, len(report.Ops), report.TotalConstraints(), report.TotalProve().Seconds())
 
 	// Part 2 — the Table IV comparison at full shapes (estimated).

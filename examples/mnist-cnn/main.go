@@ -53,10 +53,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := eng.VerifyModel(ctx, rep, zkvc.VerifyOptions{Mode: zkvc.VerifyAggregate}); err != nil {
+	if err := eng.VerifyModel(ctx, rep); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("inference verified (aggregate): %d ops, %d constraints, proofs %d bytes, prove %v\n",
+	fmt.Printf("inference verified: %d ops, %d constraints, proofs %d bytes, prove %v\n",
 		len(rep.Ops), rep.TotalConstraints(), rep.TotalProofBytes(), rep.TotalProve().Round(1e6))
 
 	// One verifiable fine-tuning step on the classification head:
@@ -80,10 +80,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := eng.VerifyModel(ctx, srep, zkvc.VerifyOptions{Mode: zkvc.VerifyAggregate}); err != nil {
+	if err := eng.VerifyModel(ctx, srep); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fine-tuning step verified (aggregate): %d ops, proofs %d bytes, prove %v\n",
+	fmt.Printf("fine-tuning step verified: %d ops, proofs %d bytes, prove %v\n",
 		len(srep.Ops), srep.TotalProofBytes(), srep.TotalProve().Round(1e6))
 
 	// Adopt the step. The next trace proves against the updated head.

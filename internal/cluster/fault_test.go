@@ -407,8 +407,7 @@ func stubVerifyNode(t *testing.T, status int, body string) *httptest.Server {
 // least once; if verifies failed over, no 503 would ever surface.
 func TestVerifyShedLoadIsNotFailedOver(t *testing.T) {
 	busy := stubVerifyNode(t, http.StatusServiceUnavailable, "busy")
-	verdict := stubVerifyNode(t, http.StatusOK, string(wire.EncodeVerifyModelResponse(
-		&wire.VerifyModelResponse{Mode: zkvc.VerifyPerOp, Error: "not issued"})))
+	verdict := stubVerifyNode(t, http.StatusUnprocessableEntity, `{"ok":false,"error":"not issued"}`)
 
 	ccfg := cluster.DefaultConfig()
 	ccfg.Nodes = []string{busy.URL, verdict.URL}
@@ -423,11 +422,11 @@ func TestVerifyShedLoadIsNotFailedOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := wire.EncodeVerifyModelRequest(&wire.VerifyModelRequest{Mode: zkvc.VerifyPerOp, Report: rep})
+	body := wire.EncodeReport(rep)
 
 	got503, gotVerdict := 0, 0
 	for i := 0; i < 16; i++ {
-		hreq, err := http.NewRequest(http.MethodPost, coordTS.URL+"/v1/verify/model?mode=per-op", bytes.NewReader(body))
+		hreq, err := http.NewRequest(http.MethodPost, coordTS.URL+"/v1/verify/model", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,7 +439,7 @@ func TestVerifyShedLoadIsNotFailedOver(t *testing.T) {
 		switch resp.StatusCode {
 		case http.StatusServiceUnavailable:
 			got503++
-		case http.StatusOK:
+		case http.StatusUnprocessableEntity:
 			gotVerdict++
 		default:
 			t.Fatalf("verify %d: unexpected status %d", i, resp.StatusCode)

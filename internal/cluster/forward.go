@@ -31,6 +31,7 @@ import (
 
 	"zkvc/internal/server"
 	"zkvc/internal/wire"
+	"zkvc/internal/zkml"
 )
 
 // route is one forwarded endpoint: the node's row and its policy.
@@ -138,7 +139,7 @@ func verifyBatchKey(c *Coordinator, r *http.Request, req any) ([]byte, [sha256.S
 
 // verifyModelKey re-derives the prove-time model key from the report.
 func verifyModelKey(_ *Coordinator, r *http.Request, req any) ([]byte, [sha256.Size]byte) {
-	rep, tenant := req.(*wire.VerifyModelRequest).Report, tenantOf(r)
+	rep, tenant := req.(*zkml.Report), tenantOf(r)
 	return modelKeyFromReport(tenant, rep), server.ReportDigest(rep, tenant)
 }
 

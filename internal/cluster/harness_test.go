@@ -283,8 +283,8 @@ func TestClusterE2E(t *testing.T) {
 
 // TestCoordinatorRemovedSurfaces pins what is gone from the coordinator:
 // the epoch-proof route is no longer served, and /v1/verify/model
-// without its ?mode= query is a 400 that names the query — answered at
-// the coordinator, before any node is asked.
+// refuses the retired mode-carrying body (tag 0x16) with a 400, query or
+// no query — answered at the coordinator, before any node is asked.
 func TestCoordinatorRemovedSurfaces(t *testing.T) {
 	_, nodeTS := newNode(t, nodeConfig(harnessSeed))
 	ccfg := cluster.DefaultConfig()
@@ -317,13 +317,20 @@ func TestCoordinatorRemovedSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, raw := range [][]byte{
-		wire.EncodeReport(rep), // the old mode-less dialect's body
-		wire.EncodeVerifyModelRequest(&wire.VerifyModelRequest{Mode: zkvc.VerifyPerOp, Report: rep}),
-	} {
-		status, body := post("/v1/verify/model", raw)
-		if status != http.StatusBadRequest || !strings.Contains(body, "?mode=") {
-			t.Errorf("/v1/verify/model without ?mode=: status %d body %s, want 400 naming the query", status, body)
+	for _, path := range []string{"/v1/verify/model", "/v1/verify/model?mode=per-op"} {
+		status, body := post(path, retiredVerifyModelBody(rep))
+		if status != http.StatusBadRequest || !strings.Contains(body, "wire: malformed message") {
+			t.Errorf("%s with a tag-0x16 body: status %d body %s, want the coordinator's decode 400", path, status, body)
 		}
 	}
+}
+
+// retiredVerifyModelBody builds the body of the retired mode-carrying
+// verify exchange: a Report under tag 0x16 with a per-op mode byte
+// after the header.
+func retiredVerifyModelBody(rep *zkml.Report) []byte {
+	raw := wire.EncodeReport(rep)
+	out := append([]byte(nil), raw[:wire.HeaderLen]...)
+	out[wire.HeaderLen-1] = 0x16
+	return append(append(out, 0), raw[wire.HeaderLen:]...)
 }

@@ -65,6 +65,14 @@ func TestRouteParityNodeAndCoordinator(t *testing.T) {
 
 	const unknown = "ffffffffffffffffffffffffffffffff"
 	bad := []byte("not a wire message")
+	req := modelRequest(t, zkvc.Spartan, 5)
+	opts := zkml.DefaultOptions()
+	opts.Seed = harnessSeed
+	rep, err := zkml.ProveTrace(req.Cfg, req.Trace, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := retiredVerifyModelBody(rep)
 	cases := []struct {
 		pattern, method, path string
 		body                  []byte
@@ -80,7 +88,9 @@ func TestRouteParityNodeAndCoordinator(t *testing.T) {
 		{"DELETE /v1/jobs/{id}", "DELETE", "/v1/jobs/" + unknown, nil, http.StatusNotFound},
 		{"POST /v1/verify", "POST", "/v1/verify", bad, http.StatusBadRequest},
 		{"POST /v1/verify/batch", "POST", "/v1/verify/batch", bad, http.StatusBadRequest},
-		{"POST /v1/verify/model", "POST", "/v1/verify/model?mode=per-op", bad, http.StatusBadRequest},
+		{"POST /v1/verify/model", "POST", "/v1/verify/model", bad, http.StatusBadRequest},
+		// The retired mode-carrying body (tag 0x16) under its old query.
+		{"POST /v1/verify/model", "POST", "/v1/verify/model?mode=per-op", retired, http.StatusBadRequest},
 	}
 	var covered []string
 	for _, tc := range cases {
@@ -120,7 +130,7 @@ func TestModelSlotsSurviveMalformedBodiesThroughCoordinator(t *testing.T) {
 	ccfg.ProbeInterval = time.Hour
 	_, coordTS := newCoordinator(t, ccfg)
 
-	for _, path := range []string{"/v1/prove/model", "/v1/verify/model?mode=per-op", "/v1/jobs"} {
+	for _, path := range []string{"/v1/prove/model", "/v1/verify/model", "/v1/jobs"} {
 		for i := 0; i < 9; i++ { // 2×slots+1
 			if code, body := exchange(t, "POST", coordTS.URL+path, []byte("not a wire message")); code != http.StatusBadRequest {
 				t.Fatalf("%s malformed body %d: %d (%s), want 400", path, i, code, strings.TrimSpace(body))
@@ -247,7 +257,7 @@ func TestFailoverPolicyTable(t *testing.T) {
 		{"DELETE", "/v1/jobs/" + stubJobID, nil, nil, 1},
 		{"POST", "/v1/verify", wire.EncodeVerifyRequest(&wire.VerifyRequest{X: x, Proof: proof}), nil, 2},
 		{"POST", "/v1/verify/batch", wire.EncodeProveResponse(&wire.ProveResponse{Xs: []*zkvc.Matrix{x}, Batch: batch}), nil, 2},
-		{"POST", "/v1/verify/model?mode=per-op", wire.EncodeVerifyModelRequest(&wire.VerifyModelRequest{Mode: zkvc.VerifyPerOp, Report: rep}), nil, 2},
+		{"POST", "/v1/verify/model", wire.EncodeReport(rep), nil, 2},
 	}
 	for _, fault := range []int{http.StatusServiceUnavailable, http.StatusTooManyRequests, faultDrop} {
 		a.fault.Store(int64(fault))

@@ -24,7 +24,7 @@ package groth16
 // probability 1/r over their choice. The caller must therefore sample
 // the weights AFTER all proofs, keys and public inputs are fixed —
 // internal/zkml draws them from a Fiat–Shamir transcript over the whole
-// report (see zkml.Report.VerifyAggregated).
+// report (see zkml.VerifyReport).
 
 import (
 	"crypto/sha256"

@@ -59,7 +59,7 @@ func TestVerifyBatchAccepts(t *testing.T) {
 }
 
 // One batched check must cost one final exponentiation — the k→1
-// pairing reduction the aggregate verify mode is built on.
+// pairing reduction zkml.VerifyReport is built on for Groth16 reports.
 func TestVerifyBatchRunsOneFinalExponentiation(t *testing.T) {
 	entries := batchFixture(t, 3)
 	weights := batchWeights(len(entries))

@@ -229,27 +229,9 @@ func (c *Client) VerifyBatch(ctx context.Context, xs []*zkvc.Matrix, proof *zkvc
 }
 
 // VerifyModel asks the service to check a model report it issued
-// (POST /v1/verify/model?mode=per-op|aggregate, as selected; no options
-// means per-op).
-func (c *Client) VerifyModel(ctx context.Context, rep *zkvc.Report, opts ...zkvc.VerifyOptions) error {
-	mode := zkvc.ResolveVerifyOptions(opts...).Mode
-	raw, err := c.call(ctx, http.MethodPost, "/v1/verify/model?mode="+mode.String(),
-		wire.EncodeVerifyModelRequest(&wire.VerifyModelRequest{Mode: mode, Report: rep}))
-	if err != nil {
-		return err
-	}
-	resp, err := wire.DecodeVerifyModelResponse(raw)
-	if err != nil {
-		return err
-	}
-	if resp.Mode != mode {
-		return fmt.Errorf("server verified in mode %q, requested %q", resp.Mode, mode)
-	}
-	if !resp.OK {
-		msg := strings.TrimPrefix(resp.Error, zkvc.ErrVerification.Error()+": ")
-		return fmt.Errorf("%w: %s", zkvc.ErrVerification, msg)
-	}
-	return nil
+// (POST /v1/verify/model). opts is ignored.
+func (c *Client) VerifyModel(ctx context.Context, rep *zkvc.Report, _ ...zkvc.VerifyOptions) error {
+	return c.verdict(ctx, "/v1/verify/model", wire.EncodeReport(rep))
 }
 
 // ---- service-shape extras beyond the Engine interface ----

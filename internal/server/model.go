@@ -163,23 +163,10 @@ func (s *Server) handleProveModel(w http.ResponseWriter, r *http.Request, in Inp
 	<-j.finished
 }
 
-// errReportNotIssued is the issued-only policy rejection, identical in
-// both verify modes: they attest exactly the same whole-report digest.
+// errReportNotIssued is the issued-only policy rejection of
+// /v1/verify/model.
 var errReportNotIssued = fmt.Errorf("%w: report was not issued by this service under this tenant (model reports carry prover-supplied verifying material, so only reports this service streamed — resubmitted unmodified and complete, with the same Zkvc-Tenant header — are accepted; attestations also expire from the bounded issued log)",
 	zkvc.ErrVerification)
-
-// writeVerifyModelResponse writes the binary verdict of /v1/verify/model.
-// Unlike the JSON verdicts of /v1/verify and /v1/verify/batch, a
-// processed request is always HTTP 200 — the verdict rides in the OK
-// flag.
-func writeVerifyModelResponse(w http.ResponseWriter, mode zkvc.VerifyMode, err error) {
-	resp := &wire.VerifyModelResponse{OK: err == nil, Mode: mode}
-	if err != nil {
-		resp.Error = err.Error()
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(wire.EncodeVerifyModelResponse(resp))
-}
 
 // handleVerifyModel checks a model report. Every payload in a report is
 // prover-supplied — the Groth16 ops carry their verifying keys, the
@@ -189,22 +176,15 @@ func writeVerifyModelResponse(w http.ResponseWriter, mode zkvc.VerifyMode, err e
 // order, requesting tenant) before re-running cryptographic
 // verification; reports from elsewhere — or issued ones relabeled,
 // reordered or spliced — are rejected with a policy error, not a bogus
-// pass. Verification holds one parallel-budget token, like every other
-// unit of proving-stack work on this service.
-//
-// The request names its mode twice: the ?mode=per-op|aggregate query
-// and the mode embedded in the wire.VerifyModelRequest body, which must
-// agree (routing and statement may not disagree). The verdict is a
-// binary wire.VerifyModelResponse; mode=aggregate runs the whole-report
-// batched check on a Groth16 report (a Spartan one verifies per op),
-// attesting exactly the digest the per-op path attests.
+// pass. Verification (zkml.VerifyReport) holds one parallel-budget
+// token, like every other unit of proving-stack work on this service,
+// and answers with the JSON verdict of /v1/verify.
 func (s *Server) handleVerifyModel(w http.ResponseWriter, r *http.Request, in Input) {
-	req := in.Msg.(*wire.VerifyModelRequest)
-	rep, mode := req.Report, req.Mode
+	rep := in.Msg.(*zkml.Report)
 	s.metrics.verifyRequests.Add(1)
 	if !s.attested(ReportDigest(rep, r.Header.Get(TenantHeader))) {
 		s.metrics.modelRejects.Add(1)
-		writeVerifyModelResponse(w, mode, errReportNotIssued)
+		writeVerdict(w, errReportNotIssued)
 		return
 	}
 	pool := parallel.Default()
@@ -213,34 +193,5 @@ func (s *Server) handleVerifyModel(w http.ResponseWriter, r *http.Request, in In
 		return
 	}
 	defer pool.Release()
-	var err error
-	if mode == zkvc.VerifyAggregate {
-		err = rep.VerifyAggregated(pcs.DefaultParams())
-	} else {
-		err = zkml.VerifyReport(rep, zkml.Options{PCS: pcs.DefaultParams()})
-	}
-	writeVerifyModelResponse(w, mode, err)
-}
-
-// decodeVerifyModel parses a /v1/verify/model request: the ?mode= query,
-// which is required, and the wire.VerifyModelRequest body, whose
-// embedded mode must match it. It is Routes.VerifyModel's decoder, so a
-// request a coordinator forwards is one a node accepts.
-func decodeVerifyModel(r *http.Request, raw []byte) (any, error) {
-	q := r.URL.Query().Get("mode")
-	if q == "" {
-		return nil, fmt.Errorf("missing ?mode= query: /v1/verify/model needs ?mode=%s or ?mode=%s", zkvc.VerifyPerOp, zkvc.VerifyAggregate)
-	}
-	mode, err := zkvc.ParseVerifyMode(q)
-	if err != nil {
-		return nil, err
-	}
-	req, err := wire.DecodeVerifyModelRequest(raw)
-	if err != nil {
-		return nil, err
-	}
-	if req.Mode != mode {
-		return nil, fmt.Errorf("request body carries mode %q, query requests %q", req.Mode, mode)
-	}
-	return req, nil
+	writeVerdict(w, zkml.VerifyReport(rep, zkml.Options{PCS: pcs.DefaultParams()}))
 }

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	mrand "math/rand"
@@ -62,12 +63,12 @@ func proveModelHTTP(t *testing.T, baseURL, tenant string, req *wire.ProveModelRe
 	return wire.DecodeModelStream(resp.Body, nil)
 }
 
-// verifyModelHTTP posts a report to /v1/verify/model?mode=per-op and
-// returns the service's verdict.
+// verifyModelHTTP posts a report to /v1/verify/model and returns the
+// service's JSON verdict: 200 passes, 422 fails; any other status is a
+// test failure.
 func verifyModelHTTP(t *testing.T, baseURL, tenant string, rep *zkml.Report) (bool, string) {
 	t.Helper()
-	body := wire.EncodeVerifyModelRequest(&wire.VerifyModelRequest{Mode: zkvc.VerifyPerOp, Report: rep})
-	hreq, err := http.NewRequest(http.MethodPost, baseURL+"/v1/verify/model?mode=per-op", bytes.NewReader(body))
+	hreq, err := http.NewRequest(http.MethodPost, baseURL+"/v1/verify/model", bytes.NewReader(wire.EncodeReport(rep)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +84,19 @@ func verifyModelHTTP(t *testing.T, baseURL, tenant string, rep *zkml.Report) (bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
+	var verdict struct {
+		OK    bool   `json:"ok"`
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(raw, &verdict); err != nil {
 		t.Fatalf("verify/model: status %d: %s", resp.StatusCode, raw)
 	}
-	verdict, err := wire.DecodeVerifyModelResponse(raw)
-	if err != nil {
-		t.Fatal(err)
+	want := http.StatusUnprocessableEntity
+	if verdict.OK {
+		want = http.StatusOK
+	}
+	if resp.StatusCode != want {
+		t.Fatalf("verify/model: verdict ok=%v with status %d, want %d", verdict.OK, resp.StatusCode, want)
 	}
 	return verdict.OK, verdict.Error
 }

@@ -139,9 +139,9 @@ var Routes = struct {
 	Verify: Route{Pattern: "POST /v1/verify", Limit: maxBodyBytes, Decode: Decoder(wire.DecodeVerifyRequest)},
 	// Check a coalesced batch: wire.ProveResponse → JSON verdict.
 	VerifyBatch: Route{Pattern: "POST /v1/verify/batch", Limit: maxBodyBytes, Decode: Decoder(wire.DecodeProveResponse)},
-	// Check a model report this service issued: ?mode=per-op|aggregate and
-	// wire.VerifyModelRequest → wire.VerifyModelResponse.
-	VerifyModel: Route{Pattern: "POST /v1/verify/model", Limit: maxModelBodyBytes, ModelSlot: true, Decode: decodeVerifyModel},
+	// Check a model report this service issued: wire Report → JSON
+	// verdict.
+	VerifyModel: Route{Pattern: "POST /v1/verify/model", Limit: maxModelBodyBytes, ModelSlot: true, Decode: Decoder(wire.DecodeReport)},
 	// A peer's attestation digests relayed by the coordinator, or a node's
 	// own sent to it: wire.AttestationUpdate → 200.
 	Attest: Route{Pattern: "POST /v1/cluster/attest", Limit: maxAttestBodyBytes, Decode: Decoder(wire.DecodeAttestationUpdate)},

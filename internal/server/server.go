@@ -380,9 +380,10 @@ func (s *Server) Close() {
 }
 
 // newProver returns a fresh prover. MatMulProver is not safe for
-// concurrent use, so every worker gets its own. Provers stay on their crypto/rand default unless the configuration
-// asks for test determinism, in which case each gets a unique derived
-// seed so concurrent proofs still differ.
+// concurrent use, so every worker gets its own. Provers stay on their
+// crypto/rand default unless the configuration asks for test
+// determinism, in which case each gets a unique derived seed so
+// concurrent proofs still differ.
 func (s *Server) newProver() *zkvc.MatMulProver {
 	p := zkvc.NewMatMulProver(s.cfg.Backend, s.cfg.Opts)
 	if s.cfg.Seed != 0 {

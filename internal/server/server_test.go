@@ -324,8 +324,8 @@ func TestVerifyRejectsForeignEpochProofs(t *testing.T) {
 
 // TestRemovedSurfacesRejected pins what is gone from the node: the
 // epoch-proof route and the POST twin of the job stream are no longer
-// served, and /v1/verify/model without its ?mode= query is a 400 that
-// names the query.
+// served, and /v1/verify/model refuses the retired mode-carrying body
+// (tag 0x16) with a 400, query or no query.
 func TestRemovedSurfacesRejected(t *testing.T) {
 	cfg := server.DefaultConfig()
 	cfg.Seed = 12
@@ -353,15 +353,25 @@ func TestRemovedSurfacesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, body := range [][]byte{
-		wire.EncodeReport(rep), // the old mode-less dialect's body
-		wire.EncodeVerifyModelRequest(&wire.VerifyModelRequest{Mode: zkvc.VerifyPerOp, Report: rep}),
-	} {
-		status, raw := post(t, ts.URL+"/v1/verify/model", body)
-		if status != http.StatusBadRequest || !bytes.Contains(raw, []byte("?mode=")) {
-			t.Errorf("/v1/verify/model without ?mode=: status %d body %s, want 400 naming the query", status, raw)
+	for _, path := range []string{"/v1/verify/model", "/v1/verify/model?mode=per-op"} {
+		status, raw := post(t, ts.URL+path, retiredVerifyModelBody(rep))
+		if status != http.StatusBadRequest {
+			t.Errorf("%s with a tag-0x16 body: status %d body %s, want 400", path, status, raw)
 		}
 	}
+	if ok, msg := verifyModelHTTP(t, ts.URL, "", rep); !ok {
+		t.Fatalf("the same report as a wire Report rejected: %s", msg)
+	}
+}
+
+// retiredVerifyModelBody builds the body of the retired mode-carrying
+// verify exchange: a Report under tag 0x16 with a per-op mode byte
+// after the header.
+func retiredVerifyModelBody(rep *zkml.Report) []byte {
+	raw := wire.EncodeReport(rep)
+	out := append([]byte(nil), raw[:wire.HeaderLen]...)
+	out[wire.HeaderLen-1] = 0x16
+	return append(append(out, 0), raw[wire.HeaderLen:]...)
 }
 
 // TestTenantPartitioning submits concurrent jobs under two tenant keys

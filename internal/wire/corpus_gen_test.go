@@ -10,40 +10,19 @@ import (
 	"zkvc"
 	"zkvc/internal/nn"
 	"zkvc/internal/wire"
-	"zkvc/internal/zkml"
 )
 
-// TestWriteVerifyCorpus regenerates the checked-in fuzz inputs for the
-// verify-model exchange. It is a tool, not a test: set WIRE_WRITE_CORPUS=1
-// to rewrite testdata/fuzz/FuzzWireDecodeProof in place.
+// TestWriteVerifyCorpus regenerates the checked-in fuzz inputs of the
+// conv trace, issued-log and attestation encodings. It is a tool, not a
+// test: set WIRE_WRITE_CORPUS=1 to rewrite those files of
+// testdata/fuzz/FuzzWireDecodeProof in place. The job-stream-request and
+// verify-model-* files there carry retired tags and are never rewritten;
+// TestVerifyModelMessagesStrictDecode requires every decoder to reject
+// them.
 func TestWriteVerifyCorpus(t *testing.T) {
 	if os.Getenv("WIRE_WRITE_CORPUS") == "" {
 		t.Skip("set WIRE_WRITE_CORPUS=1 to regenerate corpus files")
 	}
-	cfg := tinyFuzzConfig()
-	model, err := nn.NewModel(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := nn.Trace{Capture: true}
-	model.Forward(model.RandomInput(mrand.New(mrand.NewSource(4))), &trace)
-	opts := zkml.DefaultOptions()
-	opts.Seed = 5
-	rep, err := zkml.ProveTrace(cfg, &trace, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One op keeps the corpus entries small while still carrying a full
-	// proof payload through the decoder.
-	rep.Ops = rep.Ops[:1]
-
-	req := wire.EncodeVerifyModelRequest(&wire.VerifyModelRequest{Mode: zkvc.VerifyAggregate, Report: rep})
-	fail := wire.EncodeVerifyModelResponse(&wire.VerifyModelResponse{
-		Mode: zkvc.VerifyAggregate, Error: "verification failed: batched R1CS identity check fails",
-	})
-	corrupted := append([]byte(nil), req...)
-	corrupted[len(corrupted)/2] ^= 0xff
-
 	issuedAdd := wire.EncodeIssuedRecord(&wire.IssuedRecord{
 		Seq: 1, Kind: wire.IssuedAdd, Digest: [32]byte{0xd1}, CRSTag: 42,
 	})
@@ -89,14 +68,6 @@ func TestWriteVerifyCorpus(t *testing.T) {
 		"issued-record-truncated":                  issuedAdd[:len(issuedAdd)-5],
 		"attestation-update":                       attest,
 		"attestation-update-truncated":             attest[:len(attest)/2],
-		"verify-model-request-aggregate":           req,
-		"verify-model-request-truncated":           req[:len(req)*2/3],
-		"verify-model-request-trailing":            append(append([]byte(nil), req...), 0x00),
-		"verify-model-request-corrupted":           corrupted,
-		"verify-model-response-ok": wire.EncodeVerifyModelResponse(
-			&wire.VerifyModelResponse{OK: true, Mode: zkvc.VerifyPerOp}),
-		"verify-model-response-fail":      fail,
-		"verify-model-response-truncated": fail[:len(fail)-3],
 	} {
 		entry := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")"
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(entry), 0o644); err != nil {

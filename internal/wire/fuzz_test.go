@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	mrand "math/rand"
 	"testing"
@@ -133,17 +134,14 @@ func modelSeeds(f *testing.F) [][]byte {
 	corrupted := append([]byte(nil), opFrame...)
 	corrupted[len(corrupted)/2] ^= 0xff
 
-	// The mode-carrying verify exchange: a valid aggregate request plus
-	// its truncation and a trailing-byte variant (strict decoders must
-	// reject both), and the three verdict shapes.
-	verifyReq := wire.EncodeVerifyModelRequest(&wire.VerifyModelRequest{
-		Mode: zkvc.VerifyAggregate, Report: rep,
-	})
+	// The retired mode-carrying verify exchange (tags 0x16 and 0x17),
+	// rebuilt byte for byte: an aggregate request plus its truncation and
+	// a trailing-byte variant, and the three verdict shapes. Every
+	// decoder must reject them all.
+	verifyReq := retiredVerifyModelRequest(rep, 1)
 	verifyReqTrailing := append(append([]byte(nil), verifyReq...), 0x00)
-	verifyOK := wire.EncodeVerifyModelResponse(&wire.VerifyModelResponse{OK: true, Mode: zkvc.VerifyAggregate})
-	verifyFail := wire.EncodeVerifyModelResponse(&wire.VerifyModelResponse{
-		Mode: zkvc.VerifyPerOp, Error: "verification failed: batched R1CS identity check fails",
-	})
+	verifyOK := retiredVerifyModelResponse(true, 1, "")
+	verifyFail := retiredVerifyModelResponse(false, 0, "verification failed: batched R1CS identity check fails")
 	verifyFailTruncated := verifyFail[:len(verifyFail)-3]
 
 	jobReq := wire.EncodeJobSubmitRequest(&wire.JobSubmitRequest{
@@ -164,6 +162,27 @@ func modelSeeds(f *testing.F) [][]byte {
 		}),
 		wire.EncodeModelStreamError("prove failed"),
 	}
+}
+
+// retiredVerifyModelRequest rebuilds a request of the retired
+// mode-carrying verify exchange: a Report body under tag 0x16, after a
+// mode byte (0 per-op, 1 aggregate).
+func retiredVerifyModelRequest(rep *zkml.Report, mode byte) []byte {
+	raw := wire.EncodeReport(rep)
+	out := append([]byte(nil), raw[:wire.HeaderLen]...)
+	out[wire.HeaderLen-1] = 0x16
+	return append(append(out, mode), raw[wire.HeaderLen:]...)
+}
+
+// retiredVerifyModelResponse rebuilds its verdict under tag 0x17: an OK
+// flag, the mode byte and a length-prefixed error text.
+func retiredVerifyModelResponse(ok bool, mode byte, msg string) []byte {
+	out := append([]byte(wire.Magic), wire.Version, 0x17, 0, mode)
+	if ok {
+		out[wire.HeaderLen] = 1
+	}
+	out = binary.BigEndian.AppendUint32(out, uint32(len(msg)))
+	return append(out, msg...)
 }
 
 // tinyFuzzConfig is the smallest valid transformer the decoders accept.

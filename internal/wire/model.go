@@ -528,13 +528,6 @@ func decodeOpProofBody(d *dec, op *zkml.OpProof) {
 // request and the on-disk format of `zkvc prove-model -out`.
 func EncodeReport(rep *zkml.Report) []byte {
 	e := newEnc(TagReport)
-	encodeReportBody(e, rep)
-	return e.buf
-}
-
-// encodeReportBody writes a report's header and ops — shared between the
-// standalone TagReport message and the mode-carrying verify request.
-func encodeReportBody(e *enc, rep *zkml.Report) {
 	n := 1024 + len(rep.Model)
 	for i := range rep.Ops {
 		n += opSize(&rep.Ops[i])
@@ -547,37 +540,35 @@ func encodeReportBody(e *enc, rep *zkml.Report) {
 	for i := range rep.Ops {
 		encodeOpProofBody(e, &rep.Ops[i])
 	}
+	return e.buf
 }
 
 // DecodeReport parses a model report, requiring ops in strict sequence
 // order (Seq == position), which makes the encoding canonical and lets
 // re-encoded ops match the frames the service streamed.
 func DecodeReport(b []byte) (*zkml.Report, error) {
-	return decode(b, TagReport, decodeReportBody)
-}
-
-// decodeReportBody parses a report's header and ops with the same
-// strictness as DecodeReport, minus framing.
-func decodeReportBody(d *dec) *zkml.Report {
-	rep := &zkml.Report{}
-	rep.Model = d.str("model name")
-	rep.Backend = decodeBackend(d)
-	rep.Circuit = decodeOptions(d)
-	n := d.count("report ops", maxTraceOps, 64)
-	// An empty report proves nothing and can never have been issued (the
-	// prove endpoint rejects zero-op traces); reject it like an empty
-	// batch, so a vacuous report cannot slide past per-op policy checks.
-	if n == 0 {
-		d.fail("empty report")
-	}
-	rep.Ops = make([]zkml.OpProof, n)
-	for i := range rep.Ops {
-		decodeOpProofBody(d, &rep.Ops[i])
-		if rep.Ops[i].Seq != i {
-			d.fail("op at position %d carries sequence %d", i, rep.Ops[i].Seq)
+	return decode(b, TagReport, func(d *dec) *zkml.Report {
+		rep := &zkml.Report{}
+		rep.Model = d.str("model name")
+		rep.Backend = decodeBackend(d)
+		rep.Circuit = decodeOptions(d)
+		n := d.count("report ops", maxTraceOps, 64)
+		// An empty report proves nothing and can never have been issued
+		// (the prove endpoint rejects zero-op traces); reject it like an
+		// empty batch, so a vacuous report cannot slide past per-op
+		// policy checks.
+		if n == 0 {
+			d.fail("empty report")
 		}
-	}
-	return rep
+		rep.Ops = make([]zkml.OpProof, n)
+		for i := range rep.Ops {
+			decodeOpProofBody(d, &rep.Ops[i])
+			if rep.Ops[i].Seq != i {
+				d.fail("op at position %d carries sequence %d", i, rep.Ops[i].Seq)
+			}
+		}
+		return rep
+	})
 }
 
 // ---- stream header / error ----

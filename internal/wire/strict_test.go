@@ -6,7 +6,10 @@ import (
 	"encoding/binary"
 	"errors"
 	mrand "math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -46,8 +49,6 @@ var codecs = []codec{
 	newCodec("ProveModelRequest", wire.DecodeProveModelRequest, wire.EncodeProveModelRequest),
 	newCodec("OpProof", wire.DecodeOpProof, wire.EncodeOpProof),
 	newCodec("Report", wire.DecodeReport, wire.EncodeReport),
-	newCodec("VerifyModelRequest", wire.DecodeVerifyModelRequest, wire.EncodeVerifyModelRequest),
-	newCodec("VerifyModelResponse", wire.DecodeVerifyModelResponse, wire.EncodeVerifyModelResponse),
 	newCodec("ModelStreamHeader", wire.DecodeModelStreamHeader, wire.EncodeModelStreamHeader),
 	newCodec("ModelStreamError", wire.DecodeModelStreamError, wire.EncodeModelStreamError),
 	newCodec("NodeAnnounce", wire.DecodeNodeAnnounce, wire.EncodeNodeAnnounce),
@@ -61,8 +62,8 @@ var codecs = []codec{
 }
 
 // strictRows returns valid encodings of every message type, keyed by
-// "Codec" or "Codec/variant" (both backends, the CNN geometry, both
-// verdict shapes). The proofs are over the smallest shapes the provers
+// "Codec" or "Codec/variant" (both backends, the CNN geometry, both job
+// states). The proofs are over the smallest shapes the provers
 // accept so the exhaustive sweeps below stay affordable.
 func strictRows(t *testing.T) map[string][]byte {
 	t.Helper()
@@ -100,7 +101,6 @@ func strictRows(t *testing.T) map[string][]byte {
 		rows["VerifyRequest"] = wire.EncodeVerifyRequest(&wire.VerifyRequest{X: x, Proof: proof})
 		rows["ProveResponse"] = wire.EncodeProveResponse(&wire.ProveResponse{Index: 1, Xs: []*zkvc.Matrix{x, w}, Batch: batch})
 		rows["Report"] = wire.EncodeReport(rep)
-		rows["VerifyModelRequest"] = wire.EncodeVerifyModelRequest(&wire.VerifyModelRequest{Mode: zkvc.VerifyAggregate, Report: rep})
 	}
 	cfg, trace, rep := modelFixture(t, zkml.Spartan, 55)
 	cnnCfg, cnnTrace, _ := cnnFixture(t, zkml.Spartan, 57)
@@ -111,8 +111,6 @@ func strictRows(t *testing.T) map[string][]byte {
 	rows["ModelStreamHeader"] = wire.EncodeModelStreamHeader(&wire.ModelStreamHeader{
 		Model: cfg.Name, Backend: rep.Backend, Circuit: rep.Circuit, TotalOps: len(rep.Ops)})
 	rows["ModelStreamError"] = wire.EncodeModelStreamError("prove failed")
-	rows["VerifyModelResponse/ok"] = wire.EncodeVerifyModelResponse(&wire.VerifyModelResponse{OK: true, Mode: zkvc.VerifyAggregate})
-	rows["VerifyModelResponse/fail"] = wire.EncodeVerifyModelResponse(&wire.VerifyModelResponse{Mode: zkvc.VerifyPerOp, Error: "nope"})
 	rows["NodeAnnounce"] = wire.EncodeNodeAnnounce(&wire.NodeAnnounce{Name: "n", URL: "http://x", Workers: 1})
 	rows["NodeHeartbeat"] = wire.EncodeNodeHeartbeat(&wire.NodeHeartbeat{Name: "n", QueueUnits: 3, Draining: true, DiskBytes: 1 << 20, MemBytes: 1 << 24})
 	rows["JobStatus/running"] = wire.EncodeJobStatus(&wire.JobStatus{ID: "a", State: wire.JobRunning, TotalOps: 5, CompletedOps: 2})
@@ -258,6 +256,45 @@ func TestStrictDecode(t *testing.T) {
 	for _, c := range codecs {
 		if !covered[c.name] {
 			t.Errorf("no strictness row for %s", c.name)
+		}
+	}
+}
+
+// TestVerifyModelMessagesStrictDecode: the retired mode-carrying
+// VerifyModelRequest and VerifyModelResponse (tags 0x16, 0x17) — and the
+// retired JobStreamRequest (0x12) — stay in the fuzz corpus as
+// checked-in inputs, and every strict decoder must reject each of them.
+// A message that reuses one of those tags would be accepted here.
+func TestVerifyModelMessagesStrictDecode(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzWireDecodeProof")
+	files, err := filepath.Glob(filepath.Join(dir, "verify-model-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, filepath.Join(dir, "job-stream-request"))
+	if len(files) != 8 {
+		t.Fatalf("found %d retired-tag corpus files, want 8", len(files))
+	}
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quoted, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+		if !ok {
+			t.Fatalf("%s: not a fuzz corpus entry", name)
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(quoted), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if tag := data[wire.HeaderLen-1]; tag != 0x12 && tag != 0x16 && tag != 0x17 {
+			t.Fatalf("%s carries tag %#x, not a retired one", name, tag)
+		}
+		for _, c := range codecs {
+			if _, err := c.roundTrip([]byte(data)); !errors.Is(err, wire.ErrDecode) {
+				t.Errorf("%s: %s decoder: %v, want ErrDecode", filepath.Base(name), c.name, err)
+			}
 		}
 	}
 }

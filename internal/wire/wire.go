@@ -91,38 +91,35 @@ const (
 	// durable issued-proof log.
 	TagIssuedRecord      byte = 0x14
 	TagAttestationUpdate byte = 0x15
-	// Mode-carrying verify exchange of /v1/verify/model?mode=. Never
-	// stored.
-	TagVerifyModelRequest  byte = 0x16
-	TagVerifyModelResponse byte = 0x17
+	// 0x16 and 0x17 were the request and verdict of the retired
+	// mode-carrying /v1/verify/model exchange, which now takes a Report.
+	// Never reuse them.
 )
 
 // tagNames names every tag for decode errors. It is also the uniqueness
 // guard: a duplicate constant key in a map literal is a compile error, so
 // two messages can never again share a tag value.
 var tagNames = map[byte]string{
-	TagMatrix:              "Matrix",
-	TagMatMulProof:         "MatMulProof",
-	TagBatchProof:          "BatchProof",
-	TagProveRequest:        "ProveRequest",
-	TagProveResponse:       "ProveResponse",
-	TagVerifyRequest:       "VerifyRequest",
-	TagProveModelRequest:   "ProveModelRequest",
-	TagOpProof:             "OpProof",
-	TagReport:              "Report",
-	TagModelStreamHeader:   "ModelStreamHeader",
-	TagModelStreamError:    "ModelStreamError",
-	TagNodeAnnounce:        "NodeAnnounce",
-	TagNodeHeartbeat:       "NodeHeartbeat",
-	TagProveBatchRequest:   "ProveBatchRequest",
-	TagJobSubmitRequest:    "JobSubmitRequest",
-	TagJobStatus:           "JobStatus",
-	TagJournalRecord:       "JournalRecord",
-	TagJobManifest:         "JobManifest",
-	TagIssuedRecord:        "IssuedRecord",
-	TagAttestationUpdate:   "AttestationUpdate",
-	TagVerifyModelRequest:  "VerifyModelRequest",
-	TagVerifyModelResponse: "VerifyModelResponse",
+	TagMatrix:            "Matrix",
+	TagMatMulProof:       "MatMulProof",
+	TagBatchProof:        "BatchProof",
+	TagProveRequest:      "ProveRequest",
+	TagProveResponse:     "ProveResponse",
+	TagVerifyRequest:     "VerifyRequest",
+	TagProveModelRequest: "ProveModelRequest",
+	TagOpProof:           "OpProof",
+	TagReport:            "Report",
+	TagModelStreamHeader: "ModelStreamHeader",
+	TagModelStreamError:  "ModelStreamError",
+	TagNodeAnnounce:      "NodeAnnounce",
+	TagNodeHeartbeat:     "NodeHeartbeat",
+	TagProveBatchRequest: "ProveBatchRequest",
+	TagJobSubmitRequest:  "JobSubmitRequest",
+	TagJobStatus:         "JobStatus",
+	TagJournalRecord:     "JournalRecord",
+	TagJobManifest:       "JobManifest",
+	TagIssuedRecord:      "IssuedRecord",
+	TagAttestationUpdate: "AttestationUpdate",
 }
 
 // ErrDecode is wrapped by every decoding failure.

@@ -1,20 +1,18 @@
 package zkml
 
 // Aggregate verification: one succinct check per Groth16 model report.
-// The per-op verifier runs one pairing-product evaluation per traced
-// operation, so verifier cost scales linearly with model depth.
-// VerifyAggregated folds a Groth16 report into one
-// random-linear-combination multi-pairing over every op proof
-// (groth16.VerifyBatch) — k+3g Miller loops, against 4k, sharing their
-// squarings, and ONE final exponentiation, against k; g is the number of
-// distinct verifying keys (identical transformer blocks share a CRS, so
-// g ≪ k).
+// A per-op verifier runs one pairing-product evaluation per traced
+// operation, so its cost scales linearly with model depth. VerifyReport
+// instead folds a Groth16 report into one random-linear-combination
+// multi-pairing over every op proof (groth16.VerifyBatch) — k+3g Miller
+// loops, against 4k, sharing their squarings, and ONE final
+// exponentiation, against k; g is the number of distinct verifying keys
+// (identical transformer blocks share a CRS, so g ≪ k).
 //
-// Spartan reports verify per op in both modes. Each Spartan proof's
-// sumchecks and opening are bound to its own Fiat–Shamir transcript, so
-// a batched verifier still replays every one of them and saves only two
-// field comparisons per op — less than hashing the report into weights
-// costs.
+// Spartan reports verify per op. Each Spartan proof's sumchecks and
+// opening are bound to its own Fiat–Shamir transcript, so a batched
+// verifier still replays every one of them and saves only two field
+// comparisons per op — less than hashing the report into weights costs.
 //
 // The combination weights are drawn from a Fiat–Shamir transcript over
 // the entire report — header, every op's public inputs and every proof
@@ -31,7 +29,6 @@ import (
 	"zkvc/internal/curve"
 	"zkvc/internal/ff"
 	"zkvc/internal/groth16"
-	"zkvc/internal/pcs"
 	"zkvc/internal/transcript"
 )
 
@@ -127,17 +124,12 @@ func aggregateWeights(r *Report) ([]ff.Fr, error) {
 	return weights, nil
 }
 
-// VerifyAggregated checks every retained proof in a Groth16 report with
-// one batched pairing check instead of one pairing product per op. It
-// accepts exactly the reports VerifyReport accepts (up to the ~1/r
-// random-linear-combination error) and rejects any report with a
-// corrupted, missing or swapped op proof. Every other report — Spartan,
-// empty or of an unknown backend — gets VerifyReport's verdict. params
-// configures the Spartan PCS; a zero value uses the defaults.
-func (r *Report) VerifyAggregated(params pcs.Params) error {
-	if r.Backend != Groth16 || len(r.Ops) == 0 {
-		return VerifyReport(r, Options{PCS: params})
-	}
+// verifyBatch checks every retained proof in a Groth16 report with one
+// batched pairing check instead of one pairing product per op. It
+// accepts exactly the reports the per-op check accepts, up to the ~1/r
+// random-linear-combination error, and rejects any report with a
+// corrupted, missing or swapped op proof.
+func verifyBatch(r *Report) error {
 	weights, err := aggregateWeights(r)
 	if err != nil {
 		return err

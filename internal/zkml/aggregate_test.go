@@ -1,7 +1,9 @@
 package zkml
 
 import (
+	"errors"
 	mrand "math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -46,44 +48,133 @@ func provenReport(t *testing.T, backend Backend) *Report {
 	return &rep
 }
 
-func TestVerifyAggregatedSpartan(t *testing.T) {
-	rep := provenReport(t, Spartan)
-	if err := rep.VerifyAggregated(pcs.DefaultParams()); err != nil {
-		t.Fatalf("valid report rejected: %v", err)
+// verifyEachOp is the reference VerifyReport must agree with: every op
+// checked on its own, first failure reported.
+func verifyEachOp(rep *Report) error {
+	if len(rep.Ops) == 0 {
+		return errors.New("zkml: empty report")
 	}
-	TamperPublic(rep, 0)
-	if err := rep.VerifyAggregated(pcs.DefaultParams()); err == nil {
-		t.Fatal("tampered public input verified in aggregate mode")
+	for i := range rep.Ops {
+		if err := VerifyOp(rep.Backend, &rep.Ops[i], pcs.DefaultParams()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// forgeProof replaces one element of op's proof with another valid one:
+// on Groth16 a group element no decode-stage subgroup check rejects, so
+// only the pairing check can catch it.
+func forgeProof(backend Backend, op *OpProof) {
+	if backend == Groth16 {
+		forged := *op.G16
+		forged.A.Neg(&op.G16.A)
+		op.G16 = &forged
+		return
+	}
+	forged := *op.Spartan
+	forged.VA.Add(&forged.VA, &forged.VB)
+	op.Spartan = &forged
+}
+
+// verdictCase alters a proved report; VerifyReport must reach the same
+// verdict as the op-by-op reference on it.
+type verdictCase struct {
+	name   string
+	accept bool
+	tamper func(Backend, *Report)
+}
+
+// tamperCases alter proofs, statements and the op list. Dropping or
+// reordering whole ops leaves every proof valid, so both verifiers
+// accept: a report's op list is bound by the service's issued digest,
+// not by the proofs.
+var tamperCases = []verdictCase{
+	{"honest", true, func(Backend, *Report) {}},
+	{"flipped-public", false, func(_ Backend, r *Report) { TamperPublic(r, 0) }},
+	{"forged-element", false, func(b Backend, r *Report) { forgeProof(b, &r.Ops[len(r.Ops)/2]) }},
+	{"dropped-op", true, func(_ Backend, r *Report) { r.Ops = r.Ops[1:] }},
+	{"swapped-ops", true, func(_ Backend, r *Report) { r.Ops[0], r.Ops[1] = r.Ops[1], r.Ops[0] }},
+	{"swapped-proofs", false, func(_ Backend, r *Report) {
+		r.Ops[0].G16, r.Ops[1].G16 = r.Ops[1].G16, r.Ops[0].G16
+		r.Ops[0].Spartan, r.Ops[1].Spartan = r.Ops[1].Spartan, r.Ops[0].Spartan
+	}},
+}
+
+// strippedCases take proof payloads away instead.
+var strippedCases = []verdictCase{
+	{"stripped-proof", false, func(_ Backend, r *Report) { r.Ops[1].G16, r.Ops[1].Spartan = nil, nil }},
+	{"empty", false, func(_ Backend, r *Report) { r.Ops = nil }},
+}
+
+// checkVerdicts runs cases on copies of the backend's proved report:
+// VerifyReport and the reference agree, the verdict is the case's, and
+// a rejection is the reference's error, which names the failing op.
+func checkVerdicts(t *testing.T, backend Backend, cases []verdictCase) {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := provenReport(t, backend)
+			tc.tamper(backend, rep)
+			want := verifyEachOp(rep)
+			got := VerifyReport(rep, Options{})
+			switch {
+			case (got == nil) != (want == nil):
+				t.Fatalf("VerifyReport: %v, per-op reference: %v", got, want)
+			case (got == nil) != tc.accept:
+				t.Fatalf("verdict %v, want accept=%v", got, tc.accept)
+			case got != nil && got.Error() != want.Error():
+				t.Fatalf("VerifyReport rejected with %q, per-op reference with %q", got, want)
+			case got != nil && len(rep.Ops) > 0 && !strings.Contains(got.Error(), "op \""):
+				t.Fatalf("rejection %q names no op", got)
+			}
+		})
 	}
 }
 
+// TestVerifyAggregatedSpartan: on a Spartan report VerifyReport is the
+// op-by-op check, and agrees with the reference on every tamper.
+func TestVerifyAggregatedSpartan(t *testing.T) {
+	checkVerdicts(t, Spartan, tamperCases)
+}
+
+// TestVerifyAggregatedGroth16: on a Groth16 report VerifyReport's one
+// batched multi-pairing agrees with the op-by-op reference on every
+// tamper, and costs one final exponentiation where the reference runs
+// at least one per op.
 func TestVerifyAggregatedGroth16(t *testing.T) {
 	if testing.Short() {
 		t.Skip("per-op trusted setup")
 	}
+	checkVerdicts(t, Groth16, tamperCases)
+
 	rep := provenReport(t, Groth16)
 	_, fe0 := curve.PairingCounts()
-	if err := rep.VerifyAggregated(pcs.DefaultParams()); err != nil {
+	if err := VerifyReport(rep, Options{}); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 	_, fe1 := curve.PairingCounts()
-	if err := VerifyReport(rep, DefaultOptions()); err != nil {
-		t.Fatalf("valid report rejected per-op: %v", err)
+	if err := verifyEachOp(rep); err != nil {
+		t.Fatalf("valid report rejected per op: %v", err)
 	}
 	_, fe2 := curve.PairingCounts()
-	// The whole point of aggregation: k ops, one final exponentiation.
 	if k := uint64(len(rep.Ops)); k < 2 || fe1-fe0 != 1 || fe2-fe1 < k {
-		t.Fatalf("%d ops: aggregate ran %d final exponentiations (want 1), per-op %d (want ≥ one per op)",
+		t.Fatalf("%d ops: VerifyReport ran %d final exponentiations (want 1), per op %d (want ≥ one per op)",
 			k, fe1-fe0, fe2-fe1)
 	}
+}
 
-	// Corrupt exactly one op proof with a valid group element: only the
-	// RLC multi-pairing can catch it, and it must sink the whole batch.
-	forged := *rep.Ops[0].G16
-	forged.A.Neg(&rep.Ops[0].G16.A)
-	rep.Ops[0].G16 = &forged
-	if err := rep.VerifyAggregated(pcs.DefaultParams()); err == nil {
-		t.Fatal("report with one corrupted op proof verified in aggregate mode")
+// TestVerifyAggregatedRejectsStrippedReport: a report whose op lost its
+// proof payload (KeepProofs off, or stripped in transit) and a report
+// with no ops both fail on both backends, with the reference's error,
+// instead of passing vacuously.
+func TestVerifyAggregatedRejectsStrippedReport(t *testing.T) {
+	for _, backend := range []Backend{Spartan, Groth16} {
+		t.Run(backend.String(), func(t *testing.T) {
+			if backend == Groth16 && testing.Short() {
+				t.Skip("per-op trusted setup")
+			}
+			checkVerdicts(t, backend, strippedCases)
+		})
 	}
 }
 
@@ -116,31 +207,5 @@ func TestAggregateWeightsBindReportIdentity(t *testing.T) {
 	}
 	if same {
 		t.Fatal("relabeling an op left the aggregation weights unchanged")
-	}
-}
-
-// A report whose op lost its proof payload (KeepProofs off, or stripped
-// in transit) and a report with no ops both fail in aggregate mode, on
-// both backends, instead of passing vacuously.
-func TestVerifyAggregatedRejectsStrippedReport(t *testing.T) {
-	for _, backend := range []Backend{Spartan, Groth16} {
-		t.Run(backend.String(), func(t *testing.T) {
-			if backend == Groth16 && testing.Short() {
-				t.Skip("per-op trusted setup")
-			}
-			rep := provenReport(t, backend)
-			if backend == Groth16 {
-				rep.Ops[1].G16 = nil
-			} else {
-				rep.Ops[1].Spartan = nil
-			}
-			if err := rep.VerifyAggregated(pcs.DefaultParams()); err == nil {
-				t.Fatal("report with a missing op payload verified in aggregate mode")
-			}
-			rep.Ops = nil
-			if err := rep.VerifyAggregated(pcs.DefaultParams()); err == nil {
-				t.Fatal("empty report verified in aggregate mode")
-			}
-		})
 	}
 }

@@ -599,19 +599,28 @@ func VerifyOp(backend Backend, op *OpProof, params pcs.Params) error {
 	return nil
 }
 
-// VerifyReport re-verifies every retained proof in the report. It
-// returns an error naming the first operation that fails. A report with
-// no ops proves nothing and fails rather than passing vacuously.
+// VerifyReport re-verifies every retained proof in the report. A report
+// with no ops proves nothing and fails rather than passing vacuously. A
+// Groth16 report is checked with one batched multi-pairing (verifyBatch);
+// only when that rejects are its ops checked one by one, so the error
+// names the first failing op — or, if none fails on its own, is the
+// batch error. Every other report is checked op by op.
 func VerifyReport(rep *Report, opts Options) error {
 	if len(rep.Ops) == 0 {
 		return errors.New("zkml: empty report")
+	}
+	var batchErr error
+	if rep.Backend == Groth16 {
+		if batchErr = verifyBatch(rep); batchErr == nil {
+			return nil
+		}
 	}
 	for i := range rep.Ops {
 		if err := VerifyOp(rep.Backend, &rep.Ops[i], opts.PCS); err != nil {
 			return err
 		}
 	}
-	return nil
+	return batchErr
 }
 
 // TamperPublic flips one public input of the i-th retained op — test
