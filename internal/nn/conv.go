@@ -194,7 +194,7 @@ func TinyCNNConfig(name string) Config {
 	}.defaults()
 }
 
-// shapeTraceCNN mirrors Model.forwardCNN without data; it must stay in
+// shapeTraceCNN mirrors Model.featuresCNN without data; it must stay in
 // lockstep with it (TestShapeTraceMatchesForward covers CNN configs).
 func shapeTraceCNN(cfg Config) *Trace {
 	t := &Trace{}

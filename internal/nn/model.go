@@ -123,12 +123,11 @@ func (m *Model) RandomInput(rng *mrand.Rand) *tensor.Mat {
 	return tensor.Random(rng, m.Cfg.Stages[0].Tokens, m.Cfg.PatchDim, m.Cfg.Fixed.Scale())
 }
 
-// Forward runs inference and returns the 1×NumClasses logits. If trace is
-// non-nil it records every matmul, conv and nonlinear application.
+// Forward runs inference and returns the 1×NumClasses logits. Every
+// matmul, conv and nonlinear output comes from the trace call that
+// records it; a nil trace computes without recording.
 func (m *Model) Forward(x *tensor.Mat, trace *Trace) *tensor.Mat {
-	feat := m.features(x, trace)
-	trace.matmul(-1, "head", feat, m.Head)
-	return tensor.MatMul(feat, m.Head, m.Cfg.Fixed)
+	return trace.matmul(-1, "head", m.features(x, trace), m.Head, &m.Cfg)
 }
 
 // features runs everything before the classification head and returns
@@ -136,15 +135,13 @@ func (m *Model) Forward(x *tensor.Mat, trace *Trace) *tensor.Mat {
 // FeatureDim for a CNN). Forward and TraceSGDStep share it, so a
 // fine-tuning trace records exactly the forward ops inference records.
 func (m *Model) features(x *tensor.Mat, trace *Trace) *tensor.Mat {
-	cfg := m.Cfg
+	cfg := &m.Cfg
 	fx := cfg.Fixed
 	if cfg.IsCNN() {
 		return m.featuresCNN(x, trace)
 	}
 
-	trace.matmul(-1, "embed", x, m.Embed)
-	h := tensor.MatMul(x, m.Embed, fx)
-	h = tensor.NormRows(h, fx)
+	h := tensor.NormRows(trace.matmul(-1, "embed", x, m.Embed, cfg), fx)
 
 	block := 0
 	for si, st := range cfg.Stages {
@@ -153,8 +150,7 @@ func (m *Model) features(x *tensor.Mat, trace *Trace) *tensor.Mat {
 			// new width.
 			h = tensor.DownsampleTokens(h)
 			h = tensor.DownsampleTokens(h)
-			trace.matmul(-1, fmt.Sprintf("proj.stage%d", si), h, m.Proj[si-1])
-			h = tensor.MatMul(h, m.Proj[si-1], fx)
+			h = trace.matmul(-1, fmt.Sprintf("proj.stage%d", si), h, m.Proj[si-1], cfg)
 			h = tensor.NormRows(h, fx)
 		}
 		for b := 0; b < st.Blocks; b++ {
@@ -170,23 +166,20 @@ func (m *Model) features(x *tensor.Mat, trace *Trace) *tensor.Mat {
 // traced conv matmul → average pool → GELU, then a row-major flatten.
 // It must stay in lockstep with shapeTraceCNN.
 func (m *Model) featuresCNN(x *tensor.Mat, trace *Trace) *tensor.Mat {
-	cfg := m.Cfg
-	fx := cfg.Fixed
+	cfg := &m.Cfg
 	h, w, ch := cfg.InputH, cfg.InputW, cfg.InputC
 	cur := x
 	for i, s := range cfg.Convs {
 		cols := Im2col(cur, h, w, s.Kernel, s.Stride, s.Pad)
-		trace.conv2d(i, fmt.Sprintf("conv%d", i), cols, m.Conv[i], s, ch, h, w)
 		// (outH·outW)×Out product, transposed back to channel-major.
-		cur = tensor.Transpose(tensor.MatMul(cols, m.Conv[i], fx))
+		cur = tensor.Transpose(trace.conv2d(i, fmt.Sprintf("conv%d", i), cols, m.Conv[i], s, ch, h, w, cfg))
 		h, w, ch = s.OutSize(h), s.OutSize(w), s.Out
 		if s.Pool > 1 {
 			trace.pool(i, fmt.Sprintf("conv%d.pool", i), cur.Rows, cur.Cols)
 			cur = AvgPoolSpatial(cur, h, w, s.Pool)
 			h, w = h/s.Pool, w/s.Pool
 		}
-		trace.gelu(i, fmt.Sprintf("conv%d.gelu", i), cur)
-		cur = tensor.GELU(cur, fx)
+		cur = trace.gelu(i, fmt.Sprintf("conv%d.gelu", i), cur, cfg)
 	}
 	// Row-major flatten: channel-major data is already contiguous.
 	return &tensor.Mat{Rows: 1, Cols: ch * h * w, Data: cur.Data}
@@ -195,26 +188,22 @@ func (m *Model) featuresCNN(x *tensor.Mat, trace *Trace) *tensor.Mat {
 // block applies one pre-norm transformer block: x + Mixer(Norm(x)), then
 // x + MLP(Norm(x)).
 func (m *Model) block(x *tensor.Mat, layer int, trace *Trace) *tensor.Mat {
-	fx := m.Cfg.Fixed
+	cfg := &m.Cfg
+	fx := cfg.Fixed
 	bw := m.Blocks[layer]
 
 	mixed := m.mix(tensor.NormRows(x, fx), layer, trace)
 	x = tensor.Add(x, mixed)
 
-	n := tensor.NormRows(x, fx)
-	trace.matmul(layer, "mlp.fc1", n, bw.W1)
-	u := tensor.MatMul(n, bw.W1, fx)
-	trace.gelu(layer, "mlp.gelu", u)
-	u = tensor.GELU(u, fx)
-	trace.matmul(layer, "mlp.fc2", u, bw.W2)
-	u = tensor.MatMul(u, bw.W2, fx)
+	u := trace.matmul(layer, "mlp.fc1", tensor.NormRows(x, fx), bw.W1, cfg)
+	u = trace.gelu(layer, "mlp.gelu", u, cfg)
+	u = trace.matmul(layer, "mlp.fc2", u, bw.W2, cfg)
 	return tensor.Add(x, u)
 }
 
 // mix applies the block's token mixer.
 func (m *Model) mix(x *tensor.Mat, layer int, trace *Trace) *tensor.Mat {
-	cfg := m.Cfg
-	fx := cfg.Fixed
+	cfg := &m.Cfg
 	bw := m.Blocks[layer]
 
 	switch bw.Mixer {
@@ -226,8 +215,7 @@ func (m *Model) mix(x *tensor.Mat, layer int, trace *Trace) *tensor.Mat {
 		trace.pool(layer, "pool", x.Rows, x.Cols)
 		return tensor.MeanPoolTokens(x, cfg.PoolWindow)
 	case MixerLinear:
-		trace.matmul(layer, "mix.linear", bw.Mix, x)
-		return tensor.MatMul(bw.Mix, x, fx)
+		return trace.matmul(layer, "mix.linear", bw.Mix, x, cfg)
 	default:
 		panic(fmt.Sprintf("nn: unknown mixer %v", bw.Mixer))
 	}
@@ -237,16 +225,12 @@ func (m *Model) mix(x *tensor.Mat, layer int, trace *Trace) *tensor.Mat {
 // softmax approximation: scores = QKᵀ/√dₕ softmaxed per row, out =
 // scores·V, heads concatenated through Wo. Quadratic in tokens.
 func (m *Model) softmaxAttention(x *tensor.Mat, layer int, trace *Trace) *tensor.Mat {
-	cfg := m.Cfg
-	fx := cfg.Fixed
+	cfg := &m.Cfg
 	bw := m.Blocks[layer]
 
-	trace.matmul(layer, "attn.q", x, bw.Wq)
-	q := tensor.MatMul(x, bw.Wq, fx)
-	trace.matmul(layer, "attn.k", x, bw.Wk)
-	k := tensor.MatMul(x, bw.Wk, fx)
-	trace.matmul(layer, "attn.v", x, bw.Wv)
-	v := tensor.MatMul(x, bw.Wv, fx)
+	q := trace.matmul(layer, "attn.q", x, bw.Wq, cfg)
+	k := trace.matmul(layer, "attn.k", x, bw.Wk, cfg)
+	v := trace.matmul(layer, "attn.v", x, bw.Wv, cfg)
 
 	d := x.Cols
 	dh := d / cfg.Heads
@@ -258,34 +242,25 @@ func (m *Model) softmaxAttention(x *tensor.Mat, layer int, trace *Trace) *tensor
 		kh := tensor.SliceCols(k, lo, hi)
 		vh := tensor.SliceCols(v, lo, hi)
 
-		kt := tensor.Transpose(kh)
-		trace.matmul(layer, fmt.Sprintf("attn.h%d.qk", hIdx), qh, kt)
-		scores := tensor.MatMul(qh, kt, fx)
+		scores := trace.matmul(layer, fmt.Sprintf("attn.h%d.qk", hIdx), qh, tensor.Transpose(kh), cfg)
 		scores = tensor.Scale(scores, 1, sqrtDh)
-		trace.softmax(layer, fmt.Sprintf("attn.h%d.softmax", hIdx), scores)
-		probs := tensor.SoftmaxRows(scores, fx, cfg.ClipT, cfg.SquareIters)
-		trace.matmul(layer, fmt.Sprintf("attn.h%d.pv", hIdx), probs, vh)
-		heads[hIdx] = tensor.MatMul(probs, vh, fx)
+		probs := trace.softmax(layer, fmt.Sprintf("attn.h%d.softmax", hIdx), scores, cfg)
+		heads[hIdx] = trace.matmul(layer, fmt.Sprintf("attn.h%d.pv", hIdx), probs, vh, cfg)
 	}
 	out := tensor.ConcatCols(heads...)
-	trace.matmul(layer, "attn.proj", out, bw.Wo)
-	return tensor.MatMul(out, bw.Wo, fx)
+	return trace.matmul(layer, "attn.proj", out, bw.Wo, cfg)
 }
 
 // scalingAttention is the linear-complexity efficient attention of
 // Shen et al.: softmax over the feature axis of Q and the token axis of
 // K, then Q·(KᵀV), so cost is linear in the token count.
 func (m *Model) scalingAttention(x *tensor.Mat, layer int, trace *Trace) *tensor.Mat {
-	cfg := m.Cfg
-	fx := cfg.Fixed
+	cfg := &m.Cfg
 	bw := m.Blocks[layer]
 
-	trace.matmul(layer, "attn.q", x, bw.Wq)
-	q := tensor.MatMul(x, bw.Wq, fx)
-	trace.matmul(layer, "attn.k", x, bw.Wk)
-	k := tensor.MatMul(x, bw.Wk, fx)
-	trace.matmul(layer, "attn.v", x, bw.Wv)
-	v := tensor.MatMul(x, bw.Wv, fx)
+	q := trace.matmul(layer, "attn.q", x, bw.Wq, cfg)
+	k := trace.matmul(layer, "attn.k", x, bw.Wk, cfg)
+	v := trace.matmul(layer, "attn.v", x, bw.Wv, cfg)
 
 	d := x.Cols
 	dh := d / cfg.Heads
@@ -296,18 +271,12 @@ func (m *Model) scalingAttention(x *tensor.Mat, layer int, trace *Trace) *tensor
 		kh := tensor.SliceCols(k, lo, hi)
 		vh := tensor.SliceCols(v, lo, hi)
 
-		trace.softmax(layer, fmt.Sprintf("attn.h%d.softmaxq", hIdx), qh)
-		qs := tensor.SoftmaxRows(qh, fx, cfg.ClipT, cfg.SquareIters)
-		trace.softmax(layer, fmt.Sprintf("attn.h%d.softmaxk", hIdx), tensor.Transpose(kh))
-		ks := tensor.SoftmaxCols(kh, fx, cfg.ClipT, cfg.SquareIters)
-
-		kt := tensor.Transpose(ks)
-		trace.matmul(layer, fmt.Sprintf("attn.h%d.kv", hIdx), kt, vh)
-		ctx := tensor.MatMul(kt, vh, fx)
-		trace.matmul(layer, fmt.Sprintf("attn.h%d.qctx", hIdx), qs, ctx)
-		heads[hIdx] = tensor.MatMul(qs, ctx, fx)
+		qs := trace.softmax(layer, fmt.Sprintf("attn.h%d.softmaxq", hIdx), qh, cfg)
+		// The key softmax runs down K's token axis: a row softmax of Kᵀ.
+		kt := trace.softmax(layer, fmt.Sprintf("attn.h%d.softmaxk", hIdx), tensor.Transpose(kh), cfg)
+		ctx := trace.matmul(layer, fmt.Sprintf("attn.h%d.kv", hIdx), kt, vh, cfg)
+		heads[hIdx] = trace.matmul(layer, fmt.Sprintf("attn.h%d.qctx", hIdx), qs, ctx, cfg)
 	}
 	out := tensor.ConcatCols(heads...)
-	trace.matmul(layer, "attn.proj", out, bw.Wo)
-	return tensor.MatMul(out, bw.Wo, fx)
+	return trace.matmul(layer, "attn.proj", out, bw.Wo, cfg)
 }

@@ -14,8 +14,9 @@
 //
 // A forward pass can record a Trace: the ordered list of matrix
 // multiplications and nonlinear applications it executed, with dimensions
-// and (optionally) the concrete operand matrices. The trace is what the
-// planner costs and what the zkml compiler turns into circuits.
+// and (optionally) the concrete operand matrices. The zkml compiler turns
+// a trace into circuits; the planner prices ShapeTrace, the same op list
+// derived from the configuration alone.
 package nn
 
 import (
@@ -130,10 +131,8 @@ type Op struct {
 }
 
 // MatMulFLOPs returns 2·A·N·B for ops that prove a matrix product — a
-// plain matmul, or a conv2d's im2col lowering — and 0 otherwise. Conv
-// ops must report their true product cost here: the planner prices
-// traces through this shape, and a conv that costed 0 would make any
-// CNN look free.
+// plain matmul, or a conv2d's im2col lowering — and 0 otherwise, so a
+// conv reports its true product cost rather than 0.
 func (o Op) MatMulFLOPs() int64 {
 	if o.Kind != OpMatMul && o.Kind != OpConv2D {
 		return 0
@@ -141,65 +140,82 @@ func (o Op) MatMulFLOPs() int64 {
 	return 2 * int64(o.A) * int64(o.N) * int64(o.B)
 }
 
-// Trace accumulates the operations of a forward pass.
+// Trace accumulates the operations of a forward pass. Each recording
+// method also computes the value it records and returns it, so a forward
+// pass takes every product and nonlinear output from the call that
+// records it; a nil *Trace computes without recording.
 type Trace struct {
 	// Capture stores concrete operand matrices in each Op, which the
 	// zkml compiler needs to actually prove the pass. Costing-only
-	// consumers (the planner) leave it false.
+	// consumers leave it false.
 	Capture bool
 	Ops     []Op
+
+	// exec, when non-nil, gives the value of each matmul, conv, softmax
+	// and GELU op in place of op.value(cfg). It is handed the op with
+	// its live operands in X/W or In; a replay executor returns values
+	// taken from elsewhere.
+	exec func(op Op, cfg *Config) *tensor.Mat
 }
 
-func (t *Trace) matmul(layer int, tag string, x, w *tensor.Mat) {
-	if t == nil {
-		return
+// value computes op from its operands: the fixed-point product for a
+// matmul or conv, the row softmax or elementwise GELU of In otherwise.
+func (op Op) value(cfg *Config) *tensor.Mat {
+	switch op.Kind {
+	case OpSoftmax:
+		return tensor.SoftmaxRows(op.In, cfg.Fixed, cfg.ClipT, cfg.SquareIters)
+	case OpGELU:
+		return tensor.GELU(op.In, cfg.Fixed)
+	default:
+		return tensor.MatMul(op.X, op.W, cfg.Fixed)
 	}
-	op := Op{Kind: OpMatMul, Layer: layer, Tag: tag, A: x.Rows, N: x.Cols, B: w.Cols}
+}
+
+// do records op, whose operand fields hold the live operands, and
+// returns its value.
+func (t *Trace) do(op Op, cfg *Config) *tensor.Mat {
+	if t == nil {
+		return op.value(cfg)
+	}
+	rec := op
+	rec.X, rec.W, rec.In = nil, nil, nil
 	if t.Capture {
-		op.X, op.W = x.Clone(), w.Clone()
+		if op.In != nil {
+			rec.In = op.In.Clone()
+		} else {
+			rec.X, rec.W = op.X.Clone(), op.W.Clone()
+		}
 	}
-	t.Ops = append(t.Ops, op)
+	t.Ops = append(t.Ops, rec)
+	if t.exec != nil {
+		return t.exec(op, cfg)
+	}
+	return op.value(cfg)
 }
 
-// conv2d records one lowered convolution: cols is the im2col expansion
-// of a cin×(inH·inW) feature map under spec's geometry, kernel the
-// KH·KW·CIn × COut reshaped filter bank.
-func (t *Trace) conv2d(layer int, tag string, cols, kernel *tensor.Mat, spec ConvSpec, cin, inH, inW int) {
-	if t == nil {
-		return
-	}
-	op := Op{
+func (t *Trace) matmul(layer int, tag string, x, w *tensor.Mat, cfg *Config) *tensor.Mat {
+	return t.do(Op{Kind: OpMatMul, Layer: layer, Tag: tag, A: x.Rows, N: x.Cols, B: w.Cols, X: x, W: w}, cfg)
+}
+
+// conv2d records and computes one lowered convolution: cols is the
+// im2col expansion of a cin×(inH·inW) feature map under spec's
+// geometry, kernel the KH·KW·CIn × COut reshaped filter bank.
+func (t *Trace) conv2d(layer int, tag string, cols, kernel *tensor.Mat, spec ConvSpec, cin, inH, inW int, cfg *Config) *tensor.Mat {
+	return t.do(Op{
 		Kind: OpConv2D, Layer: layer, Tag: tag,
 		A: cols.Rows, N: cols.Cols, B: kernel.Cols,
 		KH: spec.Kernel, KW: spec.Kernel, Stride: spec.Stride, Pad: spec.Pad,
 		CIn: cin, COut: kernel.Cols, InH: inH, InW: inW,
-	}
-	if t.Capture {
-		op.X, op.W = cols.Clone(), kernel.Clone()
-	}
-	t.Ops = append(t.Ops, op)
+		X: cols, W: kernel,
+	}, cfg)
 }
 
-func (t *Trace) softmax(layer int, tag string, in *tensor.Mat) {
-	if t == nil {
-		return
-	}
-	op := Op{Kind: OpSoftmax, Layer: layer, Tag: tag, Rows: in.Rows, Width: in.Cols}
-	if t.Capture {
-		op.In = in.Clone()
-	}
-	t.Ops = append(t.Ops, op)
+func (t *Trace) softmax(layer int, tag string, in *tensor.Mat, cfg *Config) *tensor.Mat {
+	return t.do(Op{Kind: OpSoftmax, Layer: layer, Tag: tag, Rows: in.Rows, Width: in.Cols, In: in}, cfg)
 }
 
-func (t *Trace) gelu(layer int, tag string, in *tensor.Mat) {
-	if t == nil {
-		return
-	}
-	op := Op{Kind: OpGELU, Layer: layer, Tag: tag, Rows: in.Rows, Width: in.Cols}
-	if t.Capture {
-		op.In = in.Clone()
-	}
-	t.Ops = append(t.Ops, op)
+func (t *Trace) gelu(layer int, tag string, in *tensor.Mat, cfg *Config) *tensor.Mat {
+	return t.do(Op{Kind: OpGELU, Layer: layer, Tag: tag, Rows: in.Rows, Width: in.Cols, In: in}, cfg)
 }
 
 func (t *Trace) pool(layer int, tag string, rows, width int) {
@@ -449,18 +465,13 @@ func (c Config) Scaled(f int) Config {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ShapeTrace emits the op sequence of one forward pass purely from the
 // configuration — no arithmetic, no weights — for consumers that only
 // need circuit shapes (the planner's costing, zkml's full-shape
-// measurement). It must stay in lockstep with Model.Forward; the
-// equivalence is asserted by TestShapeTraceMatchesForward.
+// measurement): a computing Forward takes seconds on the unscaled paper
+// configs, this takes microseconds. It must stay in lockstep with
+// Model.Forward; the equivalence is asserted by
+// TestShapeTraceMatchesForward.
 func ShapeTrace(cfg Config) *Trace {
 	if cfg.IsCNN() {
 		return shapeTraceCNN(cfg)

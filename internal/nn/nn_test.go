@@ -287,7 +287,8 @@ func TestMatMulFLOPs(t *testing.T) {
 
 // TestShapeTraceMatchesForward pins ShapeTrace to the real execution: op
 // kinds, tags and dimensions must agree exactly for every mixer and for
-// hierarchical stages.
+// hierarchical stages. The planner prices blocks from ShapeTrace, so this
+// also pins its prices to the ops Forward runs.
 func TestShapeTraceMatchesForward(t *testing.T) {
 	configs := []Config{}
 	for _, kind := range []MixerKind{MixerSoftmax, MixerScaling, MixerPooling, MixerLinear} {

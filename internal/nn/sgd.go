@@ -49,7 +49,12 @@ type SGDStep struct {
 // (denominator Cfg.Fixed.Scale(); e.g. Scale()/8 ≈ 0.125). The model is
 // not mutated — the caller decides whether to adopt NewHead.
 func (m *Model) TraceSGDStep(x *tensor.Mat, label int, lr int64) (*SGDStep, error) {
-	cfg := m.Cfg
+	return m.sgdStep(x, label, lr, &Trace{Capture: true})
+}
+
+// sgdStep is TraceSGDStep recording into the given trace.
+func (m *Model) sgdStep(x *tensor.Mat, label int, lr int64, trace *Trace) (*SGDStep, error) {
+	cfg := &m.Cfg
 	fx := cfg.Fixed
 	if label < 0 || label >= cfg.NumClasses {
 		return nil, fmt.Errorf("nn: label %d out of range [0, %d)", label, cfg.NumClasses)
@@ -58,15 +63,11 @@ func (m *Model) TraceSGDStep(x *tensor.Mat, label int, lr int64) (*SGDStep, erro
 		return nil, fmt.Errorf("nn: nonpositive learning rate %d", lr)
 	}
 
-	trace := &Trace{Capture: true}
 	feat := m.features(x, trace) // 1×D
 	d := feat.Cols
 
-	trace.matmul(-1, "head", feat, m.Head)
-	logits := tensor.MatMul(feat, m.Head, fx) // 1×C
-
-	trace.softmax(-1, "sgd.softmax", logits)
-	probs := tensor.SoftmaxRows(logits, fx, cfg.ClipT, cfg.SquareIters)
+	logits := trace.matmul(-1, "head", feat, m.Head, cfg) // 1×C
+	probs := trace.softmax(-1, "sgd.softmax", logits, cfg)
 
 	// dlog = probs − Scale·onehot(label): plain integer arithmetic on
 	// values the softmax op already attests.
@@ -80,9 +81,7 @@ func (m *Model) TraceSGDStep(x *tensor.Mat, label int, lr int64) (*SGDStep, erro
 		dlog.Set(0, j, v)
 	}
 
-	featT := tensor.Transpose(feat) // D×1
-	trace.matmul(-1, "sgd.grad.head", featT, dlog)
-	grad := tensor.MatMul(featT, dlog, fx) // D×C
+	grad := trace.matmul(-1, "sgd.grad.head", tensor.Transpose(feat), dlog, cfg) // D×C
 
 	// The update matmul: public X = [Scale·I | −lr·I], witness
 	// W = [Head; Grad] stacked row-wise.
@@ -94,8 +93,7 @@ func (m *Model) TraceSGDStep(x *tensor.Mat, label int, lr int64) (*SGDStep, erro
 	wStk := tensor.New(2*d, cfg.NumClasses)
 	copy(wStk.Data[:d*cfg.NumClasses], m.Head.Data)
 	copy(wStk.Data[d*cfg.NumClasses:], grad.Data)
-	trace.matmul(-1, "sgd.update.head", xUpd, wStk)
-	newHead := tensor.MatMul(xUpd, wStk, fx) // D×C
+	newHead := trace.matmul(-1, "sgd.update.head", xUpd, wStk, cfg) // D×C
 
 	return &SGDStep{Trace: trace, Logits: logits, Probs: probs, Grad: grad, NewHead: newHead}, nil
 }

@@ -12,10 +12,12 @@
 // contributes n constraints but a·n + n·b + a·b live wires, and wires are
 // what the Groth16 MSMs and the Spartan sumcheck pay for. Nonlinear
 // gadget costs follow internal/gadgets (bit decompositions dominate).
+// Block prices come from nn.ShapeTrace, the op list of one forward pass
+// derived from the configuration alone, so the planner prices the ops
+// the model runs and holds no copy of any architecture.
 package planner
 
 import (
-	"fmt"
 	"math"
 
 	"zkvc/internal/nn"
@@ -74,84 +76,15 @@ func (c CostModel) GELU(n int) float64 {
 func (c CostModel) Op(op nn.Op) float64 {
 	switch op.Kind {
 	case nn.OpMatMul, nn.OpConv2D:
-		// A lowered conv costs exactly its im2col product — pricing it
-		// 0 (the old default arm) made any CNN look free to the planner.
+		// A lowered conv costs exactly its im2col product.
 		return c.MatMul(op.A, op.N, op.B)
 	case nn.OpSoftmax:
 		return c.Softmax(op.Rows, op.Width)
 	case nn.OpGELU:
 		return c.GELU(op.Rows * op.Width)
-	case nn.OpPool:
-		return 0 // additions are free in R1CS
 	default:
-		return 0
+		return 0 // pooling: additions are free in R1CS
 	}
-}
-
-// Trace prices a whole recorded forward pass.
-func (c CostModel) Trace(t *nn.Trace) float64 {
-	var sum float64
-	for _, op := range t.Ops {
-		sum += c.Op(op)
-	}
-	return sum
-}
-
-// Mixer prices one block's token mixer analytically for a stage with the
-// given tokens t, width d and head count h. The shapes mirror
-// nn.Model.mix exactly.
-func (c CostModel) Mixer(kind nn.MixerKind, t, d, h int) float64 {
-	dh := d / h
-	switch kind {
-	case nn.MixerSoftmax:
-		cost := 3 * c.MatMul(t, d, d)                                  // q, k, v
-		cost += float64(h) * (c.MatMul(t, dh, t) + c.MatMul(t, t, dh)) // qk, pv
-		cost += c.Softmax(h*t, t)
-		cost += c.MatMul(t, d, d) // proj
-		return cost
-	case nn.MixerScaling:
-		cost := 3 * c.MatMul(t, d, d)
-		cost += float64(h) * (c.MatMul(dh, t, dh) + c.MatMul(t, dh, dh)) // kv, qctx
-		cost += c.Softmax(h*t, dh) + c.Softmax(h*dh, t)
-		cost += c.MatMul(t, d, d)
-		return cost
-	case nn.MixerPooling:
-		return 0
-	case nn.MixerLinear:
-		return c.MatMul(t, t, d)
-	default:
-		panic(fmt.Sprintf("planner: unknown mixer %v", kind))
-	}
-}
-
-// Block prices a full block: mixer plus the (mixer-independent) MLP.
-func (c CostModel) Block(kind nn.MixerKind, t, d, h, mlpRatio int) float64 {
-	hid := mlpRatio * d
-	mlp := c.MatMul(t, d, hid) + c.GELU(t*hid) + c.MatMul(t, hid, d)
-	return c.Mixer(kind, t, d, h) + mlp
-}
-
-// Model prices an entire configuration (embedding, stage projections,
-// blocks, head). Convolutional configs price through their shape trace
-// — every conv is its im2col matmul, GELUs their element grids.
-func (c CostModel) Model(cfg nn.Config) float64 {
-	if cfg.IsCNN() {
-		return c.Trace(nn.ShapeTrace(cfg))
-	}
-	sum := c.MatMul(cfg.Stages[0].Tokens, cfg.PatchDim, cfg.Stages[0].Dim)
-	block := 0
-	for si, st := range cfg.Stages {
-		if si > 0 {
-			sum += c.MatMul(st.Tokens, cfg.Stages[si-1].Dim, st.Dim)
-		}
-		for b := 0; b < st.Blocks; b++ {
-			sum += c.Block(cfg.Mixers[block], st.Tokens, st.Dim, cfg.Heads, cfg.MLPRatio)
-			block++
-		}
-	}
-	last := cfg.Stages[len(cfg.Stages)-1]
-	sum += c.MatMul(1, last.Dim, cfg.NumClasses)
-	return sum
 }
 
 // utility scores a mixer choice for one block. Base scores follow the
@@ -204,23 +137,21 @@ func (p Plan) Speedup() float64 {
 }
 
 // Candidates lists every mixer option for every block of cfg, with costs
-// and utilities.
+// and utilities. A block's cost is the sum of its ops in the ShapeTrace
+// of cfg with that mixer in every block, so it prices exactly the ops
+// Forward runs. A CNN has no blocks and gets no rows.
 func Candidates(cfg nn.Config, cm CostModel) [][]BlockOption {
 	total := cfg.TotalBlocks()
-	out := make([][]BlockOption, 0, total)
-	layer := 0
-	for _, st := range cfg.Stages {
-		for b := 0; b < st.Blocks; b++ {
-			opts := make([]BlockOption, 0, 4)
-			for _, kind := range []nn.MixerKind{nn.MixerSoftmax, nn.MixerScaling, nn.MixerLinear, nn.MixerPooling} {
-				opts = append(opts, BlockOption{
-					Kind:    kind,
-					Cost:    cm.Block(kind, st.Tokens, st.Dim, cfg.Heads, cfg.MLPRatio),
-					Utility: utility(kind, layer, total),
-				})
+	out := make([][]BlockOption, total)
+	for _, kind := range []nn.MixerKind{nn.MixerSoftmax, nn.MixerScaling, nn.MixerLinear, nn.MixerPooling} {
+		cost := make([]float64, total)
+		for _, op := range nn.ShapeTrace(cfg.WithMixers(nn.UniformMixers(total, kind))).Ops {
+			if op.Layer >= 0 && op.Layer < total {
+				cost[op.Layer] += cm.Op(op)
 			}
-			out = append(out, opts)
-			layer++
+		}
+		for l := range out {
+			out[l] = append(out[l], BlockOption{Kind: kind, Cost: cost[l], Utility: utility(kind, l, total)})
 		}
 	}
 	return out

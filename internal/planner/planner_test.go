@@ -87,56 +87,80 @@ func TestHybridPrefersAttentionInLateLayers(t *testing.T) {
 
 func TestCostModelShapes(t *testing.T) {
 	cm := DefaultCostModel()
+	// mixer prices one block's token mixer: the block's Candidates cost
+	// less its mixer-independent MLP.
+	mixer := func(kind nn.MixerKind, tok, d, h int) float64 {
+		cfg := nn.TinyConfig("shape", kind)
+		cfg.Stages = []nn.Stage{{Blocks: 1, Dim: d, Tokens: tok}}
+		cfg.Heads = h
+		hid := cfg.MLPRatio * d
+		mlp := cm.MatMul(tok, d, hid) + cm.GELU(tok*hid) + cm.MatMul(tok, hid, d)
+		for _, o := range Candidates(cfg, cm)[0] {
+			if o.Kind == kind {
+				return o.Cost - mlp
+			}
+		}
+		t.Fatalf("no %v candidate", kind)
+		return 0
+	}
 	// Softmax attention must be quadratic in tokens, scaling linear-ish:
 	// quadrupling tokens should blow up softmax cost by ~16x on the
 	// token-token terms but scaling cost by ~4x.
-	s1 := cm.Mixer(nn.MixerSoftmax, 64, 64, 4)
-	s4 := cm.Mixer(nn.MixerSoftmax, 256, 64, 4)
-	l1 := cm.Mixer(nn.MixerScaling, 64, 64, 4)
-	l4 := cm.Mixer(nn.MixerScaling, 256, 64, 4)
+	s1 := mixer(nn.MixerSoftmax, 64, 64, 4)
+	s4 := mixer(nn.MixerSoftmax, 256, 64, 4)
+	l1 := mixer(nn.MixerScaling, 64, 64, 4)
+	l4 := mixer(nn.MixerScaling, 256, 64, 4)
 	if s4/s1 < 6 {
 		t.Errorf("softmax cost ratio %.1f, want clearly superlinear", s4/s1)
 	}
 	if l4/l1 > 5 {
 		t.Errorf("scaling cost ratio %.1f, want near-linear", l4/l1)
 	}
-	if cm.Mixer(nn.MixerPooling, 64, 64, 4) != 0 {
+	if mixer(nn.MixerPooling, 64, 64, 4) != 0 {
 		t.Error("pooling should be free")
 	}
-	if cm.Mixer(nn.MixerLinear, 64, 64, 4) != cm.MatMul(64, 64, 64) {
+	if mixer(nn.MixerLinear, 64, 64, 4) != cm.MatMul(64, 64, 64) {
 		t.Error("linear mixer cost should be one t×t×d matmul")
 	}
 }
 
 func TestTraceCostMatchesAnalyticModel(t *testing.T) {
-	// The analytic Block/Model costs must agree with costing an actual
-	// recorded trace (they price the same shapes).
-	cfg := nn.Config{
-		Name:       "cost-check",
-		Stages:     []nn.Stage{{Blocks: 2, Dim: 16, Tokens: 8}},
-		Heads:      2,
-		PatchDim:   12,
-		NumClasses: 3,
+	// Every Candidates row must price exactly the ops a computed Forward
+	// pass records in that block; ShapeTrace, which the planner reads,
+	// is only a shortcut to them.
+	costCheck := func(stages ...nn.Stage) nn.Config {
+		cfg := nn.ViTCIFAR10() // borrow defaults
+		cfg.Name, cfg.Stages = "cost-check", stages
+		cfg.Heads, cfg.PatchDim, cfg.NumClasses = 2, 12, 3
+		cfg.Mixers = nn.UniformMixers(cfg.TotalBlocks(), nn.MixerSoftmax)
+		return cfg
 	}
-	base := nn.ViTCIFAR10() // borrow defaults
-	cfg.MLPRatio = base.MLPRatio
-	cfg.Fixed = base.Fixed
-	cfg.ClipT = base.ClipT
-	cfg.SquareIters = base.SquareIters
-	cfg.PoolWindow = base.PoolWindow
-	for _, kind := range []nn.MixerKind{nn.MixerSoftmax, nn.MixerScaling, nn.MixerPooling, nn.MixerLinear} {
-		cfg.Mixers = nn.UniformMixers(2, kind)
-		m, err := nn.NewModel(cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var trace nn.Trace
-		m.Forward(m.RandomInput(randSource()), &trace)
-		cm := DefaultCostModel()
-		got := cm.Trace(&trace)
-		want := cm.Model(cfg)
-		if got != want {
-			t.Errorf("%v: trace cost %.0f != analytic cost %.0f", kind, got, want)
+	cm := DefaultCostModel()
+	for _, base := range []nn.Config{
+		costCheck(nn.Stage{Blocks: 2, Dim: 16, Tokens: 8}),
+		costCheck(nn.Stage{Blocks: 1, Dim: 8, Tokens: 16}, nn.Stage{Blocks: 2, Dim: 16, Tokens: 4}),
+	} {
+		cands := Candidates(base, cm)
+		for oi, opt := range cands[0] {
+			cfg := base.WithMixers(nn.UniformMixers(base.TotalBlocks(), opt.Kind))
+			m, err := nn.NewModel(cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var trace nn.Trace
+			m.Forward(m.RandomInput(randSource()), &trace)
+			got := make([]float64, len(cands))
+			for _, op := range trace.Ops {
+				if op.Layer >= 0 {
+					got[op.Layer] += cm.Op(op)
+				}
+			}
+			for l, opts := range cands {
+				if opts[oi].Cost != got[l] {
+					t.Errorf("%v block %d of %d stage(s): candidate cost %.0f != traced cost %.0f",
+						opt.Kind, l, len(base.Stages), opts[oi].Cost, got[l])
+				}
+			}
 		}
 	}
 }

@@ -142,14 +142,6 @@ func SoftmaxRows(a *Mat, c fixed.Config, clipT int64, iters uint) *Mat {
 	return out
 }
 
-// SoftmaxCols applies the softmax down every column (used by the scaling
-// attention mixer).
-func SoftmaxCols(a *Mat, c fixed.Config, clipT int64, iters uint) *Mat {
-	t := Transpose(a)
-	t = SoftmaxRows(t, c, clipT, iters)
-	return Transpose(t)
-}
-
 // GELU applies the quadratic GELU elementwise.
 func GELU(a *Mat, c fixed.Config) *Mat {
 	out := New(a.Rows, a.Cols)

@@ -174,19 +174,6 @@ func TestSoftmaxRowsProbabilities(t *testing.T) {
 	}
 }
 
-func TestSoftmaxColsMatchesTransposedRows(t *testing.T) {
-	c := fixed.Default()
-	rng := mrand.New(mrand.NewSource(5))
-	a := Random(rng, 4, 3, c.Scale())
-	viaCols := SoftmaxCols(a, c, -8*c.Scale(), 5)
-	viaRows := Transpose(SoftmaxRows(Transpose(a), c, -8*c.Scale(), 5))
-	for i := range viaCols.Data {
-		if viaCols.Data[i] != viaRows.Data[i] {
-			t.Fatal("SoftmaxCols disagrees with transposed SoftmaxRows")
-		}
-	}
-}
-
 func TestScaleFloor(t *testing.T) {
 	a := fromInts(1, 3, 7, -7, 8)
 	s := Scale(a, 1, 2)

@@ -158,13 +158,6 @@ func MeasureTrace(cfg nn.Config, trace *nn.Trace, opts Options, caps MeasureCaps
 	return est, nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // measureOne proves a capped instance of the group's shape and fills the
 // extrapolated numbers.
 func measureOne(g *OpEstimate, cfg nn.Config, opts Options, caps MeasureCaps, cm planner.CostModel, rng *mrand.Rand) error {
@@ -175,7 +168,7 @@ func measureOne(g *OpEstimate, cfg nn.Config, opts Options, caps MeasureCaps, cm
 		// the lowered A/N/B, and the capped sub-shape is just a smaller
 		// matmul of the same circuit family.
 		a, n, b := g.Dims[0], g.Dims[1], g.Dims[2]
-		ca, cn, cb := minInt(a, caps.MaxDim), minInt(n, caps.MaxDim), minInt(b, caps.MaxDim)
+		ca, cn, cb := min(a, caps.MaxDim), min(n, caps.MaxDim), min(b, caps.MaxDim)
 		op := nn.Op{
 			Kind: nn.OpMatMul, Tag: g.Tag, A: ca, N: cn, B: cb,
 			X: tensor.Random(rng, ca, cn, bound),
@@ -190,7 +183,7 @@ func measureOne(g *OpEstimate, cfg nn.Config, opts Options, caps MeasureCaps, cm
 		g.Factor = g.EstWires / cm.MatMul(ca, cn, cb)
 	case nn.OpSoftmax, nn.OpGELU:
 		rows, width := g.Dims[0], g.Dims[1]
-		cr, cw := minInt(rows, caps.MaxRows), minInt(width, caps.MaxWidth)
+		cr, cw := min(rows, caps.MaxRows), min(width, caps.MaxWidth)
 		in := tensor.Random(rng, cr, cw, bound)
 		op := nn.Op{Kind: g.Kind, Tag: g.Tag, Rows: cr, Width: cw, In: in}
 		measured, err := proveNonlinear(op, opts, nonlinearConfig(cfg), cfg, rng, nil)
