@@ -113,8 +113,8 @@
 //
 // The batched check accepts exactly the reports the op-by-op check
 // accepts, up to the ~1/r batching error, and the verifier needs the
-// report's proof payloads (Options.KeepProofs): a stripped or empty
-// report fails verification rather than passing vacuously. On remote
+// report's proof payloads, which every proved op keeps: a stripped or
+// empty report fails verification rather than passing vacuously. On remote
 // engines the service first applies its issued-only report policy to
 // the whole-report digest. The VerifyOptions tail is deprecated and
 // ignored.

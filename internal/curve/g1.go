@@ -260,25 +260,17 @@ func (p *G1Jac) AddMixed(a *G1Affine) *G1Jac {
 	return p
 }
 
-// ScalarMul sets p = s·q and returns p (double-and-add over the canonical
-// limbs of s).
+// subMixed sets p = p − a for affine a and returns p.
+func (p *G1Jac) subMixed(a *G1Affine) *G1Jac {
+	var na G1Affine
+	return p.AddMixed(na.Neg(a))
+}
+
+// ScalarMul sets p = s·q and returns p (see scalarMul).
+//
+//go:noinline
 func (p *G1Jac) ScalarMul(q *G1Jac, s *ff.Fr) *G1Jac {
-	limbs := s.Canonical()
-	var acc G1Jac
-	acc.SetInfinity()
-	started := false
-	for i := 3; i >= 0; i-- {
-		for b := 63; b >= 0; b-- {
-			if started {
-				acc.Double(&acc)
-			}
-			if (limbs[i]>>uint(b))&1 == 1 {
-				acc.AddAssign(q)
-				started = true
-			}
-		}
-	}
-	return p.Set(&acc)
+	return scalarMul[G1Jac, G1Affine](p, q, s, &g1JacPool)
 }
 
 // Equal reports whether p and q represent the same point.

@@ -286,25 +286,17 @@ func (p *G2Jac) AddMixed(a *G2Affine) *G2Jac {
 	return p
 }
 
-// ScalarMul sets p = s·q and returns p (double-and-add over the canonical
-// limbs of s).
+// subMixed sets p = p − a for affine a and returns p.
+func (p *G2Jac) subMixed(a *G2Affine) *G2Jac {
+	var na G2Affine
+	return p.AddMixed(na.Neg(a))
+}
+
+// ScalarMul sets p = s·q and returns p (see scalarMul).
+//
+//go:noinline
 func (p *G2Jac) ScalarMul(q *G2Jac, s *ff.Fr) *G2Jac {
-	limbs := s.Canonical()
-	var acc G2Jac
-	acc.SetInfinity()
-	started := false
-	for i := 3; i >= 0; i-- {
-		for b := 63; b >= 0; b-- {
-			if started {
-				acc.Double(&acc)
-			}
-			if (limbs[i]>>uint(b))&1 == 1 {
-				acc.AddAssign(q)
-				started = true
-			}
-		}
-	}
-	return p.Set(&acc)
+	return scalarMul[G2Jac, G2Affine](p, q, s, &g2JacPool)
 }
 
 // Equal reports whether p and q represent the same point.

@@ -18,9 +18,13 @@ import (
 // split by bit length into a short and a full-width class. Each class
 // runs its own signed-digit Pippenger whose window count follows the
 // longest scalar actually present (planMSM), not the field width. The
-// preparation and the plan are shared; only the bucket loops are written
-// per group. Running time therefore depends on the scalars' magnitudes;
-// like the rest of the package, none of this is constant-time.
+// preparation, the plan and the algorithms — Pippenger (msm), fixed-base
+// (fixedBaseMul) and double-and-add (scalarMul) — are written once for
+// both groups; per group are only the point arithmetic they call
+// (Double, AddAssign, AddMixed, subMixed) and the batch-affine fixed-base
+// window (fixedBaseWindowG1/G2). Running time therefore depends on the
+// scalars' magnitudes; like the rest of the package, none of this is
+// constant-time.
 
 // Pools for MSM and fixed-base scratch: bucket state, batch-inversion
 // prefix products, scalar magnitudes and indices. Buckets are rented
@@ -66,15 +70,15 @@ type msmScalars struct {
 func prepareMSM(scalars []ff.Fr, infinity func(i int) bool) msmScalars {
 	n := len(scalars)
 	ps := msmScalars{limbs: limbPool.Get(n), buf: idxPool.Get(2 * n)}
-	idx, tags := ps.buf[:n], ps.buf[n:] // tag = bit length of |s_i|, 0 = dropped
+	limbs, idx, tags := ps.limbs, ps.buf[:n], ps.buf[n:] // tag = bit length of |s_i|, 0 = dropped
 	parallel.For(n, 4096, func(start, end int) {
 		for i := start; i < end; i++ {
 			if scalars[i].IsZero() || infinity(i) {
 				continue
 			}
 			var neg bool
-			ps.limbs[i], neg = scalars[i].CanonicalSigned()
-			tags[i] = uint32(bitLen(&ps.limbs[i]))
+			limbs[i], neg = scalars[i].CanonicalSigned()
+			tags[i] = uint32(bitLen(&limbs[i]))
 			if neg {
 				tags[i] |= msmNeg
 			}
@@ -167,6 +171,20 @@ func boothDigit(l *[4]uint64, w int, c uint) int {
 	return int((t+1)>>1) - int(t>>c)<<c
 }
 
+// jacobian is what the group-generic routines below ask of a Jacobian
+// point type J with affine type A: its group law, implemented per group
+// so that the field arithmetic inside each method stays inlined. The
+// zero J is infinity (Z = 0). The routines keep every J they pass to
+// these methods in rented memory: a local whose address goes through a
+// type parameter escapes to the heap.
+type jacobian[J, A any] interface {
+	*J
+	Double(*J) *J
+	AddAssign(*J) *J
+	AddMixed(*A) *J
+	subMixed(*A) *J
+}
+
 // MSMG1 computes Σ scalars[i]·points[i]: the two scalar classes (see the
 // top of this file) each run a Pippenger bucket method chunked across the
 // shared worker budget, every chunk a full windowed MSM over its slice
@@ -174,94 +192,111 @@ func boothDigit(l *[4]uint64, w int, c uint) int {
 // is exact, so the result is the same group element at every parallelism
 // level and for every window plan.
 func MSMG1(points []G1Affine, scalars []ff.Fr) G1Jac {
-	return msmG1(points, scalars, planMSM)
+	return msm(points, scalars, planMSM, &g1JacPool, func(i int) bool { return points[i].Infinity })
 }
 
-// msmG1 is MSMG1 under an explicit plan (the window ablation and the
-// plan-independence tests pass their own).
-func msmG1(points []G1Affine, scalars []ff.Fr, plan msmPlan) G1Jac {
+// msm is the MSM of either group under an explicit plan (the window
+// ablation and the plan-independence tests pass their own), its bucket
+// scratch rented from pool; infinity reports the points to skip.
+func msm[J, A any, PJ jacobian[J, A]](points []A, scalars []ff.Fr, plan msmPlan, pool *arena.Of[J], infinity func(i int) bool) J {
 	if len(points) != len(scalars) {
-		panic("curve: MSMG1 length mismatch")
+		panic("curve: MSM length mismatch")
 	}
-	ps := prepareMSM(scalars, func(i int) bool { return points[i].Infinity })
-	total := msmClassG1(points, ps.limbs, ps.short, plan)
-	long := msmClassG1(points, ps.limbs, ps.long, plan)
-	total.AddAssign(&long)
+	ps := prepareMSM(scalars, infinity)
+	acc := msmRun[J, A, PJ](nil, points, ps.limbs, ps.short, plan, pool)
+	acc = msmRun[J, A, PJ](acc, points, ps.limbs, ps.long, plan, pool)
 	ps.release()
+	var total J // infinity
+	if acc != nil {
+		total = acc[0]
+		pool.Put(acc)
+	}
 	return total
 }
 
-// msmClassG1 runs one class of a prepared MSM, chunked over the worker
-// budget.
-func msmClassG1(points []G1Affine, limbs [][4]uint64, cls msmClass, plan msmPlan) G1Jac {
+// msmRun runs one class of a prepared MSM chunked over the worker
+// budget and folds it into acc[0]. Each chunk's scratch holds its sum in
+// slot 0; the chunks fold in chunk order, each scratch returned to the
+// pool once folded. It returns the scratch holding the total: acc, or
+// the first chunk's when acc is nil (nil when nothing was summed).
+func msmRun[J, A any, PJ jacobian[J, A]](acc []J, points []A, limbs [][4]uint64, cls msmClass, plan msmPlan, pool *arena.Of[J]) []J {
 	n := len(cls.idx)
 	if n == 0 {
-		var inf G1Jac
-		return *inf.SetInfinity()
+		return acc
 	}
-	pool := parallel.Default()
-	chunk := msmChunk(n, pool.Size())
+	workers := parallel.Default()
+	chunk := msmChunk(n, workers.Size())
 	c, windows := plan(min(n, chunk), cls.bits)
-	return parallel.MapReduce(pool, n, chunk,
-		func(start, end int) G1Jac {
-			return msmSerialG1(points, limbs, cls.idx[start:end], c, windows)
-		},
-		func(acc, next G1Jac) G1Jac {
-			acc.AddAssign(&next)
-			return acc
-		})
+	fold := func(acc, next []J) []J {
+		PJ(&acc[0]).AddAssign(&next[0])
+		pool.Put(next)
+		return acc
+	}
+	sum := parallel.MapReduce(workers, n, chunk, func(start, end int) []J {
+		return msmSerial[J, A, PJ](points, limbs, cls.idx[start:end], c, windows, pool)
+	}, fold)
+	if acc == nil {
+		return sum
+	}
+	return fold(acc, sum)
 }
 
-// msmSerialG1 is a single-threaded windowed MSM over one chunk of a
-// class. One rented bucket buffer serves every window, reset to infinity
-// in place between windows instead of reallocated.
-func msmSerialG1(points []G1Affine, limbs [][4]uint64, idx []uint32, c uint, windows int) G1Jac {
-	var total G1Jac
-	total.SetInfinity()
-	buckets := g1JacPool.Get(1 << (c - 1))
-	// MSB-first: double the accumulator c times between windows.
+// msmSerial is a single-threaded windowed MSM over one chunk of a class.
+// It returns its rented 2^(c−1) buckets, cleared between windows, with
+// the sum in slot 0. Bucket k collects the points whose digit is ±(k+1),
+// negated when the digit's and the scalar's signs disagree; slot 0 also
+// carries the running total, so no accumulator is rented beside them.
+func msmSerial[J, A any, PJ jacobian[J, A]](points []A, limbs [][4]uint64, idx []uint32, c uint, windows int, pool *arena.Of[J]) []J {
+	buckets := pool.Get(1 << (c - 1))
+	total := PJ(&buckets[0])
+	// MSB-first: double the total c times between windows.
 	for w := windows - 1; w >= 0; w-- {
-		for k := uint(0); k < c; k++ {
-			total.Double(&total)
+		for range c {
+			total.Double(total)
 		}
-		sum := msmWindowSumG1(points, limbs, idx, w, c, buckets)
-		total.AddAssign(&sum)
+		clear(buckets[1:])
+		for _, e := range idx {
+			k, neg := signedDigit(limbs, e, w, c)
+			if k < 0 {
+				continue
+			}
+			if neg {
+				PJ(&buckets[k]).subMixed(&points[e&^msmNeg])
+			} else {
+				PJ(&buckets[k]).AddMixed(&points[e&^msmNeg])
+			}
+		}
+		// Suffix sums in place, then their sum into slot 0: Σ (k+1)·bucket[k]
+		// plus the doubled total, which slot 0 held as part of bucket 0.
+		for k := len(buckets) - 2; k >= 0; k-- {
+			PJ(&buckets[k]).AddAssign(&buckets[k+1])
+		}
+		for k := 1; k < len(buckets); k++ {
+			total.AddAssign(&buckets[k])
+		}
 	}
-	g1JacPool.Put(buckets)
-	return total
+	return buckets
 }
 
-// msmWindowSumG1 accumulates one Pippenger window into the caller's
-// bucket scratch (len 2^(c−1); overwritten here): bucket[d−1] collects
-// the points whose digit is ±d, negated when the digit's sign and the
-// scalar's sign disagree.
-func msmWindowSumG1(points []G1Affine, limbs [][4]uint64, idx []uint32, w int, c uint, buckets []G1Jac) G1Jac {
-	for i := range buckets {
-		buckets[i].SetInfinity()
-	}
-	for _, e := range idx {
-		k, neg := signedDigit(limbs, e, w, c)
-		if k < 0 {
-			continue
-		}
-		i := e &^ msmNeg
-		if neg {
-			var np G1Affine
-			np.Neg(&points[i])
-			buckets[k].AddMixed(&np)
-		} else {
-			buckets[k].AddMixed(&points[i])
+// scalarMul sets p = s·q in either group and returns p: double-and-add
+// over the canonical limbs of s, in scratch rented from pool. The
+// ScalarMul methods that call it are kept out of line: inlined into
+// another package, this call would be taken to leak p and q, moving the
+// caller's points to the heap.
+func scalarMul[J, A any, PJ jacobian[J, A]](p, q *J, s *ff.Fr, pool *arena.Of[J]) *J {
+	limbs := s.Canonical()
+	scratch := pool.Get(2) // infinity
+	acc, base := PJ(&scratch[0]), &scratch[1]
+	*base = *q
+	for i := 255; i >= 0; i-- {
+		acc.Double(acc)
+		if limbs[i/64]>>(i%64)&1 == 1 {
+			acc.AddAssign(base)
 		}
 	}
-	// Σ (i+1)·bucket[i] via suffix sums.
-	var running, sum G1Jac
-	running.SetInfinity()
-	sum.SetInfinity()
-	for i := len(buckets) - 1; i >= 0; i-- {
-		running.AddAssign(&buckets[i])
-		sum.AddAssign(&running)
-	}
-	return sum
+	*p = scratch[0]
+	pool.Put(scratch)
+	return p
 }
 
 // Fixed-base multiplication computes s_i·B for one base B and a vector
@@ -303,29 +338,37 @@ func signedDigit(limbs [][4]uint64, e uint32, w int, c uint) (k int, neg bool) {
 	return d - 1, neg
 }
 
-// fixedBase runs the pass over every prepared class, its non-zero terms
-// split into chunks of at least fixedBaseGrain, one per budgeted worker;
-// chunk adds the first windows windows of the terms idx to their outputs.
-func fixedBase(scalars []ff.Fr, c uint, chunk func(idx []uint32, limbs [][4]uint64, windows int)) {
+// fixedBaseMul multiplies the base of table, of width c, by every
+// scalar, in either group: the pass runs over every prepared class, its
+// non-zero terms split into chunks of at least fixedBaseGrain, one per
+// budgeted worker, and window adds one window's digits of a chunk's
+// terms to their outputs (fixedBaseWindowG1/G2), with scratch of the
+// chunk's length: inversion prefix products from pool and pending terms.
+func fixedBaseMul[J, A, F any](table [][]A, c uint, scalars []ff.Fr, pool *arena.Of[F],
+	window func(out []J, limbs [][4]uint64, idx []uint32, row []A, w int, c uint, inv []F, pend []uint32)) []J {
+	out := make([]J, len(scalars)) // Z = 0: infinity
 	ps := prepareMSM(scalars, func(int) bool { return false })
-	workers := parallel.DefaultSize()
+	limbs, workers := ps.limbs, parallel.DefaultSize()
 	for _, cls := range []msmClass{ps.short, ps.long} {
 		windows := (cls.bits + int(c)) / int(c)
 		parallel.For(len(cls.idx), max(fixedBaseGrain, (len(cls.idx)+workers-1)/workers), func(start, end int) {
-			chunk(cls.idx[start:end], ps.limbs, windows)
+			idx := cls.idx[start:end]
+			inv, pend := pool.Get(len(idx)), idxPool.Get(len(idx))
+			for w := range windows {
+				window(out, limbs, idx, table[w], w, c, inv, pend)
+			}
+			pool.Put(inv)
+			idxPool.Put(pend)
 		})
 	}
 	ps.release()
+	return out
 }
 
 // fixedBaseTable returns base's signed-window table of width c, in
 // either group: table[w][k] = (k+1)·2^{cw}·base for k < 2^{c−1} and
 // w < fixedBaseWindows(c), each row made affine by toAffine.
-func fixedBaseTable[J, A any, PJ interface {
-	*J
-	AddAssign(*J) *J
-	Double(*J) *J
-}](base *J, c uint, toAffine func([]J) []A) [][]A {
+func fixedBaseTable[J, A any, PJ jacobian[J, A]](base *J, c uint, toAffine func([]J) []A) [][]A {
 	table := make([][]A, fixedBaseWindows(c))
 	row := make([]J, 1<<(c-1))
 	cur := *base
@@ -364,16 +407,7 @@ func FixedBaseMulG1(base G1Jac, scalars []ff.Fr) []G1Jac {
 
 // fixedBaseG1 multiplies the base of table, of width c, by every scalar.
 func fixedBaseG1(table [][]G1Affine, c uint, scalars []ff.Fr) []G1Jac {
-	out := make([]G1Jac, len(scalars)) // Z = 0: infinity
-	fixedBase(scalars, c, func(idx []uint32, limbs [][4]uint64, windows int) {
-		inv, pend := fpPool.Get(len(idx)), idxPool.Get(len(idx))
-		for w := range windows {
-			fixedBaseWindowG1(out, limbs, idx, table[w], w, c, inv, pend)
-		}
-		fpPool.Put(inv)
-		idxPool.Put(pend)
-	})
-	return out
+	return fixedBaseMul(table, c, scalars, &fpPool, fixedBaseWindowG1)
 }
 
 // fixedBaseWindowG1 adds window w's digit of every term in idx to its

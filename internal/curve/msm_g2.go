@@ -4,97 +4,11 @@ import (
 	"sync"
 
 	"zkvc/internal/ff"
-	"zkvc/internal/parallel"
 )
 
-// MSMG2 computes Σ scalars[i]·points[i] exactly like MSMG1: the shared
-// scalar preparation and window plan of msm.go, with G2 bucket loops.
+// MSMG2 computes Σ scalars[i]·points[i] exactly like MSMG1.
 func MSMG2(points []G2Affine, scalars []ff.Fr) G2Jac {
-	return msmG2(points, scalars, planMSM)
-}
-
-// msmG2 is MSMG2 under an explicit plan (see msmG1).
-func msmG2(points []G2Affine, scalars []ff.Fr, plan msmPlan) G2Jac {
-	if len(points) != len(scalars) {
-		panic("curve: MSMG2 length mismatch")
-	}
-	ps := prepareMSM(scalars, func(i int) bool { return points[i].Infinity })
-	total := msmClassG2(points, ps.limbs, ps.short, plan)
-	long := msmClassG2(points, ps.limbs, ps.long, plan)
-	total.AddAssign(&long)
-	ps.release()
-	return total
-}
-
-// msmClassG2 runs one class of a prepared MSM, chunked over the worker
-// budget.
-func msmClassG2(points []G2Affine, limbs [][4]uint64, cls msmClass, plan msmPlan) G2Jac {
-	n := len(cls.idx)
-	if n == 0 {
-		var inf G2Jac
-		return *inf.SetInfinity()
-	}
-	pool := parallel.Default()
-	chunk := msmChunk(n, pool.Size())
-	c, windows := plan(min(n, chunk), cls.bits)
-	return parallel.MapReduce(pool, n, chunk,
-		func(start, end int) G2Jac {
-			return msmSerialG2(points, limbs, cls.idx[start:end], c, windows)
-		},
-		func(acc, next G2Jac) G2Jac {
-			acc.AddAssign(&next)
-			return acc
-		})
-}
-
-// msmSerialG2 is a single-threaded windowed MSM over one chunk of a
-// class. One rented bucket buffer serves every window, reset in place
-// (see msmSerialG1).
-func msmSerialG2(points []G2Affine, limbs [][4]uint64, idx []uint32, c uint, windows int) G2Jac {
-	var total G2Jac
-	total.SetInfinity()
-	buckets := g2JacPool.Get(1 << (c - 1))
-	for w := windows - 1; w >= 0; w-- {
-		for k := uint(0); k < c; k++ {
-			total.Double(&total)
-		}
-		sum := msmWindowSumG2(points, limbs, idx, w, c, buckets)
-		total.AddAssign(&sum)
-	}
-	g2JacPool.Put(buckets)
-	return total
-}
-
-// msmWindowSumG2 accumulates one Pippenger window into the caller's
-// bucket scratch (len 2^(c−1); overwritten here), signs handled as in
-// msmWindowSumG1.
-func msmWindowSumG2(points []G2Affine, limbs [][4]uint64, idx []uint32, w int, c uint, buckets []G2Jac) G2Jac {
-	for i := range buckets {
-		buckets[i].SetInfinity()
-	}
-	for _, e := range idx {
-		k, neg := signedDigit(limbs, e, w, c)
-		if k < 0 {
-			continue
-		}
-		i := e &^ msmNeg
-		if neg {
-			var np G2Affine
-			np.Neg(&points[i])
-			buckets[k].AddMixed(&np)
-		} else {
-			buckets[k].AddMixed(&points[i])
-		}
-	}
-	// Σ (i+1)·bucket[i] via suffix sums.
-	var running, sum G2Jac
-	running.SetInfinity()
-	sum.SetInfinity()
-	for i := len(buckets) - 1; i >= 0; i-- {
-		running.AddAssign(&buckets[i])
-		sum.AddAssign(&running)
-	}
-	return sum
+	return msm(points, scalars, planMSM, &g2JacPool, func(i int) bool { return points[i].Infinity })
 }
 
 // g2GeneratorTable is the generator's window table, built on first use
@@ -118,16 +32,7 @@ func FixedBaseMulG2(base G2Jac, scalars []ff.Fr) []G2Jac {
 
 // fixedBaseG2 multiplies the base of table, of width c, by every scalar.
 func fixedBaseG2(table [][]G2Affine, c uint, scalars []ff.Fr) []G2Jac {
-	out := make([]G2Jac, len(scalars)) // Z = 0: infinity
-	fixedBase(scalars, c, func(idx []uint32, limbs [][4]uint64, windows int) {
-		inv, pend := fp2Pool.Get(len(idx)), idxPool.Get(len(idx))
-		for w := range windows {
-			fixedBaseWindowG2(out, limbs, idx, table[w], w, c, inv, pend)
-		}
-		fp2Pool.Put(inv)
-		idxPool.Put(pend)
-	})
-	return out
+	return fixedBaseMul(table, c, scalars, &fp2Pool, fixedBaseWindowG2)
 }
 
 // fixedBaseWindowG2 is fixedBaseWindowG1 over G2.

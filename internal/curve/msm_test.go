@@ -51,7 +51,7 @@ func newG1Group(rng *mrand.Rand, n int) *msmGroup {
 		}
 	}
 	g.msm = func(scalars []ff.Fr, plan msmPlan) any {
-		r := msmG1(pts, scalars, plan)
+		r := msm(pts, scalars, plan, &g1JacPool, func(i int) bool { return pts[i].Infinity })
 		return r.ToAffine()
 	}
 	g.naive = func(scalars []ff.Fr) any {
@@ -89,7 +89,7 @@ func newG2Group(rng *mrand.Rand, n int) *msmGroup {
 		}
 	}
 	g.msm = func(scalars []ff.Fr, plan msmPlan) any {
-		r := msmG2(pts, scalars, plan)
+		r := msm(pts, scalars, plan, &g2JacPool, func(i int) bool { return pts[i].Infinity })
 		return r.ToAffine()
 	}
 	g.naive = func(scalars []ff.Fr) any {
@@ -409,14 +409,17 @@ func TestPlanMSM(t *testing.T) {
 // magnitudes, class indices and one bucket buffer per chunk from the
 // arena and allocates nothing per window or per point, so the whole call
 // stays under a handful of objects (closures and parallel bookkeeping).
-// The small-signed case is the path the prover takes.
+// The small-signed case is the path the prover takes; G2 runs the same
+// code over its own bucket pool.
 func TestMSMWindowAllocs(t *testing.T) {
 	if !arena.Enabled() {
 		t.Skip("pooling disabled via ZKVC_NO_POOL")
 	}
 	rng := mrand.New(mrand.NewSource(79))
 	const n = 1024
-	points := BatchToAffineG1(FixedBaseMulG1(G1GeneratorJac(), randLogs(rng, n)))
+	logs := randLogs(rng, n)
+	points := BatchToAffineG1(FixedBaseMulG1(G1GeneratorJac(), logs))
+	points2 := BatchToAffineG2(FixedBaseMulG2(G2GeneratorJac(), logs))
 	// One worker: parallel.MapReduce's bookkeeping (goroutines, partial
 	// results) allocates per worker, so the bound below is a one-worker
 	// bound and must not depend on the machine's core count.
@@ -425,17 +428,19 @@ func TestMSMWindowAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		gen  func(i int) ff.Fr
+		msm  func(scalars []ff.Fr)
 	}{
-		{"full-width", func(int) ff.Fr { return randScalar(rng) }},
-		{"small-signed", func(i int) ff.Fr { return crpcShapeScalar(rng, i) }},
+		{"full-width", func(int) ff.Fr { return randScalar(rng) }, func(s []ff.Fr) { MSMG1(points, s) }},
+		{"small-signed", func(i int) ff.Fr { return crpcShapeScalar(rng, i) }, func(s []ff.Fr) { MSMG1(points, s) }},
+		{"G2/small-signed", func(i int) ff.Fr { return crpcShapeScalar(rng, i) }, func(s []ff.Fr) { MSMG2(points2, s) }},
 	} {
 		scalars := make([]ff.Fr, n)
 		for i := range scalars {
 			scalars[i] = tc.gen(i)
 		}
-		MSMG1(points, scalars) // warm the pools
+		tc.msm(scalars) // warm the pools
 		avg := testing.AllocsPerRun(10, func() {
-			MSMG1(points, scalars)
+			tc.msm(scalars)
 		})
 		t.Logf("%s: %.1f allocs/op", tc.name, avg)
 		if avg > 8 {
@@ -893,7 +898,7 @@ func BenchmarkMSMWindow(b *testing.B) {
 		for _, c := range shape.widths {
 			b.Run(fmt.Sprintf("%s/c=%d", shape.name, c), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					msmG1(points, shape.scalars, fixedWindow(c))
+					msm(points, shape.scalars, fixedWindow(c), &g1JacPool, func(i int) bool { return points[i].Infinity })
 				}
 			})
 		}

@@ -160,8 +160,15 @@ func Candidates(cfg nn.Config, cm CostModel) [][]BlockOption {
 // Search assigns a mixer to every block maximizing total utility subject
 // to total block cost ≤ budgetFrac × all-SoftMax block cost, via a
 // discretized knapsack DP (layers ≤ a few dozen, so this is instant).
+// Costs round down to bins, so every assignment within budget fits the
+// bins; each state carries its path's exact cost, and a step that takes
+// it over budget is rejected, so no plan the DP returns exceeds budget.
+// A config with no blocks (a CNN) gets the empty plan.
 func Search(cfg nn.Config, cm CostModel, budgetFrac float64) Plan {
 	cands := Candidates(cfg, cm)
+	if len(cands) == 0 {
+		return Plan{}
+	}
 	var baseline float64
 	for _, opts := range cands {
 		baseline += opts[0].Cost // opts[0] is MixerSoftmax
@@ -170,10 +177,12 @@ func Search(cfg nn.Config, cm CostModel, budgetFrac float64) Plan {
 
 	const bins = 4000
 	scale := float64(bins) / math.Max(budget, 1)
-	// dp[b] = best utility using ≤ b cost bins; choice[l][b] = option
-	// index picked at layer l to reach state b.
+	// dp[b] = best utility of a path whose binned cost is b, spent[b] its
+	// exact cost; choice[l][b] = option index picked at layer l to reach
+	// state b.
 	neg := math.Inf(-1)
 	dp := make([]float64, bins+1)
+	spent := make([]float64, bins+1)
 	for i := 1; i <= bins; i++ {
 		dp[i] = neg
 	}
@@ -182,6 +191,7 @@ func Search(cfg nn.Config, cm CostModel, budgetFrac float64) Plan {
 	parent := make([][]int32, len(cands))
 	for l, opts := range cands {
 		ndp := make([]float64, bins+1)
+		nspent := make([]float64, bins+1)
 		choice[l] = make([]int8, bins+1)
 		parent[l] = make([]int32, bins+1)
 		for i := range ndp {
@@ -193,18 +203,19 @@ func Search(cfg nn.Config, cm CostModel, budgetFrac float64) Plan {
 				continue
 			}
 			for oi, opt := range opts {
-				nb := b + int(math.Round(opt.Cost*scale))
-				if nb > bins {
+				nb := b + int(opt.Cost*scale)
+				cost := spent[b] + opt.Cost
+				if nb > bins || cost > budget {
 					continue
 				}
 				if u := dp[b] + opt.Utility; u > ndp[nb] {
-					ndp[nb] = u
+					ndp[nb], nspent[nb] = u, cost
 					choice[l][nb] = int8(oi)
 					parent[l][nb] = int32(b)
 				}
 			}
 		}
-		dp = ndp
+		dp, spent = ndp, nspent
 	}
 
 	// Best final state.
@@ -250,8 +261,12 @@ func Search(cfg nn.Config, cm CostModel, budgetFrac float64) Plan {
 
 // MinFeasibleFrac returns the smallest budget fraction for which a plan
 // exists: the all-cheapest block cost over the all-SoftMax baseline (the
-// mixer-independent MLP is a hard floor).
+// mixer-independent MLP is a hard floor). A config with no blocks is
+// feasible at any budget: 0.
 func MinFeasibleFrac(cfg nn.Config, cm CostModel) float64 {
+	if cfg.TotalBlocks() == 0 {
+		return 0
+	}
 	var cheapest, baseline float64
 	for _, opts := range Candidates(cfg, cm) {
 		minC := opts[0].Cost

@@ -7,34 +7,41 @@ import (
 	"zkvc/internal/nn"
 )
 
+// paperConfigs are the five configs the planner's known answers pin.
+var paperConfigs = []nn.Config{nn.ViTCIFAR10(), nn.ViTTinyImageNet(), nn.ViTImageNetHier(), nn.BERTGLUE(), nn.CNNMNIST()}
+
 func TestFullBudgetKeepsSoftmax(t *testing.T) {
-	cfg := nn.ViTCIFAR10()
-	plan := Search(cfg, DefaultCostModel(), 1.0)
-	for l, k := range plan.Mixers {
-		if k != nn.MixerSoftmax {
-			t.Errorf("layer %d: got %v with full budget", l, k)
+	for _, cfg := range paperConfigs {
+		plan := Search(cfg, DefaultCostModel(), 1.0)
+		for l, k := range plan.Mixers {
+			if k != nn.MixerSoftmax {
+				t.Errorf("%s layer %d: got %v with full budget", cfg.Name, l, k)
+			}
 		}
-	}
-	if plan.Cost > plan.Budget*1.001 {
-		t.Errorf("cost %.0f exceeds budget %.0f", plan.Cost, plan.Budget)
+		if plan.Cost > plan.Budget {
+			t.Errorf("%s: cost %.0f exceeds budget %.0f", cfg.Name, plan.Cost, plan.Budget)
+		}
 	}
 }
 
+// TestBudgetRespected: at every feasible budget the plan's exact cost is
+// within budget (the bins round costs, the exact cost decides).
 func TestBudgetRespected(t *testing.T) {
-	cfg := nn.ViTCIFAR10()
 	cm := DefaultCostModel()
-	minFrac := MinFeasibleFrac(cfg, cm)
-	if minFrac <= 0 || minFrac >= 1 {
-		t.Fatalf("implausible feasibility floor %.2f", minFrac)
-	}
-	for _, extra := range []float64{0.02, 0.2, 0.5} {
-		frac := minFrac + extra*(1-minFrac)
-		plan := Search(cfg, cm, frac)
-		if plan.Cost > plan.Budget*1.01 { // 1% slack for bin rounding
-			t.Errorf("frac %.2f: cost %.0f exceeds budget %.0f", frac, plan.Cost, plan.Budget)
+	for _, cfg := range paperConfigs {
+		minFrac := MinFeasibleFrac(cfg, cm)
+		if minFrac < 0 || minFrac >= 1 || cfg.TotalBlocks() > 0 && minFrac == 0 {
+			t.Fatalf("%s: implausible feasibility floor %.2f", cfg.Name, minFrac)
 		}
-		if len(plan.Mixers) != cfg.TotalBlocks() {
-			t.Errorf("frac %.2f: %d mixers for %d blocks", frac, len(plan.Mixers), cfg.TotalBlocks())
+		for _, extra := range []float64{0, 0.02, 0.2, 0.5, 1} {
+			frac := minFrac + extra*(1-minFrac)
+			plan := Search(cfg, cm, frac)
+			if plan.Cost > plan.Budget {
+				t.Errorf("%s frac %.2f: cost %.0f exceeds budget %.0f", cfg.Name, frac, plan.Cost, plan.Budget)
+			}
+			if len(plan.Mixers) != cfg.TotalBlocks() {
+				t.Errorf("%s frac %.2f: %d mixers for %d blocks", cfg.Name, frac, len(plan.Mixers), cfg.TotalBlocks())
+			}
 		}
 	}
 }

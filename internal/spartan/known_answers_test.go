@@ -76,7 +76,6 @@ func TestSpartanKnownAnswers(t *testing.T) {
 	}
 	opts := zkml.DefaultOptions()
 	opts.Seed = 9
-	opts.KeepProofs = true
 	rep, err := zkml.ProveModel(m, m.RandomInput(mrand.New(mrand.NewSource(9))), opts)
 	if err != nil {
 		t.Fatal(err)

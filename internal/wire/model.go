@@ -468,7 +468,7 @@ func encodeOpProofBody(e *enc, op *zkml.OpProof) {
 	}
 	e.u32(uint32(op.ProofBytes))
 	// The payload section opens with the backend byte so no-payload ops
-	// (KeepProofs off) stay canonical: an op without a payload has no
+	// (stripped payloads) stay canonical: an op without a payload has no
 	// backend of its own — the report header carries it.
 	var backend zkml.Backend
 	switch {

@@ -164,7 +164,7 @@ func TestVerifyAggregatedGroth16(t *testing.T) {
 }
 
 // TestVerifyAggregatedRejectsStrippedReport: a report whose op lost its
-// proof payload (KeepProofs off, or stripped in transit) and a report
+// proof payload (stripped in transit) and a report
 // with no ops both fail on both backends, with the reference's error,
 // instead of passing vacuously.
 func TestVerifyAggregatedRejectsStrippedReport(t *testing.T) {

@@ -143,14 +143,12 @@ func MeasureTrace(cfg nn.Config, trace *nn.Trace, opts Options, caps MeasureCaps
 		order = append(order, key)
 	}
 
-	measureOpts := opts
-	measureOpts.KeepProofs = false
 	for _, key := range order {
 		g := groups[key]
 		if !opts.ProveNonlinear && g.Kind != nn.OpMatMul && g.Kind != nn.OpConv2D {
 			continue
 		}
-		if err := measureOne(g, cfg, measureOpts, caps, cm, rng); err != nil {
+		if err := measureOne(g, cfg, opts, caps, cm, rng); err != nil {
 			return nil, fmt.Errorf("zkml: measuring %q: %w", g.Tag, err)
 		}
 		est.Ops = append(est.Ops, *g)

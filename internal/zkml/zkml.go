@@ -85,9 +85,6 @@ type Options struct {
 	// ProveNonlinear includes the softmax/GELU gadget circuits; when
 	// false only matmuls are proven (the paper's microbenchmarks).
 	ProveNonlinear bool
-	// KeepProofs retains proof payloads in the report so VerifyReport
-	// can re-check them later; costs memory on big models.
-	KeepProofs bool
 	// Seed keys the proving randomness. Per-op blinding streams derive
 	// from (Seed, op sequence) and Groth16 setup streams from (Seed,
 	// circuit digest), so proofs do not depend on the order in which a
@@ -96,14 +93,12 @@ type Options struct {
 	Seed int64
 
 	// OnOp, when set, is called once per proved operation as it
-	// finishes. Ops prove concurrently, so calls arrive on multiple
-	// goroutines and out of sequence order; op.Seq positions the proof
-	// in the report. The proving service streams responses from here.
+	// finishes, and Report.Ops stays empty: each proof exists only for
+	// its OnOp call, so a large model streams without the whole report
+	// ever being buffered. Ops prove concurrently, so calls arrive on
+	// multiple goroutines and out of sequence order; op.Seq positions
+	// the proof in the report.
 	OnOp func(op *OpProof)
-	// DiscardOps leaves Report.Ops empty: each proof exists only for
-	// its OnOp call. This is how the service streams a large model
-	// without ever buffering the whole report.
-	DiscardOps bool
 	// Setup overrides Groth16 CRS generation (see SetupFunc).
 	Setup SetupFunc
 }
@@ -116,7 +111,6 @@ func DefaultOptions() Options {
 		Circuit:        crpc.Options{CRPC: true, PSQ: true},
 		PCS:            pcs.DefaultParams(),
 		ProveNonlinear: true,
-		KeepProofs:     true,
 		Seed:           1,
 	}
 }
@@ -124,16 +118,14 @@ func DefaultOptions() Options {
 // JobOptions is the option set of one model proving job, shared by the
 // in-process engine and the proving service — which is what makes their
 // proofs byte-identical at equal seeds: the deployment's circuit options
-// and seed, the request's backend and nonlinear choice, payloads kept
-// and ops discarded (each proof exists only for its OnOp call).
+// and seed, the request's backend and nonlinear choice. The caller sets
+// OnOp, which every proof reaches instead of the report.
 func JobOptions(backend Backend, circuit crpc.Options, proveNonlinear bool, seed int64) Options {
 	opts := DefaultOptions()
 	opts.Backend = backend
 	opts.Circuit = circuit
 	opts.ProveNonlinear = proveNonlinear
 	opts.Seed = seed
-	opts.KeepProofs = true
-	opts.DiscardOps = true
 	return opts
 }
 
@@ -154,8 +146,8 @@ type OpProof struct {
 	Verify     time.Duration
 	ProofBytes int
 
-	// Payloads (only when Options.KeepProofs). Sys is retained for the
-	// Spartan backend, whose verifier re-checks against the synthesized
+	// Payloads, kept so that VerifyReport can re-check the op. Sys is
+	// retained for the Spartan backend, whose verifier re-checks against the synthesized
 	// system; Groth16's circuit binding lives in G16VK.
 	Sys     *r1cs.System
 	Public  []ff.Fr
@@ -295,7 +287,7 @@ func ProveTraceContext(ctx context.Context, cfg nn.Config, trace *nn.Trace, opts
 		return nil, err
 	}
 	rep := &Report{Model: cfg.Name, Backend: opts.Backend, Circuit: opts.Circuit}
-	if !opts.DiscardOps {
+	if opts.OnOp == nil {
 		rep.Ops = make([]OpProof, len(plan))
 	}
 	ncfg := nonlinearConfig(cfg)
@@ -328,11 +320,10 @@ func ProveTraceContext(ctx context.Context, cfg nn.Config, trace *nn.Trace, opts
 				continue
 			}
 			proof.Seq = i
-			if !opts.DiscardOps {
-				rep.Ops[i] = proof
-			}
 			if opts.OnOp != nil {
 				opts.OnOp(&proof)
+			} else {
+				rep.Ops[i] = proof
 			}
 		}
 	})
@@ -549,9 +540,7 @@ func finishProof(out OpProof, sys *r1cs.System, assignment, public []ff.Fr, opts
 			return out, fmt.Errorf("self-verify: %w", err)
 		}
 		out.Verify = time.Since(start)
-		if opts.KeepProofs {
-			out.G16, out.G16VK, out.Public = proof, vk, public
-		}
+		out.G16, out.G16VK, out.Public = proof, vk, public
 	case Spartan:
 		params := pcsOrDefault(opts.PCS)
 		start := time.Now()
@@ -566,9 +555,7 @@ func finishProof(out OpProof, sys *r1cs.System, assignment, public []ff.Fr, opts
 			return out, fmt.Errorf("self-verify: %w", err)
 		}
 		out.Verify = time.Since(start)
-		if opts.KeepProofs {
-			out.Sys, out.Spartan, out.Public = sys, proof, public
-		}
+		out.Sys, out.Spartan, out.Public = sys, proof, public
 	default:
 		return out, fmt.Errorf("unknown backend %d", opts.Backend)
 	}
