@@ -483,3 +483,51 @@ func TestAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkVerifyReport times zkml.VerifyReport, the one check behind
+// Local.VerifyModel and /v1/verify/model, on a report of each model
+// workload of benchmark/: ViTCIFAR10().Scaled(32) on Spartan with its
+// softmax and GELU gadgets, and the matmuls of BERTGLUE().Scaled(16) on
+// Groth16. Each report is verified on one worker, the serial schedule,
+// and on the whole worker budget.
+//
+//	go test -run '^$' -bench BenchmarkVerifyReport -benchtime 10x
+func BenchmarkVerifyReport(b *testing.B) {
+	for _, w := range []struct {
+		name      string
+		cfg       nn.Config
+		backend   zkml.Backend
+		nonlinear bool
+	}{
+		{"vit_spartan_nl", nn.ViTCIFAR10().Scaled(32), zkml.Spartan, true},
+		{"bert_groth16", nn.BERTGLUE().Scaled(16), zkml.Groth16, false},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			m, err := nn.NewModel(w.cfg, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := zkml.DefaultOptions()
+			opts.Backend, opts.ProveNonlinear = w.backend, w.nonlinear
+			rep, err := zkml.ProveModel(m, m.RandomInput(mrand.New(mrand.NewSource(2))), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, workers := range []int{1, 0} {
+				name := "workers=all"
+				if workers == 1 {
+					name = "workers=1"
+				}
+				b.Run(name, func(b *testing.B) {
+					zkvc.SetParallelism(workers)
+					defer zkvc.SetParallelism(0)
+					for i := 0; i < b.N; i++ {
+						if err := zkml.VerifyReport(rep, opts); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/big"
 	mrand "math/rand"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -414,6 +416,11 @@ func TestPlanMSM(t *testing.T) {
 func TestMSMWindowAllocs(t *testing.T) {
 	if !arena.Enabled() {
 		t.Skip("pooling disabled via ZKVC_NO_POOL")
+	}
+	// The race runtime makes sync.Pool drop a quarter of what is put
+	// back, so the warm call's count is a coin toss there.
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("sync.Pool drops buffers at random under -race")
 	}
 	rng := mrand.New(mrand.NewSource(79))
 	const n = 1024

@@ -10,8 +10,9 @@ import (
 )
 
 // batchFixture proves n paper-circuit instances under one shared key
-// plus one instance under a second key, the vk-grouping shape of a real
-// model report (identical blocks share a CRS).
+// plus one instance under a second key, so the batch both groups entries
+// by key and keeps keys apart. (A model report gives every op its own
+// key: its CRPC challenges are drawn per statement.)
 func batchFixture(t *testing.T, n int) []BatchEntry {
 	t.Helper()
 	rng := mrand.New(mrand.NewSource(400))

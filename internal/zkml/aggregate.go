@@ -6,8 +6,9 @@ package zkml
 // instead folds a Groth16 report into one random-linear-combination
 // multi-pairing over every op proof (groth16.VerifyBatch) — k+3g Miller
 // loops, against 4k, sharing their squarings, and ONE final
-// exponentiation, against k; g is the number of distinct verifying keys
-// (identical transformer blocks share a CRS, so g ≪ k).
+// exponentiation, against k; g is the number of distinct verifying keys.
+// Per-statement CRPC challenges give every op its own CRS, so g = k and
+// the saving is the final exponentiations, not the Miller loops.
 //
 // Spartan reports verify per op. Each Spartan proof's sumchecks and
 // opening are bound to its own Fiat–Shamir transcript, so a batched

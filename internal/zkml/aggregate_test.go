@@ -93,6 +93,11 @@ var tamperCases = []verdictCase{
 	{"honest", true, func(Backend, *Report) {}},
 	{"flipped-public", false, func(_ Backend, r *Report) { TamperPublic(r, 0) }},
 	{"forged-element", false, func(b Backend, r *Report) { forgeProof(b, &r.Ops[len(r.Ops)/2]) }},
+	// Op checks run in parallel; the error is still op 1's.
+	{"two-forged-ops", false, func(b Backend, r *Report) {
+		forgeProof(b, &r.Ops[1])
+		forgeProof(b, &r.Ops[len(r.Ops)-1])
+	}},
 	{"dropped-op", true, func(_ Backend, r *Report) { r.Ops = r.Ops[1:] }},
 	{"swapped-ops", true, func(_ Backend, r *Report) { r.Ops[0], r.Ops[1] = r.Ops[1], r.Ops[0] }},
 	{"swapped-proofs", false, func(_ Backend, r *Report) {

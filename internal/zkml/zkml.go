@@ -589,9 +589,10 @@ func VerifyOp(backend Backend, op *OpProof, params pcs.Params) error {
 // VerifyReport re-verifies every retained proof in the report. A report
 // with no ops proves nothing and fails rather than passing vacuously. A
 // Groth16 report is checked with one batched multi-pairing (verifyBatch);
-// only when that rejects are its ops checked one by one, so the error
-// names the first failing op — or, if none fails on its own, is the
-// batch error. Every other report is checked op by op.
+// only when that rejects are its ops checked on their own, and if none
+// fails alone the batch error is returned. Every other report is checked
+// op by op. The op checks run over the worker budget; the error returned
+// is that of the lowest-index failing op, the one a serial loop names.
 func VerifyReport(rep *Report, opts Options) error {
 	if len(rep.Ops) == 0 {
 		return errors.New("zkml: empty report")
@@ -602,10 +603,29 @@ func VerifyReport(rep *Report, opts Options) error {
 			return nil
 		}
 	}
-	for i := range rep.Ops {
-		if err := VerifyOp(rep.Backend, &rep.Ops[i], opts.PCS); err != nil {
-			return err
+	errs := make([]error, len(rep.Ops))
+	var lowest atomic.Int64 // lowest failing index so far
+	lowest.Store(int64(len(rep.Ops)))
+	parallel.For(len(rep.Ops), 1, func(start, end int) {
+		for i := start; i < end; i++ {
+			// An op above a known failure cannot change the answer; every
+			// op below the final lowest failure runs, so lowest ends as
+			// the lowest failing index.
+			if int64(i) > lowest.Load() {
+				return
+			}
+			if errs[i] = VerifyOp(rep.Backend, &rep.Ops[i], opts.PCS); errs[i] == nil {
+				continue
+			}
+			for cur := lowest.Load(); int64(i) < cur; cur = lowest.Load() {
+				if lowest.CompareAndSwap(cur, int64(i)) {
+					break
+				}
+			}
 		}
+	})
+	if i := lowest.Load(); i < int64(len(rep.Ops)) {
+		return errs[i]
 	}
 	return batchErr
 }
