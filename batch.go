@@ -8,6 +8,7 @@ import (
 	"zkvc/internal/groth16"
 	"zkvc/internal/r1cs"
 	"zkvc/internal/spartan"
+	"zkvc/internal/zkml"
 )
 
 // Batched proving: real workloads (the paper's motivating Transformer
@@ -41,14 +42,10 @@ type BatchProof struct {
 }
 
 // SizeBytes reports the wire size of the single backend proof.
-func (p *BatchProof) SizeBytes() int {
-	switch p.Backend {
-	case Groth16:
-		return p.G16Proof.SizeBytes()
-	case Spartan:
-		return p.SpartanProof.SizeBytes()
-	}
-	return 0
+func (p *BatchProof) SizeBytes() int { return p.payload().SizeBytes() }
+
+func (p *BatchProof) payload() *zkml.Payload {
+	return &zkml.Payload{G16: p.G16Proof, G16VK: p.G16VK, Spartan: p.SpartanProof}
 }
 
 // ProveBatchContext proves every product Y_m = X_m·W_m in one proof,
@@ -120,7 +117,7 @@ func VerifyMatMulBatch(xs []*Matrix, proof *BatchProof) error {
 		}
 		stmts[i] = &crpc.Statement{X: xs[i], Y: proof.Ys[i]}
 	}
-	return verify(proof.Backend, proof.G16Proof, proof.G16VK, proof.SpartanProof, xs, proof.Ys,
+	return verify(proof.Backend, proof.payload(), xs, proof.Ys,
 		func() *r1cs.System {
 			z, gamma := crpc.DeriveBatchChallenges(stmts, proof.Commit)
 			return crpc.SynthesizeBatchShape(proof.Shapes, z, gamma, proof.Opts)

@@ -80,7 +80,7 @@ func main() {
 	}
 
 	// ...while one tenant's model lands on one node, twice: the second
-	// pass hits that node's warm CRS cache instead of paying new setups.
+	// pass hits that node's warm key cache instead of paying new setups.
 	cfg := nn.TinyConfig("cluster-demo", nn.MixerPooling)
 	model, err := zkvc.NewModel(cfg, 42)
 	if err != nil {

@@ -104,10 +104,11 @@ func TestTableIMatchesPaperShape(t *testing.T) {
 }
 
 func TestRunCircuitVariantAblation(t *testing.T) {
-	// PSQ-only and CRPC-only must produce valid measurements too.
-	for _, opts := range []crpc.Options{{PSQ: true}, {CRPC: true}} {
+	// Every Table II variant, PSQ-only and CRPC-only included, must
+	// produce a valid measurement.
+	for _, opts := range []crpc.Options{{}, {PSQ: true}, {CRPC: true}, {CRPC: true, PSQ: true}} {
 		for _, backend := range []Scheme{SchemeZkVCG, SchemeZkVCS} {
-			res, err := runCircuitVariant(opts, backend, 6, 6, 6, 1)
+			res, err := runCircuitScheme(backend, opts, 6, 6, 6, 1)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", opts, backend, err)
 			}

@@ -23,10 +23,10 @@ import (
 
 	"zkvc/internal/baselines"
 	"zkvc/internal/crpc"
-	"zkvc/internal/groth16"
 	"zkvc/internal/matrix"
 	"zkvc/internal/pcs"
-	"zkvc/internal/spartan"
+	"zkvc/internal/r1cs"
+	"zkvc/internal/zkml"
 )
 
 // Scheme enumerates the systems compared in Figures 3 and 6.
@@ -128,26 +128,19 @@ func RunMatMul(scheme Scheme, a, n, b int, seed int64) (MatMulResult, error) {
 		x := matrix.Random(rng, a, n, 256)
 		w := matrix.Random(rng, n, b, 256)
 		return runZKCNN(MatMulResult{Scheme: scheme, Dim: b}, x, w)
-	case SchemeGroth16, SchemeSpartan, SchemeZKML:
-		return runCircuitScheme(scheme, crpc.Options{}, a, n, b, seed)
 	case SchemeZkVCG, SchemeZkVCS:
 		return runCircuitScheme(scheme, crpc.Options{CRPC: true, PSQ: true}, a, n, b, seed)
-	case SchemeVCNN, SchemeZEN:
+	case SchemeGroth16, SchemeSpartan, SchemeZKML, SchemeVCNN, SchemeZEN:
 		return runCircuitScheme(scheme, crpc.Options{}, a, n, b, seed)
 	default:
 		return MatMulResult{Scheme: scheme, Dim: b}, fmt.Errorf("bench: unknown scheme %v", scheme)
 	}
 }
 
-// runCircuitVariant measures an explicit circuit-option combination (the
-// Table II ablation's PSQ-only and CRPC-only rows) on the given backend
-// scheme (SchemeZkVCG or SchemeZkVCS).
-func runCircuitVariant(opts crpc.Options, backend Scheme, a, n, b int, seed int64) (MatMulResult, error) {
-	return runCircuitScheme(backend, opts, a, n, b, seed)
-}
-
-// runCircuitScheme synthesizes the scheme's circuit and proves it on the
-// scheme's backend.
+// runCircuitScheme synthesizes the scheme's circuit under opts (the
+// baselines ignore opts) and proves it on the scheme's backend through
+// zkml.ProveSystem, the one backend call. Groth16's setup is timed apart
+// from proving.
 func runCircuitScheme(scheme Scheme, opts crpc.Options, a, n, b int, seed int64) (MatMulResult, error) {
 	rng := mrand.New(mrand.NewSource(seed))
 	x := matrix.Random(rng, a, n, 256)
@@ -176,39 +169,20 @@ func runCircuitScheme(scheme Scheme, opts crpc.Options, a, n, b int, seed int64)
 	res.Constraints = stats.Constraints
 	res.Variables = stats.Variables
 
+	backend := zkml.Spartan
 	if pairingBased(scheme) {
-		start = time.Now()
-		pk, vk, err := groth16.Setup(syn.Sys, rng)
-		if err != nil {
-			return res, err
-		}
-		res.Setup = time.Since(start)
-		start = time.Now()
-		proof, err := groth16.Prove(syn.Sys, pk, syn.Assignment, rng)
-		if err != nil {
-			return res, err
-		}
-		res.Prove = synthesis + time.Since(start)
-		res.ProofBytes = proof.SizeBytes()
-		start = time.Now()
-		if err := groth16.Verify(vk, proof, syn.Public); err != nil {
-			return res, fmt.Errorf("bench: %v self-verify: %w", scheme, err)
-		}
-		res.Verify = time.Since(start)
-		res.Online = res.Verify
-		return res, nil
+		backend = zkml.Groth16
 	}
-
 	params := pcs.DefaultParams()
-	start = time.Now()
-	proof, err := spartan.Prove(syn.Sys, syn.Assignment, params)
+	pay, err := zkml.ProveSystem(backend, syn.Sys, syn.Assignment, params, rng, nil)
 	if err != nil {
 		return res, err
 	}
-	res.Prove = synthesis + time.Since(start)
-	res.ProofBytes = proof.SizeBytes()
+	res.Setup = pay.Setup
+	res.Prove = synthesis + pay.Prove
+	res.ProofBytes = pay.SizeBytes()
 	start = time.Now()
-	if err := spartan.Verify(syn.Sys, proof, syn.Public, params); err != nil {
+	if err := pay.Verify(backend, func() *r1cs.System { return syn.Sys }, syn.Public, params); err != nil {
 		return res, fmt.Errorf("bench: %v self-verify: %w", scheme, err)
 	}
 	res.Verify = time.Since(start)
@@ -252,5 +226,5 @@ func runZKCNN(res MatMulResult, x, w *matrix.Matrix) (MatMulResult, error) {
 // given backend scheme — the Table II ablation entry point for external
 // benchmarks.
 func RunVariant(opts crpc.Options, backend Scheme, a, n, b int, seed int64) (MatMulResult, error) {
-	return runAblation(opts, backend, a, n, b, seed)
+	return runCircuitScheme(backend, opts, a, n, b, seed)
 }

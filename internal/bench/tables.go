@@ -68,38 +68,18 @@ func TableII(cfg RunConfig) ([]AblationResult, error) {
 	}
 	out := make([]AblationResult, 0, len(variants))
 	for _, opts := range variants {
-		row := AblationResult{Opts: opts}
-		g, err := runAblation(opts, SchemeZkVCG, a, n, b, cfg.Seed)
+		g, err := runCircuitScheme(SchemeZkVCG, opts, a, n, b, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		row.GrothProve, row.GrothVerify = g.Prove, g.Verify
-		row.GrothConstraints = g.Constraints
-		s, err := runAblation(opts, SchemeZkVCS, a, n, b, cfg.Seed)
+		s, err := runCircuitScheme(SchemeZkVCS, opts, a, n, b, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		row.SpartanProve, row.SpartanVerify = s.Prove, s.Verify
-		out = append(out, row)
+		out = append(out, AblationResult{Opts: opts, GrothProve: g.Prove, GrothVerify: g.Verify,
+			GrothConstraints: g.Constraints, SpartanProve: s.Prove, SpartanVerify: s.Verify})
 	}
 	return out, nil
-}
-
-// runAblation is RunMatMul with an explicit circuit-option override.
-func runAblation(opts crpc.Options, backend Scheme, a, n, b int, seed int64) (MatMulResult, error) {
-	// Map the four variants through the generic runner by selecting the
-	// scheme whose circuit options match.
-	switch {
-	case opts == (crpc.Options{CRPC: true, PSQ: true}):
-		return RunMatMul(backend, a, n, b, seed)
-	case opts == (crpc.Options{}):
-		if backend == SchemeZkVCG {
-			return RunMatMul(SchemeGroth16, a, n, b, seed)
-		}
-		return RunMatMul(SchemeSpartan, a, n, b, seed)
-	}
-	// PSQ-only and CRPC-only need a direct run.
-	return runCircuitVariant(opts, backend, a, n, b, seed)
 }
 
 // E2ERow is one model row of Table III or IV.

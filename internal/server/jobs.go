@@ -92,9 +92,7 @@ func (j *asyncJob) run(s *Server, _ *zkvc.MatMulProver) {
 	defer close(j.finished)
 	j.setState(wire.JobRunning)
 	opts := zkml.JobOptions(j.req.Backend, s.cfg.Opts, j.req.ProveNonlinear, s.cfg.Seed)
-	if j.req.Backend == zkml.Groth16 {
-		opts.Setup = s.circuitSetup // the shared digest-keyed CRS cache
-	}
+	opts.Keys = s.keys
 	opts.OnOp = func(op *zkml.OpProof) { j.journalOp(s, op) }
 	_, err := zkml.ProveTraceContext(j.ctx, j.req.Cfg, j.req.Trace, opts)
 	// Ops never journaled (error or cancellation) leave the queue ledger here.
@@ -548,17 +546,19 @@ func (s *Server) reapJob(id, reason string) {
 	}
 	j.cancel()
 	// Once fail returns the journal is terminal, so a completing append
-	// either attested before it or never will.
+	// either attested before it or never will. The attestation (with the
+	// cluster's copies) and the counters go before the journal file, so
+	// nothing sees the file gone while the report still verifies. Deleting
+	// the file is the durable withdrawal (recovery re-attests only
+	// journals it can read complete); a crash before it re-attests the
+	// job on restart, and the journal's deadline reaps it again.
 	j.jl.fail(reason)
-	j.jl.removeFile()
-	// Deleting the journal IS the durable withdrawal (recovery only
-	// re-attests journals it can still read complete); here the
-	// in-memory attestation goes, and the cluster learns the removal.
 	if d, ok := j.jl.attestation(); ok && s.issued.removeMem(d) {
 		s.replicate(nil, [][sha256.Size]byte{d})
 	}
 	s.metrics.jobsActive.Add(-1)
 	s.metrics.jobsReaped.Add(1)
+	j.jl.removeFile()
 }
 
 // reaper enforces job TTLs in the background until Close.

@@ -34,7 +34,7 @@ type metrics struct {
 	modelJobs, modelJobsProved, modelJobsCanceled, modelOpsProved        atomic.Int64
 	modelRejects, streamStalls, streamStallNanos                         atomic.Int64
 	jobsSubmitted, jobsActive, jobsResumed, jobsReaped, admissionRejects atomic.Int64
-	verifyRequests, vkRejects, proveErrors, crsHits, crsMisses           atomic.Int64
+	verifyRequests, vkRejects, proveErrors                               atomic.Int64
 	synthesisNanos, setupNanos, proveNanos, verifyNanos                  atomic.Int64
 	replicationErrors, writeErrors                                       atomic.Int64
 	replLogOnce, writeLogOnce                                            sync.Once
@@ -127,6 +127,9 @@ type Snapshot struct {
 	// batching argument, measured live.
 	CoalesceRatio float64 `json:"coalesce_ratio" prom:"gauge"`
 
+	// CRSCacheHits and CRSCacheMisses count lookups in the Groth16 key
+	// cache model ops share (Config.MaxShapes): one per proved Groth16
+	// op, a miss when that op ran the circuit's setup.
 	CRSCacheHits   int64 `json:"crs_cache_hits" prom:"counter"`
 	CRSCacheMisses int64 `json:"crs_cache_misses" prom:"counter"`
 
@@ -203,8 +206,6 @@ func (s *Server) Metrics() Snapshot {
 		VerifyRequests:      m.verifyRequests.Load(),
 		VKRejects:           m.vkRejects.Load(),
 		ProveErrors:         m.proveErrors.Load(),
-		CRSCacheHits:        m.crsHits.Load(),
-		CRSCacheMisses:      m.crsMisses.Load(),
 		ReplicationErrors:   m.replicationErrors.Load(),
 		WriteErrors:         m.writeErrors.Load(),
 		DiskBytes:           s.diskBytes(),
@@ -228,6 +229,7 @@ func (s *Server) Metrics() Snapshot {
 	snap.PhaseNanos.Setup = m.setupNanos.Load()
 	snap.PhaseNanos.Prove = m.proveNanos.Load()
 	snap.PhaseNanos.Verify = m.verifyNanos.Load()
+	snap.CRSCacheHits, snap.CRSCacheMisses = s.keys.Stats()
 	snap.IssuedAttestations, snap.IssuedLogRecords, snap.IssuedLogBytes, snap.IssuedLogErrors = s.issued.stats()
 	snap.ReplicatedAttestations, _, _, _ = s.replicated.stats()
 	return snap

@@ -5,9 +5,10 @@ package server
 // forward pass" (asyncJob, jobs.go). It reuses the whole matmul-era
 // machinery: the submission queue and its capacity bound (a model job
 // counts as its op count, since that is the work it parks), the worker
-// pool and its one-token-per-job budget discipline, the CRS cache
-// (keyed by circuit structure digest, so the twelve identical blocks of
-// a ViT pay one Groth16 setup across all requests and tenants) and the
+// pool and its one-token-per-job budget discipline, the Groth16 key cache
+// (zkml.KeyCache, keyed by circuit structure digest and consulted once
+// per op, so the twelve identical blocks of a ViT pay one setup across
+// all requests and tenants) and the
 // issued-proof log (one whole-report, tenant-scoped digest per completed
 // job, so /v1/verify/model only vouches for reports this service
 // streamed to that tenant, unmodified and complete).
@@ -19,40 +20,12 @@ import (
 	"net/http"
 
 	"zkvc"
-	"zkvc/internal/groth16"
 	"zkvc/internal/nn"
 	"zkvc/internal/parallel"
 	"zkvc/internal/pcs"
-	"zkvc/internal/r1cs"
 	"zkvc/internal/wire"
 	"zkvc/internal/zkml"
 )
-
-// circuitSetup is the SetupFunc model jobs use: Groth16 proving material
-// memoized in the shared CRS cache under the circuit's structure digest.
-// The derivation inside zkml.SetupCircuit is seed-deterministic, so a
-// service configured with a test seed regenerates identical material
-// after an eviction (and matches local proving with the same seed); with
-// the production crypto/rand posture a regenerated CRS simply issues
-// fresh attestations.
-func (s *Server) circuitSetup(digest [32]byte, sys *r1cs.System) (*groth16.ProvingKey, *groth16.VerifyingKey, error) {
-	c, hit, err := s.cache.get(digest, func() (*circuitCRS, error) {
-		pk, vk, err := zkml.SetupCircuit(sys, s.cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return &circuitCRS{pk: pk, vk: vk}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if hit {
-		s.metrics.crsHits.Add(1)
-	} else {
-		s.metrics.crsMisses.Add(1)
-	}
-	return c.pk, c.vk, nil
-}
 
 // modelReportDigest fingerprints one issued report: the stream header
 // (model name, backend, circuit options, op count), every op frame's

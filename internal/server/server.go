@@ -14,9 +14,9 @@
 // whole report server-side. Both kinds share the queue capacity, the
 // worker pool, the process-wide parallel budget (one token per running
 // job; independent ops of a model borrow the idle rest, exactly like
-// batch statements), the Groth16 CRS cache (keyed by gadget circuit
-// structure digest, so identical transformer blocks pay one setup) and
-// the issued-proof policy. A new workload is a new job kind, not a new
+// batch statements), the Groth16 key cache (zkml.KeyCache, keyed by
+// circuit structure digest, so identical transformer blocks pay one
+// setup) and the issued-proof policy. A new workload is a new job kind, not a new
 // service.
 //
 // The endpoints are the rows of Routes (route.go), each with its request
@@ -69,6 +69,7 @@ import (
 	"zkvc"
 	"zkvc/internal/parallel"
 	"zkvc/internal/wire"
+	"zkvc/internal/zkml"
 )
 
 // Config tunes the proving service. The zero value is not valid; use
@@ -98,9 +99,10 @@ type Config struct {
 	// coalescing window, or proving) before the service sheds load with
 	// 503s.
 	QueueCap int
-	// MaxShapes bounds the circuit-digest CRS cache (LRU eviction): each
-	// distinct model-op circuit costs a Groth16 trusted setup and keeps
-	// its keys resident, and clients pick models freely. 0 means 64.
+	// MaxShapes bounds the Groth16 key cache model ops share
+	// (zkml.KeyCache, LRU eviction): each distinct model-op circuit costs
+	// a trusted setup and keeps its keys resident, and clients pick
+	// models freely. 0 means 64.
 	MaxShapes int
 	// StreamWriteTimeout bounds how long one model-stream frame write may
 	// wait on the client. Without it, a client that connects and never
@@ -221,7 +223,7 @@ func (b batchWork) run(s *Server, prover *zkvc.MatMulProver) { s.proveBatch(prov
 type Server struct {
 	cfg     Config
 	metrics *metrics
-	cache   *crsCache
+	keys    *zkml.KeyCache
 	issued  *issuedLog
 
 	// replicated holds attestation digests peer nodes issued, ingested
@@ -320,7 +322,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		metrics:    &metrics{},
-		cache:      newCRSCache(cfg.MaxShapes),
+		keys:       zkml.NewKeyCache(cfg.MaxShapes, cfg.Seed),
 		issued:     issued,
 		replicated: newIssuedLog(issuedLogCap),
 		submit:     make(chan submission, cfg.QueueCap),

@@ -1,4 +1,4 @@
-package server
+package zkml
 
 import (
 	"sync"
@@ -10,7 +10,7 @@ func digestKey(b byte) [32]byte { return [32]byte{b} }
 
 // cached reports whether c holds a completed entry for digest, without
 // touching its LRU stamp.
-func cached(c *crsCache, digest [32]byte) bool {
+func cached(c *KeyCache, digest [32]byte) bool {
 	c.mu.Lock()
 	e, ok := c.entries[digest]
 	c.mu.Unlock()
@@ -25,11 +25,11 @@ func cached(c *crsCache, digest [32]byte) bool {
 	}
 }
 
-// TestCRSCacheEvictsLRU: the cache must stay bounded under a stream of
+// TestKeyCacheEvictsLRU: the cache must stay bounded under a stream of
 // distinct circuits, dropping the least-recently-used entry first.
-func TestCRSCacheEvictsLRU(t *testing.T) {
-	c := newCRSCache(2)
-	mk := func() (*circuitCRS, error) { return &circuitCRS{}, nil }
+func TestKeyCacheEvictsLRU(t *testing.T) {
+	c := NewKeyCache(2, 0)
+	mk := func() (*Keys, error) { return &Keys{}, nil }
 
 	if _, hit, _ := c.get(digestKey(1), mk); hit {
 		t.Fatal("fresh entry reported as hit")
@@ -54,21 +54,21 @@ func TestCRSCacheEvictsLRU(t *testing.T) {
 	}
 }
 
-// TestCRSCacheDrainsAfterBurst: pending entries cannot be evicted, so a
+// TestKeyCacheDrainsAfterBurst: pending entries cannot be evicted, so a
 // concurrent burst of distinct circuits overshoots the cap — but the
 // next insert must drain the overshoot back below capacity, not leave
 // the high-water mark resident forever.
-func TestCRSCacheDrainsAfterBurst(t *testing.T) {
-	c := newCRSCache(2)
+func TestKeyCacheDrainsAfterBurst(t *testing.T) {
+	c := NewKeyCache(2, 0)
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 5; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c.get(digestKey(byte(10+i)), func() (*circuitCRS, error) {
+			c.get(digestKey(byte(10+i)), func() (*Keys, error) {
 				<-release
-				return &circuitCRS{}, nil
+				return &Keys{}, nil
 			})
 		}(i)
 	}
@@ -82,7 +82,7 @@ func TestCRSCacheDrainsAfterBurst(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	c.get(digestKey(99), func() (*circuitCRS, error) { return &circuitCRS{}, nil })
+	c.get(digestKey(99), func() (*Keys, error) { return &Keys{}, nil })
 	if got := c.Len(); got > 2 {
 		t.Errorf("cache holds %d entries after burst drained, cap is 2", got)
 	}

@@ -64,40 +64,24 @@ type Estimate struct {
 
 // TotalProve returns the extrapolated end-to-end proving time.
 func (e *Estimate) TotalProve() time.Duration {
-	var sum time.Duration
-	for _, op := range e.Ops {
-		sum += op.EstProve * time.Duration(op.Count)
-	}
-	return sum
+	return sumOps(e.Ops, func(op *OpEstimate) time.Duration { return op.EstProve * time.Duration(op.Count) })
 }
 
 // TotalVerify returns the extrapolated verification time. Groth16
 // verification is per-proof constant, so it scales with proof count, not
 // wires.
 func (e *Estimate) TotalVerify() time.Duration {
-	var sum time.Duration
-	for _, op := range e.Ops {
-		sum += op.EstVerify * time.Duration(op.Count)
-	}
-	return sum
+	return sumOps(e.Ops, func(op *OpEstimate) time.Duration { return op.EstVerify * time.Duration(op.Count) })
 }
 
 // TotalProofBytes returns the extrapolated proof size.
 func (e *Estimate) TotalProofBytes() float64 {
-	var sum float64
-	for _, op := range e.Ops {
-		sum += op.EstBytes * float64(op.Count)
-	}
-	return sum
+	return sumOps(e.Ops, func(op *OpEstimate) float64 { return op.EstBytes * float64(op.Count) })
 }
 
 // TotalWires returns the analytic wire cost of the full model.
 func (e *Estimate) TotalWires() float64 {
-	var sum float64
-	for _, op := range e.Ops {
-		sum += op.EstWires * float64(op.Count)
-	}
-	return sum
+	return sumOps(e.Ops, func(op *OpEstimate) float64 { return op.EstWires * float64(op.Count) })
 }
 
 // opShapeKey identifies ops that share a circuit shape.

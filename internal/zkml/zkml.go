@@ -14,6 +14,11 @@
 //   - softmaxes and GELUs go through the §III-C gadget circuits
 //     (internal/gadgets) with inputs secret and outputs public.
 //
+// ProveSystem (prove.go) is the one backend call of the module: model
+// ops, the root package's matmul statements and the paper-table harness
+// all prove and verify through it, with Groth16 keys from a KeyCache
+// (keys.go) or a fixed pair.
+//
 // ProveTrace runs the trace's operations as a pipeline over the shared
 // internal/parallel budget: independent ops prove concurrently, each op
 // drawing its blinding randomness from a stream derived from (Seed, op
@@ -30,21 +35,18 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"zkvc/internal/crpc"
 	"zkvc/internal/ff"
 	"zkvc/internal/gadgets"
-	"zkvc/internal/groth16"
 	"zkvc/internal/matrix"
 	"zkvc/internal/nn"
 	"zkvc/internal/parallel"
 	"zkvc/internal/pcs"
 	"zkvc/internal/r1cs"
 	"zkvc/internal/randutil"
-	"zkvc/internal/spartan"
 	"zkvc/internal/tensor"
 )
 
@@ -71,12 +73,6 @@ func (b Backend) String() string {
 	}
 }
 
-// SetupFunc supplies Groth16 proving material for a circuit identified
-// by its structure digest. The proving service injects one backed by its
-// shared CRS cache; when nil, ProveTrace memoizes setups per digest for
-// the duration of the call using SetupCircuit.
-type SetupFunc func(digest [32]byte, sys *r1cs.System) (*groth16.ProvingKey, *groth16.VerifyingKey, error)
-
 // Options configures compilation and proving.
 type Options struct {
 	Backend Backend
@@ -99,8 +95,10 @@ type Options struct {
 	// multiple goroutines and out of sequence order; op.Seq positions
 	// the proof in the report.
 	OnOp func(op *OpProof)
-	// Setup overrides Groth16 CRS generation (see SetupFunc).
-	Setup SetupFunc
+	// Keys supplies Groth16 keys per circuit digest. The proving service
+	// shares one bounded cache across jobs; when nil, ProveTrace makes an
+	// unbounded one for the call, seeded with Seed.
+	Keys *KeyCache
 }
 
 // DefaultOptions proves everything with CRPC+PSQ on the Spartan backend
@@ -141,19 +139,16 @@ type OpProof struct {
 
 	Stats      r1cs.Stats
 	Synthesis  time.Duration
-	Setup      time.Duration
-	Prove      time.Duration
 	Verify     time.Duration
 	ProofBytes int
 
-	// Payloads, kept so that VerifyReport can re-check the op. Sys is
-	// retained for the Spartan backend, whose verifier re-checks against the synthesized
+	// Payload is the backend proof with its setup and prove times, kept
+	// so that VerifyReport can re-check the op. Sys is retained for the
+	// Spartan backend, whose verifier re-checks against the synthesized
 	// system; Groth16's circuit binding lives in G16VK.
-	Sys     *r1cs.System
-	Public  []ff.Fr
-	G16     *groth16.Proof
-	G16VK   *groth16.VerifyingKey
-	Spartan *spartan.Proof
+	Payload
+	Sys    *r1cs.System
+	Public []ff.Fr
 }
 
 // Report aggregates an end-to-end proved inference.
@@ -166,45 +161,34 @@ type Report struct {
 
 // TotalProve sums proving time over all ops (the paper's P_G/P_S).
 func (r *Report) TotalProve() time.Duration {
-	var sum time.Duration
-	for _, op := range r.Ops {
-		sum += op.Prove + op.Synthesis
-	}
-	return sum
+	return sumOps(r.Ops, func(op *OpProof) time.Duration { return op.Prove + op.Synthesis })
 }
 
 // TotalSetup sums Groth16 CRS generation (zero on Spartan).
 func (r *Report) TotalSetup() time.Duration {
-	var sum time.Duration
-	for _, op := range r.Ops {
-		sum += op.Setup
-	}
-	return sum
+	return sumOps(r.Ops, func(op *OpProof) time.Duration { return op.Setup })
 }
 
 // TotalVerify sums verification time.
 func (r *Report) TotalVerify() time.Duration {
-	var sum time.Duration
-	for _, op := range r.Ops {
-		sum += op.Verify
-	}
-	return sum
+	return sumOps(r.Ops, func(op *OpProof) time.Duration { return op.Verify })
 }
 
 // TotalProofBytes sums proof sizes.
 func (r *Report) TotalProofBytes() int {
-	sum := 0
-	for _, op := range r.Ops {
-		sum += op.ProofBytes
-	}
-	return sum
+	return sumOps(r.Ops, func(op *OpProof) int { return op.ProofBytes })
 }
 
 // TotalConstraints sums constraint counts.
 func (r *Report) TotalConstraints() int {
-	sum := 0
-	for _, op := range r.Ops {
-		sum += op.Stats.Constraints
+	return sumOps(r.Ops, func(op *OpProof) int { return op.Stats.Constraints })
+}
+
+// sumOps adds f over ops, the loop under every Report and Estimate total.
+func sumOps[O any, T int | float64 | time.Duration](ops []O, f func(*O) T) T {
+	var sum T
+	for i := range ops {
+		sum += f(&ops[i])
 	}
 	return sum
 }
@@ -291,7 +275,10 @@ func ProveTraceContext(ctx context.Context, cfg nn.Config, trace *nn.Trace, opts
 		rep.Ops = make([]OpProof, len(plan))
 	}
 	ncfg := nonlinearConfig(cfg)
-	setups := newSetupCache(opts.Seed, opts.Setup)
+	keys := opts.Keys
+	if keys == nil {
+		keys = NewKeyCache(0, opts.Seed)
+	}
 
 	errs := make([]error, len(plan))
 	var failed atomic.Bool
@@ -310,9 +297,9 @@ func ProveTraceContext(ctx context.Context, cfg nn.Config, trace *nn.Trace, opts
 				// im2col expansion, W the reshaped kernel, so the same
 				// CRPC+PSQ path proves it and identical conv layers
 				// share a CRS through the structure-digest cache.
-				proof, err = proveMatMul(op, opts, rng, setups)
+				proof, err = proveMatMul(op, opts, rng, keys)
 			default:
-				proof, err = proveNonlinear(op, opts, ncfg, cfg, rng, setups)
+				proof, err = proveNonlinear(op, opts, ncfg, cfg, rng, keys)
 			}
 			if err != nil {
 				errs[i] = fmt.Errorf("zkml: op %q: %w", op.Tag, err)
@@ -346,69 +333,8 @@ func ProveTraceContext(ctx context.Context, cfg nn.Config, trace *nn.Trace, opts
 // errors.Is(err, ErrCanceled) or errors.Is(err, context.Canceled).
 var ErrCanceled = errors.New("zkml: proving canceled")
 
-// setupCache memoizes Groth16 proving material per circuit digest for
-// one ProveTrace call (identical transformer blocks synthesize identical
-// circuits, so a 12-block model pays setup once per distinct shape).
-// When external is set the cache delegates creation to it — the proving
-// service routes this to its shared, LRU-bounded CRS cache.
-type setupCache struct {
-	mu       sync.Mutex
-	entries  map[[32]byte]*setupEntry
-	seed     int64
-	external SetupFunc
-}
-
-type setupEntry struct {
-	ready chan struct{}
-	pk    *groth16.ProvingKey
-	vk    *groth16.VerifyingKey
-	err   error
-}
-
-func newSetupCache(seed int64, external SetupFunc) *setupCache {
-	return &setupCache{entries: make(map[[32]byte]*setupEntry), seed: seed, external: external}
-}
-
-// get returns the proving material for a circuit digest plus the setup
-// time this call actually paid: the creator measures its own setup,
-// while hits and waiters report zero — an op that merely waited on
-// another goroutine's in-flight setup did no setup work, and charging
-// it the wait would inflate TotalSetup by up to the parallelism factor.
-func (c *setupCache) get(digest [32]byte, sys *r1cs.System) (*groth16.ProvingKey, *groth16.VerifyingKey, time.Duration, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[digest]; ok {
-		c.mu.Unlock()
-		<-e.ready
-		return e.pk, e.vk, 0, e.err
-	}
-	e := &setupEntry{ready: make(chan struct{})}
-	c.entries[digest] = e
-	c.mu.Unlock()
-	start := time.Now()
-	if c.external != nil {
-		e.pk, e.vk, e.err = c.external(digest, sys)
-	} else {
-		e.pk, e.vk, e.err = SetupCircuit(sys, c.seed)
-	}
-	elapsed := time.Since(start)
-	close(e.ready)
-	return e.pk, e.vk, elapsed, e.err
-}
-
-// SetupCircuit generates a Groth16 CRS for the circuit with randomness
-// derived from (seed, structure digest). The derivation is what makes a
-// trace's proofs independent of op completion order and identical
-// between local proving and a service seeded the same way; seed 0 draws
-// crypto/rand (the production posture — a reconstructible setup stream
-// is the toxic waste).
-func SetupCircuit(sys *r1cs.System, seed int64) (*groth16.ProvingKey, *groth16.VerifyingKey, error) {
-	digest := sys.StructureDigest()
-	rng := randutil.Derived(seed, []byte("zkml/setup"), digest[:])
-	return groth16.Setup(sys, rng)
-}
-
 // proveMatMul compiles one matmul through CRPC+PSQ and proves it.
-func proveMatMul(op nn.Op, opts Options, rng *mrand.Rand, setups *setupCache) (OpProof, error) {
+func proveMatMul(op nn.Op, opts Options, rng *mrand.Rand, keys KeySource) (OpProof, error) {
 	if op.X == nil || op.W == nil {
 		return OpProof{}, fmt.Errorf("trace was not captured (missing operands)")
 	}
@@ -423,13 +349,13 @@ func proveMatMul(op nn.Op, opts Options, rng *mrand.Rand, setups *setupCache) (O
 	out.Synthesis = time.Since(start)
 	out.Stats = syn.Stats()
 
-	return finishProof(out, syn.Sys, syn.Assignment, syn.Public, opts, rng, setups)
+	return finishProof(out, syn.Sys, syn.Assignment, syn.Public, opts, rng, keys)
 }
 
 // proveNonlinear compiles a softmax or GELU grid through the gadget
 // circuits: secret inputs, public outputs asserted equal to the
 // fixed-point reference evaluation.
-func proveNonlinear(op nn.Op, opts Options, ncfg gadgets.NonlinearConfig, cfg nn.Config, rng *mrand.Rand, setups *setupCache) (OpProof, error) {
+func proveNonlinear(op nn.Op, opts Options, ncfg gadgets.NonlinearConfig, cfg nn.Config, rng *mrand.Rand, keys KeySource) (OpProof, error) {
 	if op.In == nil {
 		return OpProof{}, fmt.Errorf("trace was not captured (missing input)")
 	}
@@ -443,7 +369,7 @@ func proveNonlinear(op nn.Op, opts Options, ncfg gadgets.NonlinearConfig, cfg nn
 	out.Synthesis = time.Since(start)
 	out.Stats = sys.Stats()
 
-	return finishProof(out, sys, assignment, public, opts, rng, setups)
+	return finishProof(out, sys, assignment, public, opts, rng, keys)
 }
 
 // synthesizeNonlinear builds the gadget circuit for one traced nonlinear
@@ -507,81 +433,33 @@ func synthesizeNonlinear(op nn.Op, ncfg gadgets.NonlinearConfig, cfg nn.Config) 
 	return sys, assignment, b.PublicWitness(), nil
 }
 
-// finishProof runs the selected backend over a synthesized system. The
-// rng feeds proof blinding; Groth16 setup goes through the digest-keyed
-// cache when one is supplied (ProveTrace) and falls back to a fresh
-// setup drawn from rng when not (the measurement path, which only wants
-// timings).
-func finishProof(out OpProof, sys *r1cs.System, assignment, public []ff.Fr, opts Options, rng *mrand.Rand, setups *setupCache) (OpProof, error) {
-	switch opts.Backend {
-	case Groth16:
-		var pk *groth16.ProvingKey
-		var vk *groth16.VerifyingKey
-		var err error
-		if setups != nil {
-			pk, vk, out.Setup, err = setups.get(sys.StructureDigest(), sys)
-		} else {
-			start := time.Now()
-			pk, vk, err = groth16.Setup(sys, rng)
-			out.Setup = time.Since(start)
-		}
-		if err != nil {
-			return out, err
-		}
-		start := time.Now()
-		proof, err := groth16.Prove(sys, pk, assignment, rng)
-		if err != nil {
-			return out, err
-		}
-		out.Prove = time.Since(start)
-		out.ProofBytes = proof.SizeBytes()
-		start = time.Now()
-		if err := groth16.Verify(vk, proof, public); err != nil {
-			return out, fmt.Errorf("self-verify: %w", err)
-		}
-		out.Verify = time.Since(start)
-		out.G16, out.G16VK, out.Public = proof, vk, public
-	case Spartan:
-		params := pcsOrDefault(opts.PCS)
-		start := time.Now()
-		proof, err := spartan.Prove(sys, assignment, params)
-		if err != nil {
-			return out, err
-		}
-		out.Prove = time.Since(start)
-		out.ProofBytes = proof.SizeBytes()
-		start = time.Now()
-		if err := spartan.Verify(sys, proof, public, params); err != nil {
-			return out, fmt.Errorf("self-verify: %w", err)
-		}
-		out.Verify = time.Since(start)
-		out.Sys, out.Spartan, out.Public = sys, proof, public
-	default:
-		return out, fmt.Errorf("unknown backend %d", opts.Backend)
+// finishProof proves a synthesized system through ProveSystem and
+// self-verifies the op through VerifyOp. The rng feeds proof blinding;
+// Groth16 keys come from keys (ProveTrace's cache) or, when keys is nil,
+// from a fresh setup drawn from rng (the measurement path, which only
+// wants timings).
+func finishProof(out OpProof, sys *r1cs.System, assignment, public []ff.Fr, opts Options, rng *mrand.Rand, keys KeySource) (OpProof, error) {
+	pay, err := ProveSystem(opts.Backend, sys, assignment, opts.PCS, rng, keys)
+	if err != nil {
+		return out, err
 	}
+	out.Payload, out.ProofBytes, out.Public = *pay, pay.SizeBytes(), public
+	if opts.Backend == Spartan {
+		out.Sys = sys
+	}
+	start := time.Now()
+	if err := VerifyOp(opts.Backend, &out, opts.PCS); err != nil {
+		return out, fmt.Errorf("self-verify: %w", err)
+	}
+	out.Verify = time.Since(start)
 	return out, nil
 }
 
 // VerifyOp re-verifies one retained operation proof against the report's
 // backend.
 func VerifyOp(backend Backend, op *OpProof, params pcs.Params) error {
-	switch backend {
-	case Groth16:
-		if op.G16 == nil || op.G16VK == nil {
-			return fmt.Errorf("zkml: op %q has no retained proof", op.Tag)
-		}
-		if err := groth16.Verify(op.G16VK, op.G16, op.Public); err != nil {
-			return fmt.Errorf("zkml: op %q: %w", op.Tag, err)
-		}
-	case Spartan:
-		if op.Spartan == nil || op.Sys == nil {
-			return fmt.Errorf("zkml: op %q has no retained proof", op.Tag)
-		}
-		if err := spartan.Verify(op.Sys, op.Spartan, op.Public, pcsOrDefault(params)); err != nil {
-			return fmt.Errorf("zkml: op %q: %w", op.Tag, err)
-		}
-	default:
-		return fmt.Errorf("zkml: unknown backend %d", backend)
+	if err := op.Payload.Verify(backend, func() *r1cs.System { return op.Sys }, op.Public, params); err != nil {
+		return fmt.Errorf("zkml: op %q: %w", op.Tag, err)
 	}
 	return nil
 }

@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"zkvc/internal/crpc"
-	"zkvc/internal/groth16"
 	"zkvc/internal/nn"
-	"zkvc/internal/r1cs"
 )
 
 // tinyConfig is small enough that exact end-to-end proving with both
@@ -258,11 +256,12 @@ func TestSqrtRatio(t *testing.T) {
 // zero, so TotalSetup reflects work done, not time spent blocked.
 func TestSetupCacheChargesOnlyTheCreator(t *testing.T) {
 	var calls atomic.Int32
-	c := newSetupCache(0, func([32]byte, *r1cs.System) (*groth16.ProvingKey, *groth16.VerifyingKey, error) {
+	c := NewKeyCache(0, 0)
+	setup := func() (*Keys, error) {
 		calls.Add(1)
 		time.Sleep(5 * time.Millisecond)
-		return nil, nil, nil
-	})
+		return &Keys{}, nil
+	}
 	const racers = 4
 	durs := make([]time.Duration, racers)
 	var wg sync.WaitGroup
@@ -270,7 +269,7 @@ func TestSetupCacheChargesOnlyTheCreator(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, d, err := c.get([32]byte{1}, nil)
+			_, d, err := c.lookup([32]byte{1}, setup)
 			if err != nil {
 				t.Error(err)
 			}

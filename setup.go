@@ -9,6 +9,7 @@ import (
 	"zkvc/internal/crpc"
 	"zkvc/internal/ff"
 	"zkvc/internal/groth16"
+	"zkvc/internal/zkml"
 )
 
 // Setup/proving separation: Prove derives the CRPC challenge per statement,
@@ -17,9 +18,9 @@ import (
 // matrices. A deployment instead fixes a public epoch label, derives one
 // challenge per (shape, options) family from it, and generates the CRS for
 // that family once (zkvc.go's "shape epoch"). This file is that path:
-// Setup produces a reusable CRS, ProveWithCRS proves against it, and the
-// proving service in internal/server caches CRSs per shape with
-// singleflight so concurrent requests pay setup exactly once.
+// Setup produces a reusable CRS and ProveWithCRS proves against it. The
+// proving service issues no epoch proofs; its only cached keys are the
+// model ops' (zkml.KeyCache).
 
 // ShapeKey identifies a matmul circuit family: the product dimensions
 // (Rows×Inner)·(Inner×Cols) and the circuit options. It is comparable and
@@ -71,13 +72,12 @@ func (p *MatMulProver) Setup(rows, inner, cols int, epoch []byte) (*CRS, error) 
 	if p.backend == Groth16 {
 		sys := crpc.SynthesizeShape(rows, inner, cols, crs.Z, p.opts)
 		start := time.Now()
-		pk, vk, err := groth16.Setup(sys, p.rng)
+		keys, err := zkml.NewKeys(sys, p.rng)
 		if err != nil {
 			return nil, err
 		}
 		crs.SetupTime = time.Since(start)
-		crs.G16PK = pk
-		crs.G16VK = vk
+		crs.G16PK, crs.G16VK = keys.PK, keys.VK
 	}
 	return crs, nil
 }

@@ -103,14 +103,10 @@ type MatMulProof struct {
 
 // SizeBytes reports the wire size of the backend proof object (excluding
 // the public Y, which the server sends anyway as the inference result).
-func (p *MatMulProof) SizeBytes() int {
-	switch p.Backend {
-	case Groth16:
-		return p.G16Proof.SizeBytes()
-	case Spartan:
-		return p.SpartanProof.SizeBytes()
-	}
-	return 0
+func (p *MatMulProof) SizeBytes() int { return p.payload().SizeBytes() }
+
+func (p *MatMulProof) payload() *zkml.Payload {
+	return &zkml.Payload{G16: p.G16Proof, G16VK: p.G16VK, Spartan: p.SpartanProof}
 }
 
 // MatMulProver proves matrix products against a chosen backend.
@@ -180,11 +176,11 @@ func (p *MatMulProver) ProveContext(ctx context.Context, x, w *Matrix) (*MatMulP
 	return proof, nil
 }
 
-// prove is the one prover seam under single, epoch and batch proofs: it
-// times synth, then runs the prover's backend over the circuit, checking
-// ctx at each phase boundary. With a non-nil crs the Groth16 keys are
-// reused (epoch path, t.Setup stays zero); otherwise a fresh CRS is
-// generated and timed.
+// prove is the one prover under single, epoch and batch proofs: it
+// times synth, then proves the circuit through zkml.ProveSystem,
+// checking ctx at each phase boundary. With a non-nil crs the Groth16
+// keys are reused (epoch path, t.Setup stays zero); otherwise a fresh CRS
+// is generated and timed.
 func (p *MatMulProver) prove(ctx context.Context, crs *CRS, t *Timings, synth func() (*crpc.Synthesis, error)) (*groth16.Proof, *groth16.VerifyingKey, *spartan.Proof, error) {
 	start := time.Now()
 	syn, err := synth()
@@ -195,33 +191,28 @@ func (p *MatMulProver) prove(ctx context.Context, crs *CRS, t *Timings, synth fu
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
-	switch p.backend {
-	case Groth16:
-		var pk *groth16.ProvingKey
-		var vk *groth16.VerifyingKey
-		if crs != nil {
-			pk, vk = crs.G16PK, crs.G16VK
-		} else {
-			start = time.Now()
-			if pk, vk, err = groth16.Setup(syn.Sys, p.rng); err != nil {
-				return nil, nil, nil, err
-			}
-			t.Setup = time.Since(start)
-			if err := ctx.Err(); err != nil {
-				return nil, nil, nil, err
-			}
+	var keys zkml.KeySource
+	switch {
+	case crs != nil:
+		keys = &zkml.Keys{PK: crs.G16PK, VK: crs.G16VK}
+	case p.backend == Groth16:
+		start = time.Now()
+		k, err := zkml.NewKeys(syn.Sys, p.rng)
+		t.Setup = time.Since(start)
+		if err == nil {
+			err = ctx.Err()
 		}
-		start = time.Now()
-		g16, err := groth16.Prove(syn.Sys, pk, syn.Assignment, p.rng)
-		t.Prove = time.Since(start)
-		return g16, vk, nil, err
-	case Spartan:
-		start = time.Now()
-		sp, err := spartan.Prove(syn.Sys, syn.Assignment, p.pcs)
-		t.Prove = time.Since(start)
-		return nil, nil, sp, err
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		keys = k
 	}
-	return nil, nil, nil, fmt.Errorf("zkvc: unknown backend %d", p.backend)
+	pay, err := zkml.ProveSystem(p.backend, syn.Sys, syn.Assignment, p.pcs, p.rng, keys)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	t.Prove = pay.Prove
+	return pay.G16, pay.G16VK, pay.Spartan, nil
 }
 
 // ErrVerification is returned when a proof does not verify.
@@ -294,7 +285,7 @@ func verifyMatMulAt(x *Matrix, proof *MatMulProof, epoch []byte) error {
 		return fmt.Errorf("%w: malformed W commitment (%d bytes, want %d)",
 			ErrVerification, len(proof.WCommit), wCommitLen)
 	}
-	return verify(proof.Backend, proof.G16Proof, proof.G16VK, proof.SpartanProof, []*Matrix{x}, []*Matrix{proof.Y},
+	return verify(proof.Backend, proof.payload(), []*Matrix{x}, []*Matrix{proof.Y},
 		func() *r1cs.System {
 			var z ff.Fr
 			if proof.Opts.CRPC {
@@ -308,12 +299,11 @@ func verifyMatMulAt(x *Matrix, proof *MatMulProof, epoch []byte) error {
 		})
 }
 
-// verify is the one verifier seam under single, epoch and batch proofs:
-// it checks a backend proof against the public witness [1, every X
-// entry, every Y entry]. Only Spartan consumes the circuit, so shape
-// rebuilds it only there: Groth16's circuit binding lives entirely in
-// the verifying key.
-func verify(backend Backend, g16 *groth16.Proof, vk *groth16.VerifyingKey, sp *spartan.Proof, xs, ys []*Matrix, shape func() *r1cs.System) error {
+// verify is the one verifier under single, epoch and batch proofs: it
+// checks a backend proof against the public witness [1, every X entry,
+// every Y entry] through zkml.Payload.Verify, which calls shape to
+// rebuild the circuit only for Spartan.
+func verify(backend Backend, pay *zkml.Payload, xs, ys []*Matrix, shape func() *r1cs.System) error {
 	total := 1
 	for m := range xs {
 		total += len(xs[m].Data) + len(ys[m].Data)
@@ -326,22 +316,7 @@ func verify(backend Backend, g16 *groth16.Proof, vk *groth16.VerifyingKey, sp *s
 	for _, y := range ys {
 		public = append(public, y.Data...)
 	}
-	var err error
-	switch backend {
-	case Groth16:
-		if g16 == nil || vk == nil {
-			return fmt.Errorf("%w: missing Groth16 payload", ErrVerification)
-		}
-		err = groth16.Verify(vk, g16, public)
-	case Spartan:
-		if sp == nil {
-			return fmt.Errorf("%w: missing Spartan payload", ErrVerification)
-		}
-		err = spartan.Verify(shape(), sp, public, pcs.DefaultParams())
-	default:
-		return fmt.Errorf("%w: unknown backend %d", ErrVerification, backend)
-	}
-	if err != nil {
+	if err := pay.Verify(backend, shape, public, pcs.DefaultParams()); err != nil {
 		return fmt.Errorf("%w: %v", ErrVerification, err)
 	}
 	return nil
