@@ -45,9 +45,8 @@ func cmdServe(args []string) {
 	backendName := fs.String("backend", "spartan", "proof system: groth16 or spartan")
 	window := fs.Duration("window", 10*time.Millisecond, "coalescing window")
 	maxBatch := fs.Int("max-batch", 16, "flush a batch early at this many pending jobs")
-	workers := fs.Int("workers", 0, "proving workers (0 = NumCPU)")
 	parallelism := fs.Int("parallelism", 0,
-		"process-wide worker budget shared by job concurrency and per-proof hot loops (0 = ZKVC_PARALLELISM env or GOMAXPROCS)")
+		"process-wide worker budget, the service's only concurrency bound: each running proof holds one token and its hot loops borrow the idle rest (0 = ZKVC_PARALLELISM env or GOMAXPROCS)")
 	streamTimeout := fs.Duration("stream-timeout", 30*time.Second,
 		"per-frame model-stream write deadline; a client that stops reading this long is treated as gone")
 	journalDir := fs.String("journal-dir", "",
@@ -103,7 +102,6 @@ func cmdServe(args []string) {
 	cfg.Backend = backend
 	cfg.Window = *window
 	cfg.MaxBatch = *maxBatch
-	cfg.Workers = *workers
 	cfg.Parallelism = *parallelism
 	cfg.StreamWriteTimeout = *streamTimeout
 	cfg.JournalDir = *journalDir
@@ -131,7 +129,7 @@ func cmdServe(args []string) {
 	}
 	defer s.Close()
 	if *announce != "" {
-		go announceLoop(s, *announce, name, *advertise, cfg.Workers, *heartbeat)
+		go announceLoop(s, *announce, name, *advertise, *heartbeat)
 	}
 	fmt.Printf("zkvc proving service on %s: backend %s, window %v, max batch %d, parallelism %d\n",
 		*addr, backend, *window, *maxBatch, zkvc.Parallelism())
@@ -168,9 +166,10 @@ func withPprof(h http.Handler) http.Handler {
 // announceLoop registers the node with a coordinator and keeps its
 // entry fresh: announce until it sticks, then heartbeat the queue
 // depth. Re-announcing on heartbeat 404 covers a coordinator restart.
-func announceLoop(s *server.Server, coordinatorURL, name, advertise string, workers int, interval time.Duration) {
+func announceLoop(s *server.Server, coordinatorURL, name, advertise string, interval time.Duration) {
 	c := server.NewClient(coordinatorURL)
-	a := &wire.NodeAnnounce{Name: name, URL: advertise, Workers: workers}
+	snap := s.Metrics()
+	a := snap.Announce(name, advertise)
 	for {
 		if err := c.Announce(context.Background(), a); err == nil {
 			break

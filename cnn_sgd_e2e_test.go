@@ -46,7 +46,6 @@ func cnnNode(t *testing.T, backend zkvc.Backend) string {
 	cfg := server.DefaultConfig()
 	cfg.Backend = backend
 	cfg.Seed = cnnSeed
-	cfg.Workers = 1
 	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,6 @@ func conformanceEngines(t *testing.T, backend zkvc.Backend) []namedEngine {
 		cfg := server.DefaultConfig()
 		cfg.Backend = backend
 		cfg.Seed = confSeed
-		cfg.Workers = 1
 		s, err := server.New(cfg)
 		if err != nil {
 			t.Fatal(err)

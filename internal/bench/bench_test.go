@@ -134,6 +134,12 @@ func TestPrintersProduceOutput(t *testing.T) {
 		t.Errorf("matmul printer output wrong:\n%s", out)
 	}
 	buf.Reset()
+	PrintTableII(&buf, []AblationResult{{GrothConstraints: 407680}, {Opts: crpc.Options{CRPC: true, PSQ: true}, GrothConstraints: 64}}, false)
+	if lines := strings.Split(buf.String(), "\n"); len(lines) < 4 || strings.Fields(lines[1])[2] != "constraints" ||
+		strings.Fields(lines[2])[2] != "407680" || strings.Fields(lines[3])[2] != "64" {
+		t.Errorf("Table II printer has no constraint column:\n%s", buf.String())
+	}
+	buf.Reset()
 	PrintE2E(&buf, "Table test", []E2ERow{{Dataset: "d", Model: "m",
 		PaperAcc: []float64{90.5, 80.1}, ProveG: time.Second, ProveS: 2 * time.Second}}, "Acc")
 	if !strings.Contains(buf.String(), "90.5/80.1") {

@@ -62,10 +62,10 @@ func PrintTableII(w io.Writer, rows []AblationResult, full bool) {
 	a, n, b := TableIIShape(full)
 	fmt.Fprintf(w, "Table II: CRPC/PSQ ablation on [%d,%d]x[%d,%d]\n", a, n, n, b)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "CRPC\tPSQ\tgroth16 Prove(s)\tgroth16 Verify(s)\tSpartan Prove(s)\tSpartan Verify(s)")
+	fmt.Fprintln(tw, "CRPC\tPSQ\tconstraints\tgroth16 Prove(s)\tgroth16 Verify(s)\tSpartan Prove(s)\tSpartan Verify(s)")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n",
-			mark(r.Opts.CRPC), mark(r.Opts.PSQ),
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%s\t%s\t%s\n",
+			mark(r.Opts.CRPC), mark(r.Opts.PSQ), r.GrothConstraints,
 			seconds(r.GrothProve), seconds(r.GrothVerify),
 			seconds(r.SpartanProve), seconds(r.SpartanVerify))
 	}

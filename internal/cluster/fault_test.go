@@ -510,7 +510,6 @@ func TestClientCancelMidStreamRelaysAbortWithoutWedgingNode(t *testing.T) {
 func runClusterCancelScenario(t *testing.T, seed int64) bool {
 	t.Helper()
 	ncfg := nodeConfig(seed)
-	ncfg.Workers = 1
 	nodeSrv, nodeTS := newNode(t, ncfg)
 
 	ccfg := cluster.DefaultConfig()
@@ -579,7 +578,7 @@ func runClusterCancelScenario(t *testing.T, seed int64) bool {
 	}
 
 	// Neither hop is wedged: the next model job through the same
-	// coordinator and the same single-worker node completes.
+	// coordinator and the same node completes.
 	req := modelRequest(t, zkvc.Spartan, seed+4)
 	rep, err := eng.ProveModel(tctx, req).Report()
 	if err != nil {

@@ -38,14 +38,12 @@ const harnessSeed = 7
 // under; cancellation paths get their own contexts.
 var tctx = context.Background()
 
-// nodeConfig is the shared node configuration: one worker each so the
-// batch-proving prover's randomness stream is a function of the seed
-// alone, which is what makes cluster and single-node proofs comparable
-// byte for byte.
+// nodeConfig is the shared node configuration: seeded, so the model
+// reports a node proves are a function of the seed alone, which is what
+// makes cluster and single-node reports comparable byte for byte.
 func nodeConfig(seed int64) server.Config {
 	cfg := server.DefaultConfig()
 	cfg.Seed = seed
-	cfg.Workers = 1
 	cfg.Window = 10 * time.Millisecond
 	return cfg
 }

@@ -18,10 +18,12 @@ type NodeStatus struct {
 	// Draining distinguishes an operator drain (or a node's own
 	// heartbeat announcing shutdown) from probe-detected failure.
 	Draining bool `json:"draining" prom:"gauge"`
-	// QueueUnits is the node's accepted-but-unproved work (matmul jobs
-	// plus model ops) as of its last probe or heartbeat.
+	// QueueUnits is the node's accepted-but-unproved work (matmul
+	// statements plus model ops) as of its last probe or heartbeat.
 	QueueUnits int64 `json:"queue_units" prom:"gauge"`
-	Workers    int   `json:"workers,omitempty" prom:"gauge"`
+	// Workers is the parallel budget the node announced; 0 for a node
+	// that never announced (a static -node).
+	Workers int `json:"workers,omitempty" prom:"gauge"`
 	// Routed counts exchanges this node answered; FailedOver counts
 	// jobs that had to move off it (plus mid-stream deaths charged to it).
 	Routed     int64 `json:"routed" prom:"counter"`

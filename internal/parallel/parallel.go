@@ -1,10 +1,10 @@
 // Package parallel is the process-wide worker budget shared by every hot
 // loop in the prover stack (MLE folding, sumcheck rounds, Merkle hashing,
-// MSMs, NTTs, matmul) and by the proving service's job pool.
+// MSMs, NTTs, matmul) and by the proving service's admitted proofs.
 //
 // The design is deliberately work-stealing-free: a Pool is a fixed number
 // of tokens, one per hardware thread the process is willing to burn.
-// Top-level jobs (an HTTP proving worker, a CLI prove) Acquire a token
+// Top-level jobs (a proof the service admitted, a CLI prove) Acquire a token
 // for their own goroutine; data-parallel loops inside a job borrow
 // whatever tokens are free with TryAcquire and fall back to running
 // inline when none are. Because inner loops never block on the budget,
@@ -56,7 +56,7 @@ func (p *Pool) Size() int { return p.size }
 func (p *Pool) InUse() int { return len(p.tokens) }
 
 // Acquire blocks until a token is free. It is meant for top-level job
-// admission (the proving service's workers); data-parallel loops must
+// admission (the proving service's admitted proofs); data-parallel loops must
 // use TryAcquire so that nested parallelism degrades to sequential
 // execution instead of deadlocking.
 func (p *Pool) Acquire() { p.tokens <- struct{}{} }

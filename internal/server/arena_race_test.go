@@ -57,7 +57,6 @@ func TestPooledProvingRaceAndCanary(t *testing.T) {
 	cfg.Backend = zkvc.Spartan
 	cfg.Window = 5 * time.Millisecond
 	cfg.MaxBatch = 4
-	cfg.Workers = 3
 	cfg.Parallelism = 3
 	cfg.Seed = seed
 	_, ts := newTestServer(t, cfg)

@@ -29,8 +29,7 @@ import (
 // unbuildable on this machine.
 const cancelAttempts = 3
 
-// runModelCancelScenario proves a ~50-op model through a fresh
-// single-worker server, cancels the context after the first streamed
+// runModelCancelScenario proves a ~50-op model through a fresh server, cancels the context after the first streamed
 // op, and reports whether cancellation won the race. When it wins, the
 // taxonomy assertions run: the stream error matches context.Canceled,
 // the job lands in model_jobs_canceled with prove_errors untouched, and
@@ -39,7 +38,6 @@ func runModelCancelScenario(t *testing.T, seed int64) bool {
 	t.Helper()
 	cfg := server.DefaultConfig()
 	cfg.Seed = seed
-	cfg.Workers = 1
 	s, ts := newTestServer(t, cfg)
 
 	mcfg := zkvc.ViTCIFAR10().Scaled(16)

@@ -1,15 +1,15 @@
 package server
 
-// Model jobs and the durable-job API. Every model job proves its trace
-// through the dispatcher, worker pool, queue ledger and budget
-// discipline, appending each completed op frame to its journal
-// (journal.go), and every stream of a job is served from that journal
-// by one frame loop. POST /v1/prove/model attaches the job to its
+// Model jobs and the durable-job API. Every model job is admitted
+// against the queue ledger and proves its trace on a spawned goroutine
+// holding one budget token, appending each completed op frame to its
+// journal (journal.go), and every stream of a job is served from that
+// journal by one frame loop. POST /v1/prove/model attaches the job to its
 // request and streams it in the response. POST /v1/jobs submits it:
 // the answer returns at once and the client streams the frames on its
 // own schedule — resuming from the last frame it acked after a
 // reconnect and, with JournalDir set, after a server restart.
-// Admission is honest: a saturated pool or exhausted tenant quota
+// Admission is honest: a saturated queue or exhausted tenant quota
 // answers 429 with a Retry-After header and a queue-position snapshot in
 // the body, never unbounded parking. A reaper enforces per-job TTLs:
 // expired journals are deleted, their report attestations withdrawn,
@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"zkvc"
 	"zkvc/internal/wire"
 	"zkvc/internal/zkml"
 )
@@ -75,20 +74,19 @@ type asyncJob struct {
 // streams at all.
 const attachedQueuedFrames = 4
 
-func (*asyncJob) submissionKind() string { return "model" }
-
 func (j *asyncJob) setState(st byte) {
 	j.mu.Lock()
 	j.state = st
 	j.mu.Unlock()
 }
 
-// run proves the trace on a worker goroutine. Independent ops fan out
-// over whatever budget tokens are free, each drawing its randomness from
-// its sequence number, so the journaled frames are byte-identical to a
-// local ProveTrace at any parallelism level. The terminal state lands in
-// the journal, where every stream of the job reads it.
-func (j *asyncJob) run(s *Server, _ *zkvc.MatMulProver) {
+// run proves the trace on the job's spawned goroutine. Independent ops
+// fan out over whatever budget tokens are free, each drawing its
+// randomness from its sequence number, so the journaled frames are
+// byte-identical to a local ProveTrace at any parallelism level. The
+// terminal state lands in the journal, where every stream of the job
+// reads it.
+func (j *asyncJob) run(s *Server) {
 	defer close(j.finished)
 	j.setState(wire.JobRunning)
 	opts := zkml.JobOptions(j.req.Backend, s.cfg.Opts, j.req.ProveNonlinear, s.cfg.Seed)
@@ -97,9 +95,7 @@ func (j *asyncJob) run(s *Server, _ *zkvc.MatMulProver) {
 	_, err := zkml.ProveTraceContext(j.ctx, j.req.Cfg, j.req.Trace, opts)
 	// Ops never journaled (error or cancellation) leave the queue ledger here.
 	ops, _, _ := j.jl.snapshot()
-	delta := int64(ops - j.plan)
-	s.metrics.modelOpsQueued.Add(delta)
-	s.metrics.queueUnits.Add(delta)
+	s.release(j.plan-ops, &s.metrics.modelOpsQueued)
 	j.req = nil // the journal is the job's memory from here on
 	j.mu.Lock()
 	failedAppend := j.appendErr
@@ -129,8 +125,8 @@ func (j *asyncJob) run(s *Server, _ *zkvc.MatMulProver) {
 	}
 }
 
-// journalOp journals one proved op, on whichever worker goroutine
-// finished it; an attached job first takes a frame credit.
+// journalOp journals one proved op, on whichever goroutine finished it;
+// an attached job first takes a frame credit.
 func (j *asyncJob) journalOp(s *Server, op *zkml.OpProof) {
 	if j.credits != nil && !j.takeCredit(s.metrics) {
 		return
@@ -151,8 +147,7 @@ func (j *asyncJob) journalOp(s *Server, op *zkml.OpProof) {
 		return
 	}
 	s.metrics.modelOpsProved.Add(1)
-	s.metrics.modelOpsQueued.Add(-1)
-	s.metrics.queueUnits.Add(-1)
+	s.release(1, &s.metrics.modelOpsQueued)
 	s.metrics.recordOpTimings(op)
 }
 
@@ -339,9 +334,9 @@ func (s *Server) rejectJob(w http.ResponseWriter, reason string) {
 }
 
 // startModelJob is the one constructor of both model routes: plan the
-// trace, journal its stream header and admit the job to the dispatcher
-// against the shared queue ledger (ops, the same coin as every other
-// workload). A submitted job (id set) is detached from r, journaled
+// trace, journal its stream header, admit the job against the shared
+// queue ledger (ops, the same coin as every other workload) and spawn
+// its proving. A submitted job (id set) is detached from r, journaled
 // under JournalDir when one is set, retained for ttl and entered in the
 // job store under its tenant's quota. An attached job (id empty)
 // belongs to r: its journal lives in memory even with a JournalDir set,
@@ -381,7 +376,7 @@ func (s *Server) startModelJob(w http.ResponseWriter, r *http.Request, in Input,
 		s.rejectJob(w, fmt.Sprintf("tenant holds %d live jobs, the per-tenant quota; cancel or let some expire", s.cfg.TenantJobQuota))
 		return nil
 	}
-	if err := s.submitPlanned(j, plan); err != nil {
+	if err := s.admit(plan, &s.metrics.modelOpsQueued, func() { s.spawn(func() { j.run(s) }) }); err != nil {
 		s.jobs.remove(id)
 		j.cancel()
 		j.jl.removeFile()
@@ -399,9 +394,9 @@ func (s *Server) startModelJob(w http.ResponseWriter, r *http.Request, in Input,
 	return j
 }
 
-// handleSubmitJob admits one async job and hands the proving to the
-// dispatcher. The 202 response carries the job's initial status; the
-// client streams frames whenever it likes.
+// handleSubmitJob admits one async job and starts its proving. The 202
+// response carries the job's initial status; the client streams frames
+// whenever it likes.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request, in Input) {
 	req := in.Msg.(*wire.JobSubmitRequest)
 	in.Body = nil // the decoded request is all the job keeps
@@ -500,7 +495,7 @@ func (s *Server) serveFrames(w http.ResponseWriter, r *http.Request, j *asyncJob
 		j.sending(k)
 		// Per-frame write deadline: a client that stops reading (socket
 		// buffers full, connection still open) must not wedge this
-		// handler — nor an attached job's worker and budget token —
+		// handler — nor an attached job's goroutine and budget token —
 		// forever. Past the deadline the write fails. Best-effort — a
 		// ResponseWriter without deadline support just keeps the old
 		// write-failure-only detection. Deliberately never cleared: the

@@ -461,7 +461,6 @@ func TestJobAdmissionHonest429(t *testing.T) {
 	scfg := server.DefaultConfig()
 	scfg.Seed = seed
 	scfg.Backend = zkvc.Groth16 // per-op circuit setup keeps the first job busy long enough
-	scfg.Workers = 1
 	scfg.Parallelism = 1
 	scfg.QueueCap = len(plan) // the first job fills the queue exactly
 	s, ts := newTestServer(t, scfg)

@@ -23,10 +23,8 @@ import (
 // behind the Snapshot fields of the same meaning, which document them.
 type metrics struct {
 	// queueUnits is the single capacity ledger QueueCap bounds: one unit
-	// per matmul job, one per model op. Admission checks increment it
-	// atomically (the per-kind gauges below are display-only), so
-	// concurrent submissions of different kinds cannot jointly overshoot
-	// the cap.
+	// per matmul statement, one per model op. Server.admit is the only
+	// code that charges it (the per-kind gauges below are display-only).
 	queueUnits atomic.Int64
 
 	queueDepth, modelOpsQueued                                           atomic.Int64
@@ -77,9 +75,12 @@ func (m *metrics) recordOpTimings(op *zkml.OpProof) {
 // promtext.Encode, both written by MountMetrics. A new metric is one
 // field here with a json and a prom tag.
 type Snapshot struct {
-	// QueueDepth is the matmul share of the queue; ModelOpsQueued the
-	// model share (in ops — a parked model is parked work proportional
-	// to its trace). Their sum is what Config.QueueCap bounds.
+	// QueueDepth is the matmul share of the queue, in statements
+	// admitted and not yet proved — coalesced ones and those of the
+	// direct /v1/prove/matmul and /v1/prove/batch routes alike;
+	// ModelOpsQueued the model share (in ops — a parked model is parked
+	// work proportional to its trace). Their sum is what Config.QueueCap
+	// bounds.
 	QueueDepth     int64 `json:"queue_depth" prom:"gauge"`
 	ModelOpsQueued int64 `json:"model_ops_queued" prom:"gauge"`
 	Requests       int64 `json:"requests" prom:"counter"`
@@ -236,7 +237,7 @@ func (s *Server) Metrics() Snapshot {
 }
 
 // Heartbeat is the load a node reports as of this snapshot: its queued
-// work units (matmul jobs plus model ops, the sum Config.QueueCap
+// work units (matmul statements plus model ops, the sum Config.QueueCap
 // bounds), its on-disk state and its live heap. A node sends it to its
 // coordinator, and the coordinator's probe derives the same figures
 // from a node's GET /metrics.
@@ -247,6 +248,13 @@ func (s *Snapshot) Heartbeat(name string) *wire.NodeHeartbeat {
 		DiskBytes:  s.DiskBytes,
 		MemBytes:   s.HeapAllocBytes,
 	}
+}
+
+// Announce is the registration a node sends its coordinator under name,
+// reachable at url. Its capacity hint is the node's parallel budget,
+// the service's only concurrency bound.
+func (s *Snapshot) Announce(name, url string) *wire.NodeAnnounce {
+	return &wire.NodeAnnounce{Name: name, URL: url, Workers: s.Parallelism}
 }
 
 // MountMetrics registers the two encodings of one metrics snapshot on

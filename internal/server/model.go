@@ -1,17 +1,15 @@
 package server
 
-// Model proving as a service workload: a model job is the second job
-// kind of the dispatcher — "prove every circuit of this captured
-// forward pass" (asyncJob, jobs.go). It reuses the whole matmul-era
-// machinery: the submission queue and its capacity bound (a model job
-// counts as its op count, since that is the work it parks), the worker
-// pool and its one-token-per-job budget discipline, the Groth16 key cache
-// (zkml.KeyCache, keyed by circuit structure digest and consulted once
-// per op, so the twelve identical blocks of a ViT pay one setup across
-// all requests and tenants) and the
-// issued-proof log (one whole-report, tenant-scoped digest per completed
-// job, so /v1/verify/model only vouches for reports this service
-// streamed to that tenant, unmodified and complete).
+// Model proving as a service workload: a model job — "prove every
+// circuit of this captured forward pass" (asyncJob, jobs.go) — runs like
+// any other proving work. It is admitted against the QueueCap ledger (as
+// its op count, since that is the work it parks), holds one budget token
+// while it runs, and shares the Groth16 key cache (zkml.KeyCache, keyed
+// by circuit structure digest and consulted once per op, so the twelve
+// identical blocks of a ViT pay one setup across all requests and
+// tenants) and the issued-proof log (one whole-report, tenant-scoped
+// digest per completed job, so /v1/verify/model only vouches for reports
+// this service streamed to that tenant, unmodified and complete).
 
 import (
 	"crypto/sha256"
@@ -31,7 +29,7 @@ import (
 // (model name, backend, circuit options, op count), every op frame's
 // digest in sequence order, and the tenant the stream was issued to —
 // verifying through /v1/verify/model requires presenting the same
-// tenant header, extending the per-tenant partitioning of the coalescer
+// tenant header, extending the per-tenant partitioning of coalescing
 // to model reports. (As with coalescing, the header is taken on faith —
 // the isolation is real only behind an authenticating proxy; see the
 // package comment on tenancy.)
@@ -69,30 +67,6 @@ func ReportDigest(rep *zkml.Report, tenant string) [sha256.Size]byte {
 		opHashes[i] = sha256.Sum256(wire.EncodeOpProof(&rep.Ops[i]))
 	}
 	return modelReportDigest(header, opHashes, tenant)
-}
-
-// submitPlanned admits a model job into the dispatcher.
-// The job charges its op count against the shared queue capacity: a
-// parked model is parked work proportional to its trace, not one slot.
-func (s *Server) submitPlanned(j submission, plan int) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.metrics.queueUnits.Add(int64(plan)) > int64(s.cfg.QueueCap) {
-		s.metrics.queueUnits.Add(-int64(plan))
-		return errQueueFull
-	}
-	s.metrics.modelOpsQueued.Add(int64(plan))
-	select {
-	case s.submit <- j:
-		return nil
-	default:
-		s.metrics.modelOpsQueued.Add(-int64(plan))
-		s.metrics.queueUnits.Add(-int64(plan))
-		return errQueueFull
-	}
 }
 
 // planModel plans a submitted trace and returns its op count, answering

@@ -280,14 +280,14 @@ func TestModelSlotsSurviveMalformedBodies(t *testing.T) {
 
 // TestStalledStreamReaderDoesNotWedgeWorker: a client that opens
 // /v1/prove/model and never reads the response must not hold the (here:
-// only) worker, its budget token and its queue units forever. Once the
-// stream write deadline fires the stalled job cancels like a disconnect
-// and the next job proves. (If the whole stream fits in socket buffers
-// the first job simply completes — either way the worker must come free.)
+// only) budget token and its queue units forever. Once the stream write
+// deadline fires the stalled job cancels like a disconnect and the next
+// job proves. (If the whole stream fits in socket buffers the first job
+// simply completes — either way the token must come free.)
 func TestStalledStreamReaderDoesNotWedgeWorker(t *testing.T) {
 	cfg := server.DefaultConfig()
 	cfg.Seed = 37
-	cfg.Workers = 1
+	cfg.Parallelism = 1
 	cfg.StreamWriteTimeout = 200 * time.Millisecond
 	s, ts := newTestServer(t, cfg)
 
@@ -303,7 +303,7 @@ func TestStalledStreamReaderDoesNotWedgeWorker(t *testing.T) {
 	}
 	defer stalled.Body.Close()
 
-	// A second job through the same single worker must still complete.
+	// A second job behind the same single token must still complete.
 	done := make(chan error, 1)
 	go func() {
 		rep, err := proveModelHTTP(t, ts.URL, "", req)
@@ -318,7 +318,7 @@ func TestStalledStreamReaderDoesNotWedgeWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(60 * time.Second):
-		t.Fatal("worker still wedged behind a stalled stream reader")
+		t.Fatal("budget token still wedged behind a stalled stream reader")
 	}
 	if got := parallel.Default().InUse(); got != 0 {
 		t.Fatalf("%d budget tokens still held", got)
@@ -339,7 +339,6 @@ func TestModelJobsShareParallelBudgetUnderConcurrentLoad(t *testing.T) {
 	cfg.Backend = zkvc.Spartan
 	cfg.Window = 5 * time.Millisecond
 	cfg.MaxBatch = 4
-	cfg.Workers = 3
 	cfg.Parallelism = 3
 	cfg.Seed = 13
 

@@ -25,7 +25,6 @@ func TestConcurrentProvingSharesWorkerBudget(t *testing.T) {
 	cfg.Backend = zkvc.Spartan
 	cfg.Window = 5 * time.Millisecond
 	cfg.MaxBatch = 4
-	cfg.Workers = 3
 	cfg.Parallelism = 3
 	cfg.Seed = 61
 

@@ -3,21 +3,22 @@
 // per-proof overhead (Groth16 CRS generation, Spartan commitments)
 // dominates small matmuls, so the service folds requests arriving close
 // together into a single ProveBatchContext call — one circuit, one
-// setup, one proof for the whole window — and a bounded worker pool
-// keeps proving off the request goroutines.
+// setup, one proof for the whole window.
 //
-// Work flows through a kind-dispatched job system: a job is "prove these
-// circuits". Matmul jobs coalesce into batches; model jobs — a captured
-// transformer forward pass (nn.Trace), the paper's end-to-end Tables
-// III/IV workload — arrive pre-batched and stream one proof per traced
-// operation back as it finishes, so a 12-block model never buffers its
-// whole report server-side. Both kinds share the queue capacity, the
-// worker pool, the process-wide parallel budget (one token per running
-// job; independent ops of a model borrow the idle rest, exactly like
-// batch statements), the Groth16 key cache (zkml.KeyCache, keyed by
-// circuit structure digest, so identical transformer blocks pay one
-// setup) and the issued-proof policy. A new workload is a new job kind, not a new
-// service.
+// Every proving request runs the same way: admit charges its units to
+// the QueueCap ledger or sheds it, and the admitted work holds one token
+// of the process-wide parallel budget while it proves — on the request
+// goroutine for the direct matmul routes, on a goroutine of its own
+// (spawn) for a flushed coalescing window or a model job. The budget is
+// the service's only concurrency bound: a lone proof's inner loops
+// borrow the idle tokens, so the independent ops of a model fan out
+// exactly like batch statements. A model job — a captured transformer
+// forward pass (nn.Trace), the paper's end-to-end Tables III/IV
+// workload — streams one proof per traced operation back as it
+// finishes, so a 12-block model never buffers its whole report
+// server-side. All work shares the Groth16 key cache (zkml.KeyCache,
+// keyed by circuit structure digest, so identical transformer blocks
+// pay one setup) and the issued-proof log.
 //
 // The endpoints are the rows of Routes (route.go), each with its request
 // and answer; besides them a node serves GET /healthz and, through
@@ -61,7 +62,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,26 +78,29 @@ type Config struct {
 	Backend zkvc.Backend
 	Opts    zkvc.Options
 
-	// Window is how long the coalescer holds the first job of a batch
-	// waiting for more work before flushing.
+	// Window is how long a tenant's coalescing window stays open after
+	// its first job before the window is proved.
 	Window time.Duration
-	// MaxBatch flushes a batch early once this many jobs are pending.
+	// MaxBatch flushes a window early once it holds this many jobs.
 	MaxBatch int
-	// Workers bounds the proving pool; 0 means runtime.NumCPU().
-	Workers int
 	// Parallelism resizes the PROCESS-WIDE worker budget every proof's
 	// hot loops draw from (zkvc.SetParallelism) — by design, because
-	// budget sharing is the point: each proving job holds a token while
-	// it runs and its inner loops borrow only the tokens left over, so
-	// N concurrent proofs on an N-token budget run sequentially while a
-	// lone proof fans out across every token. Setting it therefore also
-	// affects library-level proving in the same process; Close restores
-	// the budget that was in effect when New resized it. 0 leaves the
-	// current budget (ZKVC_PARALLELISM env or GOMAXPROCS) untouched.
+	// budget sharing is the point. The budget is the service's only
+	// concurrency bound: each admitted proof (a direct request, a
+	// coalesced window, a model job) holds a token while it runs and its
+	// inner loops borrow only the tokens left over, so N concurrent
+	// proofs on an N-token budget run side by side, each sequentially,
+	// while a lone proof fans out across every token. Setting it
+	// therefore also affects library-level proving in the same process;
+	// Close restores the budget that was in effect when New resized it.
+	// 0 leaves the current budget (ZKVC_PARALLELISM env or GOMAXPROCS)
+	// untouched.
 	Parallelism int
-	// QueueCap bounds accepted-but-unproved jobs (queued, parked in a
-	// coalescing window, or proving) before the service sheds load with
-	// 503s.
+	// QueueCap bounds admitted-but-unproved proving work, in units: one
+	// per matmul statement — coalesced (parked in a window or proving)
+	// or direct (/v1/prove/matmul, each pair of /v1/prove/batch) — and
+	// one per model op. Work past it is shed with 503 (429 on
+	// POST /v1/jobs).
 	QueueCap int
 	// MaxShapes bounds the Groth16 key cache model ops share
 	// (zkml.KeyCache, LRU eviction): each distinct model-op circuit costs
@@ -106,7 +109,7 @@ type Config struct {
 	MaxShapes int
 	// StreamWriteTimeout bounds how long one model-stream frame write may
 	// wait on the client. Without it, a client that connects and never
-	// reads wedges a worker (and its parallel-budget token and queue
+	// reads wedges its job (and the job's parallel-budget token and queue
 	// units) forever — the frame write blocks on full socket buffers and
 	// the request context only ends on disconnect. Past the deadline the
 	// write fails, the connection is torn down and the job cancels like
@@ -161,14 +164,14 @@ type Config struct {
 const TenantHeader = "Zkvc-Tenant"
 
 // DefaultConfig returns a production-shaped configuration: the full zkVC
-// circuit, a short coalescing window, and one worker per CPU.
+// circuit and a short coalescing window, on the process's parallel
+// budget.
 func DefaultConfig() Config {
 	return Config{
 		Backend:            zkvc.Spartan,
 		Opts:               zkvc.DefaultOptions(),
 		Window:             10 * time.Millisecond,
 		MaxBatch:           16,
-		Workers:            runtime.NumCPU(),
 		QueueCap:           1024,
 		MaxShapes:          64,
 		JobTTL:             15 * time.Minute,
@@ -181,45 +184,30 @@ func DefaultConfig() Config {
 // ErrClosed is returned for jobs submitted after Close.
 var ErrClosed = errors.New("server: shutting down")
 
-// errQueueFull sheds load when the submission queue is saturated.
+// errQueueFull sheds load when the QueueCap ledger is full.
 var errQueueFull = errors.New("server: queue full")
 
-// submission is anything a request handler can hand the dispatcher: a
-// matmul job (which coalesces with same-tenant jobs into a batch) or a
-// model job (which is already a batch — the ops of one trace — and is
-// forwarded to the worker pool as-is). New workloads plug in as new
-// submission kinds; the queue, worker pool, budget accounting and
-// shutdown path are shared.
-type submission interface {
-	submissionKind() string
-}
-
-// workItem is one unit of work for the worker pool. Each item holds one
-// parallel-budget token while it runs; its inner loops borrow the rest.
-type workItem interface {
-	run(s *Server, prover *zkvc.MatMulProver)
-}
-
+// job is one coalesced matmul statement waiting for its window's proof.
 type job struct {
 	tenant string
 	x, w   *zkvc.Matrix
 	resp   chan jobResult
 }
 
-func (*job) submissionKind() string { return "matmul" }
-
 type jobResult struct {
 	resp *wire.ProveResponse
 	err  error
 }
 
-// batchWork is a flushed coalescing window headed for the pool.
-type batchWork []*job
-
-func (b batchWork) run(s *Server, prover *zkvc.MatMulProver) { s.proveBatch(prover, b) }
+// window is one tenant's open coalescing window and the timer that
+// flushes it when Window runs out.
+type window struct {
+	jobs  []*job
+	timer *time.Timer
+}
 
 // Server is the proving service. Create it with New, serve s.Handler(),
-// and Close it to drain the pool.
+// and Close it to finish admitted work.
 type Server struct {
 	cfg     Config
 	metrics *metrics
@@ -239,8 +227,9 @@ type Server struct {
 	attestCh   chan *wire.AttestationUpdate
 	attestStop chan struct{}
 
-	submit chan submission
-	work   chan workItem
+	// windows holds each tenant's open coalescing window, under winMu.
+	winMu   sync.Mutex
+	windows map[string]*window
 
 	// modelSlots bounds concurrent model-endpoint requests while they
 	// buffer and decode their (large) bodies.
@@ -251,7 +240,10 @@ type Server struct {
 	jobs     *jobStore
 	reapStop chan struct{}
 
-	mu     sync.RWMutex // guards closed / submit channel close
+	// mu guards closed: admit holds it shared, Close exclusively, so
+	// nothing is admitted once Close has begun. wg counts admitted work
+	// that is running (or parked for a budget token).
+	mu     sync.RWMutex
 	closed bool
 	wg     sync.WaitGroup
 
@@ -266,8 +258,9 @@ type Server struct {
 	seedCtr atomic.Int64
 }
 
-// New validates the configuration and starts the coalescer and worker
-// pool. The service accepts work immediately.
+// New validates the configuration and starts the background goroutines
+// (the job reaper and, in a cluster, the attestation replicator). The
+// service accepts work immediately.
 func New(cfg Config) (*Server, error) {
 	if !cfg.Opts.CRPC {
 		return nil, fmt.Errorf("server: coalesced proving requires the CRPC identity (got %v)", cfg.Opts)
@@ -280,9 +273,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBatch <= 0 {
 		return nil, fmt.Errorf("server: max batch must be positive")
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.NumCPU()
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 1024
@@ -325,8 +315,7 @@ func New(cfg Config) (*Server, error) {
 		keys:       zkml.NewKeyCache(cfg.MaxShapes, cfg.Seed),
 		issued:     issued,
 		replicated: newIssuedLog(issuedLogCap),
-		submit:     make(chan submission, cfg.QueueCap),
-		work:       make(chan workItem),
+		windows:    make(map[string]*window),
 
 		attestCh:   make(chan *wire.AttestationUpdate, 1024),
 		attestStop: make(chan struct{}),
@@ -345,12 +334,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.wg.Add(2 + cfg.Workers)
-	go s.coalesce()
+	s.wg.Add(1)
 	go s.reaper()
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
-	}
 	if cfg.ReplicateTo != "" && cfg.NodeName != "" {
 		s.wg.Add(1)
 		go s.replicator()
@@ -358,8 +343,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close stops accepting work, flushes pending jobs through the pool, and
-// waits for in-flight proofs to finish.
+// Close refuses new admissions, flushes every open coalescing window,
+// and waits for admitted work to finish.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -367,13 +352,17 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	close(s.submit)
 	close(s.reapStop)
 	close(s.attestStop)
 	s.mu.Unlock()
+	s.winMu.Lock()
+	for tenant := range s.windows {
+		s.flushLocked(tenant)
+	}
+	s.winMu.Unlock()
 	s.wg.Wait()
-	// Queued async jobs drained through the pool above; release journal
-	// file handles so a successor server can recover the directory.
+	// Admitted jobs finished above; release journal file handles so a
+	// successor server can recover the directory.
 	s.jobs.closeAll()
 	s.issued.close()
 	if s.prevParallelism > 0 && parallel.Default() == s.installedPool {
@@ -381,11 +370,11 @@ func (s *Server) Close() {
 	}
 }
 
-// newProver returns a fresh prover. MatMulProver is not safe for
-// concurrent use, so every worker gets its own. Provers stay on their
-// crypto/rand default unless the configuration asks for test
-// determinism, in which case each gets a unique derived seed so
-// concurrent proofs still differ.
+// newProver returns a fresh prover for one coalesced batch.
+// MatMulProver is not safe for concurrent use, so every batch gets its
+// own. Provers stay on their crypto/rand default unless the configuration
+// asks for test determinism, in which case each gets a unique derived
+// seed so concurrent proofs still differ.
 func (s *Server) newProver() *zkvc.MatMulProver {
 	p := zkvc.NewMatMulProver(s.cfg.Backend, s.cfg.Opts)
 	if s.cfg.Seed != 0 {
@@ -409,192 +398,112 @@ func (s *Server) newDirectProver() *zkvc.MatMulProver {
 	return p
 }
 
-// submitJob hands a job to the coalescer and waits for its batch to prove.
-// Jobs only coalesce with other jobs of the same tenant.
+// admit is the one admission check of proving work. It charges units to
+// the QueueCap ledger and to gauge, the kind's share of it in Snapshot,
+// or returns errQueueFull (ErrClosed after Close). The one atomic add is
+// what keeps concurrent admissions of every kind from jointly
+// overshooting the cap, and the cap is what keeps a burst of distinct
+// tenants from parking unbounded decoded matrices in open windows.
+// Admitted, it calls start — which must not block — while Close cannot
+// begin, so every admitted unit is running, parked in a window Close
+// flushes, or counted in s.wg. release gives the units back once their
+// work is proved or dropped.
+func (s *Server) admit(units int, gauge *atomic.Int64, start func()) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return ErrClosed
+	}
+	if s.metrics.queueUnits.Add(int64(units)) > int64(s.cfg.QueueCap) {
+		s.metrics.queueUnits.Add(-int64(units))
+		return errQueueFull
+	}
+	gauge.Add(int64(units))
+	start()
+	return nil
+}
+
+// release returns units admit charged to gauge and the ledger.
+func (s *Server) release(units int, gauge *atomic.Int64) {
+	gauge.Add(-int64(units))
+	s.metrics.queueUnits.Add(-int64(units))
+}
+
+// spawn runs admitted work on a goroutine of its own, counted in s.wg,
+// holding one budget token for the whole run: with every token taken
+// the per-proof loops run sequentially, and a lone run borrows the idle
+// tokens for its own hot loops. The pool is resolved per run — not
+// captured at construction — so if the embedder resizes the budget
+// (zkvc.SetParallelism) new work moves to the new pool together with the
+// loops inside it, and each Acquire/Release pair lands on one pool.
+// Callers hold the admission lock or winMu, so Close's wait sees it.
+// The QueueCap ledger bounds how many spawned runs wait for a token:
+// each holds at least one admitted unit.
+func (s *Server) spawn(run func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		pool := parallel.Default()
+		pool.Acquire()
+		defer pool.Release()
+		run()
+	}()
+}
+
+// submitJob admits one matmul statement into its tenant's coalescing
+// window and waits for the window's proof. Jobs only coalesce with jobs
+// of the same tenant.
 func (s *Server) submitJob(tenant string, x, w *zkvc.Matrix) (*wire.ProveResponse, error) {
 	j := &job{tenant: tenant, x: x, w: w, resp: make(chan jobResult, 1)}
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	// QueueCap bounds every accepted-but-unproved unit of work — waiting
-	// in the channel, parked in the coalescer's per-tenant pending map,
-	// or mid proof — not just the channel buffer. The coalescer drains
-	// the channel eagerly into the pending map, so the buffer alone
-	// sheds no load; without this bound a burst of distinct tenants
-	// could park unbounded decoded matrices. The ledger (queueUnits) is
-	// shared with model jobs, which charge their per-op counts
-	// (submitPlanned); the single atomic add is what keeps concurrent
-	// submissions of both kinds from jointly overshooting the cap.
-	// Units are released when a batch's proving finishes.
-	if s.metrics.queueUnits.Add(1) > int64(s.cfg.QueueCap) {
-		s.metrics.queueUnits.Add(-1)
-		s.mu.RUnlock()
-		return nil, errQueueFull
-	}
-	s.metrics.queueDepth.Add(1)
-	select {
-	case s.submit <- j:
-		s.mu.RUnlock()
-	default:
-		s.metrics.queueDepth.Add(-1)
-		s.metrics.queueUnits.Add(-1)
-		s.mu.RUnlock()
-		return nil, errQueueFull
+	if err := s.admit(1, &s.metrics.queueDepth, func() { s.enqueue(j) }); err != nil {
+		return nil, err
 	}
 	r := <-j.resp
 	return r.resp, r.err
 }
 
-// pendingBatch is one tenant's open coalescing window. The id ties the
-// batch to its entry in the flush queue so a batch flushed early (MaxBatch)
-// does not get flushed again by its stale deadline.
-type pendingBatch struct {
-	id   uint64
-	jobs []*job
-}
-
-// flushEntry schedules a pending batch's deadline. The window length is
-// the same for every tenant, so entries are appended in deadline order and
-// the queue head is always the next batch due.
-type flushEntry struct {
-	tenant   string
-	id       uint64
-	deadline time.Time
-}
-
-// coalesce is the dispatcher: it folds matmul jobs arriving within
-// Window (or up to MaxBatch) into one unit of work for the pool, and
-// forwards model jobs straight through — a model trace is already a
-// batch of circuits, so it gains nothing from the window. Batches are
-// keyed by tenant: requests from different tenants never share a batch,
-// because a coalesced response necessarily exposes every statement in it
-// (see the package comment). Being the sole writer of s.work, the
-// dispatcher also owns closing it on shutdown, after every accepted
-// submission of either kind has been forwarded.
-func (s *Server) coalesce() {
-	defer s.wg.Done()
-	defer close(s.work)
-	pending := make(map[string]*pendingBatch)
-	var queue []flushEntry
-	var seq uint64
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	var timerC <-chan time.Time
-
-	flush := func(tenant string) {
-		pb := pending[tenant]
-		if pb == nil {
-			return
-		}
-		delete(pending, tenant)
-		s.work <- batchWork(pb.jobs)
+// enqueue adds an admitted job to its tenant's window. The first job of
+// a window arms the window's own timer; the job that fills it to
+// MaxBatch flushes it at once. A timer that fires after its window was
+// flushed finds another window (or none) in the map and does nothing.
+func (s *Server) enqueue(j *job) {
+	s.winMu.Lock()
+	defer s.winMu.Unlock()
+	w := s.windows[j.tenant]
+	if w == nil {
+		w = &window{}
+		w.timer = time.AfterFunc(s.cfg.Window, func() {
+			s.winMu.Lock()
+			defer s.winMu.Unlock()
+			if s.windows[j.tenant] == w {
+				s.flushLocked(j.tenant)
+			}
+		})
+		s.windows[j.tenant] = w
 	}
-	// rearm points the single timer at the earliest live deadline,
-	// discarding queue entries whose batch already flushed. Go 1.23+
-	// timer semantics (go.mod requires 1.24): after Stop, no stale value
-	// is ever delivered, so Reset is safe without draining timer.C —
-	// draining here could in fact block forever on the now-unbuffered
-	// channel.
-	rearm := func() {
-		timer.Stop()
-		timerC = nil
-		for len(queue) > 0 {
-			h := queue[0]
-			if pb := pending[h.tenant]; pb == nil || pb.id != h.id {
-				queue = queue[1:]
-				continue
-			}
-			timer.Reset(time.Until(h.deadline))
-			timerC = timer.C
-			return
-		}
-	}
-
-	for {
-		select {
-		case sub, ok := <-s.submit:
-			if !ok {
-				if timerC != nil {
-					timer.Stop()
-				}
-				for tenant := range pending {
-					flush(tenant)
-				}
-				return
-			}
-			j, isMatMul := sub.(*job)
-			if !isMatMul {
-				s.work <- sub.(workItem)
-				continue
-			}
-			pb := pending[j.tenant]
-			if pb == nil {
-				seq++
-				pb = &pendingBatch{id: seq}
-				pending[j.tenant] = pb
-				queue = append(queue, flushEntry{j.tenant, seq, time.Now().Add(s.cfg.Window)})
-				if timerC == nil {
-					rearm()
-				}
-			}
-			pb.jobs = append(pb.jobs, j)
-			if len(pb.jobs) >= s.cfg.MaxBatch {
-				flush(j.tenant)
-				rearm()
-			}
-		case <-timerC:
-			timerC = nil
-			now := time.Now()
-			for len(queue) > 0 {
-				h := queue[0]
-				if pb := pending[h.tenant]; pb == nil || pb.id != h.id {
-					queue = queue[1:]
-					continue
-				}
-				if h.deadline.After(now) {
-					break
-				}
-				queue = queue[1:]
-				flush(h.tenant)
-			}
-			rearm()
-		}
+	w.jobs = append(w.jobs, j)
+	if len(w.jobs) >= s.cfg.MaxBatch {
+		s.flushLocked(j.tenant)
 	}
 }
 
-// worker runs queued work items — matmul batches and model jobs alike —
-// until the service closes. Each item holds one budget token while
-// proving: with every token taken by concurrent items the per-proof
-// loops run sequentially, and a lone item borrows the idle tokens for
-// its own hot loops (a model job's independent ops fan out exactly like
-// a batch's statements). The pool is resolved per item — not captured at
-// construction — so if the embedder resizes the budget
-// (zkvc.SetParallelism) new jobs move to the new pool together with the
-// loops inside them, and each job's Acquire/Release pair always lands on
-// the same pool object.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	prover := s.newProver()
-	for item := range s.work {
-		pool := parallel.Default()
-		pool.Acquire()
-		item.run(s, prover)
-		pool.Release()
-	}
+// flushLocked closes tenant's window and proves it. winMu is held.
+func (s *Server) flushLocked(tenant string) {
+	w := s.windows[tenant]
+	delete(s.windows, tenant)
+	w.timer.Stop()
+	s.spawn(func() { s.proveBatch(w.jobs) })
 }
 
-func (s *Server) proveBatch(prover *zkvc.MatMulProver, jobs []*job) {
-	defer s.metrics.queueDepth.Add(-int64(len(jobs)))
-	defer s.metrics.queueUnits.Add(-int64(len(jobs)))
+func (s *Server) proveBatch(jobs []*job) {
 	pairs := make([][2]*zkvc.Matrix, len(jobs))
 	xs := make([]*zkvc.Matrix, len(jobs))
 	for i, j := range jobs {
 		pairs[i] = [2]*zkvc.Matrix{j.x, j.w}
 		xs[i] = j.x
 	}
-	proof, err := prover.ProveBatchContext(context.Background(), pairs...)
+	proof, err := s.newProver().ProveBatchContext(context.Background(), pairs...)
+	s.release(len(jobs), &s.metrics.queueDepth)
 	if err != nil {
 		s.metrics.proveErrors.Add(1)
 		for _, j := range jobs {
@@ -670,7 +579,7 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request, in Input) {
 // means something when this service ran that setup).
 func (s *Server) handleProveMatMul(w http.ResponseWriter, r *http.Request, in Input) {
 	req := in.Msg.(*wire.ProveRequest)
-	s.proveDirect(w, r, &s.metrics.matmulsProved, func(ctx context.Context, p *zkvc.MatMulProver) (*directProof, error) {
+	s.proveDirect(w, r, 1, &s.metrics.matmulsProved, func(ctx context.Context, p *zkvc.MatMulProver) (*directProof, error) {
 		proof, err := p.ProveContext(ctx, req.X, req.W)
 		if err != nil {
 			return nil, err
@@ -689,18 +598,33 @@ type directProof struct {
 	digest  func() [sha256.Size]byte
 }
 
-// proveDirect is the one path behind both direct endpoints. It holds one
-// budget token for the proof, like every other unit of proving work, and
-// the request context bounds the wait, so a caller that cancels while
-// queued leaves the line instead of proving to nobody.
-func (s *Server) proveDirect(w http.ResponseWriter, r *http.Request, proved *atomic.Int64, prove func(context.Context, *zkvc.MatMulProver) (*directProof, error)) {
-	pool := parallel.Default()
-	if err := pool.AcquireCtx(r.Context()); err != nil {
+// proveDirect is the one path behind both direct endpoints, run on the
+// request goroutine. It admits the request's statements (units) like
+// every other unit of proving work, shedding with 503 when the ledger is
+// full, and holds one budget token for the proof; the request context
+// bounds the wait for it, so a caller that cancels while queued leaves
+// the line instead of proving to nobody. Units and token go back once
+// the proof exists, before it is attested and written.
+func (s *Server) proveDirect(w http.ResponseWriter, r *http.Request, units int, proved *atomic.Int64, prove func(context.Context, *zkvc.MatMulProver) (*directProof, error)) {
+	if units > s.cfg.QueueCap {
+		http.Error(w, fmt.Sprintf("batch of %d statements is above this service's queue capacity %d; split it or raise QueueCap",
+			units, s.cfg.QueueCap), http.StatusBadRequest)
+		return
+	}
+	if err := s.admit(units, &s.metrics.queueDepth, func() { s.wg.Add(1) }); err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	defer pool.Release()
-	p, err := prove(r.Context(), s.newDirectProver())
+	defer s.wg.Done()
+	p, err := func() (*directProof, error) {
+		defer s.release(units, &s.metrics.queueDepth)
+		pool := parallel.Default()
+		if err := pool.AcquireCtx(r.Context()); err != nil {
+			return nil, err
+		}
+		defer pool.Release()
+		return prove(r.Context(), s.newDirectProver())
+	}()
 	if err != nil {
 		// A canceled request is client churn, not a proving fault: keep
 		// prove_errors an operator alarm, matching the model pipeline's
@@ -741,7 +665,7 @@ func (s *Server) proveDirect(w http.ResponseWriter, r *http.Request, proved *ato
 // vouch for them.
 func (s *Server) handleProveBatch(w http.ResponseWriter, r *http.Request, in Input) {
 	req := in.Msg.(*wire.ProveBatchRequest)
-	s.proveDirect(w, r, &s.metrics.directBatchesProved, func(ctx context.Context, p *zkvc.MatMulProver) (*directProof, error) {
+	s.proveDirect(w, r, len(req.Pairs), &s.metrics.directBatchesProved, func(ctx context.Context, p *zkvc.MatMulProver) (*directProof, error) {
 		proof, err := p.ProveBatchContext(ctx, req.Pairs...)
 		if err != nil {
 			return nil, err

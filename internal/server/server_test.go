@@ -15,6 +15,7 @@ import (
 
 	"zkvc"
 	"zkvc/internal/nn"
+	"zkvc/internal/parallel"
 	"zkvc/internal/server"
 	"zkvc/internal/wire"
 	"zkvc/internal/zkml"
@@ -72,7 +73,6 @@ func TestServerCoalescingE2E(t *testing.T) {
 	cfg.Backend = zkvc.Spartan
 	cfg.Window = 300 * time.Millisecond
 	cfg.MaxBatch = 8
-	cfg.Workers = 2
 	cfg.Seed = 1
 
 	_, ts := newTestServer(t, cfg)
@@ -158,7 +158,6 @@ func TestModelCRSCacheSingleflight(t *testing.T) {
 	// As many jobs as the model endpoints admit buffered bodies at once
 	// (modelBodySlots), so no submission is shed with a 503.
 	const n = 4
-	cfg.Workers = n
 
 	_, ts := newTestServer(t, cfg)
 
@@ -384,7 +383,6 @@ func TestTenantPartitioning(t *testing.T) {
 	cfg.Backend = zkvc.Spartan
 	cfg.Window = 300 * time.Millisecond
 	cfg.MaxBatch = 8
-	cfg.Workers = 2
 	cfg.Seed = 8
 
 	_, ts := newTestServer(t, cfg)
@@ -465,7 +463,6 @@ func TestQueueCapBoundsParkedJobs(t *testing.T) {
 	cfg.Backend = zkvc.Spartan
 	cfg.Window = 10 * time.Second // park jobs until Close flushes
 	cfg.QueueCap = 2
-	cfg.Workers = 1
 	cfg.Seed = 11
 
 	s, err := server.New(cfg)
@@ -533,7 +530,6 @@ func TestServerCloseDrains(t *testing.T) {
 	cfg := server.DefaultConfig()
 	cfg.Backend = zkvc.Spartan
 	cfg.Window = 20 * time.Millisecond
-	cfg.Workers = 1
 	cfg.Seed = 5
 
 	s, err := server.New(cfg)
@@ -558,5 +554,171 @@ func TestServerCloseDrains(t *testing.T) {
 	status, _ = post(t, ts.URL+"/v1/prove", body)
 	if status != http.StatusServiceUnavailable {
 		t.Errorf("post-close prove: status %d, want 503", status)
+	}
+}
+
+// TestQueueCapShedsDirectRoutes: the direct routes are admitted against
+// the same QueueCap ledger as every other proving request. With the
+// ledger filled by a model job parked behind the only budget token, they
+// answer 503 at once instead of waiting for the token without bound,
+// and the shed requests leave nothing charged behind. A batch larger
+// than the whole ledger is a 400.
+func TestQueueCapShedsDirectRoutes(t *testing.T) {
+	mcfg := tinyModelConfig(nn.MixerPooling)
+	trace := capturedTrace(t, mcfg, 5)
+	plan, err := zkml.PlanTrace(trace, zkml.Options{ProveNonlinear: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := server.DefaultConfig()
+	cfg.Seed = 3
+	cfg.Parallelism = 1
+	cfg.QueueCap = len(plan) // the model job fills the ledger exactly
+	s, ts := newTestServer(t, cfg)
+
+	// Hold the one token, so the admitted job parks with its units charged.
+	pool := parallel.Default()
+	pool.Acquire()
+	held := true
+	defer func() {
+		if held {
+			pool.Release()
+		}
+	}()
+	submit := wire.EncodeJobSubmitRequest(&wire.JobSubmitRequest{
+		Model: &wire.ProveModelRequest{Backend: zkvc.Spartan, ProveNonlinear: true, Cfg: mcfg, Trace: trace},
+	})
+	if code, raw := post(t, ts.URL+"/v1/jobs", submit); code != http.StatusAccepted {
+		t.Fatalf("model job: status %d: %s", code, raw)
+	}
+	if got := s.Metrics().ModelOpsQueued; got != int64(len(plan)) {
+		t.Fatalf("model_ops_queued = %d, want %d", got, len(plan))
+	}
+
+	rng := mrand.New(mrand.NewSource(70))
+	x := zkvc.RandomMatrix(rng, 2, 3, 16)
+	w := zkvc.RandomMatrix(rng, 3, 2, 16)
+	direct := map[string][]byte{
+		"/v1/prove/matmul": wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: w}),
+		"/v1/prove/batch":  wire.EncodeProveBatchRequest(&wire.ProveBatchRequest{Pairs: [][2]*zkvc.Matrix{{x, w}}}),
+	}
+	// A bounded client: a route that waits for the held token instead of
+	// shedding fails here rather than hanging the test.
+	hc := &http.Client{Timeout: 10 * time.Second}
+	for path, body := range direct {
+		resp, err := hc.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s with the ledger full: %v", path, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s with the ledger full: status %d body %s, want 503", path, resp.StatusCode, raw)
+		}
+	}
+	if snap := s.Metrics(); snap.QueueDepth != 0 || snap.ModelOpsQueued != int64(len(plan)) {
+		t.Fatalf("after shedding: queue_depth %d, model_ops_queued %d; want 0 and %d", snap.QueueDepth, snap.ModelOpsQueued, len(plan))
+	}
+
+	// Once the token is free the job proves, the ledger drains, and the
+	// direct routes are admitted again.
+	held = false
+	pool.Release()
+	deadline := time.Now().Add(60 * time.Second)
+	for snap := s.Metrics(); snap.ModelJobsProved != 1 || snap.ModelOpsQueued != 0; snap = s.Metrics() {
+		if time.Now().After(deadline) {
+			t.Fatalf("parked model job never drained: %+v", snap)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for path, body := range direct {
+		if code, raw := post(t, ts.URL+path, body); code != http.StatusOK {
+			t.Fatalf("%s after the ledger drained: status %d: %s", path, code, raw)
+		}
+	}
+	if snap := s.Metrics(); snap.QueueDepth != 0 || snap.MatMulsProved != 1 || snap.DirectBatchesProved != 1 {
+		t.Fatalf("after the direct proofs: queue_depth %d, matmuls %d, batches %d; want 0, 1, 1",
+			snap.QueueDepth, snap.MatMulsProved, snap.DirectBatchesProved)
+	}
+	// A batch that could never be admitted is told so, not shed forever.
+	pairs := make([][2]*zkvc.Matrix, cfg.QueueCap+1)
+	for i := range pairs {
+		pairs[i] = [2]*zkvc.Matrix{x, w}
+	}
+	if code, raw := post(t, ts.URL+"/v1/prove/batch", wire.EncodeProveBatchRequest(&wire.ProveBatchRequest{Pairs: pairs})); code != http.StatusBadRequest {
+		t.Fatalf("batch above the queue capacity: status %d: %s, want 400", code, raw)
+	}
+}
+
+// TestWindowStaleTimerDoesNotCutNextWindowShort: a window flushed early
+// at MaxBatch leaves its timer behind, and that timer must not flush the
+// tenant's next window when it fires. Jobs 1 and 2 fill a window at
+// once; job 3 opens the next one at W/2, and job 4 joins it at 5W/4 —
+// after the first window's timer fired at W, before job 3's own timer
+// at 3W/2. Each job must come back in a batch of two, two batches in
+// all; a stale flush would prove job 3 alone and give job 4 a third.
+func TestWindowStaleTimerDoesNotCutNextWindowShort(t *testing.T) {
+	const window = time.Second
+	cfg := server.DefaultConfig()
+	cfg.Window = window
+	cfg.MaxBatch = 2
+	cfg.Seed = 9
+	s, ts := newTestServer(t, cfg)
+
+	rng := mrand.New(mrand.NewSource(80))
+	x := zkvc.RandomMatrix(rng, 2, 3, 16)
+	w := zkvc.RandomMatrix(rng, 3, 2, 16)
+	body := wire.EncodeProveRequest(&wire.ProveRequest{X: x, W: w})
+
+	start := time.Now()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	send := func(job int, at time.Duration) {
+		time.Sleep(time.Until(start.Add(at)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, raw := post(t, ts.URL+"/v1/prove", body)
+			if status != http.StatusOK {
+				errs <- fmt.Errorf("job %d: status %d: %s", job, status, raw)
+				return
+			}
+			resp, err := wire.DecodeProveResponse(raw)
+			if err != nil {
+				errs <- fmt.Errorf("job %d: %v", job, err)
+				return
+			}
+			if len(resp.Xs) != 2 {
+				errs <- fmt.Errorf("job %d came back in a batch of %d, want 2", job, len(resp.Xs))
+			}
+		}()
+	}
+	send(1, 0)
+	send(2, 0)
+	send(3, window/2)
+	send(4, window*5/4)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if snap := s.Metrics(); snap.BatchesProved != 2 || snap.Requests != 4 {
+		t.Errorf("batches_proved %d, requests %d; want 2 and 4", snap.BatchesProved, snap.Requests)
+	}
+}
+
+// TestAnnounceCarriesParallelism: the registration a node sends its
+// coordinator carries the node's parallel budget as its capacity hint.
+func TestAnnounceCarriesParallelism(t *testing.T) {
+	cfg := server.DefaultConfig()
+	cfg.Parallelism = 3
+	s, _ := newTestServer(t, cfg)
+	snap := s.Metrics()
+	a := snap.Announce("prover-1", "http://10.0.0.7:8799")
+	if a.Name != "prover-1" || a.URL != "http://10.0.0.7:8799" || a.Workers != 3 {
+		t.Fatalf("announce = %+v, want prover-1 at http://10.0.0.7:8799 with 3 workers", a)
+	}
+	if _, err := wire.DecodeNodeAnnounce(wire.EncodeNodeAnnounce(a)); err != nil {
+		t.Fatalf("announce does not round-trip the wire: %v", err)
 	}
 }

@@ -127,7 +127,7 @@ func (g *gatedWriter) Write(p []byte) (int, error) {
 // TestSyncStreamBuffersAtMostFiveFrames pins the memory bound of a
 // /v1/prove/model stream whose reader stops after the header: one op
 // frame being written plus four queued, and then proving waits. With
-// one worker and a one-token budget the ops prove one at a time, so a
+// a one-token budget the ops prove one at a time, so a
 // sixth proved op is the last one that can exist while the write is
 // blocked — whatever the job's length. The stall shows in
 // stream_stalls, and once the reader resumes the report is the one
@@ -144,7 +144,6 @@ func TestSyncStreamBuffersAtMostFiveFrames(t *testing.T) {
 	cfg := server.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Parallelism = 1
-	cfg.Workers = 1
 	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -12,8 +12,8 @@ package wire
 // is the node's stable identity — the rendezvous-hash input, so a node
 // that restarts under the same name keeps the same slice of the keyspace
 // (and its warm CRS cache stays relevant). URL is where the coordinator
-// forwards work. Workers is a capacity hint (the node's proving pool
-// size); the coordinator records it for operators, routing itself is
+// forwards work. Workers is a capacity hint (the node's parallel
+// budget); the coordinator records it for operators, routing itself is
 // affinity-driven.
 type NodeAnnounce struct {
 	Name    string
