@@ -513,20 +513,45 @@ func BenchmarkVerifyReport(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, workers := range []int{1, 0} {
-				name := "workers=all"
-				if workers == 1 {
-					name = "workers=1"
+			atWorkers(b, func() error { return zkml.VerifyReport(rep, opts) })
+		})
+	}
+}
+
+// BenchmarkVerifyMatMul times one VerifyMatMul of a matmul_spartan-shape
+// statement (49×64×128, Fig. 3's product on the transparent backend),
+// proved once outside the timer, on one worker and on the whole worker
+// budget: the lone-verify row beside BenchmarkVerifyReport's reports.
+//
+//	go test -run '^$' -bench BenchmarkVerifyMatMul -benchtime 20x
+func BenchmarkVerifyMatMul(b *testing.B) {
+	rng := mrand.New(mrand.NewSource(1))
+	x := zkvc.RandomMatrix(rng, 49, 64, 256)
+	w := zkvc.RandomMatrix(rng, 64, 128, 256)
+	prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
+	prover.Reseed(2)
+	proof, err := prover.ProveContext(context.Background(), x, w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	atWorkers(b, func() error { return zkvc.VerifyMatMul(x, proof) })
+}
+
+// atWorkers times op in two sub-benchmarks: on one worker, the serial
+// schedule, and on the whole worker budget.
+func atWorkers(b *testing.B, op func() error) {
+	for _, workers := range []int{1, 0} {
+		name := "workers=all"
+		if workers == 1 {
+			name = "workers=1"
+		}
+		b.Run(name, func(b *testing.B) {
+			zkvc.SetParallelism(workers)
+			defer zkvc.SetParallelism(0)
+			for i := 0; i < b.N; i++ {
+				if err := op(); err != nil {
+					b.Fatal(err)
 				}
-				b.Run(name, func(b *testing.B) {
-					zkvc.SetParallelism(workers)
-					defer zkvc.SetParallelism(0)
-					for i := 0; i < b.N; i++ {
-						if err := zkml.VerifyReport(rep, opts); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
 			}
 		})
 	}

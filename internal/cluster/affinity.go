@@ -2,7 +2,10 @@ package cluster
 
 // Affinity keys: the routing input of the rendezvous hash, chosen to
 // coincide with what the nodes cache and coalesce by, so that routing
-// equals cache locality.
+// equals cache locality. On a node's Groth16 key cache that locality
+// pays for gadget circuits, which depend only on their shape, and for
+// replayed inputs; a matmul circuit is bound to its operands by its
+// Fiat–Shamir challenge and is set up anew for every new input.
 //
 // Matmul jobs key on (tenant, product shape, circuit options) — the
 // node-side coalescer partitions by tenant, so everything that could

@@ -1,13 +1,14 @@
 // Package cluster scales the proving service out: a coordinator fronts
 // a pool of ordinary prover nodes (internal/server instances), routing
-// every job by CRS affinity so identical circuits keep landing on the
-// node whose setup cache is already warm.
+// every job by CRS affinity so identical circuits (gadget shapes,
+// replayed inputs) keep landing on the node whose setup cache is
+// already warm.
 //
 // Routing is rendezvous (highest-random-weight) hashing on the same key
 // the nodes coalesce and cache by — matmul: (tenant, shape, circuit
 // options); model: (tenant, backend, trace circuit structure) — so a
-// tenant's repeated shapes hit one node's Groth16 CRS cache instead of
-// every node re-deriving every shape, and adding a node only remaps the
+// tenant's repeated circuits hit one node's Groth16 CRS cache instead of
+// every node setting each one up, and adding a node only remaps the
 // 1/n of the keyspace it takes over.
 //
 // Forwarding is one table (forward.go): a row per endpoint of the node

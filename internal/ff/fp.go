@@ -23,13 +23,6 @@ func initFpConstants() {
 // PModulus returns the base-field prime as a new big.Int.
 func PModulus() *big.Int { return new(big.Int).Set(pMod.big) }
 
-// NewFp returns the field element for v.
-func NewFp(v uint64) Fp {
-	var z Fp
-	z.SetUint64(v)
-	return z
-}
-
 // Set sets z = x and returns z.
 func (z *Fp) Set(x *Fp) *Fp { *z = *x; return z }
 

@@ -254,13 +254,3 @@ func Verify(vk *VerifyingKey, proof *Proof, public []ff.Fr) error {
 	}
 	return nil
 }
-
-// DomainSize reports the QAP domain size the system will use, exposed for
-// benchmarking.
-func DomainSize(sys *r1cs.System) int {
-	d, err := qap.Domain(sys)
-	if err != nil {
-		return -1
-	}
-	return d.N
-}

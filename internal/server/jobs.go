@@ -314,9 +314,9 @@ func retryAfterSeconds(pos int64) int {
 
 // rejectJob sheds one submission with 429 + Retry-After and a
 // queue-position snapshot in the body — the dcs-web admission pattern:
-// tell the client where it would have stood, let it decide.
+// tell the client where it would have stood, let it decide. The refusal
+// is counted where it is made: by admit, or at the tenant quota.
 func (s *Server) rejectJob(w http.ResponseWriter, reason string) {
-	s.metrics.admissionRejects.Add(1)
 	pos := s.metrics.queueUnits.Load()
 	if pos < 0 {
 		pos = 0
@@ -373,6 +373,7 @@ func (s *Server) startModelJob(w http.ResponseWriter, r *http.Request, in Input,
 	if id != "" && !s.jobs.admit(j, s.cfg.TenantJobQuota) {
 		j.cancel()
 		j.jl.removeFile()
+		s.metrics.admissionRejects.Add(1)
 		s.rejectJob(w, fmt.Sprintf("tenant holds %d live jobs, the per-tenant quota; cancel or let some expire", s.cfg.TenantJobQuota))
 		return nil
 	}

@@ -518,8 +518,8 @@ func TestJobAdmissionHonest429(t *testing.T) {
 				positions[i-1], positions[i], i-1, i, positions)
 		}
 	}
-	if snap := s.Metrics(); snap.AdmissionRejects < int64(len(positions)) {
-		t.Fatalf("admission_rejects = %d, want >= %d", snap.AdmissionRejects, len(positions))
+	if snap := s.Metrics(); snap.AdmissionRejects != int64(len(positions)) {
+		t.Fatalf("admission_rejects = %d, want %d: one per 429", snap.AdmissionRejects, len(positions))
 	}
 }
 
@@ -604,7 +604,7 @@ func TestJobTenantIsolationQuotaAndCancel(t *testing.T) {
 	scfg.Seed = seed
 	scfg.JournalDir = dir
 	scfg.TenantJobQuota = 1
-	_, ts := newTestServer(t, scfg)
+	s, ts := newTestServer(t, scfg)
 
 	ctx := context.Background()
 	acA := server.NewAsyncClient(ts.URL)
@@ -632,6 +632,9 @@ func TestJobTenantIsolationQuotaAndCancel(t *testing.T) {
 	acA.RetryCap = 10 * time.Millisecond
 	if _, err := acA.SubmitJob(ctx, req); !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
 		t.Fatalf("over-quota submission: %v, want 429", err)
+	}
+	if got := s.Metrics().AdmissionRejects; got != 2 {
+		t.Fatalf("admission_rejects = %d after two over-quota attempts, want 2", got)
 	}
 	// tenant-b has its own quota.
 	stB, err := acB.SubmitJob(ctx, req)

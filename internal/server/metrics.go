@@ -108,9 +108,10 @@ type Snapshot struct {
 	StreamStallNanos  int64 `json:"stream_stall_nanos" prom:"counter"`
 
 	// Async-job counters: jobs admitted through POST /v1/jobs, live jobs
-	// (gauge), streams resumed from a non-zero frame, journals deleted by
-	// the TTL reaper or DELETE, and submissions turned away with 429
-	// (queue saturation or tenant quota).
+	// (gauge), streams resumed from a non-zero frame and journals deleted
+	// by the TTL reaper or DELETE. AdmissionRejects counts every shed
+	// proving request once: a full QueueCap ledger on any route (503, or
+	// 429 on POST /v1/jobs) and a tenant at its job quota (429).
 	JobsSubmitted    int64 `json:"jobs_submitted" prom:"counter"`
 	JobsActive       int64 `json:"jobs_active" prom:"gauge"`
 	JobsResumed      int64 `json:"jobs_resumed" prom:"counter"`

@@ -5,11 +5,12 @@ package server
 // any other proving work. It is admitted against the QueueCap ledger (as
 // its op count, since that is the work it parks), holds one budget token
 // while it runs, and shares the Groth16 key cache (zkml.KeyCache, keyed
-// by circuit structure digest and consulted once per op, so the twelve
-// identical blocks of a ViT pay one setup across all requests and
-// tenants) and the issued-proof log (one whole-report, tenant-scoped
-// digest per completed job, so /v1/verify/model only vouches for reports
-// this service streamed to that tenant, unmodified and complete).
+// by circuit structure digest and consulted once per op, so a gadget
+// circuit is set up once across blocks, requests and tenants and a
+// replayed input hits on every op) and the issued-proof log (one
+// whole-report, tenant-scoped digest per completed job, so
+// /v1/verify/model only vouches for reports this service streamed to
+// that tenant, unmodified and complete).
 
 import (
 	"crypto/sha256"

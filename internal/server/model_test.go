@@ -409,3 +409,63 @@ func TestModelJobsShareParallelBudgetUnderConcurrentLoad(t *testing.T) {
 		t.Fatalf("%d budget tokens still held after load drained", got)
 	}
 }
+
+// TestKeyCacheSharesGadgetsAndReplaysNotMatMuls pins what the service's
+// Groth16 key cache shares. A matmul op's circuit is built at a
+// Fiat–Shamir challenge over its own operands, so every new input is a
+// new circuit and a setup; a gadget circuit (softmax, GELU) depends only
+// on its shape, so a second input hits for every gadget op; replaying an
+// input hits for every op.
+func TestKeyCacheSharesGadgetsAndReplaysNotMatMuls(t *testing.T) {
+	cfg := server.DefaultConfig()
+	cfg.Backend = zkvc.Groth16
+	cfg.Seed = 4
+	s, ts := newTestServer(t, cfg)
+
+	mcfg := nn.TinyConfig("tiny-keys", nn.MixerSoftmax)
+	model, err := nn.NewModel(mcfg, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := func(seed int64) *nn.Trace {
+		tr := nn.Trace{Capture: true}
+		model.Forward(model.RandomInput(mrand.New(mrand.NewSource(seed))), &tr)
+		return &tr
+	}
+	in1, in2 := trace(1), trace(2)
+	plan, err := zkml.PlanTrace(in1, zkml.Options{ProveNonlinear: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var matmuls, gadgets int64
+	for _, op := range plan {
+		if op.Kind == nn.OpMatMul {
+			matmuls++
+		} else {
+			gadgets++
+		}
+	}
+	if matmuls == 0 || gadgets == 0 {
+		t.Fatalf("plan has %d matmul and %d gadget ops; the test needs both", matmuls, gadgets)
+	}
+
+	var hits, misses int64
+	prove := func(name string, tr *nn.Trace, wantHits, wantMisses int64) {
+		t.Helper()
+		req := &wire.ProveModelRequest{Backend: zkvc.Groth16, ProveNonlinear: true, Cfg: mcfg, Trace: tr}
+		if _, err := proveModelHTTP(t, ts.URL, "", req); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		snap := s.Metrics()
+		dh, dm := snap.CRSCacheHits-hits, snap.CRSCacheMisses-misses
+		hits, misses = snap.CRSCacheHits, snap.CRSCacheMisses
+		if dh+dm != matmuls+gadgets || dh < wantHits || dm < wantMisses {
+			t.Fatalf("%s: %d hits, %d misses over %d matmul and %d gadget ops; want at least %d hits and %d misses",
+				name, dh, dm, matmuls, gadgets, wantHits, wantMisses)
+		}
+	}
+	prove("input 1", in1, 0, matmuls)       // every matmul op is a new circuit
+	prove("input 2", in2, gadgets, matmuls) // ...again; every gadget op hits
+	prove("input 1 again", in1, matmuls+gadgets, 0)
+	t.Logf("cumulative: %d hits, %d misses", hits, misses)
+}

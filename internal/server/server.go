@@ -17,8 +17,10 @@
 // workload — streams one proof per traced operation back as it
 // finishes, so a 12-block model never buffers its whole report
 // server-side. All work shares the Groth16 key cache (zkml.KeyCache,
-// keyed by circuit structure digest, so identical transformer blocks
-// pay one setup) and the issued-proof log.
+// keyed by circuit structure digest: gadget circuits are set up once per
+// shape and a replayed input hits on every op, while each matmul circuit
+// is bound to its operands and set up per input) and the issued-proof
+// log.
 //
 // The endpoints are the rows of Routes (route.go), each with its request
 // and answer; besides them a node serves GET /healthz and, through
@@ -400,10 +402,11 @@ func (s *Server) newDirectProver() *zkvc.MatMulProver {
 
 // admit is the one admission check of proving work. It charges units to
 // the QueueCap ledger and to gauge, the kind's share of it in Snapshot,
-// or returns errQueueFull (ErrClosed after Close). The one atomic add is
-// what keeps concurrent admissions of every kind from jointly
-// overshooting the cap, and the cap is what keeps a burst of distinct
-// tenants from parking unbounded decoded matrices in open windows.
+// or returns errQueueFull (ErrClosed after Close), counting the refusal
+// in admission_rejects. The one atomic add is what keeps concurrent
+// admissions of every kind from jointly overshooting the cap, and the
+// cap is what keeps a burst of distinct tenants from parking unbounded
+// decoded matrices in open windows.
 // Admitted, it calls start — which must not block — while Close cannot
 // begin, so every admitted unit is running, parked in a window Close
 // flushes, or counted in s.wg. release gives the units back once their
@@ -416,6 +419,7 @@ func (s *Server) admit(units int, gauge *atomic.Int64, start func()) error {
 	}
 	if s.metrics.queueUnits.Add(int64(units)) > int64(s.cfg.QueueCap) {
 		s.metrics.queueUnits.Add(-int64(units))
+		s.metrics.admissionRejects.Add(1)
 		return errQueueFull
 	}
 	gauge.Add(int64(units))

@@ -561,8 +561,10 @@ func TestServerCloseDrains(t *testing.T) {
 // the same QueueCap ledger as every other proving request. With the
 // ledger filled by a model job parked behind the only budget token, they
 // answer 503 at once instead of waiting for the token without bound,
-// and the shed requests leave nothing charged behind. A batch larger
-// than the whole ledger is a 400.
+// and the shed requests leave nothing charged behind. Every refusal of
+// a full ledger — these two, a coalesced /v1/prove, a sync
+// /v1/prove/model and a 429 on /v1/jobs — counts once in
+// admission_rejects. A batch larger than the whole ledger is a 400.
 func TestQueueCapShedsDirectRoutes(t *testing.T) {
 	mcfg := tinyModelConfig(nn.MixerPooling)
 	trace := capturedTrace(t, mcfg, 5)
@@ -616,8 +618,26 @@ func TestQueueCapShedsDirectRoutes(t *testing.T) {
 			t.Fatalf("%s with the ledger full: status %d body %s, want 503", path, resp.StatusCode, raw)
 		}
 	}
-	if snap := s.Metrics(); snap.QueueDepth != 0 || snap.ModelOpsQueued != int64(len(plan)) {
-		t.Fatalf("after shedding: queue_depth %d, model_ops_queued %d; want 0 and %d", snap.QueueDepth, snap.ModelOpsQueued, len(plan))
+	if snap := s.Metrics(); snap.QueueDepth != 0 || snap.ModelOpsQueued != int64(len(plan)) || snap.AdmissionRejects != 2 {
+		t.Fatalf("after shedding: queue_depth %d, model_ops_queued %d, admission_rejects %d; want 0, %d and 2",
+			snap.QueueDepth, snap.ModelOpsQueued, snap.AdmissionRejects, len(plan))
+	}
+	// The other routes that charge the ledger shed too, one count each.
+	for _, c := range []struct {
+		path string
+		body []byte
+		code int
+	}{
+		{"/v1/prove", direct["/v1/prove/matmul"], http.StatusServiceUnavailable},
+		{"/v1/prove/model", wire.EncodeProveModelRequest(&wire.ProveModelRequest{Backend: zkvc.Spartan, ProveNonlinear: true, Cfg: mcfg, Trace: trace}), http.StatusServiceUnavailable},
+		{"/v1/jobs", submit, http.StatusTooManyRequests},
+	} {
+		if code, raw := post(t, ts.URL+c.path, c.body); code != c.code {
+			t.Fatalf("%s with the ledger full: status %d: %s, want %d", c.path, code, raw, c.code)
+		}
+	}
+	if got := s.Metrics().AdmissionRejects; got != 5 {
+		t.Fatalf("admission_rejects = %d after five refusals, want 5", got)
 	}
 
 	// Once the token is free the job proves, the ledger drains, and the

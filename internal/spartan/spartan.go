@@ -87,21 +87,27 @@ func bindRows(sys *r1cs.System, rx []ff.Fr, r *[3]ff.Fr, mz []ff.Fr) {
 	arena.PutFrs(eq)
 }
 
-// evalMatrices returns rA·Ã(rx,ry) + rB·B̃(rx,ry) + rC·C̃(rx,ry): the
-// rows bound to rx, then summed against one eq(ry, ·) table.
-func evalMatrices(sys *r1cs.System, rx, ry []ff.Fr, r *[3]ff.Fr) ff.Fr {
+// evalAt returns vm = rA·Ã(rx,ry) + rB·B̃(rx,ry) + rC·C̃(rx,ry) and
+// pub = pub̃(ry) = Σᵢ public[i]·eq(ry, i), both summed against one
+// eq(ry, ·) table: the rows bound to rx in O(nnz), the public input in
+// O(|public|). len(public) ≤ NumVars ≤ 2^|ry| keeps every index in range.
+func evalAt(sys *r1cs.System, public []ff.Fr, rx, ry []ff.Fr, r *[3]ff.Fr) (vm, pub ff.Fr) {
 	mz := arena.Frs(1 << len(ry))
 	eq := arena.Frs(1 << len(ry))
 	bindRows(sys, rx, r, mz)
 	mle.EqTableInto(ry, eq)
-	var acc, t ff.Fr
+	var t ff.Fr
 	for y := range mz {
 		t.Mul(&mz[y], &eq[y])
-		acc.Add(&acc, &t)
+		vm.Add(&vm, &t)
+	}
+	for i := range public {
+		t.Mul(&public[i], &eq[i])
+		pub.Add(&pub, &t)
 	}
 	arena.PutFrs(mz)
 	arena.PutFrs(eq)
-	return acc
+	return vm, pub
 }
 
 // Prove produces a Spartan proof for a satisfying assignment z.
@@ -269,16 +275,11 @@ func Verify(sys *r1cs.System, proof *Proof, public []ff.Fr, params pcs.Params) e
 		return fmt.Errorf("%w: %v", ErrInvalidProof, err)
 	}
 
-	// vM = rA·Ã(rx,ry) + rB·B̃(rx,ry) + rC·C̃(rx,ry), evaluated directly.
-	vm := evalMatrices(sys, rx, ry, &r)
-
-	// z̃(ry) = pub̃(ry) + priṽ(ry)
-	pubEval := evalPublicPart(public, ry)
-	var vz ff.Fr
-	vz.Add(&pubEval, &proof.PrivEval)
-	var prod ff.Fr
-	prod.Mul(&vm, &vz)
-	if !prod.Equal(&final2) {
+	// vM = rA·Ã(rx,ry) + rB·B̃(rx,ry) + rC·C̃(rx,ry), evaluated directly,
+	// and z̃(ry) = pub̃(ry) + priṽ(ry).
+	vm, vz := evalAt(sys, public, rx, ry, &r)
+	vz.Add(&vz, &proof.PrivEval)
+	if vm.Mul(&vm, &vz); !vm.Equal(&final2) {
 		return fmt.Errorf("%w: matrix–witness product fails at (rx,ry)", ErrInvalidProof)
 	}
 
@@ -287,26 +288,4 @@ func Verify(sys *r1cs.System, proof *Proof, public []ff.Fr, params pcs.Params) e
 		return fmt.Errorf("%w: %v", ErrInvalidProof, err)
 	}
 	return nil
-}
-
-// evalPublicPart computes Σ_{i < len(public)} public[i]·eq(ry, bits(i)) in
-// O(|public|·|ry|).
-func evalPublicPart(public []ff.Fr, ry []ff.Fr) ff.Fr {
-	s := len(ry)
-	var acc, term, one, f ff.Fr
-	one.SetOne()
-	for i := range public {
-		term.Set(&public[i])
-		for j := 0; j < s; j++ {
-			bit := (i >> (s - 1 - j)) & 1
-			if bit == 1 {
-				f.Set(&ry[j])
-			} else {
-				f.Sub(&one, &ry[j])
-			}
-			term.Mul(&term, &f)
-		}
-		acc.Add(&acc, &term)
-	}
-	return acc
 }

@@ -313,22 +313,19 @@ func randomSystem(rng *mrand.Rand, numCons, numVars int) *r1cs.System {
 	return sys
 }
 
-// bindRows and evalMatrices agree with the three matrices taken apart as
+// bindRows and evalAt agree with the three matrices taken apart as
 // sparse MLEs: rows bound by mle.BindRowsInto and combined, and the
-// evaluation summed entry by entry over eq(rx,row)·eq(ry,col).
+// evaluation summed entry by entry over eq(rx,row)·eq(ry,col). evalAt's
+// public evaluation agrees with publicEvalOracle at public lengths 1, 2,
+// 3, 5 and 129 and at every wire, whether or not that fills 2^sy.
 func TestMatrixBindingMatchesSparseOracle(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(77))
-	for _, shape := range [][2]int{{1, 1}, {1, 5}, {3, 2}, {5, 9}, {8, 8}, {13, 30}, {37, 17}} {
+	for _, shape := range [][2]int{{1, 1}, {1, 5}, {3, 2}, {5, 9}, {8, 8}, {13, 30}, {37, 17}, {3, 129}, {4, 256}} {
 		numCons, numVars := shape[0], shape[1]
 		sys := randomSystem(rng, numCons, numVars)
 		sx, sy := logDim(numCons), logDim(numVars)
-		rx, ry := make([]ff.Fr, sx), make([]ff.Fr, sy)
-		var r [3]ff.Fr
-		for _, v := range [][]ff.Fr{rx, ry, r[:]} {
-			for i := range v {
-				v[i].SetPseudoRandom(rng)
-			}
-		}
+		rx, ry := randomFrs(rng, sx), randomFrs(rng, sy)
+		r := [3]ff.Fr(randomFrs(rng, 3))
 
 		wantBound := make([]ff.Fr, 1<<sy)
 		var wantEval, term ff.Fr
@@ -359,8 +356,70 @@ func TestMatrixBindingMatchesSparseOracle(t *testing.T) {
 				t.Fatalf("%dx%d: bound column %d differs from the sparse oracle", numCons, numVars, y)
 			}
 		}
-		if v := evalMatrices(sys, rx, ry, &r); !v.Equal(&wantEval) {
-			t.Fatalf("%dx%d: matrix evaluation differs from the sparse oracle", numCons, numVars)
+		for _, n := range []int{1, 2, 3, 5, 129, numVars} {
+			if n > numVars {
+				continue
+			}
+			public := randomFrs(rng, n)
+			vm, pub := evalAt(sys, public, rx, ry, &r)
+			if !vm.Equal(&wantEval) {
+				t.Fatalf("%dx%d: matrix evaluation differs from the sparse oracle", numCons, numVars)
+			}
+			if want := publicEvalOracle(public, ry); !pub.Equal(&want) {
+				t.Fatalf("%dx%d: evaluation of %d publics differs from the bit-by-bit oracle", numCons, numVars, n)
+			}
 		}
 	}
+}
+
+func randomFrs(rng *mrand.Rand, n int) []ff.Fr {
+	v := make([]ff.Fr, n)
+	for i := range v {
+		v[i].SetPseudoRandom(rng)
+	}
+	return v
+}
+
+// publicEvalOracle computes Σ_{i < len(public)} public[i]·eq(ry, bits(i))
+// bit by bit in O(|public|·|ry|), with no eq table: the reference for the
+// public evaluation in evalAt.
+func publicEvalOracle(public []ff.Fr, ry []ff.Fr) ff.Fr {
+	s := len(ry)
+	var acc, term, one, f ff.Fr
+	one.SetOne()
+	for i := range public {
+		term.Set(&public[i])
+		for j := 0; j < s; j++ {
+			if (i>>(s-1-j))&1 == 1 {
+				f.Set(&ry[j])
+			} else {
+				f.Sub(&one, &ry[j])
+			}
+			term.Mul(&term, &f)
+		}
+		acc.Add(&acc, &term)
+	}
+	return acc
+}
+
+// FuzzSpartanPublicEval compares evalAt's public evaluation with the
+// bit-by-bit oracle at a fuzzed public length, wire count and seed.
+func FuzzSpartanPublicEval(f *testing.F) {
+	f.Add(uint16(0), uint16(0), int64(1))
+	f.Add(uint16(4), uint16(3), int64(2))
+	f.Add(uint16(128), uint16(0), int64(3))
+	f.Add(uint16(255), uint16(0), int64(4))
+	f.Fuzz(func(t *testing.T, n, extra uint16, seed int64) {
+		rng := mrand.New(mrand.NewSource(seed))
+		np := 1 + int(n)%512
+		numVars := np + int(extra)%512
+		sys := randomSystem(rng, 1+rng.Intn(4), numVars)
+		public := randomFrs(rng, np)
+		rx, ry := randomFrs(rng, logDim(sys.NumConstraints())), randomFrs(rng, logDim(numVars))
+		r := [3]ff.Fr(randomFrs(rng, 3))
+		_, got := evalAt(sys, public, rx, ry, &r)
+		if want := publicEvalOracle(public, ry); !got.Equal(&want) {
+			t.Fatalf("%d publics over %d wires: public evaluation differs from the bit-by-bit oracle", np, numVars)
+		}
+	})
 }

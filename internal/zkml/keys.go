@@ -12,8 +12,12 @@ import (
 // KeyCache memoizes Groth16 keys per circuit structure digest with
 // singleflight semantics: when many ops race for a new circuit, exactly
 // one runs the (expensive) trusted setup and the rest block on its
-// result. Identical transformer blocks synthesize identical circuits, so
-// a 12-block model pays setup once per distinct shape. The standard
+// result. What hits: a gadget circuit (softmax, GELU) depends only on its
+// shape, so its setup is shared across blocks, inputs and tenants, and a
+// replayed input finds every op's keys. A matmul circuit is built at a
+// Fiat–Shamir challenge over its own operands, so each new input misses
+// on every matmul op; a matmul setup shared across inputs is an epoch
+// CRS (zkvc.Setup), which this cache does not hold. The standard
 // library has no singleflight and the module is dependency-free, so this
 // is hand-rolled on a ready channel.
 //
