@@ -6,7 +6,6 @@ import (
 
 	"zkvc/internal/crpc"
 	"zkvc/internal/groth16"
-	"zkvc/internal/r1cs"
 	"zkvc/internal/spartan"
 	"zkvc/internal/zkml"
 )
@@ -118,8 +117,8 @@ func VerifyMatMulBatch(xs []*Matrix, proof *BatchProof) error {
 		stmts[i] = &crpc.Statement{X: xs[i], Y: proof.Ys[i]}
 	}
 	return verify(proof.Backend, proof.payload(), xs, proof.Ys,
-		func() *r1cs.System {
+		func() spartan.Circuit {
 			z, gamma := crpc.DeriveBatchChallenges(stmts, proof.Commit)
-			return crpc.SynthesizeBatchShape(proof.Shapes, z, gamma, proof.Opts)
+			return &crpc.Circuit{Shapes: proof.Shapes, Z: z, Gamma: gamma, Opts: proof.Opts}
 		})
 }

@@ -463,6 +463,12 @@ func TestAllocBudget(t *testing.T) {
 		// the decoder carved every LC from one term slice; a make per LC
 		// took the same row to 17 573 allocs and 10.6 MB.
 		{"Wire/opframe-softmax4x4", opFrameOp(softmaxOpProof(t)), 142, 4_480_740},
+		// The lone verify of BenchmarkVerifyMatMul, budgeted when it
+		// stopped building the CRPC constraint system: 1.25 × (115,
+		// 940 568), the most of 16 runs at GOMAXPROCS 1, 2 and 4 (most
+		// read 87 and 622 456). The same row took 243 allocs and 4.0 MB
+		// while it built the ~18k-term system per verify.
+		{"VerifyMatMul/zkVC-S", loneVerifyOp(t), 144, 1_175_710},
 	} {
 		// One unmeasured op first: the pools fill on it.
 		if _, err := row.op(); err != nil {
@@ -518,13 +524,11 @@ func BenchmarkVerifyReport(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyMatMul times one VerifyMatMul of a matmul_spartan-shape
-// statement (49×64×128, Fig. 3's product on the transparent backend),
-// proved once outside the timer, on one worker and on the whole worker
-// budget: the lone-verify row beside BenchmarkVerifyReport's reports.
-//
-//	go test -run '^$' -bench BenchmarkVerifyMatMul -benchtime 20x
-func BenchmarkVerifyMatMul(b *testing.B) {
+// loneVerifyOp proves one matmul_spartan-shape statement (49×64×128,
+// Fig. 3's product on the transparent backend) and returns its
+// VerifyMatMul. BenchmarkVerifyMatMul times it; TestAllocBudget bounds
+// its allocations.
+func loneVerifyOp(tb testing.TB) func() (int, error) {
 	rng := mrand.New(mrand.NewSource(1))
 	x := zkvc.RandomMatrix(rng, 49, 64, 256)
 	w := zkvc.RandomMatrix(rng, 64, 128, 256)
@@ -532,9 +536,39 @@ func BenchmarkVerifyMatMul(b *testing.B) {
 	prover.Reseed(2)
 	proof, err := prover.ProveContext(context.Background(), x, w)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	atWorkers(b, func() error { return zkvc.VerifyMatMul(x, proof) })
+	return func() (int, error) { return proof.SizeBytes(), zkvc.VerifyMatMul(x, proof) }
+}
+
+// BenchmarkVerifyMatMul times the verify of matmul statements proved
+// once outside the timer, on one worker and on the whole worker budget:
+// one VerifyMatMul of loneVerifyOp's statement, and one VerifyMatMulBatch
+// of three such statements folded into one proof. These are the
+// lone-verify rows beside BenchmarkVerifyReport's reports.
+//
+//	go test -run '^$' -bench BenchmarkVerifyMatMul -benchtime 20x
+func BenchmarkVerifyMatMul(b *testing.B) {
+	b.Run("VerifyMatMul", func(b *testing.B) {
+		op := loneVerifyOp(b)
+		atWorkers(b, func() error { _, err := op(); return err })
+	})
+	b.Run("VerifyMatMulBatch", func(b *testing.B) {
+		rng := mrand.New(mrand.NewSource(1))
+		var pairs [][2]*zkvc.Matrix
+		var xs []*zkvc.Matrix
+		for range 3 {
+			x := zkvc.RandomMatrix(rng, 49, 64, 256)
+			pairs, xs = append(pairs, [2]*zkvc.Matrix{x, zkvc.RandomMatrix(rng, 64, 128, 256)}), append(xs, x)
+		}
+		prover := zkvc.NewMatMulProver(zkvc.Spartan, zkvc.DefaultOptions())
+		prover.Reseed(2)
+		proof, err := prover.ProveBatchContext(context.Background(), pairs...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		atWorkers(b, func() error { return zkvc.VerifyMatMulBatch(xs, proof) })
+	})
 }
 
 // atWorkers times op in two sub-benchmarks: on one worker, the serial

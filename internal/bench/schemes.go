@@ -25,7 +25,7 @@ import (
 	"zkvc/internal/crpc"
 	"zkvc/internal/matrix"
 	"zkvc/internal/pcs"
-	"zkvc/internal/r1cs"
+	"zkvc/internal/spartan"
 	"zkvc/internal/zkml"
 )
 
@@ -182,7 +182,7 @@ func runCircuitScheme(scheme Scheme, opts crpc.Options, a, n, b int, seed int64)
 	res.Prove = synthesis + pay.Prove
 	res.ProofBytes = pay.SizeBytes()
 	start = time.Now()
-	if err := pay.Verify(backend, func() *r1cs.System { return syn.Sys }, syn.Public, params); err != nil {
+	if err := pay.Verify(backend, func() spartan.Circuit { return spartan.R1CS(syn.Sys) }, syn.Public, params); err != nil {
 		return res, fmt.Errorf("bench: %v self-verify: %w", scheme, err)
 	}
 	res.Verify = time.Since(start)

@@ -6,7 +6,6 @@ import (
 	"zkvc/internal/ff"
 	"zkvc/internal/matrix"
 	"zkvc/internal/parallel"
-	"zkvc/internal/r1cs"
 	"zkvc/internal/transcript"
 )
 
@@ -92,10 +91,4 @@ func SynthesizeBatch(bs *BatchStatement, opts Options) (*Synthesis, error) {
 	}
 	z, gamma := DeriveBatchChallenges(bs.Stmts, BatchCommit(bs.Stmts))
 	return synthesize(bs.Stmts, z, gamma, opts), nil
-}
-
-// SynthesizeBatchShape rebuilds the batch constraint system from public
-// shapes and challenges only (verifier side).
-func SynthesizeBatchShape(shapes [][3]int, z, gamma ff.Fr, opts Options) *r1cs.System {
-	return synthesize(zeroStatements(shapes), z, gamma, opts).Sys
 }

@@ -29,8 +29,10 @@ import (
 	"crypto/sha256"
 	"fmt"
 
+	"zkvc/internal/arena"
 	"zkvc/internal/ff"
 	"zkvc/internal/matrix"
+	"zkvc/internal/mle"
 	"zkvc/internal/r1cs"
 	"zkvc/internal/transcript"
 )
@@ -329,4 +331,103 @@ func accumulate(bld *r1cs.Builder, lefts, rights []r1cs.LC, target r1cs.LC, psq 
 		bld.AssertMul(lefts[k], rights[k], rhs)
 		prev = next
 	}
+}
+
+// Circuit is the verifier's view of the CRPC circuit that synthesize
+// builds over statements of the given (a, n, b) shapes at the challenges
+// Z and γ. It is a spartan.Circuit that evaluates its matrices in closed
+// form from the wire layout, building no constraint system. It requires
+// Opts.CRPC.
+type Circuit struct {
+	Shapes   [][3]int
+	Z, Gamma ff.Fr
+	Opts     Options
+}
+
+// Size returns synthesize's counts: P = Σn product constraints, plus the
+// closing addition without PSQ; the wires 1, every X, every Y, every W,
+// then P product wires without PSQ or P−1 prefix wires with it.
+func (c *Circuit) Size() (constraints, vars, public int) {
+	p, witness := 0, 0
+	public = 1
+	for _, sh := range c.Shapes {
+		public, witness, p = public+sh[0]*sh[1]+sh[0]*sh[2], witness+sh[1]*sh[2], p+sh[1]
+	}
+	if c.Opts.PSQ {
+		return p, public + witness + max(p-1, 0), public
+	}
+	return p + 1, public + witness + p, public
+}
+
+// EvalMatrices returns rA·Ã(rx,ry) + rB·B̃(rx,ry) + rC·C̃(rx,ry). With
+// ex = eq(rx, ·), ey = eq(ry, ·) and statement m's products at
+// constraints p₀+k, A-row p₀+k is γ^m·Σᵢ Z^{ib}·x_ik, B-row p₀+k is
+// Σⱼ Z^j·w_kj, and the target T = Σ_m γ^m Σ_{i,j} Z^{ib+j}·y_ij is in C
+// of the last constraint. Each sum over wires is a dot product of ey with
+// a contiguous run of them: one multiply per wire.
+func (c *Circuit) EvalMatrices(rx []ff.Fr, ey *mle.SplitEq, r *[3]ff.Fr) ff.Fr {
+	_, _, numPublic := c.Size()
+	maxPow, yOff := 0, 1
+	for _, sh := range c.Shapes {
+		maxPow, yOff = max(maxPow, sh[0]*sh[2], sh[2]), yOff+sh[0]*sh[1]
+	}
+	ex, pows := arena.Frs(1<<len(rx)), arena.Frs(maxPow+1)
+	defer arena.PutFrs(ex)
+	defer arena.PutFrs(pows)
+	mle.EqTableInto(rx, ex)
+	pows[0].SetOne()
+	for e := 1; e <= maxPow; e++ {
+		pows[e].Mul(&pows[e-1], &c.Z)
+	}
+
+	var va, vb, vc, target, gammaPow, t ff.Fr
+	gammaPow.SetOne()
+	xOff, wOff, p0 := 1, numPublic, 0
+	for _, sh := range c.Shapes {
+		a, n, b := sh[0], sh[1], sh[2]
+		var am ff.Fr
+		for i := range a {
+			d := ey.Dot(xOff+i*n, ex[p0:p0+n])
+			am.Add(&am, t.Mul(&d, &pows[i*b]))
+		}
+		cm := ey.Dot(yOff, pows[:a*b])
+		va.Add(&va, am.Mul(&am, &gammaPow))
+		target.Add(&target, cm.Mul(&cm, &gammaPow))
+		for k := range n {
+			d := ey.Dot(wOff+k*b, pows[:b])
+			vb.Add(&vb, t.Mul(&d, &ex[p0+k]))
+		}
+		xOff, yOff, wOff, p0 = xOff+a*n, yOff+a*b, wOff+n*b, p0+n
+		gammaPow.Mul(&gammaPow, &c.Gamma)
+	}
+
+	// The P product or prefix wires start at wOff; w holds their weights.
+	w := arena.Frs(p0)
+	defer arena.PutFrs(w)
+	var vm ff.Fr
+	switch {
+	case !c.Opts.PSQ:
+		// Constraint p's C is product wire q_p, and constraint P is
+		// Σ_p q_p · 1 = T: q_p weighs rC·ex[p] + rA·ex[P].
+		ey0 := ey.Dot(0, pows[:1]) // the constant wire (pows[0] = 1)
+		vb.Add(&vb, t.Mul(&ex[p0], &ey0))
+		vc.Mul(&ex[p0], &target)
+		t.Mul(&r[0], &ex[p0])
+		for p := range p0 {
+			w[p].Add(w[p].Mul(&r[2], &ex[p]), &t)
+		}
+		vm = ey.Dot(wOff, w)
+	case p0 > 0:
+		// Constraint p's C is s_p − s_{p−1} (the last T − s_{P−2}), so
+		// prefix wire s_p weighs ex[p] − ex[p+1] in C.
+		for p := range p0 - 1 {
+			w[p].Sub(&ex[p], &ex[p+1])
+		}
+		d := ey.Dot(wOff, w[:p0-1])
+		vc.Add(vc.Mul(&ex[p0-1], &target), &d)
+	}
+	for m, v := range [3]*ff.Fr{&va, &vb, &vc} {
+		vm.Add(&vm, t.Mul(&r[m], v))
+	}
+	return vm
 }

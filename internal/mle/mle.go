@@ -159,6 +159,49 @@ func eqDouble(out []ff.Fr, size int, om, ri *ff.Fr) {
 	}
 }
 
+// SplitEq holds eq(r, ·) as two tables of about 2^(|r|/2) entries: with r
+// split into (r_hi, r_lo), eq(r, v) = Hi[v >> |r_lo|]·Lo[v mod 2^|r_lo|]
+// (variable 0 is the most significant bit, as in EqTableInto). Both
+// tables are rented from the arena; Release returns them.
+type SplitEq struct {
+	Hi, Lo []ff.Fr
+	loVars int
+}
+
+// NewSplitEq splits r after its first hiVars variables.
+func NewSplitEq(r []ff.Fr, hiVars int) *SplitEq {
+	s := &SplitEq{Hi: arena.Frs(1 << hiVars), Lo: arena.Frs(1 << (len(r) - hiVars)), loVars: len(r) - hiVars}
+	EqTableInto(r[:hiVars], s.Hi)
+	EqTableInto(r[hiVars:], s.Lo)
+	return s
+}
+
+// Dot returns Σ_t vals[t]·eq(r, off+t) over any off+len(vals) ≤ 2^|r|:
+// one multiply per entry against Lo, and one against Hi per run of
+// entries that shares it.
+func (s *SplitEq) Dot(off int, vals []ff.Fr) ff.Fr {
+	var acc, run, t ff.Fr
+	for len(vals) > 0 {
+		lo := s.Lo[off&(len(s.Lo)-1):]
+		n := min(len(vals), len(lo))
+		run.SetZero()
+		for i := 0; i < n; i++ {
+			t.Mul(&vals[i], &lo[i])
+			run.Add(&run, &t)
+		}
+		t.Mul(&run, &s.Hi[off>>s.loVars])
+		acc.Add(&acc, &t)
+		vals, off = vals[n:], off+n
+	}
+	return acc
+}
+
+// Release returns both tables to the arena.
+func (s *SplitEq) Release() {
+	arena.PutFrs(s.Hi)
+	arena.PutFrs(s.Lo)
+}
+
 // EqEval computes eq(a, b) for two points of equal length.
 func EqEval(a, b []ff.Fr) ff.Fr {
 	if len(a) != len(b) {

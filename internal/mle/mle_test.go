@@ -184,3 +184,42 @@ func TestBindRows(t *testing.T) {
 		t.Fatal("BindRowsInto inconsistent with Eval")
 	}
 }
+
+// SplitEq agrees with the full EqTableInto table at every split of
+// |r| ∈ {0, 1, 2, 5, 8}: Hi·Lo at each entry, and Dot over runs at many
+// offsets, of lengths that are mostly not a power of two.
+func TestSplitEqMatchesEqTable(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(52))
+	for _, k := range []int{0, 1, 2, 5, 8} {
+		r := randVec(rng, k)
+		full := make([]ff.Fr, 1<<k)
+		EqTableInto(r, full)
+		for hi := 0; hi <= k; hi++ {
+			s := NewSplitEq(r, hi)
+			if len(s.Hi) != 1<<hi || len(s.Lo) != 1<<(k-hi) {
+				t.Fatalf("|r| = %d split at %d: tables of %d and %d", k, hi, len(s.Hi), len(s.Lo))
+			}
+			for v := range full {
+				var got ff.Fr
+				got.Mul(&s.Hi[v>>(k-hi)], &s.Lo[v&(len(s.Lo)-1)])
+				if !got.Equal(&full[v]) {
+					t.Fatalf("|r| = %d split at %d: eq entry %d differs", k, hi, v)
+				}
+			}
+			for _, n := range []int{0, 1, 3, 5, 7, 13, 100, 255} {
+				for off := 0; off+n <= len(full); off += 1 + n/2 {
+					vals := randVec(rng, n)
+					var want, term ff.Fr
+					for i := range vals {
+						term.Mul(&vals[i], &full[off+i])
+						want.Add(&want, &term)
+					}
+					if got := s.Dot(off, vals); !got.Equal(&want) {
+						t.Fatalf("|r| = %d split at %d: Dot of %d at %d differs", k, hi, n, off)
+					}
+				}
+			}
+			s.Release()
+		}
+	}
+}

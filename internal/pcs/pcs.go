@@ -167,20 +167,19 @@ func Commit(values []ff.Fr, p Params) (*Commitment, *ProverState, error) {
 // Eval evaluates the committed polynomial at a point (prover side) as
 // Σᵢ eqR[i]·⟨rowᵢ, eqC⟩ over the nonzero rows.
 func (st *ProverState) Eval(point []ff.Fr) ff.Fr {
-	eqR, eqC := splitEq(point, st.rows, st.cols)
+	eq := mle.NewSplitEq(point, st.numVars/2)
 	var acc ff.Fr
 	for _, i := range st.nonzero {
 		var dot, t ff.Fr
 		row := st.message[i]
 		for j := range row {
-			t.Mul(&row[j], &eqC[j])
+			t.Mul(&row[j], &eq.Lo[j])
 			dot.Add(&dot, &t)
 		}
-		t.Mul(&dot, &eqR[i])
+		t.Mul(&dot, &eq.Hi[i])
 		acc.Add(&acc, &t)
 	}
-	arena.PutFrs(eqR)
-	arena.PutFrs(eqC)
+	eq.Release()
 	return acc
 }
 
@@ -190,8 +189,7 @@ func (st *ProverState) Eval(point []ff.Fr) ff.Fr {
 func (st *ProverState) Open(point []ff.Fr, tr *transcript.Transcript) *Opening {
 	tr.AppendFrs("pcs.point", point)
 	rho := tr.ChallengeFrs("pcs.rho", st.rows)
-	eqR, eqC := splitEq(point, st.rows, st.cols)
-	arena.PutFrs(eqC)
+	eq := mle.NewSplitEq(point, st.numVars/2)
 
 	// Column-major combination: each worker owns a disjoint range of
 	// output columns and walks the nonzero rows for it (a zero row adds
@@ -211,8 +209,8 @@ func (st *ProverState) Open(point []ff.Fr, tr *transcript.Transcript) *Opening {
 		})
 		return u
 	}
-	op := &Opening{URand: combine(rho), UEq: combine(eqR)}
-	arena.PutFrs(eqR)
+	op := &Opening{URand: combine(rho), UEq: combine(eq.Hi)}
+	eq.Release()
 	tr.AppendFrs("pcs.urand", op.URand)
 	tr.AppendFrs("pcs.ueq", op.UEq)
 
@@ -250,14 +248,13 @@ func VerifyOpen(c *Commitment, point []ff.Fr, claim *ff.Fr, op *Opening, p Param
 	tr.AppendFrs("pcs.urand", op.URand)
 	tr.AppendFrs("pcs.ueq", op.UEq)
 
-	eqR, eqC := splitEq(point, c.Rows, c.Cols)
-	defer arena.PutFrs(eqR)
-	defer arena.PutFrs(eqC)
+	eq := mle.NewSplitEq(point, c.NumVars/2)
+	defer eq.Release()
 
-	// Consistency with the claimed evaluation: ⟨uEq, eqC⟩ == claim.
+	// Consistency with the claimed evaluation: ⟨uEq, eq.Lo⟩ == claim.
 	var got, t ff.Fr
 	for j := range op.UEq {
-		t.Mul(&op.UEq[j], &eqC[j])
+		t.Mul(&op.UEq[j], &eq.Lo[j])
 		got.Add(&got, &t)
 	}
 	if !got.Equal(claim) {
@@ -309,7 +306,7 @@ func VerifyOpen(c *Commitment, point []ff.Fr, claim *ff.Fr, op *Opening, p Param
 		for i := range col.Values {
 			t.Mul(&rho[i], &col.Values[i])
 			sRand.Add(&sRand, &t)
-			t.Mul(&eqR[i], &col.Values[i])
+			t.Mul(&eq.Hi[i], &col.Values[i])
 			sEq.Add(&sEq, &t)
 		}
 		if !sRand.Equal(&cwRand[j]) {
@@ -320,19 +317,4 @@ func VerifyOpen(c *Commitment, point []ff.Fr, claim *ff.Fr, op *Opening, p Param
 		}
 	}
 	return nil
-}
-
-// splitEq returns the eq tables for the row block (variables 0..log rows)
-// and column block (the rest) of an evaluation point. Both tables are
-// rented from the arena; the caller must PutFrs them.
-func splitEq(point []ff.Fr, rows, cols int) (eqR, eqC []ff.Fr) {
-	rowVars := 0
-	for (1 << rowVars) < rows {
-		rowVars++
-	}
-	eqR = arena.Frs(1 << rowVars)
-	eqC = arena.Frs(1 << (len(point) - rowVars))
-	mle.EqTableInto(point[:rowVars], eqR)
-	mle.EqTableInto(point[rowVars:], eqC)
-	return eqR, eqC
 }

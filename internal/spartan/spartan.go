@@ -5,10 +5,11 @@
 // (internal/pcs). This is the "zkVC-S" backend of the paper.
 //
 // Deviations from the reference system are deliberate and documented in
-// DESIGN.md: the verifier evaluates the sparse matrix MLEs directly
-// (O(nnz) field work instead of the Spark commitment), and the PCS is a
-// tensor-code commitment rather than a curve-based one, so column openings
-// are binding but not hiding.
+// DESIGN.md: the verifier evaluates the matrix MLEs itself instead of
+// through the Spark commitment, in closed form for the CRPC matmul
+// circuits (crpc.Circuit) and in O(nnz) for an explicit system, over a
+// split eq(ry, ·) table; and the PCS is a tensor-code commitment, so
+// column openings are binding but not hiding.
 package spartan
 
 import (
@@ -87,27 +88,45 @@ func bindRows(sys *r1cs.System, rx []ff.Fr, r *[3]ff.Fr, mz []ff.Fr) {
 	arena.PutFrs(eq)
 }
 
-// evalAt returns vm = rA·Ã(rx,ry) + rB·B̃(rx,ry) + rC·C̃(rx,ry) and
-// pub = pub̃(ry) = Σᵢ public[i]·eq(ry, i), both summed against one
-// eq(ry, ·) table: the rows bound to rx in O(nnz), the public input in
-// O(|public|). len(public) ≤ NumVars ≤ 2^|ry| keeps every index in range.
-func evalAt(sys *r1cs.System, public []ff.Fr, rx, ry []ff.Fr, r *[3]ff.Fr) (vm, pub ff.Fr) {
-	mz := arena.Frs(1 << len(ry))
-	eq := arena.Frs(1 << len(ry))
-	bindRows(sys, rx, r, mz)
-	mle.EqTableInto(ry, eq)
-	var t ff.Fr
-	for y := range mz {
-		t.Mul(&mz[y], &eq[y])
-		vm.Add(&vm, &t)
+// Circuit is the verifier's view of an R1CS instance: its size and its
+// matrices' MLEs. R1CS wraps an explicit system; crpc.Circuit evaluates
+// the CRPC matmul matrices in closed form and builds no system.
+type Circuit interface {
+	// Size returns the constraint, wire and public-wire counts; the
+	// constant-1 wire is public wire 0.
+	Size() (constraints, vars, public int)
+	// EvalMatrices returns rA·Ã(rx,ry) + rB·B̃(rx,ry) + rC·C̃(rx,ry), with
+	// eq(ry, ·) given as a split table.
+	EvalMatrices(rx []ff.Fr, eqY *mle.SplitEq, r *[3]ff.Fr) ff.Fr
+}
+
+// R1CS is the Circuit of an explicit system (nil for a nil system).
+func R1CS(sys *r1cs.System) Circuit {
+	if sys == nil {
+		return nil
 	}
-	for i := range public {
-		t.Mul(&public[i], &eq[i])
-		pub.Add(&pub, &t)
-	}
-	arena.PutFrs(mz)
-	arena.PutFrs(eq)
-	return vm, pub
+	return system{sys}
+}
+
+type system struct{ *r1cs.System }
+
+func (s system) Size() (int, int, int) { return s.NumConstraints(), s.NumVars, s.NumPublic }
+
+// EvalMatrices binds the rows to rx in O(nnz) and dots the bound columns
+// with eq(ry, ·) over the NumVars live wires only.
+func (s system) EvalMatrices(rx []ff.Fr, eqY *mle.SplitEq, r *[3]ff.Fr) ff.Fr {
+	mz := arena.Frs(s.NumVars)
+	defer arena.PutFrs(mz)
+	bindRows(s.System, rx, r, mz)
+	return eqY.Dot(0, mz)
+}
+
+// evalCircuit returns vm = Σ_M r_M·M̃(rx,ry) and pub̃(ry) = Σᵢ public[i]·eq(ry, i)
+// against one eq(ry, ·) table split as the PCS splits it.
+func evalCircuit(c Circuit, public, rx, ry []ff.Fr, r *[3]ff.Fr) (vm, pub ff.Fr) {
+	eqY := mle.NewSplitEq(ry, len(ry)/2)
+	defer eqY.Release()
+	return c.EvalMatrices(rx, eqY, r), eqY.Dot(0, public)
 }
 
 // Prove produces a Spartan proof for a satisfying assignment z.
@@ -231,14 +250,24 @@ var ErrInvalidProof = errors.New("spartan: invalid proof")
 // Verify checks a Spartan proof against the circuit and public inputs
 // (public must start with the constant 1, as in the assignment).
 func Verify(sys *r1cs.System, proof *Proof, public []ff.Fr, params pcs.Params) error {
-	if len(public) != sys.NumPublic {
-		return fmt.Errorf("spartan: public witness length %d != %d", len(public), sys.NumPublic)
+	return VerifyCircuit(R1CS(sys), proof, public, params)
+}
+
+// VerifyCircuit is Verify against any Circuit: one split eq(ry, ·) table
+// serves the matrix evaluation and pub̃(ry) = Σᵢ public[i]·eq(ry, i).
+func VerifyCircuit(c Circuit, proof *Proof, public []ff.Fr, params pcs.Params) error {
+	if proof == nil || proof.Sum1 == nil || proof.Sum2 == nil || proof.Opening == nil {
+		return fmt.Errorf("%w: missing proof part", ErrInvalidProof)
 	}
-	if sys.NumPublic == 0 || !public[0].IsOne() {
+	numCons, numVars, numPublic := c.Size()
+	if len(public) != numPublic {
+		return fmt.Errorf("spartan: public witness length %d != %d", len(public), numPublic)
+	}
+	if numPublic == 0 || !public[0].IsOne() {
 		return errors.New("spartan: public witness must start with constant 1")
 	}
-	sx := logDim(sys.NumConstraints())
-	sy := logDim(sys.NumVars)
+	sx := logDim(numCons)
+	sy := logDim(numVars)
 
 	tr := transcript.New(protocolLabel)
 	tr.Append("comm", proof.Comm.Root[:])
@@ -277,7 +306,7 @@ func Verify(sys *r1cs.System, proof *Proof, public []ff.Fr, params pcs.Params) e
 
 	// vM = rA·Ã(rx,ry) + rB·B̃(rx,ry) + rC·C̃(rx,ry), evaluated directly,
 	// and z̃(ry) = pub̃(ry) + priṽ(ry).
-	vm, vz := evalAt(sys, public, rx, ry, &r)
+	vm, vz := evalCircuit(c, public, rx, ry, &r)
 	vz.Add(&vz, &proof.PrivEval)
 	if vm.Mul(&vm, &vz); !vm.Equal(&final2) {
 		return fmt.Errorf("%w: matrix–witness product fails at (rx,ry)", ErrInvalidProof)

@@ -165,6 +165,30 @@ func TestSpartanRejectsTamperedProof(t *testing.T) {
 	}
 }
 
+// A nil proof or a nil part of one is ErrInvalidProof, not a nil
+// dereference in the sumcheck or PCS verifiers.
+func TestSpartanRejectsNilProofParts(t *testing.T) {
+	sys, z, pub := chainCircuit(8)
+	params := pcs.DefaultParams()
+	for _, part := range []struct {
+		name  string
+		strip func(p *Proof) *Proof
+	}{
+		{"proof", func(*Proof) *Proof { return nil }},
+		{"Sum1", func(p *Proof) *Proof { p.Sum1 = nil; return p }},
+		{"Sum2", func(p *Proof) *Proof { p.Sum2 = nil; return p }},
+		{"Opening", func(p *Proof) *Proof { p.Opening = nil; return p }},
+	} {
+		proof, err := Prove(sys, z, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Verify(sys, part.strip(proof), pub, params); !errors.Is(err, ErrInvalidProof) {
+			t.Fatalf("nil %s: got %v, want ErrInvalidProof", part.name, err)
+		}
+	}
+}
+
 // forgeProof runs Prove's protocol on a satisfying z, but hands one
 // sumcheck a vector shifted along a direction its claimed sum cannot
 // see: Cz in the outer sumcheck (which = 1), the padded witness in the
@@ -378,6 +402,11 @@ func randomFrs(rng *mrand.Rand, n int) []ff.Fr {
 		v[i].SetPseudoRandom(rng)
 	}
 	return v
+}
+
+// evalAt is evalCircuit on an explicit system.
+func evalAt(sys *r1cs.System, public, rx, ry []ff.Fr, r *[3]ff.Fr) (vm, pub ff.Fr) {
+	return evalCircuit(R1CS(sys), public, rx, ry, r)
 }
 
 // publicEvalOracle computes Σ_{i < len(public)} public[i]·eq(ry, bits(i))

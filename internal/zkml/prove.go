@@ -92,9 +92,9 @@ func ProveSystem(backend Backend, sys *r1cs.System, assignment []ff.Fr, params p
 }
 
 // Verify checks the payload against the public witness on backend. Only
-// Spartan consumes the circuit, so sys is called only there: Groth16's
+// Spartan consumes the circuit, so circuit is called only there: Groth16's
 // circuit binding lives entirely in the verifying key.
-func (p *Payload) Verify(backend Backend, sys func() *r1cs.System, public []ff.Fr, params pcs.Params) error {
+func (p *Payload) Verify(backend Backend, circuit func() spartan.Circuit, public []ff.Fr, params pcs.Params) error {
 	switch backend {
 	case Groth16:
 		if p.G16 == nil || p.G16VK == nil {
@@ -102,14 +102,14 @@ func (p *Payload) Verify(backend Backend, sys func() *r1cs.System, public []ff.F
 		}
 		return groth16.Verify(p.G16VK, p.G16, public)
 	case Spartan:
-		var s *r1cs.System
+		var c spartan.Circuit
 		if p.Spartan != nil {
-			s = sys()
+			c = circuit()
 		}
-		if s == nil {
+		if c == nil {
 			return errors.New("missing Spartan payload")
 		}
-		return spartan.Verify(s, p.Spartan, public, pcsOrDefault(params))
+		return spartan.VerifyCircuit(c, p.Spartan, public, pcsOrDefault(params))
 	}
 	return fmt.Errorf("unknown backend %d", backend)
 }

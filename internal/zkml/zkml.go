@@ -47,6 +47,7 @@ import (
 	"zkvc/internal/pcs"
 	"zkvc/internal/r1cs"
 	"zkvc/internal/randutil"
+	"zkvc/internal/spartan"
 	"zkvc/internal/tensor"
 )
 
@@ -458,7 +459,7 @@ func finishProof(out OpProof, sys *r1cs.System, assignment, public []ff.Fr, opts
 // VerifyOp re-verifies one retained operation proof against the report's
 // backend.
 func VerifyOp(backend Backend, op *OpProof, params pcs.Params) error {
-	if err := op.Payload.Verify(backend, func() *r1cs.System { return op.Sys }, op.Public, params); err != nil {
+	if err := op.Payload.Verify(backend, func() spartan.Circuit { return spartan.R1CS(op.Sys) }, op.Public, params); err != nil {
 		return fmt.Errorf("zkml: op %q: %w", op.Tag, err)
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"zkvc"
 	"zkvc/internal/crpc"
 	"zkvc/internal/groth16"
+	"zkvc/internal/spartan"
 )
 
 // Tamper-rejection tests for the single-proof path, mirroring
@@ -79,6 +80,24 @@ func TestSingleRejectsNilPayload(t *testing.T) {
 	x, proof = provenStatement(t, zkvc.Groth16, 57)
 	proof.G16VK = nil
 	wantVerificationErr(t, "groth16/nil-vk", zkvc.VerifyMatMul(x, proof))
+}
+
+// A Spartan proof with one of its parts missing is rejected with
+// ErrVerification, never a nil dereference in the sumcheck or PCS
+// verifiers.
+func TestSingleRejectsNilSpartanParts(t *testing.T) {
+	for _, part := range []struct {
+		name  string
+		strip func(p *spartan.Proof)
+	}{
+		{"Sum1", func(p *spartan.Proof) { p.Sum1 = nil }},
+		{"Sum2", func(p *spartan.Proof) { p.Sum2 = nil }},
+		{"Opening", func(p *spartan.Proof) { p.Opening = nil }},
+	} {
+		x, proof := provenStatement(t, zkvc.Spartan, 61)
+		part.strip(proof.SpartanProof)
+		wantVerificationErr(t, "spartan/nil-"+part.name, zkvc.VerifyMatMul(x, proof))
+	}
 }
 
 // TestSingleRejectsSwappedBackendPayloads: a Groth16 proof presented as

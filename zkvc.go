@@ -15,7 +15,6 @@ import (
 	"zkvc/internal/matrix"
 	"zkvc/internal/parallel"
 	"zkvc/internal/pcs"
-	"zkvc/internal/r1cs"
 	"zkvc/internal/randutil"
 	"zkvc/internal/spartan"
 	"zkvc/internal/zkml"
@@ -286,24 +285,25 @@ func verifyMatMulAt(x *Matrix, proof *MatMulProof, epoch []byte) error {
 			ErrVerification, len(proof.WCommit), wCommitLen)
 	}
 	return verify(proof.Backend, proof.payload(), []*Matrix{x}, []*Matrix{proof.Y},
-		func() *r1cs.System {
-			var z ff.Fr
-			if proof.Opts.CRPC {
-				if len(epoch) > 0 {
-					z = crpc.DeriveEpochZ(epoch, x.Rows, x.Cols, proof.Y.Cols, proof.Opts)
-				} else {
-					z = crpc.DeriveZFromCommit(x, proof.Y, proof.WCommit)
-				}
+		func() spartan.Circuit {
+			if !proof.Opts.CRPC {
+				return spartan.R1CS(crpc.SynthesizeShape(x.Rows, x.Cols, proof.Y.Cols, ff.Fr{}, proof.Opts))
 			}
-			return crpc.SynthesizeShape(x.Rows, x.Cols, proof.Y.Cols, z, proof.Opts)
+			c := &crpc.Circuit{Shapes: [][3]int{{x.Rows, x.Cols, proof.Y.Cols}}, Opts: proof.Opts}
+			if len(epoch) > 0 {
+				c.Z = crpc.DeriveEpochZ(epoch, x.Rows, x.Cols, proof.Y.Cols, proof.Opts)
+			} else {
+				c.Z = crpc.DeriveZFromCommit(x, proof.Y, proof.WCommit)
+			}
+			return c
 		})
 }
 
 // verify is the one verifier under single, epoch and batch proofs: it
 // checks a backend proof against the public witness [1, every X entry,
-// every Y entry] through zkml.Payload.Verify, which calls shape to
-// rebuild the circuit only for Spartan.
-func verify(backend Backend, pay *zkml.Payload, xs, ys []*Matrix, shape func() *r1cs.System) error {
+// every Y entry] through zkml.Payload.Verify, which calls circuit for
+// the verifier's view of the circuit only for Spartan.
+func verify(backend Backend, pay *zkml.Payload, xs, ys []*Matrix, circuit func() spartan.Circuit) error {
 	total := 1
 	for m := range xs {
 		total += len(xs[m].Data) + len(ys[m].Data)
@@ -316,7 +316,7 @@ func verify(backend Backend, pay *zkml.Payload, xs, ys []*Matrix, shape func() *
 	for _, y := range ys {
 		public = append(public, y.Data...)
 	}
-	if err := pay.Verify(backend, shape, public, pcs.DefaultParams()); err != nil {
+	if err := pay.Verify(backend, circuit, public, pcs.DefaultParams()); err != nil {
 		return fmt.Errorf("%w: %v", ErrVerification, err)
 	}
 	return nil
