@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -68,7 +67,8 @@ func cmdServe(args []string) {
 	advertise := fs.String("advertise", "",
 		"base URL the coordinator should reach this node at, e.g. http://10.0.0.7:8799")
 	nodeName := fs.String("node-name", "", "stable node identity for the coordinator (default: the -advertise URL)")
-	heartbeat := fs.Duration("heartbeat", 2*time.Second, "heartbeat interval toward -announce")
+	announceInterval := fs.Duration("announce-interval", 2*time.Second,
+		"how often to re-send the announce to -announce, so a restarted coordinator learns this node again")
 	fs.Parse(args)
 
 	if *coordinator {
@@ -129,7 +129,7 @@ func cmdServe(args []string) {
 	}
 	defer s.Close()
 	if *announce != "" {
-		go announceLoop(s, *announce, name, *advertise, *heartbeat)
+		go announceLoop(s, *announce, name, *advertise, *announceInterval)
 	}
 	fmt.Printf("zkvc proving service on %s: backend %s, window %v, max batch %d, parallelism %d\n",
 		*addr, backend, *window, *maxBatch, zkvc.Parallelism())
@@ -163,32 +163,21 @@ func withPprof(h http.Handler) http.Handler {
 	return mux
 }
 
-// announceLoop registers the node with a coordinator and keeps its
-// entry fresh: announce until it sticks, then heartbeat the queue
-// depth. Re-announcing on heartbeat 404 covers a coordinator restart.
+// announceLoop registers the node with a coordinator and re-sends the
+// idempotent announce every interval, so a restarted coordinator learns
+// the node again. The node's health and load reach the coordinator
+// through its probe of /metrics, not through this loop.
 func announceLoop(s *server.Server, coordinatorURL, name, advertise string, interval time.Duration) {
 	c := server.NewClient(coordinatorURL)
 	snap := s.Metrics()
 	a := snap.Announce(name, advertise)
-	for {
-		if err := c.Announce(context.Background(), a); err == nil {
-			break
-		} else {
+	for registered := false; ; time.Sleep(interval) {
+		if err := c.Announce(context.Background(), a); err != nil {
 			fmt.Fprintf(os.Stderr, "zkvc: announce to %s failed (will retry): %v\n", coordinatorURL, err)
-		}
-		time.Sleep(interval)
-	}
-	fmt.Printf("registered with coordinator %s as %q\n", coordinatorURL, name)
-	for {
-		time.Sleep(interval)
-		snap := s.Metrics()
-		err := c.Heartbeat(context.Background(), snap.Heartbeat(name))
-		var se *server.StatusError
-		if errors.As(err, &se) && se.Code == 404 {
-			// Coordinator restarted and lost the registration.
-			if err := c.Announce(context.Background(), a); err != nil {
-				fmt.Fprintf(os.Stderr, "zkvc: re-announce to %s failed: %v\n", coordinatorURL, err)
-			}
+			registered = false
+		} else if !registered {
+			fmt.Printf("registered with coordinator %s as %q\n", coordinatorURL, name)
+			registered = true
 		}
 	}
 }

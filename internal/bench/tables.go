@@ -86,12 +86,9 @@ func TableII(cfg RunConfig) ([]AblationResult, error) {
 type E2ERow struct {
 	Dataset string
 	Model   string // mixer label as in the paper
-	// PaperTop1 / PaperTask are the paper-reported accuracies (we cannot
+	// PaperAcc holds the paper-reported accuracies (we cannot
 	// retrain ImageNet-class models; see DESIGN.md substitution 5).
 	PaperAcc []float64
-	// SynthAcc is the accuracy our own synthetic-task training loop
-	// reaches with this mixer family (NaN when not applicable).
-	SynthAcc float64
 	ProveG   time.Duration // extrapolated end-to-end Groth16 proving
 	ProveS   time.Duration // extrapolated end-to-end Spartan proving
 	Wires    float64

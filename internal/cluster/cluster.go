@@ -29,10 +29,11 @@
 // verbatim: a dropped header would silently merge tenants' coalescing
 // windows on the node.
 //
-// A periodic /metrics-based probe marks unreachable nodes unhealthy:
-// they stop receiving new work but finish what they accepted
-// (forwarding is synchronous, so nothing is queued at the coordinator),
-// which is also exactly what Drain does on demand.
+// A periodic /metrics-based probe is the one source of a node's health
+// and load: it marks unreachable nodes unhealthy, and they stop
+// receiving new work but finish what they accepted (forwarding is
+// synchronous, so nothing is queued at the coordinator), which is also
+// exactly what Drain does on demand.
 //
 // Verify endpoints route by the same affinity as their prove
 // counterparts, so a resubmitted proof finds the node whose issued log
@@ -53,6 +54,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,8 +79,6 @@ type Config struct {
 	// ProbeFailures is how many consecutive probe failures mark a node
 	// unhealthy. 0 means 2.
 	ProbeFailures int
-	// ProbeTimeout bounds one probe round trip. 0 means 5s.
-	ProbeTimeout time.Duration
 	// StreamWriteTimeout bounds one relayed model-stream frame write
 	// toward the client, exactly like server.Config.StreamWriteTimeout.
 	// 0 means 30s.
@@ -96,11 +96,13 @@ func DefaultConfig() Config {
 		Opts:               zkvc.DefaultOptions(),
 		ProbeInterval:      time.Second,
 		ProbeFailures:      2,
-		ProbeTimeout:       5 * time.Second,
 		StreamWriteTimeout: 30 * time.Second,
 		ReplicaCount:       2,
 	}
 }
+
+// probeTimeout bounds one probe round trip.
+const probeTimeout = 5 * time.Second
 
 // node is one prover in the pool. Identity (name, url) is immutable
 // after registration; everything observable is atomic so the probe
@@ -117,23 +119,20 @@ type node struct {
 
 	workers atomic.Int64
 
-	// probeOK is the probe loop's (and heartbeats') verdict. The two
-	// drain flags are deliberately separate levers: opDrained belongs to
-	// the operator (Drain / the drain endpoint) and only the operator
-	// clears it, while selfDraining follows the node's own heartbeat —
-	// so a node's routine Draining:false heartbeats cannot silently undo
-	// an operator drain. A node takes new work only when all agree.
-	probeOK      atomic.Bool
-	opDrained    atomic.Bool
-	selfDraining atomic.Bool
-	fails        atomic.Int64
+	// probeOK is the probe loop's verdict and only the probe moves it.
+	// drained belongs to the operator (Drain / the drain endpoint) and
+	// only the operator clears it. A node takes new work only when the
+	// probe finds it alive and the operator has not drained it.
+	probeOK atomic.Bool
+	drained atomic.Bool
+	fails   atomic.Int64
 
 	// queueUnits is the node's accepted-but-unproved work as of the last
-	// probe or heartbeat (matmul jobs + model ops).
+	// probe (matmul jobs + model ops).
 	queueUnits atomic.Int64
 	// diskBytes and memBytes are the node's on-disk state (journals plus
-	// issued log) and live heap, as of its last probe or heartbeat — the
-	// operator's per-node capacity gauges.
+	// issued log) and live heap, as of its last probe — the operator's
+	// per-node capacity gauges.
 	diskBytes atomic.Uint64
 	memBytes  atomic.Uint64
 
@@ -141,20 +140,18 @@ type node struct {
 	failedOver atomic.Int64
 }
 
-func (n *node) healthy() bool {
-	return n.probeOK.Load() && !n.opDrained.Load() && !n.selfDraining.Load()
-}
+func (n *node) healthy() bool { return n.probeOK.Load() && !n.drained.Load() }
 
-func (n *node) draining() bool { return n.opDrained.Load() || n.selfDraining.Load() }
-
-// heard records a successful probe or heartbeat: the node is alive and
-// carries h's load.
-func (n *node) heard(h *wire.NodeHeartbeat) {
+// heard records a successful probe: the node is alive and carries the
+// load its snapshot reports — queued work units (matmul statements plus
+// model ops, the sum server.Config.QueueCap bounds), on-disk state and
+// live heap.
+func (n *node) heard(snap *server.Snapshot) {
 	n.fails.Store(0)
 	n.probeOK.Store(true)
-	n.queueUnits.Store(h.QueueUnits)
-	n.diskBytes.Store(h.DiskBytes)
-	n.memBytes.Store(h.MemBytes)
+	n.queueUnits.Store(snap.QueueDepth + snap.ModelOpsQueued)
+	n.diskBytes.Store(snap.DiskBytes)
+	n.memBytes.Store(snap.HeapAllocBytes)
 }
 
 // Coordinator fronts the node pool. Create with New, serve Handler,
@@ -188,9 +185,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.ProbeFailures <= 0 {
 		cfg.ProbeFailures = 2
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 5 * time.Second
-	}
 	if cfg.StreamWriteTimeout <= 0 {
 		cfg.StreamWriteTimeout = 30 * time.Second
 	}
@@ -221,8 +215,10 @@ func (c *Coordinator) Close() {
 }
 
 // addNode registers a node. Names are the rendezvous identity: a known
-// name re-announcing refreshes its URL, capacity and health instead of
-// adding a duplicate.
+// name re-announcing at the same URL refreshes only its capacity hint
+// instead of adding a duplicate. Health stays the probe's verdict and a
+// drain the operator's, so an unreachable node cannot announce itself
+// back into rotation.
 func (c *Coordinator) addNode(name, rawURL string, workers int) (*node, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
@@ -235,12 +231,7 @@ func (c *Coordinator) addNode(name, rawURL string, workers int) (*node, error) {
 			if n.url != rawURL {
 				return nil, fmt.Errorf("cluster: node %q re-announced with URL %q, registered at %q (restart the coordinator to move a node)", name, rawURL, n.url)
 			}
-			// A re-announce clears the node's own state but not an
-			// operator drain — only the operator hands that back.
 			n.workers.Store(int64(workers))
-			n.probeOK.Store(true)
-			n.fails.Store(0)
-			n.selfDraining.Store(false)
 			return n, nil
 		}
 	}
@@ -250,7 +241,7 @@ func (c *Coordinator) addNode(name, rawURL string, workers int) (*node, error) {
 		probe:   server.NewClient(rawURL),
 		forward: &http.Client{},
 	}
-	n.probe.HTTP = &http.Client{Timeout: c.cfg.ProbeTimeout}
+	n.probe.HTTP = &http.Client{Timeout: probeTimeout}
 	n.workers.Store(int64(workers))
 	// A freshly registered node is presumed healthy until the probe says
 	// otherwise — routing must work before the first probe round.
@@ -287,7 +278,7 @@ func (c *Coordinator) Drain(name string, drain bool) bool {
 	if n == nil {
 		return false
 	}
-	n.opDrained.Store(drain)
+	n.drained.Store(drain)
 	return true
 }
 
@@ -317,7 +308,7 @@ func (c *Coordinator) probeLoop() {
 					}
 					return
 				}
-				n.heard(snap.Heartbeat(n.name))
+				n.heard(&snap)
 			}(n)
 		}
 		wg.Wait()
@@ -371,16 +362,13 @@ func (c *Coordinator) healthyRanked(key []byte) []*node {
 	return out
 }
 
-// maxControlBodyBytes bounds control-plane bodies (announce, heartbeat)
-// and the node answers buffered for a failover message.
+// maxControlBodyBytes bounds control-plane bodies (the announce) and
+// the node answers buffered for a failover message.
 const maxControlBodyBytes = 1 << 16
 
-// The coordinator's own control routes with a body. Attestation updates
-// use the node's row, server.Routes.Attest.
-var (
-	announceRoute  = server.Route{Pattern: "POST /v1/cluster/announce", Limit: maxControlBodyBytes, Decode: server.Decoder(wire.DecodeNodeAnnounce)}
-	heartbeatRoute = server.Route{Pattern: "POST /v1/cluster/heartbeat", Limit: maxControlBodyBytes, Decode: server.Decoder(wire.DecodeNodeHeartbeat)}
-)
+// announceRoute is the coordinator's own control route with a body.
+// Attestation updates use the node's row, server.Routes.Attest.
+var announceRoute = server.Route{Pattern: "POST /v1/cluster/announce", Limit: maxControlBodyBytes, Decode: server.Decoder(wire.DecodeNodeAnnounce)}
 
 // Handler returns the coordinator's HTTP surface: the forwarding table,
 // then the cluster control plane.
@@ -391,7 +379,6 @@ func (c *Coordinator) Handler() http.Handler {
 		rt.Mount(mux, c.modelSlots, func(w http.ResponseWriter, r *http.Request, in server.Input) { c.forward(w, r, in, rt) })
 	}
 	announceRoute.Mount(mux, c.modelSlots, c.handleAnnounce)
-	heartbeatRoute.Mount(mux, c.modelSlots, c.handleHeartbeat)
 	server.Routes.Attest.Mount(mux, c.modelSlots, c.handleAttest)
 	mux.HandleFunc("POST /v1/cluster/drain", c.handleDrain)
 	// The coordinator counts no write errors of its own.
@@ -416,29 +403,26 @@ func (c *Coordinator) handleAnnounce(w http.ResponseWriter, _ *http.Request, in 
 	w.WriteHeader(http.StatusOK)
 }
 
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, _ *http.Request, in server.Input) {
-	h := in.Msg.(*wire.NodeHeartbeat)
-	n := c.lookup(h.Name)
-	if n == nil {
-		http.Error(w, fmt.Sprintf("unknown node %q (announce first)", h.Name), http.StatusNotFound)
-		return
-	}
-	// A heartbeat is liveness evidence on par with a successful probe.
-	// It moves only the node's own draining flag, never the operator's.
-	n.heard(h)
-	n.selfDraining.Store(h.Draining)
-	w.WriteHeader(http.StatusOK)
-}
-
 // handleDrain is the operator lever behind Drain:
 //
 //	POST /v1/cluster/drain?node=<name>&drain=true|false
+//
+// An absent or empty drain value drains; a value strconv.ParseBool
+// rejects is a 400.
 func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("node")
-	drain := r.URL.Query().Get("drain") != "false"
+	q := r.URL.Query()
+	name := q.Get("node")
 	if name == "" {
 		http.Error(w, "missing node parameter", http.StatusBadRequest)
 		return
+	}
+	drain := true
+	if v := q.Get("drain"); v != "" {
+		var err error
+		if drain, err = strconv.ParseBool(v); err != nil {
+			http.Error(w, fmt.Sprintf("drain parameter %q is not a boolean", v), http.StatusBadRequest)
+			return
+		}
 	}
 	if !c.Drain(name, drain) {
 		http.Error(w, fmt.Sprintf("unknown node %q", name), http.StatusNotFound)

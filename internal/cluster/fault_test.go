@@ -13,6 +13,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -297,11 +298,12 @@ func TestDrainFinishesQueuedWork(t *testing.T) {
 	}
 }
 
-// TestAnnounceHeartbeatLifecycle drives the control plane end to end: a
-// coordinator born with zero nodes is unhealthy, a node announce brings
-// it up, a draining heartbeat takes the node out of rotation without a
-// restart, and a recovering heartbeat puts it back.
-func TestAnnounceHeartbeatLifecycle(t *testing.T) {
+// TestAnnounceLifecycle drives the control plane end to end: a
+// coordinator born with zero nodes is unhealthy, an announce brings it
+// up, announcing again is idempotent (one node, two announces), a
+// re-announce cannot move a node to another URL, and an operator drain
+// survives the node's routine re-announces.
+func TestAnnounceLifecycle(t *testing.T) {
 	_, nodeTS := newNode(t, nodeConfig(23))
 	ccfg := cluster.DefaultConfig()
 	ccfg.ProbeInterval = time.Hour
@@ -313,12 +315,14 @@ func TestAnnounceHeartbeatLifecycle(t *testing.T) {
 		t.Fatalf("empty cluster healthz: got %v, want 503", err)
 	}
 
-	// Heartbeats from unknown nodes are rejected: announce first.
-	if err := cc.Heartbeat(tctx, &wire.NodeHeartbeat{Name: "prover-1"}); !errors.As(err, &se) || se.Code != http.StatusNotFound {
-		t.Fatalf("heartbeat before announce: got %v, want 404", err)
+	announce := &wire.NodeAnnounce{Name: "prover-1", URL: nodeTS.URL, Workers: 1}
+	for i := 0; i < 2; i++ {
+		if err := cc.Announce(tctx, announce); err != nil {
+			t.Fatalf("announce %d: %v", i+1, err)
+		}
 	}
-	if err := cc.Announce(tctx, &wire.NodeAnnounce{Name: "prover-1", URL: nodeTS.URL, Workers: 1}); err != nil {
-		t.Fatalf("announce: %v", err)
+	if snap := coord.Metrics(); len(snap.Nodes) != 1 || snap.Announces != 2 {
+		t.Fatalf("two announces of one node: %d nodes, %d announces; want 1 and 2", len(snap.Nodes), snap.Announces)
 	}
 	if err := cc.Healthz(tctx); err != nil {
 		t.Fatalf("healthz after announce: %v", err)
@@ -332,52 +336,129 @@ func TestAnnounceHeartbeatLifecycle(t *testing.T) {
 		t.Fatalf("prove through an announced node: %v", err)
 	}
 
-	// A draining heartbeat takes the node out of rotation...
-	if err := cc.Heartbeat(tctx, &wire.NodeHeartbeat{Name: "prover-1", QueueUnits: 2, Draining: true}); err != nil {
-		t.Fatalf("draining heartbeat: %v", err)
-	}
-	if _, err := cc.ProveCoalesced(tctx, x, w); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
-		t.Fatalf("prove against a draining announced node: got %v, want 503", err)
-	}
-	snap := coord.Metrics()
-	if len(snap.Nodes) != 1 || !snap.Nodes[0].Draining || snap.Nodes[0].QueueUnits != 2 {
-		t.Fatalf("metrics don't reflect the draining heartbeat: %+v", snap.Nodes)
-	}
-	// ...and a recovering one puts it back.
-	if err := cc.Heartbeat(tctx, &wire.NodeHeartbeat{Name: "prover-1", QueueUnits: 0}); err != nil {
-		t.Fatalf("recovering heartbeat: %v", err)
-	}
-	if _, err := cc.ProveCoalesced(tctx, x, w); err != nil {
-		t.Fatalf("prove after recovery: %v", err)
-	}
-
 	// Re-announcing under the same name must not move the node to a new
 	// URL (that would be trivial traffic hijacking on an open port).
 	if err := cc.Announce(tctx, &wire.NodeAnnounce{Name: "prover-1", URL: "http://evil:1"}); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("re-announce with a different URL: got %v, want 400", err)
 	}
 
-	// An operator drain must survive the node's routine heartbeats (and
-	// even a re-announce): only the operator hands a drain back. A
-	// heartbeat carries Draining:false by default, and before the fix it
-	// would silently undo the drain within one interval.
+	// An operator drain must survive the node's routine re-announces:
+	// only the operator hands a drain back.
 	if !coord.Drain("prover-1", true) {
 		t.Fatal("operator drain of announced node failed")
 	}
-	if err := cc.Heartbeat(tctx, &wire.NodeHeartbeat{Name: "prover-1"}); err != nil {
-		t.Fatalf("heartbeat during operator drain: %v", err)
-	}
-	if err := cc.Announce(tctx, &wire.NodeAnnounce{Name: "prover-1", URL: nodeTS.URL, Workers: 1}); err != nil {
+	if err := cc.Announce(tctx, announce); err != nil {
 		t.Fatalf("re-announce during operator drain: %v", err)
 	}
 	if _, err := cc.ProveCoalesced(tctx, x, w); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
-		t.Fatalf("heartbeat/re-announce reverted an operator drain: got %v, want 503", err)
+		t.Fatalf("re-announce reverted an operator drain: got %v, want 503", err)
+	}
+	if snap := coord.Metrics(); !snap.Nodes[0].Draining {
+		t.Fatalf("metrics don't reflect the operator drain: %+v", snap.Nodes)
 	}
 	if !coord.Drain("prover-1", false) {
 		t.Fatal("operator undrain failed")
 	}
 	if _, err := cc.ProveCoalesced(tctx, x, w); err != nil {
 		t.Fatalf("prove after operator undrain: %v", err)
+	}
+}
+
+// TestReannounceKeepsProbeVerdict: health is the probe's verdict alone.
+// A node the probe has ejected stays out of rotation when it announces
+// again — an unreachable node must not announce itself back in.
+func TestReannounceKeepsProbeVerdict(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadURL := dead.URL
+	dead.Close()
+
+	ccfg := cluster.DefaultConfig()
+	ccfg.ProbeInterval = 20 * time.Millisecond
+	ccfg.ProbeFailures = 5
+	coord, coordTS := newCoordinator(t, ccfg)
+	cc := server.NewClient(coordTS.URL)
+	announce := &wire.NodeAnnounce{Name: "prover-dead", URL: deadURL, Workers: 1}
+	if err := cc.Announce(tctx, announce); err != nil {
+		t.Fatalf("announce: %v", err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for coord.Metrics().Nodes[0].Healthy {
+		if time.Now().After(deadline) {
+			t.Fatalf("probe never ejected the unreachable node: %+v", coord.Metrics().Nodes)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	if err := cc.Announce(tctx, announce); err != nil {
+		t.Fatalf("re-announce: %v", err)
+	}
+	if n := coord.Metrics().Nodes[0]; n.Healthy || n.ProbeFailures < int64(ccfg.ProbeFailures) {
+		t.Fatalf("re-announce reset the probe's verdict: %+v", n)
+	}
+	var se *server.StatusError
+	if err := cc.Healthz(tctx); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz with only an ejected node: got %v, want 503", err)
+	}
+}
+
+// TestDrainEndpointParsesBoolean: the operator endpoint reads drain as a
+// boolean — an absent or empty value drains, every spelling
+// strconv.ParseBool accepts is honoured, and anything else is a 400
+// that leaves the node as it was.
+func TestDrainEndpointParsesBoolean(t *testing.T) {
+	_, nodeTS := newNode(t, nodeConfig(31))
+	ccfg := cluster.DefaultConfig()
+	ccfg.Nodes = []string{nodeTS.URL}
+	ccfg.ProbeInterval = time.Hour
+	coord, coordTS := newCoordinator(t, ccfg)
+
+	post := func(query string) int {
+		t.Helper()
+		resp, err := http.Post(coordTS.URL+"/v1/cluster/drain?"+query, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	node := "node=" + url.QueryEscape(nodeTS.URL)
+	for _, c := range []struct {
+		param string
+		code  int
+		drain bool
+	}{
+		{"", http.StatusOK, true},
+		{"&drain=", http.StatusOK, true},
+		{"&drain=true", http.StatusOK, true},
+		{"&drain=1", http.StatusOK, true},
+		{"&drain=TRUE", http.StatusOK, true},
+		{"&drain=false", http.StatusOK, false},
+		{"&drain=0", http.StatusOK, false},
+		{"&drain=False", http.StatusOK, false},
+		{"&drain=flase", http.StatusBadRequest, false},
+		{"&drain=yes", http.StatusBadRequest, false},
+	} {
+		// Start from the opposite state, so a handled request must move
+		// the node and a rejected one must leave it.
+		coord.Drain(nodeTS.URL, !c.drain)
+		if code := post(node + c.param); code != c.code {
+			t.Errorf("%q: status %d, want %d", c.param, code, c.code)
+			continue
+		}
+		want := c.drain
+		if c.code != http.StatusOK {
+			want = !c.drain
+		}
+		if got := coord.Metrics().Nodes[0].Draining; got != want {
+			t.Errorf("%q: draining = %v, want %v", c.param, got, want)
+		}
+	}
+	if code := post("drain=true"); code != http.StatusBadRequest {
+		t.Errorf("missing node: status %d, want 400", code)
+	}
+	if code := post("node=" + url.QueryEscape("http://unknown:1")); code != http.StatusNotFound {
+		t.Errorf("unknown node: status %d, want 404", code)
 	}
 }
 

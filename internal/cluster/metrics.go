@@ -15,11 +15,11 @@ type NodeStatus struct {
 	Name    string `json:"name" prom:"label"`
 	URL     string `json:"url"`
 	Healthy bool   `json:"healthy" prom:"gauge"`
-	// Draining distinguishes an operator drain (or a node's own
-	// heartbeat announcing shutdown) from probe-detected failure.
+	// Draining distinguishes an operator drain from probe-detected
+	// failure.
 	Draining bool `json:"draining" prom:"gauge"`
 	// QueueUnits is the node's accepted-but-unproved work (matmul
-	// statements plus model ops) as of its last probe or heartbeat.
+	// statements plus model ops) as of its last probe.
 	QueueUnits int64 `json:"queue_units" prom:"gauge"`
 	// Workers is the parallel budget the node announced; 0 for a node
 	// that never announced (a static -node).
@@ -31,7 +31,7 @@ type NodeStatus struct {
 	// ProbeFailures is the current consecutive-failure streak.
 	ProbeFailures int64 `json:"probe_failures" prom:"gauge"`
 	// DiskBytes is the node's on-disk state (job journals plus issued
-	// log) and MemBytes its live heap, as of its last probe or heartbeat.
+	// log) and MemBytes its live heap, as of its last probe.
 	DiskBytes uint64 `json:"disk_bytes" prom:"gauge"`
 	MemBytes  uint64 `json:"mem_bytes" prom:"gauge"`
 }
@@ -89,7 +89,7 @@ func (c *Coordinator) Metrics() Snapshot {
 			Name:          n.name,
 			URL:           n.url,
 			Healthy:       n.healthy(),
-			Draining:      n.draining(),
+			Draining:      n.drained.Load(),
 			QueueUnits:    n.queueUnits.Load(),
 			Workers:       int(n.workers.Load()),
 			Routed:        n.routed.Load(),

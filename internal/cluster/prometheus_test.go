@@ -29,7 +29,7 @@ func TestCoordinatorPrometheusEndpoint(t *testing.T) {
 	_, coordTS := newCoordinator(t, ccfg)
 
 	// Route one job so the counters move, and give the probe loop a
-	// cycle to pull disk/memory from node heartbeat snapshots.
+	// cycle to pull disk/memory from the nodes' /metrics snapshots.
 	cc := server.NewClient(coordTS.URL)
 	rng := mrand.New(mrand.NewSource(harnessSeed))
 	x := zkvc.RandomMatrix(rng, 3, 4, 32)

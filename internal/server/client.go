@@ -4,7 +4,7 @@ package server
 // proving-service endpoint over the canonical wire encodings. The CLI,
 // the examples and the cluster coordinator all speak to a service
 // through it — the coordinator additionally uses it for health probes,
-// and nodes for coordinator registration (Announce/Heartbeat). Pointing
+// and nodes for coordinator registration (Announce). Pointing
 // it at a coordinator instead of a node gives the same interface,
 // routed (cluster.NewEngine is that spelling).
 //
@@ -279,13 +279,6 @@ func (c *Client) Healthz(ctx context.Context) error {
 // points at.
 func (c *Client) Announce(ctx context.Context, a *wire.NodeAnnounce) error {
 	_, err := c.call(ctx, http.MethodPost, "/v1/cluster/announce", wire.EncodeNodeAnnounce(a))
-	return err
-}
-
-// Heartbeat refreshes a node's liveness with the coordinator this
-// client points at.
-func (c *Client) Heartbeat(ctx context.Context, h *wire.NodeHeartbeat) error {
-	_, err := c.call(ctx, http.MethodPost, "/v1/cluster/heartbeat", wire.EncodeNodeHeartbeat(h))
 	return err
 }
 

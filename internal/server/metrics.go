@@ -130,7 +130,7 @@ type Snapshot struct {
 	CoalesceRatio float64 `json:"coalesce_ratio" prom:"gauge"`
 
 	// CRSCacheHits and CRSCacheMisses count lookups in the Groth16 key
-	// cache model ops share (Config.MaxShapes): one per proved Groth16
+	// cache model ops share (maxShapes): one per proved Groth16
 	// op, a miss when that op ran the circuit's setup.
 	CRSCacheHits   int64 `json:"crs_cache_hits" prom:"counter"`
 	CRSCacheMisses int64 `json:"crs_cache_misses" prom:"counter"`
@@ -163,7 +163,7 @@ type Snapshot struct {
 	// (replication is best-effort; this is where its failures show).
 	// WriteErrors counts failed /metrics and job-status response writes.
 	// DiskBytes is the node's total on-disk state (job journals plus the
-	// issued log) — the disk gauge heartbeats carry to the coordinator.
+	// issued log) — the disk gauge the coordinator's probe reads.
 	IssuedAttestations     int64  `json:"issued_attestations" prom:"gauge"`
 	IssuedLogRecords       int64  `json:"issued_log_records" prom:"gauge"`
 	IssuedLogBytes         int64  `json:"issued_log_bytes" prom:"gauge"`
@@ -235,20 +235,6 @@ func (s *Server) Metrics() Snapshot {
 	snap.IssuedAttestations, snap.IssuedLogRecords, snap.IssuedLogBytes, snap.IssuedLogErrors = s.issued.stats()
 	snap.ReplicatedAttestations, _, _, _ = s.replicated.stats()
 	return snap
-}
-
-// Heartbeat is the load a node reports as of this snapshot: its queued
-// work units (matmul statements plus model ops, the sum Config.QueueCap
-// bounds), its on-disk state and its live heap. A node sends it to its
-// coordinator, and the coordinator's probe derives the same figures
-// from a node's GET /metrics.
-func (s *Snapshot) Heartbeat(name string) *wire.NodeHeartbeat {
-	return &wire.NodeHeartbeat{
-		Name:       name,
-		QueueUnits: s.QueueDepth + s.ModelOpsQueued,
-		DiskBytes:  s.DiskBytes,
-		MemBytes:   s.HeapAllocBytes,
-	}
 }
 
 // Announce is the registration a node sends its coordinator under name,

@@ -104,11 +104,6 @@ type Config struct {
 	// one per model op. Work past it is shed with 503 (429 on
 	// POST /v1/jobs).
 	QueueCap int
-	// MaxShapes bounds the Groth16 key cache model ops share
-	// (zkml.KeyCache, LRU eviction): each distinct model-op circuit costs
-	// a trusted setup and keeps its keys resident, and clients pick
-	// models freely. 0 means 64.
-	MaxShapes int
 	// StreamWriteTimeout bounds how long one model-stream frame write may
 	// wait on the client. Without it, a client that connects and never
 	// reads wedges its job (and the job's parallel-budget token and queue
@@ -175,13 +170,18 @@ func DefaultConfig() Config {
 		Window:             10 * time.Millisecond,
 		MaxBatch:           16,
 		QueueCap:           1024,
-		MaxShapes:          64,
 		JobTTL:             15 * time.Minute,
 		TenantJobQuota:     64,
 		ReapInterval:       time.Second,
 		StreamWriteTimeout: 30 * time.Second,
 	}
 }
+
+// maxShapes bounds the Groth16 key cache model ops share
+// (zkml.KeyCache, LRU eviction): each distinct model-op circuit costs a
+// trusted setup and keeps its keys resident, and clients pick models
+// freely.
+const maxShapes = 64
 
 // ErrClosed is returned for jobs submitted after Close.
 var ErrClosed = errors.New("server: shutting down")
@@ -279,9 +279,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 1024
 	}
-	if cfg.MaxShapes <= 0 {
-		cfg.MaxShapes = 64
-	}
 	if cfg.StreamWriteTimeout <= 0 {
 		cfg.StreamWriteTimeout = 30 * time.Second
 	}
@@ -314,7 +311,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		metrics:    &metrics{},
-		keys:       zkml.NewKeyCache(cfg.MaxShapes, cfg.Seed),
+		keys:       zkml.NewKeyCache(maxShapes, cfg.Seed),
 		issued:     issued,
 		replicated: newIssuedLog(issuedLogCap),
 		windows:    make(map[string]*window),

@@ -47,7 +47,6 @@ func fuzzSeeds(f *testing.F) [][]byte {
 			Pairs: [][2]*zkvc.Matrix{{x, w}, {x, w}},
 		}),
 		wire.EncodeNodeAnnounce(&wire.NodeAnnounce{Name: "prover-1", URL: "http://10.0.0.7:8799", Workers: 4}),
-		wire.EncodeNodeHeartbeat(&wire.NodeHeartbeat{Name: "prover-1", QueueUnits: 17, Draining: true, DiskBytes: 1 << 20, MemBytes: 1 << 24}),
 		wire.EncodeIssuedRecord(&wire.IssuedRecord{Seq: 3, Kind: wire.IssuedAdd, Digest: [32]byte{1, 2, 3}, CRSTag: 7}),
 		wire.EncodeIssuedRecord(&wire.IssuedRecord{Seq: 4, Kind: wire.IssuedTombstone, Prev: [32]byte{9}, Digest: [32]byte{1, 2, 3}}),
 		wire.EncodeAttestationUpdate(&wire.AttestationUpdate{Node: "prover-1", Added: [][32]byte{{4, 5}}, Removed: [][32]byte{{6}}}),

@@ -91,7 +91,7 @@ func EncodeAttestationUpdate(u *AttestationUpdate) []byte {
 // DecodeAttestationUpdate parses a replication update. Node must be
 // non-empty (the coordinator excludes the sender from the replica set by
 // name), and an update must carry at least one digest — an empty update
-// is a protocol error, not a heartbeat.
+// is a protocol error, not a keep-alive.
 func DecodeAttestationUpdate(b []byte) (*AttestationUpdate, error) {
 	return decode(b, TagAttestationUpdate, func(d *dec) *AttestationUpdate {
 		u := &AttestationUpdate{}

@@ -52,7 +52,6 @@ var codecs = []codec{
 	newCodec("ModelStreamHeader", wire.DecodeModelStreamHeader, wire.EncodeModelStreamHeader),
 	newCodec("ModelStreamError", wire.DecodeModelStreamError, wire.EncodeModelStreamError),
 	newCodec("NodeAnnounce", wire.DecodeNodeAnnounce, wire.EncodeNodeAnnounce),
-	newCodec("NodeHeartbeat", wire.DecodeNodeHeartbeat, wire.EncodeNodeHeartbeat),
 	newCodec("JobSubmitRequest", wire.DecodeJobSubmitRequest, wire.EncodeJobSubmitRequest),
 	newCodec("JobStatus", wire.DecodeJobStatus, wire.EncodeJobStatus),
 	newCodec("JournalRecord", wire.DecodeJournalRecord, wire.EncodeJournalRecord),
@@ -112,7 +111,6 @@ func strictRows(t *testing.T) map[string][]byte {
 		Model: cfg.Name, Backend: rep.Backend, Circuit: rep.Circuit, TotalOps: len(rep.Ops)})
 	rows["ModelStreamError"] = wire.EncodeModelStreamError("prove failed")
 	rows["NodeAnnounce"] = wire.EncodeNodeAnnounce(&wire.NodeAnnounce{Name: "n", URL: "http://x", Workers: 1})
-	rows["NodeHeartbeat"] = wire.EncodeNodeHeartbeat(&wire.NodeHeartbeat{Name: "n", QueueUnits: 3, Draining: true, DiskBytes: 1 << 20, MemBytes: 1 << 24})
 	rows["JobStatus/running"] = wire.EncodeJobStatus(&wire.JobStatus{ID: "a", State: wire.JobRunning, TotalOps: 5, CompletedOps: 2})
 	rows["JobStatus/rejected"] = wire.EncodeJobStatus(&wire.JobStatus{State: wire.JobRejected, QueuePos: 12, RetryAfterSeconds: 2, Error: "queue full"})
 	rows["JournalRecord"] = wire.EncodeJournalRecord(&wire.JournalRecord{Seq: 1, Kind: wire.JournalHeader, Prev: [32]byte{7}, Payload: []byte("frame")})

@@ -77,7 +77,8 @@ const (
 	TagModelStreamHeader byte = 0x0a
 	TagModelStreamError  byte = 0x0b
 	TagNodeAnnounce      byte = 0x0c
-	TagNodeHeartbeat     byte = 0x0d
+	// 0x0d was the retired node heartbeat; the coordinator's probe of
+	// GET /metrics replaced it. Never reuse it.
 	TagProveBatchRequest byte = 0x0e
 	// Durable-job messages (jobs.go). TagJournalRecord and TagJobManifest
 	// are stored in job journals on disk.
@@ -112,7 +113,6 @@ var tagNames = map[byte]string{
 	TagModelStreamHeader: "ModelStreamHeader",
 	TagModelStreamError:  "ModelStreamError",
 	TagNodeAnnounce:      "NodeAnnounce",
-	TagNodeHeartbeat:     "NodeHeartbeat",
 	TagProveBatchRequest: "ProveBatchRequest",
 	TagJobSubmitRequest:  "JobSubmitRequest",
 	TagJobStatus:         "JobStatus",
