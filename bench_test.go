@@ -467,8 +467,11 @@ func TestAllocBudget(t *testing.T) {
 		// stopped building the CRPC constraint system: 1.25 × (115,
 		// 940 568), the most of 16 runs at GOMAXPROCS 1, 2 and 4 (most
 		// read 87 and 622 456). The same row took 243 allocs and 4.0 MB
-		// while it built the ~18k-term system per verify.
-		{"VerifyMatMul/zkVC-S", loneVerifyOp(t), 144, 1_175_710},
+		// while it built the ~18k-term system per verify. Its bytes were
+		// tightened to 1.25 × 634 136, the most of 18 runs at GOMAXPROCS
+		// 1, 2 and 4 (most read 89 and 316 024), when the CRPC challenge
+		// derivation stopped copying X, Y and W into byte slices.
+		{"VerifyMatMul/zkVC-S", loneVerifyOp(t), 144, 792_670},
 	} {
 		// One unmeasured op first: the pools fill on it.
 		if _, err := row.op(); err != nil {

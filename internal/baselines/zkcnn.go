@@ -82,8 +82,8 @@ func ZKCNNProve(x, w, y *matrix.Matrix, comm *pcs.Commitment, st *pcs.ProverStat
 	}
 	tr := transcript.New(zkcnnLabel)
 	tr.Append("comm", comm.Root[:])
-	tr.Append("x", x.Bytes())
-	tr.Append("y", y.Bytes())
+	tr.AppendFrom("x", x)
+	tr.AppendFrom("y", y)
 
 	ri := tr.ChallengeFrs("ri", logDim(a))
 	rj := tr.ChallengeFrs("rj", logDim(b))
@@ -134,8 +134,8 @@ func ZKCNNVerify(x, y *matrix.Matrix, proof *ZKCNNProof, params pcs.Params) erro
 	b := y.Cols
 	tr := transcript.New(zkcnnLabel)
 	tr.Append("comm", proof.Comm.Root[:])
-	tr.Append("x", x.Bytes())
-	tr.Append("y", y.Bytes())
+	tr.AppendFrom("x", x)
+	tr.AppendFrom("y", y)
 
 	ri := tr.ChallengeFrs("ri", logDim(a))
 	rj := tr.ChallengeFrs("rj", logDim(b))

@@ -126,6 +126,9 @@ type node struct {
 	probeOK atomic.Bool
 	drained atomic.Bool
 	fails   atomic.Int64
+	// probing is set while a probe of the node is in flight; the probe
+	// loop starts no second one beside it.
+	probing atomic.Bool
 
 	// queueUnits is the node's accepted-but-unproved work as of the last
 	// probe (matmul jobs + model ops).
@@ -173,8 +176,11 @@ type Coordinator struct {
 	// so status/stream/cancel exchanges find the journal again.
 	jobRoutes *jobRouteTable
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// ctx ends with Close: it stops the probe loop and cuts short the
+	// probes in flight, which wg tracks with the loop.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // New validates the configuration and starts the health-probe loop.
@@ -195,8 +201,8 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		modelSlots: server.NewModelSlots(),
 		jobRoutes:  newJobRouteTable(),
-		stop:       make(chan struct{}),
 	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	for _, raw := range cfg.Nodes {
 		if _, err := c.addNode(raw, raw, 0); err != nil {
 			return nil, err
@@ -207,10 +213,10 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close stops the probe loop. In-flight forwarded requests are not
-// interrupted (their handlers own them).
+// Close stops the probe loop and the probes in flight. In-flight
+// forwarded requests are not interrupted (their handlers own them).
 func (c *Coordinator) Close() {
-	close(c.stop)
+	c.cancel()
 	c.wg.Wait()
 }
 
@@ -284,34 +290,40 @@ func (c *Coordinator) Drain(name string, drain bool) bool {
 
 // probeLoop polls every node's /metrics. A reachable node is healthy
 // and reports its queue depth; ProbeFailures consecutive failures mark
-// it unhealthy (drained of new work) until a probe succeeds again.
+// it unhealthy (drained of new work) until a probe succeeds again. Each
+// tick probes every node that has no probe in flight, so a node that
+// hangs until probeTimeout delays only its own verdict, never another
+// node's.
 func (c *Coordinator) probeLoop() {
 	defer c.wg.Done()
 	ticker := time.NewTicker(c.cfg.ProbeInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-c.stop:
+		case <-c.ctx.Done():
 			return
 		case <-ticker.C:
 		}
-		nodes := c.snapshotNodes()
-		var wg sync.WaitGroup
-		for _, n := range nodes {
-			wg.Add(1)
-			go func(n *node) {
-				defer wg.Done()
-				snap, err := n.probe.Metrics(context.Background())
-				if err != nil {
+		for _, n := range c.snapshotNodes() {
+			if !n.probing.CompareAndSwap(false, true) {
+				continue
+			}
+			c.wg.Add(1)
+			go func() {
+				defer c.wg.Done()
+				defer n.probing.Store(false)
+				snap, err := n.probe.Metrics(c.ctx)
+				switch {
+				case c.ctx.Err() != nil: // closing: no verdict
+				case err != nil:
 					if n.fails.Add(1) >= int64(c.cfg.ProbeFailures) {
 						n.probeOK.Store(false)
 					}
-					return
+				default:
+					n.heard(&snap)
 				}
-				n.heard(&snap)
-			}(n)
+			}()
 		}
-		wg.Wait()
 	}
 }
 

@@ -568,6 +568,42 @@ func TestProbeMarksDeadNodeUnhealthy(t *testing.T) {
 	}
 }
 
+// TestProbeHungNodeDelaysNoOtherVerdict: a node whose /metrics hangs
+// holds only its own probe, so a dead node beside it is ejected after
+// about ProbeFailures probe intervals, not after the hung probe's
+// 5-second timeout. Close then cuts the hung probe short.
+func TestProbeHungNodeDelaysNoOtherVerdict(t *testing.T) {
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	}))
+	t.Cleanup(hung.Close)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadURL := dead.URL
+	dead.Close()
+
+	ccfg := cluster.DefaultConfig()
+	ccfg.Nodes = []string{hung.URL, deadURL}
+	ccfg.ProbeInterval = 20 * time.Millisecond
+	ccfg.ProbeFailures = 2
+	start := time.Now()
+	coord, _ := newCoordinator(t, ccfg)
+
+	deadline := start.Add(2 * time.Second)
+	for {
+		ejected := false
+		for _, n := range coord.Metrics().Nodes {
+			ejected = ejected || n.Name == deadURL && !n.Healthy
+		}
+		if ejected {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("dead node still healthy after %v: the hung node's probe is holding it back", time.Since(start))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestClientCancelMidStreamRelaysAbortWithoutWedgingNode: a client that
 // cancels its context mid-model-stream through the coordinator must (a)
 // see the cancellation as its own ctx error, (b) have the abort relayed

@@ -65,8 +65,8 @@ func BatchCommit(stmts []*Statement) []byte {
 func DeriveBatchChallenges(stmts []*Statement, commit []byte) (z, gamma ff.Fr) {
 	tr := transcript.New("zkvc.crpc.batch")
 	for _, s := range stmts {
-		tr.Append("x", s.X.Bytes())
-		tr.Append("y", s.Y.Bytes())
+		tr.AppendFrom("x", s.X)
+		tr.AppendFrom("y", s.Y)
 	}
 	tr.Append("w.commit", commit)
 	z = tr.ChallengeFr("z")

@@ -86,8 +86,9 @@ func (s *Synthesis) Stats() r1cs.Stats { return s.Sys.Stats() }
 // WCommit returns the hash commitment to the private matrix used in the
 // Fiat–Shamir derivation of Z.
 func WCommit(w *matrix.Matrix) []byte {
-	h := sha256.Sum256(w.Bytes())
-	return h[:]
+	h := sha256.New()
+	w.WriteCanonical(h)
+	return h.Sum(nil)
 }
 
 // DeriveZ computes the CRPC challenge by Fiat–Shamir over the public
@@ -102,8 +103,8 @@ func DeriveZ(stmt *Statement) ff.Fr {
 // the public matrices and the prover's commitment to W.
 func DeriveZFromCommit(x, y *matrix.Matrix, wCommit []byte) ff.Fr {
 	tr := transcript.New("zkvc.crpc.z")
-	tr.Append("x", x.Bytes())
-	tr.Append("y", y.Bytes())
+	tr.AppendFrom("x", x)
+	tr.AppendFrom("y", y)
 	tr.Append("w.commit", wCommit)
 	return tr.ChallengeFr("z")
 }

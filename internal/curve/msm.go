@@ -21,10 +21,17 @@ import (
 // preparation, the plan and the algorithms — Pippenger (msm), fixed-base
 // (fixedBaseMul) and double-and-add (scalarMul) — are written once for
 // both groups; per group are only the point arithmetic they call
-// (Double, AddAssign, AddMixed, subMixed) and the batch-affine fixed-base
-// window (fixedBaseWindowG1/G2). Running time therefore depends on the
-// scalars' magnitudes; like the rest of the package, none of this is
+// (Double, AddAssign, AddMixed, subMixed) and the batch-affine addition
+// (batchAddG1/G2), which both Pippenger's affine buckets and fixed-base
+// multiplication run on. Running time therefore depends on the scalars'
+// magnitudes; like the rest of the package, none of this is
 // constant-time.
+//
+// Pippenger's buckets come in two kinds, planned per class (msmCost).
+// Jacobian buckets take a term with one AddMixed (7M+4S); affine buckets
+// with an affine addition (≈6 muls) in a batch of terms bound for
+// distinct buckets, which shares one inversion of its Δx (Montgomery's
+// trick). The inversion must amortise, so small chunks stay Jacobian.
 
 // Pools for MSM and fixed-base scratch: bucket state, batch-inversion
 // prefix products, scalar magnitudes and indices. Buckets are rented
@@ -34,10 +41,31 @@ import (
 var (
 	g1JacPool arena.Of[G1Jac]
 	g2JacPool arena.Of[G2Jac]
+	g1AffPool arena.Of[G1Affine]
+	g2AffPool arena.Of[G2Affine]
 	fpPool    arena.Of[ff.Fp]
 	fp2Pool   arena.Of[ff.Fp2]
 	limbPool  arena.Of[[4]uint64]
 	idxPool   arena.Of[uint32]
+	g1Blocks  arena.Of[fixedBaseScratch[G1Affine, ff.Fp]]
+	g2Blocks  arena.Of[fixedBaseScratch[G2Affine, ff.Fp2]]
+)
+
+// group is what the generic MSM and fixed-base code need of a group
+// besides its Jacobian law: scratch pools (Jacobian, affine, inversion
+// field, fixed-base block), the affine infinity and the batch addition.
+type group[J, A, F any] struct {
+	jac      *arena.Of[J]
+	aff      *arena.Of[A]
+	field    *arena.Of[F]
+	blocks   *arena.Of[fixedBaseScratch[A, F]]
+	inf      A
+	batchAdd func(acc, addends []A, byDigit bool, limbs [][4]uint64, terms []uint32, w int, c uint, inv []F, pend []uint32)
+}
+
+var (
+	g1Ops = &group[G1Jac, G1Affine, ff.Fp]{&g1JacPool, &g1AffPool, &fpPool, &g1Blocks, G1Affine{Infinity: true}, batchAddG1}
+	g2Ops = &group[G2Jac, G2Affine, ff.Fp2]{&g2JacPool, &g2AffPool, &fp2Pool, &g2Blocks, G2Affine{Infinity: true}, batchAddG2}
 )
 
 const (
@@ -64,16 +92,16 @@ type msmScalars struct {
 }
 
 // prepareMSM sign-normalises the scalars and partitions the terms that
-// contribute (non-zero scalar, finite point) into the two classes. The
-// partition is a sequential sweep over per-term tags, so it does not
-// depend on how many workers canonicalised.
+// contribute (non-zero scalar, finite point; nil infinity: all finite)
+// into the two classes. The partition is a sequential sweep over
+// per-term tags, so it does not depend on how many workers canonicalised.
 func prepareMSM(scalars []ff.Fr, infinity func(i int) bool) msmScalars {
 	n := len(scalars)
 	ps := msmScalars{limbs: limbPool.Get(n), buf: idxPool.Get(2 * n)}
 	limbs, idx, tags := ps.limbs, ps.buf[:n], ps.buf[n:] // tag = bit length of |s_i|, 0 = dropped
 	parallel.For(n, 4096, func(start, end int) {
 		for i := start; i < end; i++ {
-			if scalars[i].IsZero() || infinity(i) {
+			if scalars[i].IsZero() || infinity != nil && infinity(i) {
 				continue
 			}
 			var neg bool
@@ -120,27 +148,53 @@ func bitLen(l *[4]uint64) int {
 }
 
 // msmPlan maps a chunk of n scalars of at most nbits bits to a window
-// width c and a window count covering nbits+1 bits (signed digits need
-// one spare top bit).
-type msmPlan func(n, nbits int) (c uint, windows int)
+// width c, a window count covering nbits+1 bits (signed digits need one
+// spare top bit) and the bucket kind, affine or Jacobian.
+type msmPlan func(n, nbits int) (c uint, windows int, affine bool)
 
-// msmCost models a chunk's work in point additions: per window one per
-// point, then two for each of the 2^(c−1) buckets. Weighting the bucket
-// additions (full Jacobian, but sequential in memory) the same as the
-// per-point ones (mixed, but scattered) matches the measured optimum to
+// msmCost's weights in tenths of an AddMixed (BenchmarkMSMBuckets): a
+// term into a Jacobian or an affine bucket (its batch and queue turn
+// included), a bucket's share of the sum, an affine batch's inversion.
+const (
+	msmJacTerm   = 10
+	msmAffTerm   = 6
+	msmBucketSum = 20
+	msmBatchInv  = 60
+	// msmSplitCost: a one-chunk class of this msmCost (1,000 AddMixed,
+	// far above a hand-off to a worker) or more splits its windows.
+	msmSplitCost = 10_000
+)
+
+// msmBatch is the affine batch length at window width c: a quarter of
+// the 2^(c−1) buckets (few terms find theirs taken), in [1, 256].
+func msmBatch(c uint) int { return max(1, min(256, 1<<(c-1)/4)) }
+
+// msmCost models a chunk's work: per window a term weight per point, the
+// bucket sum, and for affine buckets an inversion per batch. Weighting a
+// bucket's two sum additions (full, but sequential in memory) like two
+// Jacobian terms (mixed, but scattered) matches the measured optimum to
 // within one step of c (BenchmarkMSMWindow).
-func msmCost(n int, c uint, windows int) int { return windows * (n + 1<<c) }
+func msmCost(n int, c uint, windows int, affine bool) int {
+	if !affine {
+		return windows * (n*msmJacTerm + 1<<(c-1)*msmBucketSum)
+	}
+	batches := 1 + n/msmBatch(c)
+	return windows * (n*msmAffTerm + 1<<(c-1)*msmBucketSum + batches*msmBatchInv)
+}
 
-// planMSM is the plan every MSM runs under: the c ≤ msmMaxWindow of
-// least msmCost, with ⌈(nbits+1)/c⌉ windows.
-func planMSM(n, nbits int) (c uint, windows int) {
+// planMSM is the plan every MSM runs under: the c ≤ msmMaxWindow and
+// bucket kind of least msmCost, with ⌈(nbits+1)/c⌉ windows.
+func planMSM(n, nbits int) (c uint, windows int, affine bool) {
+	best := 0
 	for w := uint(1); w <= msmMaxWindow; w++ {
 		nw := (nbits + int(w)) / int(w)
-		if c == 0 || msmCost(n, w, nw) < msmCost(n, c, windows) {
-			c, windows = w, nw
+		for _, aff := range []bool{false, true} {
+			if cost := msmCost(n, w, nw, aff); c == 0 || cost < best {
+				c, windows, affine, best = w, nw, aff, cost
+			}
 		}
 	}
-	return c, windows
+	return c, windows, affine
 }
 
 // msmChunk picks the point-chunk size for a parallel MSM: one chunk per
@@ -183,33 +237,36 @@ type jacobian[J, A any] interface {
 	AddAssign(*J) *J
 	AddMixed(*A) *J
 	subMixed(*A) *J
+	FromAffine(*A) *J
+	ToAffine() A
 }
 
 // MSMG1 computes Σ scalars[i]·points[i]: the two scalar classes (see the
 // top of this file) each run a Pippenger bucket method chunked across the
 // shared worker budget, every chunk a full windowed MSM over its slice
-// of the class, the partial sums folded in chunk order. Group arithmetic
+// of the class (a class of one costly chunk splits its windows instead),
+// the partial sums folded in chunk order. Group arithmetic
 // is exact, so the result is the same group element at every parallelism
 // level and for every window plan.
 func MSMG1(points []G1Affine, scalars []ff.Fr) G1Jac {
-	return msm(points, scalars, planMSM, &g1JacPool, func(i int) bool { return points[i].Infinity })
+	return msm(points, scalars, planMSM, g1Ops, func(i int) bool { return points[i].Infinity })
 }
 
 // msm is the MSM of either group under an explicit plan (the window
 // ablation and the plan-independence tests pass their own), its bucket
-// scratch rented from pool; infinity reports the points to skip.
-func msm[J, A any, PJ jacobian[J, A]](points []A, scalars []ff.Fr, plan msmPlan, pool *arena.Of[J], infinity func(i int) bool) J {
+// scratch rented from g's pools; infinity reports the points to skip.
+func msm[J, A, F any, PJ jacobian[J, A]](points []A, scalars []ff.Fr, plan msmPlan, g *group[J, A, F], infinity func(i int) bool) J {
 	if len(points) != len(scalars) {
 		panic("curve: MSM length mismatch")
 	}
 	ps := prepareMSM(scalars, infinity)
-	acc := msmRun[J, A, PJ](nil, points, ps.limbs, ps.short, plan, pool)
-	acc = msmRun[J, A, PJ](acc, points, ps.limbs, ps.long, plan, pool)
+	acc := msmRun[J, A, F, PJ](nil, points, ps.limbs, ps.short, plan, g)
+	acc = msmRun[J, A, F, PJ](acc, points, ps.limbs, ps.long, plan, g)
 	ps.release()
 	var total J // infinity
 	if acc != nil {
 		total = acc[0]
-		pool.Put(acc)
+		g.jac.Put(acc)
 	}
 	return total
 }
@@ -219,38 +276,57 @@ func msm[J, A any, PJ jacobian[J, A]](points []A, scalars []ff.Fr, plan msmPlan,
 // slot 0; the chunks fold in chunk order, each scratch returned to the
 // pool once folded. It returns the scratch holding the total: acc, or
 // the first chunk's when acc is nil (nil when nothing was summed).
-func msmRun[J, A any, PJ jacobian[J, A]](acc []J, points []A, limbs [][4]uint64, cls msmClass, plan msmPlan, pool *arena.Of[J]) []J {
+func msmRun[J, A, F any, PJ jacobian[J, A]](acc []J, points []A, limbs [][4]uint64, cls msmClass, plan msmPlan, g *group[J, A, F]) []J {
 	n := len(cls.idx)
 	if n == 0 {
 		return acc
 	}
 	workers := parallel.Default()
 	chunk := msmChunk(n, workers.Size())
-	c, windows := plan(min(n, chunk), cls.bits)
+	c, windows, affine := plan(min(n, chunk), cls.bits)
+	run := func(idx []uint32, lo, hi int) []J {
+		if affine {
+			return msmAffine[J, A, F, PJ](points, limbs, idx, c, lo, hi, g)
+		}
+		return msmSerial[J, A, F, PJ](points, limbs, idx, c, lo, hi, g)
+	}
 	fold := func(acc, next []J) []J {
 		PJ(&acc[0]).AddAssign(&next[0])
-		pool.Put(next)
+		g.jac.Put(next)
 		return acc
 	}
-	sum := parallel.MapReduce(workers, n, chunk, func(start, end int) []J {
-		return msmSerial[J, A, PJ](points, limbs, cls.idx[start:end], c, windows, pool)
-	}, fold)
+	size, grain, part := n, chunk, func(start, end int) []J { return run(cls.idx[start:end], 0, windows) }
+	if parts := workers.Size(); n <= chunk && parts > 1 && msmCost(n, c, windows, affine) >= msmSplitCost {
+		// One chunk would leave the other workers idle: split its windows
+		// between them instead. A part's sum is doubled down through the
+		// windows below its own, so the parts fold like chunks.
+		size, grain, part = windows, (windows+parts-1)/parts, func(lo, hi int) []J {
+			s := run(cls.idx, lo, hi)
+			for range uint(lo) * c {
+				PJ(&s[0]).Double(&s[0])
+			}
+			return s
+		}
+	}
+	sum := parallel.MapReduce(workers, size, grain, part, fold)
 	if acc == nil {
 		return sum
 	}
 	return fold(acc, sum)
 }
 
-// msmSerial is a single-threaded windowed MSM over one chunk of a class.
-// It returns its rented 2^(c−1) buckets, cleared between windows, with
-// the sum in slot 0. Bucket k collects the points whose digit is ±(k+1),
-// negated when the digit's and the scalar's signs disagree; slot 0 also
-// carries the running total, so no accumulator is rented beside them.
-func msmSerial[J, A any, PJ jacobian[J, A]](points []A, limbs [][4]uint64, idx []uint32, c uint, windows int, pool *arena.Of[J]) []J {
-	buckets := pool.Get(1 << (c - 1))
+// msmSerial is a single-threaded windowed MSM over one chunk of a class
+// and windows [lo, hi) of its plan, shifted down by lo, on Jacobian
+// buckets. It returns its rented 2^(c−1) buckets, cleared between
+// windows, with the sum in slot 0. Bucket k collects the points whose
+// digit is ±(k+1), negated when the digit's and the scalar's signs
+// disagree; slot 0 also carries the running total, so no accumulator is
+// rented beside them.
+func msmSerial[J, A, F any, PJ jacobian[J, A]](points []A, limbs [][4]uint64, idx []uint32, c uint, lo, hi int, g *group[J, A, F]) []J {
+	buckets := g.jac.Get(1 << (c - 1))
 	total := PJ(&buckets[0])
 	// MSB-first: double the total c times between windows.
-	for w := windows - 1; w >= 0; w-- {
+	for w := hi - 1; w >= lo; w-- {
 		for range c {
 			total.Double(total)
 		}
@@ -276,6 +352,94 @@ func msmSerial[J, A any, PJ jacobian[J, A]](points []A, limbs [][4]uint64, idx [
 		}
 	}
 	return buckets
+}
+
+// msmAffine is msmSerial on affine buckets. A window's terms fill, in
+// order, a batch of msmBatch(c) terms bound for distinct buckets, which
+// g.batchAdd adds behind one inversion; a term whose bucket is taken
+// waits in a queue of the same length, which each new batch drains
+// first. Digits piled onto few buckets would shrink batches towards one
+// inversion per term, so a term finding the queue full, and a window's
+// stragglers when its last batches come out short, take an AddMixed
+// into a Jacobian spill bucket. It returns rented scratch, sum in slot 0.
+func msmAffine[J, A, F any, PJ jacobian[J, A]](points []A, limbs [][4]uint64, idx []uint32, c uint, lo, hi int, g *group[J, A, F]) []J {
+	nb, size := 1<<(c-1), msmBatch(c)
+	sums := g.jac.Get(2 + nb) // the total, the running suffix sum, the spill buckets
+	total, suffix, spill := PJ(&sums[0]), PJ(&sums[1]), sums[2:]
+	buckets, inv := g.aff.Get(nb), g.field.Get(size)
+	scratch := idxPool.Get(nb + 2*size)
+	// taken[k] is the stamp of the last batch that held bucket k.
+	taken, pend, queue := scratch[:nb], scratch[nb:nb+size], scratch[nb+size:]
+	stamp, n, q, w := uint32(1), 0, 0, 0
+	spillTerm := func(e uint32) {
+		if k, neg := signedDigit(limbs, e, w, c); neg {
+			PJ(&spill[k]).subMixed(&points[e&^msmNeg])
+		} else {
+			PJ(&spill[k]).AddMixed(&points[e&^msmNeg])
+		}
+	}
+	// flush adds the batch and starts the next from the queue.
+	flush := func() {
+		g.batchAdd(buckets, points, true, limbs, pend[:n], w, c, inv, pend)
+		queued := q
+		stamp, n, q = stamp+1, 0, 0
+		for _, e := range queue[:queued] {
+			if k, _ := signedDigit(limbs, e, w, c); n < size && taken[k] != stamp {
+				taken[k], pend[n] = stamp, e
+				n++
+			} else {
+				queue[q] = e
+				q++
+			}
+		}
+	}
+	for w = hi - 1; w >= lo; w-- {
+		for range c {
+			total.Double(total)
+		}
+		for k := range buckets {
+			buckets[k] = g.inf
+		}
+		clear(spill)
+		for _, e := range idx {
+			k, _ := signedDigit(limbs, e, w, c)
+			switch {
+			case k < 0:
+			case taken[k] != stamp:
+				taken[k], pend[n] = stamp, e
+				for n++; n == size; {
+					flush()
+				}
+			case q < size:
+				queue[q] = e
+				q++
+			default:
+				spillTerm(e)
+			}
+		}
+		for n > 0 {
+			if flush(); n < size/8 {
+				for _, e := range pend[:n] {
+					spillTerm(e)
+				}
+				for _, e := range queue[:q] {
+					spillTerm(e)
+				}
+				n, q = 0, 0
+				stamp++
+			}
+		}
+		clear(sums[1:2])
+		for k := nb - 1; k >= 0; k-- {
+			suffix.AddMixed(&buckets[k])
+			suffix.AddAssign(&spill[k])
+			total.AddAssign(suffix)
+		}
+	}
+	g.aff.Put(buckets)
+	g.field.Put(inv)
+	idxPool.Put(scratch)
+	return sums
 }
 
 // scalarMul sets p = s·q in either group and returns p: double-and-add
@@ -304,13 +468,10 @@ func scalarMul[J, A any, PJ jacobian[J, A]](p, q *J, s *ff.Fr, pool *arena.Of[J]
 // MSM's preparation: zeros are dropped before chunking, so workers split
 // the non-zero terms evenly however they cluster. B's table holds
 // (k+1)·2^{cw}·B for k < 2^{c−1} in every window w, so a signed digit is
-// one table point and no doublings are needed. The pass is window-major:
-// each output is an affine accumulator (Z = 1, or infinity), and per
-// window a worker adds its chunk's non-zero digits with affine formulas
-// (≈6 muls against AddMixed's 11) behind one shared Montgomery batch
-// inversion of the Δx. An output's first digit is a copy; an x-collision
-// (acc = ±addend) takes the exact Jacobian AddMixed. The outputs keep
-// Z = 1, which BatchToAffineG1/G2 pass through without inverting.
+// one table point and no doublings are needed. A worker takes its terms
+// in blocks and, window by window, adds their digits to the block's
+// affine accumulators with batchAddG1/G2. The outputs keep Z = 1, which
+// BatchToAffineG1/G2 pass through without inverting.
 const (
 	// fixedBaseWindow is the signed window width c: 24 windows, tables
 	// of ≈1.8 MB (G1) and ≈3.3 MB (G2). In a sweep over 8–12
@@ -320,6 +481,9 @@ const (
 	// fixedBaseGrain floors a worker's share of non-zero scalars so that
 	// its one field inversion per window stays amortised.
 	fixedBaseGrain = 128
+	// fixedBaseBlock caps a block's terms: its accumulators stay in
+	// cache, and its inversion per window costs ~1 % of its additions.
+	fixedBaseBlock = 1024
 )
 
 // fixedBaseWindows returns the window count of width c covering a
@@ -338,29 +502,49 @@ func signedDigit(limbs [][4]uint64, e uint32, w int, c uint) (k int, neg bool) {
 	return d - 1, neg
 }
 
+// fixedBaseScratch is a worker's scratch for one block of fixed-base
+// terms, rented whole: the affine accumulators, the inversion's prefix
+// products, the magnitudes and terms renumbered from 0, pending terms.
+type fixedBaseScratch[A, F any] struct {
+	acc   [fixedBaseBlock]A
+	inv   [fixedBaseBlock]F
+	limbs [fixedBaseBlock][4]uint64
+	terms [2 * fixedBaseBlock]uint32
+}
+
 // fixedBaseMul multiplies the base of table, of width c, by every
-// scalar, in either group: the pass runs over every prepared class, its
-// non-zero terms split into chunks of at least fixedBaseGrain, one per
-// budgeted worker, and window adds one window's digits of a chunk's
-// terms to their outputs (fixedBaseWindowG1/G2), with scratch of the
-// chunk's length: inversion prefix products from pool and pending terms.
-func fixedBaseMul[J, A, F any](table [][]A, c uint, scalars []ff.Fr, pool *arena.Of[F],
-	window func(out []J, limbs [][4]uint64, idx []uint32, row []A, w int, c uint, inv []F, pend []uint32)) []J {
+// scalar, in either group. Each prepared class splits into at most one
+// share per budgeted worker, of at least fixedBaseGrain terms; job j
+// takes share j of both classes, in blocks of fixedBaseBlock terms under
+// one rented fixedBaseScratch, so that no scratch grows with the scalars.
+func fixedBaseMul[J, A, F any, PJ jacobian[J, A]](table [][]A, c uint, scalars []ff.Fr, g *group[J, A, F]) []J {
 	out := make([]J, len(scalars)) // Z = 0: infinity
-	ps := prepareMSM(scalars, func(int) bool { return false })
-	limbs, workers := ps.limbs, parallel.DefaultSize()
-	for _, cls := range []msmClass{ps.short, ps.long} {
-		windows := (cls.bits + int(c)) / int(c)
-		parallel.For(len(cls.idx), max(fixedBaseGrain, (len(cls.idx)+workers-1)/workers), func(start, end int) {
-			idx := cls.idx[start:end]
-			inv, pend := pool.Get(len(idx)), idxPool.Get(len(idx))
-			for w := range windows {
-				window(out, limbs, idx, table[w], w, c, inv, pend)
+	ps := prepareMSM(scalars, nil)
+	mags, classes, workers := ps.limbs, [2]msmClass{ps.short, ps.long}, parallel.DefaultSize()
+	jobs := min(workers, (max(len(ps.short.idx), len(ps.long.idx))+fixedBaseGrain-1)/fixedBaseGrain)
+	parallel.For(jobs, 1, func(first, last int) {
+		scratch := g.blocks.Get(1)
+		s := &scratch[0]
+		for j := first; j < last; j++ {
+			for _, cls := range classes {
+				n := len(cls.idx)
+				size := max(fixedBaseGrain, (n+workers-1)/workers)
+				for start, end := min(n, j*size), min(n, (j+1)*size); start < end; start += fixedBaseBlock {
+					idx := cls.idx[start:min(end, start+fixedBaseBlock)]
+					for k, e := range idx {
+						s.acc[k], s.limbs[k], s.terms[k] = g.inf, mags[e&^msmNeg], uint32(k)|e&msmNeg
+					}
+					for w := range (cls.bits + int(c)) / int(c) {
+						g.batchAdd(s.acc[:], table[w], false, s.limbs[:], s.terms[:len(idx)], w, c, s.inv[:], s.terms[fixedBaseBlock:])
+					}
+					for k, e := range idx {
+						PJ(&out[e&^msmNeg]).FromAffine(&s.acc[k])
+					}
+				}
 			}
-			pool.Put(inv)
-			idxPool.Put(pend)
-		})
-	}
+		}
+		g.blocks.Put(scratch)
+	})
 	ps.release()
 	return out
 }
@@ -400,59 +584,72 @@ func buildG1GeneratorTable() [][]G1Affine {
 // builds its own per call. Outputs have Z = 1 or are infinity.
 func FixedBaseMulG1(base G1Jac, scalars []ff.Fr) []G1Jac {
 	if gen := G1GeneratorJac(); base.Equal(&gen) {
-		return fixedBaseG1(g1GeneratorTable(), fixedBaseWindow, scalars)
+		return fixedBaseMul(g1GeneratorTable(), fixedBaseWindow, scalars, g1Ops)
 	}
-	return fixedBaseG1(fixedBaseTable(&base, fixedBaseWindow, BatchToAffineG1), fixedBaseWindow, scalars)
+	return fixedBaseMul(fixedBaseTable(&base, fixedBaseWindow, BatchToAffineG1), fixedBaseWindow, scalars, g1Ops)
 }
 
-// fixedBaseG1 multiplies the base of table, of width c, by every scalar.
-func fixedBaseG1(table [][]G1Affine, c uint, scalars []ff.Fr) []G1Jac {
-	return fixedBaseMul(table, c, scalars, &fpPool, fixedBaseWindowG1)
+// batchTerm returns term e's accumulator, addend and addend sign in
+// window w for batchAddG1/G2; a is nil when the digit is 0.
+func batchTerm[A any](acc, addends []A, byDigit bool, limbs [][4]uint64, e uint32, w int, c uint) (a, q *A, neg bool) {
+	k, neg := signedDigit(limbs, e, w, c)
+	if k < 0 {
+		return nil, nil, false
+	}
+	i, j := int(e&^msmNeg), k
+	if byDigit {
+		i, j = j, i
+	}
+	return &acc[i], &addends[j], neg
 }
 
-// fixedBaseWindowG1 adds window w's digit of every term in idx to its
-// output, out holding affine accumulators (Z = 1) or infinity. inv and
-// pend are scratch of len(idx): the prefix products of the Δx, then the
-// terms waiting for the shared inversion.
-//
-// The exceptional branch (acc.x = addend.x, so acc = ±addend) cannot be
-// reached by canonical scalars and a base of order r: before window w
-// the accumulator is t·B with t = Σ_{v<w} d_v·2^{cv} ∈ [−2^{cw−1},
+// exactAdd sets a = a ± q (−q when neg) through the Jacobian formulas,
+// which take the x-collisions a batch cannot: doubling or infinity.
+func exactAdd[J, A any, PJ jacobian[J, A]](a, q *A, neg bool) {
+	var t J
+	if PJ(&t).FromAffine(a); neg {
+		PJ(&t).subMixed(q)
+	} else {
+		PJ(&t).AddMixed(q)
+	}
+	*a = PJ(&t).ToAffine()
+}
+
+// batchAddG1 adds to each term's accumulator the signed point its
+// window-w digit d ≠ 0 selects: ±addends[|d|−1] to acc[e] in fixed-base
+// multiplication, ±addends[e] to acc[|d|−1] in Pippenger's buckets
+// (byDigit). The accumulators are distinct, so the affine additions (≈6
+// muls against AddMixed's 11) share one batch inversion of their Δx; inv
+// and pend (which may be terms) are scratch of len(terms). An empty
+// accumulator takes a copy, an x-collision (acc = ±addend) exactAdd.
+// Pippenger reaches the latter when a point meets itself or its negative
+// in one bucket. Fixed-base multiplication cannot reach
+// it with canonical scalars and a base of order r: before window w the
+// accumulator is t·B with t = Σ_{v<w} d_v·2^{cv} ∈ [−2^{cw−1},
 // 2^{cw−1}), the addend d·2^{cw}·B has |d|·2^{cw} ≥ 2^{cw}, and for
 // magnitudes m ≤ (r−1)/2 both t ± d·2^{cw} are non-zero integers of
 // magnitude < r. At c = 11 the tight case is the top window, cw = 253:
 // its digit is 1 only when bit 252 of m is set, and then |t − 2^253| =
-// 2^254 − m ≤ 3·2^252 < r. It stays for exactness;
-// TestFixedBaseWindowCollision drives it directly.
-func fixedBaseWindowG1(out []G1Jac, limbs [][4]uint64, idx []uint32, row []G1Affine, w int, c uint, inv []ff.Fp, pend []uint32) {
-	addend := func(e uint32) (q G1Affine, ok bool) {
-		k, neg := signedDigit(limbs, e, w, c)
-		if k < 0 || row[k].Infinity {
-			return q, false
-		}
-		q = row[k]
-		if neg {
-			q.Y.Neg(&q.Y)
-		}
-		return q, true
-	}
+// 2^254 − m ≤ 3·2^252 < r. TestFixedBaseWindowCollision drives it there.
+func batchAddG1(acc, addends []G1Affine, byDigit bool, limbs [][4]uint64, terms []uint32, w int, c uint, inv []ff.Fp, pend []uint32) {
+	term := func(e uint32) (a, q *G1Affine, neg bool) { return batchTerm(acc, addends, byDigit, limbs, e, w, c) }
 	var prod, dx ff.Fp
 	prod.SetOne()
 	n := 0
-	for _, e := range idx {
-		q, ok := addend(e)
-		acc := &out[e&^msmNeg]
+	for _, e := range terms {
+		a, q, neg := term(e)
 		switch {
-		case !ok:
-		case acc.IsInfinity():
-			acc.FromAffine(&q)
-		case acc.X.Equal(&q.X):
-			acc.AddMixed(&q)
-			a := acc.ToAffine()
-			acc.FromAffine(&a)
+		case a == nil || q.Infinity:
+		case a.Infinity:
+			*a = *q
+			if neg {
+				a.Y.Neg(&a.Y)
+			}
+		case a.X.Equal(&q.X):
+			exactAdd[G1Jac](a, q, neg)
 		default:
 			inv[n] = prod
-			dx.Sub(&q.X, &acc.X)
+			dx.Sub(&q.X, &a.X)
 			prod.Mul(&prod, &dx)
 			pend[n] = e
 			n++
@@ -461,19 +658,23 @@ func fixedBaseWindowG1(out []G1Jac, limbs [][4]uint64, idx []uint32, row []G1Aff
 	prod.Inverse(&prod)
 	var lambda, t ff.Fp
 	for j := n - 1; j >= 0; j-- {
-		q, _ := addend(pend[j])
-		acc := &out[pend[j]&^msmNeg]
-		dx.Sub(&q.X, &acc.X)
+		a, q, neg := term(pend[j])
+		dx.Sub(&q.X, &a.X)
 		lambda.Mul(&prod, &inv[j]) // 1/Δx
 		prod.Mul(&prod, &dx)
-		t.Sub(&q.Y, &acc.Y)
+		if neg { // the addend is (x₂, −q.y): λ = −(q.y + y₁)/Δx
+			t.Add(&q.Y, &a.Y)
+			lambda.Neg(&lambda)
+		} else {
+			t.Sub(&q.Y, &a.Y)
+		}
 		lambda.Mul(&lambda, &t)
 		t.Square(&lambda)
-		t.Sub(&t, &acc.X)
+		t.Sub(&t, &a.X)
 		t.Sub(&t, &q.X) // x₃ = λ² − x₁ − x₂
-		dx.Sub(&acc.X, &t)
+		dx.Sub(&a.X, &t)
 		dx.Mul(&dx, &lambda)
-		acc.Y.Sub(&dx, &acc.Y) // y₃ = λ(x₁ − x₃) − y₁
-		acc.X = t
+		a.Y.Sub(&dx, &a.Y) // y₃ = λ(x₁ − x₃) − y₁
+		a.X = t
 	}
 }

@@ -53,7 +53,7 @@ func newG1Group(rng *mrand.Rand, n int) *msmGroup {
 		}
 	}
 	g.msm = func(scalars []ff.Fr, plan msmPlan) any {
-		r := msm(pts, scalars, plan, &g1JacPool, func(i int) bool { return pts[i].Infinity })
+		r := msm(pts, scalars, plan, g1Ops, func(i int) bool { return pts[i].Infinity })
 		return r.ToAffine()
 	}
 	g.naive = func(scalars []ff.Fr) any {
@@ -91,7 +91,7 @@ func newG2Group(rng *mrand.Rand, n int) *msmGroup {
 		}
 	}
 	g.msm = func(scalars []ff.Fr, plan msmPlan) any {
-		r := msm(pts, scalars, plan, &g2JacPool, func(i int) bool { return pts[i].Infinity })
+		r := msm(pts, scalars, plan, g2Ops, func(i int) bool { return pts[i].Infinity })
 		return r.ToAffine()
 	}
 	g.naive = func(scalars []ff.Fr) any {
@@ -220,9 +220,35 @@ var pointMixes = []struct {
 
 var msmSizes = []int{0, 1, 15, 16, 17, 255, 256, 257, 4097}
 
-// testMSMMatchesNaive runs every size × scalar mix × point mix against
-// the discrete-log oracle, and against naive Σ ScalarMul where that is
-// affordable.
+// bucketKinds are the planned MSM and the plan restricted to each bucket
+// kind, so that every oracle test runs both bucket loops.
+var bucketKinds = []struct {
+	name string
+	plan msmPlan
+}{
+	{"planned", planMSM},
+	{"jacobian", planKind(false)},
+	{"affine", planKind(true)},
+}
+
+// planKind is planMSM restricted to one bucket kind: the window of least
+// msmCost for that kind.
+func planKind(affine bool) msmPlan {
+	return func(n, nbits int) (c uint, windows int, _ bool) {
+		best := 0
+		for w := uint(1); w <= msmMaxWindow; w++ {
+			nw := (nbits + int(w)) / int(w)
+			if cost := msmCost(n, w, nw, affine); c == 0 || cost < best {
+				c, windows, best = w, nw, cost
+			}
+		}
+		return c, windows, affine
+	}
+}
+
+// testMSMMatchesNaive runs every size × scalar mix × point mix × bucket
+// kind against the discrete-log oracle, and against naive Σ ScalarMul
+// where that is affordable.
 func testMSMMatchesNaive(t *testing.T, g *msmGroup) {
 	rng := mrand.New(mrand.NewSource(45))
 	for _, n := range msmSizes {
@@ -236,13 +262,18 @@ func testMSMMatchesNaive(t *testing.T, g *msmGroup) {
 				}
 				pm.apply(sel, scalars)
 				g.pick(sel)
-				got := g.msm(scalars, planMSM)
-				if want := g.oracle(sel, scalars); got != want {
-					t.Errorf("%s n=%d %s/%s: MSM disagrees with (Σ s·k)·G", g.name, n, sm.name, pm.name)
-				}
+				want := g.oracle(sel, scalars)
+				var naive any
 				if n <= 17 {
-					if want := g.naive(scalars); got != want {
-						t.Errorf("%s n=%d %s/%s: MSM disagrees with Σ ScalarMul", g.name, n, sm.name, pm.name)
+					naive = g.naive(scalars)
+				}
+				for _, kind := range bucketKinds {
+					got := g.msm(scalars, kind.plan)
+					if got != want {
+						t.Errorf("%s n=%d %s/%s %s: MSM disagrees with (Σ s·k)·G", g.name, n, sm.name, pm.name, kind.name)
+					}
+					if naive != nil && got != naive {
+						t.Errorf("%s n=%d %s/%s %s: MSM disagrees with Σ ScalarMul", g.name, n, sm.name, pm.name, kind.name)
 					}
 				}
 			}
@@ -257,8 +288,45 @@ func testMSMMatchesNaive(t *testing.T, g *msmGroup) {
 		sel[i], scalars[i] = i, randScalar(rng)
 	}
 	g.pick(sel)
-	if g.msm(scalars, planMSM) != g.naive(scalars) {
-		t.Errorf("%s: random MSM disagrees with Σ ScalarMul", g.name)
+	want := g.naive(scalars)
+	for _, kind := range bucketKinds {
+		if g.msm(scalars, kind.plan) != want {
+			t.Errorf("%s %s: random MSM disagrees with Σ ScalarMul", g.name, kind.name)
+		}
+	}
+}
+
+// TestMSMAffineQueue piles the digits of hundreds of terms onto one
+// bucket next to spread ones, at widths whose batches hold 1 to 256
+// terms: each batch can take one of the piled terms, so they wait in the
+// queue, overflow it into the Jacobian spill buckets and come out as
+// stragglers at the end of every window. Both bucket kinds must agree
+// with the discrete-log oracle.
+func TestMSMAffineQueue(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(87))
+	for _, g := range []*msmGroup{newG1Group(rng, 700), newG2Group(rng, 700)} {
+		sel := make([]int, 700)
+		scalars := make([]ff.Fr, 700)
+		for i := range sel {
+			sel[i] = i
+			switch {
+			case i%7 == 6:
+				scalars[i] = smallSigned(rng, 12)
+			case i%2 == 0:
+				scalars[i].SetInt64(5)
+			default:
+				scalars[i].SetInt64(-5 - 1<<20)
+			}
+		}
+		g.pick(sel)
+		want := g.oracle(sel, scalars)
+		for _, c := range []uint{3, 6, 9, 11} {
+			for _, affine := range []bool{false, true} {
+				if got := g.msm(scalars, fixedWindow(c, affine)); got != want {
+					t.Errorf("%s: piled-up bucket at window %d (affine %v) disagrees with (Σ s·k)·G", g.name, c, affine)
+				}
+			}
+		}
 	}
 }
 
@@ -283,16 +351,18 @@ func mixedCase(g *msmGroup, rng *mrand.Rand, n int) []ff.Fr {
 	return scalars
 }
 
-// fixedWindow is the plan that uses window width c whatever the input.
-func fixedWindow(c uint) msmPlan {
-	return func(_, nbits int) (uint, int) { return c, (nbits + int(c)) / int(c) }
+// fixedWindow is the plan that uses window width c and the given bucket
+// kind whatever the input.
+func fixedWindow(c uint, affine bool) msmPlan {
+	return func(_, nbits int) (uint, int, bool) { return c, (nbits + int(c)) / int(c), affine }
 }
 
-// TestMSMWindowsAgree pins every window width, in both groups and on
-// scalars of every kind, to the planned result. (Wide windows over
-// full-width scalars are all bucket sweep; G2 stops at 11 to keep the
-// race job short — the digits themselves are group-independent and
-// covered for every width by TestBoothDigitRecomposes.)
+// TestMSMWindowsAgree pins every window width and bucket kind, in both
+// groups and on scalars of every kind, to the planned result. (Wide
+// windows over full-width scalars are all bucket sweep; G2 stops at 11
+// to keep the race job short — the digits themselves are
+// group-independent and covered for every width by
+// TestBoothDigitRecomposes.)
 func TestMSMWindowsAgree(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(77))
 	for _, tc := range []struct {
@@ -305,8 +375,10 @@ func TestMSMWindowsAgree(t *testing.T) {
 		scalars := mixedCase(tc.g, rng, 300)
 		want := tc.g.msm(scalars, planMSM)
 		for _, c := range tc.widths {
-			if got := tc.g.msm(scalars, fixedWindow(c)); got != want {
-				t.Errorf("%s: window %d disagrees with the plan", tc.g.name, c)
+			for _, affine := range []bool{false, true} {
+				if got := tc.g.msm(scalars, fixedWindow(c, affine)); got != want {
+					t.Errorf("%s: window %d (affine %v) disagrees with the plan", tc.g.name, c, affine)
+				}
 			}
 		}
 	}
@@ -318,7 +390,9 @@ func TestMSMParallelismAndPooling(t *testing.T) {
 	defer parallel.SetDefaultSize(0)
 	defer arena.SetEnabled(arena.Enabled())
 	rng := mrand.New(mrand.NewSource(80))
-	for _, g := range []*msmGroup{newG1Group(rng, 4097), newG2Group(rng, 1500)} {
+	// The 200-term case's classes are one chunk each: at 2 and 4
+	// workers its full-width class splits its windows.
+	for _, g := range []*msmGroup{newG1Group(rng, 4097), newG2Group(rng, 1500), newG1Group(rng, 200)} {
 		scalars := mixedCase(g, rng, len(g.logs))
 		parallel.SetDefaultSize(1)
 		want := g.msm(scalars, planMSM)
@@ -326,8 +400,10 @@ func TestMSMParallelismAndPooling(t *testing.T) {
 			arena.SetEnabled(pooled)
 			for _, workers := range []int{1, 2, 4} {
 				parallel.SetDefaultSize(workers)
-				if got := g.msm(scalars, planMSM); got != want {
-					t.Errorf("%s: workers=%d pooled=%v changed the result", g.name, workers, pooled)
+				for _, kind := range bucketKinds {
+					if got := g.msm(scalars, kind.plan); got != want {
+						t.Errorf("%s: workers=%d pooled=%v %s changed the result", g.name, workers, pooled, kind.name)
+					}
 				}
 			}
 		}
@@ -352,7 +428,7 @@ func TestBoothDigitRecomposes(t *testing.T) {
 			want.Lsh(want, 64).Or(want, new(big.Int).SetUint64(mag[i]))
 		}
 		for c := uint(1); c <= msmMaxWindow; c++ {
-			_, windows := fixedWindow(c)(1, bitLen(&mag))
+			_, windows, _ := fixedWindow(c, false)(1, bitLen(&mag))
 			got := new(big.Int)
 			for w := windows - 1; w >= 0; w-- {
 				d := boothDigit(&mag, w, c)
@@ -370,25 +446,35 @@ func TestBoothDigitRecomposes(t *testing.T) {
 
 // TestPlanMSM pins the window plan's contract: it covers nbits+1 bits
 // with ⌈(nbits+1)/c⌉ windows, its modelled cost never falls as scalars
-// get longer, the quantized matmul witness gets at most 3 windows, and
-// full-width input is planned no worse than the point-count table the
-// plan replaced (unsigned digits: 2^c buckets, a fixed 256-bit sweep).
+// get longer, the quantized matmul witness gets at most 3 windows and,
+// from 1k terms, affine buckets, and full-width input is planned no
+// worse than the point-count table the plan replaced (unsigned digits:
+// 2^c buckets, a fixed 256-bit sweep).
 func TestPlanMSM(t *testing.T) {
+	// TestMSMWindowAllocs's small-signed short class (1024 terms, every
+	// 61st full width, the rest of 10 bits) takes the affine loop.
+	if _, _, affine := planMSM(1024-17, 10); !affine {
+		t.Error("planMSM(1007, 10) keeps Jacobian buckets")
+	}
 	for _, n := range []int{1, 15, 16, 300, 4096, 8832, 17664, 1 << 17, 1 << 20} {
 		prev := 0
 		for nbits := 1; nbits <= 253; nbits++ {
-			c, windows := planMSM(n, nbits)
+			c, windows, affine := planMSM(n, nbits)
 			if c < 1 || c > msmMaxWindow || windows != (nbits+int(c))/int(c) {
 				t.Fatalf("planMSM(%d, %d) = (%d, %d)", n, nbits, c, windows)
 			}
-			cost := msmCost(n, c, windows)
+			cost := msmCost(n, c, windows, affine)
 			if cost < prev {
 				t.Fatalf("planMSM(%d, %d): cost %d below %d at %d bits", n, nbits, cost, prev, nbits-1)
 			}
 			prev = cost
 		}
-		if _, windows := planMSM(n, 23); n >= 8832 && windows > 3 {
+		if _, windows, _ := planMSM(n, 23); n >= 8832 && windows > 3 {
 			t.Errorf("planMSM(%d, 23) sweeps %d windows, want ≤ 3", n, windows)
+		}
+		// The prover's witness chunks, short and ≥ 1k terms, batch.
+		if _, _, affine := planMSM(n, 23); n >= 1000 && !affine {
+			t.Errorf("planMSM(%d, 23) keeps Jacobian buckets", n)
 		}
 		oldC := uint(14)
 		for _, row := range []struct {
@@ -400,9 +486,9 @@ func TestPlanMSM(t *testing.T) {
 				break
 			}
 		}
-		oldCost := (256 + int(oldC) - 1) / int(oldC) * (n + 2<<oldC)
-		if c, windows := planMSM(n, 253); msmCost(n, c, windows) > oldCost {
-			t.Errorf("planMSM(%d, 253) costs %d, the old table's c=%d cost %d", n, msmCost(n, c, windows), oldC, oldCost)
+		oldCost := (256 + int(oldC) - 1) / int(oldC) * (n*msmJacTerm + 1<<oldC*msmBucketSum)
+		if c, windows, affine := planMSM(n, 253); msmCost(n, c, windows, affine) > oldCost {
+			t.Errorf("planMSM(%d, 253) costs %d, the old table's c=%d cost %d", n, msmCost(n, c, windows, affine), oldC, oldCost)
 		}
 	}
 }
@@ -505,7 +591,8 @@ func fixedBaseScalars(rng *mrand.Rand, n int) []ff.Fr {
 // TestFixedBaseMulG1 checks FixedBaseMulG1 against ScalarMul for the
 // generator (the cached table) and for another base (a table built per
 // call), at one worker and at four, and that every output is affine
-// (Z = 1) or infinity.
+// (Z = 1) or infinity. The scalars run seven times over, so that one
+// worker's ~1,200 full-width terms span two blocks (fixedBaseBlock).
 func TestFixedBaseMulG1(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(47))
 	scalars := fixedBaseScalars(rng, 400)
@@ -519,8 +606,8 @@ func TestFixedBaseMulG1(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			parallel.SetDefaultSize(workers)
-			for i, got := range FixedBaseMulG1(base, scalars) {
-				if !got.Equal(&want[i]) || !got.IsInfinity() && !got.zIsOne() {
+			for i, got := range FixedBaseMulG1(base, slices.Repeat(scalars, 7)) {
+				if !got.Equal(&want[i%len(scalars)]) || !got.IsInfinity() && !got.zIsOne() {
 					t.Fatalf("workers=%d: fixed-base mismatch at %d", workers, i)
 				}
 			}
@@ -541,8 +628,8 @@ func TestFixedBaseMulG2(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			parallel.SetDefaultSize(workers)
-			for i, got := range FixedBaseMulG2(base, scalars) {
-				if !got.Equal(&want[i]) || !got.IsInfinity() && !got.zIsOne() {
+			for i, got := range FixedBaseMulG2(base, slices.Repeat(scalars, 7)) {
+				if !got.Equal(&want[i%len(scalars)]) || !got.IsInfinity() && !got.zIsOne() {
 					t.Fatalf("workers=%d: fixed-base mismatch at %d", workers, i)
 				}
 			}
@@ -565,7 +652,8 @@ func collisionTerms(w, d int) (limbs [][4]uint64, idx []uint32) {
 // TestFixedBaseWindowCollision drives the batch-affine window step into
 // its exceptional branch (acc = ±addend) next to ordinary terms of the
 // same batch. Canonical scalars cannot reach that branch through
-// FixedBaseMulG1/G2 (see fixedBaseWindowG1), so this is its only test.
+// FixedBaseMulG1/G2 (see batchAddG1), so this is its only fixed-base
+// test; the MSM's doubled and cancelling mixes reach it in buckets.
 func TestFixedBaseWindowCollision(t *testing.T) {
 	const w, d = 3, 5
 	limbs, idx := collisionTerms(w, d)
@@ -574,10 +662,7 @@ func TestFixedBaseWindowCollision(t *testing.T) {
 		addend, other := row[d-1], G1Generator()
 		var neg G1Affine
 		neg.Neg(&addend)
-		out := make([]G1Jac, len(idx))
-		for i, a := range []*G1Affine{&addend, &addend, &neg, &other} {
-			out[i].FromAffine(a)
-		}
+		acc := []G1Affine{addend, addend, neg, other, {Infinity: true}}
 		var want [5]G1Jac
 		want[0].FromAffine(&addend)
 		want[0].Double(&want[0])
@@ -586,10 +671,10 @@ func TestFixedBaseWindowCollision(t *testing.T) {
 		want[3].FromAffine(&other)
 		want[3].AddMixed(&addend)
 		want[4].FromAffine(&addend)
-		fixedBaseWindowG1(out, limbs, idx, row, w, fixedBaseWindow, make([]ff.Fp, len(idx)), make([]uint32, len(idx)))
+		batchAddG1(acc, row, false, limbs, idx, w, fixedBaseWindow, make([]ff.Fp, len(idx)), make([]uint32, len(idx)))
 		for i := range want {
-			if !out[i].Equal(&want[i]) || !out[i].IsInfinity() && !out[i].zIsOne() {
-				t.Errorf("term %d: wrong sum or not affine", i)
+			if wa := want[i].ToAffine(); !acc[i].Equal(&wa) {
+				t.Errorf("term %d: wrong sum", i)
 			}
 		}
 	})
@@ -598,10 +683,7 @@ func TestFixedBaseWindowCollision(t *testing.T) {
 		addend, other := row[d-1], G2Generator()
 		var neg G2Affine
 		neg.Neg(&addend)
-		out := make([]G2Jac, len(idx))
-		for i, a := range []*G2Affine{&addend, &addend, &neg, &other} {
-			out[i].FromAffine(a)
-		}
+		acc := []G2Affine{addend, addend, neg, other, {Infinity: true}}
 		var want [5]G2Jac
 		want[0].FromAffine(&addend)
 		want[0].Double(&want[0])
@@ -610,10 +692,10 @@ func TestFixedBaseWindowCollision(t *testing.T) {
 		want[3].FromAffine(&other)
 		want[3].AddMixed(&addend)
 		want[4].FromAffine(&addend)
-		fixedBaseWindowG2(out, limbs, idx, row, w, fixedBaseWindow, make([]ff.Fp2, len(idx)), make([]uint32, len(idx)))
+		batchAddG2(acc, row, false, limbs, idx, w, fixedBaseWindow, make([]ff.Fp2, len(idx)), make([]uint32, len(idx)))
 		for i := range want {
-			if !out[i].Equal(&want[i]) || !out[i].IsInfinity() && !out[i].zIsOne() {
-				t.Errorf("term %d: wrong sum or not affine", i)
+			if wa := want[i].ToAffine(); !acc[i].Equal(&wa) {
+				t.Errorf("term %d: wrong sum", i)
 			}
 		}
 	})
@@ -621,9 +703,11 @@ func TestFixedBaseWindowCollision(t *testing.T) {
 
 // TestFixedBaseAllocs pins fixed-base multiplication's scratch
 // discipline: a warm call rents magnitudes, indices and per-chunk scratch
-// from the arena and allocates nothing per point, so beyond the output
-// and a handful of closures only the one Fp.Inverse per window allocates
-// (it goes through math/big). One worker, as in TestMSMWindowAllocs.
+// from the arena and allocates nothing per point or per window, so the
+// call stays at the output and a handful of closures. The bound keeps a
+// term for the one inversion per window and block, should it ever
+// allocate again; the binary-GCD Fp.Inverse allocates nothing. One
+// worker, as in TestMSMWindowAllocs.
 func TestFixedBaseAllocs(t *testing.T) {
 	if !arena.Enabled() {
 		t.Skip("pooling disabled via ZKVC_NO_POOL")
@@ -787,8 +871,11 @@ func fuzzMSM(t *testing.T, g *msmGroup, data []byte) {
 		}
 	}
 	g.pick(sel)
-	if g.msm(scalars, planMSM) != g.naive(scalars) {
-		t.Fatalf("%s MSM disagrees with Σ ScalarMul on %x", g.name, data)
+	want := g.naive(scalars)
+	for _, kind := range bucketKinds {
+		if g.msm(scalars, kind.plan) != want {
+			t.Fatalf("%s %s MSM disagrees with Σ ScalarMul on %x", g.name, kind.name, data)
+		}
 	}
 }
 
@@ -861,8 +948,8 @@ func BenchmarkFixedBaseWindow(b *testing.B) {
 			build time.Duration
 			run   func(s []ff.Fr)
 		}{
-			{"G1", 4096, build1, func(s []ff.Fr) { fixedBaseG1(t1, c, s) }},
-			{"G2", 1024, build2, func(s []ff.Fr) { fixedBaseG2(t2, c, s) }},
+			{"G1", 4096, build1, func(s []ff.Fr) { fixedBaseMul(t1, c, s, g1Ops) }},
+			{"G2", 1024, build2, func(s []ff.Fr) { fixedBaseMul(t2, c, s, g2Ops) }},
 		} {
 			b.Run(fmt.Sprintf("%s/c=%d", g.name, c), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -875,9 +962,9 @@ func BenchmarkFixedBaseWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkMSMWindow ablates the window width against the plan, on
-// uniformly random scalars and on the quantized-witness shape (9-bit
-// entries, 23-bit accumulations, signed).
+// BenchmarkMSMWindow ablates the window width and bucket kind against
+// the plan, on uniformly random scalars and on the quantized-witness
+// shape (9-bit entries, 23-bit accumulations, signed).
 func BenchmarkMSMWindow(b *testing.B) {
 	rng := mrand.New(mrand.NewSource(78))
 	const n = 8192
@@ -903,11 +990,47 @@ func BenchmarkMSMWindow(b *testing.B) {
 			}
 		})
 		for _, c := range shape.widths {
-			b.Run(fmt.Sprintf("%s/c=%d", shape.name, c), func(b *testing.B) {
+			for _, kind := range []string{"jacobian", "affine"} {
+				b.Run(fmt.Sprintf("%s/c=%d/%s", shape.name, c, kind), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						msm(points, shape.scalars, fixedWindow(c, kind == "affine"), g1Ops, func(i int) bool { return points[i].Infinity })
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkMSMBuckets times both bucket kinds, each under its own best
+// window (planKind), in both groups, on quantized tensors — n signed
+// values of up to b bits — from the sizes where the plan keeps Jacobian
+// buckets to the prover's chunks; msmCost's weights come from here.
+// One worker: ZKVC_PARALLELISM=1 go test -run '^$' -bench
+// BenchmarkMSMBuckets -count 4 ./internal/curve
+func BenchmarkMSMBuckets(b *testing.B) {
+	rng := mrand.New(mrand.NewSource(86))
+	logs := randLogs(rng, 8192)
+	g1Pts := BatchToAffineG1(FixedBaseMulG1(G1GeneratorJac(), logs))
+	g2Pts := BatchToAffineG2(FixedBaseMulG2(G2GeneratorJac(), logs[:2048]))
+	for _, shape := range [][2]int{{32, 9}, {128, 10}, {253, 7}, {1007, 10}, {2048, 17}, {8192, 20}} {
+		n, bits := shape[0], shape[1]
+		scalars := make([]ff.Fr, n)
+		for i := range scalars {
+			scalars[i] = smallSigned(rng, uint(bits-1))
+		}
+		for _, kind := range bucketKinds[1:] {
+			b.Run(fmt.Sprintf("G1/n=%d/bits=%d/%s", n, bits, kind.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					msm(points, shape.scalars, fixedWindow(c), &g1JacPool, func(i int) bool { return points[i].Infinity })
+					msm(g1Pts[:n], scalars, kind.plan, g1Ops, func(int) bool { return false })
 				}
 			})
+			if n <= len(g2Pts) {
+				b.Run(fmt.Sprintf("G2/n=%d/bits=%d/%s", n, bits, kind.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						msm(g2Pts[:n], scalars, kind.plan, g2Ops, func(int) bool { return false })
+					}
+				})
+			}
 		}
 	}
 }

@@ -87,31 +87,10 @@ func (z *Fp) Neg(x *Fp) *Fp {
 // Double sets z = 2x and returns z.
 func (z *Fp) Double(x *Fp) *Fp { return z.Add(x, x) }
 
-// Inverse sets z = x⁻¹ and returns z. The inverse of 0 is 0.
+// Inverse sets z = x⁻¹ and returns z. The inverse of 0 is 0. It is a
+// binary extended GCD on the limbs (gcdInverse), allocation-free.
 func (z *Fp) Inverse(x *Fp) *Fp {
-	v := x.Big()
-	if v.Sign() == 0 {
-		return z.SetZero()
-	}
-	v.ModInverse(v, pMod.big)
-	return z.SetBig(v)
-}
-
-// Exp sets z = x^e and returns z. Negative exponents invert first.
-func (z *Fp) Exp(x *Fp, e *big.Int) *Fp {
-	var base Fp
-	base.Set(x)
-	if e.Sign() < 0 {
-		base.Inverse(&base)
-		e = new(big.Int).Neg(e)
-	}
-	z.SetOne()
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		z.Square(z)
-		if e.Bit(i) == 1 {
-			z.Mul(z, &base)
-		}
-	}
+	gcdInverse((*[4]uint64)(z), (*[4]uint64)(x), &pMod)
 	return z
 }
 

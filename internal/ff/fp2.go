@@ -16,12 +16,9 @@ var (
 	// p^k-power Frobenius puts on the wⁱ coefficient of an Fp12 element,
 	// since w^(p^k) = w·(w⁶)^((p^k−1)/6) and w⁶ = ξ.
 	frobGamma [3][6]Fp2
-	// pMinus2 is the Fermat exponent of the tower's base-field inversion.
-	pMinus2 *big.Int
 )
 
 func initTowerConstants() {
-	pMinus2 = new(big.Int).Sub(pMod.big, big.NewInt(2))
 	var xi Fp2
 	xi.SetOne()
 	xi.MulByNonResidue(&xi)
@@ -142,18 +139,17 @@ func (z *Fp2) MulByNonResidue(x *Fp2) *Fp2 {
 
 // Inverse sets z = x⁻¹ and returns z. The inverse of 0 is 0.
 //
-// The base-field inversion is Fermat's n^(p−2), not Fp.Inverse's math/big
-// route: ≈20 µs against ≈3 µs, but allocation-free, like the Fp6/Fp12
-// inverses and the final exponentiation built on it. Tower inversions are
-// rare: the final exponentiation has one, and the Miller loop, in
-// projective coordinates, has none.
+// It inverts the norm a0² + a1² in the base field with Fp.Inverse's
+// binary GCD: allocation-free, like the Fp6/Fp12 inverses and the final
+// exponentiation built on it, and an order of magnitude faster than the
+// Fermat chain n^(p−2).
 func (z *Fp2) Inverse(x *Fp2) *Fp2 {
 	// 1/(a0+a1u) = (a0 − a1u)/(a0² + a1²)
 	var n, t Fp
 	n.Square(&x.A0)
 	t.Square(&x.A1)
 	n.Add(&n, &t)
-	n.Exp(&n, pMinus2)
+	n.Inverse(&n)
 	z.A0.Mul(&x.A0, &n)
 	n.Neg(&n)
 	z.A1.Mul(&x.A1, &n)

@@ -127,10 +127,24 @@ func TestFrInverse(t *testing.T) {
 	}
 }
 
+// TestFpInverseAndNeg runs 20,000 random elements and the values where
+// the binary-GCD inversion's rounds are shortest or longest: powers of
+// two, small integers and their negatives.
 func TestFpInverseAndNeg(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(7))
-	for i := 0; i < 100; i++ {
-		a := randFp(rng)
+	var cases []Fp
+	for k := 0; k < 254; k++ {
+		var a Fp
+		cases = append(cases, *a.SetBig(new(big.Int).Lsh(big.NewInt(1), uint(k))))
+	}
+	for v := int64(1); v < 64; v++ {
+		var a, b Fp
+		cases = append(cases, *a.SetInt64(v), *b.SetInt64(-v))
+	}
+	for i := 0; i < 20000; i++ {
+		cases = append(cases, randFp(rng))
+	}
+	for _, a := range cases {
 		if a.IsZero() {
 			continue
 		}

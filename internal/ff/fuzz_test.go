@@ -313,3 +313,63 @@ func FuzzCanonicalBytes(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFpInverse is the differential check of the binary-GCD inversion:
+// Fp.Inverse, aliased z.Inverse(z) included, against big.Int.ModInverse
+// on the input read as a big-endian integer mod p, with 0 → 0. The
+// output must be reduced (< p), as Equal and IsZero compare limbs. The
+// seeds are 0, 1, p−1, powers of two up to 2^253 and random values;
+// each runs as the canonical value and as raw Montgomery limbs, the
+// latter reaching the GCD with the input bytes unchanged.
+func FuzzFpInverse(f *testing.F) {
+	p := PModulus()
+	seed := func(v *big.Int) {
+		var b [32]byte
+		new(big.Int).Mod(v, p).FillBytes(b[:])
+		f.Add(b[:])
+	}
+	seed(big.NewInt(0))
+	seed(big.NewInt(1))
+	seed(new(big.Int).Sub(p, big.NewInt(1)))
+	for k := 0; k < 254; k += 23 {
+		seed(new(big.Int).Lsh(big.NewInt(1), uint(k)))
+	}
+	seed(new(big.Int).Lsh(big.NewInt(1), 253))
+	rng := mrand.New(mrand.NewSource(33))
+	for i := 0; i < 8; i++ {
+		seed(new(big.Int).Rand(rng, p))
+	}
+	R := new(big.Int).Lsh(big.NewInt(1), 256)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		v := new(big.Int).Mod(new(big.Int).SetBytes(in), p)
+		var x Fp
+		x.SetBig(v)
+		var mont Fp // v taken as Montgomery limbs: the element v·R⁻¹
+		bigToLimbs(v, (*[4]uint64)(&mont))
+		for _, c := range []struct {
+			name string
+			x    Fp
+			val  *big.Int
+		}{
+			{"canonical", x, v},
+			{"montgomery", mont, new(big.Int).Mod(new(big.Int).Mul(v, new(big.Int).ModInverse(R, p)), p)},
+		} {
+			want := new(big.Int)
+			if c.val.Sign() != 0 {
+				want.ModInverse(c.val, p)
+			}
+			var z Fp
+			z.Inverse(&c.x)
+			if geqLimbs((*[4]uint64)(&z), &pMod.limbs) {
+				t.Fatalf("Inverse(%s %v) = limbs %x, not reduced below p", c.name, c.val, z)
+			}
+			if got := z.Big(); got.Cmp(want) != 0 {
+				t.Fatalf("Inverse(%s %v) = %v, want %v", c.name, c.val, got, want)
+			}
+			z = c.x
+			if z.Inverse(&z); z.Big().Cmp(want) != 0 {
+				t.Fatalf("aliased Inverse(%s %v) = %v, want %v", c.name, c.val, z.Big(), want)
+			}
+		}
+	})
+}

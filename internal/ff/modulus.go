@@ -24,6 +24,8 @@ type modulus struct {
 	m1    [4]uint64 // m − 1 (the canonical limbs of −1)
 	half  [4]uint64 // (m-1)/2, the largest "non-negative" canonical value
 	big   *big.Int  // the prime as a big.Int
+
+	gcdFix [gcdMaxRounds + 1][4]uint64 // gcdInverse's exit constants
 }
 
 // Decimal strings for the BN254 primes (EIP-196/197 alt_bn128).
@@ -51,8 +53,8 @@ func initModulus(m *modulus, dec string) {
 	}
 	m.big = v
 	bigToLimbs(v, &m.limbs)
-	if m.limbs[3] >= 1<<63-1 {
-		panic("ff: modulus too wide for the no-carry montMul")
+	if m.limbs[3] >= 1<<62 {
+		panic("ff: modulus too wide for the no-carry montMul and gcdInverse")
 	}
 
 	// ninv = -m^{-1} mod 2^64.
@@ -73,6 +75,7 @@ func initModulus(m *modulus, dec string) {
 	bigToLimbs(r2, &m.r2)
 
 	bigToLimbs(new(big.Int).Rsh(v, 1), &m.half)
+	initGCD(m)
 }
 
 func bigToLimbs(v *big.Int, out *[4]uint64) {

@@ -3,7 +3,9 @@
 package matrix
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math/bits"
 	mrand "math/rand"
 
@@ -162,22 +164,26 @@ func Random(rng *mrand.Rand, rows, cols int, bound int64) *Matrix {
 	return m
 }
 
-// Bytes serializes the matrix canonically (dims then entries), for
-// Fiat–Shamir hashing.
-func (m *Matrix) Bytes() []byte {
-	out := make([]byte, 0, 16+32*len(m.Data))
-	var dim [8]byte
-	put := func(v int) {
-		for i := 0; i < 8; i++ {
-			dim[i] = byte(v >> (8 * i))
-		}
-		out = append(out, dim[:]...)
-	}
-	put(m.Rows)
-	put(m.Cols)
+// EncodedLen is the length of the canonical encoding WriteCanonical
+// writes.
+func (m *Matrix) EncodedLen() int { return 16 + 32*len(m.Data) }
+
+// WriteCanonical writes the matrix's canonical encoding, for Fiat–Shamir
+// hashing: rows and cols as 8-byte little-endian words, then each entry's
+// 32 canonical big-endian bytes, row-major. It streams through a small
+// buffer, so hashing a matrix does not copy it.
+func (m *Matrix) WriteCanonical(w io.Writer) {
+	var buf [16 + 32*64]byte
+	binary.LittleEndian.PutUint64(buf[0:], uint64(m.Rows))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(m.Cols))
+	n := 16
 	for i := range m.Data {
-		b := m.Data[i].Bytes()
-		out = append(out, b[:]...)
+		if n+32 > len(buf) {
+			w.Write(buf[:n])
+			n = 0
+		}
+		m.Data[i].PutBytes(buf[n:])
+		n += 32
 	}
-	return out
+	w.Write(buf[:n])
 }

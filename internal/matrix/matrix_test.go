@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -76,22 +77,42 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+// encode returns m's canonical encoding.
+func encode(m *Matrix) []byte {
+	var b bytes.Buffer
+	m.WriteCanonical(&b)
+	return b.Bytes()
+}
+
 func TestBytesCanonical(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(1))
 	a := Random(rng, 3, 4, 100)
-	if !bytes.Equal(a.Bytes(), a.Clone().Bytes()) {
+	if !bytes.Equal(encode(a), encode(a.Clone())) {
 		t.Fatal("serialization not deterministic")
 	}
 	b := a.Clone()
 	b.At(2, 3).SetInt64(12345)
-	if bytes.Equal(a.Bytes(), b.Bytes()) {
+	if bytes.Equal(encode(a), encode(b)) {
 		t.Fatal("serialization ignores content")
 	}
 	// Dims are framed: a 1x4 and 4x1 with equal data must differ.
 	c := fromInts(1, 4, 1, 2, 3, 4)
 	d := fromInts(4, 1, 1, 2, 3, 4)
-	if bytes.Equal(c.Bytes(), d.Bytes()) {
+	if bytes.Equal(encode(c), encode(d)) {
 		t.Fatal("serialization ignores shape")
+	}
+	// The layout every Fiat–Shamir challenge hashes, across the
+	// streaming buffer's 64-entry boundary: little-endian dims, then
+	// the entries' canonical bytes.
+	e := Random(rng, 9, 17, 1000)
+	want := binary.LittleEndian.AppendUint64(nil, 9)
+	want = binary.LittleEndian.AppendUint64(want, 17)
+	for i := range e.Data {
+		v := e.Data[i].Bytes()
+		want = append(want, v[:]...)
+	}
+	if got := encode(e); !bytes.Equal(got, want) || len(got) != e.EncodedLen() {
+		t.Fatal("canonical encoding changed layout")
 	}
 }
 

@@ -6,6 +6,7 @@ package transcript
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"io"
 
 	"zkvc/internal/ff"
 )
@@ -37,28 +38,43 @@ const absorbBufSize = 160
 
 // Append absorbs labeled bytes.
 func (t *Transcript) Append(label string, data []byte) {
-	if 32+8+len(label)+8+len(data) <= absorbBufSize {
-		var buf [absorbBufSize]byte
-		n := copy(buf[:], t.state[:])
-		binary.LittleEndian.PutUint64(buf[n:], uint64(len(label)))
-		n += 8
-		n += copy(buf[n:], label)
-		binary.LittleEndian.PutUint64(buf[n:], uint64(len(data)))
-		n += 8
-		n += copy(buf[n:], data)
-		t.state = sha256.Sum256(buf[:n])
+	var buf [absorbBufSize]byte
+	msg := t.header(buf[:0], label, len(data))
+	if len(msg)+len(data) <= absorbBufSize {
+		t.state = sha256.Sum256(append(msg, data...))
 		return
 	}
 	h := sha256.New()
-	h.Write(t.state[:])
-	var lenBuf [8]byte
-	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(label)))
-	h.Write(lenBuf[:])
-	h.Write([]byte(label))
-	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(data)))
-	h.Write(lenBuf[:])
+	h.Write(msg)
 	h.Write(data)
 	h.Sum(t.state[:0])
+}
+
+// Encoder is a long message that the transcript hashes as it is encoded
+// instead of building it first: EncodedLen is the length of what
+// WriteCanonical writes.
+type Encoder interface {
+	EncodedLen() int
+	WriteCanonical(io.Writer)
+}
+
+// AppendFrom absorbs m's canonical encoding, exactly as Append absorbs
+// the same bytes from one slice.
+func (t *Transcript) AppendFrom(label string, m Encoder) {
+	var buf [absorbBufSize]byte
+	h := sha256.New()
+	h.Write(t.header(buf[:0], label, m.EncodedLen()))
+	m.WriteCanonical(h)
+	h.Sum(t.state[:0])
+}
+
+// header appends to dst the framing that precedes every message of n
+// bytes: state ‖ len(label) ‖ label ‖ n.
+func (t *Transcript) header(dst []byte, label string, n int) []byte {
+	dst = append(dst, t.state[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(label)))
+	dst = append(dst, label...)
+	return binary.LittleEndian.AppendUint64(dst, uint64(n))
 }
 
 // AppendFr absorbs a field element.

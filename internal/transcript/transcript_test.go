@@ -2,6 +2,10 @@ package transcript
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -143,5 +147,47 @@ func TestQuickUint64Framing(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// chunkedMsg is an Encoder that writes its bytes seven at a time.
+type chunkedMsg []byte
+
+func (m chunkedMsg) EncodedLen() int { return len(m) }
+
+func (m chunkedMsg) WriteCanonical(w io.Writer) {
+	for i := 0; i < len(m); i += 7 {
+		w.Write(m[i:min(len(m), i+7)])
+	}
+}
+
+// TestAppendFraming pins both absorb paths to the documented state
+// update H(state ‖ len(label) ‖ label ‖ len(data) ‖ data), on either side
+// of the stack buffer for data and for labels, and AppendFrom to Append
+// on the same bytes.
+func TestAppendFraming(t *testing.T) {
+	for _, label := range []string{"x", strings.Repeat("l", 200)} {
+		for _, n := range []int{0, 1, 100, 112, 113, 5000} {
+			data := make([]byte, n)
+			for i := range data {
+				data[i] = byte(3*i + n)
+			}
+			a, b := New("p"), New("p")
+			var want [32]byte
+			{
+				h := sha256.New()
+				h.Write(a.state[:])
+				h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(label))))
+				h.Write([]byte(label))
+				h.Write(binary.LittleEndian.AppendUint64(nil, uint64(n)))
+				h.Write(data)
+				h.Sum(want[:0])
+			}
+			a.Append(label, data)
+			b.AppendFrom(label, chunkedMsg(data))
+			if a.state != want || b.state != want {
+				t.Errorf("label %d bytes, data %d bytes: Append %x, AppendFrom %x, want %x", len(label), n, a.state[:4], b.state[:4], want[:4])
+			}
+		}
 	}
 }

@@ -259,19 +259,22 @@ func TestStrictDecode(t *testing.T) {
 }
 
 // TestVerifyModelMessagesStrictDecode: the retired mode-carrying
-// VerifyModelRequest and VerifyModelResponse (tags 0x16, 0x17) — and the
-// retired JobStreamRequest (0x12) — stay in the fuzz corpus as
-// checked-in inputs, and every strict decoder must reject each of them.
-// A message that reuses one of those tags would be accepted here.
+// VerifyModelRequest and VerifyModelResponse (tags 0x16, 0x17), the
+// retired JobStreamRequest (0x12) and the retired node heartbeat (0x0d)
+// stay in the fuzz corpus as checked-in inputs, and every strict decoder
+// must reject each of them. A message that reuses one of those tags
+// would be accepted here.
 func TestVerifyModelMessagesStrictDecode(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzWireDecodeProof")
 	files, err := filepath.Glob(filepath.Join(dir, "verify-model-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	files = append(files, filepath.Join(dir, "job-stream-request"))
-	if len(files) != 8 {
-		t.Fatalf("found %d retired-tag corpus files, want 8", len(files))
+	for _, name := range []string{"job-stream-request", "node-heartbeat", "node-heartbeat-truncated"} {
+		files = append(files, filepath.Join(dir, name))
+	}
+	if len(files) != 10 {
+		t.Fatalf("found %d retired-tag corpus files, want 10", len(files))
 	}
 	for _, name := range files {
 		raw, err := os.ReadFile(name)
@@ -286,7 +289,7 @@ func TestVerifyModelMessagesStrictDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if tag := data[wire.HeaderLen-1]; tag != 0x12 && tag != 0x16 && tag != 0x17 {
+		if tag := data[wire.HeaderLen-1]; tag != 0x0d && tag != 0x12 && tag != 0x16 && tag != 0x17 {
 			t.Fatalf("%s carries tag %#x, not a retired one", name, tag)
 		}
 		for _, c := range codecs {
